@@ -124,10 +124,6 @@ def _const(x):
     return lambda t: x
 
 
-def arc_const(value):
-    return Arc([(_const(0.0), _const(TWO_PI), lambda th, t: np.full_like(th, value, dtype=complex))])
-
-
 # ---------------------------------------------------------------------------
 # the generator loops and the fibration sections (single-formula items)
 

@@ -218,46 +218,3 @@ def verify_yb4(n: int) -> RelationFamilyReport:
             if not acts_trivially(wb, n):
                 failures.append((i, j, k, l, name))
     return RelationFamilyReport("YB4", n, count, idents, failures)
-
-
-# ---------------------------------------------------------------------------
-# the full twist
-
-def garside_Dk(k: int):
-    """The product a_12 (a_13 a_23) ... (a_1k ... a_{k-1,k}) over pure
-    generators, as a list of (i, j) pairs; length k(k-1)/2."""
-    if k < 2:
-        raise BraidError("the full twist needs at least 2 strands")
-    out = []
-    for j in range(2, k + 1):
-        for i in range(1, j):
-            out.append((i, j))
-    return out
-
-
-def garside_Dk_braid(k: int):
-    return braid_mul(*[alpha_word(i, j) for i, j in garside_Dk(k)])
-
-
-def delta_k(k: int):
-    """Half-twist braid word (s_1)(s_2 s_1)(s_3 s_2 s_1)...(s_{k-1} ... s_1)."""
-    out = []
-    for j in range(1, k):
-        out.extend((i, 1) for i in range(j, 0, -1))
-    return tuple(out)
-
-
-def dk_abelianization_trivial(k: int) -> bool:
-    """The full twist fixes every generator's abelianized image."""
-    b = garside_Dk_braid(k)
-    for g in range(1, k + 1):
-        img = artin_act(b, generator(g), k)
-        if abelianized(img, k) != abelianized(generator(g), k):
-            return False
-    return True
-
-
-def dk_equals_delta_squared(k: int) -> bool:
-    """Optional cross-check: the full twist is the squared half-twist."""
-    dd = braid_mul(delta_k(k), delta_k(k))
-    return acts_equally(garside_Dk_braid(k), dd, k)

@@ -2,7 +2,7 @@
 
 Commands:
   dcs verify [--all | --claim ID ...] [--samples N] [--grid AxB] [--tol X]
-             [--seed S] [--json PATH] [--freeze] [--threads N] [--config FILE]
+             [--seed S] [--json PATH] [--threads N] [--config FILE]
   dcs winding EXPR FUNCTIONAL...
   dcs membership FILE
   dcs atlas export
@@ -52,8 +52,6 @@ def build_parser() -> _Parser:
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--json", default=None, metavar="PATH", help="write the JSON report here")
     v.add_argument("--format", choices=("json", "text"), default="text")
-    v.add_argument("--freeze", action="store_true",
-                   help="recompute and embed the derived golden values")
     v.add_argument("--threads", type=int, default=None, help="worker pool size")
     v.add_argument("--config", default=None, metavar="FILE", help="JSON run configuration")
 
@@ -88,7 +86,7 @@ def _run_config(args):
     tol_kwargs = dict(base.get("tolerances", {}))
     kwargs = {k: v for k, v in base.items() if k in (
         "circle_samples", "boundary_tol", "lift_tol", "junction_tol",
-        "sweep_margin_min", "numeric_floor", "refine_cap", "seed", "threads")}
+        "sweep_margin_min", "numeric_floor", "seed", "threads")}
     if "disk_grid" in base:
         kwargs["disk_grid"] = tuple(base["disk_grid"])
     if "cylinder_grid" in base:
@@ -109,7 +107,6 @@ def _run_config(args):
         kwargs["boundary_tol"] = args.tol
         kwargs["lift_tol"] = args.tol
         kwargs["junction_tol"] = args.tol
-    kwargs["freeze"] = bool(args.freeze)
     try:
         if tol_kwargs:
             kwargs["tol"] = Tolerances(**tol_kwargs)
@@ -193,12 +190,14 @@ def cmd_membership(args) -> int:
     try:
         doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
         cfg = Config6.from_json(doc)
-        tag = SpaceTag.from_json(doc["tag"]) if "tag" in doc else None
-    except (OSError, ValueError, KeyError) as e:
+        if "tag" in doc:
+            tag = SpaceTag.from_json(doc["tag"])
+        elif cfg.ambient_dim == 2:
+            tag = SpaceTag.planar(2)
+        else:
+            tag = SpaceTag.solid(cfg.ambient_dim)
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise UsageError(f"cannot read configuration file: {e}") from None
-    if tag is None:
-        tag = (SpaceTag.planar(cfg.ambient_dim) if cfg.ambient_dim == 2
-               else SpaceTag.solid(cfg.ambient_dim))
     try:
         rep = validate(cfg.points, tag)
     except ProjectiveError as e:

@@ -23,8 +23,15 @@ import numpy as np
 import sympy
 
 from . import atlas
-from .paths import Atom, LoopExpr, SampledPath, TWO_PI
-from .projective import DEFAULT_TOL, ProjectiveError, Tolerances, unit_rows, singular_values_batch
+from .paths import Atom, LoopExpr, TWO_PI, disk_nodes
+from .projective import (
+    DEFAULT_TOL,
+    ProjectiveError,
+    Tolerances,
+    bracket_rows,
+    singular_values_batch,
+    unit_rows,
+)
 
 WINDING_RESIDUAL_MAX = 0.05     # turns; beyond this the result is indeterminate
 MAX_WINDING_SAMPLES = 2 ** 20
@@ -75,14 +82,6 @@ class ScalarFunctional:
         return float(np.max(np.abs(rescaled - base) / np.abs(base)))
 
 
-def _det3(a, b, c):
-    return (
-        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
-        - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
-        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
-    )
-
-
 def _bracket_ratio(i, j, k):
     """w = ([AjBjAi] [AkBkBi]) / ([AkBkAi] [AjBjBi]) with 1-based line indices."""
     ai, bi = 2 * (i - 1), 2 * (i - 1) + 1
@@ -91,10 +90,10 @@ def _bracket_ratio(i, j, k):
 
     def fn(arr):
         u = arr
-        num = _det3(u[..., aj, :], u[..., bj, :], u[..., ai, :]) * _det3(
+        num = bracket_rows(u[..., aj, :], u[..., bj, :], u[..., ai, :]) * bracket_rows(
             u[..., ak, :], u[..., bk, :], u[..., bi, :]
         )
-        den = _det3(u[..., ak, :], u[..., bk, :], u[..., ai, :]) * _det3(
+        den = bracket_rows(u[..., ak, :], u[..., bk, :], u[..., ai, :]) * bracket_rows(
             u[..., aj, :], u[..., bj, :], u[..., bi, :]
         )
         return num / den
@@ -186,24 +185,18 @@ class WindingResult:
         }
 
 
-def winding(loop, functional: ScalarFunctional, n: int = 512,
+def winding(loop: LoopExpr, functional: ScalarFunctional, n: int = 512,
             tol: Tolerances = DEFAULT_TOL) -> WindingResult:
     """Integer winding of the functional along a closed loop, by continuous
     argument tracking with adaptive midpoint refinement.
     """
-    if isinstance(loop, SampledPath):
-        if loop.eval_fn is None:
-            raise WindingError("sampled path carries no evaluator for refinement")
-        eval_fn, kind = loop.eval_fn, loop.value_kind
-    elif isinstance(loop, LoopExpr):
-        eval_fn, kind = loop.at, loop.value_kind
-    else:
-        raise WindingError("winding expects a LoopExpr or SampledPath")
-    if kind != "config":
+    if not isinstance(loop, LoopExpr):
+        raise WindingError("winding expects a LoopExpr")
+    if loop.value_kind != "config":
         raise WindingError("winding functionals act on configuration loops")
 
     thetas = np.linspace(0.0, TWO_PI, n + 1)
-    vals = functional(eval_fn(thetas))
+    vals = functional(loop.at(thetas))
     if abs(vals[0] - vals[-1]) > 1e-6 * max(1.0, float(np.abs(vals).max())):
         raise WindingError("functional values do not close up: the path is not a loop")
     refinements = 0
@@ -226,7 +219,7 @@ def winding(loop, functional: ScalarFunctional, n: int = 512,
         mids = 0.5 * (thetas[:-1][bad] + thetas[1:][bad])
         thetas = np.sort(np.concatenate([thetas, mids]))
         refinements += 1
-        vals = functional(eval_fn(thetas))
+        vals = functional(loop.at(thetas))
     total = float(np.sum(dargs)) / TWO_PI
     k = int(np.round(total))
     residual = abs(total - k)
@@ -237,16 +230,11 @@ def winding(loop, functional: ScalarFunctional, n: int = 512,
     return result
 
 
-def fiber_winding_vector(loop, ambient: int, n: int = 512,
+def fiber_winding_vector(loop: LoopExpr, ambient: int, n: int = 512,
                          tol: Tolerances = DEFAULT_TOL):
     """Per-line winding of chart(B_i) - chart(A_i); requires the three lines
     to stay on the registered base lines along the whole loop."""
-    if isinstance(loop, LoopExpr):
-        eval_fn = loop.at
-    else:
-        eval_fn = loop.eval_fn
-    thetas = np.linspace(0.0, TWO_PI, n + 1)
-    configs = eval_fn(thetas)
+    configs = loop.at(np.linspace(0.0, TWO_PI, n + 1))
     for i in range(3):
         resid = line_constancy(configs, i, ambient)
         if resid > tol.rank_rel_tol:
@@ -257,10 +245,8 @@ def fiber_winding_vector(loop, ambient: int, n: int = 512,
     return tuple(results)
 
 
-def lines_constant(loop, ambient: int, n: int = 256, tol: Tolerances = DEFAULT_TOL) -> bool:
-    eval_fn = loop.at if isinstance(loop, LoopExpr) else loop.eval_fn
-    thetas = np.linspace(0.0, TWO_PI, n + 1)
-    configs = eval_fn(thetas)
+def lines_constant(loop: LoopExpr, ambient: int, n: int = 256, tol: Tolerances = DEFAULT_TOL) -> bool:
+    configs = loop.at(np.linspace(0.0, TWO_PI, n + 1))
     try:
         return all(line_constancy(configs, i, ambient) <= tol.rank_rel_tol for i in range(3))
     except (KeyError, IndexError):
@@ -369,11 +355,8 @@ def disk_winding_nullity(item_id: str, functional: ScalarFunctional,
     item = atlas.get(item_id)
     if item.kind != "disk":
         raise WindingError(f"{item_id} is not a disk item")
-    n_theta, n_rho = grid
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    rhos = np.linspace(0.0, 1.0, n_rho)
-    tt, rr = np.meshgrid(thetas, rhos, indexing="ij")
-    vals = functional(item.eval(tt.ravel(), rho=rr.ravel()))
+    thetas, rhos = disk_nodes(grid)
+    vals = functional(item.eval(thetas, rho=rhos))
     min_mod = float(np.abs(vals).min())
     if min_mod < tol.margin_warn:
         return DiskNullityReport(item_id, functional.id, "inconclusive", None, min_mod)

@@ -102,9 +102,6 @@ class LoopExpr:
     def atoms(self):
         raise NotImplementedError
 
-    def __mul__(self, other):
-        return Concat(self, other)
-
     def inverse(self):
         return Inverse(self)
 
@@ -290,7 +287,7 @@ def outer_thirds_schedule(theta):
 # ---------------------------------------------------------------------------
 # expression parser:  atom | expr '*' expr | expr '^-1' | '(' expr ')'
 
-def parse_loop_expr(text: str, t_values: Optional[dict] = None) -> LoopExpr:
+def parse_loop_expr(text: str) -> LoopExpr:
     tokens = _tokenize(text)
     expr, pos = _parse_expr(tokens, 0)
     if pos != len(tokens):
@@ -356,26 +353,7 @@ def _parse_factor(tokens, pos):
 
 
 # ---------------------------------------------------------------------------
-# sampled paths
-
-@dataclass
-class SampledPath:
-    thetas: np.ndarray
-    values: np.ndarray
-    value_kind: str
-    source: str
-    closed: bool
-    eval_fn: Optional[Callable] = None
-
-    @classmethod
-    def from_expr(cls, expr: LoopExpr, n: int, tol: Tolerances = DEFAULT_TOL) -> "SampledPath":
-        if isinstance(expr, (Concat, EqualConcat)):
-            expr.validate_endpoints(tol)
-        thetas = np.linspace(0.0, TWO_PI, n + 1)
-        values = expr.at(thetas)
-        closed = float(value_dist(values[0], values[-1], expr.value_kind)) <= tol.proj_eq_tol
-        return cls(thetas, values, expr.value_kind, expr.label(), closed, expr.at)
-
+# pointwise comparison
 
 def pointwise_eq(p: LoopExpr, q: LoopExpr, grid_n: int = 512,
                  tol: Tolerances = DEFAULT_TOL) -> float:
@@ -395,6 +373,16 @@ def compare_values(a: np.ndarray, b: np.ndarray, kind: str) -> float:
 # ---------------------------------------------------------------------------
 # membership sweeps
 
+def disk_nodes(grid):
+    """Raveled (theta, rho) nodes of an (n_theta, n_rho) disk grid: angles
+    on [0, 2*pi) with the endpoint left out, radii on [0, 1] inclusive."""
+    n_theta, n_rho = grid
+    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    rhos = np.linspace(0.0, 1.0, n_rho)
+    tt, rr = np.meshgrid(thetas, rhos, indexing="ij")
+    return tt.ravel(), rr.ravel()
+
+
 @dataclass
 class SweepReport:
     item_id: str
@@ -405,6 +393,9 @@ class SweepReport:
     n_nodes: int
     fail_counts: dict = field(default_factory=dict)
     worst_param: tuple = ()
+    # meets of d1 and d2 at every node of a circle or disk sweep of a
+    # configuration item, in node order; not serialized
+    centers: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -436,23 +427,23 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL,
     if tag is None:
         raise PathError(f"{item_id} has no membership target")
 
-    def _check(points, param_grid):
+    def _check(points, params):
+        """params: one array per domain parameter, aligned with the nodes."""
+        centers = None
         if item.value_kind == "config":
             res = validate_batch(points, tag, tol)
             ok = res.all_ok
-            margin = float(res.margins.min())
-            resid = float(res.residuals.max())
-            worst = param_grid[int(np.argmin(res.margins))]
+            margins, resids = res.margins, res.residuals
             counts = dict(res.fail_counts)
+            centers = res.centers
         elif item.value_kind in ("lines_dual", "lines_span"):
             oks, margins, resids, counts = validate_lines_batch(points, tag, tol)
             ok = bool(np.all(oks))
-            margin = float(margins.min())
-            resid = float(resids.max())
-            worst = param_grid[int(np.argmin(margins))]
         else:
             raise PathError(f"{item_id} values have no membership notion")
-        return ok, margin, resid, counts, worst
+        i = int(np.argmin(margins))
+        worst = tuple(p[i] for p in params)
+        return ok, float(margins.min()), float(resids.max()), counts, worst, centers
 
     if item.kind in ("loop", "basepoint"):
         n = int(grid)
@@ -461,19 +452,17 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL,
         if item.kind == "basepoint":
             pts = pts[None]
             thetas = np.array([0.0])
-        ok, margin, resid, counts, worst = _check(pts, [(t,) for t in thetas])
-        return SweepReport(item_id, f"circle:{n}", ok, margin, resid, len(thetas), counts, worst)
+        ok, margin, resid, counts, worst, centers = _check(pts, (thetas,))
+        return SweepReport(item_id, f"circle:{n}", ok, margin, resid, len(thetas), counts,
+                           worst, centers)
 
     if item.kind == "disk":
         n_theta, n_rho = grid
-        thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-        rhos = np.linspace(0.0, 1.0, n_rho)
-        tt, rr = np.meshgrid(thetas, rhos, indexing="ij")
-        pts = item.eval(tt.ravel(), rho=rr.ravel())
-        params = list(zip(tt.ravel(), rr.ravel()))
-        ok, margin, resid, counts, worst = _check(pts, params)
+        thetas, rhos = disk_nodes(grid)
+        pts = item.eval(thetas, rho=rhos)
+        ok, margin, resid, counts, worst, centers = _check(pts, (thetas, rhos))
         return SweepReport(item_id, f"disk:{n_theta}x{n_rho}", ok, margin, resid,
-                           len(params), counts, worst)
+                           thetas.size, counts, worst, centers)
 
     if item.kind == "cylinder":
         n_theta, n_t = grid
@@ -483,10 +472,10 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL,
         worst = (0.0, 0.0)
         for t in np.linspace(0.0, 1.0, n_t):
             pts = item.eval(thetas, t=float(t))
-            o, mg, rs, cts, w = _check(pts, [(th, t) for th in thetas])
+            o, mg, rs, cts, w, _ = _check(pts, (thetas,))
             ok &= o
             if mg < margin:
-                margin, worst = mg, w
+                margin, worst = mg, (w[0], t)
             resid = max(resid, rs)
             _merge_counts(counts, cts)
         return SweepReport(item_id, f"cylinder:{n_theta}x{n_t}", ok, margin, resid,

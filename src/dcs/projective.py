@@ -79,7 +79,10 @@ class HPoint:
             raise DimensionMismatchError(
                 f"homogeneous vector must be 1-d with >= 2 entries, got shape {c.shape}"
             )
-        if not np.max(np.abs(c)) >= ZERO_FLOOR:
+        peak = np.max(np.abs(c))
+        if not np.isfinite(peak):
+            raise ProjectiveError("homogeneous vector has a non-finite entry")
+        if not peak >= ZERO_FLOOR:
             raise ZeroVectorError("homogeneous vector is (numerically) zero")
         c.setflags(write=False)
         self.coords = c
@@ -195,23 +198,6 @@ def singular_values_batch(rows: np.ndarray) -> np.ndarray:
     return np.linalg.svd(rows, compute_uv=False)
 
 
-def rank_margins_batch(rows: np.ndarray, want_rank: int, tol: Tolerances):
-    """(margin, excess) for 'rank(rows) == want_rank' on unit-normalized rows.
-
-    margin  relative singular value sigma_want / sigma_1 (should be > rank_rel_tol)
-    excess  sigma_{want+1} / sigma_1, or 0 where no further singular value exists
-            (should be < rank_rel_tol for the rank to be exact)
-    """
-    s = singular_values_batch(unit_rows(rows))
-    s0 = s[..., 0]
-    margin = s[..., want_rank - 1] / s0
-    if s.shape[-1] > want_rank:
-        excess = s[..., want_rank] / s0
-    else:
-        excess = np.zeros_like(s0)
-    return margin, excess
-
-
 # ---------------------------------------------------------------------------
 # point/line operations
 
@@ -314,15 +300,3 @@ def bracket_rows(a, b, c):
         + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
     )
     return complex(det) if np.ndim(det) == 0 else det
-
-
-def line_dist(l1_rows: np.ndarray, l2_rows: np.ndarray) -> np.ndarray:
-    """Degeneracy margin for 'the two lines differ': third relative singular
-    value of the four stacked span points (batched)."""
-    rows = np.concatenate([unit_rows(l1_rows), unit_rows(l2_rows)], axis=-2)
-    s = singular_values_batch(rows)
-    return s[..., 2] / s[..., 0]
-
-
-def points_to_array(points) -> np.ndarray:
-    return np.stack([p.coords for p in points])

@@ -105,14 +105,6 @@ class SpaceTag:
         return cls("D_solid_fixed", n, center=center)
 
     @classmethod
-    def fk(cls, n, k):
-        return cls("Fk", n, k=k)
-
-    @classmethod
-    def fk_stratum(cls, n, k, i):
-        return cls("Fk_stratum", n, k=k, span_i=i)
-
-    @classmethod
     def lines_through(cls, center):
         return cls("F3_lines_through", center.ambient_dim, center=center)
 
@@ -354,7 +346,7 @@ def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_
                 rep.failures.append(f"span {got} != required {tag.span_i}")
         return rep
     if tag.kind == "F3_lines_through":
-        raise ProjectiveError("line triples are validated by validate_lines")
+        raise ProjectiveError("line triples are validated by validate_lines_batch")
     if len(points) != 6:
         raise ProjectiveError("Desargues tags require six points")
     arr = np.stack([p.coords for p in points])[None]
@@ -372,58 +364,8 @@ def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_
     return rep
 
 
-def validate_lines(duals_or_spans, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
-    """Triple of distinct lines through a fixed point.
-
-    Lines may be given as dual covectors (CP^2) or as 2-point span arrays
-    of shape (3, 2, n+1).
-    """
-    if tag.kind != "F3_lines_through":
-        raise ProjectiveError("validate_lines requires an F3_lines_through tag")
-    arr = np.asarray(duals_or_spans, dtype=np.complex128)
-    failures = []
-    details = {}
-    if arr.ndim == 2:  # dual covectors in CP^2
-        u = unit_rows(arr)
-        worst = np.inf
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d = float(chordal_batch(u[i], u[j]))
-                worst = min(worst, d)
-                if d <= tol.proj_eq_tol:
-                    failures.append(f"lines {i} and {j} coincide")
-        details["min_line_dist"] = worst
-        c = tag.center.unit()
-        inc = float(np.max(np.abs(u @ c)))
-        details["center_incidence"] = inc
-        if inc > tol.rank_rel_tol:
-            failures.append("lines do not all pass through the center")
-        return MembershipReport(not failures, worst, failures, details)
-    # span form
-    u = unit_rows(arr)
-    worst = np.inf
-    for i in range(3):
-        for j in range(i + 1, 3):
-            rows = np.concatenate([u[i], u[j]], axis=0)
-            s = singular_values_batch(rows)
-            rel = float(s[2] / s[0])
-            worst = min(worst, rel)
-            if rel <= tol.rank_rel_tol:
-                failures.append(f"lines {i} and {j} coincide")
-    c = tag.center.unit()
-    inc = 0.0
-    for i in range(3):
-        rows = np.concatenate([u[i], c[None]], axis=0)
-        s = singular_values_batch(rows)
-        inc = max(inc, float(s[2] / s[0]))
-    details.update(min_line_dist=worst, center_incidence=inc)
-    if inc > tol.rank_rel_tol:
-        failures.append("lines do not all pass through the center")
-    return MembershipReport(not failures, worst, failures, details)
-
-
 def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL):
-    """Vectorized validate_lines.
+    """Triples of distinct lines through the tag's fixed center, batched.
 
     arr: (N, 3, n+1) dual covectors (CP^2) or (N, 3, 2, n+1) spans.
     Returns (ok, margins, residuals, fail_counts).

@@ -25,6 +25,7 @@ from .paths import (
     compare_values,
     config_lines_dual,
     config_lines_span,
+    disk_nodes,
     junction_report,
     outer_thirds_schedule,
     plane_incidence,
@@ -34,7 +35,7 @@ from .paths import (
 )
 from .projective import HPoint, Tolerances, chordal_batch, unit_rows
 from .report import FAIL, INCONCLUSIVE, PASS, ClaimReport, RunReport
-from .strata import Config6, SpaceTag, random_config, validate, validate_batch
+from .strata import Config6, SpaceTag, random_config, validate
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -59,10 +60,8 @@ class RunConfig:
     junction_tol: float = 1e-9
     sweep_margin_min: float = 1e-6
     numeric_floor: float = 1e-12
-    refine_cap: int = 2 ** 20
     seed: int = 0
     threads: int = 0              # 0 = available parallelism (DCS_THREADS overrides)
-    freeze: bool = False
 
     def __post_init__(self):
         if self.circle_samples < DEFAULT_CIRCLE // 4:
@@ -89,7 +88,7 @@ class RunConfig:
             "junction_tol": self.junction_tol,
             "sweep_margin_min": self.sweep_margin_min,
             "numeric_floor": self.numeric_floor,
-            "refine_cap": self.refine_cap,
+            "refine_cap": inv.MAX_WINDING_SAMPLES,
             "seed": self.seed,
         }
 
@@ -135,14 +134,6 @@ def _add_pointwise(rep: ClaimReport, name, lhs, rhs, cfg: RunConfig, tol=None):
     rep.add_distance(name, d, tol if tol is not None else cfg.boundary_tol,
                      cfg.numeric_floor)
     return d
-
-
-def _disk_nodes(cfg: RunConfig):
-    n_theta, n_rho = cfg.disk_grid
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    rhos = np.linspace(0.0, 1.0, n_rho)
-    tt, rr = np.meshgrid(thetas, rhos, indexing="ij")
-    return tt.ravel(), rr.ravel()
 
 
 def _fiber_vector_check(rep: ClaimReport, name, loop, ambient, expected, cfg: RunConfig):
@@ -326,7 +317,7 @@ def verify_C4(cfg: RunConfig) -> ClaimReport:
                      float(np.max(value_dist(lines_sigma, s_vals, "lines_dual"))),
                      cfg.lift_tol, cfg.numeric_floor)
 
-    tt, rr = _disk_nodes(cfg)
+    tt, rr = disk_nodes(cfg.disk_grid)
     lifted = config_lines_dual(atlas.get("Lambda_tilde").eval(tt, rho=rr))
     printed = atlas.get("Lambda").eval(tt, rho=rr)
     rep.add_distance("lines of the lifted disk equal the printed line disk",
@@ -403,14 +394,11 @@ def verify_C7(cfg: RunConfig) -> ClaimReport:
 
 def verify_C8(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C8")
-    _add_sweep(rep, "Phi_tilde", cfg)
-    tt, rr = _disk_nodes(cfg)
-    arr = atlas.get("Phi_tilde").eval(tt, rho=rr)
-    res = validate_batch(arr, SpaceTag.planar(2), cfg.tol)
-    centers = res.centers
+    sw = _add_sweep(rep, "Phi_tilde", cfg)
+    tt, rr = disk_nodes(cfg.disk_grid)
     phi_pts = atlas.get("Phi").eval(tt, rho=rr)
     rep.add_distance("center path equals the generator disk",
-                     float(np.max(chordal_batch(centers, unit_rows(phi_pts)))),
+                     float(np.max(chordal_batch(sw.centers, unit_rows(phi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
     _add_pointwise(rep, "circle restriction equals the printed formula",
                    Atom("Phi_tilde"), Atom("Phi_tilde_S1"), cfg)
@@ -457,7 +445,7 @@ def verify_C9(cfg: RunConfig) -> ClaimReport:
 def verify_C10(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C10")
     _add_sweep(rep, "Pi_tilde", cfg)
-    tt, rr = _disk_nodes(cfg)
+    tt, rr = disk_nodes(cfg.disk_grid)
     arr = atlas.get("Pi_tilde").eval(tt, rho=rr)
     planes = atlas.get("Pi").eval(tt, rho=rr)
     rep.add_distance("configuration lies in the moving plane",
@@ -493,7 +481,7 @@ def verify_C11(cfg: RunConfig) -> ClaimReport:
 
 def verify_C12(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C12")
-    tt, rr = _disk_nodes(cfg)
+    tt, rr = disk_nodes(cfg.disk_grid)
     for lifted, printed, expected in (("F_tilde", "F", (0, -1, 1)),
                                       ("B_tilde", "B", (-1, 0, 1))):
         _add_sweep(rep, lifted, cfg)
@@ -511,13 +499,11 @@ def verify_C12(cfg: RunConfig) -> ClaimReport:
 
 def verify_C13(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C13")
-    _add_sweep(rep, "Psi_tilde", cfg)
-    tt, rr = _disk_nodes(cfg)
-    arr = atlas.get("Psi_tilde").eval(tt, rho=rr)
-    res = validate_batch(arr, SpaceTag.solid(3), cfg.tol)
+    sw = _add_sweep(rep, "Psi_tilde", cfg)
+    tt, rr = disk_nodes(cfg.disk_grid)
     psi_pts = atlas.get("Psi").eval(tt, rho=rr)
     rep.add_distance("center path equals the generator disk",
-                     float(np.max(chordal_batch(res.centers, unit_rows(psi_pts)))),
+                     float(np.max(chordal_batch(sw.centers, unit_rows(psi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
     _fiber_vector_check(rep, "boundary fiber winding", Atom("Psi_tilde_S1"), 3,
                         (1, 1, 2), cfg)
@@ -528,7 +514,7 @@ def verify_C13(cfg: RunConfig) -> ClaimReport:
 def verify_C14(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C14")
     _add_sweep(rep, "Sigma_tilde", cfg)
-    tt, rr = _disk_nodes(cfg)
+    tt, rr = disk_nodes(cfg.disk_grid)
     arr = atlas.get("Sigma_tilde").eval(tt, rho=rr)
     planes = atlas.get("Sigma").eval(tt, rho=rr)
     rep.add_distance("configuration lies in the moving hyperplane",

@@ -6,9 +6,8 @@ The single documented deviation is the t=0 end of the H cylinder: the
 printed formula traverses the third fiber motion twice, so the stated
 comparison against (alpha*beta)*gamma fails pointwise and is kept as a
 strict expected failure; the derivation-run identity against
-(alpha*beta)*(gamma*gamma) passes at the same tolerance.  See
-notes/decisions.md at the repository root of the review bundle for the
-full analysis.
+(alpha*beta)*(gamma*gamma) passes at the same tolerance.  See the README
+section "One documented formula discrepancy" for the full analysis.
 """
 
 import json

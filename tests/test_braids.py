@@ -13,12 +13,7 @@ from dcs.braids import (
     artin_act,
     braid_invert,
     braid_mul,
-    delta_k,
-    dk_abelianization_trivial,
-    dk_equals_delta_squared,
     free_reduce,
-    garside_Dk,
-    garside_Dk_braid,
     generator,
     invert_word,
     mul,
@@ -158,38 +153,3 @@ def test_corrupted_commutation_fails():
         artin_act(_commutator(alpha_word(1, 3), alpha_word(2, 3)), generator(g), 3) == generator(g)
         for g in range(1, 4)
     )
-
-
-# ---------------------------------------------------------------------------
-# the full twist
-
-def test_full_twist_word_shape():
-    assert garside_Dk(2) == [(1, 2)]
-    assert garside_Dk(3) == [(1, 2), (1, 3), (2, 3)]
-    for k in range(2, 7):
-        assert len(garside_Dk(k)) == k * (k - 1) // 2
-
-
-def test_full_twist_abelianization():
-    for k in range(2, 7):
-        assert dk_abelianization_trivial(k)
-
-
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_full_twist_is_squared_half_twist(k):
-    assert dk_equals_delta_squared(k)
-
-
-def test_delta_word_length():
-    for k in range(2, 7):
-        assert len(delta_k(k)) == k * (k - 1) // 2
-
-
-def test_full_twist_central_for_small_k():
-    # D_k commutes with every generator braid (it is central), exact check
-    for k in range(2, 5):
-        dk = garside_Dk_braid(k)
-        for i in range(1, k):
-            lhs = braid_mul(dk, ((i, 1),))
-            rhs = braid_mul(((i, 1),), dk)
-            assert acts_equally(lhs, rhs, k)

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dcs import atlas
 from dcs.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from dcs.strata import SpaceTag
@@ -51,6 +53,8 @@ def test_verify_claim_glob(capsys, tmp_path):
 def test_verify_all_and_claim_conflict(capsys):
     code, _, _ = run_cli(["verify", "--all", "--claim", "C1"], capsys)
     assert code == EXIT_USAGE
+    code, _, err = run_cli(["verify", "--all", "--freeze"], capsys)
+    assert code == EXIT_USAGE and "--freeze" in err
 
 
 def test_verify_tolerance_below_binary64_is_inconclusive(capsys):
@@ -164,6 +168,32 @@ def test_membership_solid_under_planar_tag(capsys, tmp_path):
 def test_membership_missing_file(capsys):
     code, _, err = run_cli(["membership", "/nonexistent/nowhere.json"], capsys)
     assert code == EXIT_USAGE
+
+
+def _malformed(kind):
+    doc = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).to_json(atlas.TAG_PLANAR_FIXED_2)
+    if kind == "inf":
+        doc["points"][0][0][0] = float("inf")
+    elif kind == "nan":
+        doc["points"][0][0][0] = float("nan")
+    elif kind == "points-not-a-list":
+        doc["points"] = 5
+    else:  # six points of CP^1 and no tag
+        doc = {"points": [[[1.0, 0.0], [float(k), 0.0]] for k in range(6)]}
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "cp1-untagged"])
+def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(_malformed(kind)))
+    code, out, err = run_cli(["membership", str(f)], capsys)
+    assert code == EXIT_USAGE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+    if kind in ("inf", "nan"):
+        assert "non-finite" in err
 
 
 # ---------------------------------------------------------------------------

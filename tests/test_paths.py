@@ -16,7 +16,6 @@ from dcs.paths import (
     Inverse,
     PathError,
     Reparam,
-    SampledPath,
     TWO_PI,
     config_lines_dual,
     outer_thirds_schedule,
@@ -62,7 +61,7 @@ def test_concat_with_constant_loop_keeps_windings():
 def test_concat_endpoint_mismatch_rejected():
     shifted = Reparam(GAMMA, lambda th: (th + np.pi) % TWO_PI, "shift")
     with pytest.raises(EndpointMismatchError):
-        SampledPath.from_expr(Concat(ALPHA, shifted), 64)
+        Concat(ALPHA, shifted).validate_endpoints()
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +193,7 @@ def test_winding_additive_over_ratio_functionals_all_pairs():
 
 
 # ---------------------------------------------------------------------------
-# sampled paths and sweeps
-
-def test_sampled_path_closed_flag():
-    sp = SampledPath.from_expr(ALPHA, 64)
-    assert sp.closed and sp.value_kind == "config"
-
+# sweeps
 
 def test_sweep_stability_under_doubling():
     for item_id, grid in (("sigma", 128), ("Lambda_tilde", (32, 9))):

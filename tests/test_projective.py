@@ -9,6 +9,7 @@ from dcs.projective import (
     DimensionMismatchError,
     HPoint,
     NoIntersectionError,
+    ProjectiveError,
     Tolerances,
     ZeroVectorError,
     bracket,
@@ -75,6 +76,9 @@ def test_proj_dist_errors():
         proj_dist(HPoint([1, 0, 0]), HPoint([1, 0, 0, 0]))
     with pytest.raises(ZeroVectorError):
         HPoint([0, 0, 0])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ProjectiveError, match="non-finite"):
+            HPoint([1, bad, 0])
 
 
 def test_proj_dist_resolves_tiny_separations():

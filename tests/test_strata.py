@@ -15,7 +15,7 @@ from dcs.strata import (
     stratum_of,
     validate,
     validate_batch,
-    validate_lines,
+    validate_lines_batch,
 )
 
 PLANAR_TAG = atlas.TAG_PLANAR_FIXED_2
@@ -160,11 +160,11 @@ def test_validate_batch_matches_scalar():
 
 def test_validate_lines_through_center():
     duals = np.stack([atlas.D10_DUAL, atlas.D20_DUAL, atlas.D30_DUAL])
-    rep = validate_lines(duals, atlas.TAG_LINES_I0)
-    assert rep.verdict
-    rep = validate_lines(np.stack([atlas.D10_DUAL, atlas.D10_DUAL, atlas.D30_DUAL]),
-                         atlas.TAG_LINES_I0)
-    assert not rep.verdict
+    ok, _, _, counts = validate_lines_batch(duals[None], atlas.TAG_LINES_I0)
+    assert ok[0] and not counts
+    repeated = np.stack([atlas.D10_DUAL, atlas.D10_DUAL, atlas.D30_DUAL])
+    ok, _, _, counts = validate_lines_batch(repeated[None], atlas.TAG_LINES_I0)
+    assert not ok[0] and counts == {"lines-distinct": 1}
 
 
 def test_config6_shape_guard():

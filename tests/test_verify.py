@@ -4,6 +4,7 @@ aggregation, and the certificates section."""
 import pytest
 
 from dcs import atlas
+from dcs import invariants as inv
 from dcs.paths import Atom
 from dcs.projective import HPoint
 from dcs.report import FAIL, INCONCLUSIVE, PASS, ClaimReport, classify_distance, dumps
@@ -49,6 +50,10 @@ def test_claim_report_aggregation():
     assert rep.verdict == INCONCLUSIVE
     rep.add("c", FAIL)
     assert rep.verdict == FAIL
+
+
+def test_reported_refine_cap_is_the_cap_in_force():
+    assert RunConfig().to_json()["refine_cap"] == inv.MAX_WINDING_SAMPLES
 
 
 def test_run_config_validation():
