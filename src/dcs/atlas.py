@@ -95,7 +95,8 @@ class Arc:
     pieces: list of (lo(t), hi(t), f(theta, t)); bounds are callables of the
     cylinder parameter so the decomposition may move with t.  ``side``
     selects which formula owns a shared boundary, enabling two-sided
-    junction evaluation.
+    junction evaluation.  ``t`` is one cylinder parameter for all angles or
+    one per angle.
     """
 
     def __init__(self, pieces):
@@ -108,16 +109,18 @@ class Arc:
     def interior_bounds(self, t: float) -> np.ndarray:
         return self.bounds(t)[1:-1]
 
-    def __call__(self, theta, t: float = 0.0, side: str = "right"):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        interior = self.interior_bounds(t)
-        idx = np.searchsorted(interior, th, side="right" if side == "right" else "left")
+    def __call__(self, theta, t=0.0, side: str = "right"):
+        th, tt = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(t, dtype=float))
+        # a node's piece is the number of interior bounds it has passed; the
+        # right side owns a shared boundary, the left side the piece before it
+        passed = np.greater_equal if side == "right" else np.greater
+        idx = sum(passed(th, lo(tt)) for lo, _, _ in self.pieces[1:])
         out = np.zeros(th.shape, dtype=np.complex128)
         for k, (_, _, f) in enumerate(self.pieces):
             mask = idx == k
             if np.any(mask):
-                out[mask] = f(th[mask], t)
-        return out.reshape(np.shape(theta))
+                out[mask] = f(th[mask], tt[mask])
+        return out
 
 
 def _const(x):
@@ -655,6 +658,13 @@ class AtlasItem:
         return sorted(out)
 
 
+def _constant(rows):
+    """A base point as a parametric item: the same value at every angle."""
+    def fn(theta, t=None, rho=None, side="right"):
+        return np.broadcast_to(rows, np.shape(theta) + rows.shape).copy()
+    return fn
+
+
 TAG_PLANAR_FIXED_2 = SpaceTag.planar_fixed(2, HPoint(I0_PLANAR))
 TAG_PLANAR_2 = SpaceTag.planar(2)
 TAG_PLANAR_FIXED_3 = SpaceTag.planar_fixed(3, HPoint(I0_SOLID))
@@ -729,15 +739,13 @@ def _build_registry():
                   notes="line-fibration trivialization; see psi_triv()"),
         AtlasItem("gr_triv", "map", "config", TAG_PLANAR_FIXED_3,
                   notes="plane-fibration projection construction; see gr_triv()"),
-        AtlasItem("D0", "basepoint", "config", TAG_PLANAR_FIXED_2,
-                  lambda theta, t=None, rho=None, side="right": PLANAR_BASE.copy()),
+        AtlasItem("D0", "basepoint", "config", TAG_PLANAR_FIXED_2, _constant(PLANAR_BASE)),
         AtlasItem("D0_cp3", "basepoint", "config", TAG_PLANAR_FIXED_3,
-                  lambda theta, t=None, rho=None, side="right": PLANAR_BASE_CP3.copy()),
-        AtlasItem("D0_solid", "basepoint", "config", TAG_SOLID_FIXED_3,
-                  lambda theta, t=None, rho=None, side="right": SOLID_BASE.copy(),
+                  _constant(PLANAR_BASE_CP3)),
+        AtlasItem("D0_solid", "basepoint", "config", TAG_SOLID_FIXED_3, _constant(SOLID_BASE),
                   notes="third line label normalized: the display repeats the first label"),
         AtlasItem("D0_solid_cp4", "basepoint", "config", TAG_SOLID_FIXED_4,
-                  lambda theta, t=None, rho=None, side="right": SOLID_BASE_CP4.copy()),
+                  _constant(SOLID_BASE_CP4)),
     ]
     reg = {}
     for it in items:

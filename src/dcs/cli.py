@@ -1,8 +1,9 @@
 """Batch verification driver.
 
 Commands:
-  dcs verify [--all | --claim ID ...] [--samples N] [--grid AxB] [--tol X]
-             [--seed S] [--json PATH] [--threads N] [--config FILE]
+  dcs verify [--all | --claim ID ...] [--samples N] [--grid AxB]
+             [--cylinder-grid AxB] [--tol X] [--seed S] [--json PATH]
+             [--format json|text] [--threads N] [--config FILE]
   dcs winding EXPR FUNCTIONAL...
   dcs membership FILE
   dcs atlas export
@@ -184,7 +185,6 @@ def cmd_winding(args) -> int:
 
 def cmd_membership(args) -> int:
     from . import report as rpt
-    from .projective import ProjectiveError
     from .strata import Config6, SpaceTag, validate
 
     try:
@@ -196,13 +196,11 @@ def cmd_membership(args) -> int:
             tag = SpaceTag.planar(2)
         else:
             tag = SpaceTag.solid(cfg.ambient_dim)
+        if tag.n != cfg.ambient_dim:
+            raise ValueError(f"tag expects CP^{tag.n} but the points lie in CP^{cfg.ambient_dim}")
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise UsageError(f"cannot read configuration file: {e}") from None
-    try:
-        rep = validate(cfg.points, tag)
-    except ProjectiveError as e:
-        sys.stdout.write(rpt.dumps({"verdict": False, "error": str(e)}))
-        return EXIT_FAIL
+    rep = validate(cfg.points, tag)
     sys.stdout.write(rpt.dumps(rep.to_json()))
     return EXIT_OK if rep.verdict else EXIT_FAIL
 

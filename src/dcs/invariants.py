@@ -23,7 +23,7 @@ import numpy as np
 import sympy
 
 from . import atlas
-from .paths import Atom, LoopExpr, TWO_PI, disk_nodes
+from .paths import Atom, LoopExpr, TWO_PI, domain_nodes
 from .projective import (
     DEFAULT_TOL,
     ProjectiveError,
@@ -355,8 +355,8 @@ def disk_winding_nullity(item_id: str, functional: ScalarFunctional,
     item = atlas.get(item_id)
     if item.kind != "disk":
         raise WindingError(f"{item_id} is not a disk item")
-    thetas, rhos = disk_nodes(grid)
-    vals = functional(item.eval(thetas, rho=rhos))
+    nodes, _ = domain_nodes("disk", grid)
+    vals = functional(item.eval(**nodes))
     min_mod = float(np.abs(vals).min())
     if min_mod < tol.margin_warn:
         return DiskNullityReport(item_id, functional.id, "inconclusive", None, min_mod)

@@ -371,16 +371,33 @@ def compare_values(a: np.ndarray, b: np.ndarray, kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# membership sweeps
+# domain sampling and membership sweeps
 
-def disk_nodes(grid):
-    """Raveled (theta, rho) nodes of an (n_theta, n_rho) disk grid: angles
-    on [0, 2*pi) with the endpoint left out, radii on [0, 1] inclusive."""
-    n_theta, n_rho = grid
+SWEEP_BLOCK = 8192   # nodes validated per batch: one default disk grid
+
+
+def domain_nodes(kind: str, grid):
+    """Raveled nodes of an item's parameter domain, and the grid label.
+
+    grid: n for circles, (n_theta, n_rho) for disks, (n_theta, n_t) for
+    cylinders; a base point is constant, so one angle samples it.  Angles
+    lie on [0, 2*pi) with the endpoint left out, radii and cylinder
+    parameters on [0, 1] inclusive.  Cylinder nodes are t-major.  The node
+    arrays are keyword arguments of ``AtlasItem.eval``.
+    """
+    if kind in ("loop", "basepoint"):
+        n = 1 if kind == "basepoint" else int(grid)
+        return {"theta": np.linspace(0.0, TWO_PI, n, endpoint=False)}, f"circle:{n}"
+    if kind not in ("disk", "cylinder"):
+        raise PathError(f"{kind} items have no sweep domain")
+    n_theta, n_other = grid
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    rhos = np.linspace(0.0, 1.0, n_rho)
-    tt, rr = np.meshgrid(thetas, rhos, indexing="ij")
-    return tt.ravel(), rr.ravel()
+    others = np.linspace(0.0, 1.0, n_other)
+    if kind == "disk":
+        tt, rr = np.meshgrid(thetas, others, indexing="ij")
+        return {"theta": tt.ravel(), "rho": rr.ravel()}, f"disk:{n_theta}x{n_other}"
+    ts, tt = np.meshgrid(others, thetas, indexing="ij")
+    return {"theta": tt.ravel(), "t": ts.ravel()}, f"cylinder:{n_theta}x{n_other}"
 
 
 @dataclass
@@ -393,8 +410,8 @@ class SweepReport:
     n_nodes: int
     fail_counts: dict = field(default_factory=dict)
     worst_param: tuple = ()
-    # meets of d1 and d2 at every node of a circle or disk sweep of a
-    # configuration item, in node order; not serialized
+    # meets of d1 and d2 at every node of a configuration item's sweep, in
+    # node order; not serialized
     centers: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json(self) -> dict:
@@ -410,78 +427,41 @@ class SweepReport:
         }
 
 
-def _merge_counts(total: dict, extra: dict):
-    for k, v in extra.items():
-        total[k] = total.get(k, 0) + v
-
-
 def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL,
                tag: Optional[SpaceTag] = None) -> SweepReport:
-    """Validate an atlas item over its whole domain.
-
-    grid: n for circles, (n_theta, n_rho) for disks, (n_theta, n_t) for
-    cylinders.  The configured target tag is used unless overridden.
+    """Validate an atlas item over its whole domain (see ``domain_nodes``),
+    in blocks of at most SWEEP_BLOCK nodes.  The configured target tag is
+    used unless overridden.  worst_param holds the domain parameters of the
+    first node with the smallest margin.
     """
     item = atlas.get(item_id)
     tag = tag or item.target
     if tag is None:
         raise PathError(f"{item_id} has no membership target")
-
-    def _check(points, params):
-        """params: one array per domain parameter, aligned with the nodes."""
-        centers = None
+    if item.value_kind not in ("config", "lines_dual", "lines_span"):
+        raise PathError(f"{item_id} values have no membership notion")
+    nodes, label = domain_nodes(item.kind, grid)
+    n_nodes = nodes["theta"].size
+    ok, margin, resid, counts, worst, centers = True, np.inf, 0.0, {}, (), []
+    for start in range(0, n_nodes, SWEEP_BLOCK):
+        block = {k: v[start:start + SWEEP_BLOCK] for k, v in nodes.items()}
+        pts = item.eval(**block)
         if item.value_kind == "config":
-            res = validate_batch(points, tag, tol)
-            ok = res.all_ok
-            margins, resids = res.margins, res.residuals
-            counts = dict(res.fail_counts)
-            centers = res.centers
-        elif item.value_kind in ("lines_dual", "lines_span"):
-            oks, margins, resids, counts = validate_lines_batch(points, tag, tol)
-            ok = bool(np.all(oks))
+            res = validate_batch(pts, tag, tol)
+            oks, margins, resids, block_counts = (res.verdicts, res.margins,
+                                                  res.residuals, res.fail_counts)
+            centers.append(res.centers)
         else:
-            raise PathError(f"{item_id} values have no membership notion")
+            oks, margins, resids, block_counts = validate_lines_batch(pts, tag, tol)
+        ok = ok and bool(np.all(oks))
         i = int(np.argmin(margins))
-        worst = tuple(p[i] for p in params)
-        return ok, float(margins.min()), float(resids.max()), counts, worst, centers
-
-    if item.kind in ("loop", "basepoint"):
-        n = int(grid)
-        thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        pts = item.eval(thetas)
-        if item.kind == "basepoint":
-            pts = pts[None]
-            thetas = np.array([0.0])
-        ok, margin, resid, counts, worst, centers = _check(pts, (thetas,))
-        return SweepReport(item_id, f"circle:{n}", ok, margin, resid, len(thetas), counts,
-                           worst, centers)
-
-    if item.kind == "disk":
-        n_theta, n_rho = grid
-        thetas, rhos = disk_nodes(grid)
-        pts = item.eval(thetas, rho=rhos)
-        ok, margin, resid, counts, worst, centers = _check(pts, (thetas, rhos))
-        return SweepReport(item_id, f"disk:{n_theta}x{n_rho}", ok, margin, resid,
-                           thetas.size, counts, worst, centers)
-
-    if item.kind == "cylinder":
-        n_theta, n_t = grid
-        thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-        ok, margin, resid = True, np.inf, 0.0
-        counts: dict = {}
-        worst = (0.0, 0.0)
-        for t in np.linspace(0.0, 1.0, n_t):
-            pts = item.eval(thetas, t=float(t))
-            o, mg, rs, cts, w, _ = _check(pts, (thetas,))
-            ok &= o
-            if mg < margin:
-                margin, worst = mg, (w[0], t)
-            resid = max(resid, rs)
-            _merge_counts(counts, cts)
-        return SweepReport(item_id, f"cylinder:{n_theta}x{n_t}", ok, margin, resid,
-                           n_theta * n_t, counts, worst)
-
-    raise PathError(f"{item_id} ({item.kind}) has no sweep domain")
+        if margins[i] < margin:
+            margin, worst = float(margins[i]), tuple(p[i] for p in block.values())
+        resid = max(resid, float(resids.max()))
+        for name, c in block_counts.items():
+            counts[name] = counts.get(name, 0) + c
+    return SweepReport(item_id, label, ok, margin, resid, n_nodes, counts, worst,
+                       np.concatenate(centers) if centers else None)
 
 
 def junction_report(item_id: str, n_t: int = 64, tol: Tolerances = DEFAULT_TOL) -> dict:

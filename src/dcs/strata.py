@@ -33,7 +33,6 @@ from .projective import (
     unit_rows,
 )
 
-_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 _LINE_IDX = ((0, 1), (2, 3), (4, 5))
 
 
@@ -196,21 +195,24 @@ class Config6:
         return "Config6(" + ", ".join(repr(p) for p in self.points) + ")"
 
 
+def _pair_distances(u: np.ndarray):
+    """Chordal distances of all point pairs i < j of unit rows (..., k, m):
+    the pairs in row-major order, and the distances stacked on a last axis.
+    One batched call per pair keeps the temporaries at the size of ``u``."""
+    pairs = [(i, j) for i in range(u.shape[-2]) for j in range(i + 1, u.shape[-2])]
+    dists = [chordal_batch(u[..., i, :], u[..., j, :]) for i, j in pairs]
+    return pairs, np.stack(dists, axis=-1) if pairs else np.empty(u.shape[:-2] + (0,))
+
+
 def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
     """Pairwise-distinctness predicate for F_k; margin is the least distance."""
     pts = list(points)
     if not pts:
         raise ProjectiveError("empty point list")
-    rows = unit_rows(np.stack([p.coords for p in pts]))
-    k = len(pts)
-    worst = np.inf
-    failures = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = float(chordal_batch(rows[i], rows[j]))
-            worst = min(worst, d)
-            if d <= tol.proj_eq_tol:
-                failures.append(f"points {i} and {j} coincide")
+    pairs, d = _pair_distances(unit_rows(np.stack([p.coords for p in pts])))
+    worst = float(d.min()) if pairs else np.inf
+    failures = [f"points {i} and {j} coincide"
+                for (i, j), close in zip(pairs, d <= tol.proj_eq_tol) if close]
     return MembershipReport(not failures, worst, failures, {"min_pair_dist": worst})
 
 
@@ -270,7 +272,7 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
         return good
 
     # pairwise distinctness (covers "each line defined": pairs (0,1),(2,3),(4,5))
-    pair_d = np.stack([chordal_batch(u[:, i], u[:, j]) for i, j in _PAIRS], axis=-1)
+    pair_d = _pair_distances(u)[1]
     margins = np.minimum(margins, pair_d.min(axis=-1))
     ok &= _record("pairwise-distinct", np.all(pair_d > tol.proj_eq_tol, axis=-1))
 
@@ -333,7 +335,9 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
-    """Single-configuration membership check with named sub-check failures."""
+    """Single-configuration membership check with named sub-check failures.
+    Under an F3_lines_through tag the six points are the three (A_i, B_i)
+    line spans."""
     if tag.kind in ("Fk", "Fk_stratum"):
         rep = in_configuration_space(points, tol)
         if tag.kind == "Fk_stratum" and rep.verdict:
@@ -345,19 +349,20 @@ def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_
                 rep.verdict = False
                 rep.failures.append(f"span {got} != required {tag.span_i}")
         return rep
-    if tag.kind == "F3_lines_through":
-        raise ProjectiveError("line triples are validated by validate_lines_batch")
     if len(points) != 6:
-        raise ProjectiveError("Desargues tags require six points")
+        raise ProjectiveError(f"{tag.kind} tags require six points")
     arr = np.stack([p.coords for p in points])[None]
-    res = validate_batch(arr, tag, tol)
-    failures = sorted(res.fail_counts)
-    margin = float(res.margins[0])
+    if tag.kind == "F3_lines_through":
+        oks, margins, residuals, counts = validate_lines_batch(arr.reshape(1, 3, 2, -1), tag, tol)
+    else:
+        res = validate_batch(arr, tag, tol)
+        oks, margins, residuals, counts = res.verdicts, res.margins, res.residuals, res.fail_counts
+    margin = float(margins[0])
     rep = MembershipReport(
-        bool(res.verdicts[0]),
+        bool(oks[0]),
         margin,
-        failures,
-        {"margin": margin, "max_residual": float(res.residuals[0])},
+        sorted(counts),
+        {"margin": margin, "max_residual": float(residuals[0])},
     )
     if rep.verdict and margin < tol.margin_warn:
         rep.warnings.append(f"margin {margin:.3e} below margin_warn")

@@ -25,7 +25,7 @@ from .paths import (
     compare_values,
     config_lines_dual,
     config_lines_span,
-    disk_nodes,
+    domain_nodes,
     junction_report,
     outer_thirds_schedule,
     plane_incidence,
@@ -158,16 +158,10 @@ def _cylinder_fiber_agreement(rep: ClaimReport, item_id: str, ambient: int, cfg:
     """For each line pinned to its base line across the whole cylinder, the
     fiber winding at t=0 and t=1 must agree (it is invariant along the
     printed homotopy, which never moves that line)."""
-    item = atlas.get(item_id)
-    thetas = np.linspace(0.0, TWO_PI, 96)
+    nodes, _ = domain_nodes("cylinder", (96, 9))
+    arr = atlas.get(item_id).eval(**nodes)
     for i in range(3):
-        constant = True
-        for t in np.linspace(0.0, 1.0, 9):
-            arr = item.eval(thetas, t=float(t))
-            if inv.line_constancy(arr, i, ambient) > cfg.tol.rank_rel_tol:
-                constant = False
-                break
-        if not constant:
+        if inv.line_constancy(arr, i, ambient) > cfg.tol.rank_rel_tol:
             continue
         f = inv.fiber_functional(i, ambient)
         w0 = inv.winding(Atom(item_id, t=0.0), f, cfg.circle_samples, cfg.tol)
@@ -317,13 +311,12 @@ def verify_C4(cfg: RunConfig) -> ClaimReport:
                      float(np.max(value_dist(lines_sigma, s_vals, "lines_dual"))),
                      cfg.lift_tol, cfg.numeric_floor)
 
-    tt, rr = disk_nodes(cfg.disk_grid)
-    lifted = config_lines_dual(atlas.get("Lambda_tilde").eval(tt, rho=rr))
-    printed = atlas.get("Lambda").eval(tt, rho=rr)
+    nodes, rep.grids["Lambda_tilde"] = domain_nodes("disk", cfg.disk_grid)
+    lifted = config_lines_dual(atlas.get("Lambda_tilde").eval(**nodes))
+    printed = atlas.get("Lambda").eval(**nodes)
     rep.add_distance("lines of the lifted disk equal the printed line disk",
                      float(np.max(value_dist(lifted, printed, "lines_dual"))),
                      cfg.lift_tol, cfg.numeric_floor)
-    rep.grids["Lambda_tilde"] = f"disk:{cfg.disk_grid[0]}x{cfg.disk_grid[1]}"
 
     doubled = atlas.get("s").eval(2.0 * thetas % TWO_PI)
     boundary = atlas.get("Lambda").eval(thetas, rho=1.0)
@@ -395,8 +388,8 @@ def verify_C7(cfg: RunConfig) -> ClaimReport:
 def verify_C8(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C8")
     sw = _add_sweep(rep, "Phi_tilde", cfg)
-    tt, rr = disk_nodes(cfg.disk_grid)
-    phi_pts = atlas.get("Phi").eval(tt, rho=rr)
+    nodes, _ = domain_nodes("disk", cfg.disk_grid)
+    phi_pts = atlas.get("Phi").eval(**nodes)
     rep.add_distance("center path equals the generator disk",
                      float(np.max(chordal_batch(sw.centers, unit_rows(phi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
@@ -445,9 +438,9 @@ def verify_C9(cfg: RunConfig) -> ClaimReport:
 def verify_C10(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C10")
     _add_sweep(rep, "Pi_tilde", cfg)
-    tt, rr = disk_nodes(cfg.disk_grid)
-    arr = atlas.get("Pi_tilde").eval(tt, rho=rr)
-    planes = atlas.get("Pi").eval(tt, rho=rr)
+    nodes, _ = domain_nodes("disk", cfg.disk_grid)
+    arr = atlas.get("Pi_tilde").eval(**nodes)
+    planes = atlas.get("Pi").eval(**nodes)
     rep.add_distance("configuration lies in the moving plane",
                      float(np.max(plane_incidence(arr, planes))),
                      cfg.lift_tol, cfg.numeric_floor)
@@ -481,12 +474,12 @@ def verify_C11(cfg: RunConfig) -> ClaimReport:
 
 def verify_C12(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C12")
-    tt, rr = disk_nodes(cfg.disk_grid)
+    nodes, _ = domain_nodes("disk", cfg.disk_grid)
     for lifted, printed, expected in (("F_tilde", "F", (0, -1, 1)),
                                       ("B_tilde", "B", (-1, 0, 1))):
         _add_sweep(rep, lifted, cfg)
-        spans = config_lines_span(atlas.get(lifted).eval(tt, rho=rr))
-        target = atlas.get(printed).eval(tt, rho=rr)
+        spans = config_lines_span(atlas.get(lifted).eval(**nodes))
+        target = atlas.get(printed).eval(**nodes)
         rep.add_distance(f"lines of {lifted} equal {printed}",
                          float(np.max(value_dist(spans, target, "lines_span"))),
                          cfg.lift_tol, cfg.numeric_floor)
@@ -500,8 +493,8 @@ def verify_C12(cfg: RunConfig) -> ClaimReport:
 def verify_C13(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C13")
     sw = _add_sweep(rep, "Psi_tilde", cfg)
-    tt, rr = disk_nodes(cfg.disk_grid)
-    psi_pts = atlas.get("Psi").eval(tt, rho=rr)
+    nodes, _ = domain_nodes("disk", cfg.disk_grid)
+    psi_pts = atlas.get("Psi").eval(**nodes)
     rep.add_distance("center path equals the generator disk",
                      float(np.max(chordal_batch(sw.centers, unit_rows(psi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
@@ -514,9 +507,9 @@ def verify_C13(cfg: RunConfig) -> ClaimReport:
 def verify_C14(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C14")
     _add_sweep(rep, "Sigma_tilde", cfg)
-    tt, rr = disk_nodes(cfg.disk_grid)
-    arr = atlas.get("Sigma_tilde").eval(tt, rho=rr)
-    planes = atlas.get("Sigma").eval(tt, rho=rr)
+    nodes, _ = domain_nodes("disk", cfg.disk_grid)
+    arr = atlas.get("Sigma_tilde").eval(**nodes)
+    planes = atlas.get("Sigma").eval(**nodes)
     rep.add_distance("configuration lies in the moving hyperplane",
                      float(np.max(plane_incidence(arr, planes))),
                      cfg.lift_tol, cfg.numeric_floor)

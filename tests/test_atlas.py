@@ -206,6 +206,36 @@ def test_loops_close_at_base(item_id):
     assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("item_id", ["D0", "D0_cp3", "D0_solid", "D0_solid_cp4"])
+def test_basepoint_items_broadcast_over_theta(item_id):
+    item = atlas.get(item_id)
+    vals = item.eval(np.linspace(0.0, 1.0, 5))
+    assert vals.shape == (5,) + atlas.basepoint(item.target).array().shape
+    got = atlas.eval_item(item_id)
+    assert np.array_equal(got.array(), atlas.basepoint(item.target).array())
+    rep = sweep_item(item_id, 512)
+    assert rep.ok and rep.grid == "circle:1" and rep.n_nodes == 1
+
+
+ARCS = [(item_id, name) for item_id in ("L", "H", "M", "K_alpha", "K_beta", "K_gamma",
+                                        "epsilon", "eta")
+        for name in atlas.get(item_id).arcs]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("item_id, arc_name", ARCS)
+def test_arc_per_node_t_matches_scalar_t(item_id, arc_name, side):
+    """One t per node selects the same piece and value as one t for all
+    angles, bit for bit, also on the piece boundaries themselves."""
+    arc = atlas.get(item_id).arcs[arc_name]
+    grid = np.linspace(0.0, TWO_PI, 97)
+    ts = np.linspace(0.0, 1.0, 9)
+    thetas = [np.sort(np.concatenate([grid, arc.bounds(float(t))])) for t in ts]
+    per_t = np.concatenate([arc(th, float(t), side) for th, t in zip(thetas, ts)])
+    per_node = arc(np.concatenate(thetas), np.repeat(ts, [th.size for th in thetas]), side)
+    assert per_node.tobytes() == per_t.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # membership on reduced grids (full grids exercised by the acceptance suite)
 

@@ -9,6 +9,7 @@ import pytest
 
 from dcs import atlas
 from dcs.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from dcs.projective import HPoint
 from dcs.strata import SpaceTag
 
 
@@ -165,6 +166,20 @@ def test_membership_solid_under_planar_tag(capsys, tmp_path):
     assert any("span" in x for x in json.loads(out)["failures"])
 
 
+def test_membership_line_triple_tag(capsys, tmp_path):
+    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
+    f = _write_config(tmp_path, base, atlas.TAG_LINES_I0, "lines.json")
+    code, out, _ = run_cli(["membership", f], capsys)
+    assert code == EXIT_OK and json.loads(out)["verdict"] is True
+    doc = base.to_json(atlas.TAG_LINES_I0)
+    doc["points"][5] = HPoint([1, 1, 2]).to_json()     # the third line misses [0:0:1]
+    f = tmp_path / "miss.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["membership", str(f)], capsys)
+    assert code == EXIT_FAIL
+    assert json.loads(out)["failures"] == ["center-incidence"]
+
+
 def test_membership_missing_file(capsys):
     code, _, err = run_cli(["membership", "/nonexistent/nowhere.json"], capsys)
     assert code == EXIT_USAGE
@@ -178,12 +193,15 @@ def _malformed(kind):
         doc["points"][0][0][0] = float("nan")
     elif kind == "points-not-a-list":
         doc["points"] = 5
+    elif kind == "tag-ambient-mismatch":
+        doc["tag"] = atlas.TAG_SOLID_3.to_json()
     else:  # six points of CP^1 and no tag
         doc = {"points": [[[1.0, 0.0], [float(k), 0.0]] for k in range(6)]}
     return doc
 
 
-@pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "cp1-untagged"])
+@pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "cp1-untagged",
+                                  "tag-ambient-mismatch"])
 def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(_malformed(kind)))

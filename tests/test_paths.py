@@ -16,8 +16,10 @@ from dcs.paths import (
     Inverse,
     PathError,
     Reparam,
+    SWEEP_BLOCK,
     TWO_PI,
     config_lines_dual,
+    domain_nodes,
     outer_thirds_schedule,
     parse_loop_expr,
     pointwise_eq,
@@ -25,6 +27,8 @@ from dcs.paths import (
     value_dist,
 )
 from dcs import invariants as inv
+from dcs.projective import HPoint
+from dcs.strata import SpaceTag, validate_batch
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
 
@@ -202,6 +206,51 @@ def test_sweep_stability_under_doubling():
         r2 = sweep_item(item_id, grid2)
         assert r1.ok and r2.ok
         assert r2.min_margin <= r1.min_margin * 1.001  # nested refinement only shrinks margins
+
+
+def test_domain_nodes_grids_and_labels():
+    nodes, label = domain_nodes("loop", 8)
+    assert label == "circle:8" and list(nodes) == ["theta"]
+    assert np.array_equal(nodes["theta"], np.arange(8) * (TWO_PI / 8))
+    nodes, label = domain_nodes("basepoint", 512)
+    assert label == "circle:1" and nodes["theta"].tolist() == [0.0]
+    nodes, label = domain_nodes("disk", (4, 3))
+    assert label == "disk:4x3" and list(nodes) == ["theta", "rho"]
+    assert nodes["rho"][:3].tolist() == [0.0, 0.5, 1.0] and np.all(nodes["theta"][:3] == 0.0)
+    nodes, label = domain_nodes("cylinder", (4, 3))
+    assert label == "cylinder:4x3" and list(nodes) == ["theta", "t"]
+    assert nodes["t"].tolist() == [0.0] * 4 + [0.5] * 4 + [1.0] * 4       # t-major
+    assert np.array_equal(nodes["theta"][4:8], nodes["theta"][:4])
+    with pytest.raises(PathError):
+        domain_nodes("map", 8)
+
+
+WRONG_CENTER = SpaceTag.planar_fixed(2, HPoint([1, 0, 0]))
+
+
+@pytest.mark.parametrize("item_id, grid, tag", [
+    ("L", (256, 64), None),
+    ("Phi_tilde", (129, 64), None),
+    ("L", (256, 64), WRONG_CENTER),
+], ids=["cylinder", "disk", "cylinder-wrong-center"])
+def test_blocked_sweep_matches_one_batch(item_id, grid, tag):
+    """A sweep over more than SWEEP_BLOCK nodes, validated block by block,
+    reports what one batch over all nodes reports."""
+    item = atlas.get(item_id)
+    nodes, label = domain_nodes(item.kind, grid)
+    assert nodes["theta"].size > SWEEP_BLOCK
+    ref = validate_batch(item.eval(**nodes), tag or item.target)
+    rep = sweep_item(item_id, grid, tag=tag)
+    i = int(np.argmin(ref.margins))
+    assert rep.grid == label and rep.n_nodes == nodes["theta"].size
+    assert rep.ok == ref.all_ok
+    assert rep.min_margin == ref.margins[i]
+    assert rep.worst_param == tuple(v[i] for v in nodes.values())
+    assert rep.max_residual == ref.residuals.max()
+    assert rep.fail_counts == ref.fail_counts
+    assert np.array_equal(rep.centers, ref.centers)
+    if tag is WRONG_CENTER:
+        assert rep.fail_counts["center-matches"] == rep.n_nodes
 
 
 def test_sweep_rejects_non_domain_items():

@@ -167,6 +167,24 @@ def test_validate_lines_through_center():
     assert not ok[0] and counts == {"lines-distinct": 1}
 
 
+def test_configuration_space_names_every_coincidence_in_order():
+    p, q, r = (HPoint(c) for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
+    rep = in_configuration_space([p, q, p, r, q])
+    assert not rep.verdict and rep.margin == 0.0
+    assert rep.failures == ["points 0 and 2 coincide", "points 1 and 4 coincide"]
+    single = in_configuration_space([p])
+    assert single.verdict and single.margin == np.inf
+
+
+def test_validate_line_triple_tag():
+    rep = validate(base_planar().points, atlas.TAG_LINES_I0)
+    assert rep.verdict and not rep.failures and rep.margin > 0.1
+    pts = list(base_planar().points)
+    pts[5] = HPoint([1, 1, 2])        # the third line now misses [0:0:1]
+    rep = validate(pts, atlas.TAG_LINES_I0)
+    assert not rep.verdict and rep.failures == ["center-incidence"]
+
+
 def test_config6_shape_guard():
     with pytest.raises(ProjectiveError):
         Config6(base_planar().points[:5])
