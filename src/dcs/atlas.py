@@ -102,12 +102,12 @@ class Arc:
     def __init__(self, pieces):
         self.pieces = pieces
 
-    def bounds(self, t: float) -> np.ndarray:
-        bs = [lo(t) for lo, _, _ in self.pieces] + [self.pieces[-1][1](t)]
-        return np.asarray(bs, dtype=float)
-
-    def interior_bounds(self, t: float) -> np.ndarray:
-        return self.bounds(t)[1:-1]
+    def bounds(self, t) -> np.ndarray:
+        """Piece bounds, first to last, at a scalar t or at each of an array
+        of t: shape (pieces + 1,) + np.shape(t)."""
+        tt = np.asarray(t, dtype=float)
+        bs = [lo(tt) for lo, _, _ in self.pieces] + [self.pieces[-1][1](tt)]
+        return np.array(np.broadcast_arrays(tt, *bs)[1:], dtype=float)
 
     def __call__(self, theta, t=0.0, side: str = "right"):
         th, tt = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(t, dtype=float))
@@ -648,14 +648,6 @@ class AtlasItem:
         if self.fn is None:
             raise AtlasError(f"{self.id} is not a parametric item")
         return self.fn(theta, t=t, rho=rho, side=side)
-
-    def junction_thetas(self, t: float):
-        out = set()
-        for arc in self.arcs.values():
-            for b in arc.interior_bounds(t):
-                if 0.0 < b < TWO_PI:
-                    out.add(float(b))
-        return sorted(out)
 
 
 def _constant(rows):

@@ -4,7 +4,7 @@ Commands:
   dcs verify [--all | --claim ID ...] [--samples N] [--grid AxB]
              [--cylinder-grid AxB] [--tol X] [--seed S] [--json PATH]
              [--format json|text] [--threads N] [--config FILE]
-  dcs winding EXPR FUNCTIONAL...
+  dcs winding EXPR FUNCTIONAL... [--samples N]   (N >= 16)
   dcs membership FILE
   dcs atlas export
 
@@ -19,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,7 +58,8 @@ def build_parser() -> _Parser:
     w = sub.add_parser("winding", help="winding table of a loop expression")
     w.add_argument("expr", help="loop expression: atom | expr '*' expr | expr '^-1' | '(' expr ')'")
     w.add_argument("functionals", nargs="+", help="w1 w2 w3 fiber")
-    w.add_argument("--samples", type=int, default=512)
+    w.add_argument("--samples", type=int, default=512,
+                   help="closed circle grid intervals, at least 16")
 
     m = sub.add_parser("membership", help="validate a configuration file")
     m.add_argument("file", help="JSON file with points and an optional space tag")
@@ -151,34 +151,38 @@ def cmd_winding(args) -> int:
     from . import report as rpt
     from .paths import PathError, parse_loop_expr
 
-    try:
-        expr = parse_loop_expr(args.expr)
-    except (PathError, KeyError) as e:
-        raise UsageError(str(e)) from None
-
-    probe = expr.at(np.array([0.0]))
-    ambient = probe.shape[-1] - 1
     rows = {}
     status = EXIT_OK
-    for name in args.functionals:
-        if name == "fiber":
-            try:
-                vec = inv.fiber_winding_vector(expr, ambient, args.samples)
-            except inv.MovingLinesError as e:
-                rows["fiber"] = {"error": str(e)}
-                status = max(status, EXIT_FAIL)
-                continue
-            rows["fiber"] = {"vector": [r.winding for r in vec],
-                             "residual": max(r.residual for r in vec)}
-            if any(r.indeterminate for r in vec):
-                status = max(status, EXIT_INCONCLUSIVE)
-        elif name in inv.W_FUNCTIONALS:
-            res = inv.winding(expr, inv.W_FUNCTIONALS[name], args.samples)
-            rows[name] = res.to_json()
-            if res.indeterminate:
-                status = max(status, EXIT_INCONCLUSIVE)
-        else:
-            raise UsageError(f"unknown functional {name!r} (use w1, w2, w3 or fiber)")
+    try:
+        expr = parse_loop_expr(args.expr)
+        if expr.value_kind != "config":
+            raise PathError(f"{expr.label()} is not a loop of configurations")
+        ambient = inv._loop_ambient(expr)
+        for name in args.functionals:
+            if name == "fiber":
+                try:
+                    vec = inv.fiber_winding_vector(expr, ambient, args.samples)
+                except inv.MovingLinesError as e:
+                    rows["fiber"] = {"error": str(e)}
+                    status = max(status, EXIT_FAIL)
+                    continue
+                rows["fiber"] = {"vector": [r.winding for r in vec],
+                                 "residual": max(r.residual for r in vec)}
+                if any(r.indeterminate for r in vec):
+                    status = max(status, EXIT_INCONCLUSIVE)
+            elif name in inv.W_FUNCTIONALS:
+                f = inv.W_FUNCTIONALS[name]
+                if f.ambient != ambient:
+                    raise UsageError(f"{name} acts on CP^{f.ambient} loops, "
+                                     f"{expr.label()} lies in CP^{ambient}")
+                res = inv.winding(expr, f, args.samples)
+                rows[name] = res.to_json()
+                if res.indeterminate:
+                    status = max(status, EXIT_INCONCLUSIVE)
+            else:
+                raise UsageError(f"unknown functional {name!r} (use w1, w2, w3 or fiber)")
+    except (PathError, KeyError) as e:
+        raise UsageError(str(e)) from None
     sys.stdout.write(rpt.dumps({"expr": expr.label(), "windings": rows}))
     return status
 

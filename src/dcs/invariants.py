@@ -195,7 +195,7 @@ def winding(loop: LoopExpr, functional: ScalarFunctional, n: int = 512,
     if loop.value_kind != "config":
         raise WindingError("winding functionals act on configuration loops")
 
-    thetas = np.linspace(0.0, TWO_PI, n + 1)
+    thetas = domain_nodes("closed_circle", n)[0]["theta"]
     vals = functional(loop.at(thetas))
     if abs(vals[0] - vals[-1]) > 1e-6 * max(1.0, float(np.abs(vals).max())):
         raise WindingError("functional values do not close up: the path is not a loop")
@@ -234,7 +234,7 @@ def fiber_winding_vector(loop: LoopExpr, ambient: int, n: int = 512,
                          tol: Tolerances = DEFAULT_TOL):
     """Per-line winding of chart(B_i) - chart(A_i); requires the three lines
     to stay on the registered base lines along the whole loop."""
-    configs = loop.at(np.linspace(0.0, TWO_PI, n + 1))
+    configs = loop.at(**domain_nodes("closed_circle", n)[0])
     for i in range(3):
         resid = line_constancy(configs, i, ambient)
         if resid > tol.rank_rel_tol:
@@ -246,11 +246,8 @@ def fiber_winding_vector(loop: LoopExpr, ambient: int, n: int = 512,
 
 
 def lines_constant(loop: LoopExpr, ambient: int, n: int = 256, tol: Tolerances = DEFAULT_TOL) -> bool:
-    configs = loop.at(np.linspace(0.0, TWO_PI, n + 1))
-    try:
-        return all(line_constancy(configs, i, ambient) <= tol.rank_rel_tol for i in range(3))
-    except (KeyError, IndexError):
-        return False
+    configs = loop.at(**domain_nodes("closed_circle", n)[0])
+    return all(line_constancy(configs, i, ambient) <= tol.rank_rel_tol for i in range(3))
 
 
 # ---------------------------------------------------------------------------

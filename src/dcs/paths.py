@@ -99,9 +99,6 @@ class LoopExpr:
     def label(self) -> str:
         raise NotImplementedError
 
-    def atoms(self):
-        raise NotImplementedError
-
     def inverse(self):
         return Inverse(self)
 
@@ -130,9 +127,6 @@ class Atom(LoopExpr):
             return f"{self.item_id}@t={self.t:g}"
         return self.item_id
 
-    def atoms(self):
-        return [self]
-
 
 @dataclass
 class Const(LoopExpr):
@@ -152,45 +146,10 @@ class Const(LoopExpr):
     def label(self):
         return self.name
 
-    def atoms(self):
-        return []
-
-
-class Concat(LoopExpr):
-    def __init__(self, p: LoopExpr, q: LoopExpr):
-        if p.value_kind != q.value_kind:
-            raise PathError("concatenation of paths with different value kinds")
-        self.p, self.q = p, q
-        self.value_kind = p.value_kind
-
-    def at(self, theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        first = th <= np.pi
-        vp = self.p.at(np.where(first, 2.0 * th, 0.0))
-        vq = self.q.at(np.where(first, 0.0, 2.0 * th - TWO_PI))
-        out = np.where(first.reshape(first.shape + (1,) * (vp.ndim - th.ndim)), vp, vq)
-        return out.reshape(np.shape(theta) + vp.shape[th.ndim:])
-
-    def label(self):
-        return f"({self.p.label()} * {self.q.label()})"
-
-    def atoms(self):
-        return self.p.atoms() + self.q.atoms()
-
-    def validate_endpoints(self, tol: Tolerances = DEFAULT_TOL):
-        d = float(value_dist(self.p.at(np.array([TWO_PI]))[0],
-                             self.q.at(np.array([0.0]))[0], self.value_kind))
-        if d > tol.proj_eq_tol:
-            raise EndpointMismatchError(
-                f"{self.p.label()} ends {d:.3e} away from the start of {self.q.label()}"
-            )
-        for part in (self.p, self.q):
-            if isinstance(part, (Concat, EqualConcat)):
-                part.validate_endpoints(tol)
-
 
 class EqualConcat(LoopExpr):
-    """n paths traversed at n-fold speed on equal angular windows."""
+    """n paths traversed at n-fold speed on equal angular windows.  Each
+    part is evaluated only at the angles of its own window."""
 
     def __init__(self, parts: Sequence[LoopExpr]):
         parts = list(parts)
@@ -200,10 +159,15 @@ class EqualConcat(LoopExpr):
         self.parts = parts
         self.value_kind = parts[0].value_kind
 
+    def window(self, th: np.ndarray) -> np.ndarray:
+        """Index of the part that owns each angle."""
+        n = len(self.parts)
+        return np.minimum((th * n / TWO_PI).astype(int), n - 1)
+
     def at(self, theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         n = len(self.parts)
-        idx = np.minimum((th * n / TWO_PI).astype(int), n - 1)
+        idx = self.window(th)
         out = None
         for k, part in enumerate(self.parts):
             mask = idx == k
@@ -212,14 +176,14 @@ class EqualConcat(LoopExpr):
             v = part.at(n * th[mask] - k * TWO_PI)
             if out is None:
                 out = np.zeros(th.shape + v.shape[1:], dtype=v.dtype)
+            elif v.shape[1:] != out.shape[th.ndim:]:
+                raise PathError(f"{self.label()} concatenates values of shapes "
+                                f"{out.shape[th.ndim:]} and {v.shape[1:]}")
             out[mask] = v
         return out.reshape(np.shape(theta) + out.shape[th.ndim:])
 
     def label(self):
         return "(" + " . ".join(p.label() for p in self.parts) + ")"
-
-    def atoms(self):
-        return [a for p in self.parts for a in p.atoms()]
 
     def validate_endpoints(self, tol: Tolerances = DEFAULT_TOL):
         for a, b in zip(self.parts, self.parts[1:]):
@@ -229,6 +193,23 @@ class EqualConcat(LoopExpr):
                 raise EndpointMismatchError(
                     f"{a.label()} ends {d:.3e} away from the start of {b.label()}"
                 )
+        for part in self.parts:
+            if isinstance(part, EqualConcat):
+                part.validate_endpoints(tol)
+
+
+class Concat(EqualConcat):
+    """p * q: p on [0, pi] and q on (pi, 2*pi], each at double speed."""
+
+    def __init__(self, p: LoopExpr, q: LoopExpr):
+        super().__init__([p, q])
+
+    def window(self, th):
+        return (th > np.pi).astype(int)
+
+    def label(self):
+        p, q = self.parts
+        return f"({p.label()} * {q.label()})"
 
 
 class Inverse(LoopExpr):
@@ -242,9 +223,6 @@ class Inverse(LoopExpr):
     def label(self):
         return f"{self.p.label()}^-1"
 
-    def atoms(self):
-        return self.p.atoms()
-
 
 class Reparam(LoopExpr):
     def __init__(self, p: LoopExpr, schedule: Callable, name: str = "reparam"):
@@ -256,9 +234,6 @@ class Reparam(LoopExpr):
 
     def label(self):
         return f"{self.name}({self.p.label()})"
-
-    def atoms(self):
-        return self.p.atoms()
 
 
 class Embed(LoopExpr):
@@ -273,9 +248,6 @@ class Embed(LoopExpr):
 
     def label(self):
         return f"embed({self.p.label()})"
-
-    def atoms(self):
-        return self.p.atoms()
 
 
 def outer_thirds_schedule(theta):
@@ -358,12 +330,10 @@ def _parse_factor(tokens, pos):
 def pointwise_eq(p: LoopExpr, q: LoopExpr, grid_n: int = 512,
                  tol: Tolerances = DEFAULT_TOL) -> float:
     """Max projective distance over a shared closed grid."""
-    if grid_n < 16:
-        raise PathError("pointwise comparison needs at least 16 grid points")
     if p.value_kind != q.value_kind:
         raise PathError("cannot compare paths with different value kinds")
-    thetas = np.linspace(0.0, TWO_PI, grid_n + 1)
-    return float(np.max(value_dist(p.at(thetas), q.at(thetas), p.value_kind)))
+    nodes, _ = domain_nodes("closed_circle", grid_n)
+    return float(np.max(value_dist(p.at(**nodes), q.at(**nodes), p.value_kind)))
 
 
 def compare_values(a: np.ndarray, b: np.ndarray, kind: str) -> float:
@@ -382,9 +352,16 @@ def domain_nodes(kind: str, grid):
     grid: n for circles, (n_theta, n_rho) for disks, (n_theta, n_t) for
     cylinders; a base point is constant, so one angle samples it.  Angles
     lie on [0, 2*pi) with the endpoint left out, radii and cylinder
-    parameters on [0, 1] inclusive.  Cylinder nodes are t-major.  The node
-    arrays are keyword arguments of ``AtlasItem.eval``.
+    parameters on [0, 1] inclusive.  Cylinder nodes are t-major.  The
+    ``closed_circle`` kind is the n + 1 angles of [0, 2*pi] with both ends,
+    on which loops are compared and wound; it needs n >= 16.  The node
+    arrays are keyword arguments of ``AtlasItem.eval`` and ``LoopExpr.at``.
     """
+    if kind == "closed_circle":
+        n = int(grid)
+        if n < 16:
+            raise PathError(f"a closed circle grid needs at least 16 samples, got {n}")
+        return {"theta": np.linspace(0.0, TWO_PI, n + 1)}, f"closed_circle:{n}"
     if kind in ("loop", "basepoint"):
         n = 1 if kind == "basepoint" else int(grid)
         return {"theta": np.linspace(0.0, TWO_PI, n, endpoint=False)}, f"circle:{n}"
@@ -467,56 +444,49 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL,
 def junction_report(item_id: str, n_t: int = 64, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Two-sided evaluation at every piecewise boundary, for all t on a grid.
 
-    Returns the maximum projective distance between the left-piece and
-    right-piece values, with the offending (theta, t) when nonzero.
+    The junction nodes are the (t, theta) pairs of every interior piece
+    bound with 0 < theta < 2*pi, deduplicated, t-major with theta
+    ascending; each side is evaluated once over all of them.  Returns the
+    maximum projective distance between the left-piece and right-piece
+    values, with the first (theta, t) attaining it.
     """
     item = atlas.get(item_id)
     if not item.arcs:
         return {"item": item_id, "max_mismatch": 0.0, "junctions": 0}
-    ts = np.linspace(0.0, 1.0, n_t) if item.kind == "cylinder" else np.array([0.0])
-    worst = 0.0
-    worst_at = (0.0, 0.0)
-    n_checked = 0
-    for t in ts:
-        bounds = item.junction_thetas(float(t))
-        if not bounds:
-            continue
-        th = np.asarray(bounds, dtype=float)
-        left = item.eval(th, t=float(t), side="left")
-        right = item.eval(th, t=float(t), side="right")
-        kind = item.value_kind
-        d = value_dist(left, right, kind) if kind != "scalar" else np.abs(left - right)
-        n_checked += len(bounds)
-        i = int(np.argmax(d))
-        if float(d[i]) > worst:
-            worst = float(d[i])
-            worst_at = (float(th[i]), float(t))
+    ts = np.linspace(0.0, 1.0, n_t) if item.kind == "cylinder" else np.zeros(1)
+    bounds = np.concatenate([arc.bounds(ts)[1:-1] for arc in item.arcs.values()])
+    t_rows, th_rows = np.broadcast_arrays(ts, bounds)
+    inside = (th_rows > 0.0) & (th_rows < TWO_PI)
+    nodes = np.unique(np.stack([t_rows[inside], th_rows[inside]], axis=-1), axis=0)
+    t, th = nodes[:, 0], nodes[:, 1]
+    d = value_dist(item.eval(th, t=t, side="left"), item.eval(th, t=t, side="right"),
+                   item.value_kind)
+    i = int(np.argmax(d))
+    worst = float(d[i])
     return {
         "item": item_id,
         "max_mismatch": worst,
-        "junctions": n_checked,
-        "worst_at": [worst_at[0], worst_at[1]],
+        "junctions": len(th),
+        "worst_at": [float(th[i]), float(t[i])],
         "ok": worst < tol.proj_eq_tol,
     }
 
 
 def closure_report(item_id: str, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Closed-loop and basepoint assertions for circle-domain items."""
+    """Closed-loop and basepoint assertions for circle-domain items; a
+    cylinder is checked on both boundary circles, t = 0 and t = 1."""
     item = atlas.get(item_id)
-    ends = []
-    ts = (0.0, 1.0) if item.kind == "cylinder" else (None,)
-    worst_close = 0.0
-    worst_base = 0.0
-    for t in ts:
-        v0 = item.eval(np.array([0.0]), t=t)
-        v1 = item.eval(np.array([TWO_PI]), t=t)
-        worst_close = max(worst_close, compare_values(v0, v1, item.value_kind))
-        if item.based and item.value_kind == "config":
-            base = atlas.basepoint(item.target).array()
-            worst_base = max(worst_base, compare_values(v0[0], base, "config"))
+    t = np.array([0.0, 1.0]) if item.kind == "cylinder" else None
+    th = np.zeros(1 if t is None else 2)
+    v0 = item.eval(th, t=t)
+    v1 = item.eval(th + TWO_PI, t=t)
+    close = compare_values(v0, v1, item.value_kind)
+    base = 0.0
+    if item.based and item.value_kind == "config":
+        base = compare_values(v0, atlas.basepoint(item.target).array(), "config")
     return {
         "item": item_id,
-        "closure": worst_close,
-        "base_distance": worst_base,
-        "ok": worst_close <= tol.proj_eq_tol and worst_base <= tol.proj_eq_tol,
+        "closure": close,
+        "base_distance": base,
+        "ok": close <= tol.proj_eq_tol and base <= tol.proj_eq_tol,
     }

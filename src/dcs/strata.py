@@ -235,7 +235,6 @@ class BatchResult:
     residuals: np.ndarray         # float (N,): max exact-incidence residual
     centers: np.ndarray           # complex (N, n+1): computed meets of d1, d2
     fail_counts: dict             # check name -> number of failing nodes
-    worst_index: int              # node with the smallest margin
 
     @property
     def all_ok(self) -> bool:
@@ -330,8 +329,7 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
         residuals = np.maximum(residuals, dcen)
         ok &= _record("center-matches", dcen <= tol.proj_eq_tol)
 
-    worst = int(np.argmin(np.where(ok, margins, np.inf))) if np.any(ok) else int(np.argmin(margins))
-    return BatchResult(ok, margins, residuals, centers, fail_counts, worst)
+    return BatchResult(ok, margins, residuals, centers, fail_counts)
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
@@ -405,6 +403,10 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
             s = singular_values_batch(rows)
             margins = np.minimum(margins, s[..., 2] / s[..., 0])
     ok = _record("lines-distinct", margins > tol.rank_rel_tol)
+    # the two points of each span must differ, or the span is no line
+    span_d = chordal_batch(u[:, :, 0], u[:, :, 1])
+    margins = np.minimum(margins, span_d.min(axis=-1))
+    ok = ok & _record("span-defined", np.all(span_d > tol.proj_eq_tol, axis=-1))
     residuals = np.zeros(arr.shape[0])
     for i in range(3):
         rows = np.concatenate([u[:, i], np.broadcast_to(c, (arr.shape[0], 1, c.size))], axis=1)

@@ -303,7 +303,7 @@ def verify_C3(cfg: RunConfig) -> ClaimReport:
 
 def verify_C4(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C4")
-    thetas = np.linspace(0.0, TWO_PI, cfg.circle_samples + 1)
+    thetas = domain_nodes("closed_circle", cfg.circle_samples)[0]["theta"]
 
     lines_sigma = config_lines_dual(atlas.get("sigma").eval(thetas))
     s_vals = atlas.get("s").eval(thetas)
@@ -459,7 +459,7 @@ def verify_C11(cfg: RunConfig) -> ClaimReport:
                    Atom("M", t=1.0), Concat(loops["sigma"], Inverse(loops["gamma"])), cfg)
     # t=0 is the simultaneous product: first-line pair moves as sigma,
     # third-line pair as gamma^-1, at full speed together.
-    thetas = np.linspace(0.0, TWO_PI, cfg.circle_samples + 1)
+    thetas = domain_nodes("closed_circle", cfg.circle_samples)[0]["theta"]
     m0 = atlas.get("M").eval(thetas, t=0.0)
     sim = atlas.get("sigma").eval(thetas).copy()
     sim[..., 5, :] = atlas.get("gamma").eval(TWO_PI - thetas)[..., 5, :]

@@ -175,11 +175,15 @@ def test_export_registry_shape():
 # ---------------------------------------------------------------------------
 # junctions and closures for every piecewise / based item
 
-@pytest.mark.parametrize("item_id", ["L", "H", "M", "K_alpha", "K_beta", "K_gamma",
-                                     "epsilon", "eta"])
+# distinct interior (theta, t) piece bounds on the 64-point t grid
+JUNCTIONS = {"L": 402, "H": 375, "M": 125, "K_alpha": 252, "K_beta": 252,
+             "K_gamma": 252, "epsilon": 126, "eta": 2}
+
+
+@pytest.mark.parametrize("item_id", list(JUNCTIONS))
 def test_piecewise_junctions_agree(item_id):
     rep = junction_report(item_id, 64)
-    assert rep["junctions"] > 0
+    assert rep["junctions"] == JUNCTIONS[item_id]
     assert rep["max_mismatch"] < 1e-9, rep
 
 

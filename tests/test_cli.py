@@ -123,6 +123,23 @@ def test_winding_unknown_functional(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["s", "w1"],                          # line triples, not configurations
+    ["fiber_a", "w1"],                    # chart pairs
+    ["eta", "fiber"],                     # a scalar loop
+    ["Pi_tilde_S1", "w1"],                # CP^3 loop, CP^2 functional
+    ["alpha*Pi_tilde_S1", "w1"],          # a word mixing CP^2 and CP^3
+    ["alpha", "w1", "--samples", "-3"],
+    ["alpha", "fiber", "--samples", "0"],
+    ["alpha", "w1", "--samples", "15"],
+], ids=["lines", "pair", "scalar", "ambient", "mixed-word", "samples-negative",
+        "samples-zero", "samples-15"])
+def test_winding_malformed_query_is_usage_error(argv, capsys):
+    code, out, err = run_cli(["winding", *argv], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_winding_moving_lines_reported(capsys):
     code, out, _ = run_cli(["winding", "sigma", "fiber"], capsys)
     assert code == EXIT_FAIL

@@ -62,6 +62,36 @@ def test_concat_with_constant_loop_keeps_windings():
     assert tuple(r.winding for r in vec) == (1, 0, 0)
 
 
+def test_concat_evaluates_each_operand_on_its_own_half():
+    th = np.append(domain_nodes("closed_circle", 512)[0]["theta"], np.nextafter(np.pi, 4.0))
+    p, q = ALPHA, Inverse(BETA)
+    first = th <= np.pi
+    got = Concat(p, q).at(th)
+    assert np.array_equal(got[first], p.at(2.0 * th[first]))
+    assert np.array_equal(got[~first], q.at(2.0 * th[~first] - TWO_PI))
+    a, b = (Const(np.full((6, 3), v, dtype=complex)) for v in (1.0, 2.0))
+    assert Concat(a, b).at(np.array([np.pi]))[0, 0, 0] == 1.0      # pi stays with p
+
+
+def test_word_evaluates_each_node_once(monkeypatch):
+    nodes = []
+    original = atlas.AtlasItem.eval
+
+    def counting(self, theta, *args, **kwargs):
+        nodes.append(np.size(theta))
+        return original(self, theta, *args, **kwargs)
+
+    monkeypatch.setattr(atlas.AtlasItem, "eval", counting)
+    word = parse_loop_expr("alpha*beta^-1*gamma*alpha*beta*gamma^-1*alpha*beta")
+    word.at(domain_nodes("closed_circle", 512)[0]["theta"])
+    assert sum(nodes) == 513
+
+
+def test_mixed_ambient_word_rejected():
+    with pytest.raises(PathError):
+        parse_loop_expr("alpha*Pi_tilde_S1").at(np.linspace(0.0, TWO_PI, 17))
+
+
 def test_concat_endpoint_mismatch_rejected():
     shifted = Reparam(GAMMA, lambda th: (th + np.pi) % TWO_PI, "shift")
     with pytest.raises(EndpointMismatchError):
@@ -221,6 +251,11 @@ def test_domain_nodes_grids_and_labels():
     assert label == "cylinder:4x3" and list(nodes) == ["theta", "t"]
     assert nodes["t"].tolist() == [0.0] * 4 + [0.5] * 4 + [1.0] * 4       # t-major
     assert np.array_equal(nodes["theta"][4:8], nodes["theta"][:4])
+    nodes, label = domain_nodes("closed_circle", 16)
+    assert label == "closed_circle:16" and list(nodes) == ["theta"]
+    assert nodes["theta"].size == 17 and nodes["theta"][-1] == TWO_PI
+    with pytest.raises(PathError):
+        domain_nodes("closed_circle", 15)
     with pytest.raises(PathError):
         domain_nodes("map", 8)
 

@@ -4,8 +4,12 @@ rename inside dcs cannot silently break a traced benchmark run.  The tracer
 file is parsed, not imported or executed."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
+
+from dcs import atlas, invariants, strata
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +34,17 @@ def test_every_traced_layer_resolves():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_hooked_arguments_stay_in_place():
+    """The tracer's count hooks read these arguments by position."""
+    assert _params(atlas.AtlasItem.eval)[:4] == ["self", "theta", "t", "rho"]
+    assert _params(invariants.winding)[:3] == ["loop", "functional", "n"]
+    assert _params(strata.validate_batch)[0] == "points"
+    assert _params(strata.validate_lines_batch)[0] == "arr"
+    fields = {f.name for f in dataclasses.fields(invariants.WindingResult)}
+    assert {"samples", "refinements"} <= fields

@@ -183,6 +183,10 @@ def test_validate_line_triple_tag():
     pts[5] = HPoint([1, 1, 2])        # the third line now misses [0:0:1]
     rep = validate(pts, atlas.TAG_LINES_I0)
     assert not rep.verdict and rep.failures == ["center-incidence"]
+    pts = list(base_planar().points)
+    pts[1] = pts[0]                   # the first span is a point, not a line
+    rep = validate(pts, atlas.TAG_LINES_I0)
+    assert not rep.verdict and rep.failures == ["span-defined"] and rep.margin < 1e-12
 
 
 def test_config6_shape_guard():
