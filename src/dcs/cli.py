@@ -4,7 +4,7 @@ Commands:
   dcs verify [--all | --claim ID ...] [--samples N] [--grid AxB]
              [--cylinder-grid AxB] [--tol X] [--seed S] [--json PATH]
              [--format json|text] [--threads N] [--config FILE]
-  dcs winding EXPR FUNCTIONAL... [--samples N]   (N >= 16)
+  dcs winding EXPR FUNCTIONAL... [--samples N]   (16 <= N <= 2^20)
   dcs membership FILE
   dcs atlas export
 
@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
     w.add_argument("expr", help="loop expression: atom | expr '*' expr | expr '^-1' | '(' expr ')'")
     w.add_argument("functionals", nargs="+", help="w1 w2 w3 fiber")
     w.add_argument("--samples", type=int, default=512,
-                   help="closed circle grid intervals, at least 16")
+                   help="closed circle grid intervals, 16 to 2^20")
 
     m = sub.add_parser("membership", help="validate a configuration file")
     m.add_argument("file", help="JSON file with points and an optional space tag")
@@ -83,15 +83,20 @@ def _run_config(args):
 
     base: dict = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    tol_kwargs = dict(base.get("tolerances", {}))
+        try:
+            base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as e:
+            raise UsageError(f"cannot read run configuration: {e}") from None
+        if not isinstance(base, dict):
+            raise UsageError("a run configuration file holds one JSON object")
     kwargs = {k: v for k, v in base.items() if k in (
         "circle_samples", "boundary_tol", "lift_tol", "junction_tol",
         "sweep_margin_min", "numeric_floor", "seed", "threads")}
-    if "disk_grid" in base:
-        kwargs["disk_grid"] = tuple(base["disk_grid"])
-    if "cylinder_grid" in base:
-        kwargs["cylinder_grid"] = tuple(base["cylinder_grid"])
+    for key in ("disk_grid", "cylinder_grid"):
+        if key in base:
+            if not isinstance(base[key], list):
+                raise UsageError(f"{key} must be a list of two sizes, got {base[key]!r}")
+            kwargs[key] = tuple(base[key])
 
     if args.samples is not None:
         kwargs["circle_samples"] = args.samples
@@ -103,12 +108,13 @@ def _run_config(args):
         kwargs["seed"] = args.seed
     if args.threads is not None:
         kwargs["threads"] = args.threads
-    if args.tol is not None:
-        tol_kwargs["proj_eq_tol"] = args.tol
-        kwargs["boundary_tol"] = args.tol
-        kwargs["lift_tol"] = args.tol
-        kwargs["junction_tol"] = args.tol
     try:
+        tol_kwargs = dict(base.get("tolerances", {}))
+        if args.tol is not None:
+            tol_kwargs["proj_eq_tol"] = args.tol
+            kwargs["boundary_tol"] = args.tol
+            kwargs["lift_tol"] = args.tol
+            kwargs["junction_tol"] = args.tol
         if tol_kwargs:
             kwargs["tol"] = Tolerances(**tol_kwargs)
         return RunConfig(**kwargs)
@@ -157,7 +163,7 @@ def cmd_winding(args) -> int:
         expr = parse_loop_expr(args.expr)
         if expr.value_kind != "config":
             raise PathError(f"{expr.label()} is not a loop of configurations")
-        ambient = inv._loop_ambient(expr)
+        ambient = expr.sample(args.samples)[1].shape[-1] - 1
         for name in args.functionals:
             if name == "fiber":
                 try:

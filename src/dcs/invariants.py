@@ -23,7 +23,7 @@ import numpy as np
 import sympy
 
 from . import atlas
-from .paths import Atom, LoopExpr, TWO_PI, domain_nodes
+from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, domain_nodes
 from .projective import (
     DEFAULT_TOL,
     ProjectiveError,
@@ -34,7 +34,6 @@ from .projective import (
 )
 
 WINDING_RESIDUAL_MAX = 0.05     # turns; beyond this the result is indeterminate
-MAX_WINDING_SAMPLES = 2 ** 20
 
 
 class WindingError(ProjectiveError):
@@ -188,15 +187,16 @@ class WindingResult:
 def winding(loop: LoopExpr, functional: ScalarFunctional, n: int = 512,
             tol: Tolerances = DEFAULT_TOL) -> WindingResult:
     """Integer winding of the functional along a closed loop, by continuous
-    argument tracking with adaptive midpoint refinement.
+    argument tracking on ``loop.sample(n)`` with adaptive midpoint
+    refinement; each round evaluates the loop only at the new midpoints.
     """
     if not isinstance(loop, LoopExpr):
         raise WindingError("winding expects a LoopExpr")
     if loop.value_kind != "config":
         raise WindingError("winding functionals act on configuration loops")
 
-    thetas = domain_nodes("closed_circle", n)[0]["theta"]
-    vals = functional(loop.at(thetas))
+    thetas, configs = loop.sample(n)
+    vals = functional(configs)
     if abs(vals[0] - vals[-1]) > 1e-6 * max(1.0, float(np.abs(vals).max())):
         raise WindingError("functional values do not close up: the path is not a loop")
     refinements = 0
@@ -216,10 +216,11 @@ def winding(loop: LoopExpr, functional: ScalarFunctional, n: int = 512,
         if thetas.size * 2 > MAX_WINDING_SAMPLES:
             return WindingResult(functional.id, 0, 1.0, float(mods.min()),
                                  thetas.size, refinements, indeterminate=True)
-        mids = 0.5 * (thetas[:-1][bad] + thetas[1:][bad])
-        thetas = np.sort(np.concatenate([thetas, mids]))
+        k = np.flatnonzero(bad) + 1
+        mids = 0.5 * (thetas[k - 1] + thetas[k])
+        thetas = np.insert(thetas, k, mids)
+        vals = np.insert(vals, k, functional(loop.at(mids)))
         refinements += 1
-        vals = functional(loop.at(thetas))
     total = float(np.sum(dargs)) / TWO_PI
     k = int(np.round(total))
     residual = abs(total - k)
@@ -234,20 +235,14 @@ def fiber_winding_vector(loop: LoopExpr, ambient: int, n: int = 512,
                          tol: Tolerances = DEFAULT_TOL):
     """Per-line winding of chart(B_i) - chart(A_i); requires the three lines
     to stay on the registered base lines along the whole loop."""
-    configs = loop.at(**domain_nodes("closed_circle", n)[0])
+    configs = loop.sample(n)[1]
     for i in range(3):
         resid = line_constancy(configs, i, ambient)
         if resid > tol.rank_rel_tol:
             raise MovingLinesError(
                 f"line {i + 1} moves along the loop (incidence residual {resid:.3e})"
             )
-    results = [winding(loop, fiber_functional(i, ambient), n, tol) for i in range(3)]
-    return tuple(results)
-
-
-def lines_constant(loop: LoopExpr, ambient: int, n: int = 256, tol: Tolerances = DEFAULT_TOL) -> bool:
-    configs = loop.at(**domain_nodes("closed_circle", n)[0])
-    return all(line_constancy(configs, i, ambient) <= tol.rank_rel_tol for i in range(3))
+    return tuple(winding(loop, fiber_functional(i, ambient), n, tol) for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -260,41 +255,19 @@ class RelationReport:
     rows: list = field(default_factory=list)   # (functional, w_lhs, w_rhs, ok)
     ok: bool = True
     indeterminate: bool = False
-    notes: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ok": bool(self.ok),
-            "indeterminate": bool(self.indeterminate),
-            "rows": [
-                {"functional": f, "lhs": int(a), "rhs": int(b), "ok": bool(o)}
-                for f, a, b, o in self.rows
-            ],
-            "notes": list(self.notes),
-        }
 
 
-def relation_functionals(lhs: LoopExpr, rhs: LoopExpr, ambient: int,
-                         tol: Tolerances = DEFAULT_TOL):
-    """w1..w3 always (planar); fiber charts only when every loop on both
-    sides keeps all three lines on the base lines."""
-    fns = list(W_FUNCTIONALS.values()) if ambient == 2 else []
-    if lines_constant(lhs, ambient, tol=tol) and lines_constant(rhs, ambient, tol=tol):
-        fns += [fiber_functional(i, ambient) for i in range(3)]
-    return fns
-
-
-def check_linear_relation(lhs: LoopExpr, rhs: LoopExpr, functionals=None,
-                          n: int = 512, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
-    """Equality of winding vectors of two loops over a functional family."""
-    ambient = _loop_ambient(lhs)
-    if functionals is None:
-        functionals = relation_functionals(lhs, rhs, ambient, tol)
+def check_linear_relation(lhs: LoopExpr, rhs: LoopExpr, n: int = 512,
+                          tol: Tolerances = DEFAULT_TOL) -> RelationReport:
+    """Equality of winding vectors of two loops: w1..w3 on planar loops,
+    plus the fiber charts when both loops keep all three lines on the base
+    lines along ``sample(n)``."""
+    ambient = lhs.sample(n)[1].shape[-1] - 1
+    functionals = list(W_FUNCTIONALS.values()) if ambient == 2 else []
+    if all(line_constancy(loop.sample(n)[1], i, ambient) <= tol.rank_rel_tol
+           for loop in (lhs, rhs) for i in range(3)):
+        functionals += [fiber_functional(i, ambient) for i in range(3)]
     rep = RelationReport(lhs.label(), rhs.label())
-    if not functionals:
-        rep.notes.append("no functionals applicable to both sides")
     for f in functionals:
         wl = winding(lhs, f, n, tol)
         wr = winding(rhs, f, n, tol)
@@ -303,11 +276,6 @@ def check_linear_relation(lhs: LoopExpr, rhs: LoopExpr, functionals=None,
         rep.ok &= ok
         rep.indeterminate |= wl.indeterminate or wr.indeterminate
     return rep
-
-
-def _loop_ambient(expr: LoopExpr) -> int:
-    probe = expr.at(np.array([0.0]))
-    return probe.shape[-1] - 1
 
 
 def independence_matrix(loops: Sequence, functionals: Sequence[ScalarFunctional],
@@ -334,32 +302,28 @@ class DiskNullityReport:
     boundary_winding: Optional[int]
     min_modulus: float
 
-    def to_json(self) -> dict:
-        return {
-            "item": self.item_id,
-            "functional": self.functional_id,
-            "status": self.status,
-            "boundary_winding": None if self.boundary_winding is None else int(self.boundary_winding),
-            "min_modulus": float(self.min_modulus),
-        }
 
-
-def disk_winding_nullity(item_id: str, functional: ScalarFunctional,
+def disk_winding_nullity(item_id: str, functionals: Sequence[ScalarFunctional],
                          grid=(128, 64), n: int = 512,
-                         tol: Tolerances = DEFAULT_TOL) -> DiskNullityReport:
-    """A loop bounding a disk on which the functional never vanishes has
-    winding zero; vanishing inside makes the test inconclusive, not failed."""
+                         tol: Tolerances = DEFAULT_TOL) -> list:
+    """One report per functional, from one evaluation of the disk: a loop
+    bounding a disk on which the functional never vanishes has winding
+    zero; vanishing inside makes the test inconclusive, not failed."""
     item = atlas.get(item_id)
     if item.kind != "disk":
         raise WindingError(f"{item_id} is not a disk item")
-    nodes, _ = domain_nodes("disk", grid)
-    vals = functional(item.eval(**nodes))
-    min_mod = float(np.abs(vals).min())
-    if min_mod < tol.margin_warn:
-        return DiskNullityReport(item_id, functional.id, "inconclusive", None, min_mod)
-    res = winding(Atom(item_id), functional, n, tol)
-    status = "pass" if (res.winding == 0 and not res.indeterminate) else "fail"
-    return DiskNullityReport(item_id, functional.id, status, res.winding, min_mod)
+    configs = item.eval(**domain_nodes("disk", grid)[0])
+    boundary = Atom(item_id)
+    reports = []
+    for f in functionals:
+        min_mod = float(np.abs(f(configs)).min())
+        if min_mod < tol.margin_warn:
+            reports.append(DiskNullityReport(item_id, f.id, "inconclusive", None, min_mod))
+            continue
+        res = winding(boundary, f, n, tol)
+        status = "pass" if (res.winding == 0 and not res.indeterminate) else "fail"
+        reports.append(DiskNullityReport(item_id, f.id, status, res.winding, min_mod))
+    return reports
 
 
 # ---------------------------------------------------------------------------

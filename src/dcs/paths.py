@@ -27,6 +27,7 @@ from .projective import (
 from .strata import SpaceTag, validate_batch, validate_lines_batch
 
 TWO_PI = 2.0 * np.pi
+MAX_WINDING_SAMPLES = 2 ** 20   # cap on closed-grid and refined winding samples
 
 
 class PathError(ProjectiveError):
@@ -95,6 +96,18 @@ class LoopExpr:
 
     def at(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def sample(self, n: int):
+        """Angles and values on ``domain_nodes("closed_circle", n)``.  They
+        are evaluated once per n and kept on the expression, which is
+        immutable; both arrays are read-only."""
+        cache = self.__dict__.setdefault("_samples", {})
+        if n not in cache:
+            theta = domain_nodes("closed_circle", n)[0]["theta"]
+            values = self.at(theta)
+            theta.flags.writeable = values.flags.writeable = False
+            cache[n] = theta, values
+        return cache[n]
 
     def label(self) -> str:
         raise NotImplementedError
@@ -332,8 +345,7 @@ def pointwise_eq(p: LoopExpr, q: LoopExpr, grid_n: int = 512,
     """Max projective distance over a shared closed grid."""
     if p.value_kind != q.value_kind:
         raise PathError("cannot compare paths with different value kinds")
-    nodes, _ = domain_nodes("closed_circle", grid_n)
-    return float(np.max(value_dist(p.at(**nodes), q.at(**nodes), p.value_kind)))
+    return compare_values(p.sample(grid_n)[1], q.sample(grid_n)[1], p.value_kind)
 
 
 def compare_values(a: np.ndarray, b: np.ndarray, kind: str) -> float:
@@ -354,13 +366,15 @@ def domain_nodes(kind: str, grid):
     lie on [0, 2*pi) with the endpoint left out, radii and cylinder
     parameters on [0, 1] inclusive.  Cylinder nodes are t-major.  The
     ``closed_circle`` kind is the n + 1 angles of [0, 2*pi] with both ends,
-    on which loops are compared and wound; it needs n >= 16.  The node
-    arrays are keyword arguments of ``AtlasItem.eval`` and ``LoopExpr.at``.
+    on which loops are compared and wound (``LoopExpr.sample``); it needs
+    16 <= n <= MAX_WINDING_SAMPLES.  The node arrays are keyword arguments
+    of ``AtlasItem.eval`` and ``LoopExpr.at``.
     """
     if kind == "closed_circle":
         n = int(grid)
-        if n < 16:
-            raise PathError(f"a closed circle grid needs at least 16 samples, got {n}")
+        if not 16 <= n <= MAX_WINDING_SAMPLES:
+            raise PathError(f"a closed circle grid needs 16 to {MAX_WINDING_SAMPLES} "
+                            f"samples, got {n}")
         return {"theta": np.linspace(0.0, TWO_PI, n + 1)}, f"closed_circle:{n}"
     if kind in ("loop", "basepoint"):
         n = 1 if kind == "basepoint" else int(grid)

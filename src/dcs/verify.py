@@ -66,10 +66,15 @@ class RunConfig:
     def __post_init__(self):
         if self.circle_samples < DEFAULT_CIRCLE // 4:
             raise ValueError("circle sample cap below a quarter of the default")
-        if self.disk_grid[0] < DEFAULT_DISK[0] // 4 or self.disk_grid[1] < DEFAULT_DISK[1] // 4:
-            raise ValueError("disk grid below a quarter of the default")
-        if self.cylinder_grid[0] < DEFAULT_CYLINDER[0] // 4 or self.cylinder_grid[1] < DEFAULT_CYLINDER[1] // 4:
-            raise ValueError("cylinder grid below a quarter of the default")
+        if self.circle_samples > inv.MAX_WINDING_SAMPLES:
+            raise ValueError(f"circle samples above the cap {inv.MAX_WINDING_SAMPLES}")
+        for name, grid, default in (("disk grid", self.disk_grid, DEFAULT_DISK),
+                                    ("cylinder grid", self.cylinder_grid, DEFAULT_CYLINDER)):
+            if len(grid) != 2 or grid[0] < default[0] // 4 or grid[1] < default[1] // 4:
+                raise ValueError(f"{name} {list(grid)} is not two sizes of at least "
+                                 f"a quarter of the default {list(default)}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be 0 (all cores) or more, got {self.threads}")
 
     def to_json(self) -> dict:
         return {
@@ -160,19 +165,19 @@ def _cylinder_fiber_agreement(rep: ClaimReport, item_id: str, ambient: int, cfg:
     printed homotopy, which never moves that line)."""
     nodes, _ = domain_nodes("cylinder", (96, 9))
     arr = atlas.get(item_id).eval(**nodes)
+    ends = (Atom(item_id, t=0.0), Atom(item_id, t=1.0))
     for i in range(3):
         if inv.line_constancy(arr, i, ambient) > cfg.tol.rank_rel_tol:
             continue
         f = inv.fiber_functional(i, ambient)
-        w0 = inv.winding(Atom(item_id, t=0.0), f, cfg.circle_samples, cfg.tol)
-        w1 = inv.winding(Atom(item_id, t=1.0), f, cfg.circle_samples, cfg.tol)
+        w0, w1 = (inv.winding(end, f, cfg.circle_samples, cfg.tol) for end in ends)
         status = PASS if (w0.winding == w1.winding and not (w0.indeterminate or w1.indeterminate)) else FAIL
         rep.add(f"{item_id} fiber{i + 1} winding constant in t", status,
                 note=f"t=0: {w0.winding}, t=1: {w1.winding}")
 
 
 def _relation_check(rep: ClaimReport, name, lhs, rhs, cfg: RunConfig):
-    r = inv.check_linear_relation(lhs, rhs, None, cfg.circle_samples, cfg.tol)
+    r = inv.check_linear_relation(lhs, rhs, cfg.circle_samples, cfg.tol)
     status = PASS if r.ok else (INCONCLUSIVE if r.indeterminate else FAIL)
     rows = ", ".join(f"{f}:{a}={b}" for f, a, b, _ in r.rows) or "no shared functionals"
     rep.add(name, status, note=rows)
@@ -303,12 +308,10 @@ def verify_C3(cfg: RunConfig) -> ClaimReport:
 
 def verify_C4(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C4")
-    thetas = domain_nodes("closed_circle", cfg.circle_samples)[0]["theta"]
-
-    lines_sigma = config_lines_dual(atlas.get("sigma").eval(thetas))
-    s_vals = atlas.get("s").eval(thetas)
+    thetas, sigma_vals = Atom("sigma").sample(cfg.circle_samples)
     rep.add_distance("lines of sigma equal s",
-                     float(np.max(value_dist(lines_sigma, s_vals, "lines_dual"))),
+                     compare_values(config_lines_dual(sigma_vals),
+                                    Atom("s").sample(cfg.circle_samples)[1], "lines_dual"),
                      cfg.lift_tol, cfg.numeric_floor)
 
     nodes, rep.grids["Lambda_tilde"] = domain_nodes("disk", cfg.disk_grid)
@@ -319,9 +322,9 @@ def verify_C4(cfg: RunConfig) -> ClaimReport:
                      cfg.lift_tol, cfg.numeric_floor)
 
     doubled = atlas.get("s").eval(2.0 * thetas % TWO_PI)
-    boundary = atlas.get("Lambda").eval(thetas, rho=1.0)
     rep.add_distance("line disk boundary equals the doubled line loop",
-                     float(np.max(value_dist(boundary, doubled, "lines_dual"))),
+                     compare_values(Atom("Lambda").sample(cfg.circle_samples)[1], doubled,
+                                    "lines_dual"),
                      cfg.lift_tol, cfg.numeric_floor)
     return rep
 
@@ -333,11 +336,10 @@ def verify_C5(cfg: RunConfig) -> ClaimReport:
                    Atom("Lambda_tilde"), Atom("sigma_tilde_Lambda"), cfg)
     _add_closure(rep, "sigma_tilde_Lambda", cfg)
     # null-homotopy consequence: bracket-ratio windings of the boundary vanish
-    for w in ("w1", "w2", "w3"):
-        r = inv.disk_winding_nullity("Lambda_tilde", inv.W_FUNCTIONALS[w],
-                                     cfg.disk_grid, cfg.circle_samples, cfg.tol)
+    for r in inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()),
+                                      cfg.disk_grid, cfg.circle_samples, cfg.tol):
         status = {"pass": PASS, "fail": FAIL, "inconclusive": INCONCLUSIVE}[r.status]
-        rep.add(f"boundary winding of {w} vanishes", status, r.min_modulus,
+        rep.add(f"boundary winding of {r.functional_id} vanishes", status, r.min_modulus,
                 note=f"winding {r.boundary_winding}")
     return rep
 
@@ -347,10 +349,9 @@ def verify_C6(cfg: RunConfig) -> ClaimReport:
     _add_sweep(rep, "L", cfg)
     _add_junctions(rep, "L", cfg)
     loops = _loops()
+    word = Concat(Concat(Inverse(loops["alpha"]), Inverse(loops["beta"])), loops["gamma"])
     _add_pointwise(rep, "t=0 end equals (alpha^-1 * beta^-1) * gamma",
-                   Atom("L", t=0.0),
-                   Concat(Concat(Inverse(loops["alpha"]), Inverse(loops["beta"])), loops["gamma"]),
-                   cfg)
+                   Atom("L", t=0.0), word, cfg)
     _add_pointwise(rep, "t=1 end equals (sigma * sigma) * restriction^-1",
                    Atom("L", t=1.0),
                    Concat(Concat(loops["sigma"], loops["sigma"]),
@@ -358,9 +359,7 @@ def verify_C6(cfg: RunConfig) -> ClaimReport:
                    cfg)
     _cylinder_fiber_agreement(rep, "L", 2, cfg)
     _relation_check(rep, "winding: sigma*sigma vs alpha^-1*beta^-1*gamma",
-                    Concat(loops["sigma"], loops["sigma"]),
-                    Concat(Concat(Inverse(loops["alpha"]), Inverse(loops["beta"])), loops["gamma"]),
-                    cfg)
+                    Concat(loops["sigma"], loops["sigma"]), word, cfg)
     return rep
 
 
@@ -404,8 +403,8 @@ def verify_C9(cfg: RunConfig) -> ClaimReport:
     _add_sweep(rep, "H", cfg)
     _add_junctions(rep, "H", cfg)
     loops = _loops()
-    _add_pointwise(rep, "t=1 end equals restriction * sigma",
-                   Atom("H", t=1.0), Concat(Atom("Phi_tilde_S1"), loops["sigma"]), cfg)
+    lift = Concat(Atom("Phi_tilde_S1"), loops["sigma"])
+    _add_pointwise(rep, "t=1 end equals restriction * sigma", Atom("H", t=1.0), lift, cfg)
     # frozen t=0 end, derived by dense-grid matching (see claim notes)
     _add_pointwise(rep, "t=0 end equals (alpha * beta) * (gamma * gamma) [frozen]",
                    Atom("H", t=0.0),
@@ -421,10 +420,8 @@ def verify_C9(cfg: RunConfig) -> ClaimReport:
                  "recorded as a formula discrepancy, not a verification failure")
     rep.extra["stated_t0_distance"] = float(stated)
     _cylinder_fiber_agreement(rep, "H", 2, cfg)
-    _relation_check(rep, "winding: restriction*sigma vs alpha*beta*gamma",
-                    Concat(Atom("Phi_tilde_S1"), loops["sigma"]),
-                    Concat(Concat(loops["alpha"], loops["beta"]), loops["gamma"]),
-                    cfg)
+    _relation_check(rep, "winding: restriction*sigma vs alpha*beta*gamma", lift,
+                    Concat(Concat(loops["alpha"], loops["beta"]), loops["gamma"]), cfg)
     rep.notes.append(
         "the stated t=0 identity fails pointwise (order-one distance); the "
         "frozen derived end is (alpha*beta)*(gamma*gamma).  With the verified "
@@ -455,20 +452,19 @@ def verify_C11(cfg: RunConfig) -> ClaimReport:
     _add_sweep(rep, "M", cfg)
     _add_junctions(rep, "M", cfg)
     loops = _loops()
+    end0, end1 = Atom("M", t=0.0), Atom("M", t=1.0)
     _add_pointwise(rep, "t=1 end equals sigma * gamma^-1",
-                   Atom("M", t=1.0), Concat(loops["sigma"], Inverse(loops["gamma"])), cfg)
+                   end1, Concat(loops["sigma"], Inverse(loops["gamma"])), cfg)
     # t=0 is the simultaneous product: first-line pair moves as sigma,
     # third-line pair as gamma^-1, at full speed together.
-    thetas = domain_nodes("closed_circle", cfg.circle_samples)[0]["theta"]
-    m0 = atlas.get("M").eval(thetas, t=0.0)
-    sim = atlas.get("sigma").eval(thetas).copy()
-    sim[..., 5, :] = atlas.get("gamma").eval(TWO_PI - thetas)[..., 5, :]
+    n = cfg.circle_samples
+    sim = loops["sigma"].sample(n)[1].copy()
+    sim[..., 5, :] = Inverse(loops["gamma"]).sample(n)[1][..., 5, :]
     rep.add_distance("t=0 end is the simultaneous product",
-                     float(np.max(value_dist(m0, sim, "config"))),
+                     compare_values(end0.sample(n)[1], sim, "config"),
                      cfg.boundary_tol, cfg.numeric_floor)
     _cylinder_fiber_agreement(rep, "M", 2, cfg)
-    _relation_check(rep, "winding: ends of the cylinder",
-                    Atom("M", t=0.0), Atom("M", t=1.0), cfg)
+    _relation_check(rep, "winding: ends of the cylinder", end0, end1, cfg)
     return rep
 
 
@@ -610,23 +606,24 @@ def verify_claim(claim_id: str, cfg: RunConfig) -> ClaimReport:
 # winding tables and certificates
 
 def winding_tables(cfg: RunConfig) -> dict:
-    loops = _loops()
+    fiber_loops = (("alpha", 2), ("beta", 2), ("gamma", 2), ("F_tilde_S1", 3),
+                   ("B_tilde_S1", 3), ("Psi_tilde_S1", 3), ("Sigma_tilde_S1", 4))
+    planar_loops = ["alpha", "beta", "gamma", "sigma", "sigma_tilde_Lambda", "Phi_tilde_S1"]
+    # one Atom per name, so each loop is sampled once for every table
+    loops = {name: Atom(name) for name in [n for n, _ in fiber_loops] + planar_loops}
     fiber_rows = {}
-    for name, ambient in (("alpha", 2), ("beta", 2), ("gamma", 2),
-                          ("F_tilde_S1", 3), ("B_tilde_S1", 3),
-                          ("Psi_tilde_S1", 3), ("Sigma_tilde_S1", 4)):
-        vec = inv.fiber_winding_vector(Atom(name), ambient, cfg.circle_samples, cfg.tol)
+    for name, ambient in fiber_loops:
+        vec = inv.fiber_winding_vector(loops[name], ambient, cfg.circle_samples, cfg.tol)
         fiber_rows[name] = {
             "vector": [r.winding for r in vec],
             "residual": max(r.residual for r in vec),
         }
 
     w_rows = {}
-    planar_loops = ["alpha", "beta", "gamma", "sigma", "sigma_tilde_Lambda", "Phi_tilde_S1"]
     for name in planar_loops:
         row = {}
         for wid, f in inv.W_FUNCTIONALS.items():
-            res = inv.winding(Atom(name), f, cfg.circle_samples, cfg.tol)
+            res = inv.winding(loops[name], f, cfg.circle_samples, cfg.tol)
             row[wid] = {"winding": res.winding, "residual": res.residual,
                         "min_modulus": res.min_modulus}
         w_rows[name] = row

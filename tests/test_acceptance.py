@@ -248,18 +248,18 @@ def test_criterion_6_winding_relations(cfg):
 
     rel = inv.check_linear_relation(
         Concat(lp["sigma"], lp["sigma"]),
-        Concat(Concat(Inverse(lp["alpha"]), Inverse(lp["beta"])), lp["gamma"]), None, n)
+        Concat(Concat(Inverse(lp["alpha"]), Inverse(lp["beta"])), lp["gamma"]), n)
     if not rel.ok:
         failures.append("doubled line loop relation")
 
-    for wname, f in inv.W_FUNCTIONALS.items():
-        rep = inv.disk_winding_nullity("Lambda_tilde", f, cfg.disk_grid, n)
+    for rep in inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()),
+                                        cfg.disk_grid, n):
         if rep.status != "pass":
-            failures.append(f"nullity {wname}")
+            failures.append(f"nullity {rep.functional_id}")
 
     rel = inv.check_linear_relation(
         Concat(Atom("Phi_tilde_S1"), lp["sigma"]),
-        Concat(Concat(lp["alpha"], lp["beta"]), lp["gamma"]), None, n)
+        Concat(Concat(lp["alpha"], lp["beta"]), lp["gamma"]), n)
     if not rel.ok:
         failures.append("planar lift boundary relation")
 

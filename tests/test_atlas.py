@@ -210,6 +210,24 @@ def test_loops_close_at_base(item_id):
     assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("end", [0.0, 1.0])
+def test_closure_audits_both_cylinder_ends(end, monkeypatch):
+    """A cylinder whose boundary circle at t = end does not close is
+    caught, whichever end it is."""
+    item = atlas.get("L")
+    original = item.fn
+
+    def open_at_end(theta, t=None, rho=None, side="right"):
+        v = original(theta, t=t, rho=rho, side=side)
+        hit = (np.asarray(t) == end) & (np.asarray(theta) == TWO_PI)
+        v[hit] = np.roll(v[hit], 1, axis=-2)
+        return v
+
+    monkeypatch.setattr(item, "fn", open_at_end)
+    rep = closure_report("L")
+    assert not rep["ok"] and rep["closure"] > 0.1, rep
+
+
 @pytest.mark.parametrize("item_id", ["D0", "D0_cp3", "D0_solid", "D0_solid_cp4"])
 def test_basepoint_items_broadcast_over_theta(item_id):
     item = atlas.get(item_id)

@@ -77,6 +77,47 @@ def test_verify_config_file(capsys, tmp_path):
     assert code == EXIT_OK
 
 
+def _write_run_config(path, kind):
+    if kind == "invalid-json":
+        path.write_text('{"circle_samples": 256')
+    elif kind == "not-an-object":
+        path.write_text("[256]")
+    elif kind == "grid-one-size":
+        path.write_text(json.dumps({"disk_grid": [128]}))
+    elif kind == "grid-scalar":
+        path.write_text(json.dumps({"disk_grid": 5}))
+    # "missing": no file at all
+
+
+@pytest.mark.parametrize("kind", ["missing", "invalid-json", "not-an-object",
+                                  "grid-one-size", "grid-scalar", "threads-negative"])
+def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path):
+    f = tmp_path / "cfg.json"
+    if kind == "threads-negative":
+        argv = ["verify", "--claim", "C3", "--threads", "-2"]
+    else:
+        _write_run_config(f, kind)
+        argv = ["verify", "--claim", "C3", "--config", str(f)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "C3", "--samples", str(2 ** 20 + 1)],
+    ["winding", "alpha", "w1", "--samples", str(2 ** 20 + 1)],
+], ids=["verify", "winding"])
+def test_samples_above_the_cap_rejected_before_sampling(argv, capsys, monkeypatch):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("evaluated an atlas item")
+
+    monkeypatch.setattr(atlas.AtlasItem, "eval", no_eval)
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and str(2 ** 20) in err
+
+
 def test_verify_deterministic_reports(capsys, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for p in (p1, p2):

@@ -161,8 +161,9 @@ def test_constant_loop_rank_zero():
 # disk nullity
 
 def test_null_homotopy_disk_kills_windings():
-    for name, f in inv.W_FUNCTIONALS.items():
-        rep = inv.disk_winding_nullity("Lambda_tilde", f)
+    reps = inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()))
+    assert [rep.functional_id for rep in reps] == list(inv.W_FUNCTIONALS)
+    for rep in reps:
         assert rep.status == "pass" and rep.boundary_winding == 0
 
 
@@ -172,8 +173,9 @@ def test_punctured_disk_is_inconclusive():
     # inside the disk and the nullity test must refuse to conclude.
     f0 = inv.fiber_functional(0, 2)
     punctured = inv.ScalarFunctional("punctured", lambda arr: f0.fn(arr) - 1.0, 2)
-    rep = inv.disk_winding_nullity("Lambda_tilde", punctured)
-    assert rep.status == "inconclusive"
+    ok, bad = inv.disk_winding_nullity("Lambda_tilde", [inv.W_FUNCTIONALS["w1"], punctured])
+    assert ok.status == "pass" and bad.status == "inconclusive"
+    assert bad.functional_id == "punctured" and bad.boundary_winding is None
 
 
 def test_nonvanishing_moduli_along_catalog_loops():

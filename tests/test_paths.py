@@ -27,6 +27,7 @@ from dcs.paths import (
     value_dist,
 )
 from dcs import invariants as inv
+from dcs.cli import main
 from dcs.projective import HPoint
 from dcs.strata import SpaceTag, validate_batch
 
@@ -73,7 +74,7 @@ def test_concat_evaluates_each_operand_on_its_own_half():
     assert Concat(a, b).at(np.array([np.pi]))[0, 0, 0] == 1.0      # pi stays with p
 
 
-def test_word_evaluates_each_node_once(monkeypatch):
+def test_word_evaluates_each_node_once(monkeypatch, capsys):
     nodes = []
     original = atlas.AtlasItem.eval
 
@@ -84,6 +85,10 @@ def test_word_evaluates_each_node_once(monkeypatch):
     monkeypatch.setattr(atlas.AtlasItem, "eval", counting)
     word = parse_loop_expr("alpha*beta^-1*gamma*alpha*beta*gamma^-1*alpha*beta")
     word.at(domain_nodes("closed_circle", 512)[0]["theta"])
+    assert sum(nodes) == 513
+    # one sample of the word serves the line check and all six windings
+    nodes.clear()
+    assert main(["winding", "alpha*beta*gamma", "fiber", "w1", "w2", "w3"]) == 0
     assert sum(nodes) == 513
 
 
@@ -189,12 +194,33 @@ def test_winding_additive_under_concat():
         )
 
 
+def _rewound(loop, functional, n):
+    """Winding with the refinement done as a full re-evaluation: each round
+    evaluates the loop again at every angle."""
+    thetas = np.linspace(0.0, TWO_PI, n + 1)
+    refinements = 0
+    while True:
+        vals = functional(loop.at(thetas))
+        dargs = (np.diff(np.angle(vals)) + np.pi) % TWO_PI - np.pi
+        bad = np.abs(dargs) >= np.pi / 2
+        if not np.any(bad):
+            break
+        thetas = np.sort(np.concatenate([thetas, 0.5 * (thetas[:-1][bad] + thetas[1:][bad])]))
+        refinements += 1
+    total = float(np.sum(dargs)) / TWO_PI
+    k = int(np.round(total))
+    return inv.WindingResult(functional.id, k, abs(total - k), float(np.abs(vals).min()),
+                             thetas.size, refinements)
+
+
 def test_winding_refinement_terminates():
     fast = EqualConcat([ALPHA] * 8)
     res = inv.winding(fast, inv.fiber_functional(0, 2), n=16)
     assert res.winding == 8
     assert res.refinements >= 1
     assert res.samples < 2 ** 20
+    # evaluating only the new midpoints gives the same result, bit for bit
+    assert res == _rewound(fast, inv.fiber_functional(0, 2), 16)
 
 
 def test_boundary_identities_stable_under_grid_doubling():
@@ -254,8 +280,16 @@ def test_domain_nodes_grids_and_labels():
     nodes, label = domain_nodes("closed_circle", 16)
     assert label == "closed_circle:16" and list(nodes) == ["theta"]
     assert nodes["theta"].size == 17 and nodes["theta"][-1] == TWO_PI
+    theta, values = ALPHA.sample(16)            # a loop's sample is this grid
+    assert np.array_equal(theta, nodes["theta"])
+    assert np.array_equal(values, ALPHA.at(theta)) and ALPHA.sample(16)[1] is values
+    for arr in (theta, values):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
     with pytest.raises(PathError):
         domain_nodes("closed_circle", 15)
+    with pytest.raises(PathError):
+        domain_nodes("closed_circle", inv.MAX_WINDING_SAMPLES + 1)
     with pytest.raises(PathError):
         domain_nodes("map", 8)
 

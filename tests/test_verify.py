@@ -61,6 +61,12 @@ def test_run_config_validation():
         RunConfig(circle_samples=16)
     with pytest.raises(ValueError):
         RunConfig(disk_grid=(8, 8))
+    with pytest.raises(ValueError):
+        RunConfig(disk_grid=(128,))
+    with pytest.raises(ValueError):
+        RunConfig(circle_samples=inv.MAX_WINDING_SAMPLES + 1)
+    with pytest.raises(ValueError):
+        RunConfig(threads=-1)
 
 
 def test_c9_report_documents_the_discrepancy():
