@@ -89,100 +89,89 @@ def config(*pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # piecewise arcs
 
+def _value(x, *args):
+    """A piece or breakpoint: a formula of its arguments, or a constant."""
+    return x(*args) if callable(x) else x
+
+
 class Arc:
     """Piecewise scalar function on the angle interval [0, 2*pi].
 
-    pieces: list of (lo(t), hi(t), f(theta, t)); bounds are callables of the
-    cylinder parameter so the decomposition may move with t.  ``side``
-    selects which formula owns a shared boundary, enabling two-sided
-    junction evaluation.  ``t`` is one cylinder parameter for all angles or
-    one per angle.
+    ``Arc(f0, b1, f1, ..., bk, fk)`` lists the piece formulas f(theta, t)
+    and, between them, the interior breakpoints b(t), each a callable or a
+    constant; breakpoints may move with the cylinder parameter.  ``side``
+    selects which piece owns a breakpoint, enabling two-sided junction
+    evaluation.  ``t`` is one cylinder parameter for all angles or one per
+    angle.
     """
 
-    def __init__(self, pieces):
-        self.pieces = pieces
+    def __init__(self, *parts):
+        self.pieces, self.breaks = parts[::2], parts[1::2]
 
     def bounds(self, t) -> np.ndarray:
-        """Piece bounds, first to last, at a scalar t or at each of an array
-        of t: shape (pieces + 1,) + np.shape(t)."""
+        """Piece bounds 0, b1, ..., bk, 2*pi at a scalar t or at each of an
+        array of t: shape (pieces + 1,) + np.shape(t)."""
         tt = np.asarray(t, dtype=float)
-        bs = [lo(tt) for lo, _, _ in self.pieces] + [self.pieces[-1][1](tt)]
-        return np.array(np.broadcast_arrays(tt, *bs)[1:], dtype=float)
+        bs = [_value(b, tt) for b in self.breaks]
+        return np.array(np.broadcast_arrays(tt, 0.0, *bs, TWO_PI)[1:], dtype=float)
 
     def __call__(self, theta, t=0.0, side: str = "right"):
         th, tt = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(t, dtype=float))
-        # a node's piece is the number of interior bounds it has passed; the
-        # right side owns a shared boundary, the left side the piece before it
+        # a node's piece is the number of breakpoints it has passed; the
+        # right side owns a breakpoint, the left side the piece before it
         passed = np.greater_equal if side == "right" else np.greater
-        idx = sum(passed(th, lo(tt)) for lo, _, _ in self.pieces[1:])
+        idx = sum(passed(th, _value(b, tt)) for b in self.breaks)
         out = np.zeros(th.shape, dtype=np.complex128)
-        for k, (_, _, f) in enumerate(self.pieces):
+        for k, f in enumerate(self.pieces):
             mask = idx == k
             if np.any(mask):
-                out[mask] = f(th[mask], tt[mask])
+                out[mask] = _value(f, th[mask], tt[mask])
         return out
 
 
-def _const(x):
-    return lambda t: x
-
-
 # ---------------------------------------------------------------------------
-# the generator loops and the fibration sections (single-formula items)
+# the printed formulas.  AtlasItem.eval calls formula(z, zb, r, **arcs) with
+# z = rho e^(i theta) (rho = 1 on circles and cylinders), zb = conj(z),
+# r = 1 - rho, and each arc of the item's registry row at (theta, t, side).
 
-def eval_alpha(theta, t=None, rho=None, side="right"):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    return config(point(*A10), point(-1, 1, 1 + z), point(*A20), point(*B20), point(*A30), point(*B30))
-
-
-def eval_beta(theta, t=None, rho=None, side="right"):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    return config(point(*A10), point(*B10), point(*A20), point(-1, 2, 1 + z), point(*A30), point(*B30))
-
-
-def eval_gamma(theta, t=None, rho=None, side="right"):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    return config(point(*A10), point(*B10), point(*A20), point(*B20), point(*A30), point(0, 1, 1 + z))
+def _planar(w, moved=None, to=None):
+    """sigma's configuration at w, on the lines kw X0 + X1 = 0 (k = 1, 2) and
+    X0 = 0, with the point of index ``moved`` replaced by ``to``; at w = 1 it
+    is the base configuration."""
+    pts = [point(-1, w, 1), point(-1, w, 2), point(-1, 2 * w, 1), point(-1, 2 * w, 2),
+           point(*A30), point(*B30)]
+    if moved is not None:
+        pts[moved] = to
+    return config(*pts)
 
 
-def eval_sigma(theta, t=None, rho=None, side="right"):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    return config(
-        point(-1, z, 1), point(-1, z, 2),
-        point(-1, 2 * z, 1), point(-1, 2 * z, 2),
-        point(*A30), point(*B30),
-    )
+def _alpha(z, zb, r):
+    return _planar(1, 1, point(-1, 1, 1 + z))
 
 
-def eval_s(theta, t=None, rho=None, side="right"):
+def _beta(z, zb, r):
+    return _planar(1, 3, point(-1, 2, 1 + z))
+
+
+def _gamma(z, zb, r):
+    return _planar(1, 5, point(0, 1, 1 + z))
+
+
+def _sigma(z, zb, r):
+    return _planar(z)
+
+
+def _s(z, zb, r):
     """Line triple (z X0 + X1, 2z X0 + X1, X0) as dual covectors."""
-    z = np.exp(1j * np.asarray(theta, dtype=float))
     return config(point(z, 1, 0), point(2 * z, 1, 0), point(1, 0, 0))
 
 
-def _fiber_pair(theta):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    return np.stack(np.broadcast_arrays(np.ones_like(z), 1 + z), axis=-1)
+def _fiber(z, zb, r):
+    return point(1, 1 + z)
 
 
-def eval_fiber_a(theta, t=None, rho=None, side="right"):
-    return _fiber_pair(theta)
-
-
-eval_fiber_b = eval_fiber_a
-eval_fiber_c = eval_fiber_a
-
-
-def _disk_params(theta, rho):
-    theta = np.asarray(theta, dtype=float)
-    rho = np.asarray(1.0 if rho is None else rho, dtype=float)
-    z = rho * np.exp(1j * theta)
-    return z, np.conj(z), 1.0 - rho
-
-
-def eval_Lambda(theta, t=None, rho=None, side="right"):
+def _Lambda(z, zb, r):
     """Null-homotopy of the doubled line loop: duals ((kz-r) X0 + (zbar+kr) X1, z X0 + r X1)."""
-    z, zb, r = _disk_params(theta, rho)
     return config(
         point(z - r, zb + r, 0),
         point(2 * z - r, zb + 2 * r, 0),
@@ -190,8 +179,7 @@ def eval_Lambda(theta, t=None, rho=None, side="right"):
     )
 
 
-def eval_Lambda_tilde(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
+def _Lambda_tilde(z, zb, r):
     return config(
         point(-zb - r, z - r, zb), point(-zb - r, z - r, zb + 1),
         point(-zb - 2 * r, 2 * z - r, zb), point(-zb - 2 * r, 2 * z - r, zb + 1),
@@ -199,118 +187,69 @@ def eval_Lambda_tilde(theta, t=None, rho=None, side="right"):
     )
 
 
-def eval_Lambda_tilde_S1(theta, t=None, rho=None, side="right"):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
+def _Lambda_tilde_S1(z, zb, r):
     z2 = z * z
     return config(
         point(-1, z2, 1), point(-1, z2, 1 + z),
         point(-1, 2 * z2, 1), point(-1, 2 * z2, 1 + z),
-        point(*A30), point(0, 1, 1 + np.conj(z)),
+        point(*A30), point(0, 1, 1 + zb),
     )
 
 
 # --- L: the cylinder between (alpha^-1 * beta^-1) * gamma and (sigma*sigma) * restriction^-1
 
-L1_ARC = Arc([
-    (_const(0.0), lambda t: t * np.pi, lambda th, t: np.exp(4j * th)),
-    (lambda t: t * np.pi, lambda t: (2 - t) * np.pi, lambda th, t: np.exp(4j * t * np.pi) * np.ones_like(th)),
-    (lambda t: (2 - t) * np.pi, _const(TWO_PI), lambda th, t: np.exp(-4j * th)),
-])
-
-
 def _L2_arc(k):
-    lo_mid = lambda t: (t + k - 1) * np.pi / k
-    hi_mid = lambda t: (1 + (5 - 2 * k) * t) * np.pi / (3 - k)
-    mid = lambda th, t: 1 + np.exp(4j * ((2 - k) * t * np.pi - th) / (1 + t))
-    return Arc([
-        (_const(0.0), lo_mid, lambda th, t: np.full_like(th, 2, dtype=complex)),
-        (lo_mid, hi_mid, mid),
-        (hi_mid, _const(TWO_PI), lambda th, t: np.full_like(th, 2, dtype=complex)),
-    ])
+    return Arc(2, lambda t: (t + k - 1) * np.pi / k,
+               lambda th, t: 1 + np.exp(4j * ((2 - k) * t * np.pi - th) / (1 + t)),
+               lambda t: (1 + (5 - 2 * k) * t) * np.pi / (3 - k), 2)
 
 
-L2_ARCS = (_L2_arc(1), _L2_arc(2))
+L_ARCS = {
+    "L1": Arc(lambda th, t: np.exp(4j * th), lambda t: t * np.pi,
+              lambda th, t: np.exp(4j * t * np.pi), lambda t: (2 - t) * np.pi,
+              lambda th, t: np.exp(-4j * th)),
+    "L2_1": _L2_arc(1),
+    "L2_2": _L2_arc(2),
+    "B3": Arc(2, np.pi, lambda th, t: 1 + np.exp(2j * th)),
+}
 
-LB3_ARC = Arc([
-    (_const(0.0), _const(np.pi), lambda th, t: np.full_like(th, 2, dtype=complex)),
-    (_const(np.pi), _const(TWO_PI), lambda th, t: 1 + np.exp(2j * th)),
-])
 
-
-def eval_L(theta, t=0.0, rho=None, side="right"):
-    theta = np.asarray(theta, dtype=float)
-    l1 = L1_ARC(theta, t, side)
-    l21 = L2_ARCS[0](theta, t, side)
-    l22 = L2_ARCS[1](theta, t, side)
-    b3 = LB3_ARC(theta, t, side)
+def _L(z, zb, r, L1, L2_1, L2_2, B3):
     return config(
-        point(-1, l1, 1), point(-1, l1, l21),
-        point(-1, 2 * l1, 1), point(-1, 2 * l1, l22),
-        point(*A30), point(0, 1, b3),
+        point(-1, L1, 1), point(-1, L1, L2_1),
+        point(-1, 2 * L1, 1), point(-1, 2 * L1, L2_2),
+        point(*A30), point(0, 1, B3),
     )
 
 
-# --- epsilon, eta and the conjugation cylinders K
+# --- epsilon, eta and the conjugation cylinders K: sigma(epsilon) with B_k moved
 
-EPSILON_ARC = Arc([
-    (_const(0.0), lambda t: 2 * t * np.pi / 3, lambda th, t: np.exp(3j * th)),
-    (lambda t: 2 * t * np.pi / 3, lambda t: 2 * (3 - t) * np.pi / 3,
-     lambda th, t: np.exp(2j * t * np.pi) * np.ones_like(th)),
-    (lambda t: 2 * (3 - t) * np.pi / 3, _const(TWO_PI), lambda th, t: np.exp(-3j * th)),
-])
-
-ETA_ARC = Arc([
-    (_const(0.0), _const(2 * np.pi / 3), lambda th, t: np.full_like(th, 2, dtype=complex)),
-    (_const(2 * np.pi / 3), _const(4 * np.pi / 3), lambda th, t: 1 + np.exp(3j * th)),
-    (_const(4 * np.pi / 3), _const(TWO_PI), lambda th, t: np.full_like(th, 2, dtype=complex)),
-])
+EPSILON_ARC = Arc(lambda th, t: np.exp(3j * th), lambda t: 2 * t * np.pi / 3,
+                  lambda th, t: np.exp(2j * t * np.pi), lambda t: 2 * (3 - t) * np.pi / 3,
+                  lambda th, t: np.exp(-3j * th))
+ETA_ARC = Arc(2, 2 * np.pi / 3, lambda th, t: 1 + np.exp(3j * th), 4 * np.pi / 3, 2)
+K_ARCS = {"epsilon": EPSILON_ARC, "eta": ETA_ARC}
 
 
-def eval_epsilon(theta, t=0.0, rho=None, side="right"):
-    return EPSILON_ARC(np.asarray(theta, dtype=float), t, side)
+def _K_alpha(z, zb, r, epsilon, eta):
+    return _planar(epsilon, 1, point(-1, epsilon, eta))
 
 
-def eval_eta(theta, t=None, rho=None, side="right"):
-    return ETA_ARC(np.asarray(theta, dtype=float), 0.0, side)
+def _K_beta(z, zb, r, epsilon, eta):
+    return _planar(epsilon, 3, point(-1, 2 * epsilon, eta))
 
 
-def _K_config(theta, t, side, moved: int):
-    theta = np.asarray(theta, dtype=float)
-    eps = EPSILON_ARC(theta, t, side)
-    eta = ETA_ARC(theta, 0.0, side)
-    a1, b1 = point(-1, eps, 1), point(-1, eps, 2)
-    a2, b2 = point(-1, 2 * eps, 1), point(-1, 2 * eps, 2)
-    a3, b3 = point(*A30), point(*B30)
-    if moved == 0:
-        b1 = point(-1, eps, eta)
-    elif moved == 1:
-        b2 = point(-1, 2 * eps, eta)
-    else:
-        b3 = point(0, 1, eta)
-    return config(a1, b1, a2, b2, a3, b3)
-
-
-def eval_K_alpha(theta, t=0.0, rho=None, side="right"):
-    return _K_config(theta, t, side, 0)
-
-
-def eval_K_beta(theta, t=0.0, rho=None, side="right"):
-    return _K_config(theta, t, side, 1)
-
-
-def eval_K_gamma(theta, t=0.0, rho=None, side="right"):
-    return _K_config(theta, t, side, 2)
+def _K_gamma(z, zb, r, epsilon, eta):
+    return _planar(epsilon, 5, point(0, 1, eta))
 
 
 # --- Phi and its lift
 
-def eval_Phi(theta, t=None, rho=None, side="right"):
-    z, _, r = _disk_params(theta, rho)
+def _Phi(z, zb, r):
     return point(0, r, z)
 
 
-def eval_Phi_tilde(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
+def _Phi_tilde(z, zb, r):
     pts = []
     for k in (1, 2):
         pts.append(point(-1, (2 * k + 1) * r + k * zb, (2 * k + 1) * z + k * (r - 2)))
@@ -320,9 +259,7 @@ def eval_Phi_tilde(theta, t=None, rho=None, side="right"):
     return config(*pts)
 
 
-def eval_Phi_tilde_S1(theta, t=None, rho=None, side="right"):
-    z = np.exp(1j * np.asarray(theta, dtype=float))
-    zb = np.conj(z)
+def _Phi_tilde_S1(z, zb, r):
     return config(
         point(-1, zb, 3 * z - 2), point(-1, zb, 4 * z - 2),
         point(-1, 2 * zb, 5 * z - 4), point(-1, 2 * zb, 6 * z - 4),
@@ -333,76 +270,46 @@ def eval_Phi_tilde_S1(theta, t=None, rho=None, side="right"):
 # --- H: the cylinder between the triple concatenation and Phi_tilde|S1 * sigma
 
 def _H1_arc(k):
-    return Arc([
-        (_const(0.0), lambda t: t * np.pi, lambda th, t: k * np.exp(-2j * th)),
-        (lambda t: t * np.pi, lambda t: (2 - t) * np.pi,
-         lambda th, t: k * np.exp(-2j * t * np.pi) * np.ones_like(th)),
-        (lambda t: (2 - t) * np.pi, _const(TWO_PI), lambda th, t: k * np.exp(2j * th)),
-    ])
+    return Arc(lambda th, t: k * np.exp(-2j * th), lambda t: t * np.pi,
+               lambda th, t: k * np.exp(-2j * t * np.pi), lambda t: (2 - t) * np.pi,
+               lambda th, t: k * np.exp(2j * th))
 
 
 def _H2_arc(k):
-    return Arc([
-        (_const(0.0), _const(np.pi), lambda th, t: 1 + (2 * k + 1) * t * (np.exp(2j * th) - 1)),
-        (_const(np.pi), _const(TWO_PI), lambda th, t: np.ones_like(th, dtype=complex)),
-    ])
+    return Arc(lambda th, t: 1 + (2 * k + 1) * t * (np.exp(2j * th) - 1), np.pi, 1)
 
 
-H1_ARCS = (_H1_arc(1), _H1_arc(2))
-H2_ARCS = (_H2_arc(1), _H2_arc(2))
-
-H3_ARC = Arc([
-    (_const(0.0), _const(np.pi),
-     lambda th, t: 1 + t * (4 * np.exp(4j * th) - 3 * np.exp(2j * th) - 1)),
-    (_const(np.pi), _const(TWO_PI), lambda th, t: np.ones_like(th, dtype=complex)),
-])
-
-H14_ARC = Arc([
-    (_const(0.0), lambda t: (1 + t) * np.pi / 2, lambda th, t: np.exp(4j * th / (1 + t))),
-    (lambda t: (1 + t) * np.pi / 2, _const(TWO_PI), lambda th, t: np.ones_like(th, dtype=complex)),
-])
-
-H24_ARC = Arc([
-    (_const(0.0), lambda t: (1 - t) * np.pi / 2, lambda th, t: np.ones_like(th, dtype=complex)),
-    (lambda t: (1 - t) * np.pi / 2, _const(np.pi),
-     lambda th, t: np.exp(2j * (2 * th - (1 - t) * np.pi) / (1 + t))),
-    (_const(np.pi), _const(TWO_PI), lambda th, t: np.ones_like(th, dtype=complex)),
-])
-
-H5_ARC = Arc([
-    (_const(0.0), lambda t: (1 - t) * np.pi, lambda th, t: np.ones_like(th, dtype=complex)),
-    (lambda t: (1 - t) * np.pi, lambda t: (2 - t) * np.pi,
-     lambda th, t: np.exp(4j * (th - (1 - t) * np.pi))),
-    (lambda t: (2 - t) * np.pi, _const(TWO_PI), lambda th, t: np.ones_like(th, dtype=complex)),
-])
+H_ARCS = {
+    "H1_1": _H1_arc(1),
+    "H1_2": _H1_arc(2),
+    "H2_1": _H2_arc(1),
+    "H2_2": _H2_arc(2),
+    "H3": Arc(lambda th, t: 1 + t * (4 * np.exp(4j * th) - 3 * np.exp(2j * th) - 1), np.pi, 1),
+    "H4_1": Arc(lambda th, t: np.exp(4j * th / (1 + t)), lambda t: (1 + t) * np.pi / 2, 1),
+    "H4_2": Arc(1, lambda t: (1 - t) * np.pi / 2,
+                lambda th, t: np.exp(2j * (2 * th - (1 - t) * np.pi) / (1 + t)), np.pi, 1),
+    "H5": Arc(1, lambda t: (1 - t) * np.pi, lambda th, t: np.exp(4j * (th - (1 - t) * np.pi)),
+              lambda t: (2 - t) * np.pi, 1),
+}
 
 
-def eval_H(theta, t=0.0, rho=None, side="right"):
-    theta = np.asarray(theta, dtype=float)
-    h11, h21 = H1_ARCS[0](theta, t, side), H1_ARCS[1](theta, t, side)
-    h12, h22 = H2_ARCS[0](theta, t, side), H2_ARCS[1](theta, t, side)
-    h3 = H3_ARC(theta, t, side)
-    h14, h24 = H14_ARC(theta, t, side), H24_ARC(theta, t, side)
-    h5 = H5_ARC(theta, t, side)
+def _H(z, zb, r, H1_1, H1_2, H2_1, H2_2, H3, H4_1, H4_2, H5):
     return config(
-        point(-1, h11, h12), point(-1, h11, h12 + h14),
-        point(-1, h21, h22), point(-1, h21, h22 + h24),
-        point(0, 1, h3), point(0, 1, h3 + h5),
+        point(-1, H1_1, H2_1), point(-1, H1_1, H2_1 + H4_1),
+        point(-1, H1_2, H2_2), point(-1, H1_2, H2_2 + H4_2),
+        point(0, 1, H3), point(0, 1, H3 + H5),
     )
 
 
 # --- the Grassmannian generator Pi and its lift (ambient CP^3)
 
-def eval_Pi(theta, t=None, rho=None, side="right"):
+def _Pi(z, zb, r):
     """Moving plane (1-|z|) X1 + z X3 = 0 through [0:0:1:0], as a covector."""
-    z, _, r = _disk_params(theta, rho)
     return point(0, r, 0, z)
 
 
-def eval_Pi_tilde(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
-    rho_arr = np.abs(z)
-    lead = 2 * r * rho_arr - 1
+def _Pi_tilde(z, zb, r):
+    lead = 2 * r * np.abs(z) - 1
     return config(
         point(lead, z, 1, -r), point(lead, z, 2, -r),
         point(lead, 2 * z, 1, -2 * r), point(lead, 2 * z, 2, -2 * r),
@@ -410,55 +317,36 @@ def eval_Pi_tilde(theta, t=None, rho=None, side="right"):
     )
 
 
-def eval_Pi_tilde_S1(theta, t=None, rho=None, side="right"):
-    return eval_Pi_tilde(theta, rho=1.0, side=side)
-
-
 # --- M: the cylinder connecting the simultaneous product to sigma * gamma^-1
 
-M1_ARC = Arc([
-    (_const(0.0), lambda t: (2 - t) * np.pi, lambda th, t: np.exp(2j * th / (2 - t))),
-    (lambda t: (2 - t) * np.pi, _const(TWO_PI), lambda th, t: np.ones_like(th, dtype=complex)),
-])
-
-M2_ARC = Arc([
-    (_const(0.0), lambda t: t * np.pi, lambda th, t: np.ones_like(th, dtype=complex)),
-    (lambda t: t * np.pi, _const(TWO_PI), lambda th, t: np.exp(2j * (t * np.pi - th) / (2 - t))),
-])
+M_ARCS = {
+    "m1": Arc(lambda th, t: np.exp(2j * th / (2 - t)), lambda t: (2 - t) * np.pi, 1),
+    "m2": Arc(1, lambda t: t * np.pi, lambda th, t: np.exp(2j * (t * np.pi - th) / (2 - t))),
+}
 
 
-def eval_M(theta, t=0.0, rho=None, side="right"):
-    theta = np.asarray(theta, dtype=float)
-    m1 = M1_ARC(theta, t, side)
-    m2 = M2_ARC(theta, t, side)
-    return config(
-        point(-1, m1, 1), point(-1, m1, 2),
-        point(-1, 2 * m1, 1), point(-1, 2 * m1, 2),
-        point(*A30), point(0, 1, 1 + m2),
-    )
+def _M(z, zb, r, m1, m2):
+    return _planar(m1, 5, point(0, 1, 1 + m2))
 
 
 # --- solid items (ambient CP^3): F, B, their lifts, Psi and its lift
 
-def eval_F(theta, t=None, rho=None, side="right"):
+def _F(z, zb, r):
     """Line triple (d1 fixed; z X0 - r X1 = 0 = X3; r X0 + zbar X1 = 0 = X3) as spans."""
-    z, zb, r = _disk_params(theta, rho)
     d1 = config(point(0, 0, 1, 0), point(0, 0, 0, 1))
     d2 = config(point(r, z, 0, 0), point(0, 0, 1, 0))
     d3 = config(point(zb, -r, 0, 0), point(0, 0, 1, 0))
     return np.stack(np.broadcast_arrays(d1, d2, d3), axis=-3)
 
 
-def eval_B(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
+def _B(z, zb, r):
     d1 = config(point(r, 0, 0, z), point(0, 0, 1, 0))
     d2 = config(point(0, 1, 0, 0), point(0, 0, 1, 0))
     d3 = config(point(zb, 0, 0, -r), point(0, 0, 1, 0))
     return np.stack(np.broadcast_arrays(d1, d2, d3), axis=-3)
 
 
-def eval_F_tilde(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
+def _F_tilde(z, zb, r):
     return config(
         point(0, 0, 0, 1), point(0, 0, 1, 1),
         point(r, z, 0, 0), point(r, z, 1, 0),
@@ -466,8 +354,7 @@ def eval_F_tilde(theta, t=None, rho=None, side="right"):
     )
 
 
-def eval_B_tilde(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
+def _B_tilde(z, zb, r):
     return config(
         point(r, 0, 0, z), point(r, 0, 1, z),
         point(0, 1, 0, 0), point(0, 1, 1, 0),
@@ -475,21 +362,11 @@ def eval_B_tilde(theta, t=None, rho=None, side="right"):
     )
 
 
-def eval_F_tilde_S1(theta, t=None, rho=None, side="right"):
-    return eval_F_tilde(theta, rho=1.0)
-
-
-def eval_B_tilde_S1(theta, t=None, rho=None, side="right"):
-    return eval_B_tilde(theta, rho=1.0)
-
-
-def eval_Psi(theta, t=None, rho=None, side="right"):
-    z, _, r = _disk_params(theta, rho)
+def _Psi(z, zb, r):
     return point(r, 0, z, 0)
 
 
-def eval_Psi_tilde(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
+def _Psi_tilde(z, zb, r):
     return config(
         point(0, 0, 0, 1), point(r, 0, z, 1),
         point(0, 1, 0, 0), point(r, 1, z, 0),
@@ -497,20 +374,14 @@ def eval_Psi_tilde(theta, t=None, rho=None, side="right"):
     )
 
 
-def eval_Psi_tilde_S1(theta, t=None, rho=None, side="right"):
-    return eval_Psi_tilde(theta, rho=1.0)
-
-
 # --- the CP^4 hyperplane generator Sigma and its lift
 
-def eval_Sigma(theta, t=None, rho=None, side="right"):
+def _Sigma(z, zb, r):
     """Hyperplane r X1 - z X4 = 0 through [0:0:1:0:0], as a covector."""
-    z, _, r = _disk_params(theta, rho)
     return point(0, r, 0, 0, -z)
 
 
-def eval_Sigma_tilde(theta, t=None, rho=None, side="right"):
-    z, zb, r = _disk_params(theta, rho)
+def _Sigma_tilde(z, zb, r):
     return config(
         point(0, 0, 0, 1, 0), point(0, 0, 1, 1, 0),
         point(0, z, 0, 0, r), point(0, z, 1, 0, r),
@@ -518,8 +389,9 @@ def eval_Sigma_tilde(theta, t=None, rho=None, side="right"):
     )
 
 
-def eval_Sigma_tilde_S1(theta, t=None, rho=None, side="right"):
-    return eval_Sigma_tilde(theta, rho=1.0)
+def _constant(rows):
+    """A base point as a formula: the same value at every parameter."""
+    return lambda z, zb, r: np.broadcast_to(rows, z.shape + rows.shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -638,23 +510,23 @@ class AtlasItem:
     kind: str                     # loop | disk | cylinder | scalar | pair | map | basepoint
     value_kind: str               # config | point | lines_dual | lines_span | plane | scalar | pair
     target: Optional[SpaceTag]
-    fn: Optional[Callable] = None
-    arcs: dict = field(default_factory=dict)     # component name -> Arc, for junction audits
+    formula: Optional[Callable] = None   # formula(z, zb, r, **arcs): the printed coordinates
+    arcs: dict = field(default_factory=dict)     # arc name -> Arc, read by the formula
     based: bool = False           # closed loop through the registered base point
     aliases: tuple = ()
     notes: str = ""
 
     def eval(self, theta, t=None, rho=None, side="right"):
-        if self.fn is None:
+        """Values at angles ``theta`` and disk radii ``rho`` (1 when not
+        given) or cylinder parameters ``t``; ``side`` picks the piece that
+        owns an arc breakpoint."""
+        if self.formula is None:
             raise AtlasError(f"{self.id} is not a parametric item")
-        return self.fn(theta, t=t, rho=rho, side=side)
-
-
-def _constant(rows):
-    """A base point as a parametric item: the same value at every angle."""
-    def fn(theta, t=None, rho=None, side="right"):
-        return np.broadcast_to(rows, np.shape(theta) + rows.shape).copy()
-    return fn
+        theta = np.asarray(theta, dtype=float)
+        rho = np.asarray(1.0 if rho is None else rho, dtype=float)
+        z = rho * np.exp(1j * theta)
+        arcs = {name: arc(theta, t, side) for name, arc in self.arcs.items()}
+        return self.formula(z, np.conj(z), 1.0 - rho, **arcs)
 
 
 TAG_PLANAR_FIXED_2 = SpaceTag.planar_fixed(2, HPoint(I0_PLANAR))
@@ -669,62 +541,54 @@ TAG_LINES_I0_SOLID = SpaceTag.lines_through(HPoint(I0_SOLID))
 
 def _build_registry():
     items = [
-        AtlasItem("alpha", "loop", "config", TAG_PLANAR_FIXED_2, eval_alpha, based=True),
-        AtlasItem("beta", "loop", "config", TAG_PLANAR_FIXED_2, eval_beta, based=True),
-        AtlasItem("gamma", "loop", "config", TAG_PLANAR_FIXED_2, eval_gamma, based=True),
-        AtlasItem("sigma", "loop", "config", TAG_PLANAR_FIXED_2, eval_sigma, based=True),
-        AtlasItem("s", "loop", "lines_dual", TAG_LINES_I0, eval_s, based=True),
-        AtlasItem("fiber_a", "loop", "pair", None, eval_fiber_a, based=True,
+        AtlasItem("alpha", "loop", "config", TAG_PLANAR_FIXED_2, _alpha, based=True),
+        AtlasItem("beta", "loop", "config", TAG_PLANAR_FIXED_2, _beta, based=True),
+        AtlasItem("gamma", "loop", "config", TAG_PLANAR_FIXED_2, _gamma, based=True),
+        AtlasItem("sigma", "loop", "config", TAG_PLANAR_FIXED_2, _sigma, based=True),
+        AtlasItem("s", "loop", "lines_dual", TAG_LINES_I0, _s, based=True),
+        AtlasItem("fiber_a", "loop", "pair", None, _fiber, based=True,
                   notes="braid generator in the fiber of the first line, chart coordinates"),
-        AtlasItem("fiber_b", "loop", "pair", None, eval_fiber_b, based=True),
-        AtlasItem("fiber_c", "loop", "pair", None, eval_fiber_c, based=True),
-        AtlasItem("Lambda", "disk", "lines_dual", TAG_LINES_I0, eval_Lambda),
-        AtlasItem("Lambda_tilde", "disk", "config", TAG_PLANAR_FIXED_2, eval_Lambda_tilde),
+        AtlasItem("fiber_b", "loop", "pair", None, _fiber, based=True),
+        AtlasItem("fiber_c", "loop", "pair", None, _fiber, based=True),
+        AtlasItem("Lambda", "disk", "lines_dual", TAG_LINES_I0, _Lambda),
+        AtlasItem("Lambda_tilde", "disk", "config", TAG_PLANAR_FIXED_2, _Lambda_tilde),
         AtlasItem("sigma_tilde_Lambda", "loop", "config", TAG_PLANAR_FIXED_2,
-                  eval_Lambda_tilde_S1, based=True, aliases=("Lambda_tilde_S1",),
+                  _Lambda_tilde_S1, based=True, aliases=("Lambda_tilde_S1",),
                   notes="circle restriction of Lambda_tilde, as printed"),
-        AtlasItem("L", "cylinder", "config", TAG_PLANAR_FIXED_2, eval_L,
-                  arcs={"L1": L1_ARC, "L2_1": L2_ARCS[0], "L2_2": L2_ARCS[1], "B3": LB3_ARC},
+        AtlasItem("L", "cylinder", "config", TAG_PLANAR_FIXED_2, _L, L_ARCS, based=True),
+        AtlasItem("epsilon", "cylinder", "scalar", None, lambda z, zb, r, epsilon: epsilon,
+                  {"epsilon": EPSILON_ARC}),
+        AtlasItem("eta", "loop", "scalar", None, lambda z, zb, r, eta: eta, {"eta": ETA_ARC}),
+        AtlasItem("K_alpha", "cylinder", "config", TAG_PLANAR_FIXED_2, _K_alpha, K_ARCS,
                   based=True),
-        AtlasItem("epsilon", "cylinder", "scalar", None, eval_epsilon,
-                  arcs={"epsilon": EPSILON_ARC}),
-        AtlasItem("eta", "loop", "scalar", None, eval_eta, arcs={"eta": ETA_ARC}),
-        AtlasItem("K_alpha", "cylinder", "config", TAG_PLANAR_FIXED_2, eval_K_alpha,
-                  arcs={"epsilon": EPSILON_ARC, "eta": ETA_ARC}, based=True),
-        AtlasItem("K_beta", "cylinder", "config", TAG_PLANAR_FIXED_2, eval_K_beta,
-                  arcs={"epsilon": EPSILON_ARC, "eta": ETA_ARC}, based=True),
-        AtlasItem("K_gamma", "cylinder", "config", TAG_PLANAR_FIXED_2, eval_K_gamma,
-                  arcs={"epsilon": EPSILON_ARC, "eta": ETA_ARC}, based=True),
-        AtlasItem("Phi", "disk", "point", None, eval_Phi,
+        AtlasItem("K_beta", "cylinder", "config", TAG_PLANAR_FIXED_2, _K_beta, K_ARCS,
+                  based=True),
+        AtlasItem("K_gamma", "cylinder", "config", TAG_PLANAR_FIXED_2, _K_gamma, K_ARCS,
+                  based=True),
+        AtlasItem("Phi", "disk", "point", None, _Phi,
                   notes="generator disk in CP^2; boundary circle collapses to the center"),
-        AtlasItem("Phi_tilde", "disk", "config", TAG_PLANAR_2, eval_Phi_tilde),
-        AtlasItem("Phi_tilde_S1", "loop", "config", TAG_PLANAR_FIXED_2,
-                  eval_Phi_tilde_S1, based=True),
-        AtlasItem("H", "cylinder", "config", TAG_PLANAR_FIXED_2, eval_H,
-                  arcs={"H1_1": H1_ARCS[0], "H1_2": H1_ARCS[1], "H2_1": H2_ARCS[0],
-                        "H2_2": H2_ARCS[1], "H3": H3_ARC, "H4_1": H14_ARC,
-                        "H4_2": H24_ARC, "H5": H5_ARC},
+        AtlasItem("Phi_tilde", "disk", "config", TAG_PLANAR_2, _Phi_tilde),
+        AtlasItem("Phi_tilde_S1", "loop", "config", TAG_PLANAR_FIXED_2, _Phi_tilde_S1,
                   based=True),
-        AtlasItem("Pi", "disk", "plane", None, eval_Pi),
-        AtlasItem("Pi_tilde", "disk", "config", TAG_PLANAR_FIXED_3, eval_Pi_tilde),
-        AtlasItem("Pi_tilde_S1", "loop", "config", TAG_PLANAR_FIXED_3,
-                  eval_Pi_tilde_S1, based=True),
-        AtlasItem("M", "cylinder", "config", TAG_PLANAR_FIXED_2, eval_M,
-                  arcs={"m1": M1_ARC, "m2": M2_ARC}, based=True),
-        AtlasItem("F", "disk", "lines_span", TAG_LINES_I0_SOLID, eval_F),
-        AtlasItem("B", "disk", "lines_span", TAG_LINES_I0_SOLID, eval_B),
-        AtlasItem("F_tilde", "disk", "config", TAG_SOLID_FIXED_3, eval_F_tilde),
-        AtlasItem("B_tilde", "disk", "config", TAG_SOLID_FIXED_3, eval_B_tilde),
-        AtlasItem("F_tilde_S1", "loop", "config", TAG_SOLID_FIXED_3, eval_F_tilde_S1, based=True),
-        AtlasItem("B_tilde_S1", "loop", "config", TAG_SOLID_FIXED_3, eval_B_tilde_S1, based=True),
-        AtlasItem("Psi", "disk", "point", None, eval_Psi,
+        AtlasItem("H", "cylinder", "config", TAG_PLANAR_FIXED_2, _H, H_ARCS, based=True),
+        AtlasItem("Pi", "disk", "plane", None, _Pi),
+        AtlasItem("Pi_tilde", "disk", "config", TAG_PLANAR_FIXED_3, _Pi_tilde),
+        AtlasItem("Pi_tilde_S1", "loop", "config", TAG_PLANAR_FIXED_3, _Pi_tilde, based=True),
+        AtlasItem("M", "cylinder", "config", TAG_PLANAR_FIXED_2, _M, M_ARCS, based=True),
+        AtlasItem("F", "disk", "lines_span", TAG_LINES_I0_SOLID, _F),
+        AtlasItem("B", "disk", "lines_span", TAG_LINES_I0_SOLID, _B),
+        AtlasItem("F_tilde", "disk", "config", TAG_SOLID_FIXED_3, _F_tilde),
+        AtlasItem("B_tilde", "disk", "config", TAG_SOLID_FIXED_3, _B_tilde),
+        AtlasItem("F_tilde_S1", "loop", "config", TAG_SOLID_FIXED_3, _F_tilde, based=True),
+        AtlasItem("B_tilde_S1", "loop", "config", TAG_SOLID_FIXED_3, _B_tilde, based=True),
+        AtlasItem("Psi", "disk", "point", None, _Psi,
                   notes="generator disk in CP^3; boundary circle collapses to the center"),
-        AtlasItem("Psi_tilde", "disk", "config", TAG_SOLID_3, eval_Psi_tilde),
-        AtlasItem("Psi_tilde_S1", "loop", "config", TAG_SOLID_FIXED_3, eval_Psi_tilde_S1, based=True),
-        AtlasItem("Sigma", "disk", "plane", None, eval_Sigma),
-        AtlasItem("Sigma_tilde", "disk", "config", TAG_SOLID_FIXED_4, eval_Sigma_tilde),
-        AtlasItem("Sigma_tilde_S1", "loop", "config", TAG_SOLID_FIXED_4,
-                  eval_Sigma_tilde_S1, based=True),
+        AtlasItem("Psi_tilde", "disk", "config", TAG_SOLID_3, _Psi_tilde),
+        AtlasItem("Psi_tilde_S1", "loop", "config", TAG_SOLID_FIXED_3, _Psi_tilde, based=True),
+        AtlasItem("Sigma", "disk", "plane", None, _Sigma),
+        AtlasItem("Sigma_tilde", "disk", "config", TAG_SOLID_FIXED_4, _Sigma_tilde),
+        AtlasItem("Sigma_tilde_S1", "loop", "config", TAG_SOLID_FIXED_4, _Sigma_tilde,
+                  based=True),
         AtlasItem("phi_triv", "map", "config", TAG_PLANAR_2,
                   notes="center-fibration trivialization; see phi_triv()"),
         AtlasItem("psi_triv", "map", "config", TAG_PLANAR_FIXED_2,
@@ -767,7 +631,7 @@ def eval_item(item_id: str, z: complex = None, theta: float = None,
     triples), a complex scalar, or a chart-coordinate pair.
     """
     item = get(item_id)
-    if item.fn is None:
+    if item.formula is None:
         raise AtlasError(f"{item_id} is a trivialization; call its function directly")
     rho = None
     if z is not None:

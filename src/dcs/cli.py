@@ -97,6 +97,9 @@ def _run_config(args):
             if not isinstance(base[key], list):
                 raise UsageError(f"{key} must be a list of two sizes, got {base[key]!r}")
             kwargs[key] = tuple(base[key])
+    tol_kwargs = base.get("tolerances", {})
+    if not isinstance(tol_kwargs, dict):
+        raise UsageError(f"tolerances must be an object of named tolerances, got {tol_kwargs!r}")
 
     if args.samples is not None:
         kwargs["circle_samples"] = args.samples
@@ -109,7 +112,6 @@ def _run_config(args):
     if args.threads is not None:
         kwargs["threads"] = args.threads
     try:
-        tol_kwargs = dict(base.get("tolerances", {}))
         if args.tol is not None:
             tol_kwargs["proj_eq_tol"] = args.tol
             kwargs["boundary_tol"] = args.tol

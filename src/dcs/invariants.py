@@ -123,8 +123,7 @@ def _chart_set(base, charts, ambient):
 _FIBER_SETS = {
     2: _chart_set(atlas.PLANAR_BASE, atlas.PLANAR_CHARTS, 2),
     3: _chart_set(atlas.SOLID_BASE, atlas.SOLID_CHARTS, 3),
-    4: _chart_set(atlas.SOLID_BASE_CP4,
-                  tuple(lambda p, c=c: c(p) for c in atlas.SOLID_CHARTS), 4),
+    4: _chart_set(atlas.SOLID_BASE_CP4, atlas.SOLID_CHARTS, 4),
 }
 
 

@@ -112,9 +112,6 @@ class LoopExpr:
     def label(self) -> str:
         raise NotImplementedError
 
-    def inverse(self):
-        return Inverse(self)
-
 
 @dataclass
 class Atom(LoopExpr):
@@ -131,8 +128,6 @@ class Atom(LoopExpr):
         self.value_kind = self.item.value_kind
 
     def at(self, theta):
-        if self.item.kind == "disk":
-            return self.item.eval(theta, rho=1.0)
         return self.item.eval(theta, t=self.t)
 
     def label(self):

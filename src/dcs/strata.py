@@ -28,7 +28,6 @@ from .projective import (
     Tolerances,
     chordal_batch,
     line_through,
-    meet_lines,
     singular_values_batch,
     unit_rows,
 )
@@ -170,12 +169,6 @@ class Config6:
     def line(self, i: int, tol: Tolerances = DEFAULT_TOL) -> PLine:
         a, b = _LINE_IDX[i]
         return line_through(self.points[a], self.points[b], tol)
-
-    def lines(self, tol: Tolerances = DEFAULT_TOL):
-        return tuple(self.line(i, tol) for i in range(3))
-
-    def center(self, tol: Tolerances = DEFAULT_TOL) -> HPoint:
-        return meet_lines(self.line(0, tol), self.line(1, tol), tol)
 
     def to_json(self, tag: Optional[SpaceTag] = None) -> dict:
         d = {"points": [p.to_json() for p in self.points]}

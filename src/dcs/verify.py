@@ -45,6 +45,10 @@ DEFAULT_DISK = (128, 64)
 DEFAULT_CYLINDER = (256, 64)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Verification run parameters; defaults are pinned to the contract
@@ -64,13 +68,24 @@ class RunConfig:
     threads: int = 0              # 0 = available parallelism (DCS_THREADS overrides)
 
     def __post_init__(self):
+        # values from a JSON configuration file arrive unchecked
+        for name in ("circle_samples", "seed", "threads"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("boundary_tol", "lift_tol", "junction_tol", "sweep_margin_min",
+                     "numeric_floor"):
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.circle_samples < DEFAULT_CIRCLE // 4:
             raise ValueError("circle sample cap below a quarter of the default")
         if self.circle_samples > inv.MAX_WINDING_SAMPLES:
             raise ValueError(f"circle samples above the cap {inv.MAX_WINDING_SAMPLES}")
-        for name, grid, default in (("disk grid", self.disk_grid, DEFAULT_DISK),
-                                    ("cylinder grid", self.cylinder_grid, DEFAULT_CYLINDER)):
-            if len(grid) != 2 or grid[0] < default[0] // 4 or grid[1] < default[1] // 4:
+        for name, grid, default in (("disk_grid", self.disk_grid, DEFAULT_DISK),
+                                    ("cylinder_grid", self.cylinder_grid, DEFAULT_CYLINDER)):
+            if (len(grid) != 2 or not all(map(_is_int, grid))
+                    or grid[0] < default[0] // 4 or grid[1] < default[1] // 4):
                 raise ValueError(f"{name} {list(grid)} is not two sizes of at least "
                                  f"a quarter of the default {list(default)}")
         if self.threads < 0:

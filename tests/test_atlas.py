@@ -215,15 +215,18 @@ def test_closure_audits_both_cylinder_ends(end, monkeypatch):
     """A cylinder whose boundary circle at t = end does not close is
     caught, whichever end it is."""
     item = atlas.get("L")
-    original = item.fn
+    original = item.formula
 
-    def open_at_end(theta, t=None, rho=None, side="right"):
-        v = original(theta, t=t, rho=rho, side=side)
-        hit = (np.asarray(t) == end) & (np.asarray(theta) == TWO_PI)
+    def open_at_end(z, zb, r, opened, **arcs):
+        v = original(z, zb, r, **arcs)
+        hit = opened != 0
         v[hit] = np.roll(v[hit], 1, axis=-2)
         return v
 
-    monkeypatch.setattr(item, "fn", open_at_end)
+    # an arc that is 0 before the closing angle and 1 at it on the t = end circle
+    opened = atlas.Arc(0, TWO_PI, lambda th, t: t == end)
+    monkeypatch.setattr(item, "arcs", {**item.arcs, "opened": opened})
+    monkeypatch.setattr(item, "formula", open_at_end)
     rep = closure_report("L")
     assert not rep["ok"] and rep["closure"] > 0.1, rep
 
@@ -256,6 +259,21 @@ def test_arc_per_node_t_matches_scalar_t(item_id, arc_name, side):
     per_t = np.concatenate([arc(th, float(t), side) for th, t in zip(thetas, ts)])
     per_node = arc(np.concatenate(thetas), np.repeat(ts, [th.size for th in thetas]), side)
     assert per_node.tobytes() == per_t.tobytes()
+
+
+BREAKPOINTS = [(item_id, name, k) for item_id, name in ARCS
+               for k in range(len(atlas.get(item_id).arcs[name].breaks))]
+
+
+@pytest.mark.parametrize("item_id, arc_name, k", BREAKPOINTS)
+def test_junction_audit_catches_a_moved_breakpoint(item_id, arc_name, k, monkeypatch):
+    """Moving one interior breakpoint by 1e-3 leaves the two pieces meeting
+    at different values there, and the junction audit reports it."""
+    arc = atlas.get(item_id).arcs[arc_name]
+    b = arc.breaks[k]
+    moved = (lambda t: b(t) + 1e-3) if callable(b) else b + 1e-3
+    monkeypatch.setattr(arc, "breaks", arc.breaks[:k] + (moved,) + arc.breaks[k + 1:])
+    assert junction_report(item_id, 64)["max_mismatch"] > 1e-6
 
 
 # ---------------------------------------------------------------------------

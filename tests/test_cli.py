@@ -89,12 +89,29 @@ def _write_run_config(path, kind):
     # "missing": no file at all
 
 
+# wrongly typed run configuration values: kind -> (file, the claim to run)
+MISTYPED_CONFIGS = {
+    "circle-samples-fraction": ({"circle_samples": 300.5}, "C3"),
+    "grid-fraction": ({"disk_grid": [128.5, 64]}, "C3"),
+    "seed-string": ({"seed": "abc"}, "C1"),
+    "seed-fraction": ({"seed": 1.5}, "C1"),
+    "boundary-tol-string": ({"boundary_tol": "x"}, "C5"),
+    "threads-fraction": ({"threads": 1.5}, "C3"),
+    "tolerances-scalar": ({"tolerances": 5}, "C3"),
+}
+
+
 @pytest.mark.parametrize("kind", ["missing", "invalid-json", "not-an-object",
-                                  "grid-one-size", "grid-scalar", "threads-negative"])
+                                  "grid-one-size", "grid-scalar", "threads-negative",
+                                  *MISTYPED_CONFIGS])
 def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path):
     f = tmp_path / "cfg.json"
     if kind == "threads-negative":
         argv = ["verify", "--claim", "C3", "--threads", "-2"]
+    elif kind in MISTYPED_CONFIGS:
+        doc, claim = MISTYPED_CONFIGS[kind]
+        f.write_text(json.dumps(doc))
+        argv = ["verify", "--claim", claim, "--config", str(f)]
     else:
         _write_run_config(f, kind)
         argv = ["verify", "--claim", "C3", "--config", str(f)]
@@ -102,6 +119,9 @@ def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path):
     assert code == EXIT_USAGE and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if kind in MISTYPED_CONFIGS:
+        key = next(iter(MISTYPED_CONFIGS[kind][0]))
+        assert key in lines[0], lines[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -67,6 +67,10 @@ def test_run_config_validation():
         RunConfig(circle_samples=inv.MAX_WINDING_SAMPLES + 1)
     with pytest.raises(ValueError):
         RunConfig(threads=-1)
+    for wrong in ({"circle_samples": 300.5}, {"seed": "0"}, {"threads": True},
+                  {"disk_grid": (128.5, 64)}, {"lift_tol": "1e-8"}):
+        with pytest.raises(ValueError, match=next(iter(wrong))):
+            RunConfig(**wrong)
 
 
 def test_c9_report_documents_the_discrepancy():
