@@ -78,6 +78,8 @@ def _parse_grid(text):
 
 
 def _run_config(args):
+    from dataclasses import fields
+
     from .projective import Tolerances
     from .verify import RunConfig
 
@@ -89,15 +91,18 @@ def _run_config(args):
             raise UsageError(f"cannot read run configuration: {e}") from None
         if not isinstance(base, dict):
             raise UsageError("a run configuration file holds one JSON object")
-    kwargs = {k: v for k, v in base.items() if k in (
-        "circle_samples", "boundary_tol", "lift_tol", "junction_tol",
-        "sweep_margin_min", "numeric_floor", "seed", "threads")}
+    # the file names RunConfig fields, with "tolerances" in place of "tol"
+    keys = {f.name for f in fields(RunConfig)} - {"tol"} | {"tolerances"}
+    unknown = sorted(set(base) - keys)
+    if unknown:
+        raise UsageError(f"unknown run configuration key(s): {', '.join(unknown)}")
+    kwargs = dict(base)
     for key in ("disk_grid", "cylinder_grid"):
         if key in base:
             if not isinstance(base[key], list):
                 raise UsageError(f"{key} must be a list of two sizes, got {base[key]!r}")
             kwargs[key] = tuple(base[key])
-    tol_kwargs = base.get("tolerances", {})
+    tol_kwargs = kwargs.pop("tolerances", {})
     if not isinstance(tol_kwargs, dict):
         raise UsageError(f"tolerances must be an object of named tolerances, got {tol_kwargs!r}")
 
@@ -169,7 +174,7 @@ def cmd_winding(args) -> int:
         for name in args.functionals:
             if name == "fiber":
                 try:
-                    vec = inv.fiber_winding_vector(expr, ambient, args.samples)
+                    vec = inv.fiber_winding_vector(expr, args.samples)
                 except inv.MovingLinesError as e:
                     rows["fiber"] = {"error": str(e)}
                     status = max(status, EXIT_FAIL)

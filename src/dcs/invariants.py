@@ -16,7 +16,7 @@ constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ from .projective import (
     singular_values_batch,
     unit_rows,
 )
+from .report import FAIL, INCONCLUSIVE, PASS, worst
 
 WINDING_RESIDUAL_MAX = 0.05     # turns; beyond this the result is indeterminate
 
@@ -110,31 +111,29 @@ W_FUNCTIONALS = {
 }
 
 
-# fiber charts: for each supported ambient space, the three base lines as
-# 2-point spans plus the chart map of each line (center at infinity).
-
-def _chart_set(base, charts, ambient):
-    lines = []
-    for i in range(3):
-        lines.append(np.stack([base[2 * i], base[2 * i + 1]]))
-    return {"lines": lines, "charts": charts, "ambient": ambient}
-
-
+# fiber charts: for each supported ambient space, the base configuration,
+# whose pairs (A_i, B_i) span the three base lines, and the chart map of
+# each line (center at infinity).
 _FIBER_SETS = {
-    2: _chart_set(atlas.PLANAR_BASE, atlas.PLANAR_CHARTS, 2),
-    3: _chart_set(atlas.SOLID_BASE, atlas.SOLID_CHARTS, 3),
-    4: _chart_set(atlas.SOLID_BASE_CP4, atlas.SOLID_CHARTS, 4),
+    2: (atlas.PLANAR_BASE, atlas.PLANAR_CHARTS),
+    3: (atlas.SOLID_BASE, atlas.SOLID_CHARTS),
+    4: (atlas.SOLID_BASE_CP4, atlas.SOLID_CHARTS),
 }
 
 
-def line_constancy(configs: np.ndarray, line_index: int, ambient: int) -> float:
-    """Max incidence residual of (A_i, B_i) against the registered base line."""
+def _fiber_set(ambient: int) -> tuple:
     if ambient not in _FIBER_SETS:
         raise WindingError(f"no fiber charts registered for ambient CP^{ambient}")
-    fs = _FIBER_SETS[ambient]
-    base = unit_rows(fs["lines"][line_index])
+    return _FIBER_SETS[ambient]
+
+
+def line_constancy(configs: np.ndarray, line_index: int) -> float:
+    """Max incidence residual of (A_i, B_i) against the registered base line
+    of the configurations' ambient space."""
     arr = np.asarray(configs, dtype=np.complex128)
-    pts = unit_rows(arr[..., 2 * line_index:2 * line_index + 2, :])
+    span = slice(2 * line_index, 2 * line_index + 2)
+    base = unit_rows(_fiber_set(arr.shape[-1] - 1)[0][span])
+    pts = unit_rows(arr[..., span, :])
     n = arr.shape[0]
     rows = np.concatenate([pts, np.broadcast_to(base, (n,) + base.shape)], axis=1)
     s = singular_values_batch(rows)
@@ -142,10 +141,7 @@ def line_constancy(configs: np.ndarray, line_index: int, ambient: int) -> float:
 
 
 def fiber_functional(line_index: int, ambient: int) -> ScalarFunctional:
-    if ambient not in _FIBER_SETS:
-        raise WindingError(f"no fiber charts registered for ambient CP^{ambient}")
-    fs = _FIBER_SETS[ambient]
-    chart = fs["charts"][line_index]
+    chart = _fiber_set(ambient)[1][line_index]
 
     def fn(arr):
         a = chart(arr[..., 2 * line_index, :])
@@ -223,25 +219,37 @@ def winding(loop: LoopExpr, functional: ScalarFunctional, n: int = 512,
     total = float(np.sum(dargs)) / TWO_PI
     k = int(np.round(total))
     residual = abs(total - k)
-    result = WindingResult(functional.id, k, residual, float(np.abs(vals).min()),
-                           thetas.size, refinements)
-    if residual > WINDING_RESIDUAL_MAX:
-        result.indeterminate = True
-    return result
+    return WindingResult(functional.id, k, residual, float(np.abs(vals).min()),
+                         thetas.size, refinements, residual > WINDING_RESIDUAL_MAX)
 
 
-def fiber_winding_vector(loop: LoopExpr, ambient: int, n: int = 512,
-                         tol: Tolerances = DEFAULT_TOL):
-    """Per-line winding of chart(B_i) - chart(A_i); requires the three lines
-    to stay on the registered base lines along the whole loop."""
+def agreement(pairs) -> str:
+    """The verdict rule of every winding comparison.  A pair (WindingResult,
+    WindingResult or expected int) is inconclusive if either winding is
+    indeterminate, else pass when the integers agree and fail when not; the
+    verdict is the worst pair, so a determinate mismatch wins."""
+
+    def status(got, want):
+        if got.indeterminate or getattr(want, "indeterminate", False):
+            return INCONCLUSIVE
+        return PASS if got.winding == getattr(want, "winding", want) else FAIL
+
+    return worst(status(got, want) for got, want in pairs)
+
+
+def fiber_winding_vector(loop: LoopExpr, n: int = 512, tol: Tolerances = DEFAULT_TOL):
+    """Per-line winding of chart(B_i) - chart(A_i) in the loop's ambient
+    space; requires the three lines to stay on the registered base lines
+    along the whole loop."""
     configs = loop.sample(n)[1]
     for i in range(3):
-        resid = line_constancy(configs, i, ambient)
+        resid = line_constancy(configs, i)
         if resid > tol.rank_rel_tol:
             raise MovingLinesError(
                 f"line {i + 1} moves along the loop (incidence residual {resid:.3e})"
             )
-    return tuple(winding(loop, fiber_functional(i, ambient), n, tol) for i in range(3))
+    return tuple(winding(loop, fiber_functional(i, configs.shape[-1] - 1), n, tol)
+                 for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +259,8 @@ def fiber_winding_vector(loop: LoopExpr, ambient: int, n: int = 512,
 class RelationReport:
     lhs: str
     rhs: str
-    rows: list = field(default_factory=list)   # (functional, w_lhs, w_rhs, ok)
-    ok: bool = True
-    indeterminate: bool = False
+    rows: list            # (functional, w_lhs, w_rhs)
+    status: str           # agreement() of the two loops' windings
 
 
 def check_linear_relation(lhs: LoopExpr, rhs: LoopExpr, n: int = 512,
@@ -263,41 +270,30 @@ def check_linear_relation(lhs: LoopExpr, rhs: LoopExpr, n: int = 512,
     lines along ``sample(n)``."""
     ambient = lhs.sample(n)[1].shape[-1] - 1
     functionals = list(W_FUNCTIONALS.values()) if ambient == 2 else []
-    if all(line_constancy(loop.sample(n)[1], i, ambient) <= tol.rank_rel_tol
+    if all(line_constancy(loop.sample(n)[1], i) <= tol.rank_rel_tol
            for loop in (lhs, rhs) for i in range(3)):
         functionals += [fiber_functional(i, ambient) for i in range(3)]
-    rep = RelationReport(lhs.label(), rhs.label())
-    for f in functionals:
-        wl = winding(lhs, f, n, tol)
-        wr = winding(rhs, f, n, tol)
-        ok = (wl.winding == wr.winding) and not (wl.indeterminate or wr.indeterminate)
-        rep.rows.append((f.id, wl.winding, wr.winding, ok))
-        rep.ok &= ok
-        rep.indeterminate |= wl.indeterminate or wr.indeterminate
-    return rep
+    pairs = [(winding(lhs, f, n, tol), winding(rhs, f, n, tol)) for f in functionals]
+    return RelationReport(lhs.label(), rhs.label(),
+                          [(wl.functional_id, wl.winding, wr.winding) for wl, wr in pairs],
+                          agreement(pairs))
 
 
-def independence_matrix(loops: Sequence, functionals: Sequence[ScalarFunctional],
-                        n: int = 512, tol: Tolerances = DEFAULT_TOL):
-    """Integer winding matrix (loops x functionals) and its exact rank."""
-    rows = []
-    for lp in loops:
-        row = []
-        for f in functionals:
-            res = winding(lp, f, n, tol)
-            if res.indeterminate:
-                raise WindingError(f"indeterminate winding for {f.id}")
-            row.append(res.winding)
-        rows.append(row)
-    mat = sympy.Matrix(rows)
-    return [[int(x) for x in row] for row in rows], int(mat.rank())
+def independence_matrix(rows: Sequence[Sequence[WindingResult]]):
+    """Integer matrix (loops x functionals) of windings already computed,
+    and its exact rank."""
+    bad = [res.functional_id for row in rows for res in row if res.indeterminate]
+    if bad:
+        raise WindingError(f"indeterminate winding for {bad[0]}")
+    mat = [[res.winding for res in row] for row in rows]
+    return mat, int(sympy.Matrix(mat).rank())
 
 
 @dataclass
 class DiskNullityReport:
     item_id: str
     functional_id: str
-    status: str            # "pass" | "fail" | "inconclusive"
+    status: str            # PASS | FAIL | INCONCLUSIVE
     boundary_winding: Optional[int]
     min_modulus: float
 
@@ -317,11 +313,11 @@ def disk_winding_nullity(item_id: str, functionals: Sequence[ScalarFunctional],
     for f in functionals:
         min_mod = float(np.abs(f(configs)).min())
         if min_mod < tol.margin_warn:
-            reports.append(DiskNullityReport(item_id, f.id, "inconclusive", None, min_mod))
+            reports.append(DiskNullityReport(item_id, f.id, INCONCLUSIVE, None, min_mod))
             continue
         res = winding(boundary, f, n, tol)
-        status = "pass" if (res.winding == 0 and not res.indeterminate) else "fail"
-        reports.append(DiskNullityReport(item_id, f.id, status, res.winding, min_mod))
+        reports.append(DiskNullityReport(item_id, f.id, agreement([(res, 0)]),
+                                         res.winding, min_mod))
     return reports
 
 

@@ -17,6 +17,8 @@ import numpy as np
 
 # Representatives with max modulus below this are treated as the zero vector.
 ZERO_FLOOR = 1e-300
+# Euclidean norms outside this range lose digits or overflow when squared.
+SAFE_NORM = (1e-150, 1e150)
 
 
 class ProjectiveError(ValueError):
@@ -54,7 +56,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("proj_eq_tol", "rank_rel_tol", "margin_warn"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if not self.proj_eq_tol < 1.0:
             raise ValueError("proj_eq_tol must be < 1")
@@ -93,7 +98,8 @@ class HPoint:
 
     def unit(self) -> np.ndarray:
         """Representative scaled to unit Euclidean norm."""
-        return self.coords / np.linalg.norm(self.coords)
+        n = _norm(self.coords)     # rounds unlike unit_rows' row sums; kept for in-range points
+        return self.coords / n if SAFE_NORM[0] < n < SAFE_NORM[1] else unit_rows(self.coords)
 
     def normalized(self) -> np.ndarray:
         """Canonical representative: unit norm, first significant coordinate
@@ -173,11 +179,24 @@ def line_from_dual(cov, tol: Tolerances = DEFAULT_TOL) -> PLine:
 # ---------------------------------------------------------------------------
 # batched helpers (arrays of representatives, leading axes broadcast)
 
+def _norm(a, **axes):
+    """Euclidean norm; an overflow to inf is expected and handled by callers."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(a, **axes)
+
+
 def unit_rows(a: np.ndarray) -> np.ndarray:
-    """Normalize the last axis to unit Euclidean norm."""
-    n = np.linalg.norm(a, axis=-1, keepdims=True)
-    if np.any(n < ZERO_FLOOR):
-        raise ZeroVectorError("zero representative in batch")
+    """Normalize the last axis to unit Euclidean norm.  Rows whose norm
+    under- or overflows in binary64 are first divided by their largest
+    modulus, so the result does not depend on the representative's scale."""
+    n = _norm(a, axis=-1, keepdims=True)
+    far = (n < SAFE_NORM[0]) | (n > SAFE_NORM[1])
+    if np.any(far):
+        peak = np.max(np.abs(a), axis=-1, keepdims=True)
+        if np.any(far & (peak < ZERO_FLOOR)):
+            raise ZeroVectorError("zero representative in batch")
+        a = np.where(far, a / np.where(far, peak, 1.0), a)
+        n = np.where(far, np.linalg.norm(a, axis=-1, keepdims=True), n)
     return a / n
 
 

@@ -64,8 +64,8 @@ class SpaceTag:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind.startswith("D_planar") and self.n < 2:
-            raise ValueError("planar Desargues spaces need ambient n >= 2")
+        if (self.kind.startswith("D_planar") or self.kind == "F3_lines_through") and self.n < 2:
+            raise ValueError(f"{self.kind} needs ambient n >= 2")
         if self.kind.startswith("D_solid") and self.n < 3:
             raise ValueError("solid Desargues spaces need ambient n >= 3")
         if self.kind.endswith("_fixed") or self.kind == "F3_lines_through":

@@ -34,7 +34,7 @@ from .paths import (
     value_dist,
 )
 from .projective import HPoint, Tolerances, chordal_batch, unit_rows
-from .report import FAIL, INCONCLUSIVE, PASS, ClaimReport, RunReport
+from .report import FAIL, PASS, ClaimReport, RunReport
 from .strata import Config6, SpaceTag, random_config, validate
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ class RunConfig:
     sweep_margin_min: float = 1e-6
     numeric_floor: float = 1e-12
     seed: int = 0
-    threads: int = 0              # 0 = available parallelism (DCS_THREADS overrides)
+    threads: int = 0              # 0 = available parallelism
 
     def __post_init__(self):
         # values from a JSON configuration file arrive unchecked
@@ -156,25 +156,26 @@ def _add_pointwise(rep: ClaimReport, name, lhs, rhs, cfg: RunConfig, tol=None):
     return d
 
 
-def _fiber_vector_check(rep: ClaimReport, name, loop, ambient, expected, cfg: RunConfig):
+def _fiber_vector_check(rep: ClaimReport, name, loop, expected, cfg: RunConfig):
     try:
-        results = inv.fiber_winding_vector(loop, ambient, cfg.circle_samples, cfg.tol)
+        results = inv.fiber_winding_vector(loop, cfg.circle_samples, cfg.tol)
     except inv.WindingError as e:
         rep.add(name, FAIL, note=str(e))
         return
-    vec = tuple(r.winding for r in results)
-    residual = max(r.residual for r in results)
-    status = PASS if (vec == tuple(expected) and residual <= inv.WINDING_RESIDUAL_MAX) else FAIL
-    if any(r.indeterminate for r in results):
-        status = INCONCLUSIVE
-    rep.add(name, status, residual, inv.WINDING_RESIDUAL_MAX,
-            note=f"vector {list(vec)} expected {list(expected)}")
-    rep.extra.setdefault("fiber_vectors", {})[name] = list(vec)
-    rep.extra.setdefault("winding_refinements", {})[name] = max(
-        r.refinements for r in results)
+    vec = [r.winding for r in results]
+    rep.add(name, inv.agreement(zip(results, expected)), max(r.residual for r in results),
+            inv.WINDING_RESIDUAL_MAX, note=f"vector {vec} expected {list(expected)}")
+    rep.extra.setdefault("fiber_vectors", {})[name] = vec
+    rep.extra.setdefault("winding_refinements", {})[name] = max(r.refinements for r in results)
 
 
-def _cylinder_fiber_agreement(rep: ClaimReport, item_id: str, ambient: int, cfg: RunConfig):
+def _boundary_fiber_check(rep: ClaimReport, name, loop_name: str, cfg: RunConfig):
+    """A solid disk's boundary fiber vector against the claim registry."""
+    expected = atlas.claim(rep.claim_id).expected[f"fiber_winding({loop_name})"]
+    _fiber_vector_check(rep, name, Atom(loop_name), expected, cfg)
+
+
+def _cylinder_fiber_agreement(rep: ClaimReport, item_id: str, cfg: RunConfig):
     """For each line pinned to its base line across the whole cylinder, the
     fiber winding at t=0 and t=1 must agree (it is invariant along the
     printed homotopy, which never moves that line)."""
@@ -182,21 +183,18 @@ def _cylinder_fiber_agreement(rep: ClaimReport, item_id: str, ambient: int, cfg:
     arr = atlas.get(item_id).eval(**nodes)
     ends = (Atom(item_id, t=0.0), Atom(item_id, t=1.0))
     for i in range(3):
-        if inv.line_constancy(arr, i, ambient) > cfg.tol.rank_rel_tol:
+        if inv.line_constancy(arr, i) > cfg.tol.rank_rel_tol:
             continue
-        f = inv.fiber_functional(i, ambient)
+        f = inv.fiber_functional(i, arr.shape[-1] - 1)
         w0, w1 = (inv.winding(end, f, cfg.circle_samples, cfg.tol) for end in ends)
-        status = PASS if (w0.winding == w1.winding and not (w0.indeterminate or w1.indeterminate)) else FAIL
-        rep.add(f"{item_id} fiber{i + 1} winding constant in t", status,
+        rep.add(f"{item_id} fiber{i + 1} winding constant in t", inv.agreement([(w0, w1)]),
                 note=f"t=0: {w0.winding}, t=1: {w1.winding}")
 
 
 def _relation_check(rep: ClaimReport, name, lhs, rhs, cfg: RunConfig):
     r = inv.check_linear_relation(lhs, rhs, cfg.circle_samples, cfg.tol)
-    status = PASS if r.ok else (INCONCLUSIVE if r.indeterminate else FAIL)
-    rows = ", ".join(f"{f}:{a}={b}" for f, a, b, _ in r.rows) or "no shared functionals"
-    rep.add(name, status, note=rows)
-    return r
+    rows = ", ".join(f"{f}:{a}={b}" for f, a, b in r.rows) or "no shared functionals"
+    rep.add(name, r.status, note=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +351,7 @@ def verify_C5(cfg: RunConfig) -> ClaimReport:
     # null-homotopy consequence: bracket-ratio windings of the boundary vanish
     for r in inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()),
                                       cfg.disk_grid, cfg.circle_samples, cfg.tol):
-        status = {"pass": PASS, "fail": FAIL, "inconclusive": INCONCLUSIVE}[r.status]
-        rep.add(f"boundary winding of {r.functional_id} vanishes", status, r.min_modulus,
+        rep.add(f"boundary winding of {r.functional_id} vanishes", r.status, r.min_modulus,
                 note=f"winding {r.boundary_winding}")
     return rep
 
@@ -372,7 +369,7 @@ def verify_C6(cfg: RunConfig) -> ClaimReport:
                    Concat(Concat(loops["sigma"], loops["sigma"]),
                           Inverse(Atom("sigma_tilde_Lambda"))),
                    cfg)
-    _cylinder_fiber_agreement(rep, "L", 2, cfg)
+    _cylinder_fiber_agreement(rep, "L", cfg)
     _relation_check(rep, "winding: sigma*sigma vs alpha^-1*beta^-1*gamma",
                     Concat(loops["sigma"], loops["sigma"]), word, cfg)
     return rep
@@ -394,8 +391,8 @@ def verify_C7(cfg: RunConfig) -> ClaimReport:
                        cfg)
         expected = {"K_alpha": (1, 0, 0), "K_beta": (0, 1, 0), "K_gamma": (0, 0, 1)}[name]
         _fiber_vector_check(rep, f"{name} t=0 fiber winding vector",
-                            Atom(name, t=0.0), 2, expected, cfg)
-        _cylinder_fiber_agreement(rep, name, 2, cfg)
+                            Atom(name, t=0.0), expected, cfg)
+        _cylinder_fiber_agreement(rep, name, cfg)
     return rep
 
 
@@ -434,7 +431,7 @@ def verify_C9(cfg: RunConfig) -> ClaimReport:
             note="printed cylinder traverses the third fiber motion twice at t=0; "
                  "recorded as a formula discrepancy, not a verification failure")
     rep.extra["stated_t0_distance"] = float(stated)
-    _cylinder_fiber_agreement(rep, "H", 2, cfg)
+    _cylinder_fiber_agreement(rep, "H", cfg)
     _relation_check(rep, "winding: restriction*sigma vs alpha*beta*gamma", lift,
                     Concat(Concat(loops["alpha"], loops["beta"]), loops["gamma"]), cfg)
     rep.notes.append(
@@ -478,7 +475,7 @@ def verify_C11(cfg: RunConfig) -> ClaimReport:
     rep.add_distance("t=0 end is the simultaneous product",
                      compare_values(end0.sample(n)[1], sim, "config"),
                      cfg.boundary_tol, cfg.numeric_floor)
-    _cylinder_fiber_agreement(rep, "M", 2, cfg)
+    _cylinder_fiber_agreement(rep, "M", cfg)
     _relation_check(rep, "winding: ends of the cylinder", end0, end1, cfg)
     return rep
 
@@ -486,8 +483,7 @@ def verify_C11(cfg: RunConfig) -> ClaimReport:
 def verify_C12(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C12")
     nodes, _ = domain_nodes("disk", cfg.disk_grid)
-    for lifted, printed, expected in (("F_tilde", "F", (0, -1, 1)),
-                                      ("B_tilde", "B", (-1, 0, 1))):
+    for lifted, printed in (("F_tilde", "F"), ("B_tilde", "B")):
         _add_sweep(rep, lifted, cfg)
         spans = config_lines_span(atlas.get(lifted).eval(**nodes))
         target = atlas.get(printed).eval(**nodes)
@@ -495,8 +491,7 @@ def verify_C12(cfg: RunConfig) -> ClaimReport:
                          float(np.max(value_dist(spans, target, "lines_span"))),
                          cfg.lift_tol, cfg.numeric_floor)
         _add_sweep(rep, printed, cfg)
-        _fiber_vector_check(rep, f"{lifted} boundary fiber winding",
-                            Atom(f"{lifted}_S1"), 3, expected, cfg)
+        _boundary_fiber_check(rep, f"{lifted} boundary fiber winding", f"{lifted}_S1", cfg)
         _add_closure(rep, f"{lifted}_S1", cfg)
     return rep
 
@@ -509,8 +504,7 @@ def verify_C13(cfg: RunConfig) -> ClaimReport:
     rep.add_distance("center path equals the generator disk",
                      float(np.max(chordal_batch(sw.centers, unit_rows(psi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
-    _fiber_vector_check(rep, "boundary fiber winding", Atom("Psi_tilde_S1"), 3,
-                        (1, 1, 2), cfg)
+    _boundary_fiber_check(rep, "boundary fiber winding", "Psi_tilde_S1", cfg)
     _add_closure(rep, "Psi_tilde_S1", cfg)
     return rep
 
@@ -524,8 +518,7 @@ def verify_C14(cfg: RunConfig) -> ClaimReport:
     rep.add_distance("configuration lies in the moving hyperplane",
                      float(np.max(plane_incidence(arr, planes))),
                      cfg.lift_tol, cfg.numeric_floor)
-    _fiber_vector_check(rep, "boundary fiber winding", Atom("Sigma_tilde_S1"), 4,
-                        (0, -1, 0), cfg)
+    _boundary_fiber_check(rep, "boundary fiber winding", "Sigma_tilde_S1", cfg)
     _add_closure(rep, "Sigma_tilde_S1", cfg)
     return rep
 
@@ -621,36 +614,24 @@ def verify_claim(claim_id: str, cfg: RunConfig) -> ClaimReport:
 # winding tables and certificates
 
 def winding_tables(cfg: RunConfig) -> dict:
-    fiber_loops = (("alpha", 2), ("beta", 2), ("gamma", 2), ("F_tilde_S1", 3),
-                   ("B_tilde_S1", 3), ("Psi_tilde_S1", 3), ("Sigma_tilde_S1", 4))
-    planar_loops = ["alpha", "beta", "gamma", "sigma", "sigma_tilde_Lambda", "Phi_tilde_S1"]
-    # one Atom per name, so each loop is sampled once for every table
-    loops = {name: Atom(name) for name in [n for n, _ in fiber_loops] + planar_loops}
-    fiber_rows = {}
-    for name, ambient in fiber_loops:
-        vec = inv.fiber_winding_vector(loops[name], ambient, cfg.circle_samples, cfg.tol)
-        fiber_rows[name] = {
-            "vector": [r.winding for r in vec],
-            "residual": max(r.residual for r in vec),
-        }
-
-    w_rows = {}
-    for name in planar_loops:
-        row = {}
-        for wid, f in inv.W_FUNCTIONALS.items():
-            res = inv.winding(loops[name], f, cfg.circle_samples, cfg.tol)
-            row[wid] = {"winding": res.winding, "residual": res.residual,
-                        "min_modulus": res.min_modulus}
-        w_rows[name] = row
-
-    mat_fib, rank_fib = inv.independence_matrix(
-        [loops["alpha"], loops["beta"], loops["gamma"]],
-        [inv.fiber_functional(i, 2) for i in range(3)],
-        cfg.circle_samples, cfg.tol)
-    mat_w, rank_w = inv.independence_matrix(
-        [loops["alpha"], loops["beta"], loops["sigma"]],
-        list(inv.W_FUNCTIONALS.values()),
-        cfg.circle_samples, cfg.tol)
+    n, tol = cfg.circle_samples, cfg.tol
+    fiber_loops = ("alpha", "beta", "gamma", "F_tilde_S1", "B_tilde_S1", "Psi_tilde_S1",
+                   "Sigma_tilde_S1")
+    planar_loops = ("alpha", "beta", "gamma", "sigma", "sigma_tilde_Lambda", "Phi_tilde_S1")
+    # one Atom per name, so each loop is sampled once for every table, and
+    # each (loop, functional) pair is wound once for the tables and matrices
+    loops = {name: Atom(name) for name in fiber_loops + planar_loops}
+    fib = {name: inv.fiber_winding_vector(loops[name], n, tol) for name in fiber_loops}
+    w = {name: [inv.winding(loops[name], f, n, tol) for f in inv.W_FUNCTIONALS.values()]
+         for name in planar_loops}
+    fiber_rows = {name: {"vector": [r.winding for r in vec],
+                         "residual": max(r.residual for r in vec)}
+                  for name, vec in fib.items()}
+    w_rows = {name: {r.functional_id: {"winding": r.winding, "residual": r.residual,
+                                       "min_modulus": r.min_modulus} for r in row}
+              for name, row in w.items()}
+    mat_fib, rank_fib = inv.independence_matrix([fib[name] for name in ("alpha", "beta", "gamma")])
+    mat_w, rank_w = inv.independence_matrix([w[name] for name in ("alpha", "beta", "sigma")])
     return {
         "fiber_vectors": fiber_rows,
         "bracket_ratio_windings": w_rows,
@@ -668,38 +649,37 @@ def winding_tables(cfg: RunConfig) -> dict:
     }
 
 
-def certificates(cfg: RunConfig) -> dict:
-    """Exact abelian-quotient certificates from the verified winding data."""
+def certificates(tables: dict) -> dict:
+    """Exact certificates for Z^3 modulo each boundary lattice; the solid
+    lattices take the measured boundary fiber vectors of the winding tables."""
 
-    def quotient(rows, ncols):
-        fr, tor = inv.abelian_quotient(rows, ncols)
-        return {"lattice_rows": [list(r) for r in rows],
-                "invariant_factors": inv.snf_invariants(rows, ncols),
+    def quotient(rows, note=""):
+        fr, tor = inv.abelian_quotient(rows, 3)
+        cert = {"lattice_rows": [list(r) for r in rows],
+                "invariant_factors": inv.snf_invariants(rows, 3),
                 "quotient": inv.quotient_str(fr, tor),
                 "free_rank": fr, "torsion": tor}
+        return {**cert, "note": note} if note else cert
 
-    out = {}
-    # planar, basis (a, b, s): the doubled-loop relation gives c = a + b + 2s.
-    out["planar_center_fibration_stated"] = quotient([[2, 2, 1]], 3)
-    out["planar_center_fibration_stated"]["note"] = (
-        "boundary class a+b+c-s with c = a+b+2s, using the stated cylinder end"
-    )
-    out["planar_center_fibration_derived"] = quotient([[3, 3, 3]], 3)
-    out["planar_center_fibration_derived"]["note"] = (
-        "boundary class a+b+2c-s as certified by the printed cylinder, whose "
-        "t=0 end doubles the third loop; disagrees with the stated lattice"
-    )
-    out["plane_pencil_fibration"] = quotient([[1, 1, 1]], 3)
-    out["plane_pencil_fibration"]["note"] = "boundary class -(a+b+s) from the verified simultaneous-loop cylinder"
-    # solid, basis (a, b, c): measured boundary fiber vectors.
-    out["solid_fixed_center"] = quotient([[0, -1, 1], [-1, 0, 1]], 3)
-    out["solid_center_fibration"] = quotient([[0, -1, 1], [-1, 0, 1], [1, 1, 2]], 3)
-    out["solid_hyperplane_pencil"] = quotient([[0, -1, 1], [-1, 0, 1], [0, -1, 0]], 3)
-    out["solid_hyperplane_pencil"]["note"] = (
-        "trivial quotient: the hyperplane boundary class generates, so the "
-        "connecting map is an isomorphism"
-    )
-    return out
+    vec = {name: row["vector"] for name, row in tables["fiber_vectors"].items()}
+    boundary = [vec["F_tilde_S1"], vec["B_tilde_S1"]]
+    return {
+        # planar, basis (a, b, s): the doubled-loop relation gives c = a + b + 2s.
+        "planar_center_fibration_stated": quotient(
+            [[2, 2, 1]], "boundary class a+b+c-s with c = a+b+2s, using the stated cylinder end"),
+        "planar_center_fibration_derived": quotient(
+            [[3, 3, 3]], "boundary class a+b+2c-s as certified by the printed cylinder, whose "
+                         "t=0 end doubles the third loop; disagrees with the stated lattice"),
+        "plane_pencil_fibration": quotient(
+            [[1, 1, 1]], "boundary class -(a+b+s) from the verified simultaneous-loop cylinder"),
+        # solid, basis (a, b, c): measured boundary fiber vectors.
+        "solid_fixed_center": quotient(boundary),
+        "solid_center_fibration": quotient(boundary + [vec["Psi_tilde_S1"]]),
+        "solid_hyperplane_pencil": quotient(
+            boundary + [vec["Sigma_tilde_S1"]],
+            "trivial quotient: the hyperplane boundary class generates, so the "
+            "connecting map is an isomorphism"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +716,7 @@ def run_verification(cfg: RunConfig, claim_ids=None) -> RunReport:
             raise atlas.AtlasError(f"unknown claim {cid!r}")
     report = RunReport(config=cfg.to_json())
 
-    workers = (cfg.threads
-               or int(os.environ.get("DCS_THREADS", "0") or 0)
-               or (os.cpu_count() or 1))
+    workers = cfg.threads or os.cpu_count() or 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {cid: pool.submit(verify_claim, cid, cfg) for cid in ids}
@@ -752,7 +730,7 @@ def run_verification(cfg: RunConfig, claim_ids=None) -> RunReport:
     if full_run:
         report.braid = braid_reports(cfg)
         report.winding_tables = winding_tables(cfg)
-        report.certificates = certificates(cfg)
+        report.certificates = certificates(report.winding_tables)
         report.notes.append(
             "solid base point: the third line label in the source display "
             "duplicates the first; normalized to the third line (X1 = X3 = 0)."

@@ -1,16 +1,21 @@
 """Command-line driver: exit-code contract, determinism, filters, and the
 file-based commands."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcs import atlas
 from dcs.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from dcs.projective import HPoint
-from dcs.strata import SpaceTag
+from dcs.strata import SpaceTag, validate
 
 
 def run_cli(args, capsys):
@@ -89,7 +94,8 @@ def _write_run_config(path, kind):
     # "missing": no file at all
 
 
-# wrongly typed run configuration values: kind -> (file, the claim to run)
+# unknown or wrongly typed run configuration values: kind -> (file, the claim
+# to run); the error names the innermost first key of the file
 MISTYPED_CONFIGS = {
     "circle-samples-fraction": ({"circle_samples": 300.5}, "C3"),
     "grid-fraction": ({"disk_grid": [128.5, 64]}, "C3"),
@@ -98,7 +104,15 @@ MISTYPED_CONFIGS = {
     "boundary-tol-string": ({"boundary_tol": "x"}, "C5"),
     "threads-fraction": ({"threads": 1.5}, "C3"),
     "tolerances-scalar": ({"tolerances": 5}, "C3"),
+    "unknown-key": ({"circle_sample": 300}, "C3"),
+    "tolerance-string": ({"tolerances": {"proj_eq_tol": "x"}}, "C3"),
+    "tolerance-bool": ({"tolerances": {"proj_eq_tol": True}}, "C3"),
 }
+
+
+def _first_key(doc):
+    key = next(iter(doc))
+    return _first_key(doc[key]) if isinstance(doc[key], dict) else key
 
 
 @pytest.mark.parametrize("kind", ["missing", "invalid-json", "not-an-object",
@@ -120,7 +134,7 @@ def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if kind in MISTYPED_CONFIGS:
-        key = next(iter(MISTYPED_CONFIGS[kind][0]))
+        key = _first_key(MISTYPED_CONFIGS[kind][0])
         assert key in lines[0], lines[0]
 
 
@@ -273,13 +287,15 @@ def _malformed(kind):
         doc["points"] = 5
     elif kind == "tag-ambient-mismatch":
         doc["tag"] = atlas.TAG_SOLID_3.to_json()
-    else:  # six points of CP^1 and no tag
+    else:  # six points of CP^1, untagged or as line spans through a center
         doc = {"points": [[[1.0, 0.0], [float(k), 0.0]] for k in range(6)]}
+        if kind == "lines-cp1":
+            doc["tag"] = {"kind": "F3_lines_through", "n": 1, "center": [[1.0, 0.0], [0.0, 0.0]]}
     return doc
 
 
 @pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "cp1-untagged",
-                                  "tag-ambient-mismatch"])
+                                  "tag-ambient-mismatch", "lines-cp1"])
 def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(_malformed(kind)))
@@ -290,6 +306,85 @@ def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
     assert "Traceback" not in err
     if kind in ("inf", "nan"):
         assert "non-finite" in err
+
+
+def _raw(coords):
+    """A point as written, without the normalization of HPoint.to_json."""
+    return [[float(v.real), float(v.imag)] for v in coords]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_membership_is_scale_invariant(scale, capsys, tmp_path):
+    tag = atlas.TAG_PLANAR_FIXED_2
+    base = atlas.basepoint(tag)
+    ref = validate(base.points, tag)
+    points = [HPoint(p.coords * scale) for p in base.points]
+    center = HPoint(tag.center.coords * scale)
+    got = validate(points, SpaceTag.planar_fixed(2, center))
+    assert ref.verdict and got.verdict
+    assert abs(got.margin - ref.margin) <= 1e-12
+    f = tmp_path / "scaled.json"
+    f.write_text(json.dumps({"points": [_raw(p.coords) for p in points],
+                             "tag": {"kind": tag.kind, "n": 2, "center": _raw(center.coords)}}))
+    code, out, _ = run_cli(["membership", str(f)], capsys)
+    assert code == EXIT_OK
+    assert abs(json.loads(out)["margin"] - ref.margin) <= 1e-12
+
+
+# membership files of every tag kind over CP^1..CP^4, with finite extremes
+EXTREMES = st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300, 1e-200, 1e200, 1e300, -1e300])
+COORD = st.one_of(EXTREMES, st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _points(dim, count):
+    return st.lists(st.lists(st.tuples(COORD, COORD).map(list), min_size=dim + 1, max_size=dim + 1),
+                    min_size=count, max_size=count)
+
+
+@st.composite
+def membership_docs(draw):
+    n = draw(st.integers(1, 4))
+    if n >= 2 and draw(st.booleans()):
+        # a registered base point, each representative rescaled by an extreme
+        base = atlas.PLANAR_BASE if n == 2 else atlas.SOLID_BASE
+        arr = atlas.embed(base, n + 1 - base.shape[-1])
+        scales = draw(st.lists(EXTREMES.filter(bool), min_size=6, max_size=6))
+        points = [_raw(row * c) for row, c in zip(arr, scales)]
+    else:
+        points = draw(_points(n, 6))
+    doc = {"points": points}
+    if draw(st.booleans()):
+        tag = {"kind": draw(st.sampled_from(SpaceTag._KINDS)), "n": draw(st.integers(1, 4))}
+        if draw(st.booleans()):
+            tag["center"] = draw(_points(tag["n"], 1))[0]
+        for key in ("k", "i"):
+            if draw(st.booleans()):
+                tag[key] = draw(st.integers(0, 7))
+        doc["tag"] = tag
+    return doc
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in the output")
+
+
+@given(membership_docs())
+@settings(max_examples=300, deadline=None)
+def test_membership_property(doc):
+    with tempfile.TemporaryDirectory() as d:
+        f = f"{d}/c.json"
+        with open(f, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["membership", f])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from dcs import atlas
 from dcs import invariants as inv
 from dcs.paths import Atom, Concat, Const, Inverse, TWO_PI
+from dcs.report import FAIL, INCONCLUSIVE, PASS
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
 
@@ -72,7 +73,7 @@ def test_fiber_vectors_of_catalog_boundaries():
         ("Sigma_tilde_S1", 4): (0, -1, 0),
     }
     for (name, ambient), want in expected.items():
-        res = inv.fiber_winding_vector(Atom(name), ambient)
+        res = inv.fiber_winding_vector(Atom(name))
         got = tuple(r.winding for r in res)
         assert got == want, (name, got)
         assert max(r.residual for r in res) < inv.WINDING_RESIDUAL_MAX
@@ -82,9 +83,9 @@ def test_fiber_vectors_of_catalog_boundaries():
 
 def test_fiber_vector_rejects_moving_lines():
     with pytest.raises(inv.MovingLinesError):
-        inv.fiber_winding_vector(SIGMA, 2)
+        inv.fiber_winding_vector(SIGMA)
     with pytest.raises(inv.MovingLinesError):
-        inv.fiber_winding_vector(Atom("Phi_tilde_S1"), 2)
+        inv.fiber_winding_vector(Atom("Phi_tilde_S1"))
 
 
 def test_degenerate_functional_reported_with_location():
@@ -106,6 +107,9 @@ def test_winding_requires_a_closed_loop():
 def test_unregistered_chart_ambient_rejected():
     with pytest.raises(inv.WindingError):
         inv.fiber_functional(0, 7)
+    # line constancy reads the ambient space from the configurations
+    with pytest.raises(inv.WindingError):
+        inv.line_constancy(np.ones((2, 6, 8), dtype=complex), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +119,34 @@ def test_doubled_line_loop_relation():
     lhs = Concat(SIGMA, SIGMA)
     rhs = Concat(Concat(Inverse(ALPHA), Inverse(BETA)), GAMMA)
     rep = inv.check_linear_relation(lhs, rhs)
-    assert rep.ok
+    assert rep.status == PASS
     # moving lines on the left exclude the fiber charts from the family
     assert {row[0] for row in rep.rows} == {"w1", "w2", "w3"}
 
 
 def test_negative_control_relation_fails():
     rep = inv.check_linear_relation(ALPHA, BETA)
-    assert not rep.ok
-    assert any(a != b for _, a, b, _ in rep.rows)
+    assert rep.status == FAIL
+    assert any(a != b for _, a, b in rep.rows)
 
 
 def test_relation_includes_fibers_when_lines_fixed():
     rep = inv.check_linear_relation(Concat(ALPHA, BETA), Concat(BETA, ALPHA))
     names = {row[0] for row in rep.rows}
     assert {"fiber1", "fiber2", "fiber3"} <= names
-    assert rep.ok
+    assert rep.status == PASS
 
 
 # ---------------------------------------------------------------------------
 # independence matrices
 
+def winding_rows(loops, functionals):
+    return [[inv.winding(lp, f) for f in functionals] for lp in loops]
+
+
 def test_generators_independent_over_fiber_charts():
     mat, rank = inv.independence_matrix(
-        [ALPHA, BETA, GAMMA], [inv.fiber_functional(i, 2) for i in range(3)])
+        winding_rows([ALPHA, BETA, GAMMA], [inv.fiber_functional(i, 2) for i in range(3)]))
     assert mat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rank == 3
 
@@ -146,15 +154,59 @@ def test_generators_independent_over_fiber_charts():
 def test_bracket_ratios_do_not_separate():
     # frozen by first computation: rank 0, the family is constant on the space
     mat, rank = inv.independence_matrix(
-        [ALPHA, BETA, SIGMA], list(inv.W_FUNCTIONALS.values()))
+        winding_rows([ALPHA, BETA, SIGMA], list(inv.W_FUNCTIONALS.values())))
     assert mat == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     assert rank == 0
 
 
 def test_constant_loop_rank_zero():
     base = Const(atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).array(), "config", "base")
-    _, rank = inv.independence_matrix([base], [inv.fiber_functional(0, 2)])
+    _, rank = inv.independence_matrix(winding_rows([base], [inv.fiber_functional(0, 2)]))
     assert rank == 0
+
+
+def test_independence_matrix_rejects_indeterminate_entries():
+    rows = winding_rows([ALPHA], [inv.fiber_functional(0, 2)])
+    rows[0][0].indeterminate = True
+    with pytest.raises(inv.WindingError, match="fiber1"):
+        inv.independence_matrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule shared by every winding comparison
+
+def result(winding, indeterminate=False, fid="f"):
+    return inv.WindingResult(fid, winding, 1.0 if indeterminate else 0.0, 1.0, 513, 0,
+                             indeterminate)
+
+
+def test_agreement_rule():
+    assert inv.agreement([(result(1), 1), (result(-2), result(-2))]) == PASS
+    assert inv.agreement([(result(1), 2)]) == FAIL
+    assert inv.agreement([(result(0, True), 0)]) == INCONCLUSIVE
+    assert inv.agreement([(result(1), result(1, True))]) == INCONCLUSIVE
+    # a determinate mismatch wins over an indeterminate pair
+    assert inv.agreement([(result(0, True), 0), (result(1), 2)]) == FAIL
+    assert inv.agreement([]) == PASS
+
+
+@pytest.fixture
+def indeterminate_windings(monkeypatch):
+    """Every winding comes back indeterminate (refinement cap exhausted)."""
+    def fake(loop, functional, n=512, tol=None):
+        return result(0, True, functional.id)
+
+    monkeypatch.setattr(inv, "winding", fake)
+
+
+def test_indeterminate_relation_is_inconclusive(indeterminate_windings):
+    rep = inv.check_linear_relation(Concat(ALPHA, BETA), Concat(BETA, ALPHA))
+    assert rep.status == INCONCLUSIVE and len(rep.rows) == 6
+
+
+def test_indeterminate_disk_boundary_is_inconclusive(indeterminate_windings):
+    reps = inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()))
+    assert [r.status for r in reps] == [INCONCLUSIVE] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_equal_speed_convention_matches_conjugation_tables():
 def test_concat_with_constant_loop_keeps_windings():
     base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).array()
     padded = Concat(ALPHA, Const(base, "config", "base"))
-    vec = inv.fiber_winding_vector(padded, 2)
+    vec = inv.fiber_winding_vector(padded)
     assert tuple(r.winding for r in vec) == (1, 0, 0)
 
 
@@ -111,7 +111,7 @@ def test_double_inverse_is_identity():
 
 
 def test_inverse_negates_windings():
-    vec = inv.fiber_winding_vector(Inverse(ALPHA), 2)
+    vec = inv.fiber_winding_vector(Inverse(ALPHA))
     assert tuple(r.winding for r in vec) == (-1, 0, 0)
 
 
@@ -186,9 +186,9 @@ def test_reparam_matches_conjugation_cylinder_start():
 def test_winding_additive_under_concat():
     pairs = [(ALPHA, BETA), (ALPHA, GAMMA), (BETA, GAMMA), (GAMMA, GAMMA)]
     for a, b in pairs:
-        va = inv.fiber_winding_vector(a, 2)
-        vb = inv.fiber_winding_vector(b, 2)
-        vab = inv.fiber_winding_vector(Concat(a, b), 2)
+        va = inv.fiber_winding_vector(a)
+        vb = inv.fiber_winding_vector(b)
+        vab = inv.fiber_winding_vector(Concat(a, b))
         assert tuple(x.winding for x in vab) == tuple(
             x.winding + y.winding for x, y in zip(va, vb)
         )

@@ -12,7 +12,10 @@ from dcs.strata import validate
 from dcs.verify import (
     ALL_CLAIM_IDS,
     RunConfig,
+    _cylinder_fiber_agreement,
     _fiber_vector_check,
+    _relation_check,
+    certificates,
     run_verification,
     verify_claim,
 )
@@ -25,15 +28,64 @@ def test_unknown_claim_rejected():
 
 def test_perturbed_expected_vector_fails():
     rep = ClaimReport("demo", "winding-relation")
-    _fiber_vector_check(rep, "control", Atom("Psi_tilde_S1"), 3, (1, 1, 3), RunConfig())
+    _fiber_vector_check(rep, "control", Atom("Psi_tilde_S1"), (1, 1, 3), RunConfig())
     assert rep.verdict == FAIL
     assert "[1, 1, 2]" in rep.checks[-1].note
 
 
 def test_correct_expected_vector_passes():
     rep = ClaimReport("demo", "winding-relation")
-    _fiber_vector_check(rep, "control", Atom("Psi_tilde_S1"), 3, (1, 1, 2), RunConfig())
+    _fiber_vector_check(rep, "control", Atom("Psi_tilde_S1"), (1, 1, 2), RunConfig())
     assert rep.verdict == PASS
+
+
+def _fake_windings(monkeypatch, determinate=None):
+    """Every winding is indeterminate, except the functionals named in
+    ``determinate`` (id -> winding)."""
+    def fake(loop, functional, n=512, tol=None):
+        if determinate and functional.id in determinate:
+            return inv.WindingResult(functional.id, determinate[functional.id], 0.0, 1.0, n, 0)
+        return inv.WindingResult(functional.id, 0, 1.0, 1.0, n, 0, indeterminate=True)
+
+    monkeypatch.setattr(inv, "winding", fake)
+
+
+def test_indeterminate_fiber_vector_is_inconclusive(monkeypatch):
+    _fake_windings(monkeypatch)
+    rep = ClaimReport("demo", "winding-relation")
+    _fiber_vector_check(rep, "control", Atom("Psi_tilde_S1"), (0, 0, 0), RunConfig())
+    assert rep.verdict == INCONCLUSIVE
+
+
+def test_fiber_mismatch_beside_indeterminate_fails(monkeypatch):
+    _fake_windings(monkeypatch, {"fiber1": 5})
+    rep = ClaimReport("demo", "winding-relation")
+    _fiber_vector_check(rep, "control", Atom("Psi_tilde_S1"), (1, 1, 2), RunConfig())
+    assert rep.verdict == FAIL
+
+
+def test_indeterminate_cylinder_agreement_is_inconclusive(monkeypatch):
+    _fake_windings(monkeypatch)
+    rep = ClaimReport("demo", "boundary-identity")
+    _cylinder_fiber_agreement(rep, "M", RunConfig())
+    assert rep.checks and rep.verdict == INCONCLUSIVE
+
+
+def test_indeterminate_relation_check_is_inconclusive(monkeypatch):
+    _fake_windings(monkeypatch)
+    rep = ClaimReport("demo", "boundary-identity")
+    _relation_check(rep, "control", Atom("M", t=0.0), Atom("M", t=1.0), RunConfig())
+    assert rep.verdict == INCONCLUSIVE
+
+
+def test_certificates_take_the_measured_solid_vectors():
+    vectors = {"F_tilde_S1": [0, -1, 1], "B_tilde_S1": [-1, 0, 1],
+               "Psi_tilde_S1": [1, 1, 3], "Sigma_tilde_S1": [0, -1, 0]}
+    certs = certificates({"fiber_vectors": {k: {"vector": v} for k, v in vectors.items()}})
+    assert certs["solid_center_fibration"]["lattice_rows"][-1] == [1, 1, 3]
+    assert certs["solid_center_fibration"]["quotient"] == "Z/5"
+    assert certs["solid_fixed_center"]["quotient"] == "Z"
+    assert certs["solid_hyperplane_pencil"]["quotient"] == "0"
 
 
 def test_classify_distance_tiers():
@@ -93,12 +145,10 @@ def test_partial_run_has_no_global_sections():
     assert run.exit_code() == 0
 
 
-def test_env_thread_pool(monkeypatch):
-    monkeypatch.setenv("DCS_THREADS", "2")
-    serial = run_verification(RunConfig(), ["C3", "C5"])
-    monkeypatch.delenv("DCS_THREADS")
-    ref = run_verification(RunConfig(), ["C3", "C5"])
-    assert dumps(serial.to_json()) == dumps(ref.to_json())
+def test_thread_pool_matches_serial():
+    pooled = run_verification(RunConfig(threads=2), ["C3", "C5"])
+    serial = run_verification(RunConfig(threads=1), ["C3", "C5"])
+    assert dumps(pooled.to_json()) == dumps(serial.to_json())
 
 
 def test_validator_imposes_only_written_conditions():
