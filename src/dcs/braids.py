@@ -40,6 +40,7 @@ def word(*letters):
 
 
 def invert_word(w):
+    """Inverse of a free word or of a braid word (both are letter tuples)."""
     return tuple((g, -e) for g, e in reversed(w))
 
 
@@ -65,10 +66,8 @@ def abelianized(w, n):
 # ---------------------------------------------------------------------------
 # Artin action
 
-def _act_sigma(i, sign, w, n):
-    """Action of s_i^sign on a free word."""
-    if not 1 <= i <= n - 1:
-        raise BraidError(f"braid index {i} out of range for {n} strands")
+def _act_sigma(i, sign, w):
+    """Action of s_i^sign on a free word; ``artin_act`` checks the index."""
     out = []
     for g, e in w:
         if sign == 1:
@@ -104,7 +103,7 @@ def artin_act(braid, w, n):
             raise BraidError("braid exponents must be +-1")
     result = free_reduce(w)
     for g, e in reversed(braid):
-        result = _act_sigma(g, e, result, n)
+        result = _act_sigma(g, e, result)
     return result
 
 
@@ -115,10 +114,6 @@ def alpha_word(i, j):
     prefix = [(k, 1) for k in range(j - 1, i, -1)]
     suffix = [(k, -1) for k in range(i + 1, j)]
     return tuple(prefix + [(i, 1), (i, 1)] + suffix)
-
-
-def braid_invert(b):
-    return tuple((g, -e) for g, e in reversed(b))
 
 
 def braid_mul(*braids):
@@ -187,7 +182,7 @@ def verify_yb3(n: int) -> RelationFamilyReport:
 
 
 def _commutator(a, b):
-    return braid_mul(a, b, braid_invert(a), braid_invert(b))
+    return braid_mul(a, b, invert_word(a), invert_word(b))
 
 
 def verify_yb4(n: int) -> RelationFamilyReport:
@@ -205,8 +200,8 @@ def verify_yb4(n: int) -> RelationFamilyReport:
         count += 1
         aij, aik, ajk = alpha_word(i, j), alpha_word(i, k), alpha_word(j, k)
         ail, ajl, akl = alpha_word(i, l), alpha_word(j, l), alpha_word(k, l)
-        conj1 = braid_mul(braid_invert(ajk), aik, ajk)
-        conj2 = braid_mul(akl, aik, braid_invert(akl))
+        conj1 = braid_mul(invert_word(ajk), aik, ajk)
+        conj2 = braid_mul(akl, aik, invert_word(akl))
         checks = (
             ("[a_kl, a_ij]", _commutator(akl, aij)),
             ("[a_jl, a_jk^-1 a_ik a_jk]", _commutator(ajl, conj1)),

@@ -105,6 +105,9 @@ def _run_config(args):
     tol_kwargs = kwargs.pop("tolerances", {})
     if not isinstance(tol_kwargs, dict):
         raise UsageError(f"tolerances must be an object of named tolerances, got {tol_kwargs!r}")
+    unknown = sorted(set(tol_kwargs) - {f.name for f in fields(Tolerances)})
+    if unknown:
+        raise UsageError(f"unknown tolerance key(s): {', '.join(unknown)}")
 
     if args.samples is not None:
         kwargs["circle_samples"] = args.samples
@@ -202,6 +205,7 @@ def cmd_winding(args) -> int:
 
 def cmd_membership(args) -> int:
     from . import report as rpt
+    from .projective import ProjectiveError
     from .strata import Config6, SpaceTag, validate
 
     try:
@@ -217,7 +221,10 @@ def cmd_membership(args) -> int:
             raise ValueError(f"tag expects CP^{tag.n} but the points lie in CP^{cfg.ambient_dim}")
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise UsageError(f"cannot read configuration file: {e}") from None
-    rep = validate(cfg.points, tag)
+    try:
+        rep = validate(cfg.points, tag)
+    except ProjectiveError as e:      # an Fk tag whose k is not the file's six points
+        raise UsageError(str(e)) from None
     sys.stdout.write(rpt.dumps(rep.to_json()))
     return EXIT_OK if rep.verdict else EXIT_FAIL
 

@@ -29,7 +29,7 @@ from .projective import (
     ProjectiveError,
     Tolerances,
     bracket_rows,
-    singular_values_batch,
+    relative_singular_values,
     unit_rows,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, worst
@@ -136,8 +136,7 @@ def line_constancy(configs: np.ndarray, line_index: int) -> float:
     pts = unit_rows(arr[..., span, :])
     n = arr.shape[0]
     rows = np.concatenate([pts, np.broadcast_to(base, (n,) + base.shape)], axis=1)
-    s = singular_values_batch(rows)
-    return float(np.max(s[..., 2] / s[..., 0]))
+    return float(np.max(relative_singular_values(rows)[..., 2]))
 
 
 def fiber_functional(line_index: int, ambient: int) -> ScalarFunctional:

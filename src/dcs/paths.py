@@ -21,10 +21,10 @@ from .projective import (
     ProjectiveError,
     Tolerances,
     chordal_batch,
-    singular_values_batch,
+    relative_singular_values,
     unit_rows,
 )
-from .strata import SpaceTag, validate_batch, validate_lines_batch
+from .strata import validate_values
 
 TWO_PI = 2.0 * np.pi
 MAX_WINDING_SAMPLES = 2 ** 20   # cap on closed-grid and refined winding samples
@@ -57,8 +57,7 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
         return chordal_batch(unit_rows(a), unit_rows(b))
     if kind == "lines_span":
         rows = np.concatenate([unit_rows(a), unit_rows(b)], axis=-2)
-        s = singular_values_batch(rows)
-        return (s[..., 2] / s[..., 0]).max(axis=-1)
+        return relative_singular_values(rows)[..., 2].max(axis=-1)
     if kind in ("scalar", "pair"):
         d = np.abs(a - b)
         return d if kind == "scalar" else d.max(axis=-1)
@@ -413,16 +412,14 @@ class SweepReport:
         }
 
 
-def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL,
-               tag: Optional[SpaceTag] = None) -> SweepReport:
-    """Validate an atlas item over its whole domain (see ``domain_nodes``),
-    in blocks of at most SWEEP_BLOCK nodes.  The configured target tag is
-    used unless overridden.  worst_param holds the domain parameters of the
-    first node with the smallest margin.
+def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport:
+    """Validate an atlas item over its whole domain (see ``domain_nodes``)
+    against its target tag, in blocks of at most SWEEP_BLOCK nodes.
+    worst_param holds the domain parameters of the first node with the
+    smallest margin.
     """
     item = atlas.get(item_id)
-    tag = tag or item.target
-    if tag is None:
+    if item.target is None:
         raise PathError(f"{item_id} has no membership target")
     if item.value_kind not in ("config", "lines_dual", "lines_span"):
         raise PathError(f"{item_id} values have no membership notion")
@@ -431,21 +428,16 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL,
     ok, margin, resid, counts, worst, centers = True, np.inf, 0.0, {}, (), []
     for start in range(0, n_nodes, SWEEP_BLOCK):
         block = {k: v[start:start + SWEEP_BLOCK] for k, v in nodes.items()}
-        pts = item.eval(**block)
-        if item.value_kind == "config":
-            res = validate_batch(pts, tag, tol)
-            oks, margins, resids, block_counts = (res.verdicts, res.margins,
-                                                  res.residuals, res.fail_counts)
-            centers.append(res.centers)
-        else:
-            oks, margins, resids, block_counts = validate_lines_batch(pts, tag, tol)
-        ok = ok and bool(np.all(oks))
-        i = int(np.argmin(margins))
-        if margins[i] < margin:
-            margin, worst = float(margins[i]), tuple(p[i] for p in block.values())
-        resid = max(resid, float(resids.max()))
-        for name, c in block_counts.items():
+        res = validate_values(item.eval(**block), item.target, tol)
+        ok = ok and res.all_ok
+        i = int(np.argmin(res.margins))
+        if res.margins[i] < margin:
+            margin, worst = float(res.margins[i]), tuple(p[i] for p in block.values())
+        resid = max(resid, float(res.residuals.max()))
+        for name, c in res.fail_counts.items():
             counts[name] = counts.get(name, 0) + c
+        if res.centers is not None:
+            centers.append(res.centers)
     return SweepReport(item_id, label, ok, margin, resid, n_nodes, counts, worst,
                        np.concatenate(centers) if centers else None)
 

@@ -212,9 +212,12 @@ def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.norm(w, axis=-1), 0.0, 1.0)
 
 
-def singular_values_batch(rows: np.ndarray) -> np.ndarray:
-    """Singular values of stacked representatives, batched over leading axes."""
-    return np.linalg.svd(rows, compute_uv=False)
+def relative_singular_values(rows: np.ndarray) -> np.ndarray:
+    """Singular values of stacked representatives divided by the largest,
+    batched over leading axes: ``[..., r]`` is the numerical-rank margin of
+    rank r + 1."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s / s[..., :1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +249,7 @@ def span_dim(points, tol: Tolerances = DEFAULT_TOL) -> int:
         if p.ambient_dim != dim:
             raise DimensionMismatchError("mixed ambient dimensions in span_dim")
     rows = np.stack([p.unit() for p in pts])
-    s = singular_values_batch(rows)
-    rank = int(np.sum(s > tol.rank_rel_tol * s[0]))
+    rank = int(np.sum(relative_singular_values(rows) > tol.rank_rel_tol))
     return rank - 1
 
 
@@ -263,8 +265,7 @@ def on_line(x: HPoint, line: PLine, tol: Tolerances = DEFAULT_TOL):
     if x.ambient_dim != line.ambient_dim:
         raise DimensionMismatchError("point and line in different ambient spaces")
     rows = np.stack([x.unit(), line.p.unit(), line.q.unit()])
-    s = singular_values_batch(rows)
-    residual = float(s[2] / s[0])
+    residual = float(relative_singular_values(rows)[2])
     return residual <= tol.rank_rel_tol, residual
 
 
@@ -273,12 +274,12 @@ def meet_lines(l1: PLine, l2: PLine, tol: Tolerances = DEFAULT_TOL) -> HPoint:
     if l1.ambient_dim != l2.ambient_dim:
         raise DimensionMismatchError("lines in different ambient spaces")
     four = np.stack([l1.p.unit(), l1.q.unit(), l2.p.unit(), l2.q.unit()])
-    s = singular_values_batch(four)
-    if s[1] / s[0] <= tol.rank_rel_tol:
+    rel = relative_singular_values(four)
+    if rel[1] <= tol.rank_rel_tol:
         raise DegenerateSpanError("degenerate line spans")
-    if s[2] / s[0] <= tol.rank_rel_tol:
+    if rel[2] <= tol.rank_rel_tol:
         raise DegenerateSpanError("identical lines have no unique meet")
-    if four.shape[1] > 3 and s[3] / s[0] > tol.rank_rel_tol:
+    if four.shape[1] > 3 and rel[3] > tol.rank_rel_tol:
         raise NoIntersectionError("skew lines (four points span a 3-space)")
     # x = a p1 + b q1 = c p2 + d q2: null vector of the (n+1) x 4 column stack.
     cols = np.stack(

@@ -28,7 +28,8 @@ from .projective import (
     Tolerances,
     chordal_batch,
     line_through,
-    singular_values_batch,
+    relative_singular_values,
+    span_dim,
     unit_rows,
 )
 
@@ -40,9 +41,10 @@ class SpaceTag:
     """Identifies one of the configuration spaces handled by the engine.
 
     kind is one of Fk, Fk_stratum, D_planar, D_planar_fixed, D_solid,
-    D_solid_fixed, F3_lines_through.  n is the ambient CP^n; span_i the
-    required span dimension for Fk_stratum; center pins the intersection
-    point for the _fixed and lines_through kinds.
+    D_solid_fixed, F3_lines_through.  n is the ambient CP^n; k >= 1 the
+    point count of Fk and Fk_stratum; span_i the required span dimension
+    for Fk_stratum; center pins the intersection point for the _fixed and
+    lines_through kinds.
     """
 
     kind: str
@@ -73,6 +75,8 @@ class SpaceTag:
                 raise ValueError(f"{self.kind} requires a center point")
             if self.center.ambient_dim != self.n:
                 raise ValueError("center ambient dimension does not match tag")
+        if self.kind in ("Fk", "Fk_stratum") and not (isinstance(self.k, int) and self.k >= 1):
+            raise ValueError(f"{self.kind} needs a point count k >= 1, got {self.k!r}")
         if self.kind == "Fk_stratum" and not 1 <= self.span_i <= self.n:
             raise ValueError("stratum span dimension out of range")
 
@@ -209,29 +213,40 @@ def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_T
     return MembershipReport(not failures, worst, failures, {"min_pair_dist": worst})
 
 
-def stratum_of(points: Sequence[HPoint], tol: Tolerances = DEFAULT_TOL) -> int:
-    """Span dimension of a configuration that already passed distinctness."""
-    rep = in_configuration_space(points, tol)
-    if not rep.verdict:
-        raise ProjectiveError("not a configuration: " + "; ".join(rep.failures))
-    from .projective import span_dim
-
-    return span_dim(points, tol)
-
-
 @dataclass
 class BatchResult:
-    """Vectorized validation outcome over a grid of configurations."""
+    """Vectorized validation outcome over a batch of configurations or
+    line triples."""
 
     verdicts: np.ndarray          # bool (N,)
     margins: np.ndarray           # float (N,): min distance-type quantity
     residuals: np.ndarray         # float (N,): max exact-incidence residual
-    centers: np.ndarray           # complex (N, n+1): computed meets of d1, d2
     fail_counts: dict             # check name -> number of failing nodes
+    centers: Optional[np.ndarray] = None   # complex (N, n+1): meets of d1, d2;
+                                           # None for line triples
 
     @property
     def all_ok(self) -> bool:
         return bool(np.all(self.verdicts))
+
+
+def _record(fail_counts: dict, name: str, good: np.ndarray) -> np.ndarray:
+    """Record how many nodes fail check ``name`` (if any) and return ``good``."""
+    bad = int(np.sum(~good))
+    if bad:
+        fail_counts[name] = bad
+    return good
+
+
+def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
+    """Validate a batch under ``tag``: line triples (see
+    ``validate_lines_batch``) for an F3_lines_through tag, six-point
+    configurations (see ``validate_batch``) otherwise.  This is the one place
+    that picks the validator; it looks both up as module globals at call
+    time, so a wrapper installed on this module sees every call."""
+    if tag.kind == "F3_lines_through":
+        return validate_lines_batch(values, tag, tol)
+    return validate_batch(values, tag, tol)
 
 
 def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
@@ -257,25 +272,18 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     ok = np.ones(n_nodes, dtype=bool)
     fail_counts: dict = {}
 
-    def _record(name, good):
-        bad = ~good
-        if np.any(bad):
-            fail_counts[name] = int(np.sum(bad))
-        return good
-
     # pairwise distinctness (covers "each line defined": pairs (0,1),(2,3),(4,5))
     pair_d = _pair_distances(u)[1]
     margins = np.minimum(margins, pair_d.min(axis=-1))
-    ok &= _record("pairwise-distinct", np.all(pair_d > tol.proj_eq_tol, axis=-1))
+    ok &= _record(fail_counts, "pairwise-distinct", np.all(pair_d > tol.proj_eq_tol, axis=-1))
 
     # lines pairwise distinct: rank 3 of the stacked four span points
     for (la, lb), name in zip(((0, 1), (0, 2), (1, 2)), ("d1-d2", "d1-d3", "d2-d3")):
         ia, ib = _LINE_IDX[la], _LINE_IDX[lb]
         rows = u[:, [ia[0], ia[1], ib[0], ib[1]], :]
-        s = singular_values_batch(rows)
-        rel = s[..., 2] / s[..., 0]
+        rel = relative_singular_values(rows)[..., 2]
         margins = np.minimum(margins, rel)
-        ok &= _record(f"lines-distinct {name}", rel > tol.rank_rel_tol)
+        ok &= _record(fail_counts, f"lines-distinct {name}", rel > tol.rank_rel_tol)
 
     # concurrency: meet of d1 and d2, then incidence of the meet on d3
     cols = np.stack([u[:, 0], u[:, 1], -u[:, 2], -u[:, 3]], axis=-1)  # (N, m, 4)
@@ -283,57 +291,57 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     if m > 3:
         meet_res = s_cols[..., 3] / s_cols[..., 0]
         residuals = np.maximum(residuals, meet_res)
-        ok &= _record("concurrent d1-d2", meet_res <= tol.rank_rel_tol)
+        ok &= _record(fail_counts, "concurrent d1-d2", meet_res <= tol.rank_rel_tol)
     ab = np.conj(vh[:, -1, :2])
     centers = ab[:, 0, None] * u[:, 0] + ab[:, 1, None] * u[:, 1]
     cn = np.linalg.norm(centers, axis=-1, keepdims=True)
     degenerate_meet = cn[:, 0] < 1e-12
-    ok &= _record("meet-defined", ~degenerate_meet)
+    ok &= _record(fail_counts, "meet-defined", ~degenerate_meet)
     cn[degenerate_meet] = 1.0
     centers = centers / cn
 
     rows3 = np.concatenate([centers[:, None, :], u[:, 4:6, :]], axis=1)
-    s3 = singular_values_batch(rows3)
-    inc = s3[..., 2] / s3[..., 0]
+    inc = relative_singular_values(rows3)[..., 2]
     residuals = np.maximum(residuals, inc)
-    ok &= _record("concurrent d3", inc <= tol.rank_rel_tol)
+    ok &= _record(fail_counts, "concurrent d3", inc <= tol.rank_rel_tol)
 
     # all six points away from the center
     cd = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], axis=-1)
     margins = np.minimum(margins, cd.min(axis=-1))
-    ok &= _record("center-apart", np.all(cd > tol.proj_eq_tol, axis=-1))
+    ok &= _record(fail_counts, "center-apart", np.all(cd > tol.proj_eq_tol, axis=-1))
 
     # span of the six points
     want = tag.span_required
     if want is not None:
-        s6 = singular_values_batch(u)
-        rel = s6[..., want] / s6[..., 0]
+        s6 = relative_singular_values(u)
+        rel = s6[..., want]
         margins = np.minimum(margins, rel)
-        ok &= _record("span-at-least", rel > tol.rank_rel_tol)
+        ok &= _record(fail_counts, "span-at-least", rel > tol.rank_rel_tol)
         if m > want + 1:
-            exc = s6[..., want + 1] / s6[..., 0]
+            exc = s6[..., want + 1]
             residuals = np.maximum(residuals, exc)
-            ok &= _record("span-exact", exc <= tol.rank_rel_tol)
+            ok &= _record(fail_counts, "span-exact", exc <= tol.rank_rel_tol)
 
     # fixed center
     if tag.kind.endswith("_fixed"):
         c = tag.center.unit()
         dcen = chordal_batch(centers, c[None, :])
         residuals = np.maximum(residuals, dcen)
-        ok &= _record("center-matches", dcen <= tol.proj_eq_tol)
+        ok &= _record(fail_counts, "center-matches", dcen <= tol.proj_eq_tol)
 
-    return BatchResult(ok, margins, residuals, centers, fail_counts)
+    return BatchResult(ok, margins, residuals, fail_counts, centers)
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
     """Single-configuration membership check with named sub-check failures.
     Under an F3_lines_through tag the six points are the three (A_i, B_i)
-    line spans."""
+    line spans.  Fk and Fk_stratum tags need exactly k points."""
     if tag.kind in ("Fk", "Fk_stratum"):
+        if len(points) != tag.k:
+            raise ProjectiveError(f"{tag.kind} tag with k = {tag.k} needs {tag.k} points, "
+                                  f"got {len(points)}")
         rep = in_configuration_space(points, tol)
         if tag.kind == "Fk_stratum" and rep.verdict:
-            from .projective import span_dim
-
             got = span_dim(points, tol)
             rep.details["span"] = got
             if got != tag.span_i:
@@ -342,29 +350,24 @@ def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_
         return rep
     if len(points) != 6:
         raise ProjectiveError(f"{tag.kind} tags require six points")
-    arr = np.stack([p.coords for p in points])[None]
-    if tag.kind == "F3_lines_through":
-        oks, margins, residuals, counts = validate_lines_batch(arr.reshape(1, 3, 2, -1), tag, tol)
-    else:
-        res = validate_batch(arr, tag, tol)
-        oks, margins, residuals, counts = res.verdicts, res.margins, res.residuals, res.fail_counts
-    margin = float(margins[0])
+    res = validate_values(np.stack([p.coords for p in points])[None], tag, tol)
+    margin = float(res.margins[0])
     rep = MembershipReport(
-        bool(oks[0]),
+        bool(res.verdicts[0]),
         margin,
-        sorted(counts),
-        {"margin": margin, "max_residual": float(residuals[0])},
+        sorted(res.fail_counts),
+        {"margin": margin, "max_residual": float(res.residuals[0])},
     )
     if rep.verdict and margin < tol.margin_warn:
         rep.warnings.append(f"margin {margin:.3e} below margin_warn")
     return rep
 
 
-def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL):
+def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
     """Triples of distinct lines through the tag's fixed center, batched.
 
-    arr: (N, 3, n+1) dual covectors (CP^2) or (N, 3, 2, n+1) spans.
-    Returns (ok, margins, residuals, fail_counts).
+    arr: (N, 3, n+1) dual covectors (CP^2), or the spans as (N, 3, 2, n+1)
+    or as six points (N, 6, n+1).  The result has no centers.
     """
     if tag.kind != "F3_lines_through":
         raise ProjectiveError("validate_lines_batch requires an F3_lines_through tag")
@@ -372,50 +375,34 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
     c = tag.center.unit()
     fail_counts: dict = {}
 
-    def _record(name, good):
-        if np.any(~good):
-            fail_counts[name] = int(np.sum(~good))
-        return good
-
-    if arr.ndim == 3:  # dual covectors
+    if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors
         u = unit_rows(arr)
         d01 = chordal_batch(u[:, 0], u[:, 1])
         d02 = chordal_batch(u[:, 0], u[:, 2])
         d12 = chordal_batch(u[:, 1], u[:, 2])
         margins = np.minimum(np.minimum(d01, d02), d12)
-        ok = _record("lines-distinct", margins > tol.proj_eq_tol)
+        ok = _record(fail_counts, "lines-distinct", margins > tol.proj_eq_tol)
         residuals = np.abs(u @ c).max(axis=-1)
-        ok = ok & _record("center-incidence", residuals <= tol.rank_rel_tol)
-        return ok, margins, residuals, fail_counts
+        ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol)
+        return BatchResult(ok, margins, residuals, fail_counts)
 
-    u = unit_rows(arr)  # (N, 3, 2, m)
+    u = unit_rows(arr.reshape(arr.shape[0], 3, 2, -1))  # (N, 3, 2, m)
     margins = np.full(arr.shape[0], np.inf)
     for i in range(3):
         for j in range(i + 1, 3):
             rows = np.concatenate([u[:, i], u[:, j]], axis=1)
-            s = singular_values_batch(rows)
-            margins = np.minimum(margins, s[..., 2] / s[..., 0])
-    ok = _record("lines-distinct", margins > tol.rank_rel_tol)
+            margins = np.minimum(margins, relative_singular_values(rows)[..., 2])
+    ok = _record(fail_counts, "lines-distinct", margins > tol.rank_rel_tol)
     # the two points of each span must differ, or the span is no line
     span_d = chordal_batch(u[:, :, 0], u[:, :, 1])
     margins = np.minimum(margins, span_d.min(axis=-1))
-    ok = ok & _record("span-defined", np.all(span_d > tol.proj_eq_tol, axis=-1))
+    ok = ok & _record(fail_counts, "span-defined", np.all(span_d > tol.proj_eq_tol, axis=-1))
     residuals = np.zeros(arr.shape[0])
     for i in range(3):
         rows = np.concatenate([u[:, i], np.broadcast_to(c, (arr.shape[0], 1, c.size))], axis=1)
-        s = singular_values_batch(rows)
-        residuals = np.maximum(residuals, s[..., 2] / s[..., 0])
-    ok = ok & _record("center-incidence", residuals <= tol.rank_rel_tol)
-    return ok, margins, residuals, fail_counts
-
-
-def degeneracy_margin(config: Config6, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Distance to the boundary strata: min over pairwise point distances,
-    line-distinctness margins, span margins, and point-center distances."""
-    rep = validate(config.points, tag, tol)
-    if not rep.verdict:
-        raise ProjectiveError("degeneracy_margin of an invalid configuration")
-    return rep.margin
+        residuals = np.maximum(residuals, relative_singular_values(rows)[..., 2])
+    ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol)
+    return BatchResult(ok, margins, residuals, fail_counts)
 
 
 def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries: int = 200) -> Config6:

@@ -120,11 +120,9 @@ def _loops():
     return {name: Atom(name) for name in ("alpha", "beta", "gamma", "sigma")}
 
 
-def _add_sweep(rep: ClaimReport, item_id: str, cfg: RunConfig, grid=None):
-    item = atlas.get(item_id)
-    if grid is None:
-        grid = {"loop": cfg.circle_samples, "disk": cfg.disk_grid,
-                "cylinder": cfg.cylinder_grid}[item.kind]
+def _add_sweep(rep: ClaimReport, item_id: str, cfg: RunConfig):
+    grid = {"loop": cfg.circle_samples, "disk": cfg.disk_grid,
+            "cylinder": cfg.cylinder_grid}[atlas.get(item_id).kind]
     sw = sweep_item(item_id, grid, cfg.tol)
     rep.grids[item_id] = sw.grid
     ok = sw.ok and sw.min_margin > cfg.sweep_margin_min
@@ -687,20 +685,16 @@ def certificates(tables: dict) -> dict:
 
 def braid_reports(cfg: RunConfig) -> dict:
     out = {}
-    yb3 = {"family": "YB3", "ok": True, "per_n": [], "tuples": 0, "identities": 0}
-    yb4 = {"family": "YB4", "ok": True, "per_n": [], "tuples": 0, "identities": 0}
-    for n in range(3, 7):
-        r3 = braids.verify_yb3(n)
-        yb3["per_n"].append(r3.to_json())
-        yb3["ok"] &= r3.ok
-        yb3["tuples"] += r3.tuples_checked
-        yb3["identities"] += r3.identities_checked
-        r4 = braids.verify_yb4(n)
-        yb4["per_n"].append(r4.to_json())
-        yb4["ok"] &= r4.ok
-        yb4["tuples"] += r4.tuples_checked
-        yb4["identities"] += r4.identities_checked
-    return {"YB3": yb3, "YB4": yb4}
+    for family, verify_family in (("YB3", braids.verify_yb3), ("YB4", braids.verify_yb4)):
+        acc = {"family": family, "ok": True, "per_n": [], "tuples": 0, "identities": 0}
+        for n in range(3, 7):
+            r = verify_family(n)
+            acc["per_n"].append(r.to_json())
+            acc["ok"] &= r.ok
+            acc["tuples"] += r.tuples_checked
+            acc["identities"] += r.identities_checked
+        out[family] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------

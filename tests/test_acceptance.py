@@ -318,8 +318,8 @@ def test_criterion_8_braid_presentations():
     assert not braids.acts_equally(lhs, rhs, 3)
     assert not braids.acts_trivially(
         braids.braid_mul(braids.alpha_word(1, 3), braids.alpha_word(2, 3),
-                         braids.braid_invert(braids.alpha_word(1, 3)),
-                         braids.braid_invert(braids.alpha_word(2, 3))), 3)
+                         braids.invert_word(braids.alpha_word(1, 3)),
+                         braids.invert_word(braids.alpha_word(2, 3))), 3)
     announce(8, True, "triple and quadruple relation families pass for 3..6 strands; "
                       "negative controls fail")
 

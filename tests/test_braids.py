@@ -11,7 +11,6 @@ from dcs.braids import (
     acts_equally,
     alpha_word,
     artin_act,
-    braid_invert,
     braid_mul,
     free_reduce,
     generator,
@@ -66,7 +65,7 @@ def test_sigma_inverse_action():
         n = int(r.integers(2, 7))
         w = random_free_word(r, n)
         b = random_braid(r, n, 1)
-        assert artin_act(braid_mul(b, braid_invert(b)), w, n) == w
+        assert artin_act(braid_mul(b, invert_word(b)), w, n) == w
 
 
 def test_action_respects_composition():

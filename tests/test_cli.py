@@ -107,6 +107,7 @@ MISTYPED_CONFIGS = {
     "unknown-key": ({"circle_sample": 300}, "C3"),
     "tolerance-string": ({"tolerances": {"proj_eq_tol": "x"}}, "C3"),
     "tolerance-bool": ({"tolerances": {"proj_eq_tol": True}}, "C3"),
+    "tolerance-unknown": ({"tolerances": {"proj_eq": 1e-9}}, "C3"),
 }
 
 
@@ -136,6 +137,8 @@ def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path):
     if kind in MISTYPED_CONFIGS:
         key = _first_key(MISTYPED_CONFIGS[kind][0])
         assert key in lines[0], lines[0]
+    if kind == "tolerance-unknown":     # named like an unknown top-level key
+        assert lines[0] == "error: unknown tolerance key(s): proj_eq"
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,6 +275,13 @@ def test_membership_line_triple_tag(capsys, tmp_path):
     assert json.loads(out)["failures"] == ["center-incidence"]
 
 
+def test_membership_fk_tag_with_six_points(capsys, tmp_path):
+    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
+    f = _write_config(tmp_path, base, SpaceTag("Fk", 2, k=6), "f6.json")
+    code, out, _ = run_cli(["membership", f], capsys)
+    assert code == EXIT_OK and json.loads(out)["verdict"] is True
+
+
 def test_membership_missing_file(capsys):
     code, _, err = run_cli(["membership", "/nonexistent/nowhere.json"], capsys)
     assert code == EXIT_USAGE
@@ -287,6 +297,10 @@ def _malformed(kind):
         doc["points"] = 5
     elif kind == "tag-ambient-mismatch":
         doc["tag"] = atlas.TAG_SOLID_3.to_json()
+    elif kind.startswith("fk-"):      # six points under F_3, F_0, or F_k without a k
+        doc["tag"] = {"kind": "Fk_stratum" if kind == "fk-stratum-no-k" else "Fk", "n": 2, "i": 2}
+        if kind in ("fk-k3", "fk-k0"):
+            doc["tag"]["k"] = int(kind[-1])
     else:  # six points of CP^1, untagged or as line spans through a center
         doc = {"points": [[[1.0, 0.0], [float(k), 0.0]] for k in range(6)]}
         if kind == "lines-cp1":
@@ -295,7 +309,8 @@ def _malformed(kind):
 
 
 @pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "cp1-untagged",
-                                  "tag-ambient-mismatch", "lines-cp1"])
+                                  "tag-ambient-mismatch", "lines-cp1", "fk-k3", "fk-k0",
+                                  "fk-no-k", "fk-stratum-no-k"])
 def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(_malformed(kind)))
@@ -306,6 +321,8 @@ def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
     assert "Traceback" not in err
     if kind in ("inf", "nan"):
         assert "non-finite" in err
+    if kind == "fk-k3":
+        assert "needs 3 points, got 6" in err
 
 
 def _raw(coords):

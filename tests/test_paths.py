@@ -29,7 +29,7 @@ from dcs.paths import (
 from dcs import invariants as inv
 from dcs.cli import main
 from dcs.projective import HPoint
-from dcs.strata import SpaceTag, validate_batch
+from dcs.strata import SpaceTag, validate_batch, validate_lines_batch
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
 
@@ -301,15 +301,21 @@ WRONG_CENTER = SpaceTag.planar_fixed(2, HPoint([1, 0, 0]))
     ("L", (256, 64), None),
     ("Phi_tilde", (129, 64), None),
     ("L", (256, 64), WRONG_CENTER),
-], ids=["cylinder", "disk", "cylinder-wrong-center"])
-def test_blocked_sweep_matches_one_batch(item_id, grid, tag):
+    ("Lambda", (129, 64), None),
+    ("F", (129, 64), None),
+], ids=["cylinder", "disk", "cylinder-wrong-center", "lines-dual-disk", "lines-span-disk"])
+def test_blocked_sweep_matches_one_batch(item_id, grid, tag, monkeypatch):
     """A sweep over more than SWEEP_BLOCK nodes, validated block by block,
-    reports what one batch over all nodes reports."""
+    reports what one batch over all nodes reports: configurations against
+    validate_batch, line triples against validate_lines_batch."""
     item = atlas.get(item_id)
+    if tag is not None:
+        monkeypatch.setattr(item, "target", tag)
     nodes, label = domain_nodes(item.kind, grid)
     assert nodes["theta"].size > SWEEP_BLOCK
-    ref = validate_batch(item.eval(**nodes), tag or item.target)
-    rep = sweep_item(item_id, grid, tag=tag)
+    one_batch = validate_batch if item.value_kind == "config" else validate_lines_batch
+    ref = one_batch(item.eval(**nodes), item.target)
+    rep = sweep_item(item_id, grid)
     i = int(np.argmin(ref.margins))
     assert rep.grid == label and rep.n_nodes == nodes["theta"].size
     assert rep.ok == ref.all_ok
@@ -317,7 +323,10 @@ def test_blocked_sweep_matches_one_batch(item_id, grid, tag):
     assert rep.worst_param == tuple(v[i] for v in nodes.values())
     assert rep.max_residual == ref.residuals.max()
     assert rep.fail_counts == ref.fail_counts
-    assert np.array_equal(rep.centers, ref.centers)
+    if item.value_kind == "config":
+        assert np.array_equal(rep.centers, ref.centers)
+    else:
+        assert rep.centers is None and ref.centers is None
     if tag is WRONG_CENTER:
         assert rep.fail_counts["center-matches"] == rep.n_nodes
 

@@ -10,6 +10,7 @@ import inspect
 from pathlib import Path
 
 from dcs import atlas, invariants, strata
+from dcs.paths import SWEEP_BLOCK, sweep_item
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +49,35 @@ def test_hooked_arguments_stay_in_place():
     assert _params(strata.validate_lines_batch)[0] == "arr"
     fields = {f.name for f in dataclasses.fields(invariants.WindingResult)}
     assert {"samples", "refinements"} <= fields
+
+
+def test_validators_are_looked_up_at_call_time(monkeypatch):
+    """The tracer replaces ``dcs.strata.validate_batch`` and
+    ``validate_lines_batch`` by wrappers.  Patching only those two module
+    attributes must be enough to see every sweep block and every single
+    validation, so no caller may hold a validator bound at import."""
+    calls = []
+
+    def counting(name):
+        original = getattr(strata, name)
+
+        def wrapper(values, *args, **kwargs):
+            calls.append((name, len(values)))
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(strata, name, wrapper)
+
+    counting("validate_batch")
+    counting("validate_lines_batch")
+    assert sweep_item("sigma", 64).n_nodes == 64
+    assert sweep_item("Lambda", (129, 64)).n_nodes == 129 * 64
+    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
+    assert strata.validate(base.points, atlas.TAG_PLANAR_FIXED_2).verdict
+    assert strata.validate(base.points, atlas.TAG_LINES_I0).verdict
+    assert calls == [
+        ("validate_batch", 64),
+        ("validate_lines_batch", SWEEP_BLOCK),
+        ("validate_lines_batch", 129 * 64 - SWEEP_BLOCK),
+        ("validate_batch", 1),
+        ("validate_lines_batch", 1),
+    ]

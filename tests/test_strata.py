@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from dcs import atlas
-from dcs.projective import HPoint, ProjectiveError
+from dcs.projective import HPoint, ProjectiveError, span_dim
 from dcs.strata import (
     Config6,
     SpaceTag,
-    degeneracy_margin,
     in_configuration_space,
     random_config,
-    stratum_of,
     validate,
     validate_batch,
     validate_lines_batch,
@@ -46,11 +44,20 @@ def test_pair_margin_is_chordal_distance():
     assert rep.margin == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_stratum_of_base_points():
-    assert stratum_of(base_planar().points) == 2
-    assert stratum_of(atlas.basepoint(SOLID_TAG).points) == 3
+def test_span_dim_of_base_points():
+    assert span_dim(base_planar().points) == 2
+    assert span_dim(atlas.basepoint(SOLID_TAG).points) == 3
     collinear = [HPoint([1, 0, 0]), HPoint([0, 1, 0]), HPoint([1, 1, 0])]
-    assert stratum_of(collinear) == 1
+    assert span_dim(collinear) == 1
+
+
+def test_fk_tags_count_their_points():
+    pts = base_planar().points
+    assert validate(pts, SpaceTag("Fk", 2, k=6)).verdict
+    rep = validate(pts, SpaceTag("Fk_stratum", 2, k=6, span_i=2))
+    assert rep.verdict and rep.details["span"] == 2
+    with pytest.raises(ProjectiveError, match="needs 3 points, got 6"):
+        validate(pts, SpaceTag("Fk", 2, k=3))
 
 
 def test_validate_base_planar():
@@ -110,22 +117,24 @@ def test_validate_rescaling_invariance():
         assert rep.margin == pytest.approx(rep0.margin, abs=1e-10)
 
 
-def test_degeneracy_margin_golden():
+def test_validate_margin_golden():
     # frozen on first computation; dominated by a line-separation quantity
-    m = degeneracy_margin(base_planar(), PLANAR_TAG)
-    assert m == pytest.approx(0.10144199648855792, rel=1e-9)
-    m = degeneracy_margin(atlas.basepoint(SOLID_TAG), SOLID_TAG)
-    assert m == pytest.approx(0.5, rel=1e-9)
+    rep = validate(base_planar().points, PLANAR_TAG)
+    assert rep.verdict and rep.margin == pytest.approx(0.10144199648855792, rel=1e-9)
+    rep = validate(atlas.basepoint(SOLID_TAG).points, SOLID_TAG)
+    assert rep.verdict and rep.margin == pytest.approx(0.5, rel=1e-9)
 
 
-def test_degeneracy_margin_linear_in_collision_parameter():
+def test_validate_margin_linear_in_collision_parameter():
     base = base_planar()
     i0 = HPoint(atlas.I0_PLANAR)
 
     def margin(eps):
         pts = list(base.points)
         pts[0] = HPoint((1 - eps) * i0.unit() + eps * pts[0].unit())
-        return degeneracy_margin(Config6(pts), PLANAR_TAG)
+        rep = validate(pts, PLANAR_TAG)
+        assert rep.verdict
+        return rep.margin
 
     m1, m2 = margin(1e-2), margin(5e-3)
     assert m1 / m2 == pytest.approx(2.0, rel=0.05)  # finite-difference slope
@@ -160,11 +169,11 @@ def test_validate_batch_matches_scalar():
 
 def test_validate_lines_through_center():
     duals = np.stack([atlas.D10_DUAL, atlas.D20_DUAL, atlas.D30_DUAL])
-    ok, _, _, counts = validate_lines_batch(duals[None], atlas.TAG_LINES_I0)
-    assert ok[0] and not counts
+    res = validate_lines_batch(duals[None], atlas.TAG_LINES_I0)
+    assert res.verdicts[0] and not res.fail_counts and res.centers is None
     repeated = np.stack([atlas.D10_DUAL, atlas.D10_DUAL, atlas.D30_DUAL])
-    ok, _, _, counts = validate_lines_batch(repeated[None], atlas.TAG_LINES_I0)
-    assert not ok[0] and counts == {"lines-distinct": 1}
+    res = validate_lines_batch(repeated[None], atlas.TAG_LINES_I0)
+    assert not res.verdicts[0] and res.fail_counts == {"lines-distinct": 1}
 
 
 def test_configuration_space_names_every_coincidence_in_order():
@@ -203,6 +212,10 @@ def test_space_tag_validation():
         SpaceTag("D_solid_fixed", 3, center=HPoint([0, 0, 1]))  # wrong ambient
     with pytest.raises(ValueError):
         SpaceTag("nonsense", 2)
+    for tag in ({"kind": "Fk", "n": 2}, {"kind": "Fk", "n": 2, "k": 0},
+                {"kind": "Fk_stratum", "n": 2, "i": 2}):   # k missing or 0
+        with pytest.raises(ValueError, match="k >= 1"):
+            SpaceTag.from_json(tag)
 
 
 def test_space_tag_json_roundtrip():
