@@ -3,12 +3,7 @@
 from .projective import (
     DEFAULT_TOL,
     HPoint,
-    PLine,
     Tolerances,
-    bracket,
-    line_through,
-    meet_lines,
-    on_line,
     proj_dist,
     span_dim,
 )
@@ -21,13 +16,8 @@ __all__ = [
     "DEFAULT_TOL",
     "HPoint",
     "MembershipReport",
-    "PLine",
     "SpaceTag",
     "Tolerances",
-    "bracket",
-    "line_through",
-    "meet_lines",
-    "on_line",
     "proj_dist",
     "span_dim",
     "validate",

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .projective import HPoint, PLine, line_through, meet_lines, Tolerances, DEFAULT_TOL
+from .projective import HPoint, meet, unit_rows
 from .strata import Config6, SpaceTag
 
 TWO_PI = 2.0 * np.pi
@@ -397,108 +397,94 @@ def _constant(rows):
 # ---------------------------------------------------------------------------
 # trivializations (parametric maps rather than loops)
 
-def phi_triv(center: HPoint, cfg: Config6, tol: Tolerances = DEFAULT_TOL) -> Config6:
-    """Coordinate trivialization of the center fibration over CP^2 \\ {X2 = 0}.
+def phi_triv(centers, configs) -> np.ndarray:
+    """Coordinate trivialization of the center fibration over CP^2 \\ {X2 = 0},
+    batched over samples.
 
-    Input: a target center I = [s:t:1] and a configuration with center
-    [0:0:1].  Representatives are rescaled so A_i and B_i share the leading
-    two coordinates (n_i, -m_i) of their line; the output point for value a
-    is [n + s a : -m + t a : a].  Polynomial in (s, t), hence continuous
-    across the singular locus of the geometric construction.
+    Input: target centers I = [s:t:1] (N, 3) and configurations (N, 6, 3)
+    with center [0:0:1].  Representatives are rescaled so A_i and B_i share
+    the leading two coordinates (n_i, -m_i) of their line; the output point
+    for value a is [n + s a : -m + t a : a].  Polynomial in (s, t), hence
+    continuous across the singular locus of the geometric construction.
+    Returns the (N, 6, 3) output configurations.
     """
-    if center.ambient_dim != 2 or cfg.ambient_dim != 2:
+    c = np.asarray(centers, dtype=np.complex128)
+    pts = np.asarray(configs, dtype=np.complex128)
+    if c.shape[-1] != 3 or pts.shape[-1] != 3:
         raise ValueError("phi_triv works in CP^2")
-    c = center.coords
-    if abs(c[2]) < 1e-12 * np.max(np.abs(c)):
+    if np.any(np.abs(c[:, 2]) < 1e-12 * np.max(np.abs(c), axis=-1)):
         raise ValueError("center lies on the reference line X2 = 0")
-    s, t = c[0] / c[2], c[1] / c[2]
+    s, t = c[:, 0, None] / c[:, 2, None], c[:, 1, None] / c[:, 2, None]
+    a_raw, b_raw = pts[:, 0::2], pts[:, 1::2]                      # (N, 3, 3)
+    # scale each B_i so both representatives carry the same (n, -m) head
+    lead = np.argmax(np.abs(a_raw[..., :2]), axis=-1)[..., None]
+    ratio = np.take_along_axis(a_raw, lead, -1) / np.take_along_axis(b_raw, lead, -1)
+    vals = np.stack([a_raw[..., 2], b_raw[..., 2] * ratio[..., 0]], axis=-1).reshape(-1, 6)
+    n, mneg = (np.repeat(a_raw[..., k], 2, axis=-1) for k in (0, 1))
+    return np.stack([n + s * vals, mneg + t * vals, vals], axis=-1)
+
+
+def phi_triv_geometric(centers, configs) -> np.ndarray:
+    """Ruler construction behind phi_triv, valid away from its singular locus
+    and batched like it: with l = {X2 = 0}, D_i = l cap d_i, Q = l cap (I0 I),
+    d_i' = I D_i and A_i' = (Q A_i) cap d_i'."""
+    c = unit_rows(np.asarray(centers, dtype=np.complex128))
+    u = unit_rows(np.asarray(configs, dtype=np.complex128))
+    e0, e1 = _c(1, 0, 0), _c(0, 1, 0)                # span l
+    q = meet(e0, e1, I0_PLANAR, c)[0]
     out = []
     for i in range(3):
-        a_raw, b_raw = cfg.points[2 * i].coords, cfg.points[2 * i + 1].coords
-        # scale so both representatives carry the same (n, -m) head
-        lead = np.argmax(np.abs(a_raw[:2]))
-        b_scaled = b_raw * (a_raw[lead] / b_raw[lead])
-        n, mneg = a_raw[0], a_raw[1]
-        a_val, b_val = a_raw[2], b_scaled[2]
-        out.append(HPoint([n + s * a_val, mneg + t * a_val, a_val]))
-        out.append(HPoint([n + s * b_val, mneg + t * b_val, b_val]))
-    return Config6(out)
+        a, b = u[:, 2 * i], u[:, 2 * i + 1]
+        big_d = meet(e0, e1, a, b)[0]
+        out += [meet(q, p, c, big_d)[0] for p in (a, b)]
+    return np.stack(out, axis=1)
 
 
-def phi_triv_geometric(center: HPoint, cfg: Config6, tol: Tolerances = DEFAULT_TOL) -> Config6:
-    """Ruler construction behind phi_triv, valid away from its singular locus:
-    D_i = l cap d_i, Q = l cap (I0 I), d_i' = I D_i, A_i' = (Q A_i) cap d_i'."""
-    i0 = HPoint(I0_PLANAR)
-    ell = line_through(HPoint(_c(1, 0, 0)), HPoint(_c(0, 1, 0)), tol)  # X2 = 0
-    q = meet_lines(ell, line_through(i0, center, tol), tol)
-    out = []
-    for i in range(3):
-        d_i = cfg.line(i, tol)
-        big_d = meet_lines(ell, d_i, tol)
-        d_new = line_through(center, big_d, tol)
-        for p in (cfg.points[2 * i], cfg.points[2 * i + 1]):
-            out.append(meet_lines(line_through(q, p, tol), d_new, tol))
-    return Config6(out)
+def _project_from(q, points, h):
+    """Central projection from the point q onto the hyperplane h . X = 0,
+    batched: the point where the line q x meets it, (h . q) x - (h . x) q.
+    In CP^2, where hyperplanes are lines, this is cross(cross(q, x), h)."""
+    x, h = (unit_rows(np.asarray(a, dtype=np.complex128)) for a in (points, h))
+    return np.sum(h * q, axis=-1)[..., None] * x - np.sum(h * x, axis=-1)[..., None] * q
 
 
-PSI_TRIV_Q = HPoint(_c(1, 1, 1))
+PSI_TRIV_Q = _c(1, 1, 1)
 
 
-def psi_triv(duals, pairs, tol: Tolerances = DEFAULT_TOL) -> Config6:
-    """Trivialization of the line fibration: project the reference fiber
-    points from Q = [1:1:1] onto the target lines, A_i = d_i cap (Q A_i^0).
+def psi_triv(duals, configs) -> np.ndarray:
+    """Trivialization of the line fibration, batched over samples: project
+    the reference fiber points from Q = [1:1:1] onto the target lines,
+    A_i = d_i cap (Q A_i^0).
 
-    duals: three covectors of target lines through [0:0:1]; pairs: three
-    (A_i^0, B_i^0) HPoint pairs on the base lines.
+    duals: (N, 3, 3) covectors of target lines through [0:0:1]; configs:
+    (N, 6, 3) reference points (A_i^0, B_i^0) on the base lines.  Returns
+    the (N, 6, 3) output configurations.
     """
-    from .projective import line_from_dual
-
-    out = []
-    for i in range(3):
-        d_i = line_from_dual(np.asarray(duals[i], dtype=complex), tol)
-        for p in pairs[i]:
-            out.append(meet_lines(line_through(PSI_TRIV_Q, p, tol), d_i, tol))
-    return Config6(out)
+    return _project_from(PSI_TRIV_Q, configs, np.repeat(duals, 2, axis=-2))
 
 
-GR_TRIV_Q = HPoint(_c(0, 0, 0, 1))   # projection center, inside H: X2 = 0
-GR_TRIV_P0 = _c(0, 0, 0, 1)          # reference plane X3 = 0 (covector)
+GR_TRIV_Q = _c(0, 0, 0, 1)    # projection center, inside H: X2 = 0
+GR_TRIV_P0 = _c(0, 0, 0, 1)   # reference plane X3 = 0 (covector)
 
 
-def gr_triv(plane_cov, cfg: Config6, tol: Tolerances = DEFAULT_TOL) -> Config6:
-    """Projection-from-Q trivialization of the plane fibration in CP^3.
+def gr_triv(planes, configs) -> np.ndarray:
+    """Projection-from-Q trivialization of the plane fibration in CP^3,
+    batched over samples.
 
-    plane_cov: covector of a plane P through [0:0:1:0] with Q not on P;
-    cfg: a configuration inside the reference plane X3 = 0 with center
-    [0:0:1:0].  Geometric construction: C_i = (Q v (d_i cap l0)) cap l with
-    l = P cap H, d_i' = I C_i, A_i' = (Q v A_i) cap d_i'.
+    planes: (N, 4) covectors of planes P through [0:0:1:0] with Q not on P;
+    configs: (N, 6, 4) configurations inside the reference plane X3 = 0 with
+    center [0:0:1:0].  The geometric construction C_i = (Q v (d_i cap l0))
+    cap l with l = P cap H, d_i' = I C_i, A_i' = (Q v A_i) cap d_i' sends
+    A_i to the point where Q A_i meets P: Q A_i lies in the plane Q v d_i,
+    which meets P in d_i'.  Returns the (N, 6, 4) output configurations.
     """
-    u = np.asarray(plane_cov, dtype=complex)
-    i0 = HPoint(I0_SOLID)
-    if abs(u @ i0.coords) > 1e-9 * np.linalg.norm(u):
+    u = np.asarray(planes, dtype=np.complex128)
+    norm = np.linalg.norm(u, axis=-1)
+    if np.any(np.abs(u @ I0_SOLID) > 1e-9 * norm):
         raise ValueError("plane does not contain the center")
-    if abs(u @ GR_TRIV_Q.coords) < 1e-12 * np.linalg.norm(u):
+    if np.any(np.abs(u @ GR_TRIV_Q) < 1e-12 * norm):
         raise ValueError("plane meets the projection center Q")
-    # l0 = P0 cap H = {X2 = X3 = 0}; l = P cap H computed from two solutions.
-    l0 = line_through(HPoint(_c(1, 0, 0, 0)), HPoint(_c(0, 1, 0, 0)), tol)
-    ell = _plane_cap_h(u, tol)
-    out = []
-    for i in range(3):
-        d_i = cfg.line(i, tol)
-        c0 = meet_lines(d_i, l0, tol)
-        c_new = meet_lines(line_through(GR_TRIV_Q, c0, tol), ell, tol)
-        d_new = line_through(i0, c_new, tol)
-        for p in (cfg.points[2 * i], cfg.points[2 * i + 1]):
-            out.append(meet_lines(line_through(GR_TRIV_Q, p, tol), d_new, tol))
-    return Config6(out)
-
-
-def _plane_cap_h(u, tol) -> PLine:
-    """Intersection line of the plane u.X = 0 with H: X2 = 0, as a span."""
-    rows = np.stack([u, _c(0, 0, 1, 0)])
-    _, _, vh = np.linalg.svd(rows)
-    basis = np.conj(vh[2:])
-    return line_through(HPoint(basis[0]), HPoint(basis[1]), tol)
+    return _project_from(GR_TRIV_Q, configs, u[:, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -619,49 +605,6 @@ def get(item_id: str) -> AtlasItem:
         return _REGISTRY[item_id]
     except KeyError:
         raise AtlasError(f"unknown atlas item {item_id!r}") from None
-
-
-def eval_item(item_id: str, z: complex = None, theta: float = None,
-              t: float = None):
-    """Evaluate one item at a single parameter and return a typed value.
-
-    ``z`` is the complex parameter (unit modulus for circle items, |z| <= 1
-    for disks); alternatively give the angle directly.  Returns a Config6,
-    an HPoint (points and plane covectors), a tuple of three PLine (line
-    triples), a complex scalar, or a chart-coordinate pair.
-    """
-    item = get(item_id)
-    if item.formula is None:
-        raise AtlasError(f"{item_id} is a trivialization; call its function directly")
-    rho = None
-    if z is not None:
-        zc = complex(z)
-        theta = float(np.angle(zc)) % TWO_PI
-        if item.kind == "disk":
-            rho = abs(zc)
-            if rho > 1 + 1e-12:
-                raise AtlasError(f"parameter {zc} outside the unit disk")
-        elif abs(abs(zc) - 1.0) > 1e-9 and item.kind in ("loop", "cylinder"):
-            raise AtlasError(f"parameter {zc} is not on the unit circle")
-    elif theta is None:
-        theta = 0.0
-    if item.kind == "cylinder":
-        if t is None:
-            raise AtlasError(f"{item_id} needs the cylinder parameter t")
-        if not 0.0 <= t <= 1.0:
-            raise AtlasError("cylinder parameter t outside [0, 1]")
-    val = item.eval(np.array([theta]), t=t, rho=rho)[0]
-    if item.value_kind == "config":
-        return Config6([HPoint(row) for row in val])
-    if item.value_kind in ("point", "plane"):
-        return HPoint(val)
-    if item.value_kind == "lines_dual":
-        return tuple(HPoint(row) for row in val)
-    if item.value_kind == "lines_span":
-        return tuple(PLine(HPoint(a), HPoint(b)) for a, b in val)
-    if item.value_kind == "scalar":
-        return complex(val)
-    return tuple(complex(v) for v in val)
 
 
 def list_items() -> list:

@@ -15,6 +15,7 @@ one inconclusive result, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -151,10 +152,16 @@ def cmd_verify(args) -> int:
     else:
         claim_ids = list(ALL_CLAIM_IDS)
 
-    run = run_verification(cfg, claim_ids)
-    doc = run.to_json()
-    if args.json:
-        Path(args.json).write_text(rpt.dumps(doc), encoding="utf-8")
+    # open the report file first, so a bad path costs no verification run
+    try:
+        json_out = open(args.json, "w", encoding="utf-8") if args.json else None
+    except OSError as e:
+        raise UsageError(f"cannot write the JSON report: {e}") from None
+    with json_out or contextlib.nullcontext():
+        run = run_verification(cfg, claim_ids)
+        doc = run.to_json()
+        if json_out:
+            json_out.write(rpt.dumps(doc))
     if args.format == "json":
         sys.stdout.write(rpt.dumps(doc))
     else:

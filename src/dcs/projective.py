@@ -1,5 +1,5 @@
-"""Complex projective arithmetic: homogeneous points, two-point lines,
-incidence, spans, brackets, and tolerance-aware equality.
+"""Complex projective arithmetic: homogeneous points, the meet of two
+lines, incidence, spans, brackets, and tolerance-aware equality.
 
 Points live in CP^n as nonzero vectors of n+1 complex binary64 entries,
 compared up to scale with the chordal (Fubini-Study sine) metric.  All
@@ -11,6 +11,7 @@ immutable values; batched variants (suffix ``_batch``) take arrays shaped
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,6 @@ class ZeroVectorError(ProjectiveError):
     pass
 
 
-class DegenerateSpanError(ProjectiveError):
-    """Raised when points expected to span a line (etc.) coincide."""
-
-
-class NoIntersectionError(ProjectiveError):
-    """Raised when two lines do not meet (skew lines in CP^3 or higher)."""
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric thresholds shared by every predicate.
@@ -59,8 +52,8 @@ class Tolerances:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         if not self.proj_eq_tol < 1.0:
             raise ValueError("proj_eq_tol must be < 1")
 
@@ -122,60 +115,6 @@ class HPoint:
         return f"[{entries}]"
 
 
-class PLine:
-    """A projective line stored as an ordered span of two distinct points.
-
-    Works uniformly in every CP^n; the dual covector form is available in
-    CP^2 via :meth:`dual`.
-    """
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: HPoint, q: HPoint, tol: Tolerances = DEFAULT_TOL):
-        if p.ambient_dim != q.ambient_dim:
-            raise DimensionMismatchError("line endpoints in different ambient spaces")
-        if proj_dist(p, q) <= tol.proj_eq_tol:
-            raise DegenerateSpanError("coincident points do not span a line")
-        self.p = p
-        self.q = q
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.p.ambient_dim
-
-    def dual(self) -> HPoint:
-        """Dual covector of a line in CP^2 (coefficients of its equation)."""
-        if self.ambient_dim != 2:
-            raise DimensionMismatchError("dual covector form only in CP^2")
-        return HPoint(np.cross(self.p.coords, self.q.coords))
-
-    def span(self) -> np.ndarray:
-        return np.stack([self.p.unit(), self.q.unit()])
-
-    def __repr__(self) -> str:
-        return f"PLine({self.p!r}, {self.q!r})"
-
-
-def line_from_dual(cov, tol: Tolerances = DEFAULT_TOL) -> PLine:
-    """Line in CP^2 with equation cov . X = 0, as a two-point span.
-
-    The three cross products cov x e_i span the two-dimensional solution
-    space, so some pair of them is independent; pick the largest as the
-    first point and the farthest (chordally) as the second.
-    """
-    c = np.asarray(cov, dtype=np.complex128)
-    if c.shape != (3,):
-        raise DimensionMismatchError("dual covector must have 3 entries")
-    crosses = [np.cross(c, e) for e in np.eye(3)]
-    crosses.sort(key=lambda v: -np.linalg.norm(v))
-    p = HPoint(crosses[0])
-    q = max((HPoint(v) for v in crosses[1:] if np.linalg.norm(v) > 1e-14 * np.linalg.norm(c)),
-            key=lambda h: proj_dist(p, h))
-    if proj_dist(p, q) <= tol.proj_eq_tol:
-        raise DegenerateSpanError("could not build two distinct points on line")
-    return PLine(p, q, tol)
-
-
 # ---------------------------------------------------------------------------
 # batched helpers (arrays of representatives, leading axes broadcast)
 
@@ -220,8 +159,31 @@ def relative_singular_values(rows: np.ndarray) -> np.ndarray:
     return s / s[..., :1]
 
 
+def meet(p1, q1, p2, q2):
+    """Meet of the lines p1 q1 and p2 q2, batched over leading axes.
+
+    The arguments are unit representatives (..., n+1).  The meet is the
+    null vector (a, b, c, d) of the columns [p1, q1, -p2, -q2], read as
+    a p1 + b q1.  Returns the unit meet point, the skew residual (the
+    fourth relative singular value of the columns: zero when the lines are
+    coplanar, and always zero in CP^2) and the mask of nodes where the meet
+    is defined (a p1 + b q1 does not vanish, so p1 q1 spans a line that
+    meets p2 q2 in one point).
+    """
+    p1, q1, p2, q2 = np.broadcast_arrays(p1, q1, p2, q2)
+    cols = np.stack([p1, q1, -p2, -q2], axis=-1)  # (..., n+1, 4)
+    _, s, vh = np.linalg.svd(cols)
+    skew = s[..., 3] / s[..., 0] if cols.shape[-2] > 3 else np.zeros(s.shape[:-1])
+    ab = np.conj(vh[..., -1, :2])
+    point = ab[..., 0, None] * p1 + ab[..., 1, None] * q1
+    norm = np.linalg.norm(point, axis=-1, keepdims=True)
+    degenerate = norm[..., 0] < 1e-12
+    norm[degenerate] = 1.0
+    return point / norm, skew, ~degenerate
+
+
 # ---------------------------------------------------------------------------
-# point/line operations
+# point operations
 
 def _check_same_dim(p: HPoint, q: HPoint):
     if p.ambient_dim != q.ambient_dim:
@@ -253,70 +215,12 @@ def span_dim(points, tol: Tolerances = DEFAULT_TOL) -> int:
     return rank - 1
 
 
-def line_through(p: HPoint, q: HPoint, tol: Tolerances = DEFAULT_TOL) -> PLine:
-    """The unique line through two projectively distinct points."""
-    _check_same_dim(p, q)
-    return PLine(p, q, tol)
-
-
-def on_line(x: HPoint, line: PLine, tol: Tolerances = DEFAULT_TOL):
-    """Incidence test; returns (bool, margin) where margin is the smallest
-    relative singular value of the stacked representatives."""
-    if x.ambient_dim != line.ambient_dim:
-        raise DimensionMismatchError("point and line in different ambient spaces")
-    rows = np.stack([x.unit(), line.p.unit(), line.q.unit()])
-    residual = float(relative_singular_values(rows)[2])
-    return residual <= tol.rank_rel_tol, residual
-
-
-def meet_lines(l1: PLine, l2: PLine, tol: Tolerances = DEFAULT_TOL) -> HPoint:
-    """Unique intersection point of two distinct coplanar lines."""
-    if l1.ambient_dim != l2.ambient_dim:
-        raise DimensionMismatchError("lines in different ambient spaces")
-    four = np.stack([l1.p.unit(), l1.q.unit(), l2.p.unit(), l2.q.unit()])
-    rel = relative_singular_values(four)
-    if rel[1] <= tol.rank_rel_tol:
-        raise DegenerateSpanError("degenerate line spans")
-    if rel[2] <= tol.rank_rel_tol:
-        raise DegenerateSpanError("identical lines have no unique meet")
-    if four.shape[1] > 3 and rel[3] > tol.rank_rel_tol:
-        raise NoIntersectionError("skew lines (four points span a 3-space)")
-    # x = a p1 + b q1 = c p2 + d q2: null vector of the (n+1) x 4 column stack.
-    cols = np.stack(
-        [l1.p.unit(), l1.q.unit(), -l2.p.unit(), -l2.q.unit()], axis=1
-    )
-    _, _, vh = np.linalg.svd(cols)
-    a, b = vh[-1, 0].conj(), vh[-1, 1].conj()
-    x = a * l1.p.unit() + b * l1.q.unit()
-    if np.linalg.norm(x) < 1e-8:
-        raise NoIntersectionError("meet computation degenerated")
-    pt = HPoint(x)
-    ok1, r1 = on_line(pt, l1, tol)
-    ok2, r2 = on_line(pt, l2, tol)
-    if not (ok1 and ok2):
-        raise NoIntersectionError(
-            f"no common point within tolerance (residuals {r1:.3g}, {r2:.3g})"
-        )
-    return pt
-
-
-def bracket(p: HPoint, q: HPoint, r: HPoint) -> complex:
-    """3x3 determinant of homogeneous representatives in CP^2.
-
-    Vanishes exactly on collinear triples; depends on the chosen
-    representatives only up to a nonzero scalar per argument.
-    """
-    for x in (p, q, r):
-        if x.ambient_dim != 2:
-            raise DimensionMismatchError("bracket requires ambient CP^2")
-    return bracket_rows(p.coords, q.coords, r.coords)
-
-
 def bracket_rows(a, b, c):
-    """Cofactor-expansion 3x3 determinant, batched over leading axes."""
-    det = (
+    """Cofactor-expansion 3x3 determinant of CP^2 representatives, batched
+    over leading axes.  Vanishes exactly on collinear triples; depends on
+    the representatives only up to a nonzero scalar per argument."""
+    return (
         a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
         - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
         + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
     )
-    return complex(det) if np.ndim(det) == 0 else det

@@ -23,11 +23,10 @@ from .projective import (
     DEFAULT_TOL,
     DimensionMismatchError,
     HPoint,
-    PLine,
     ProjectiveError,
     Tolerances,
     chordal_batch,
-    line_through,
+    meet,
     relative_singular_values,
     span_dim,
     unit_rows,
@@ -145,7 +144,8 @@ class MembershipReport:
 
 
 class Config6:
-    """Six ordered points with lazily derived lines and center.
+    """Six ordered points (A1, B1, A2, B2, A3, B3), the boundary type of the
+    command line and the JSON files.
 
     Construction is lenient; :func:`validate` reports which invariants hold
     instead of refusing to build a broken tuple.
@@ -169,10 +169,6 @@ class Config6:
 
     def array(self) -> np.ndarray:
         return np.stack([p.coords for p in self.points])
-
-    def line(self, i: int, tol: Tolerances = DEFAULT_TOL) -> PLine:
-        a, b = _LINE_IDX[i]
-        return line_through(self.points[a], self.points[b], tol)
 
     def to_json(self, tag: Optional[SpaceTag] = None) -> dict:
         d = {"points": [p.to_json() for p in self.points]}
@@ -286,19 +282,10 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
         ok &= _record(fail_counts, f"lines-distinct {name}", rel > tol.rank_rel_tol)
 
     # concurrency: meet of d1 and d2, then incidence of the meet on d3
-    cols = np.stack([u[:, 0], u[:, 1], -u[:, 2], -u[:, 3]], axis=-1)  # (N, m, 4)
-    _, s_cols, vh = np.linalg.svd(cols)
-    if m > 3:
-        meet_res = s_cols[..., 3] / s_cols[..., 0]
-        residuals = np.maximum(residuals, meet_res)
-        ok &= _record(fail_counts, "concurrent d1-d2", meet_res <= tol.rank_rel_tol)
-    ab = np.conj(vh[:, -1, :2])
-    centers = ab[:, 0, None] * u[:, 0] + ab[:, 1, None] * u[:, 1]
-    cn = np.linalg.norm(centers, axis=-1, keepdims=True)
-    degenerate_meet = cn[:, 0] < 1e-12
-    ok &= _record(fail_counts, "meet-defined", ~degenerate_meet)
-    cn[degenerate_meet] = 1.0
-    centers = centers / cn
+    centers, skew, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    residuals = np.maximum(residuals, skew)
+    ok &= _record(fail_counts, "concurrent d1-d2", skew <= tol.rank_rel_tol)
+    ok &= _record(fail_counts, "meet-defined", defined)
 
     rows3 = np.concatenate([centers[:, None, :], u[:, 4:6, :]], axis=1)
     inc = relative_singular_values(rows3)[..., 2]

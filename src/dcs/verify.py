@@ -6,6 +6,7 @@ with winding tables and exact Smith-normal-form certificates.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .paths import (
 )
 from .projective import HPoint, Tolerances, chordal_batch, unit_rows
 from .report import FAIL, PASS, ClaimReport, RunReport
-from .strata import Config6, SpaceTag, random_config, validate
+from .strata import random_config, validate_values
 
 # ---------------------------------------------------------------------------
 # run configuration
@@ -78,6 +79,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_int(value) or isinstance(value, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
         if self.circle_samples < DEFAULT_CIRCLE // 4:
             raise ValueError("circle sample cap below a quarter of the default")
         if self.circle_samples > inv.MAX_WINDING_SAMPLES:
@@ -198,71 +201,81 @@ def _relation_check(rep: ClaimReport, name, lhs, rhs, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # claim family verifiers
 
-def _add_sample_margin(rep: ClaimReport, worst_valid, cfg: RunConfig):
-    if not np.isfinite(worst_valid):
-        rep.add("output validity margin", FAIL, note="no sample produced a valid output")
+def _add_output_validity(rep: ClaimReport, res, cfg: RunConfig, center_dist=None):
+    """Validity rows of one batch of trivialization outputs: a FAIL row that
+    names the failing sub-checks if any output is invalid, then the least
+    margin over the valid outputs.  ``center_dist`` adds the fixed-center
+    condition: each output's meet within proj_eq_tol of its required center.
+    Returns the mask of valid outputs."""
+    valid, failing = res.verdicts, set(res.fail_counts)
+    if center_dist is not None:
+        matches = center_dist <= cfg.tol.proj_eq_tol
+        valid = valid & matches
+        if not matches.all():
+            failing.add("center-matches")
+    if not valid.all():
+        rep.add("output validity", FAIL,
+                note=f"{int(np.sum(~valid))} of {valid.size} outputs invalid; "
+                     f"failing sub-checks: {sorted(failing)}")
+    if valid.any():
+        rep.add_margin("output validity margin", float(res.margins[valid].min()),
+                       cfg.sweep_margin_min)
     else:
-        rep.add_margin("output validity margin", worst_valid, cfg.sweep_margin_min)
+        rep.add("output validity margin", FAIL, note="no sample produced a valid output")
+    return valid
+
+
+def _worst(values) -> float:
+    """Largest of the distances, 0 when there are none."""
+    return float(np.max(values, initial=0.0))
 
 
 def verify_C1(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C1")
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed + 1)
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
-    configs = [base] + [
-        random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 10 + i, tol) for i in range(3)
-    ]
+    base = atlas.PLANAR_BASE
+    configs = np.stack([base] + [
+        random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 10 + i, tol).array() for i in range(3)
+    ])
 
     # identity at the reference center
-    i0 = HPoint(atlas.I0_PLANAR)
-    worst_ident = max(
-        compare_values(atlas.phi_triv(i0, c, tol).array(), c.array(), "config")
-        for c in configs
-    )
-    rep.add_distance("identity at reference center", worst_ident, cfg.lift_tol, cfg.numeric_floor)
+    i0 = np.broadcast_to(atlas.I0_PLANAR, (len(configs), 3))
+    rep.add_distance("identity at reference center",
+                     compare_values(atlas.phi_triv(i0, configs), configs, "config"),
+                     cfg.lift_tol, cfg.numeric_floor)
 
-    # generic centers: output validity, center correctness, ruler agreement
-    worst_valid = np.inf
-    worst_center = 0.0
-    worst_geom = 0.0
-    for _ in range(12):
-        s, t = rng.normal(size=2) + 1j * rng.normal(size=2)
-        center = HPoint([s, t, 1.0])
-        for c in configs:
-            out = atlas.phi_triv(center, c, tol)
-            tag = SpaceTag.planar_fixed(2, center)
-            mrep = validate(out.points, tag, tol)
-            if not mrep.verdict:
-                rep.add("output validity", FAIL, note="; ".join(mrep.failures))
-                continue
-            worst_valid = min(worst_valid, mrep.margin)
-            worst_center = max(worst_center, mrep.details["max_residual"])
-            geom = atlas.phi_triv_geometric(center, c, tol)
-            worst_geom = max(worst_geom, compare_values(out.array(), geom.array(), "config"))
-    _add_sample_margin(rep, worst_valid, cfg)
-    rep.add_distance("output center equals projection input", worst_center,
+    # generic centers: output validity, center correctness, ruler agreement;
+    # each of 12 centers [s:t:1] against every configuration
+    st = np.stack([rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(12)])
+    centers = np.repeat(np.column_stack([st, np.ones(len(st))]), len(configs), axis=0)
+    inputs = np.tile(configs, (len(st), 1, 1))
+    out = atlas.phi_triv(centers, inputs)
+    res = validate_values(out, atlas.TAG_PLANAR_2, tol)
+    center_dist = chordal_batch(res.centers, unit_rows(centers))
+    valid = _add_output_validity(rep, res, cfg, center_dist)
+    rep.add_distance("output center equals projection input",
+                     _worst(np.maximum(res.residuals, center_dist)[valid]),
                      tol.rank_rel_tol, cfg.numeric_floor)
-    rep.add_distance("agreement with the ruler construction", worst_geom,
+    geom = atlas.phi_triv_geometric(centers[valid], inputs[valid])
+    rep.add_distance("agreement with the ruler construction",
+                     _worst(value_dist(out[valid], geom, "config")),
                      cfg.lift_tol, cfg.numeric_floor)
 
     # continuity across the singular locus of the geometric construction
     locus = HPoint([-1.0, 1.0, 3.0])          # on the first base line, off X2=0
     target = HPoint([0.4 + 0.3j, -0.8 + 0.1j, 1.0])
-    at_locus = atlas.phi_triv(locus, base, tol).array()
-    dists = []
-    for eps in (1e-2, 1e-4, 1e-6):
-        c = HPoint((1 - eps) * locus.unit() + eps * target.unit())
-        d = compare_values(atlas.phi_triv(c, base, tol).array(), at_locus, "config")
-        dists.append(d)
+    ray = [(1 - eps) * locus.unit() + eps * target.unit() for eps in (1e-2, 1e-4, 1e-6)]
+    at_locus, *near = atlas.phi_triv(np.stack([locus.coords] + ray),
+                                     np.broadcast_to(base, (len(ray) + 1, 6, 3)))
+    dists = list(value_dist(np.stack(near), at_locus, "config"))
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     rep.add("limit onto the singular locus", PASS if (decreasing and dists[-1] < 1e-4) else FAIL,
             dists[-1], 1e-4, note=f"ray distances {['%.2e' % d for d in dists]}")
     geom_near = atlas.phi_triv_geometric(
-        HPoint((1 - 1e-4) * locus.unit() + 1e-4 * target.unit()), base, tol
-    ).array()
+        ((1 - 1e-4) * locus.unit() + 1e-4 * target.unit())[None], base[None])
     rep.add_distance("ruler construction limit matches the formula on the locus",
-                     compare_values(geom_near, at_locus, "config"), 1e-2, cfg.numeric_floor)
+                     compare_values(geom_near, at_locus[None], "config"), 1e-2, cfg.numeric_floor)
     return rep
 
 
@@ -270,19 +283,15 @@ def verify_C2(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C2")
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed + 2)
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
+    base = atlas.PLANAR_BASE
     base_duals = np.stack([atlas.D10_DUAL, atlas.D20_DUAL, atlas.D30_DUAL])
-    base_pairs = [(base.points[0], base.points[1]),
-                  (base.points[2], base.points[3]),
-                  (base.points[4], base.points[5])]
 
-    out = atlas.psi_triv(base_duals, base_pairs, tol)
+    out = atlas.psi_triv(base_duals[None], base[None])
     rep.add_distance("identity at the base line triple",
-                     compare_values(out.array(), base.array(), "config"),
+                     compare_values(out, base[None], "config"),
                      cfg.lift_tol, cfg.numeric_floor)
 
-    worst_valid = np.inf
-    worst_lines = 0.0
+    samples = []
     for _ in range(8):
         # three distinct lines through the center, away from Q = [1:1:1]
         duals = []
@@ -294,17 +303,12 @@ def verify_C2(cfg: RunConfig) -> ClaimReport:
             if any(float(chordal_batch(unit_rows(cov), unit_rows(d))) < 0.15 for d in duals):
                 continue
             duals.append(cov)
-        duals = np.stack(duals)
-        out = atlas.psi_triv(duals, base_pairs, tol)
-        mrep = validate(out.points, atlas.TAG_PLANAR_FIXED_2, tol)
-        if not mrep.verdict:
-            rep.add("output validity", FAIL, note="; ".join(mrep.failures))
-            continue
-        worst_valid = min(worst_valid, mrep.margin)
-        got = config_lines_dual(out.array()[None])[0]
-        worst_lines = max(worst_lines, float(np.max(value_dist(got, duals, "lines_dual"))))
-    _add_sample_margin(rep, worst_valid, cfg)
-    rep.add_distance("output lines equal the requested lines", worst_lines,
+        samples.append(np.stack(duals))
+    duals = np.stack(samples)
+    out = atlas.psi_triv(duals, np.broadcast_to(base, (len(duals), 6, 3)))
+    valid = _add_output_validity(rep, validate_values(out, atlas.TAG_PLANAR_FIXED_2, tol), cfg)
+    rep.add_distance("output lines equal the requested lines",
+                     _worst(value_dist(config_lines_dual(out[valid]), duals[valid], "lines_dual")),
                      cfg.lift_tol, cfg.numeric_floor)
     return rep
 
@@ -525,63 +529,46 @@ def verify_C15(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C15")
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed + 15)
-    base3 = atlas.basepoint(atlas.TAG_PLANAR_FIXED_3)
-    configs = [base3]
-    for i in range(2):
-        c2 = random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 40 + i, tol)
-        configs.append(Config6.from_array(atlas.embed(c2.array())))
+    configs = np.stack([atlas.PLANAR_BASE_CP3] + [
+        atlas.embed(random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 40 + i, tol).array())
+        for i in range(2)
+    ])
 
-    p0 = np.array([0, 0, 0, 1], dtype=complex)
-    worst_ident = max(
-        compare_values(atlas.gr_triv(p0, c, tol).array(), c.array(), "config")
-        for c in configs
-    )
-    rep.add_distance("identity at the reference plane", worst_ident,
+    p0 = np.broadcast_to(atlas.GR_TRIV_P0, (len(configs), 4))
+    rep.add_distance("identity at the reference plane",
+                     compare_values(atlas.gr_triv(p0, configs), configs, "config"),
                      cfg.lift_tol, cfg.numeric_floor)
 
-    worst_valid = np.inf
-    worst_inc = 0.0
-    display_two, display_full = 0.0, 0.0
+    # each of 8 planes through the center, with Q off the plane, against
+    # every configuration
+    covs = []
     for _ in range(8):
         u = rng.normal(size=3) + 1j * rng.normal(size=3)
-        cov = np.array([u[0], u[1], 0.0, u[2] + 2.0], dtype=complex)  # keep Q off P
-        for c in configs:
-            out = atlas.gr_triv(cov, c, tol)
-            mrep = validate(out.points, atlas.TAG_PLANAR_FIXED_3, tol)
-            if not mrep.verdict:
-                rep.add("output validity", FAIL, note="; ".join(mrep.failures))
-                continue
-            worst_valid = min(worst_valid, mrep.margin)
-            worst_inc = max(worst_inc, float(np.max(plane_incidence(out.array()[None],
-                                                               cov[None]))))
-            d2, dfull = _gr_display_distances(cov, c, out)
-            display_two = max(display_two, d2)
-            display_full = max(display_full, dfull)
-    _add_sample_margin(rep, worst_valid, cfg)
-    rep.add_distance("output lies in the target plane", worst_inc,
+        covs.append(np.array([u[0], u[1], 0.0, u[2] + 2.0], dtype=complex))
+    planes = np.repeat(np.stack(covs), len(configs), axis=0)
+    inputs = np.tile(configs, (len(covs), 1, 1))
+    out = atlas.gr_triv(planes, inputs)
+    valid = _add_output_validity(rep, validate_values(out, atlas.TAG_PLANAR_FIXED_3, tol), cfg)
+    rep.add_distance("output lies in the target plane",
+                     _worst(plane_incidence(out[valid], planes[valid])),
                      cfg.lift_tol, cfg.numeric_floor)
+
+    # two readings of the printed point display for the plane
+    # X0 = p1 X1 + p2 X2 + p3 X3, where the plane is such a graph
+    shown = valid & (np.abs(planes[:, 0]) > 1e-9)
+    p = -planes[shown, 1:] / planes[shown, :1]
+    tail = inputs[shown][..., 1:]
+    heads = {"two_term": p[:, None, 0] * tail[..., 0] + p[:, None, 1] * tail[..., 1],
+             "full": np.sum(p[:, None, :] * tail, axis=-1)}
+    display = {name: _worst(value_dist(out[shown], np.concatenate([head[..., None], tail],
+                                                                  axis=-1), "config"))
+               for name, head in heads.items()}
     rep.add("printed coordinate display comparison (report only)", PASS,
-            note=f"two-term reading distance {display_two:.3e}, "
-                 f"full linear reading distance {display_full:.3e}; the display's "
+            note=f"two-term reading distance {display['two_term']:.3e}, "
+                 f"full linear reading distance {display['full']:.3e}; the display's "
                  "indices are inconsistent, the projection construction is authoritative")
-    rep.extra["display_distances"] = {"two_term": display_two, "full": display_full}
+    rep.extra["display_distances"] = display
     return rep
-
-
-def _gr_display_distances(cov, cfg_in: Config6, out: Config6):
-    """Distances between the projection construction and two readings of the
-    printed point display for the plane X0 = p1 X1 + p2 X2 + p3 X3."""
-    p = -cov[1:] / cov[0] if abs(cov[0]) > 1e-9 else None
-    if p is None:
-        return 0.0, 0.0
-    worst2 = worst_full = 0.0
-    for got, src in zip(out.points, cfg_in.points):
-        tail = src.coords[1:]
-        two = HPoint([p[0] * tail[0] + p[1] * tail[1], *tail])
-        full = HPoint([p @ tail, *tail])
-        worst2 = max(worst2, float(chordal_batch(got.unit(), two.unit())))
-        worst_full = max(worst_full, float(chordal_batch(got.unit(), full.unit())))
-    return worst2, worst_full
 
 
 def _new_report(claim_id: str) -> ClaimReport:

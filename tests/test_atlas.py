@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dcs import atlas
-from dcs.paths import closure_report, junction_report, sweep_item
-from dcs.projective import HPoint, proj_dist
-from dcs.strata import SpaceTag, validate
+from dcs.paths import closure_report, compare_values, junction_report, plane_incidence, sweep_item
+from dcs.projective import HPoint, bracket_rows, proj_dist, unit_rows
+from dcs.strata import SpaceTag, random_config, validate
 
 TWO_PI = 2 * np.pi
 
@@ -109,43 +109,31 @@ def test_phi_disk_boundary_collapses():
 
 
 # ---------------------------------------------------------------------------
-# single-parameter typed evaluation
+# evaluation at single parameters
 
 def test_eval_item_returns_configuration_at_base():
-    cfg = atlas.eval_item("alpha", z=1.0)
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
-    assert max(proj_dist(a, b) for a, b in zip(cfg.points, base.points)) < 1e-14
-    cfg = atlas.eval_item("sigma", z=1.0)
-    assert max(proj_dist(a, b) for a, b in zip(cfg.points, base.points)) < 1e-14
+    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).array()
+    for item_id in ("alpha", "sigma"):
+        cfg = atlas.get(item_id).eval(np.array([0.0]))[0]
+        assert compare_values(cfg, base, "config") < 1e-14
 
 
 def test_eval_item_point_and_lines():
-    p = atlas.eval_item("Psi", z=0.0)
-    assert proj_dist(p, HPoint([1, 0, 0, 0])) < 1e-15
-    triple = atlas.eval_item("s", z=1j)
-    assert proj_dist(triple[0], HPoint([1j, 1, 0])) < 1e-15
-    spans = atlas.eval_item("F", z=0.5)
-    assert len(spans) == 3
-    val = atlas.eval_item("eta", theta=np.pi)
+    p = atlas.get("Psi").eval(np.array([0.0]), rho=0.0)[0]
+    assert dist_points(p, [1, 0, 0, 0]) < 1e-15
+    triple = atlas.get("s").eval(np.array([np.pi / 2]))[0]
+    assert dist_points(triple[0], [1j, 1, 0]) < 1e-15
+    spans = atlas.get("F").eval(np.array([0.0]), rho=0.5)[0]
+    assert spans.shape == (3, 2, 4)
+    val = atlas.get("eta").eval(np.array([np.pi]))[0]
     assert val == pytest.approx(1 + np.exp(3j * np.pi))
-
-
-def test_eval_item_domain_guards():
     with pytest.raises(atlas.AtlasError):
-        atlas.eval_item("alpha", z=2.0)        # off the circle
-    with pytest.raises(atlas.AtlasError):
-        atlas.eval_item("Psi_tilde", z=3.0)    # outside the disk
-    with pytest.raises(atlas.AtlasError):
-        atlas.eval_item("L", z=1.0)            # missing the cylinder parameter
-    with pytest.raises(atlas.AtlasError):
-        atlas.eval_item("L", z=1.0, t=1.5)     # t outside [0, 1]
-    with pytest.raises(atlas.AtlasError):
-        atlas.eval_item("phi_triv")            # not a parametric item
+        atlas.get("phi_triv").eval(np.array([0.0]))     # not a parametric item
 
 
 def test_eval_item_cylinder_boundary():
-    cfg = atlas.eval_item("L", z=np.exp(0.7j), t=0.0)
-    assert cfg.ambient_dim == 2
+    cfg = atlas.get("L").eval(np.array([0.7]), t=0.0)[0]
+    assert cfg.shape == (6, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +224,7 @@ def test_basepoint_items_broadcast_over_theta(item_id):
     item = atlas.get(item_id)
     vals = item.eval(np.linspace(0.0, 1.0, 5))
     assert vals.shape == (5,) + atlas.basepoint(item.target).array().shape
-    got = atlas.eval_item(item_id)
-    assert np.array_equal(got.array(), atlas.basepoint(item.target).array())
+    assert np.array_equal(vals[0], atlas.basepoint(item.target).array())
     rep = sweep_item(item_id, 512)
     assert rep.ok and rep.grid == "circle:1" and rep.n_nodes == 1
 
@@ -293,74 +280,115 @@ def test_line_disks_stay_valid():
 
 
 # ---------------------------------------------------------------------------
-# trivializations
+# trivializations (batched over samples)
+
+BASE2 = atlas.PLANAR_BASE
+BASE_DUALS = np.stack([atlas.D10_DUAL, atlas.D20_DUAL, atlas.D30_DUAL])
+
 
 def test_phi_triv_identity_and_center():
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
-    out = atlas.phi_triv(HPoint([0, 0, 1]), base)
-    assert max(proj_dist(a, b) for a, b in zip(out.points, base.points)) < 1e-14
+    out = atlas.phi_triv(atlas.I0_PLANAR[None], BASE2[None])
+    assert compare_values(out, BASE2[None], "config") < 1e-14
 
-    center = HPoint([0.3 + 0.2j, -0.4, 1])
-    out = atlas.phi_triv(center, base)
-    rep = validate(out.points, SpaceTag.planar_fixed(2, center))
+    center = np.array([0.3 + 0.2j, -0.4, 1])
+    out = atlas.phi_triv(center[None], BASE2[None])
+    rep = validate([HPoint(p) for p in out[0]], SpaceTag.planar_fixed(2, HPoint(center)))
     assert rep.verdict
-    geom = atlas.phi_triv_geometric(center, base)
-    assert max(proj_dist(a, b) for a, b in zip(out.points, geom.points)) < 1e-9
+    geom = atlas.phi_triv_geometric(center[None], BASE2[None])
+    assert compare_values(out, geom, "config") < 1e-9
 
 
 def test_phi_triv_rejects_center_on_reference_line():
     with pytest.raises(ValueError):
-        atlas.phi_triv(HPoint([1, 1, 0]), atlas.basepoint(atlas.TAG_PLANAR_FIXED_2))
+        atlas.phi_triv(np.array([[0.3, 0.1, 1], [1, 1, 0]]), np.stack([BASE2, BASE2]))
 
 
 def test_psi_triv_identity():
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
-    duals = np.stack([atlas.D10_DUAL, atlas.D20_DUAL, atlas.D30_DUAL])
-    pairs = [(base.points[0], base.points[1]), (base.points[2], base.points[3]),
-             (base.points[4], base.points[5])]
-    out = atlas.psi_triv(duals, pairs)
-    assert max(proj_dist(a, b) for a, b in zip(out.points, base.points)) < 1e-12
+    out = atlas.psi_triv(BASE_DUALS[None], BASE2[None])
+    assert compare_values(out, BASE2[None], "config") < 1e-12
 
 
 def test_psi_triv_random_fibers():
     r = np.random.default_rng(3)
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
-    charts = [lambda w, k=k: HPoint([-1, k, w]) for k in (1, 2)]
-    charts.append(lambda w: HPoint([0, 1, w]))
+    charts = [lambda w, k=k: [-1, k, w] for k in (1, 2)]
+    charts.append(lambda w: [0, 1, w])
+    configs = []
     for _ in range(5):
-        pairs = []
+        pts = []
         for chart in charts:
             a, b = r.normal(size=2) + 1j * r.normal(size=2)
             if abs(a - b) < 0.1:
                 b = a + 1.0
-            pairs.append((chart(a), chart(b)))
-        duals = np.stack([atlas.D10_DUAL, atlas.D20_DUAL, atlas.D30_DUAL])
-        out = atlas.psi_triv(duals, pairs)
-        for got, (want, _) in zip(out.points[::2], pairs):
-            assert proj_dist(got, want) < 1e-9
-        rep = validate(out.points, atlas.TAG_PLANAR_FIXED_2)
-        assert rep.verdict
+            pts += [chart(a), chart(b)]
+        configs.append(np.array(pts, dtype=complex))
+    configs = np.stack(configs)
+    out = atlas.psi_triv(np.broadcast_to(BASE_DUALS, (5, 3, 3)), configs)
+    # on the base lines the projection is the identity
+    assert compare_values(out, configs, "config") < 1e-9
+    for cfg in out:
+        assert validate([HPoint(p) for p in cfg], atlas.TAG_PLANAR_FIXED_2).verdict
+
+
+def test_psi_triv_lands_on_dual_lines():
+    """Each output point lies on its requested line and on the line through
+    Q and its reference point, for random lines through the center and for
+    the isotropic covector [1, i, 0] (d . d = 0), on which picking two
+    points of the line from the cross products d x e_i can collapse."""
+    r = np.random.default_rng(11)
+    duals = np.zeros((20, 3, 3), dtype=complex)
+    duals[..., :2] = r.normal(size=(20, 3, 2)) + 1j * r.normal(size=(20, 3, 2))
+    duals[0, 0] = [1, 1j, 0]
+    out = atlas.psi_triv(duals, np.broadcast_to(BASE2, (20, 6, 3)))
+    u = unit_rows(out)
+    on_d = np.abs(np.sum(u * np.repeat(unit_rows(duals), 2, axis=1), axis=-1))
+    assert on_d.max() < 1e-14
+    on_qa = np.abs(bracket_rows(u, unit_rows(atlas.PSI_TRIV_Q), unit_rows(BASE2)))
+    assert on_qa.max() < 1e-14
+    assert dist_points(out[0, 0], [-1j, 1, 1]) < 1e-15     # [-1:1:1] from [1:1:1]
 
 
 def test_gr_triv_identity_and_validity():
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_3)
-    p0 = np.array([0, 0, 0, 1], dtype=complex)
-    out = atlas.gr_triv(p0, base)
-    assert max(proj_dist(a, b) for a, b in zip(out.points, base.points)) < 1e-12
+    base = atlas.PLANAR_BASE_CP3
+    out = atlas.gr_triv(atlas.GR_TRIV_P0[None], base[None])
+    assert compare_values(out, base[None], "config") < 1e-12
 
     cov = np.array([0.2 + 0.1j, -0.3, 0, 1.0], dtype=complex)
-    out = atlas.gr_triv(cov, base)
-    rep = validate(out.points, atlas.TAG_PLANAR_FIXED_3)
-    assert rep.verdict
+    out = atlas.gr_triv(cov[None], base[None])[0]
+    assert validate([HPoint(p) for p in out], atlas.TAG_PLANAR_FIXED_3).verdict
     # every output point on the plane
-    for p in out.points:
-        u = p.unit()
-        assert abs(cov @ u) / np.linalg.norm(cov) < 1e-12
+    assert np.max(plane_incidence(out, cov)) < 1e-12
 
 
 def test_gr_triv_rejects_bad_planes():
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_3)
-    with pytest.raises(ValueError):
-        atlas.gr_triv(np.array([0, 0, 1.0, 0]), base)   # does not contain the center
-    with pytest.raises(ValueError):
-        atlas.gr_triv(np.array([1.0, 0, 0, 0]), base)   # contains the projection point
+    base = np.stack([atlas.PLANAR_BASE_CP3] * 2)
+    good = np.array([0.2, -0.3, 0, 1.0])
+    with pytest.raises(ValueError):   # does not contain the center
+        atlas.gr_triv(np.stack([good, [0, 0, 1.0, 0]]), base)
+    with pytest.raises(ValueError):   # contains the projection point
+        atlas.gr_triv(np.stack([good, [1.0, 0, 0, 0]]), base)
+
+
+def _trivialization_inputs():
+    r = np.random.default_rng(5)
+    planar = np.stack([atlas.PLANAR_BASE] + [
+        random_config(atlas.TAG_PLANAR_FIXED_2, 70 + i).array() for i in range(5)])
+    centers = np.column_stack([r.normal(size=(6, 2)) + 1j * r.normal(size=(6, 2)),
+                               np.ones(6)])
+    duals = np.zeros((6, 3, 3), dtype=complex)
+    duals[..., :2] = r.normal(size=(6, 3, 2)) + 1j * r.normal(size=(6, 3, 2))
+    planes = np.zeros((6, 4), dtype=complex)
+    planes[:, [0, 1, 3]] = r.normal(size=(6, 3)) + 1j * r.normal(size=(6, 3))
+    planes[:, 3] += 2.0
+    return {"phi_triv": (centers, planar), "phi_triv_geometric": (centers, planar),
+            "psi_triv": (duals, planar), "gr_triv": (planes, atlas.embed(planar))}
+
+
+@pytest.mark.parametrize("name", ["phi_triv", "phi_triv_geometric", "psi_triv", "gr_triv"])
+def test_trivialization_batch_equals_rows(name):
+    """A batch gives byte-equal outputs to the same rows one at a time."""
+    fn = getattr(atlas, name)
+    params, configs = _trivialization_inputs()[name]
+    batch = fn(params, configs)
+    assert batch.shape == configs.shape
+    rows = np.concatenate([fn(params[k:k + 1], configs[k:k + 1]) for k in range(len(params))])
+    assert batch.tobytes() == rows.tobytes()

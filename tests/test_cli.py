@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcs import atlas
+from dcs import atlas, verify
 from dcs.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from dcs.projective import HPoint
 from dcs.strata import SpaceTag, validate
@@ -94,8 +94,9 @@ def _write_run_config(path, kind):
     # "missing": no file at all
 
 
-# unknown or wrongly typed run configuration values: kind -> (file, the claim
-# to run); the error names the innermost first key of the file
+# unknown, wrongly typed or out-of-range run configuration values: kind ->
+# (file, the claim to run); the error names the innermost first key of the
+# file.  Python's json reads and writes Infinity and NaN.
 MISTYPED_CONFIGS = {
     "circle-samples-fraction": ({"circle_samples": 300.5}, "C3"),
     "grid-fraction": ({"disk_grid": [128.5, 64]}, "C3"),
@@ -108,6 +109,11 @@ MISTYPED_CONFIGS = {
     "tolerance-string": ({"tolerances": {"proj_eq_tol": "x"}}, "C3"),
     "tolerance-bool": ({"tolerances": {"proj_eq_tol": True}}, "C3"),
     "tolerance-unknown": ({"tolerances": {"proj_eq": 1e-9}}, "C3"),
+    "boundary-tol-infinity": ({"boundary_tol": float("inf")}, "C11"),
+    "lift-tol-negative": ({"lift_tol": -1}, "C1"),
+    "numeric-floor-nan": ({"numeric_floor": float("nan")}, "C3"),
+    "junction-tol-zero": ({"junction_tol": 0.0}, "C6"),
+    "rank-rel-tol-infinity": ({"tolerances": {"rank_rel_tol": float("inf")}}, "C3"),
 }
 
 
@@ -118,11 +124,20 @@ def _first_key(doc):
 
 @pytest.mark.parametrize("kind", ["missing", "invalid-json", "not-an-object",
                                   "grid-one-size", "grid-scalar", "threads-negative",
+                                  "json-missing-dir", "json-is-a-directory",
                                   *MISTYPED_CONFIGS])
-def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path):
+def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the verification")
+
+    monkeypatch.setattr(verify, "run_verification", no_run)
     f = tmp_path / "cfg.json"
     if kind == "threads-negative":
         argv = ["verify", "--claim", "C3", "--threads", "-2"]
+    elif kind == "json-missing-dir":
+        argv = ["verify", "--claim", "C3", "--json", str(tmp_path / "missing" / "r.json")]
+    elif kind == "json-is-a-directory":
+        argv = ["verify", "--claim", "C3", "--json", str(tmp_path)]
     elif kind in MISTYPED_CONFIGS:
         doc, claim = MISTYPED_CONFIGS[kind]
         f.write_text(json.dumps(doc))

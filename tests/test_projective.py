@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 
 from dcs.projective import (
-    DegenerateSpanError,
+    DEFAULT_TOL,
     DimensionMismatchError,
     HPoint,
-    NoIntersectionError,
     ProjectiveError,
     Tolerances,
     ZeroVectorError,
-    bracket,
-    line_from_dual,
-    line_through,
-    meet_lines,
-    on_line,
+    bracket_rows,
+    meet,
     proj_dist,
+    relative_singular_values,
     span_dim,
+    unit_rows,
 )
 
 A10 = HPoint([-1, 1, 1])
@@ -121,47 +119,43 @@ def test_span_dim_empty_errors():
 
 
 # ---------------------------------------------------------------------------
-# line_through / on_line
+# incidence with the span of two points (third relative singular value)
+
+def incidence(x, p, q):
+    """Rank-2 residual of the unit rows [x; p; q]: zero iff x lies on p q."""
+    return relative_singular_values(unit_rows(np.stack([x.coords, p.coords, q.coords])))[2]
+
 
 def test_line_through_solid_first_line():
     # [0:0:0:1] v [0:0:1:1] is the line X0 = X1 = 0
-    l = line_through(HPoint([0, 0, 0, 1]), HPoint([0, 0, 1, 1]))
-    ok, _ = on_line(HPoint([0, 0, 5, 7]), l)
-    assert ok
-    ok, _ = on_line(HPoint([1, 0, 0, 0]), l)
-    assert not ok
+    p, q = HPoint([0, 0, 0, 1]), HPoint([0, 0, 1, 1])
+    assert incidence(HPoint([0, 0, 5, 7]), p, q) <= DEFAULT_TOL.rank_rel_tol
+    assert incidence(HPoint([1, 0, 0, 0]), p, q) > DEFAULT_TOL.rank_rel_tol
 
 
 def test_line_through_satisfies_first_base_equation():
     # the line through [-1:1:1] and [-1:1:2] is X0 + X1 = 0
-    l = line_through(A10, B10)
-    cov = l.dual()
+    cov = HPoint(np.cross(A10.coords, B10.coords))
     assert proj_dist(cov, HPoint([1, 1, 0])) < 1e-12
 
 
 def test_line_through_coincident_errors():
-    with pytest.raises(DegenerateSpanError):
-        line_through(A10, HPoint(2.0 * A10.coords))
+    # coincident points span no line, so nothing meets it in one point
+    _, _, defined = meet(A10.unit(), HPoint(2.0 * A10.coords).unit(), A20.unit(), I0.unit())
+    assert not defined
 
 
 def test_on_line_center_on_first_line():
-    l = line_through(A10, B10)
-    ok, residual = on_line(I0, l)
-    assert ok and residual < 1e-12
+    assert incidence(I0, A10, B10) < 1e-12
 
 
 def test_on_line_negative():
-    l = line_through(A10, B10)
-    ok, _ = on_line(HPoint([1, 0, 0]), l)
-    assert not ok
+    assert incidence(HPoint([1, 0, 0]), A10, B10) > DEFAULT_TOL.rank_rel_tol
 
 
 def test_on_line_margin_golden():
     # oracle: svd of the unit rows [A2; A1; B1] gives s3/s1 = 0.08377284452...
-    l = line_through(A10, B10)
-    ok, margin = on_line(A20, l)
-    assert not ok
-    assert margin == pytest.approx(0.08377284452080491, rel=1e-9)
+    assert incidence(A20, A10, B10) == pytest.approx(0.08377284452080491, rel=1e-9)
 
 
 def test_on_line_roundtrip_property():
@@ -170,53 +164,54 @@ def test_on_line_roundtrip_property():
         p, q = random_point(r), random_point(r)
         if proj_dist(p, q) < 1e-3:
             continue
-        l = line_through(p, q)
-        assert on_line(p, l)[0] and on_line(q, l)[0]
+        assert incidence(p, p, q) <= DEFAULT_TOL.rank_rel_tol
+        assert incidence(q, p, q) <= DEFAULT_TOL.rank_rel_tol
 
 
 # ---------------------------------------------------------------------------
-# meet_lines
+# meet
 
 def test_meet_base_lines_planar():
-    d1 = line_through(A10, B10)
-    d2 = line_through(A20, HPoint([-1, 2, 2]))
-    assert proj_dist(meet_lines(d1, d2), I0) < 1e-12
+    point, skew, defined = meet(A10.unit(), B10.unit(), A20.unit(), HPoint([-1, 2, 2]).unit())
+    assert defined and skew == 0.0
+    assert proj_dist(HPoint(point), I0) < 1e-12
 
 
 def test_meet_base_lines_solid():
-    d1 = line_through(HPoint([0, 0, 0, 1]), HPoint([0, 0, 1, 1]))
-    d2 = line_through(HPoint([0, 1, 0, 0]), HPoint([0, 1, 1, 0]))
-    assert proj_dist(meet_lines(d1, d2), HPoint([0, 0, 1, 0])) < 1e-12
+    point, skew, defined = meet(*(HPoint(p).unit() for p in
+                                  ([0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0], [0, 1, 1, 0])))
+    assert defined and skew <= DEFAULT_TOL.rank_rel_tol
+    assert proj_dist(HPoint(point), HPoint([0, 0, 1, 0])) < 1e-12
 
 
-def test_meet_skew_lines_errors():
-    d1 = line_through(HPoint([1, 0, 0, 0]), HPoint([0, 1, 0, 0]))
-    d2 = line_through(HPoint([0, 0, 1, 0]), HPoint([0, 0, 0, 1]))
-    with pytest.raises(NoIntersectionError):
-        meet_lines(d1, d2)
-
-
-def test_meet_identical_lines_errors():
-    d1 = line_through(A10, B10)
-    d2 = line_through(B10, HPoint([-1, 1, 5]))
-    with pytest.raises(DegenerateSpanError):
-        meet_lines(d1, d2)
+def test_meet_skew_lines_residual():
+    # X2 = X3 = 0 and X0 = X1 = 0 span all of CP^3
+    _, skew, _ = meet(*np.eye(4, dtype=complex))
+    assert skew > DEFAULT_TOL.rank_rel_tol
+    assert skew == pytest.approx(1.0)
 
 
 def test_meet_reconstructs_common_point():
     r = rng()
-    hits = 0
-    while hits < 50:
+    triangles = []
+    while len(triangles) < 50:
         a, b, c = (random_point(r) for _ in range(3))
-        if abs(bracket(a, b, c)) < 1e-2:
+        if abs(bracket_rows(a.coords, b.coords, c.coords)) < 1e-2:
             continue
-        hits += 1
-        m = meet_lines(line_through(a, b), line_through(a, c))
-        assert proj_dist(m, a) < 1e-9
+        triangles.append(unit_rows(np.stack([a.coords, b.coords, c.coords])))
+    t = np.stack(triangles)
+    point, skew, defined = meet(t[:, 0], t[:, 1], t[:, 0], t[:, 2])
+    assert defined.all() and np.all(skew == 0.0)
+    for m, (a, _, _) in zip(point, t):
+        assert proj_dist(HPoint(m), HPoint(a)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
 # bracket
+
+def bracket(p, q, r):
+    return bracket_rows(p.coords, q.coords, r.coords)
+
 
 def test_bracket_collinear_zero():
     assert abs(bracket(A10, B10, I0)) < 1e-14
@@ -254,30 +249,17 @@ def test_bracket_vanishes_iff_collinear():
         assert span_dim([p, q, on]) <= 1
 
 
-def test_bracket_dimension_guard():
-    with pytest.raises(DimensionMismatchError):
-        bracket(HPoint([1, 0, 0, 0]), HPoint([0, 1, 0, 0]), HPoint([0, 0, 1, 0]))
-
-
-# ---------------------------------------------------------------------------
-# dual form round trip
-
-def test_line_from_dual_roundtrip():
-    r = rng()
-    for _ in range(50):
-        cov = random_point(r)
-        l = line_from_dual(cov.coords)
-        assert proj_dist(l.dual(), cov) < 1e-9
-
-
-def test_line_from_dual_isotropic_covector():
-    # c . c = 0 makes the naive two-cross-products choice collapse
-    l = line_from_dual(np.array([1.0, 1j, 0.0]))
-    assert proj_dist(l.p, l.q) > 1e-3
-
-
 def test_tolerances_validation():
     with pytest.raises(ValueError):
-        Tolerances(proj_eq_tol=0.0)
-    with pytest.raises(ValueError):
         Tolerances(proj_eq_tol=2.0)
+    for name in ("proj_eq_tol", "rank_rel_tol", "margin_warn"):
+        for value in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=name):
+                Tolerances(**{name: value})
+
+
+def test_package_exports_resolve():
+    import dcs
+
+    missing = [name for name in dcs.__all__ if not hasattr(dcs, name)]
+    assert not missing, missing
