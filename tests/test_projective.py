@@ -4,6 +4,7 @@ scale/permutation invariance properties."""
 import numpy as np
 import pytest
 
+from dcs import atlas
 from dcs.projective import (
     DEFAULT_TOL,
     DimensionMismatchError,
@@ -12,6 +13,7 @@ from dcs.projective import (
     Tolerances,
     ZeroVectorError,
     bracket_rows,
+    chordal_batch,
     meet,
     proj_dist,
     relative_singular_values,
@@ -247,6 +249,34 @@ def test_bracket_vanishes_iff_collinear():
             1.0, abs(bracket(p, q, random_point(r)))
         )
         assert span_dim([p, q, on]) <= 1
+
+
+# ---------------------------------------------------------------------------
+# lines given by their covector (the central projection of atlas.psi_triv)
+
+def spanned_duals(out):
+    """Covectors of the lines through the output pairs (A_i, B_i)."""
+    return unit_rows(np.cross(out[..., 0::2, :], out[..., 1::2, :]))
+
+
+def test_line_from_dual_roundtrip():
+    # project random points onto random lines d . X = 0 through [0:0:1];
+    # the line through each output pair has d as its dual again
+    r = rng()
+    duals = np.zeros((50, 3, 3), dtype=complex)
+    duals[..., :2] = r.normal(size=(50, 3, 2)) + 1j * r.normal(size=(50, 3, 2))
+    configs = r.normal(size=(50, 6, 3)) + 1j * r.normal(size=(50, 6, 3))
+    out = atlas.psi_triv(duals, configs)
+    assert chordal_batch(spanned_duals(out), unit_rows(duals)).max() < 1e-9
+
+
+def test_line_from_dual_isotropic_covector():
+    # c . c = 0 makes the naive two-cross-products choice collapse
+    cov = np.array([1.0, 1j, 0.0])
+    out = atlas.psi_triv(np.broadcast_to(cov, (1, 3, 3)), atlas.PLANAR_BASE[None])[0]
+    for a, b in zip(out[0::2], out[1::2]):
+        assert proj_dist(HPoint(a), HPoint(b)) > 1e-3
+    assert chordal_batch(spanned_duals(out), unit_rows(cov)).max() < 1e-9
 
 
 def test_tolerances_validation():
