@@ -11,6 +11,8 @@ immutable values; batched variants (suffix ``_batch``) take arrays shaped
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +22,22 @@ import numpy as np
 ZERO_FLOOR = 1e-300
 # Euclidean norms outside this range lose digits or overflow when squared.
 SAFE_NORM = (1e-150, 1e150)
+EPS = np.finfo(np.float64).eps
+# Nodes per pass of rank3_screen.  Its temporaries stay a few MB, and every
+# complex vector stays below numpy's 256 KiB threshold for reusing
+# temporaries in place, past which a complex product rounds differently;
+# so a node's screened values do not depend on the size of its batch.
+_SCREEN_CHUNK = 2048
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON true and false read as 1 and 0)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ProjectiveError(ValueError):
@@ -50,7 +68,7 @@ class Tolerances:
     def __post_init__(self):
         for name in ("proj_eq_tol", "rank_rel_tol", "margin_warn"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
@@ -107,7 +125,12 @@ class HPoint:
         return [[float(v.real), float(v.imag)] for v in self.normalized()]
 
     @classmethod
-    def from_json(cls, pairs) -> "HPoint":
+    def from_json(cls, pairs, field: str = "point") -> "HPoint":
+        """Read a point written as [re, im] pairs of real numbers; ``field``
+        names it in the error."""
+        if not (isinstance(pairs, list) and all(
+                isinstance(z, list) and len(z) == 2 and all(map(is_real, z)) for z in pairs)):
+            raise ValueError(f"{field} must be a list of [re, im] pairs of numbers, got {pairs!r}")
         return cls([complex(re, im) for re, im in pairs])
 
     def __repr__(self) -> str:
@@ -159,23 +182,39 @@ def relative_singular_values(rows: np.ndarray) -> np.ndarray:
     return s / s[..., :1]
 
 
+def _cross(a, b):
+    """Bilinear cross product over the last axis of CP^2 representatives.
+    np.cross gives the same values, but its three calls in ``meet`` cost
+    twice the SVD they replace on a one-node batch.  Every product takes
+    views of the arguments, never a temporary, so no product is computed in
+    place and a node's value does not depend on the size of its batch."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
 def meet(p1, q1, p2, q2):
     """Meet of the lines p1 q1 and p2 q2, batched over leading axes.
 
-    The arguments are unit representatives (..., n+1).  The meet is the
-    null vector (a, b, c, d) of the columns [p1, q1, -p2, -q2], read as
-    a p1 + b q1.  Returns the unit meet point, the skew residual (the
-    fourth relative singular value of the columns: zero when the lines are
-    coplanar, and always zero in CP^2) and the mask of nodes where the meet
-    is defined (a p1 + b q1 does not vanish, so p1 q1 spans a line that
-    meets p2 q2 in one point).
+    The arguments are unit representatives (..., n+1).  In CP^2 the meet is
+    the cross product (p1 x q1) x (p2 x q2).  Above CP^2 it is the null
+    vector (a, b, c, d) of the columns [p1, q1, -p2, -q2], read as
+    a p1 + b q1.  Returns the unit meet point, the skew residual (the fourth
+    relative singular value of the columns: zero when the lines are
+    coplanar, and zero in CP^2) and the mask of nodes where the meet is
+    defined: the unnormalized point has norm at least 1e-12, so p1 q1 spans
+    a line that meets p2 q2 in one point.
     """
     p1, q1, p2, q2 = np.broadcast_arrays(p1, q1, p2, q2)
-    cols = np.stack([p1, q1, -p2, -q2], axis=-1)  # (..., n+1, 4)
-    _, s, vh = np.linalg.svd(cols)
-    skew = s[..., 3] / s[..., 0] if cols.shape[-2] > 3 else np.zeros(s.shape[:-1])
-    ab = np.conj(vh[..., -1, :2])
-    point = ab[..., 0, None] * p1 + ab[..., 1, None] * q1
+    if p1.shape[-1] == 3:
+        point = _cross(_cross(p1, q1), _cross(p2, q2))
+        skew = np.zeros(point.shape[:-1])
+    else:
+        cols = np.stack([p1, q1, -p2, -q2], axis=-1)  # (..., n+1, 4)
+        _, s, vh = np.linalg.svd(cols)
+        skew = s[..., 3] / s[..., 0] if cols.shape[-2] > 3 else np.zeros(s.shape[:-1])
+        ab = np.conj(vh[..., -1, :2])
+        point = ab[..., 0, None] * p1 + ab[..., 1, None] * q1
     norm = np.linalg.norm(point, axis=-1, keepdims=True)
     degenerate = norm[..., 0] < 1e-12
     norm[degenerate] = 1.0
@@ -224,3 +263,93 @@ def bracket_rows(a, b, c):
         - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
         + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
     )
+
+
+def rank3_screen(rows: np.ndarray, stacks) -> tuple:
+    """Closed-form third relative singular value of stacks of CP^2 rows,
+    with an error bound and no LAPACK call.
+
+    ``rows`` (N, r, 3) are unit representatives; each of ``stacks`` is a
+    tuple of at least three row indices.  Returns ``est`` and ``err``, both
+    (N, len(stacks)): ``relative_singular_values(rows[:, s])[..., 2]``, as
+    LAPACK computes it, lies within ``err`` of ``est``.  A node whose bound
+    cannot be formed gets est 0 and err inf.
+
+    For a stack M of k rows let G = M^H M, with eigenvalues l0 >= l1 >= l2
+    (the squared singular values):
+    - sqrt(l0 l1 l2) = sqrt(det G) is the norm of the vector of brackets of
+      the stack's row triples (Cauchy-Binet).  It keeps its absolute
+      accuracy down to zero; det G from the entries of G, or l2 from Smith's
+      formula, would not (a sqrt(eps) floor).
+    - l0 and l1 come from Smith's formula for 3x3 Hermitian matrices
+      (CACM 4(4), 1961), with the deviatoric norm p taken from the entries
+      of G - qI rather than from tr^2 - 3 e2.
+    - est = sqrt(det G) / (l0 sqrt(l1)).
+
+    ``err`` is interval arithmetic over deliberately loose error bounds:
+    - each entry of the computed G is off by at most (k + 3) k eps, so by
+      Weyl's inequality (Stewart & Sun, Matrix Perturbation Theory, 1990)
+      each of its eigenvalues is off by at most three times that;
+    - Smith's angle arccos(r) / 3 is bounded by the image under arccos of an
+      interval around r.  Near a repeated eigenvalue arccos has no finite
+      slope, so l0 and l1 may be off by about p sqrt(eps), not eps: on the
+      stack e1, e2, e3, (e1 + e2 + e3) / sqrt(3) the formula is off by 3e-9;
+    - each bracket is off by at most 64 eps;
+    - LAPACK's singular values are those of M + F with ||F|| <= 64 k eps
+      sigma_1, so the ratio it returns is off by at most 64 k eps (1 + est).
+    The code widens the first terms by further factors of 4 to 8.  On
+    random, near-planar and repeated-eigenvalue stacks the largest error
+    seen is about 1/150 of ``err``.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    parts = [_rank3_screen_chunk(rows[i:i + _SCREEN_CHUNK], stacks)
+             for i in range(0, max(len(rows), 1), _SCREEN_CHUNK)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _rank3_screen_chunk(rows: np.ndarray, stacks) -> tuple:
+    """``rank3_screen`` on one chunk of nodes."""
+    # one contiguous vector per row and coordinate: (r, 3, N)
+    x = np.moveaxis(rows, 0, -1).copy()
+    sq = x.real ** 2 + x.imag ** 2                                      # |x_a|^2
+    xc = np.conj(x)
+    off = np.stack([xc[:, 0] * x[:, 1], xc[:, 0] * x[:, 2], xc[:, 1] * x[:, 2]], axis=1)
+    gd = np.stack([functools.reduce(np.add, (sq[i] for i in s)) for s in stacks])   # (S, 3, N)
+    go = np.stack([functools.reduce(np.add, (off[i] for i in s)) for s in stacks])  # g01, g02, g12
+    triples = [list(itertools.combinations(sorted(s), 3)) for s in stacks]
+    br2 = {}
+    for t in set().union(*triples):
+        b = bracket_rows(*(x[i].T for i in t))
+        br2[t] = b.real ** 2 + b.imag ** 2
+    vol = np.sqrt(np.stack([functools.reduce(np.add, (br2[t] for t in ts)) for ts in triples]))  # sqrt(det G)
+    n_rows = np.array([len(s) for s in stacks], dtype=float)[:, None]
+    n_brackets = np.array([len(ts) for ts in triples], dtype=float)[:, None]
+
+    # Smith: G = qI + pB', eigenvalues q + 2p cos(phi + 2 pi j / 3), r = det(B') / 2
+    q = (gd[:, 0] + gd[:, 1] + gd[:, 2]) / 3
+    b0, b1, b2 = gd[:, 0] - q, gd[:, 1] - q, gd[:, 2] - q
+    o01, o02, o12 = np.moveaxis(go.real ** 2 + go.imag ** 2, 1, 0)
+    p = np.sqrt((b0 ** 2 + b1 ** 2 + b2 ** 2 + 2 * (o01 + o02 + o12)) / 6)
+    det_b = (b0 * b1 * b2 + 2 * np.real(go[:, 0] * go[:, 2] * np.conj(go[:, 1]))
+             - b0 * o12 - b1 * o02 - b2 * o01)
+    d_entry = 4 * (n_rows + 3) * n_rows * EPS + 4 * EPS * q             # entries of G - qI
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = det_b / (2 * p ** 3)
+        rel = d_entry / p
+        dr = 64 * rel * (1 + 16 * rel) ** 2 + 256 * EPS
+        r = np.where(np.isfinite(r), r, 0.0)
+        dr = np.where(np.isfinite(dr), dr, np.inf)
+        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
+        width = (np.arccos(np.clip(r - dr, -1.0, 1.0)) - np.arccos(np.clip(r + dr, -1.0, 1.0))) / 3
+        l0 = q + 2 * p * np.cos(phi)
+        l1 = q + 2 * p * np.cos(phi + 4 * np.pi / 3)
+        dl = 8 * d_entry + 2 * p * width + 8 * EPS * (q + p)
+        dvol = 64 * EPS * np.sqrt(n_brackets) + 4 * (n_brackets + 1) * EPS * vol
+
+        est = vol / (l0 * np.sqrt(l1))
+        hi = np.where(l1 > dl, (vol + dvol) / ((l0 - dl) * np.sqrt(l1 - dl)), np.inf)
+        lo = np.maximum(vol - dvol, 0.0) / ((l0 + dl) * np.sqrt(l1 + dl))
+        err = (np.maximum(hi - est, est - lo) * (1 + 16 * EPS)
+               + 64 * n_rows * EPS * (1 + est))
+    bad = ~(np.isfinite(est) & np.isfinite(err))
+    return np.where(bad, 0.0, est).T, np.where(bad, np.inf, err).T

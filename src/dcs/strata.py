@@ -26,7 +26,9 @@ from .projective import (
     ProjectiveError,
     Tolerances,
     chordal_batch,
+    is_int,
     meet,
+    rank3_screen,
     relative_singular_values,
     span_dim,
     unit_rows,
@@ -63,6 +65,9 @@ class SpaceTag:
     )
 
     def __post_init__(self):
+        for key, value in (("n", self.n), ("k", self.k), ("i", self.span_i)):
+            if not is_int(value):
+                raise ValueError(f"tag {key} must be an integer, got {value!r}")
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if (self.kind.startswith("D_planar") or self.kind == "F3_lines_through") and self.n < 2:
@@ -74,7 +79,7 @@ class SpaceTag:
                 raise ValueError(f"{self.kind} requires a center point")
             if self.center.ambient_dim != self.n:
                 raise ValueError("center ambient dimension does not match tag")
-        if self.kind in ("Fk", "Fk_stratum") and not (isinstance(self.k, int) and self.k >= 1):
+        if self.kind in ("Fk", "Fk_stratum") and not self.k >= 1:
             raise ValueError(f"{self.kind} needs a point count k >= 1, got {self.k!r}")
         if self.kind == "Fk_stratum" and not 1 <= self.span_i <= self.n:
             raise ValueError("stratum span dimension out of range")
@@ -121,7 +126,7 @@ class SpaceTag:
 
     @classmethod
     def from_json(cls, d) -> "SpaceTag":
-        center = HPoint.from_json(d["center"]) if "center" in d else None
+        center = HPoint.from_json(d["center"], "tag center") if "center" in d else None
         return cls(d["kind"], d["n"], k=d.get("k", 0), span_i=d.get("i", 0), center=center)
 
 
@@ -178,7 +183,7 @@ class Config6:
 
     @classmethod
     def from_json(cls, d) -> "Config6":
-        return cls([HPoint.from_json(p) for p in d["points"]])
+        return cls([HPoint.from_json(p, f"points[{i}]") for i, p in enumerate(d["points"])])
 
     @classmethod
     def from_array(cls, rows) -> "Config6":
@@ -212,7 +217,15 @@ def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_T
 @dataclass
 class BatchResult:
     """Vectorized validation outcome over a batch of configurations or
-    line triples."""
+    line triples.
+
+    ``margins`` is exact (LAPACK singular values, chordal distances) at every
+    node that can attain the batch's least margin, over all nodes or over
+    the passing nodes.  In a screened CP^2 batch (see ``validate_batch``) it
+    is elsewhere within the stated bound of ``projective.rank3_screen``, and
+    so is ``residuals`` except at nodes near a threshold; every other batch
+    is exact throughout.
+    """
 
     verdicts: np.ndarray          # bool (N,)
     margins: np.ndarray           # float (N,): min distance-type quantity
@@ -250,18 +263,34 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
 
     ``points`` has shape (N, 6, n+1).  Checks (named as reported):
     pairwise-distinct, lines-defined (within pairwise), lines-distinct,
-    concurrent, center-apart, span, center-matches (fixed tags only).
+    concurrent, meet-defined, center-apart, span, center-matches (fixed
+    tags only).
+
+    CP^2 batches of more than one node are screened with closed-form rank
+    margins first (``_validate_screened``); every other batch, a single
+    node included, runs the exact kernel (``_validate_exact``), LAPACK at
+    every node.  Verdicts and fail_counts are the exact kernel's either way,
+    and so are the least margin and the first node attaining it, over all
+    nodes or over the passing ones (see ``BatchResult``).
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim == 2:
         pts = pts[None]
-    n_nodes = pts.shape[0]
     m = pts.shape[2]
     if m != tag.n + 1:
         raise DimensionMismatchError(
             f"tag expects CP^{tag.n} but points have {m} coordinates"
         )
     u = unit_rows(pts)
+    if m == 3 and pts.shape[0] > 1 and tag.span_required in (None, 2):
+        return _validate_screened(u, tag, tol)
+    return _validate_exact(u, tag, tol)
+
+
+def _validate_exact(u: np.ndarray, tag: SpaceTag, tol: Tolerances) -> BatchResult:
+    """The membership checks of ``validate_batch`` on unit rows (N, 6, n+1),
+    every rank margin a LAPACK singular value ratio."""
+    n_nodes, m = u.shape[0], u.shape[2]
 
     margins = np.full(n_nodes, np.inf)
     residuals = np.zeros(n_nodes)
@@ -316,6 +345,79 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
         residuals = np.maximum(residuals, dcen)
         ok &= _record(fail_counts, "center-matches", dcen <= tol.proj_eq_tol)
 
+    return BatchResult(ok, margins, residuals, fail_counts, centers)
+
+
+# rows of the screened CP^2 stacks: A1, B1, A2, B2, A3, B3, then the meet of
+# d1 and d2; the stacks are the lines-distinct pairs d1-d2, d1-d3, d2-d3, the
+# concurrency of the meet with d3, and the span of the six points
+_SCREEN_STACKS = ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5), (6, 4, 5), (0, 1, 2, 3, 4, 5))
+
+
+def _validate_screened(u: np.ndarray, tag: SpaceTag, tol: Tolerances) -> BatchResult:
+    """CP^2 membership with the rank margins from ``projective.rank3_screen``
+    and LAPACK only where it can matter.
+
+    The chordal checks, the meet and the center are computed as in the exact
+    kernel.  A rank check is decided by its screened interval unless the
+    interval holds the threshold.  The exact kernel then runs on
+    - every node where some interval holds its threshold, or whose meet is
+      undefined: its verdict, margin and residual are the exact kernel's;
+    - every other node whose margin interval reaches the least upper bound
+      of the margin intervals, over all nodes or over the passing nodes,
+      unless a chordal margin lies below all its rank intervals: its margin
+      is the exact kernel's.
+    """
+    thr = tol.rank_rel_tol
+    centers, _, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    est, err = rank3_screen(np.concatenate([u, centers[:, None]], axis=1), _SCREEN_STACKS)
+    lo, hi = est - err, est + err
+    margin_cols = [0, 1, 2] + ([4] if tag.span_required else [])
+    ranked = margin_cols + [3]
+    sure = defined & np.all((lo[:, ranked] > thr) | (hi[:, ranked] <= thr), axis=-1)
+
+    pair_d = _pair_distances(u)[1]
+    cd = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], axis=-1)
+    passes = {
+        "pairwise-distinct": np.all(pair_d > tol.proj_eq_tol, axis=-1),
+        "lines-distinct d1-d2": lo[:, 0] > thr,
+        "lines-distinct d1-d3": lo[:, 1] > thr,
+        "lines-distinct d2-d3": lo[:, 2] > thr,
+        "meet-defined": defined,
+        "concurrent d3": hi[:, 3] <= thr,
+        "center-apart": np.all(cd > tol.proj_eq_tol, axis=-1),
+    }
+    residuals = est[:, 3].copy()
+    if tag.span_required:
+        passes["span-at-least"] = lo[:, 4] > thr
+    if tag.kind.endswith("_fixed"):
+        dcen = chordal_batch(centers, tag.center.unit()[None, :])
+        residuals = np.maximum(residuals, dcen)
+        passes["center-matches"] = dcen <= tol.proj_eq_tol
+
+    fail_counts: dict = {}
+    ok = np.ones(u.shape[0], dtype=bool)
+    for name, good in passes.items():
+        ok &= _record(fail_counts, name, good | ~sure)
+    chordal = np.minimum(pair_d.min(axis=-1), cd.min(axis=-1))
+    margins = np.minimum(chordal, est[:, margin_cols].min(axis=-1))
+    m_lo = np.minimum(chordal, lo[:, margin_cols].min(axis=-1))
+    m_hi = np.minimum(chordal, hi[:, margin_cols].min(axis=-1))
+
+    near = np.flatnonzero(~sure)
+    if near.size:
+        ex = _validate_exact(u[near], tag, tol)
+        ok[near], margins[near], residuals[near] = ex.verdicts, ex.margins, ex.residuals
+        m_lo[near] = m_hi[near] = ex.margins
+        for name, c in ex.fail_counts.items():
+            fail_counts[name] = fail_counts.get(name, 0) + c
+    open_ = m_lo < m_hi
+    cand = open_ & (m_lo <= m_hi.min())
+    if ok.any():
+        cand |= open_ & ok & (m_lo <= m_hi[ok].min())
+    cand = np.flatnonzero(cand)
+    if cand.size:
+        margins[cand] = _validate_exact(u[cand], tag, tol).margins
     return BatchResult(ok, margins, residuals, fail_counts, centers)
 
 

@@ -34,7 +34,7 @@ from .paths import (
     sweep_item,
     value_dist,
 )
-from .projective import HPoint, Tolerances, chordal_batch, unit_rows
+from .projective import HPoint, Tolerances, chordal_batch, is_int, is_real, unit_rows
 from .report import FAIL, PASS, ClaimReport, RunReport
 from .strata import random_config, validate_values
 
@@ -44,10 +44,6 @@ from .strata import random_config, validate_values
 DEFAULT_CIRCLE = 512
 DEFAULT_DISK = (128, 64)
 DEFAULT_CYLINDER = (256, 64)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -72,12 +68,12 @@ class RunConfig:
         # values from a JSON configuration file arrive unchecked
         for name in ("circle_samples", "seed", "threads"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("boundary_tol", "lift_tol", "junction_tol", "sweep_margin_min",
                      "numeric_floor"):
             value = getattr(self, name)
-            if not (_is_int(value) or isinstance(value, float)):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
@@ -87,7 +83,7 @@ class RunConfig:
             raise ValueError(f"circle samples above the cap {inv.MAX_WINDING_SAMPLES}")
         for name, grid, default in (("disk_grid", self.disk_grid, DEFAULT_DISK),
                                     ("cylinder_grid", self.cylinder_grid, DEFAULT_CYLINDER)):
-            if (len(grid) != 2 or not all(map(_is_int, grid))
+            if (len(grid) != 2 or not all(map(is_int, grid))
                     or grid[0] < default[0] // 4 or grid[1] < default[1] // 4):
                 raise ValueError(f"{name} {list(grid)} is not two sizes of at least "
                                  f"a quarter of the default {list(default)}")

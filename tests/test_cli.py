@@ -312,6 +312,16 @@ def _malformed(kind):
         doc["points"] = 5
     elif kind == "tag-ambient-mismatch":
         doc["tag"] = atlas.TAG_SOLID_3.to_json()
+    elif kind == "bool-coordinate":   # true would read as the coordinate 1
+        doc["points"][0][0] = [True, 0.0]
+    elif kind == "string-coordinate":
+        doc["points"][2][1] = ["0.5", 0.0]
+    elif kind in ("float-n", "string-n"):
+        doc["tag"]["n"] = 2.0 if kind == "float-n" else "2"
+    elif kind == "string-i":
+        doc["tag"] = {"kind": "Fk_stratum", "n": 2, "k": 6, "i": "1"}
+    elif kind == "bool-k":
+        doc["tag"] = {"kind": "Fk", "n": 2, "k": True}
     elif kind.startswith("fk-"):      # six points under F_3, F_0, or F_k without a k
         doc["tag"] = {"kind": "Fk_stratum" if kind == "fk-stratum-no-k" else "Fk", "n": 2, "i": 2}
         if kind in ("fk-k3", "fk-k0"):
@@ -323,9 +333,14 @@ def _malformed(kind):
     return doc
 
 
+# the field each error line must name
+NAMED_FIELD = {"bool-coordinate": "points[0]", "string-coordinate": "points[2]",
+               "float-n": "tag n", "string-n": "tag n", "string-i": "tag i", "bool-k": "tag k"}
+
+
 @pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "cp1-untagged",
                                   "tag-ambient-mismatch", "lines-cp1", "fk-k3", "fk-k0",
-                                  "fk-no-k", "fk-stratum-no-k"])
+                                  "fk-no-k", "fk-stratum-no-k", *NAMED_FIELD])
 def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(_malformed(kind)))
@@ -338,6 +353,8 @@ def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
         assert "non-finite" in err
     if kind == "fk-k3":
         assert "needs 3 points, got 6" in err
+    if kind in NAMED_FIELD:
+        assert NAMED_FIELD[kind] in err
 
 
 def _raw(coords):

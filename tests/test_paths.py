@@ -331,6 +331,36 @@ def test_blocked_sweep_matches_one_batch(item_id, grid, tag, monkeypatch):
         assert rep.fail_counts["center-matches"] == rep.n_nodes
 
 
+def test_sweep_tie_across_blocks_keeps_the_first_node():
+    """K_alpha on a 256 x 64 cylinder attains its least margin at nodes of
+    both blocks; the sweep reports the first of them, not a later tie."""
+    item = atlas.get("K_alpha")
+    nodes, _ = domain_nodes(item.kind, (256, 64))
+    ref = validate_batch(item.eval(**nodes), item.target)
+    tied = np.flatnonzero(ref.margins == ref.margins.min())
+    assert tied[0] < SWEEP_BLOCK <= tied[-1]
+    rep = sweep_item("K_alpha", (256, 64))
+    assert rep.min_margin == ref.margins[tied[0]]
+    assert rep.worst_param == tuple(v[tied[0]] for v in nodes.values())
+
+
+@pytest.mark.parametrize("item_id, grid", [("alpha", 512), ("L", (256, 64))])
+def test_cp2_sweep_runs_lapack_on_few_nodes(item_id, grid, monkeypatch):
+    """The CP^2 screen decides most nodes without LAPACK: an all-LAPACK
+    sweep would take five SVD matrices per node."""
+    matrices = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rep = sweep_item(item_id, grid)
+    assert rep.ok and atlas.get(item_id).target.n == 2
+    assert sum(matrices) < 0.1 * rep.n_nodes
+
+
 def test_sweep_rejects_non_domain_items():
     with pytest.raises(PathError):
         sweep_item("phi_triv", 64)

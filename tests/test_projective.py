@@ -16,6 +16,7 @@ from dcs.projective import (
     chordal_batch,
     meet,
     proj_dist,
+    rank3_screen,
     relative_singular_values,
     span_dim,
     unit_rows,
@@ -293,3 +294,37 @@ def test_package_exports_resolve():
 
     missing = [name for name in dcs.__all__ if not hasattr(dcs, name)]
     assert not missing, missing
+
+
+# ---------------------------------------------------------------------------
+# closed-form rank screen
+
+
+def test_rank3_screen_does_not_depend_on_batch_size():
+    """A node's screened value and bound are the same in any batch; numpy
+    rounds a complex product differently once it reuses a large temporary
+    in place, so an unchunked screen would fail this."""
+    r = rng()
+    rows = unit_rows(r.normal(size=(20000, 7, 3)) + 1j * r.normal(size=(20000, 7, 3)))
+    stacks = ((0, 1, 2, 3), (6, 4, 5), (0, 1, 2, 3, 4, 5))
+    est, err = rank3_screen(rows, stacks)
+    for lo, hi in ((0, 1), (5, 9), (100, 2148), (19000, 20000)):
+        e, b = rank3_screen(rows[lo:hi], stacks)
+        assert np.array_equal(e, est[lo:hi]) and np.array_equal(b, err[lo:hi])
+    ref = relative_singular_values(rows[:, [0, 1, 2, 3]])[..., 2]
+    assert np.all(np.abs(est[:, 0] - ref) <= err[:, 0])
+
+
+def test_rank3_screen_bounds_repeated_eigenvalues():
+    """Orthonormal rows (Gram eigenvalues all equal) and an orthonormal
+    basis with its normalized sum (2, 1, 1), where Smith's formula is off
+    by about sqrt(eps): LAPACK's value lies within the bound."""
+    r = rng()
+    for q in (np.eye(3, dtype=complex),
+              np.linalg.qr(r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3)))[0]):
+        rows = np.concatenate([q, q.sum(axis=0, keepdims=True) / np.sqrt(3)])[None]
+        stacks = ((0, 1, 2), (0, 1, 2, 3))
+        est, err = rank3_screen(rows, stacks)
+        for k, s in enumerate(stacks):
+            ref = relative_singular_values(rows[:, list(s)])[..., 2]
+            assert abs(est[0, k] - ref[0]) <= err[0, k] < 1e-6

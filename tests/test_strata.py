@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from dcs import atlas
-from dcs.projective import HPoint, ProjectiveError, span_dim
+from dcs.projective import (
+    HPoint,
+    ProjectiveError,
+    chordal_batch,
+    meet,
+    rank3_screen,
+    span_dim,
+    unit_rows,
+)
 from dcs.strata import (
     Config6,
     SpaceTag,
@@ -223,3 +231,164 @@ def test_space_tag_json_roundtrip():
     again = SpaceTag.from_json(tag.to_json())
     assert again.kind == tag.kind and again.n == tag.n
     assert np.allclose(again.center.unit(), tag.center.unit())
+
+
+# ---------------------------------------------------------------------------
+# the CP^2 screen against an all-LAPACK reference
+
+RANK_TOL, POINT_TOL, MEET_TOL = 1e-8, 1e-9, 1e-12
+I0 = np.array([0, 0, 1], dtype=complex)
+
+
+def _rel3(rows):
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s[..., 2] / s[..., 0]
+
+
+def lapack_reference(points, tag):
+    """Every check of validate_batch with each rank margin a LAPACK singular
+    value ratio.  Returns the verdicts, the fail counts, the margins and, per
+    check, the quantity compared with its threshold."""
+    u = unit_rows(np.asarray(points, dtype=complex))
+    pair = np.stack([chordal_batch(u[:, i], u[:, j]) for i in range(6) for j in range(i + 1, 6)], -1)
+    lines = {f"lines-distinct {name}": _rel3(u[:, rows])
+             for name, rows in (("d1-d2", [0, 1, 2, 3]), ("d1-d3", [0, 1, 4, 5]),
+                                ("d2-d3", [2, 3, 4, 5]))}
+    centers, _, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    raw = np.cross(np.cross(u[:, 0], u[:, 1]), np.cross(u[:, 2], u[:, 3]))
+    inc = _rel3(np.concatenate([centers[:, None], u[:, 4:6]], axis=1))
+    apart = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], -1)
+    span = _rel3(u)
+    quantity = {"pairwise-distinct": (pair.min(-1), POINT_TOL), **{k: (v, RANK_TOL) for k, v in lines.items()},
+                "meet-defined": (np.linalg.norm(raw, axis=-1), MEET_TOL),
+                "concurrent d3": (inc, RANK_TOL), "center-apart": (apart.min(-1), POINT_TOL),
+                "span-at-least": (span, RANK_TOL)}
+    passes = {"pairwise-distinct": np.all(pair > POINT_TOL, -1),
+              **{k: v > RANK_TOL for k, v in lines.items()}, "meet-defined": defined,
+              "concurrent d3": inc <= RANK_TOL, "center-apart": np.all(apart > POINT_TOL, -1),
+              "span-at-least": span > RANK_TOL}
+    if tag.center is not None:
+        dcen = chordal_batch(centers, tag.center.unit())
+        quantity["center-matches"] = (dcen, POINT_TOL)
+        passes["center-matches"] = dcen <= POINT_TOL
+    margins = np.min([pair.min(-1), *lines.values(), apart.min(-1), span], axis=0)
+    verdicts = np.all(list(passes.values()), axis=0)
+    fail_counts = {k: int(np.sum(~v)) for k, v in passes.items() if not v.all()}
+    return verdicts, fail_counts, margins, quantity
+
+
+def _cplx(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _config(center, dirs, coeffs):
+    """A_i = center + a_i D_i, B_i = center + b_i D_i: six points on three
+    lines through the center."""
+    return np.stack([center + a * d for d, pair in zip(dirs, coeffs) for a in pair])
+
+
+def _hug(make, quantity, target):
+    """Two nodes make(x), x in [target / 10, 10 target], whose LAPACK
+    quantity lies next to target from below and from above (bisection)."""
+    lo, hi = target / 10, target * 10
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if quantity(make(mid)) < target else (lo, mid)
+    return [make(lo), make(hi)]
+
+
+def _repeated_top(x):
+    """d1 through e1, e2 and d2 through (e1 + e2) / sqrt(2), (e1 - e2 + x e3) /
+    sqrt(2): the Gram matrix of the four rows has eigenvalues about 2, 2 and
+    x^2 / 2, so d1-d2 has a repeated top eigenvalue and a margin near x / 2."""
+    e = np.eye(3, dtype=complex)
+    cfg = _config(e[0], [e[1], e[0] + e[1], e[1] + e[2]], [[1, 2], [1, 3], [1, 2]])
+    cfg[:4] = [e[0], e[1], (e[0] + e[1]) / np.sqrt(2), (e[0] - e[1] + x * e[2]) / np.sqrt(2)]
+    return cfg
+
+
+def near_degenerate_corpus(seed=20):
+    """Seeded CP^2 configurations: generic ones; for every threshold, nodes
+    whose quantity lies within 10x of it; nodes whose rank quantity lies next
+    to its threshold on either side (d1-d2 with a repeated top Gram
+    eigenvalue, d1-d2, span, concurrent d3); stacks with repeated Gram
+    eigenvalues and the planar base point; and every node again with other
+    representatives, which ties with it in exact arithmetic."""
+    rng = np.random.default_rng(seed)
+    near = lambda thr: thr * 10 ** rng.uniform(-0.7, 0.7)
+    nodes = [_config(I0, _cplx(rng, 3, 3), _cplx(rng, 3, 2)) for _ in range(40)]
+    for _ in range(12):
+        d, c, w = _cplx(rng, 3, 3), _cplx(rng, 3, 2), _cplx(rng, 3)
+        # the two points of d1 close together
+        nodes.append(_config(I0, d, [[c[0, 0], c[0, 0] * (1 + near(POINT_TOL))], *c[1:]]))
+        # d2 close to d1, then so close that the meet is undefined
+        nodes.append(_config(I0, [d[0], d[0] + near(RANK_TOL) * w, d[2]], c))
+        nodes.append(_config(I0, [d[0], d[0] + near(MEET_TOL) * w, d[2]], c))
+        # B3 just off d3
+        cfg = _config(I0, d, c)
+        cfg[5] += near(RANK_TOL) * w
+        nodes.append(cfg)
+        # A1 close to the center
+        nodes.append(_config(I0, d, [[near(POINT_TOL), c[0, 1]], *c[1:]]))
+        # all six points close to one line
+        nodes.append(_config(I0, d[0] + near(RANK_TOL) * _cplx(rng, 3, 3), c))
+        # the center just off the fixed tag's center
+        nodes.append(_config(I0 + near(POINT_TOL) * w, d, c))
+    # quantities next to the rank threshold, a repeated top eigenvalue among them
+    d, c, w = _cplx(rng, 3, 3), _cplx(rng, 3, 2), _cplx(rng, 3)
+    lines = lambda cfg: _rel3(unit_rows(cfg[:4]))
+    nodes += _hug(_repeated_top, lines, RANK_TOL)
+    nodes += _hug(lambda x: _config(I0, [d[0], d[0] + x * w, d[2]], c), lines, RANK_TOL)
+    nodes += _hug(lambda x: _config(I0, d[0] + x * np.stack([w, w[::-1], d[1]]), c),
+                  lambda cfg: _rel3(unit_rows(cfg)), RANK_TOL)
+    for _ in range(4):
+        d, c, w = _cplx(rng, 3, 3), _cplx(rng, 3, 2), _cplx(rng, 3)
+
+        def off_d3(x, d=d, c=c, w=w):
+            cfg = _config(I0, d, c)
+            cfg[5] += x * w
+            return cfg
+
+        nodes += _hug(off_d3, lambda cfg: lapack_reference(cfg[None], SpaceTag.planar(2))[3]
+                      ["concurrent d3"][0][0], RANK_TOL)
+
+    # repeated Gram eigenvalues: d1-d2 stacks e1, e2, e3, (e1 + e2 + e3) / sqrt(3)
+    # (eigenvalues 2, 1, 1) and four rows of the 4x4 Fourier matrix (orthogonal
+    # columns: all eigenvalues equal, as for orthonormal rows)
+    e = np.eye(3, dtype=complex)
+    for head in (np.stack([e[0], e[1], e[2], np.ones(3) / np.sqrt(3)]),
+                 np.array([[1, 1j ** k, (-1) ** k] for k in range(4)])):
+        center = np.cross(np.cross(head[0], head[1]), np.cross(head[2], head[3]))
+        cfg = _config(center, [head[0], head[2], _cplx(rng, 3)], [[1, 1], [1, 1], [0.5, 1.5]])
+        cfg[:4] = head
+        nodes.append(cfg)
+    nodes.append(atlas.PLANAR_BASE.copy())
+
+    nodes = np.stack(nodes)
+    phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:2]))[..., None]
+    return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
+
+
+@pytest.mark.parametrize("tag", [SpaceTag.planar(2), SpaceTag.planar_fixed(2, HPoint(I0))],
+                         ids=["free", "fixed"])
+def test_screen_matches_lapack_near_every_threshold(tag):
+    corpus = near_degenerate_corpus()
+    verdicts, fail_counts, margins, quantity = lapack_reference(corpus, tag)
+    for name, (q, thr) in quantity.items():
+        assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
+    # the stated bound holds on every screened stack, repeated eigenvalues included
+    u = unit_rows(corpus)
+    rows = np.concatenate([u, meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])[0][:, None]], axis=1)
+    stacks = ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5), (6, 4, 5), (0, 1, 2, 3, 4, 5))
+    est, err = rank3_screen(rows, stacks)
+    for k, s in enumerate(stacks):
+        assert np.all(np.abs(est[:, k] - _rel3(rows[:, list(s)])) <= err[:, k]), s
+    res = validate_batch(corpus, tag)
+    assert np.array_equal(res.verdicts, verdicts)
+    assert res.fail_counts == fail_counts
+    assert res.margins.min() == margins.min()
+    assert np.argmin(res.margins) == np.argmin(margins)
+    assert res.margins[verdicts].min() == margins[verdicts].min()
+    assert np.argmin(np.where(verdicts, res.margins, np.inf)) == np.argmin(np.where(verdicts, margins, np.inf))
