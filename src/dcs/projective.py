@@ -202,12 +202,19 @@ def meet(p1, q1, p2, q2):
     a p1 + b q1.  Returns the unit meet point, the skew residual (the fourth
     relative singular value of the columns: zero when the lines are
     coplanar, and zero in CP^2) and the mask of nodes where the meet is
-    defined: the unnormalized point has norm at least 1e-12, so p1 q1 spans
-    a line that meets p2 q2 in one point.
+    defined, i.e. p1 q1 spans a line that meets p2 q2 in one point.  Above
+    CP^2 that is an unnormalized point of norm at least 1e-12.  In CP^2 it
+    is a test of scale-free quantities, each at least 1e-12: the chordal
+    distance of each pair, which is |p x q| for unit p and q, and the sine
+    of the angle between the lines, |l1 x l2| / (|l1| |l2|).  The norm of
+    the unnormalized CP^2 point is the product of all three, which would
+    fail an absolute cutoff for two close pairs on two distinct lines.
+    Undefined points of norm below 1e-12 are returned unnormalized.
     """
     p1, q1, p2, q2 = np.broadcast_arrays(p1, q1, p2, q2)
     if p1.shape[-1] == 3:
-        point = _cross(_cross(p1, q1), _cross(p2, q2))
+        l1, l2 = _cross(p1, q1), _cross(p2, q2)
+        point = _cross(l1, l2)
         skew = np.zeros(point.shape[:-1])
     else:
         cols = np.stack([p1, q1, -p2, -q2], axis=-1)  # (..., n+1, 4)
@@ -216,9 +223,14 @@ def meet(p1, q1, p2, q2):
         ab = np.conj(vh[..., -1, :2])
         point = ab[..., 0, None] * p1 + ab[..., 1, None] * q1
     norm = np.linalg.norm(point, axis=-1, keepdims=True)
-    degenerate = norm[..., 0] < 1e-12
-    norm[degenerate] = 1.0
-    return point / norm, skew, ~degenerate
+    tiny = norm[..., 0] < 1e-12
+    if p1.shape[-1] == 3:
+        n1, n2 = np.linalg.norm(l1, axis=-1), np.linalg.norm(l2, axis=-1)
+        defined = (n1 >= 1e-12) & (n2 >= 1e-12) & (norm[..., 0] >= 1e-12 * n1 * n2)
+    else:
+        defined = ~tiny
+    norm[tiny & ~defined] = 1.0
+    return point / norm, skew, defined
 
 
 # ---------------------------------------------------------------------------

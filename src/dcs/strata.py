@@ -219,12 +219,15 @@ class BatchResult:
     """Vectorized validation outcome over a batch of configurations or
     line triples.
 
-    ``margins`` is exact (LAPACK singular values, chordal distances) at every
-    node that can attain the batch's least margin, over all nodes or over
-    the passing nodes.  In a screened CP^2 batch (see ``validate_batch``) it
-    is elsewhere within the stated bound of ``projective.rank3_screen``, and
-    so is ``residuals`` except at nodes near a threshold; every other batch
-    is exact throughout.
+    ``verdicts`` and ``fail_counts`` are always LAPACK's.  ``margins`` is
+    exact (LAPACK singular values, chordal distances) at every node that can
+    attain the batch's least margin, over all nodes or over the passing
+    nodes.  In a screened CP^2 batch (see ``strata._rank_values``) it is
+    elsewhere within the stated bound of ``projective.rank3_screen``, and so
+    is ``residuals`` at every node whose rank values are all screened: a
+    maximum residual, or a least margin over another subset of nodes, is
+    then an estimate within that bound (about 5e-14 for a residual near
+    zero), not LAPACK's value.  Every other batch is exact throughout.
     """
 
     verdicts: np.ndarray          # bool (N,)
@@ -264,14 +267,11 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     ``points`` has shape (N, 6, n+1).  Checks (named as reported):
     pairwise-distinct, lines-defined (within pairwise), lines-distinct,
     concurrent, meet-defined, center-apart, span, center-matches (fixed
-    tags only).
-
-    CP^2 batches of more than one node are screened with closed-form rank
-    margins first (``_validate_screened``); every other batch, a single
-    node included, runs the exact kernel (``_validate_exact``), LAPACK at
-    every node.  Verdicts and fail_counts are the exact kernel's either way,
-    and so are the least margin and the first node attaining it, over all
-    nodes or over the passing ones (see ``BatchResult``).
+    tags only).  The rank checks are relative singular values of stacks of
+    rows (see ``_rank_checks``); ``_rank_values`` says where each comes
+    from.  Verdicts and fail_counts are LAPACK's at every node, and so are
+    the least margin and the first node attaining it, over all nodes or over
+    the passing ones (see ``BatchResult``).
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim == 2:
@@ -282,143 +282,107 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
             f"tag expects CP^{tag.n} but points have {m} coordinates"
         )
     u = unit_rows(pts)
-    if m == 3 and pts.shape[0] > 1 and tag.span_required in (None, 2):
-        return _validate_screened(u, tag, tol)
-    return _validate_exact(u, tag, tol)
-
-
-def _validate_exact(u: np.ndarray, tag: SpaceTag, tol: Tolerances) -> BatchResult:
-    """The membership checks of ``validate_batch`` on unit rows (N, 6, n+1),
-    every rank margin a LAPACK singular value ratio."""
-    n_nodes, m = u.shape[0], u.shape[2]
-
-    margins = np.full(n_nodes, np.inf)
-    residuals = np.zeros(n_nodes)
-    ok = np.ones(n_nodes, dtype=bool)
-    fail_counts: dict = {}
-
-    # pairwise distinctness (covers "each line defined": pairs (0,1),(2,3),(4,5))
-    pair_d = _pair_distances(u)[1]
-    margins = np.minimum(margins, pair_d.min(axis=-1))
-    ok &= _record(fail_counts, "pairwise-distinct", np.all(pair_d > tol.proj_eq_tol, axis=-1))
-
-    # lines pairwise distinct: rank 3 of the stacked four span points
-    for (la, lb), name in zip(((0, 1), (0, 2), (1, 2)), ("d1-d2", "d1-d3", "d2-d3")):
-        ia, ib = _LINE_IDX[la], _LINE_IDX[lb]
-        rows = u[:, [ia[0], ia[1], ib[0], ib[1]], :]
-        rel = relative_singular_values(rows)[..., 2]
-        margins = np.minimum(margins, rel)
-        ok &= _record(fail_counts, f"lines-distinct {name}", rel > tol.rank_rel_tol)
-
-    # concurrency: meet of d1 and d2, then incidence of the meet on d3
     centers, skew, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
-    residuals = np.maximum(residuals, skew)
-    ok &= _record(fail_counts, "concurrent d1-d2", skew <= tol.rank_rel_tol)
-    ok &= _record(fail_counts, "meet-defined", defined)
-
-    rows3 = np.concatenate([centers[:, None, :], u[:, 4:6, :]], axis=1)
-    inc = relative_singular_values(rows3)[..., 2]
-    residuals = np.maximum(residuals, inc)
-    ok &= _record(fail_counts, "concurrent d3", inc <= tol.rank_rel_tol)
-
-    # all six points away from the center
-    cd = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], axis=-1)
-    margins = np.minimum(margins, cd.min(axis=-1))
-    ok &= _record(fail_counts, "center-apart", np.all(cd > tol.proj_eq_tol, axis=-1))
-
-    # span of the six points
-    want = tag.span_required
-    if want is not None:
-        s6 = relative_singular_values(u)
-        rel = s6[..., want]
-        margins = np.minimum(margins, rel)
-        ok &= _record(fail_counts, "span-at-least", rel > tol.rank_rel_tol)
-        if m > want + 1:
-            exc = s6[..., want + 1]
-            residuals = np.maximum(residuals, exc)
-            ok &= _record(fail_counts, "span-exact", exc <= tol.rank_rel_tol)
-
-    # fixed center
-    if tag.kind.endswith("_fixed"):
-        c = tag.center.unit()
-        dcen = chordal_batch(centers, c[None, :])
-        residuals = np.maximum(residuals, dcen)
-        ok &= _record(fail_counts, "center-matches", dcen <= tol.proj_eq_tol)
-
-    return BatchResult(ok, margins, residuals, fail_counts, centers)
-
-
-# rows of the screened CP^2 stacks: A1, B1, A2, B2, A3, B3, then the meet of
-# d1 and d2; the stacks are the lines-distinct pairs d1-d2, d1-d3, d2-d3, the
-# concurrency of the meet with d3, and the span of the six points
-_SCREEN_STACKS = ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5), (6, 4, 5), (0, 1, 2, 3, 4, 5))
-
-
-def _validate_screened(u: np.ndarray, tag: SpaceTag, tol: Tolerances) -> BatchResult:
-    """CP^2 membership with the rank margins from ``projective.rank3_screen``
-    and LAPACK only where it can matter.
-
-    The chordal checks, the meet and the center are computed as in the exact
-    kernel.  A rank check is decided by its screened interval unless the
-    interval holds the threshold.  The exact kernel then runs on
-    - every node where some interval holds its threshold, or whose meet is
-      undefined: its verdict, margin and residual are the exact kernel's;
-    - every other node whose margin interval reaches the least upper bound
-      of the margin intervals, over all nodes or over the passing nodes,
-      unless a chordal margin lies below all its rank intervals: its margin
-      is the exact kernel's.
-    """
-    thr = tol.rank_rel_tol
-    centers, _, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
-    est, err = rank3_screen(np.concatenate([u, centers[:, None]], axis=1), _SCREEN_STACKS)
-    lo, hi = est - err, est + err
-    margin_cols = [0, 1, 2] + ([4] if tag.span_required else [])
-    ranked = margin_cols + [3]
-    sure = defined & np.all((lo[:, ranked] > thr) | (hi[:, ranked] <= thr), axis=-1)
-
-    pair_d = _pair_distances(u)[1]
-    cd = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], axis=-1)
+    # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
+    pair = _pair_distances(u)[1].min(axis=-1)
+    apart = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], axis=-1).min(axis=-1)
+    residuals = skew
     passes = {
-        "pairwise-distinct": np.all(pair_d > tol.proj_eq_tol, axis=-1),
-        "lines-distinct d1-d2": lo[:, 0] > thr,
-        "lines-distinct d1-d3": lo[:, 1] > thr,
-        "lines-distinct d2-d3": lo[:, 2] > thr,
+        "pairwise-distinct": pair > tol.proj_eq_tol,
+        "concurrent d1-d2": skew <= tol.rank_rel_tol,
         "meet-defined": defined,
-        "concurrent d3": hi[:, 3] <= thr,
-        "center-apart": np.all(cd > tol.proj_eq_tol, axis=-1),
+        "center-apart": apart > tol.proj_eq_tol,
     }
-    residuals = est[:, 3].copy()
-    if tag.span_required:
-        passes["span-at-least"] = lo[:, 4] > thr
     if tag.kind.endswith("_fixed"):
         dcen = chordal_batch(centers, tag.center.unit()[None, :])
         residuals = np.maximum(residuals, dcen)
         passes["center-matches"] = dcen <= tol.proj_eq_tol
 
-    fail_counts: dict = {}
-    ok = np.ones(u.shape[0], dtype=bool)
-    for name, good in passes.items():
-        ok &= _record(fail_counts, name, good | ~sure)
-    chordal = np.minimum(pair_d.min(axis=-1), cd.min(axis=-1))
-    margins = np.minimum(chordal, est[:, margin_cols].min(axis=-1))
-    m_lo = np.minimum(chordal, lo[:, margin_cols].min(axis=-1))
-    m_hi = np.minimum(chordal, hi[:, margin_cols].min(axis=-1))
+    checks = _rank_checks(tag.span_required, m)
+    chordal = np.minimum(pair, apart)
+    rank = _rank_values(np.concatenate([u, centers[:, None]], axis=1), checks, chordal,
+                        defined, np.logical_and.reduce(list(passes.values())), tol)
+    is_margin = np.array([c[3] for c in checks])
+    passes.update((c[0], good) for c, good in zip(checks, _rank_passes(rank, is_margin, tol).T))
+    margins = np.minimum(chordal, rank[:, is_margin].min(axis=-1))
+    if not is_margin.all():
+        residuals = np.maximum(residuals, rank[:, ~is_margin].max(axis=-1))
 
-    near = np.flatnonzero(~sure)
-    if near.size:
-        ex = _validate_exact(u[near], tag, tol)
-        ok[near], margins[near], residuals[near] = ex.verdicts, ex.margins, ex.residuals
-        m_lo[near] = m_hi[near] = ex.margins
-        for name, c in ex.fail_counts.items():
-            fail_counts[name] = fail_counts.get(name, 0) + c
+    ok = np.ones(u.shape[0], dtype=bool)
+    fail_counts: dict = {}
+    for name, good in passes.items():
+        ok &= _record(fail_counts, name, good)
+    return BatchResult(ok, margins, residuals, fail_counts, centers)
+
+
+def _rank_checks(want: Optional[int], m: int) -> list:
+    """The rank checks of ``validate_batch``: name, the rows of the stack
+    (A1, B1, A2, B2, A3, B3 are rows 0-5 and the meet of d1 and d2 row 6),
+    the index of its relative singular value, and whether that value is a
+    margin (passes above rank_rel_tol) or a residual (passes at or below)."""
+    checks = [("lines-distinct d1-d2", (0, 1, 2, 3), 2, True),
+              ("lines-distinct d1-d3", (0, 1, 4, 5), 2, True),
+              ("lines-distinct d2-d3", (2, 3, 4, 5), 2, True),
+              ("concurrent d3", (6, 4, 5), 2, False)]
+    if want is not None:
+        checks.append(("span-at-least", (0, 1, 2, 3, 4, 5), want, True))
+        if m > want + 1:
+            checks.append(("span-exact", (0, 1, 2, 3, 4, 5), want + 1, False))
+    return checks
+
+
+def _rank_passes(values: np.ndarray, is_margin: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Which rank values (N, len(checks)) pass their check."""
+    thr = tol.rank_rel_tol
+    return np.where(is_margin, values > thr, values <= thr)
+
+
+def _rank_exact(rows: np.ndarray, checks) -> np.ndarray:
+    """LAPACK values (N, len(checks)) of the rank checks, one SVD per stack."""
+    svs: dict = {}
+    for _, stack, _, _ in checks:
+        if stack not in svs:
+            svs[stack] = relative_singular_values(rows[:, list(stack)])
+    return np.stack([svs[stack][..., k] for _, stack, k, _ in checks], axis=-1)
+
+
+def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -> np.ndarray:
+    """Values (N, len(checks)) of the rank checks on the stacks of ``rows``.
+
+    Every batch but one kind takes LAPACK at every node.  CP^2 batches of
+    more than one node, all of whose checks read the third singular value,
+    take ``projective.rank3_screen``'s estimates and run LAPACK only on
+    - every node whose meet is undefined (row 6 is then no unit point) or
+      where some interval holds its threshold, so every verdict is LAPACK's;
+    - every other node whose margin interval, the least of ``chordal`` and
+      the rank margin intervals, reaches the least upper bound of those
+      intervals over all nodes or over the nodes passing every check
+      (``others_pass`` and the rank verdicts): so is each such minimum,
+      and the first node attaining it.
+    Elsewhere a value is within the screen's bound of LAPACK's.
+    """
+    if not (rows.shape[-1] == 3 and len(rows) > 1 and all(c[2] == 2 for c in checks)):
+        return _rank_exact(rows, checks)
+    thr = tol.rank_rel_tol
+    est, err = rank3_screen(rows, [c[1] for c in checks])
+    lo, hi = est - err, est + err
+
+    def run_lapack(nodes):
+        nodes = np.flatnonzero(nodes)
+        if nodes.size:
+            est[nodes] = lo[nodes] = hi[nodes] = _rank_exact(rows[nodes], checks)
+
+    run_lapack(~defined | np.any((lo <= thr) & (hi > thr), axis=-1))
+    is_margin = np.array([c[3] for c in checks])
+    ok = others_pass & np.all(_rank_passes(est, is_margin, tol), axis=-1)
+    m_lo = np.minimum(chordal, lo[:, is_margin].min(axis=-1))
+    m_hi = np.minimum(chordal, hi[:, is_margin].min(axis=-1))
     open_ = m_lo < m_hi
     cand = open_ & (m_lo <= m_hi.min())
     if ok.any():
         cand |= open_ & ok & (m_lo <= m_hi[ok].min())
-    cand = np.flatnonzero(cand)
-    if cand.size:
-        margins[cand] = _validate_exact(u[cand], tag, tol).margins
-    return BatchResult(ok, margins, residuals, fail_counts, centers)
+    run_lapack(cand)
+    return est
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:

@@ -254,17 +254,24 @@ def lapack_reference(points, tag):
     lines = {f"lines-distinct {name}": _rel3(u[:, rows])
              for name, rows in (("d1-d2", [0, 1, 2, 3]), ("d1-d3", [0, 1, 4, 5]),
                                 ("d2-d3", [2, 3, 4, 5]))}
-    centers, _, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
-    raw = np.cross(np.cross(u[:, 0], u[:, 1]), np.cross(u[:, 2], u[:, 3]))
+    centers = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])[0]
+    # the meet is defined when each pair spans a line and the lines differ:
+    # |p x q| is the chordal distance of unit p, q, and |l1 x l2| / (|l1| |l2|)
+    # the sine of the angle between the lines
+    l1, l2 = np.cross(u[:, 0], u[:, 1]), np.cross(u[:, 2], u[:, 3])
+    n1, n2 = np.linalg.norm(l1, axis=-1), np.linalg.norm(l2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sine = np.nan_to_num(np.linalg.norm(np.cross(l1, l2), axis=-1) / (n1 * n2))
+    meet_q = np.min([n1, n2, sine], axis=0)
     inc = _rel3(np.concatenate([centers[:, None], u[:, 4:6]], axis=1))
     apart = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], -1)
     span = _rel3(u)
     quantity = {"pairwise-distinct": (pair.min(-1), POINT_TOL), **{k: (v, RANK_TOL) for k, v in lines.items()},
-                "meet-defined": (np.linalg.norm(raw, axis=-1), MEET_TOL),
+                "meet-defined": (meet_q, MEET_TOL),
                 "concurrent d3": (inc, RANK_TOL), "center-apart": (apart.min(-1), POINT_TOL),
                 "span-at-least": (span, RANK_TOL)}
     passes = {"pairwise-distinct": np.all(pair > POINT_TOL, -1),
-              **{k: v > RANK_TOL for k, v in lines.items()}, "meet-defined": defined,
+              **{k: v > RANK_TOL for k, v in lines.items()}, "meet-defined": meet_q >= MEET_TOL,
               "concurrent d3": inc <= RANK_TOL, "center-apart": np.all(apart > POINT_TOL, -1),
               "span-at-least": span > RANK_TOL}
     if tag.center is not None:
@@ -275,6 +282,30 @@ def lapack_reference(points, tag):
     verdicts = np.all(list(passes.values()), axis=0)
     fail_counts = {k: int(np.sum(~v)) for k, v in passes.items() if not v.all()}
     return verdicts, fail_counts, margins, quantity
+
+
+def svd_meet_defined(p1, q1, p2, q2):
+    """The meet-defined verdict of the SVD meet that the CP^2 cross product
+    replaced: the null vector (a, b, c, d) of the columns [p1, q1, -p2, -q2]
+    gives the point a p1 + b q1, defined when its norm is at least 1e-12."""
+    vh = np.linalg.svd(np.stack([p1, q1, -p2, -q2], axis=-1))[2]
+    ab = np.conj(vh[..., -1, :2])
+    return np.linalg.norm(ab[..., 0, None] * p1 + ab[..., 1, None] * q1, axis=-1) >= MEET_TOL
+
+
+def test_meet_defined_for_close_pairs_on_distinct_lines():
+    # A_i = I0 + e_i, B_i = I0 + (1 + 1e-6) e_i on d1 and d2: each pair about
+    # 5e-7 apart, the lines about 3e-7 from each other, the unnormalized
+    # cross-product meet about 1e-13 long
+    e = np.eye(3, dtype=complex)
+    cfg = _config(I0, [e[0], e[1], e[0] + e[1]], [[1, 1 + 1e-6], [1, 1 + 1e-6], [1, 2]])
+    u = unit_rows(cfg)
+    assert svd_meet_defined(*u[:4])
+    point, _, defined = meet(*u[:4])
+    assert defined and np.linalg.norm(point) == pytest.approx(1.0)
+    for batch in (cfg[None], np.stack([cfg, atlas.PLANAR_BASE])):
+        res = validate_batch(batch, SpaceTag.planar_fixed(2, HPoint(I0)))
+        assert res.all_ok and res.fail_counts == {}
 
 
 def _cplx(rng, *shape):
@@ -323,6 +354,9 @@ def near_degenerate_corpus(seed=20):
         d, c, w = _cplx(rng, 3, 3), _cplx(rng, 3, 2), _cplx(rng, 3)
         # the two points of d1 close together
         nodes.append(_config(I0, d, [[c[0, 0], c[0, 0] * (1 + near(POINT_TOL))], *c[1:]]))
+        # the two points of d1 and of d2 close together, on distinct lines
+        nodes.append(_config(I0, d, [[c[0, 0], c[0, 0] * (1 + 1e-7)],
+                                     [c[1, 0], c[1, 0] * (1 + near(100 * POINT_TOL))], c[2]]))
         # d2 close to d1, then so close that the meet is undefined
         nodes.append(_config(I0, [d[0], d[0] + near(RANK_TOL) * w, d[2]], c))
         nodes.append(_config(I0, [d[0], d[0] + near(MEET_TOL) * w, d[2]], c))
@@ -385,6 +419,11 @@ def test_screen_matches_lapack_near_every_threshold(tag):
     est, err = rank3_screen(rows, stacks)
     for k, s in enumerate(stacks):
         assert np.all(np.abs(est[:, k] - _rel3(rows[:, list(s)])) <= err[:, k]), s
+    # where d1 and d2 are distinct lines, meet-defined is the SVD meet's verdict
+    u = unit_rows(corpus)
+    distinct = quantity["lines-distinct d1-d2"][0] > RANK_TOL
+    assert np.array_equal(quantity["meet-defined"][0][distinct] >= MEET_TOL,
+                          svd_meet_defined(*(u[distinct, i] for i in range(4))))
     res = validate_batch(corpus, tag)
     assert np.array_equal(res.verdicts, verdicts)
     assert res.fail_counts == fail_counts
