@@ -21,6 +21,7 @@ from .projective import (
     ProjectiveError,
     Tolerances,
     chordal_batch,
+    cross,
     relative_singular_values,
     unit_rows,
 )
@@ -66,10 +67,7 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
 
 def config_lines_dual(arr: np.ndarray) -> np.ndarray:
     """Dual covectors of the three lines of CP^2 configuration batches."""
-    return np.stack(
-        [np.cross(arr[..., 2 * i, :], arr[..., 2 * i + 1, :]) for i in range(3)],
-        axis=-2,
-    )
+    return np.stack([cross(arr[..., 2 * i, :], arr[..., 2 * i + 1, :]) for i in range(3)], axis=-2)
 
 
 def config_lines_span(arr: np.ndarray) -> np.ndarray:

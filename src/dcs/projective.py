@@ -23,11 +23,8 @@ ZERO_FLOOR = 1e-300
 # Euclidean norms outside this range lose digits or overflow when squared.
 SAFE_NORM = (1e-150, 1e150)
 EPS = np.finfo(np.float64).eps
-# Nodes per pass of rank3_screen.  Its temporaries stay a few MB, and every
-# complex vector stays below numpy's 256 KiB threshold for reusing
-# temporaries in place, past which a complex product rounds differently;
-# so a node's screened values do not depend on the size of its batch.
-_SCREEN_CHUNK = 2048
+# Rows per pass of the batched kernels (see ``chunked``).
+CHUNK = 2048
 
 
 def is_int(value) -> bool:
@@ -162,6 +159,39 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
     return a / n
 
 
+def chunked(kernel, *arrays, core: int = 1):
+    """``kernel`` applied to ``arrays`` in passes of at most CHUNK rows.
+
+    The rows are the entries of the arrays' broadcast leading axes, each
+    array keeping its last ``core`` axes whole; ``kernel`` takes arrays of
+    shape (rows, *core shape) and returns an array, or a tuple of arrays,
+    with one leading entry per row.  Every complex vector of a pass then
+    stays below numpy's 256 KiB threshold for reusing temporaries in place,
+    past which a complex product rounds differently, so a row's value does
+    not depend on the size of its batch; the temporaries stay small too.
+    """
+    arrays = [np.asarray(a) for a in arrays]
+    lead = np.broadcast_shapes(*(a.shape[:a.ndim - core] for a in arrays))
+    flat = [np.broadcast_to(a, lead + a.shape[a.ndim - core:]).reshape((-1,) + a.shape[a.ndim - core:])
+            for a in arrays]
+    n = flat[0].shape[0]
+    parts = [kernel(*(f[i:i + CHUNK] for f in flat)) for i in range(0, max(n, 1), CHUNK)]
+    one = not isinstance(parts[0], tuple)
+    out = tuple(np.concatenate(p) if len(p) > 1 else p[0]
+                for p in zip(*([(p,) for p in parts] if one else parts)))
+    out = tuple(o.reshape(lead + o.shape[1:]) for o in out)
+    return out[0] if one else out
+
+
+def _chordal(u, v):
+    """Chordal distances of coordinate-major unit representatives (m, rows).
+    The same operations, in the same order, as numpy's row-major form
+    ``norm(u - sum(u conj(v)) v)``, one vector per coordinate."""
+    ip = functools.reduce(np.add, (a * np.conj(b) for a, b in zip(u, v)))
+    w = [a - ip * b for a, b in zip(u, v)]
+    return np.clip(np.sqrt(functools.reduce(np.add, ((x.conj() * x).real for x in w))), 0.0, 1.0)
+
+
 def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Chordal distance of unit-normalized representatives, elementwise.
 
@@ -169,9 +199,17 @@ def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     sqrt(1 - |<u,v>|^2) but stays accurate near zero (the naive form cannot
     resolve distances below sqrt(machine epsilon)).
     """
-    ip = np.sum(u * np.conj(v), axis=-1)
-    w = u - ip[..., None] * v
-    return np.clip(np.linalg.norm(w, axis=-1), 0.0, 1.0)
+    return chunked(lambda a, b: _chordal(a.T, b.T), u, v)
+
+
+def chordal_pairs(rows: np.ndarray, pairs) -> np.ndarray:
+    """Chordal distances (N, len(pairs)) of the pairs (i, j) of the unit rows
+    (N, k, m) of each node, in one pass; equal to ``chordal_batch`` of the
+    rows i and j."""
+    def kernel(x):
+        x = np.moveaxis(x, 0, -1)                     # (k, m, rows)
+        return np.stack([_chordal(x[i], x[j]) for i, j in pairs], axis=-1)
+    return chunked(kernel, rows, core=2)
 
 
 def relative_singular_values(rows: np.ndarray) -> np.ndarray:
@@ -182,55 +220,74 @@ def relative_singular_values(rows: np.ndarray) -> np.ndarray:
     return s / s[..., :1]
 
 
-def _cross(a, b):
-    """Bilinear cross product over the last axis of CP^2 representatives.
-    np.cross gives the same values, but its three calls in ``meet`` cost
-    twice the SVD they replace on a one-node batch.  Every product takes
-    views of the arguments, never a temporary, so no product is computed in
-    place and a node's value does not depend on the size of its batch."""
+def cross(a, b):
+    """Bilinear cross product over the last axis of CP^2 representatives,
+    batched over leading axes.  np.cross gives the same values, but its
+    three calls in ``meet`` cost twice the SVD they replace on a one-node
+    batch.  Every product takes views of the arguments, never a temporary,
+    so no product is computed in place and a node's value does not depend on
+    the size of its batch."""
     return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
                      a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
                      a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
 
 
+def _vdot(a, b):
+    """<a, b> = sum(conj(a) b) over the last axis."""
+    return np.sum(np.conj(a) * b, axis=-1)
+
+
 def meet(p1, q1, p2, q2):
     """Meet of the lines p1 q1 and p2 q2, batched over leading axes.
 
-    The arguments are unit representatives (..., n+1).  In CP^2 the meet is
-    the cross product (p1 x q1) x (p2 x q2).  Above CP^2 it is the null
-    vector (a, b, c, d) of the columns [p1, q1, -p2, -q2], read as
-    a p1 + b q1.  Returns the unit meet point, the skew residual (the fourth
-    relative singular value of the columns: zero when the lines are
-    coplanar, and zero in CP^2) and the mask of nodes where the meet is
-    defined, i.e. p1 q1 spans a line that meets p2 q2 in one point.  Above
-    CP^2 that is an unnormalized point of norm at least 1e-12.  In CP^2 it
-    is a test of scale-free quantities, each at least 1e-12: the chordal
-    distance of each pair, which is |p x q| for unit p and q, and the sine
-    of the angle between the lines, |l1 x l2| / (|l1| |l2|).  The norm of
-    the unnormalized CP^2 point is the product of all three, which would
-    fail an absolute cutoff for two close pairs on two distinct lines.
-    Undefined points of norm below 1e-12 are returned unnormalized.
+    The arguments are unit representatives (..., n+1).  Returns the meet
+    point and the mask of nodes where the meet is defined: each pair spans
+    a line, and the lines differ.  That is a test of scale-free quantities,
+    each at least 1e-12: the chordal distance of each pair and the sine of
+    the angle between the lines.  An absolute cutoff on an unnormalized
+    point would fail two close pairs on two distinct lines.
+
+    In CP^2 the point is the cross product (p1 x q1) x (p2 x q2), whose
+    norm is the product of the three quantities (|p x q| is the chordal
+    distance of unit p and q, |l1 x l2| / (|l1| |l2|) the sine); undefined
+    points of norm below 1e-12 are returned unnormalized.  Above CP^2 it is
+    the point of p1 q1 nearest to p2 q2, the meet when the lines meet: with
+    orthonormal frames (p1, e1) and (p2, e2) of the lines and r(x) the
+    component of x orthogonal to p2 q2, the eigenvector (a, b) of the least
+    eigenvalue of the 2x2 Gram of r(p1), r(e1) gives a p1 + b e1.  The sine
+    is the norm of [r(p1), r(e1)].  Whether the lines meet is the rank
+    check ``concurrent d1-d2`` of ``strata.validate_batch``, not a test
+    here.  Where the meet is undefined the point is only a placeholder.
     """
-    p1, q1, p2, q2 = np.broadcast_arrays(p1, q1, p2, q2)
+    return chunked(_meet, p1, q1, p2, q2)
+
+
+def _meet(p1, q1, p2, q2):
+    """``meet`` on one pass of rows."""
     if p1.shape[-1] == 3:
-        l1, l2 = _cross(p1, q1), _cross(p2, q2)
-        point = _cross(l1, l2)
-        skew = np.zeros(point.shape[:-1])
-    else:
-        cols = np.stack([p1, q1, -p2, -q2], axis=-1)  # (..., n+1, 4)
-        _, s, vh = np.linalg.svd(cols)
-        skew = s[..., 3] / s[..., 0] if cols.shape[-2] > 3 else np.zeros(s.shape[:-1])
-        ab = np.conj(vh[..., -1, :2])
-        point = ab[..., 0, None] * p1 + ab[..., 1, None] * q1
-    norm = np.linalg.norm(point, axis=-1, keepdims=True)
-    tiny = norm[..., 0] < 1e-12
-    if p1.shape[-1] == 3:
+        l1, l2 = cross(p1, q1), cross(p2, q2)
+        point = cross(l1, l2)
+        norm = np.linalg.norm(point, axis=-1, keepdims=True)
         n1, n2 = np.linalg.norm(l1, axis=-1), np.linalg.norm(l2, axis=-1)
         defined = (n1 >= 1e-12) & (n2 >= 1e-12) & (norm[..., 0] >= 1e-12 * n1 * n2)
-    else:
-        defined = ~tiny
-    norm[tiny & ~defined] = 1.0
-    return point / norm, skew, defined
+        norm[(norm[..., 0] < 1e-12) & ~defined] = 1.0
+        return point / norm, defined
+
+    def frame(p, q):                  # the unit vector of p q orthogonal to p, and |p x q|
+        e = q - _vdot(p, q)[:, None] * p
+        s = np.linalg.norm(e, axis=-1)
+        return e / np.where(s > 0, s, 1.0)[:, None], s
+
+    (e1, s1), (e2, s2) = frame(p1, q1), frame(p2, q2)
+    rp, re = ((x - _vdot(p2, x)[:, None] * p2) - _vdot(e2, x)[:, None] * e2 for x in (p1, e1))
+    a, b, h = _vdot(rp, rp).real, _vdot(re, re).real, _vdot(rp, re)
+    least = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(h))
+    v1 = np.where(a >= b, h, least - b)
+    v2 = np.where(a >= b, least - a, np.conj(h))
+    point = v1[:, None] * p1 + v2[:, None] * e1
+    norm = np.linalg.norm(point, axis=-1, keepdims=True)
+    point = np.where(norm > 0, point / np.where(norm > 0, norm, 1.0), p1)
+    return point, (s1 >= 1e-12) & (s2 >= 1e-12) & (np.sqrt(a + b) >= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +327,11 @@ def bracket_rows(a, b, c):
     """Cofactor-expansion 3x3 determinant of CP^2 representatives, batched
     over leading axes.  Vanishes exactly on collinear triples; depends on
     the representatives only up to a nonzero scalar per argument."""
+    return chunked(_bracket, a, b, c)
+
+
+def _bracket(a, b, c):
+    """``bracket_rows`` on one pass of rows."""
     return (
         a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
         - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
@@ -277,65 +339,153 @@ def bracket_rows(a, b, c):
     )
 
 
-def rank3_screen(rows: np.ndarray, stacks) -> tuple:
-    """Closed-form third relative singular value of stacks of CP^2 rows,
-    with an error bound and no LAPACK call.
+def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
+    """Closed-form third relative singular value of stacks of rows that span
+    about three dimensions, with an error bound and no LAPACK call.
 
-    ``rows`` (N, r, 3) are unit representatives; each of ``stacks`` is a
+    ``rows`` (N, r, m) are unit representatives; each of ``stacks`` is a
     tuple of at least three row indices.  Returns ``est`` and ``err``, both
-    (N, len(stacks)): ``relative_singular_values(rows[:, s])[..., 2]``, as
-    LAPACK computes it, lies within ``err`` of ``est``.  A node whose bound
-    cannot be formed gets est 0 and err inf.
+    (N, len(stacks)): ``relative_singular_values(rows[:, s])[..., index]``,
+    as LAPACK computes it, lies within ``err`` of ``est``.  A node whose
+    bound cannot be formed gets est 0 and err inf.  ``index`` 3, the fourth
+    value, is for stacks of four rows or four columns above CP^2, such as
+    the skew of two lines or the excess of a planar span.
 
-    For a stack M of k rows let G = M^H M, with eigenvalues l0 >= l1 >= l2
-    (the squared singular values):
+    In CP^2 a stack M of k rows has three columns.  Above CP^2 it is first
+    written as M = N B + R: B has as rows an orthonormal basis of the span
+    of three rows of M (modified Gram-Schmidt, each step taking the row
+    farthest from the basis so far), N (k x 3) the coefficients and R the
+    residuals.  Each singular value of M is within
+    tau = ||R|| + sigma_1(N) ||B B^H - I|| of N's (Weyl's inequality,
+    Stewart & Sun, Matrix Perturbation Theory, 1990).  tau is near eps
+    where the rows span three dimensions, and large otherwise, where the
+    bound sends the node to LAPACK.  Let G = N^H N, with eigenvalues
+    l0 >= l1 >= l2 (the squared singular values of N):
     - sqrt(l0 l1 l2) = sqrt(det G) is the norm of the vector of brackets of
-      the stack's row triples (Cauchy-Binet).  It keeps its absolute
+      the row triples of N (Cauchy-Binet).  It keeps its absolute
       accuracy down to zero; det G from the entries of G, or l2 from Smith's
       formula, would not (a sqrt(eps) floor).
     - l0 and l1 come from Smith's formula for 3x3 Hermitian matrices
       (CACM 4(4), 1961), with the deviatoric norm p taken from the entries
       of G - qI rather than from tr^2 - 3 e2.
-    - est = sqrt(det G) / (l0 sqrt(l1)).
+    - est = sqrt(det G) / (l0 sqrt(l1)); for index 3, est = vol4 /
+      (sqrt(l0) sqrt(det G)) with vol4 the norm of M's 4 x 4 minors, the
+      product of its four singular values.
 
     ``err`` is interval arithmetic over deliberately loose error bounds:
     - each entry of the computed G is off by at most (k + 3) k eps, so by
-      Weyl's inequality (Stewart & Sun, Matrix Perturbation Theory, 1990)
-      each of its eigenvalues is off by at most three times that;
+      Weyl's inequality each of its eigenvalues is off by at most three
+      times that;
     - Smith's angle arccos(r) / 3 is bounded by the image under arccos of an
       interval around r.  Near a repeated eigenvalue arccos has no finite
       slope, so l0 and l1 may be off by about p sqrt(eps), not eps: on the
       stack e1, e2, e3, (e1 + e2 + e3) / sqrt(3) the formula is off by 3e-9;
-    - each bracket is off by at most 64 eps;
-    - LAPACK's singular values are those of M + F with ||F|| <= 64 k eps
-      sigma_1, so the ratio it returns is off by at most 64 k eps (1 + est).
+    - each bracket is off by at most 64 eps, each 4 x 4 minor by at most
+      512 eps (see ``gram_screen``), and R as computed by at most 32 k m eps;
+    - LAPACK's singular values are those of M + F with ||F|| <= 64 k' eps
+      sigma_1, k' = max(k, m), so the ratio it returns is off by at most
+      64 k' eps (1 + est).
     The code widens the first terms by further factors of 4 to 8.  On
     random, near-planar and repeated-eigenvalue stacks the largest error
     seen is about 1/150 of ``err``.
     """
-    rows = np.asarray(rows, dtype=np.complex128)
-    parts = [_rank3_screen_chunk(rows[i:i + _SCREEN_CHUNK], stacks)
-             for i in range(0, max(len(rows), 1), _SCREEN_CHUNK)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return chunked(lambda x: _rank3_screen_chunk(x, list(stacks), list(fourth)),
+                   np.asarray(rows, dtype=np.complex128), core=2)
 
 
-def _rank3_screen_chunk(rows: np.ndarray, stacks) -> tuple:
-    """``rank3_screen`` on one chunk of nodes."""
-    # one contiguous vector per row and coordinate: (r, 3, N)
+def _project3(xs, stacks) -> tuple:
+    """The coefficients N (S, k, 3, N) of the rows of each of ``stacks``
+    (S stacks of k rows) in an orthonormal basis of a span of three of
+    them, and tau (S, N), the bound on the distance of each singular value
+    of a stack from N's (see ``rank3_screen``).  ``xs`` holds one (r, N)
+    array per coordinate.  The basis starts from a stack's first two rows
+    and the one of the others farthest from their span."""
+    def dot(a, b):                 # <a, b> over the coordinates
+        return functools.reduce(np.add, (ac.conj() * bc for ac, bc in zip(a, b)))
+
+    def norm2(a):
+        return functools.reduce(np.add, ((ac.conj() * ac).real for ac in a))
+
+    k, m = len(stacks[0]), len(xs)
+    rows = [xc[np.array(stacks)] for xc in xs]                           # m x (S, k, N)
+    basis = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(3):
+            if j < 2:
+                b = [rc[:, j] for rc in rows]
+            else:                  # the row farthest from the span of the first two
+                rest = [rc[:, 2:] for rc in rows]
+                for a in basis:
+                    ip = dot([ac[:, None] for ac in a], rest)
+                    rest = [rc - ip * ac[:, None] for rc, ac in zip(rest, a)]
+                best = np.argmax(norm2(rest), axis=1)[:, None]
+                b = [np.take_along_axis(rc, best, 1)[:, 0] for rc in rest]
+            # where b is within 1e-12 of the basis (the stack spans fewer
+            # dimensions), the coordinate axis farthest from the basis
+            # instead; then orthogonal to the basis again, twice, since a
+            # residual near rounding size is noise in any direction
+            off = norm2(b) - sum((np.abs(dot(a, b)) ** 2 for a in basis), 0.0)
+            small = off < 1e-24
+            if small.any():
+                cover = np.stack([sum(((a[c].conj() * a[c]).real for a in basis), np.zeros(small.shape))
+                                  for c in range(m)])
+                axis = np.argmin(cover, axis=0)
+                b = [np.where(small, axis == c, bc) for c, bc in enumerate(b)]
+            for a in basis + basis:
+                ip = dot(a, b)
+                b = [bc - ip * ac for bc, ac in zip(b, a)]
+            size = np.sqrt(norm2(b))
+            basis.append([bc / size for bc in b])
+    v = [dot([ac[:, None] for ac in a], rows) for a in basis]            # 3 x (S, k, N)
+    res = [rc - functools.reduce(np.add, (vj * a[c][:, None] for vj, a in zip(v, basis)))
+           for c, rc in enumerate(rows)]
+    rho = np.sqrt(np.sum(norm2(res), axis=1))
+    dev = sum(np.abs(dot(a, b) - (j == l)) ** 2 * (1 + (j != l))
+              for j, a in enumerate(basis) for l, b in enumerate(basis) if j <= l)
+    v = np.stack(v, axis=2)                                              # (S, k, 3, N)
+    size = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=(1, 2)))      # ||N||_F >= sigma_1(N)
+    return v, rho + 32 * k * m * EPS + size * (np.sqrt(dev) + 8 * m * EPS)
+
+
+def _rank3_screen_chunk(rows: np.ndarray, stacks, fourth) -> tuple:
+    """``rank3_screen`` on one pass of nodes."""
+    # one contiguous vector per row and coordinate: (r, m, N)
     x = np.moveaxis(rows, 0, -1).copy()
-    sq = x.real ** 2 + x.imag ** 2                                      # |x_a|^2
-    xc = np.conj(x)
-    off = np.stack([xc[:, 0] * x[:, 1], xc[:, 0] * x[:, 2], xc[:, 1] * x[:, 2]], axis=1)
-    gd = np.stack([functools.reduce(np.add, (sq[i] for i in s)) for s in stacks])   # (S, 3, N)
-    go = np.stack([functools.reduce(np.add, (off[i] for i in s)) for s in stacks])  # g01, g02, g12
-    triples = [list(itertools.combinations(sorted(s), 3)) for s in stacks]
-    br2 = {}
-    for t in set().union(*triples):
-        b = bracket_rows(*(x[i].T for i in t))
-        br2[t] = b.real ** 2 + b.imag ** 2
-    vol = np.sqrt(np.stack([functools.reduce(np.add, (br2[t] for t in ts)) for ts in triples]))  # sqrt(det G)
-    n_rows = np.array([len(s) for s in stacks], dtype=float)[:, None]
-    n_brackets = np.array([len(ts) for ts in triples], dtype=float)[:, None]
+    m = x.shape[1]
+    order = list(dict.fromkeys(stacks + fourth))
+    if m == 3:
+        groups = [(x, order, 0.0)]
+    else:
+        # a stack of three rows as its transpose, whose m rows are its
+        # columns; a larger one in the basis of a span of three of its rows
+        xs = [np.ascontiguousarray(x[:, c]) for c in range(m)]
+        proj = {}
+        for k in dict.fromkeys(len(s) for s in order if len(s) > 3):
+            same = [s for s in order if len(s) == k]
+            proj.update(zip(same, zip(*_project3(xs, same))))
+        groups = [(np.swapaxes(x[list(s)], 0, 1), [tuple(range(m))], 0.0) if len(s) == 3
+                  else (proj[s][0], [tuple(range(len(s)))], proj[s][1]) for s in order]
+    gd, go, vol, tau, n_rows, n_brackets = [], [], [], [], [], []
+    for v, group, t in groups:
+        sq = v.real ** 2 + v.imag ** 2                                  # |v_a|^2
+        vc = np.conj(v)
+        off = np.stack([vc[:, 0] * v[:, 1], vc[:, 0] * v[:, 2], vc[:, 1] * v[:, 2]], axis=1)
+        triples = [list(itertools.combinations(sorted(s), 3)) for s in group]
+        br2 = {}
+        for tr in set().union(*triples):
+            b = _bracket(*(v[i].T for i in tr))
+            br2[tr] = b.real ** 2 + b.imag ** 2
+        for s, ts in zip(group, triples):
+            gd.append(functools.reduce(np.add, (sq[i] for i in s)))                # (3, N)
+            go.append(functools.reduce(np.add, (off[i] for i in s)))               # g01, g02, g12
+            vol.append(np.sqrt(functools.reduce(np.add, (br2[tr] for tr in ts))))  # sqrt(det G)
+            tau.append(np.broadcast_to(t, vol[-1].shape))
+            n_rows.append(len(s))
+            n_brackets.append(len(ts))
+    gd, go, vol, tau = np.stack(gd), np.stack(go), np.stack(vol), np.stack(tau)
+    n_rows = np.array(n_rows, dtype=float)[:, None]
+    n_brackets = np.array(n_brackets, dtype=float)[:, None]
+    n_dims = np.maximum(n_rows, m)
 
     # Smith: G = qI + pB', eigenvalues q + 2p cos(phi + 2 pi j / 3), r = det(B') / 2
     q = (gd[:, 0] + gd[:, 1] + gd[:, 2]) / 3
@@ -358,10 +508,136 @@ def _rank3_screen_chunk(rows: np.ndarray, stacks) -> tuple:
         dl = 8 * d_entry + 2 * p * width + 8 * EPS * (q + p)
         dvol = 64 * EPS * np.sqrt(n_brackets) + 4 * (n_brackets + 1) * EPS * vol
 
-        est = vol / (l0 * np.sqrt(l1))
-        hi = np.where(l1 > dl, (vol + dvol) / ((l0 - dl) * np.sqrt(l1 - dl)), np.inf)
-        lo = np.maximum(vol - dvol, 0.0) / ((l0 + dl) * np.sqrt(l1 + dl))
+        at = [order.index(s) for s in stacks]
+        est = vol[at] / (l0[at] * np.sqrt(l1[at]))
+        hi = np.where(l1[at] > dl[at], (vol[at] + dvol[at]) / ((l0[at] - dl[at]) * np.sqrt(l1[at] - dl[at])),
+                      np.inf)
+        lo = np.maximum(vol[at] - dvol[at], 0.0) / ((l0[at] + dl[at]) * np.sqrt(l1[at] + dl[at]))
+        # sigma_1 of M is at least sqrt(l0 - dl) - tau; tau / sigma_1(N) widens a ratio of N's
+        t = np.where(tau[at] > 0, tau[at] / np.sqrt(l0[at] - dl[at]), 0.0)
+        hi = np.where(t < 1, (hi + t) / (1 - t), np.inf)
+        lo = np.maximum(lo - t, 0.0) / (1 + t)
+        ests, his, los = [est], [hi], [lo]
+        if fourth:
+            at = [order.index(s) for s in fourth]
+            v4, n4 = zip(*(_minor_volume(x, s, 4) for s in fourth))
+            v4, n4 = np.stack(v4), np.array(n4, dtype=float)[:, None]
+            dv4 = 512 * EPS * np.sqrt(n4) + 4 * (n4 + 1) * EPS * v4
+            ests.append(v4 / (np.sqrt(l0[at]) * vol[at]))
+            # the product of M's three largest singular values, from N's
+            s1 = np.sqrt(l0[at] - dl[at]) - tau[at]
+            s3 = (vol[at] - dvol[at]) / np.sqrt((l0[at] + dl[at]) * (l1[at] + dl[at]))
+            u = tau[at] / s3
+            low = np.where((l1[at] > dl[at]) & (u < 1) & (s1 > 0), s1 * (vol[at] - dvol[at]) * (1 - u) ** 3, 0.0)
+            his.append(np.where(low > 0, (v4 + dv4) / low, np.inf))
+            los.append(np.maximum(v4 - dv4, 0.0)
+                       / ((np.sqrt(l0[at] + dl[at]) + tau[at]) * (vol[at] + dvol[at]) * (1 + u) ** 3))
+        est, hi, lo = np.concatenate(ests), np.concatenate(his), np.concatenate(los)
+        dims = n_dims[[order.index(s) for s in stacks + fourth]]
         err = (np.maximum(hi - est, est - lo) * (1 + 16 * EPS)
-               + 64 * n_rows * EPS * (1 + est))
+               + 64 * dims * EPS * (1 + est))
     bad = ~(np.isfinite(est) & np.isfinite(err))
     return np.where(bad, 0.0, est).T, np.where(bad, np.inf, err).T
+
+
+def gram_screen(rows: np.ndarray, stacks) -> tuple:
+    """Relative singular values of stacks of rows from one batched Hermitian
+    eigenvalue solve per Gram size, with an error bound and no SVD.
+
+    ``rows`` (N, r, m) are unit representatives; each of ``stacks`` is a
+    pair (row indices, k).  Returns ``est`` and ``err``, both
+    (N, len(stacks)): ``relative_singular_values(rows[:, s])[..., k]``, as
+    LAPACK computes it, lies within ``err`` of ``est``.  A node whose bound
+    cannot be formed gets est 0 and err inf.
+
+    For a stack M of k' rows let G be the smaller of M M^H (a principal
+    submatrix of the Gram of all rows) and M^H M, of size d = min(k', m),
+    with eigenvalues l0 >= ... >= l(d-1) from ``numpy.linalg.eigvalsh``:
+    - for k < d - 1, est = sqrt(lk / l0);
+    - for the last value, k = d - 1, est = vol / (sqrt(l0) sqrt(l0 ... l(d-2)))
+      with vol the norm of the vector of the stack's d x d minors, the
+      product of its singular values (Cauchy-Binet), from Laplace expansion.
+      Like ``rank3_screen``'s brackets it keeps its absolute accuracy down to
+      zero, where sqrt(l(d-1)) would not (a sqrt(eps) floor).
+
+    ``err`` is interval arithmetic over deliberately loose error bounds:
+    - each entry of the computed G, a sum of L products, is off by at most
+      2 (L + 2) eps sqrt(g_ii g_jj), so the computed G is off by at most
+      2 (L + 2) eps tr(G) in norm; eigvalsh returns the eigenvalues of a
+      matrix off by at most 64 d eps ||G||.  By Weyl's inequality (Stewart &
+      Sun, Matrix Perturbation Theory, 1990) each eigenvalue is off by at
+      most the sum, repeated eigenvalues included; the code takes 4 times it;
+    - every minor of rows of norm at most 1 is at most 1 (Hadamard), and
+      each level of Laplace expansion adds at most about sqrt(d) (e + 4 eps)
+      to the error e of the level below, well under 8 d^3 eps in all;
+    - LAPACK's singular values are those of M + F with ||F|| <= 64 k' eps
+      sigma_1, so the ratio it returns is off by at most 64 k' eps (1 + est).
+    """
+    return chunked(lambda x: _gram_screen_chunk(x, stacks),
+                   np.asarray(rows, dtype=np.complex128), core=2)
+
+
+def _gram_screen_chunk(rows: np.ndarray, stacks) -> tuple:
+    """``gram_screen`` on one pass of nodes."""
+    m = rows.shape[-1]
+    gram_rows = rows @ np.conj(np.swapaxes(rows, -1, -2))          # (N, r, r)
+    mats = {}
+    for s, _ in stacks:
+        if s not in mats:
+            if len(s) <= m:
+                mats[s] = (gram_rows[:, list(s)][:, :, list(s)], m)
+            else:
+                sub = rows[:, list(s)]
+                mats[s] = (np.conj(np.swapaxes(sub, -1, -2)) @ sub, len(s))
+    lam = {}
+    for d in {g.shape[-1] for g, _ in mats.values()}:
+        same = [s for s, (g, _) in mats.items() if g.shape[-1] == d]
+        vals = np.linalg.eigvalsh(np.stack([mats[s][0] for s in same]))[..., ::-1]
+        lam.update(zip(same, vals))
+    x = np.moveaxis(rows, 0, -1).copy()                            # (r, m, N)
+    est, err = [], []
+    for s, k in stacks:
+        g, terms = mats[s]
+        d = g.shape[-1]
+        tr = np.trace(g, axis1=-2, axis2=-1).real
+        delta = 4 * (2 * (terms + 2) + 64 * d) * EPS * tr
+        lo_l = [lam[s][:, i] - delta for i in range(d)]
+        hi_l = [lam[s][:, i] + delta for i in range(d)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if k < d - 1:
+                e = np.sqrt(np.maximum(lam[s][:, k], 0.0) / lam[s][:, 0])
+                hi = np.where(lo_l[0] > 0, np.sqrt(hi_l[k] / lo_l[0]), np.inf)
+                lo = np.sqrt(np.maximum(lo_l[k], 0.0) / hi_l[0])
+            else:
+                vol, n_minors = _minor_volume(x, s, d)
+                dvol = 8 * d ** 3 * EPS * np.sqrt(n_minors) + 4 * (n_minors + 1) * EPS * vol
+                head = functools.reduce(np.multiply, (lam[s][:, i] for i in range(d - 1)))
+                e = vol / np.sqrt(lam[s][:, 0] * head)
+                low = functools.reduce(np.multiply, lo_l[:d - 1])
+                hi = np.where(lo_l[d - 2] > 0, (vol + dvol) / np.sqrt(lo_l[0] * low), np.inf)
+                lo = np.maximum(vol - dvol, 0.0) / np.sqrt(hi_l[0] * functools.reduce(np.multiply, hi_l[:d - 1]))
+            r = (np.maximum(hi - e, e - lo) * (1 + 16 * EPS) + 64 * max(len(s), m) * EPS * (1 + e))
+        bad = ~(np.isfinite(e) & np.isfinite(r))
+        est.append(np.where(bad, 0.0, e))
+        err.append(np.where(bad, np.inf, r))
+    return np.stack(est, axis=-1), np.stack(err, axis=-1)
+
+
+def _minor_volume(x: np.ndarray, stack, d: int) -> tuple:
+    """The norm of the vector of d x d minors of the stack's rows of ``x``
+    (r, m, N), by Laplace expansion along the first row, and the number of
+    minors.  For d = min(len(stack), m) it is the product of the stack's
+    singular values (Cauchy-Binet)."""
+    memo = {}
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return x[rows[0], cols[0]]
+        if (rows, cols) not in memo:
+            terms = [x[rows[0], c] * det(rows[1:], cols[:j] + cols[j + 1:]) for j, c in enumerate(cols)]
+            memo[rows, cols] = functools.reduce(np.add, terms[0::2]) - functools.reduce(np.add, terms[1::2])
+        return memo[rows, cols]
+
+    minors = [det(rs, cs) for rs in itertools.combinations(stack, d)
+              for cs in itertools.combinations(range(x.shape[1]), d)]
+    return np.sqrt(functools.reduce(np.add, (v.real ** 2 + v.imag ** 2 for v in minors))), len(minors)

@@ -26,6 +26,8 @@ from .projective import (
     ProjectiveError,
     Tolerances,
     chordal_batch,
+    chordal_pairs,
+    gram_screen,
     is_int,
     meet,
     rank3_screen,
@@ -34,7 +36,11 @@ from .projective import (
     unit_rows,
 )
 
-_LINE_IDX = ((0, 1), (2, 3), (4, 5))
+# Pairs of the rows A1, B1, A2, B2, A3, B3 (0-5) and the meet or center (6)
+# whose chordal distances validate_batch checks: the points, then the meet.
+_POINT_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+_CENTER_PAIRS = [(i, 6) for i in range(6)]
+_SPAN_PAIRS = [(0, 1), (2, 3), (4, 5)]
 
 
 @dataclass(frozen=True)
@@ -193,21 +199,13 @@ class Config6:
         return "Config6(" + ", ".join(repr(p) for p in self.points) + ")"
 
 
-def _pair_distances(u: np.ndarray):
-    """Chordal distances of all point pairs i < j of unit rows (..., k, m):
-    the pairs in row-major order, and the distances stacked on a last axis.
-    One batched call per pair keeps the temporaries at the size of ``u``."""
-    pairs = [(i, j) for i in range(u.shape[-2]) for j in range(i + 1, u.shape[-2])]
-    dists = [chordal_batch(u[..., i, :], u[..., j, :]) for i, j in pairs]
-    return pairs, np.stack(dists, axis=-1) if pairs else np.empty(u.shape[:-2] + (0,))
-
-
 def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
     """Pairwise-distinctness predicate for F_k; margin is the least distance."""
     pts = list(points)
     if not pts:
         raise ProjectiveError("empty point list")
-    pairs, d = _pair_distances(unit_rows(np.stack([p.coords for p in pts])))
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    d = chordal_pairs(unit_rows(np.stack([p.coords for p in pts]))[None], pairs)[0] if pairs else np.empty(0)
     worst = float(d.min()) if pairs else np.inf
     failures = [f"points {i} and {j} coincide"
                 for (i, j), close in zip(pairs, d <= tol.proj_eq_tol) if close]
@@ -222,12 +220,13 @@ class BatchResult:
     ``verdicts`` and ``fail_counts`` are always LAPACK's.  ``margins`` is
     exact (LAPACK singular values, chordal distances) at every node that can
     attain the batch's least margin, over all nodes or over the passing
-    nodes.  In a screened CP^2 batch (see ``strata._rank_values``) it is
-    elsewhere within the stated bound of ``projective.rank3_screen``, and so
-    is ``residuals`` at every node whose rank values are all screened: a
+    nodes.  In a screened batch (every batch of more than one node, see
+    ``strata._rank_values``) a rank value is elsewhere within the stated
+    bound of ``projective.rank3_screen`` or ``projective.gram_screen``.  So
+    is ``residuals`` at every node whose rank values are screened: a
     maximum residual, or a least margin over another subset of nodes, is
-    then an estimate within that bound (about 5e-14 for a residual near
-    zero), not LAPACK's value.  Every other batch is exact throughout.
+    then an estimate within that bound (about 1e-13 for a residual near
+    zero), not LAPACK's value.  A batch of one is exact throughout.
     """
 
     verdicts: np.ndarray          # bool (N,)
@@ -266,12 +265,12 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
 
     ``points`` has shape (N, 6, n+1).  Checks (named as reported):
     pairwise-distinct, lines-defined (within pairwise), lines-distinct,
-    concurrent, meet-defined, center-apart, span, center-matches (fixed
-    tags only).  The rank checks are relative singular values of stacks of
-    rows (see ``_rank_checks``); ``_rank_values`` says where each comes
-    from.  Verdicts and fail_counts are LAPACK's at every node, and so are
-    the least margin and the first node attaining it, over all nodes or over
-    the passing ones (see ``BatchResult``).
+    concurrent (d1-d2 above CP^2, and d3), meet-defined, center-apart, span,
+    center-matches (fixed tags only).  The rank checks are relative singular
+    values of stacks of rows (see ``_rank_checks``); ``_rank_values`` says
+    where each comes from.  Verdicts and fail_counts are LAPACK's at every
+    node, and so are the least margin and the first node attaining it, over
+    all nodes or over the passing ones (see ``BatchResult``).
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim == 2:
@@ -282,32 +281,24 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
             f"tag expects CP^{tag.n} but points have {m} coordinates"
         )
     u = unit_rows(pts)
-    centers, skew, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    centers, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
+    rows = np.concatenate([u, centers[:, None]], axis=1)
+    dist = chordal_pairs(rows, _POINT_PAIRS + _CENTER_PAIRS)
     # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
-    pair = _pair_distances(u)[1].min(axis=-1)
-    apart = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], axis=-1).min(axis=-1)
-    residuals = skew
+    pair = dist[:, :len(_POINT_PAIRS)].min(axis=-1)
+    apart = dist[:, len(_POINT_PAIRS):].min(axis=-1)
+    residuals = np.zeros(len(u))
     passes = {
         "pairwise-distinct": pair > tol.proj_eq_tol,
-        "concurrent d1-d2": skew <= tol.rank_rel_tol,
         "meet-defined": defined,
         "center-apart": apart > tol.proj_eq_tol,
     }
     if tag.kind.endswith("_fixed"):
         dcen = chordal_batch(centers, tag.center.unit()[None, :])
-        residuals = np.maximum(residuals, dcen)
+        residuals = dcen
         passes["center-matches"] = dcen <= tol.proj_eq_tol
-
-    checks = _rank_checks(tag.span_required, m)
-    chordal = np.minimum(pair, apart)
-    rank = _rank_values(np.concatenate([u, centers[:, None]], axis=1), checks, chordal,
-                        defined, np.logical_and.reduce(list(passes.values())), tol)
-    is_margin = np.array([c[3] for c in checks])
-    passes.update((c[0], good) for c, good in zip(checks, _rank_passes(rank, is_margin, tol).T))
-    margins = np.minimum(chordal, rank[:, is_margin].min(axis=-1))
-    if not is_margin.all():
-        residuals = np.maximum(residuals, rank[:, ~is_margin].max(axis=-1))
-
+    margins, residuals = _rank_checked(rows, _rank_checks(tag.span_required, m),
+                                       np.minimum(pair, apart), defined, passes, residuals, tol)
     ok = np.ones(u.shape[0], dtype=bool)
     fail_counts: dict = {}
     for name, good in passes.items():
@@ -319,16 +310,43 @@ def _rank_checks(want: Optional[int], m: int) -> list:
     """The rank checks of ``validate_batch``: name, the rows of the stack
     (A1, B1, A2, B2, A3, B3 are rows 0-5 and the meet of d1 and d2 row 6),
     the index of its relative singular value, and whether that value is a
-    margin (passes above rank_rel_tol) or a residual (passes at or below)."""
+    margin (passes above rank_rel_tol) or a residual (passes at or below).
+    Two lines of CP^2 always meet, so "concurrent d1-d2" is a check above
+    CP^2 only: the skew of the four points, the last of their values."""
     checks = [("lines-distinct d1-d2", (0, 1, 2, 3), 2, True),
               ("lines-distinct d1-d3", (0, 1, 4, 5), 2, True),
               ("lines-distinct d2-d3", (2, 3, 4, 5), 2, True),
               ("concurrent d3", (6, 4, 5), 2, False)]
+    if m > 3:
+        checks.append(("concurrent d1-d2", (0, 1, 2, 3), 3, False))
     if want is not None:
         checks.append(("span-at-least", (0, 1, 2, 3, 4, 5), want, True))
         if m > want + 1:
             checks.append(("span-exact", (0, 1, 2, 3, 4, 5), want + 1, False))
     return checks
+
+
+# The rank checks of a line triple (rows A1, B1, A2, B2, A3, B3, then the
+# center as row 6), in the form of ``_rank_checks``; a name shared by three
+# checks passes where all three do.
+_LINE_CHECKS = ([("lines-distinct", a + b, 2, True) for a, b in ((_SPAN_PAIRS[0], _SPAN_PAIRS[1]),
+                                                                  (_SPAN_PAIRS[0], _SPAN_PAIRS[2]),
+                                                                  (_SPAN_PAIRS[1], _SPAN_PAIRS[2]))]
+                + [("center-incidence", a + (6,), 2, False) for a in _SPAN_PAIRS])
+
+
+def _rank_checked(rows, checks, chordal, defined, passes: dict, residuals, tol: Tolerances) -> tuple:
+    """Run the rank ``checks`` on the stacks of ``rows``: add their verdicts
+    to ``passes`` (and-ed by name) and return the margins, the least of
+    ``chordal`` and the rank margins, and the residuals, the largest of
+    ``residuals`` and the rank residuals."""
+    others = np.logical_and.reduce(list(passes.values()))
+    rank = _rank_values(rows, checks, chordal, defined, others, tol)
+    is_margin = np.array([c[3] for c in checks])
+    for c, good in zip(checks, _rank_passes(rank, is_margin, tol).T):
+        passes[c[0]] = passes[c[0]] & good if c[0] in passes else good
+    margins = np.minimum(chordal, rank[:, is_margin].min(axis=-1))
+    return margins, np.maximum(residuals, rank[:, ~is_margin].max(axis=-1))
 
 
 def _rank_passes(values: np.ndarray, is_margin: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -337,52 +355,67 @@ def _rank_passes(values: np.ndarray, is_margin: np.ndarray, tol: Tolerances) -> 
     return np.where(is_margin, values > thr, values <= thr)
 
 
-def _rank_exact(rows: np.ndarray, checks) -> np.ndarray:
-    """LAPACK values (N, len(checks)) of the rank checks, one SVD per stack."""
-    svs: dict = {}
-    for _, stack, _, _ in checks:
-        if stack not in svs:
-            svs[stack] = relative_singular_values(rows[:, list(stack)])
-    return np.stack([svs[stack][..., k] for _, stack, k, _ in checks], axis=-1)
-
-
 def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -> np.ndarray:
     """Values (N, len(checks)) of the rank checks on the stacks of ``rows``.
 
-    Every batch but one kind takes LAPACK at every node.  CP^2 batches of
-    more than one node, all of whose checks read the third singular value,
-    take ``projective.rank3_screen``'s estimates and run LAPACK only on
-    - every node whose meet is undefined (row 6 is then no unit point) or
-      where some interval holds its threshold, so every verdict is LAPACK's;
-    - every other node whose margin interval, the least of ``chordal`` and
-      the rank margin intervals, reaches the least upper bound of those
-      intervals over all nodes or over the nodes passing every check
-      (``others_pass`` and the rank verdicts): so is each such minimum,
-      and the first node attaining it.
-    Elsewhere a value is within the screen's bound of LAPACK's.
+    A batch of one node takes LAPACK.  A larger batch takes closed-form
+    estimates with stated bounds: ``projective.rank3_screen`` for the third
+    value of a stack of three columns (CP^2) or three rows (concurrent d3,
+    center-incidence), ``projective.gram_screen`` for every other value
+    (lines-distinct and concurrent d1-d2 above CP^2, span-at-least,
+    span-exact).  It runs LAPACK only on
+    - every check of every node whose meet is undefined (row 6 is then no
+      meet) or where some interval holds its threshold, so every verdict is
+      LAPACK's;
+    - each other (node, stack) pair whose margin interval reaches the least
+      upper bound of the nodes' margin intervals (the least of ``chordal``
+      and the rank margin intervals) over all nodes, or over the nodes
+      passing every check (``others_pass`` and the rank verdicts), and
+      reaches the upper bound of its own node: so is each such minimum, and
+      the first node attaining it.
+    Elsewhere a value is within its screen's bound of LAPACK's.
     """
-    if not (rows.shape[-1] == 3 and len(rows) > 1 and all(c[2] == 2 for c in checks)):
-        return _rank_exact(rows, checks)
+    n_checks = len(checks)
+    if len(rows) == 1:
+        values = np.zeros((1, n_checks))
+        _run_lapack(rows, checks, np.ones((1, n_checks), dtype=bool), values)
+        return values
     thr = tol.rank_rel_tol
-    est, err = rank3_screen(rows, [c[1] for c in checks])
+    m = rows.shape[-1]
+    third = [i for i, c in enumerate(checks) if c[2] == 2]
+    fourth = [i for i, c in enumerate(checks)
+              if c[2] == 3 and not c[3] and min(len(c[1]), m) == 4]
+    other = [i for i in range(n_checks) if i not in third + fourth]
+    est, err = np.zeros((len(rows), n_checks)), np.zeros((len(rows), n_checks))
+    if third or fourth:
+        est[:, third + fourth], err[:, third + fourth] = rank3_screen(
+            rows, [checks[i][1] for i in third], [checks[i][1] for i in fourth])
+    if other:
+        est[:, other], err[:, other] = gram_screen(rows, [checks[i][1:3] for i in other])
     lo, hi = est - err, est + err
-
-    def run_lapack(nodes):
-        nodes = np.flatnonzero(nodes)
-        if nodes.size:
-            est[nodes] = lo[nodes] = hi[nodes] = _rank_exact(rows[nodes], checks)
-
-    run_lapack(~defined | np.any((lo <= thr) & (hi > thr), axis=-1))
+    holds = ~defined | np.any((lo <= thr) & (hi > thr), axis=-1)
+    _run_lapack(rows, checks, np.broadcast_to(holds[:, None], est.shape), est, lo, hi)
     is_margin = np.array([c[3] for c in checks])
     ok = others_pass & np.all(_rank_passes(est, is_margin, tol), axis=-1)
-    m_lo = np.minimum(chordal, lo[:, is_margin].min(axis=-1))
-    m_hi = np.minimum(chordal, hi[:, is_margin].min(axis=-1))
-    open_ = m_lo < m_hi
-    cand = open_ & (m_lo <= m_hi.min())
-    if ok.any():
-        cand |= open_ & ok & (m_lo <= m_hi[ok].min())
-    run_lapack(cand)
+    node_hi = np.minimum(chordal, hi[:, is_margin].min(axis=-1))
+    bound = node_hi.min()
+    reach = np.where(ok, node_hi[ok].min() if ok.any() else bound, bound)
+    cand = is_margin & (lo < hi) & (lo <= np.minimum(reach, node_hi)[:, None])
+    _run_lapack(rows, checks, cand, est, lo, hi)
     return est
+
+
+def _run_lapack(rows, checks, mask, *values) -> None:
+    """Set the (node, check) entries of ``mask`` in each of ``values`` to
+    LAPACK's value: one SVD per stack over the nodes that need it."""
+    for stack in dict.fromkeys(c[1] for c in checks):
+        cols = [i for i, c in enumerate(checks) if c[1] == stack]
+        nodes = np.flatnonzero(mask[:, cols].any(axis=-1))
+        if nodes.size:
+            rel = relative_singular_values(rows[nodes][:, list(stack)])
+            for i in cols:
+                for v in values:
+                    v[nodes, i] = rel[:, checks[i][2]]
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
@@ -430,31 +463,22 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
 
     if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors
         u = unit_rows(arr)
-        d01 = chordal_batch(u[:, 0], u[:, 1])
-        d02 = chordal_batch(u[:, 0], u[:, 2])
-        d12 = chordal_batch(u[:, 1], u[:, 2])
-        margins = np.minimum(np.minimum(d01, d02), d12)
+        margins = chordal_pairs(u, [(0, 1), (0, 2), (1, 2)]).min(axis=-1)
         ok = _record(fail_counts, "lines-distinct", margins > tol.proj_eq_tol)
         residuals = np.abs(u @ c).max(axis=-1)
         ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol)
         return BatchResult(ok, margins, residuals, fail_counts)
 
-    u = unit_rows(arr.reshape(arr.shape[0], 3, 2, -1))  # (N, 3, 2, m)
-    margins = np.full(arr.shape[0], np.inf)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            rows = np.concatenate([u[:, i], u[:, j]], axis=1)
-            margins = np.minimum(margins, relative_singular_values(rows)[..., 2])
-    ok = _record(fail_counts, "lines-distinct", margins > tol.rank_rel_tol)
+    u = unit_rows(arr.reshape(arr.shape[0], 6, -1))
+    rows = np.concatenate([u, np.broadcast_to(c, (len(u), 1, c.size))], axis=1)
     # the two points of each span must differ, or the span is no line
-    span_d = chordal_batch(u[:, :, 0], u[:, :, 1])
-    margins = np.minimum(margins, span_d.min(axis=-1))
-    ok = ok & _record(fail_counts, "span-defined", np.all(span_d > tol.proj_eq_tol, axis=-1))
-    residuals = np.zeros(arr.shape[0])
-    for i in range(3):
-        rows = np.concatenate([u[:, i], np.broadcast_to(c, (arr.shape[0], 1, c.size))], axis=1)
-        residuals = np.maximum(residuals, relative_singular_values(rows)[..., 2])
-    ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol)
+    span_d = chordal_pairs(rows, _SPAN_PAIRS).min(axis=-1)
+    passes = {"span-defined": span_d > tol.proj_eq_tol}
+    margins, residuals = _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(len(u), dtype=bool),
+                                       passes, np.zeros(len(u)), tol)
+    ok = np.ones(len(u), dtype=bool)
+    for name, good in passes.items():
+        ok &= _record(fail_counts, name, good)
     return BatchResult(ok, margins, residuals, fail_counts)
 
 

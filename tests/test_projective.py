@@ -14,6 +14,8 @@ from dcs.projective import (
     ZeroVectorError,
     bracket_rows,
     chordal_batch,
+    chordal_pairs,
+    gram_screen,
     meet,
     proj_dist,
     rank3_screen,
@@ -144,7 +146,7 @@ def test_line_through_satisfies_first_base_equation():
 
 def test_line_through_coincident_errors():
     # coincident points span no line, so nothing meets it in one point
-    _, _, defined = meet(A10.unit(), HPoint(2.0 * A10.coords).unit(), A20.unit(), I0.unit())
+    _, defined = meet(A10.unit(), HPoint(2.0 * A10.coords).unit(), A20.unit(), I0.unit())
     assert not defined
 
 
@@ -175,23 +177,31 @@ def test_on_line_roundtrip_property():
 # meet
 
 def test_meet_base_lines_planar():
-    point, skew, defined = meet(A10.unit(), B10.unit(), A20.unit(), HPoint([-1, 2, 2]).unit())
-    assert defined and skew == 0.0
+    point, defined = meet(A10.unit(), B10.unit(), A20.unit(), HPoint([-1, 2, 2]).unit())
+    assert defined
     assert proj_dist(HPoint(point), I0) < 1e-12
 
 
 def test_meet_base_lines_solid():
-    point, skew, defined = meet(*(HPoint(p).unit() for p in
-                                  ([0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0], [0, 1, 1, 0])))
-    assert defined and skew <= DEFAULT_TOL.rank_rel_tol
+    rows = unit_rows(np.array([[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0], [0, 1, 1, 0]], dtype=complex))
+    point, defined = meet(*rows)
+    assert defined and relative_singular_values(rows)[3] <= DEFAULT_TOL.rank_rel_tol
     assert proj_dist(HPoint(point), HPoint([0, 0, 1, 0])) < 1e-12
 
 
 def test_meet_skew_lines_residual():
-    # X2 = X3 = 0 and X0 = X1 = 0 span all of CP^3
-    _, skew, _ = meet(*np.eye(4, dtype=complex))
-    assert skew > DEFAULT_TOL.rank_rel_tol
-    assert skew == pytest.approx(1.0)
+    # X2 = X3 = 0 and X0 = X1 = 0 span all of CP^3: the skew residual, the
+    # fourth relative singular value of the four points, is 1 from LAPACK,
+    # within both screens' bounds (rank3_screen's is infinite: the points do
+    # not span three dimensions), and the meet is the point of the first
+    # line nearest the second, here any of its points
+    rows = np.eye(4, dtype=complex)[None]
+    assert relative_singular_values(rows)[0, 3] == pytest.approx(1.0)
+    for est, err in (gram_screen(rows, [((0, 1, 2, 3), 3)]), rank3_screen(rows, [], [(0, 1, 2, 3)])):
+        assert abs(est[0, 0] - 1.0) <= err[0, 0]
+    assert gram_screen(rows, [((0, 1, 2, 3), 3)])[1][0, 0] < 1e-10
+    point, defined = meet(*rows[0])
+    assert defined and proj_dist(HPoint(point), HPoint([1, 0, 0, 0])) < 1e-12
 
 
 def test_meet_reconstructs_common_point():
@@ -203,8 +213,8 @@ def test_meet_reconstructs_common_point():
             continue
         triangles.append(unit_rows(np.stack([a.coords, b.coords, c.coords])))
     t = np.stack(triangles)
-    point, skew, defined = meet(t[:, 0], t[:, 1], t[:, 0], t[:, 2])
-    assert defined.all() and np.all(skew == 0.0)
+    point, defined = meet(t[:, 0], t[:, 1], t[:, 0], t[:, 2])
+    assert defined.all()
     for m, (a, _, _) in zip(point, t):
         assert proj_dist(HPoint(m), HPoint(a)) < 1e-9
 
@@ -328,3 +338,41 @@ def test_rank3_screen_bounds_repeated_eigenvalues():
         for k, s in enumerate(stacks):
             ref = relative_singular_values(rows[:, list(s)])[..., 2]
             assert abs(est[0, k] - ref[0]) <= err[0, k] < 1e-6
+
+
+# the batched kernels on rows alone and in batches of any size
+KERNELS = {
+    "bracket_rows": (3, 3, lambda a: bracket_rows(a[:, 0], a[:, 1], a[:, 2])),
+    "chordal_batch": (2, 3, lambda a: chordal_batch(a[:, 0], a[:, 1])),
+    "chordal_pairs": (7, 4, lambda a: chordal_pairs(a, [(0, 1), (2, 6), (5, 3)])),
+    "meet": (4, 4, lambda a: meet(*(a[:, i] for i in range(4)))),
+    "rank3_screen": (7, 4, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)], [(0, 1, 2, 3)])),
+    "rank3_screen CP^2": (7, 3, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)])),
+    "gram_screen": (7, 5, lambda a: gram_screen(a, [((0, 1, 2, 3, 4, 5), 3), ((0, 1, 2, 3, 4, 5), 4)])),
+}
+
+
+@pytest.mark.parametrize("n", [1, 10, 2049, 8192, 40000])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_rows_do_not_depend_on_batch_size(name, n):
+    """Each row of a batch is byte-equal to the row computed alone: all of
+    the first 2,000 rows for the cheap kernels, and the first eight, the
+    last, rows around the first pass boundary and 24 random ones for the
+    screens.  numpy computes a complex product of a large temporary in place,
+    and rounds it differently, so an unchunked kernel fails this."""
+    r, m, kernel = KERNELS[name]
+    rng = np.random.default_rng(n)
+    rows = unit_rows(rng.normal(size=(n, r, m)) + 1j * rng.normal(size=(n, r, m)))
+
+    def run(a):
+        out = kernel(a)
+        return out if isinstance(out, tuple) else (out,)
+
+    batch = run(rows)
+    if name in ("bracket_rows", "chordal_batch", "chordal_pairs"):
+        picks = range(min(n, 2000))
+    else:
+        picks = np.unique(np.r_[0:8, n - 1, 2046:2051, rng.integers(0, n, 24)].clip(0, n - 1))
+    for i in picks:
+        for whole, alone in zip(batch, run(rows[i:i + 1])):
+            assert whole[i].tobytes() == alone[0].tobytes(), i

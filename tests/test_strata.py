@@ -4,11 +4,12 @@ behavior, and the constructive random sampler."""
 import numpy as np
 import pytest
 
-from dcs import atlas
+from dcs import atlas, strata
 from dcs.projective import (
     HPoint,
     ProjectiveError,
     chordal_batch,
+    gram_screen,
     meet,
     rank3_screen,
     span_dim,
@@ -245,11 +246,27 @@ def _rel3(rows):
     return s[..., 2] / s[..., 0]
 
 
+def _rel(rows, k):
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s[..., k] / s[..., 0]
+
+
+def _line_sine(p1, q1, p2, q2):
+    """Sine of the angle between the lines p1 q1 and p2 q2 of CP^n, n >= 3:
+    the largest singular value of the part of an orthonormal basis of the
+    first line orthogonal to the second."""
+    q1b = np.linalg.qr(np.stack([p1, q1], axis=-1))[0]
+    q2b = np.linalg.qr(np.stack([p2, q2], axis=-1))[0]
+    off = q1b - q2b @ (np.conj(np.swapaxes(q2b, -1, -2)) @ q1b)
+    return np.linalg.svd(off, compute_uv=False)[..., 0]
+
+
 def lapack_reference(points, tag):
-    """Every check of validate_batch with each rank margin a LAPACK singular
+    """Every check of validate_batch with each rank value a LAPACK singular
     value ratio.  Returns the verdicts, the fail counts, the margins and, per
     check, the quantity compared with its threshold."""
     u = unit_rows(np.asarray(points, dtype=complex))
+    m = u.shape[-1]
     pair = np.stack([chordal_batch(u[:, i], u[:, j]) for i in range(6) for j in range(i + 1, 6)], -1)
     lines = {f"lines-distinct {name}": _rel3(u[:, rows])
              for name, rows in (("d1-d2", [0, 1, 2, 3]), ("d1-d3", [0, 1, 4, 5]),
@@ -258,14 +275,19 @@ def lapack_reference(points, tag):
     # the meet is defined when each pair spans a line and the lines differ:
     # |p x q| is the chordal distance of unit p, q, and |l1 x l2| / (|l1| |l2|)
     # the sine of the angle between the lines
-    l1, l2 = np.cross(u[:, 0], u[:, 1]), np.cross(u[:, 2], u[:, 3])
-    n1, n2 = np.linalg.norm(l1, axis=-1), np.linalg.norm(l2, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sine = np.nan_to_num(np.linalg.norm(np.cross(l1, l2), axis=-1) / (n1 * n2))
+    if m == 3:
+        l1, l2 = np.cross(u[:, 0], u[:, 1]), np.cross(u[:, 2], u[:, 3])
+        n1, n2 = np.linalg.norm(l1, axis=-1), np.linalg.norm(l2, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sine = np.nan_to_num(np.linalg.norm(np.cross(l1, l2), axis=-1) / (n1 * n2))
+    else:
+        n1, n2 = chordal_batch(u[:, 0], u[:, 1]), chordal_batch(u[:, 2], u[:, 3])
+        sine = _line_sine(*(u[:, i] for i in range(4)))
     meet_q = np.min([n1, n2, sine], axis=0)
     inc = _rel3(np.concatenate([centers[:, None], u[:, 4:6]], axis=1))
     apart = np.stack([chordal_batch(u[:, i], centers) for i in range(6)], -1)
-    span = _rel3(u)
+    want = tag.span_required
+    span = _rel(u, want)
     quantity = {"pairwise-distinct": (pair.min(-1), POINT_TOL), **{k: (v, RANK_TOL) for k, v in lines.items()},
                 "meet-defined": (meet_q, MEET_TOL),
                 "concurrent d3": (inc, RANK_TOL), "center-apart": (apart.min(-1), POINT_TOL),
@@ -274,6 +296,14 @@ def lapack_reference(points, tag):
               **{k: v > RANK_TOL for k, v in lines.items()}, "meet-defined": meet_q >= MEET_TOL,
               "concurrent d3": inc <= RANK_TOL, "center-apart": np.all(apart > POINT_TOL, -1),
               "span-at-least": span > RANK_TOL}
+    if m > 3:
+        skew = _rel(u[:, :4], 3)
+        quantity["concurrent d1-d2"] = (skew, RANK_TOL)
+        passes["concurrent d1-d2"] = skew <= RANK_TOL
+    if m > want + 1:
+        excess = _rel(u, want + 1)
+        quantity["span-exact"] = (excess, RANK_TOL)
+        passes["span-exact"] = excess <= RANK_TOL
     if tag.center is not None:
         dcen = chordal_batch(centers, tag.center.unit())
         quantity["center-matches"] = (dcen, POINT_TOL)
@@ -301,7 +331,7 @@ def test_meet_defined_for_close_pairs_on_distinct_lines():
     cfg = _config(I0, [e[0], e[1], e[0] + e[1]], [[1, 1 + 1e-6], [1, 1 + 1e-6], [1, 2]])
     u = unit_rows(cfg)
     assert svd_meet_defined(*u[:4])
-    point, _, defined = meet(*u[:4])
+    point, defined = meet(*u[:4])
     assert defined and np.linalg.norm(point) == pytest.approx(1.0)
     for batch in (cfg[None], np.stack([cfg, atlas.PLANAR_BASE])):
         res = validate_batch(batch, SpaceTag.planar_fixed(2, HPoint(I0)))
@@ -340,13 +370,16 @@ def _repeated_top(x):
     return cfg
 
 
-def near_degenerate_corpus(seed=20):
+def near_degenerate_corpus(seed=20, tag=None):
     """Seeded CP^2 configurations: generic ones; for every threshold, nodes
     whose quantity lies within 10x of it; nodes whose rank quantity lies next
     to its threshold on either side (d1-d2 with a repeated top Gram
     eigenvalue, d1-d2, span, concurrent d3); stacks with repeated Gram
     eigenvalues and the planar base point; and every node again with other
-    representatives, which ties with it in exact arithmetic."""
+    representatives, which ties with it in exact arithmetic.  A tag above
+    CP^2 gives the same for its space (see ``_corpus_above_cp2``)."""
+    if tag is not None and tag.n > 2:
+        return _corpus_above_cp2(tag, seed)
     rng = np.random.default_rng(seed)
     near = lambda thr: thr * 10 ** rng.uniform(-0.7, 0.7)
     nodes = [_config(I0, _cplx(rng, 3, 3), _cplx(rng, 3, 2)) for _ in range(40)]
@@ -431,3 +464,251 @@ def test_screen_matches_lapack_near_every_threshold(tag):
     assert np.argmin(res.margins) == np.argmin(margins)
     assert res.margins[verdicts].min() == margins[verdicts].min()
     assert np.argmin(np.where(verdicts, res.margins, np.inf)) == np.argmin(np.where(verdicts, margins, np.inf))
+
+
+# ---------------------------------------------------------------------------
+# the screens above CP^2 and on line triples against the same reference
+
+def _in_space(rng, tag):
+    """Three line directions of a configuration of the tag's kind: in one
+    plane through the center for a planar tag, independent for a solid one."""
+    d = _cplx(rng, 3, tag.n + 1)
+    if tag.span_required == 2:
+        d[2] = d[0] * rng.normal() + d[1] * rng.normal()
+    return d
+
+
+def _corpus_above_cp2(tag, seed):
+    """``near_degenerate_corpus`` for a tag of CP^3 or CP^4: generic nodes;
+    nodes within 10x of every threshold, the skew of d1, d2 and the span's
+    excess or shortfall among them; nodes next to each rank threshold from
+    both sides; orthonormal and Fourier d1-d2 stacks (all Gram eigenvalues
+    equal) and a stack with eigenvalues 2, 1, 1; the atlas base point; and
+    every node again with other representatives."""
+    rng = np.random.default_rng(seed)
+    m = tag.n + 1
+    center = tag.center.unit() if tag.center is not None else unit_rows(_cplx(rng, m))
+    near = lambda thr: thr * 10 ** rng.uniform(-0.7, 0.7)
+    solid = tag.span_required == 3
+
+    def out_of(d, c):
+        """A unit vector orthogonal to the center and the first two directions."""
+        w = _cplx(rng, m)
+        basis = np.linalg.qr(np.stack([c, d[0], d[1]], axis=-1))[0]
+        w = w - basis @ (np.conj(basis.T) @ w)
+        return w / np.linalg.norm(w)
+
+    nodes = [_config(center, _in_space(rng, tag), _cplx(rng, 3, 2)) for _ in range(40)]
+    for _ in range(8):
+        d, c, w = _in_space(rng, tag), _cplx(rng, 3, 2), _cplx(rng, m)
+        nodes.append(_config(center, d, [[c[0, 0], c[0, 0] * (1 + near(POINT_TOL))], *c[1:]]))
+        nodes.append(_config(center, d, [[c[0, 0], c[0, 0] * (1 + 1e-7)],
+                                         [c[1, 0], c[1, 0] * (1 + near(100 * POINT_TOL))], c[2]]))
+        nodes.append(_config(center, [d[0], d[0] + near(RANK_TOL) * w, d[2]], c))
+        nodes.append(_config(center, [d[0], d[0] + near(MEET_TOL) * w, d[2]], c))
+        cfg = _config(center, d, c)
+        cfg[5] += near(RANK_TOL) * w                     # B3 just off d3
+        nodes.append(cfg)
+        nodes.append(_config(center, d, [[near(POINT_TOL), c[0, 1]], *c[1:]]))
+        nodes.append(_config(center, d[0] + near(RANK_TOL) * _cplx(rng, 3, m), c))
+        nodes.append(_config(center + near(POINT_TOL) * w, d, c))
+        cfg = _config(center, d, c)
+        cfg[3] += near(RANK_TOL) * out_of(d, center)     # B2 off the plane of d1 and A2: skew
+        nodes.append(cfg)
+        # the third line just in or just out of the plane of the first two
+        e = d.copy()
+        e[2] = d[0] * rng.normal() + d[1] * rng.normal() + near(RANK_TOL) * out_of(d, center)
+        nodes.append(_config(center, e, c))
+    d, c, w = _in_space(rng, tag), _cplx(rng, 3, 2), _cplx(rng, m)
+    lines = lambda cfg: _rel3(unit_rows(cfg[:4]))
+    nodes += _hug(lambda x: _config(center, [d[0], d[0] + x * w, d[2]], c), lines, RANK_TOL)
+    skewed = lambda x: _config(center, d, c) + x * np.eye(6, m, k=0)[3] * 0 + \
+        np.outer(np.eye(6)[3], x * out_of(d, center))
+    nodes += _hug(skewed, lambda cfg: _rel(unit_rows(cfg[:4]), 3), RANK_TOL)
+    want = tag.span_required
+
+    def spanned(x):
+        e = d.copy()
+        e[2] = d[0] + d[1] + x * out_of(d, center)
+        return _config(center, e, c)
+
+    index = want if solid else want + 1
+    nodes += _hug(spanned, lambda cfg: _rel(unit_rows(cfg), index), RANK_TOL)
+
+    def off_d3(x):
+        cfg = _config(center, d, c)
+        cfg[5] += x * w
+        return cfg
+
+    nodes += _hug(off_d3, lambda cfg: lapack_reference(cfg[None], tag)[3]["concurrent d3"][0][0], RANK_TOL)
+    # equal Gram eigenvalues: orthonormal d1-d2 stacks (rows of the identity,
+    # of a Fourier matrix) and e1, e2, e3, (e1 + e2 + e3) / sqrt(3)
+    e = np.eye(m, dtype=complex)
+    fourier = np.array([[1j ** (j * k) for k in range(m)] for j in range(4)]) / np.sqrt(m)
+    for head in (e[:4], fourier, np.stack([e[0], e[1], e[2], e[:3].sum(axis=0) / np.sqrt(3)])):
+        cfg = _config(center, _in_space(rng, tag), _cplx(rng, 3, 2))
+        cfg[:4] = head
+        nodes.append(cfg)
+    nodes.append(atlas.basepoint(tag).array() if tag.center is not None else atlas.SOLID_BASE.copy())
+    nodes = np.stack(nodes)
+    phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:2]))[..., None]
+    return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
+
+
+def svd_meet_point(p1, q1, p2, q2):
+    """The point a p1 + b q1 of the SVD meet (see ``svd_meet_defined``)."""
+    vh = np.linalg.svd(np.stack([p1, q1, -p2, -q2], axis=-1))[2]
+    ab = np.conj(vh[..., -1, :2])
+    return ab[..., 0, None] * p1 + ab[..., 1, None] * q1
+
+
+def _assert_screened_batch_is_lapacks(res, verdicts, fail_counts, margins):
+    assert np.array_equal(res.verdicts, verdicts)
+    assert res.fail_counts == fail_counts
+    assert res.margins.min() == margins.min()
+    assert np.argmin(res.margins) == np.argmin(margins)
+    assert res.margins[verdicts].min() == margins[verdicts].min()
+    assert np.argmin(np.where(verdicts, res.margins, np.inf)) == np.argmin(np.where(verdicts, margins, np.inf))
+
+
+def _assert_bounds_hold(rows, checks):
+    """The stated bound of the screen that _rank_values takes for each
+    check covers LAPACK's value at every node."""
+    m = rows.shape[-1]
+    for name, stack, k, is_margin in checks:
+        if k == 2:
+            est, err = rank3_screen(rows, [stack])
+        elif not is_margin and min(len(stack), m) == 4:
+            est, err = rank3_screen(rows, [], [stack])
+        else:
+            est, err = gram_screen(rows, [(stack, k)])
+        ref = _rel(rows[:, list(stack)], k)
+        assert np.all(np.abs(est[:, 0] - ref) <= err[:, 0]), name
+
+
+ABOVE_CP2 = [SpaceTag.solid(3), atlas.TAG_SOLID_FIXED_3, atlas.TAG_PLANAR_FIXED_3, atlas.TAG_SOLID_FIXED_4]
+
+
+@pytest.mark.parametrize("tag", ABOVE_CP2, ids=["solid-3", "solid-fixed-3", "planar-fixed-3", "solid-fixed-4"])
+def test_screen_above_cp2_matches_lapack_near_every_threshold(tag):
+    corpus = near_degenerate_corpus(tag=tag)
+    verdicts, fail_counts, margins, quantity = lapack_reference(corpus, tag)
+    for name, (q, thr) in quantity.items():
+        assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
+    assert verdicts.sum() > 40 and (~verdicts).sum() > 40
+    u = unit_rows(corpus)
+    centers, defined = meet(*(u[:, i] for i in range(4)))
+    _assert_bounds_hold(np.concatenate([u, centers[:, None]], axis=1),
+                        strata._rank_checks(tag.span_required, tag.n + 1))
+    # where d1 and d2 are distinct lines that meet, meet-defined is the SVD
+    # meet's verdict (on skew lines that verdict rests on an arbitrary null
+    # vector: four orthonormal points have four equal singular values); where
+    # they meet at an angle, the points agree
+    distinct = (quantity["lines-distinct d1-d2"][0] > RANK_TOL) & (quantity["concurrent d1-d2"][0] <= RANK_TOL)
+    assert np.array_equal(defined[distinct], svd_meet_defined(*(u[distinct, i] for i in range(4))))
+    well_posed = np.minimum(chordal_batch(u[:, 0], u[:, 1]), chordal_batch(u[:, 2], u[:, 3])) > 1e-3
+    meets = well_posed & (quantity["lines-distinct d1-d2"][0] > 1e-3) & (quantity["concurrent d1-d2"][0] < 1e-13)
+    assert meets.sum() > 100
+    svd_point = unit_rows(svd_meet_point(*(u[meets, i] for i in range(4))))
+    assert chordal_batch(centers[meets], svd_point).max() < 1e-12
+    _assert_screened_batch_is_lapacks(validate_batch(corpus, tag), verdicts, fail_counts, margins)
+
+
+@pytest.mark.parametrize("tag", [SpaceTag.planar(2), SpaceTag.planar_fixed(2, HPoint(I0))] + ABOVE_CP2,
+                         ids=["free", "fixed", "solid-3", "solid-fixed-3", "planar-fixed-3", "solid-fixed-4"])
+def test_screen_matches_lapack_where_a_rank_margin_is_least(tag):
+    """The corpus without the nodes whose chordal margins lie below 1e-3 or
+    whose rank quantities lie within 1e4 of their threshold, so that a rank
+    margin, screened unless LAPACK runs on it as a candidate, is least over
+    all nodes and over the passing ones."""
+    corpus = near_degenerate_corpus(tag=tag)
+    quantity = lapack_reference(corpus, tag)[3]
+    keep = np.minimum(quantity["pairwise-distinct"][0], quantity["center-apart"][0]) > 1e-3
+    for v, thr in quantity.values():
+        keep &= (thr != RANK_TOL) | (v < 1e-12) | (v > 1e-4)
+    corpus = corpus[keep]
+    verdicts, fail_counts, margins, quantity = lapack_reference(corpus, tag)
+    assert verdicts.any() and not verdicts.all()
+    rank = np.min([v for k, (v, _) in quantity.items() if k.startswith(("lines", "span-at"))], axis=0)
+    assert rank.min() == margins.min() and rank[verdicts].min() == margins[verdicts].min()
+    _assert_screened_batch_is_lapacks(validate_batch(corpus, tag), verdicts, fail_counts, margins)
+
+
+def lapack_lines_reference(spans, tag):
+    """Every check of validate_lines_batch on spans (N, 3, 2, n+1) with each
+    rank value a LAPACK singular value ratio: verdicts, fail counts,
+    margins and the quantity of each check."""
+    u = unit_rows(np.asarray(spans, dtype=complex))
+    c = tag.center.unit()
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    distinct = np.min([_rel3(np.concatenate([u[:, i], u[:, j]], axis=1)) for i, j in pairs], axis=0)
+    span_d = chordal_batch(u[:, :, 0], u[:, :, 1]).min(-1)
+    incidence = np.max([_rel3(np.concatenate([u[:, i], np.broadcast_to(c, (len(u), 1, c.size))], axis=1))
+                        for i in range(3)], axis=0)
+    quantity = {"lines-distinct": (distinct, RANK_TOL), "span-defined": (span_d, POINT_TOL),
+                "center-incidence": (incidence, RANK_TOL)}
+    passes = {"lines-distinct": distinct > RANK_TOL, "span-defined": span_d > POINT_TOL,
+              "center-incidence": incidence <= RANK_TOL}
+    verdicts = np.all(list(passes.values()), axis=0)
+    fail_counts = {k: int(np.sum(~v)) for k, v in passes.items() if not v.all()}
+    return verdicts, fail_counts, np.minimum(distinct, span_d), quantity
+
+
+def line_triples_corpus(tag, seed=21):
+    """Seeded triples of spans (A_i, B_i) of lines through the tag's center:
+    generic ones; within 10x of every threshold (two lines close, a span's
+    points close, a line just off the center); next to the rank thresholds
+    from both sides; mutually orthogonal lines, whose margins all tie, as
+    on the atlas's F and B; and every triple again with other
+    representatives."""
+    rng = np.random.default_rng(seed)
+    m = tag.n + 1
+    c = tag.center.unit()
+    near = lambda thr: thr * 10 ** rng.uniform(-0.7, 0.7)
+    triple = lambda d, a: _config(c, d, a).reshape(3, 2, m)
+    nodes = [triple(_cplx(rng, 3, m), _cplx(rng, 3, 2)) for _ in range(40)]
+    for _ in range(10):
+        d, a, w = _cplx(rng, 3, m), _cplx(rng, 3, 2), _cplx(rng, m)
+        nodes.append(triple([d[0], d[0] + near(RANK_TOL) * w, d[2]], a))
+        nodes.append(triple(d, [[a[0, 0], a[0, 0] * (1 + near(POINT_TOL))], *a[1:]]))
+        t = triple(d, a)
+        t[2, 1] += near(RANK_TOL) * w
+        nodes.append(t)
+    d, a, w = _cplx(rng, 3, m), _cplx(rng, 3, 2), _cplx(rng, m)
+    nodes += _hug(lambda x: triple([d[0], d[0] + x * w, d[2]], a),
+                  lambda t: lapack_lines_reference(t[None], tag)[3]["lines-distinct"][0][0], RANK_TOL)
+
+    def off_center(x):
+        t = triple(d, a)
+        t[1, 0] += x * w
+        return t
+
+    nodes += _hug(off_center, lambda t: lapack_lines_reference(t[None], tag)[3]["center-incidence"][0][0],
+                  RANK_TOL)
+    e = np.eye(m, dtype=complex)
+    others = [k for k in range(m) if abs(c[k]) < 0.5]
+    for _ in range(8):
+        nodes.append(triple([e[k] for k in others[:3]], _cplx(rng, 3, 2)))
+    nodes = np.stack(nodes)
+    phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:3]))[..., None]
+    return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
+
+
+def test_screen_on_line_triples_matches_lapack_near_every_threshold():
+    tag = atlas.TAG_LINES_I0_SOLID
+    corpus = line_triples_corpus(tag)
+    verdicts, fail_counts, margins, quantity = lapack_lines_reference(corpus, tag)
+    for name, (q, thr) in quantity.items():
+        assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
+    rows = unit_rows(corpus.reshape(len(corpus), 6, -1))
+    rows = np.concatenate([rows, np.broadcast_to(tag.center.unit(), (len(rows), 1, tag.n + 1))], axis=1)
+    _assert_bounds_hold(rows, strata._LINE_CHECKS)
+    _assert_screened_batch_is_lapacks(validate_lines_batch(corpus, tag), verdicts, fail_counts, margins)
+    # without the spans whose points lie within 1e-3 and the triples within
+    # 1e4 of a rank threshold, a screened rank margin is least
+    keep = quantity["span-defined"][0] > 1e-3
+    for name in ("lines-distinct", "center-incidence"):
+        keep &= (quantity[name][0] < 1e-12) | (quantity[name][0] > 1e-4)
+    corpus = corpus[keep]
+    verdicts, fail_counts, margins, _ = lapack_lines_reference(corpus, tag)
+    _assert_screened_batch_is_lapacks(validate_lines_batch(corpus, tag), verdicts, fail_counts, margins)
