@@ -343,20 +343,23 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
     """Closed-form third relative singular value of stacks of rows that span
     about three dimensions, with an error bound and no LAPACK call.
 
-    ``rows`` (N, r, m) are unit representatives; each of ``stacks`` is a
-    tuple of at least three row indices.  Returns ``est`` and ``err``, both
-    (N, len(stacks)): ``relative_singular_values(rows[:, s])[..., index]``,
-    as LAPACK computes it, lies within ``err`` of ``est``.  A node whose
-    bound cannot be formed gets est 0 and err inf.  ``index`` 3, the fourth
-    value, is for stacks of four rows or four columns above CP^2, such as
-    the skew of two lines or the excess of a planar span.
+    ``rows`` (N, r, m) are unit representatives; each of ``stacks`` and
+    ``fourth`` is a tuple of at least three row indices.  Returns ``est``
+    and ``err``, both (N, len(stacks) + len(fourth)): for each stack s of
+    ``stacks``, then of ``fourth``, ``relative_singular_values(rows[:, s])``
+    at index 2, then 3, as LAPACK computes it, lies within ``err`` of
+    ``est``.  A node whose bound cannot be formed gets est 0 and err inf.
+    The fourth value is for stacks of four rows, or of four columns (CP^3),
+    above CP^2: the skew of two lines, the excess of a planar span.
 
-    In CP^2 a stack M of k rows has three columns.  Above CP^2 it is first
-    written as M = N B + R: B has as rows an orthonormal basis of the span
-    of three rows of M (modified Gram-Schmidt, each step taking the row
-    farthest from the basis so far), N (k x 3) the coefficients and R the
-    residuals.  Each singular value of M is within
-    tau = ||R|| + sigma_1(N) ||B B^H - I|| of N's (Weyl's inequality,
+    In CP^2 a stack M of k rows has three columns, and a stack of three rows
+    is screened as its transpose, whose rows are its m columns.  Any other
+    stack is first written as M = N B + R: B has as rows an orthonormal
+    basis of a span of three rows of M (the first two rows and the other one
+    farthest from them, each orthogonalized twice; the coordinate axis
+    farthest from the basis where less than 1e-12 of a row remains), N
+    (k x 3) the coefficients and R the residuals.  Each singular value of M
+    is within tau = ||R|| + ||N|| ||B B^H - I|| of N's (Weyl's inequality,
     Stewart & Sun, Matrix Perturbation Theory, 1990).  tau is near eps
     where the rows span three dimensions, and large otherwise, where the
     bound sends the node to LAPACK.  Let G = N^H N, with eigenvalues
@@ -368,9 +371,10 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
     - l0 and l1 come from Smith's formula for 3x3 Hermitian matrices
       (CACM 4(4), 1961), with the deviatoric norm p taken from the entries
       of G - qI rather than from tr^2 - 3 e2.
-    - est = sqrt(det G) / (l0 sqrt(l1)); for index 3, est = vol4 /
-      (sqrt(l0) sqrt(det G)) with vol4 the norm of M's 4 x 4 minors, the
-      product of its four singular values.
+    - est = sqrt(det G) / (l0 sqrt(l1)).  The fourth value is
+      vol4 / (sqrt(l0) sqrt(det G)), vol4 the norm of M's 4 x 4 minors, the
+      product of its four singular values; M's three largest are within
+      (1 +- tau / sigma_3(N))^3 of N's product.
 
     ``err`` is interval arithmetic over deliberately loose error bounds:
     - each entry of the computed G is off by at most (k + 3) k eps, so by
@@ -385,9 +389,11 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
     - LAPACK's singular values are those of M + F with ||F|| <= 64 k' eps
       sigma_1, k' = max(k, m), so the ratio it returns is off by at most
       64 k' eps (1 + est).
-    The code widens the first terms by further factors of 4 to 8.  On
-    random, near-planar and repeated-eigenvalue stacks the largest error
-    seen is about 1/150 of ``err``.
+    The code widens the first terms by further factors of 4 to 8.  On the
+    test corpora (random, near-degenerate and repeated-eigenvalue stacks)
+    the largest error seen on values above 1e-6 is about 1/14 of ``err``,
+    on stacks that span four dimensions, where ``err`` exceeds 0.1; it comes
+    within a factor 2 only on values below 1e-12, LAPACK's rounding noise.
     """
     return chunked(lambda x: _rank3_screen_chunk(x, list(stacks), list(fourth)),
                    np.asarray(rows, dtype=np.complex128), core=2)
@@ -408,35 +414,37 @@ def _project3(xs, stacks) -> tuple:
 
     k, m = len(stacks[0]), len(xs)
     rows = [xc[np.array(stacks)] for xc in xs]                           # m x (S, k, N)
-    basis = []
+    basis, v = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(3):
             if j < 2:
                 b = [rc[:, j] for rc in rows]
             else:                  # the row farthest from the span of the first two
-                rest = [rc[:, 2:] for rc in rows]
+                far = np.argmax(norm2(rows)[:, 2:] - np.abs(v[0][:, 2:]) ** 2 - np.abs(v[1][:, 2:]) ** 2,
+                                axis=1)[:, None] + 2
+                b = [np.take_along_axis(rc, far, 1)[:, 0] for rc in rows]
+            # orthogonal to the basis, twice, since a residual near rounding
+            # size is noise in any direction; where less than 1e-12 of it
+            # remains (the stack spans fewer dimensions), the coordinate axis
+            # farthest from the basis instead
+            for _ in range(2):
                 for a in basis:
-                    ip = dot([ac[:, None] for ac in a], rest)
-                    rest = [rc - ip * ac[:, None] for rc, ac in zip(rest, a)]
-                best = np.argmax(norm2(rest), axis=1)[:, None]
-                b = [np.take_along_axis(rc, best, 1)[:, 0] for rc in rest]
-            # where b is within 1e-12 of the basis (the stack spans fewer
-            # dimensions), the coordinate axis farthest from the basis
-            # instead; then orthogonal to the basis again, twice, since a
-            # residual near rounding size is noise in any direction
-            off = norm2(b) - sum((np.abs(dot(a, b)) ** 2 for a in basis), 0.0)
-            small = off < 1e-24
-            if small.any():
-                cover = np.stack([sum(((a[c].conj() * a[c]).real for a in basis), np.zeros(small.shape))
-                                  for c in range(m)])
-                axis = np.argmin(cover, axis=0)
-                b = [np.where(small, axis == c, bc) for c, bc in enumerate(b)]
-            for a in basis + basis:
-                ip = dot(a, b)
-                b = [bc - ip * ac for bc, ac in zip(b, a)]
-            size = np.sqrt(norm2(b))
-            basis.append([bc / size for bc in b])
-    v = [dot([ac[:, None] for ac in a], rows) for a in basis]            # 3 x (S, k, N)
+                    ip = dot(a, b)
+                    b = [bc - ip * ac for bc, ac in zip(b, a)]
+                size = np.sqrt(norm2(b))
+                small = size < 1e-12
+                if small.any():
+                    cover = np.stack([sum(((a[c].conj() * a[c]).real for a in basis), np.zeros(small.shape))
+                                      for c in range(m)])
+                    axis = np.argmin(cover, axis=0)
+                    b = [np.where(small, axis == c, bc) for c, bc in enumerate(b)]
+                    for a in basis + basis:
+                        ip = dot(a, b)
+                        b = [bc - ip * ac for bc, ac in zip(b, a)]
+                    size = np.sqrt(norm2(b))
+                b = [bc / size for bc in b]
+            basis.append(b)
+            v.append(dot([ac[:, None] for ac in b], rows))                  # (S, k, N)
     res = [rc - functools.reduce(np.add, (vj * a[c][:, None] for vj, a in zip(v, basis)))
            for c, rc in enumerate(rows)]
     rho = np.sqrt(np.sum(norm2(res), axis=1))
@@ -570,8 +578,9 @@ def gram_screen(rows: np.ndarray, stacks) -> tuple:
     - every minor of rows of norm at most 1 is at most 1 (Hadamard), and
       each level of Laplace expansion adds at most about sqrt(d) (e + 4 eps)
       to the error e of the level below, well under 8 d^3 eps in all;
-    - LAPACK's singular values are those of M + F with ||F|| <= 64 k' eps
-      sigma_1, so the ratio it returns is off by at most 64 k' eps (1 + est).
+    - LAPACK's singular values are those of M + F with ||F|| <= 64 k'' eps
+      sigma_1, k'' = max(k', m), so the ratio it returns is off by at most
+      64 k'' eps (1 + est).
     """
     return chunked(lambda x: _gram_screen_chunk(x, stacks),
                    np.asarray(rows, dtype=np.complex128), core=2)
@@ -580,43 +589,35 @@ def gram_screen(rows: np.ndarray, stacks) -> tuple:
 def _gram_screen_chunk(rows: np.ndarray, stacks) -> tuple:
     """``gram_screen`` on one pass of nodes."""
     m = rows.shape[-1]
-    gram_rows = rows @ np.conj(np.swapaxes(rows, -1, -2))          # (N, r, r)
-    mats = {}
+    mats = {}                      # stack -> (Gram, length L of its sums)
     for s, _ in stacks:
-        if s not in mats:
-            if len(s) <= m:
-                mats[s] = (gram_rows[:, list(s)][:, :, list(s)], m)
-            else:
-                sub = rows[:, list(s)]
-                mats[s] = (np.conj(np.swapaxes(sub, -1, -2)) @ sub, len(s))
+        sub = rows[:, list(s)]
+        sub_h = np.conj(np.swapaxes(sub, -1, -2))
+        mats[s] = (sub @ sub_h, m) if len(s) <= m else (sub_h @ sub, len(s))
     lam = {}
     for d in {g.shape[-1] for g, _ in mats.values()}:
         same = [s for s, (g, _) in mats.items() if g.shape[-1] == d]
-        vals = np.linalg.eigvalsh(np.stack([mats[s][0] for s in same]))[..., ::-1]
-        lam.update(zip(same, vals))
+        lam.update(zip(same, np.linalg.eigvalsh(np.stack([mats[s][0] for s in same]))[..., ::-1]))
     x = np.moveaxis(rows, 0, -1).copy()                            # (r, m, N)
     est, err = [], []
     for s, k in stacks:
-        g, terms = mats[s]
+        (g, terms), ls = mats[s], lam[s]
         d = g.shape[-1]
-        tr = np.trace(g, axis1=-2, axis2=-1).real
-        delta = 4 * (2 * (terms + 2) + 64 * d) * EPS * tr
-        lo_l = [lam[s][:, i] - delta for i in range(d)]
-        hi_l = [lam[s][:, i] + delta for i in range(d)]
+        delta = 4 * (2 * (terms + 2) + 64 * d) * EPS * np.trace(g, axis1=-2, axis2=-1).real
+        lo_l, hi_l = ls - delta[:, None], ls + delta[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if k < d - 1:
-                e = np.sqrt(np.maximum(lam[s][:, k], 0.0) / lam[s][:, 0])
-                hi = np.where(lo_l[0] > 0, np.sqrt(hi_l[k] / lo_l[0]), np.inf)
-                lo = np.sqrt(np.maximum(lo_l[k], 0.0) / hi_l[0])
+                e = np.sqrt(np.maximum(ls[:, k], 0.0) / ls[:, 0])
+                hi = np.where(lo_l[:, 0] > 0, np.sqrt(hi_l[:, k] / lo_l[:, 0]), np.inf)
+                lo = np.sqrt(np.maximum(lo_l[:, k], 0.0) / hi_l[:, 0])
             else:
                 vol, n_minors = _minor_volume(x, s, d)
                 dvol = 8 * d ** 3 * EPS * np.sqrt(n_minors) + 4 * (n_minors + 1) * EPS * vol
-                head = functools.reduce(np.multiply, (lam[s][:, i] for i in range(d - 1)))
-                e = vol / np.sqrt(lam[s][:, 0] * head)
-                low = functools.reduce(np.multiply, lo_l[:d - 1])
-                hi = np.where(lo_l[d - 2] > 0, (vol + dvol) / np.sqrt(lo_l[0] * low), np.inf)
-                lo = np.maximum(vol - dvol, 0.0) / np.sqrt(hi_l[0] * functools.reduce(np.multiply, hi_l[:d - 1]))
-            r = (np.maximum(hi - e, e - lo) * (1 + 16 * EPS) + 64 * max(len(s), m) * EPS * (1 + e))
+                e = vol / np.sqrt(ls[:, 0] * np.prod(ls[:, :d - 1], axis=-1))
+                hi = np.where(lo_l[:, d - 2] > 0,
+                              (vol + dvol) / np.sqrt(lo_l[:, 0] * np.prod(lo_l[:, :d - 1], axis=-1)), np.inf)
+                lo = np.maximum(vol - dvol, 0.0) / np.sqrt(hi_l[:, 0] * np.prod(hi_l[:, :d - 1], axis=-1))
+            r = np.maximum(hi - e, e - lo) * (1 + 16 * EPS) + 64 * max(len(s), m) * EPS * (1 + e)
         bad = ~(np.isfinite(e) & np.isfinite(r))
         est.append(np.where(bad, 0.0, e))
         err.append(np.where(bad, np.inf, r))

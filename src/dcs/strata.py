@@ -14,6 +14,7 @@ reported separately instead of being folded into the margin minimum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -297,13 +298,8 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
         dcen = chordal_batch(centers, tag.center.unit()[None, :])
         residuals = dcen
         passes["center-matches"] = dcen <= tol.proj_eq_tol
-    margins, residuals = _rank_checked(rows, _rank_checks(tag.span_required, m),
-                                       np.minimum(pair, apart), defined, passes, residuals, tol)
-    ok = np.ones(u.shape[0], dtype=bool)
-    fail_counts: dict = {}
-    for name, good in passes.items():
-        ok &= _record(fail_counts, name, good)
-    return BatchResult(ok, margins, residuals, fail_counts, centers)
+    return _rank_checked(rows, _rank_checks(tag.span_required, m), np.minimum(pair, apart),
+                         defined, passes, residuals, tol, centers)
 
 
 def _rank_checks(want: Optional[int], m: int) -> list:
@@ -329,24 +325,27 @@ def _rank_checks(want: Optional[int], m: int) -> list:
 # The rank checks of a line triple (rows A1, B1, A2, B2, A3, B3, then the
 # center as row 6), in the form of ``_rank_checks``; a name shared by three
 # checks passes where all three do.
-_LINE_CHECKS = ([("lines-distinct", a + b, 2, True) for a, b in ((_SPAN_PAIRS[0], _SPAN_PAIRS[1]),
-                                                                  (_SPAN_PAIRS[0], _SPAN_PAIRS[2]),
-                                                                  (_SPAN_PAIRS[1], _SPAN_PAIRS[2]))]
+_LINE_CHECKS = ([("lines-distinct", a + b, 2, True) for a, b in itertools.combinations(_SPAN_PAIRS, 2)]
                 + [("center-incidence", a + (6,), 2, False) for a in _SPAN_PAIRS])
 
 
-def _rank_checked(rows, checks, chordal, defined, passes: dict, residuals, tol: Tolerances) -> tuple:
-    """Run the rank ``checks`` on the stacks of ``rows``: add their verdicts
-    to ``passes`` (and-ed by name) and return the margins, the least of
-    ``chordal`` and the rank margins, and the residuals, the largest of
-    ``residuals`` and the rank residuals."""
+def _rank_checked(rows, checks, chordal, defined, passes: dict, residuals, tol: Tolerances,
+                  centers=None) -> BatchResult:
+    """The batch's result once the rank ``checks`` have run on the stacks of
+    ``rows``: their verdicts join ``passes`` (and-ed by name), the margins
+    are the least of ``chordal`` and the rank margins, and the residuals the
+    largest of ``residuals`` and the rank residuals."""
     others = np.logical_and.reduce(list(passes.values()))
     rank = _rank_values(rows, checks, chordal, defined, others, tol)
     is_margin = np.array([c[3] for c in checks])
     for c, good in zip(checks, _rank_passes(rank, is_margin, tol).T):
         passes[c[0]] = passes[c[0]] & good if c[0] in passes else good
-    margins = np.minimum(chordal, rank[:, is_margin].min(axis=-1))
-    return margins, np.maximum(residuals, rank[:, ~is_margin].max(axis=-1))
+    ok = np.ones(len(rows), dtype=bool)
+    fail_counts: dict = {}
+    for name, good in passes.items():
+        ok &= _record(fail_counts, name, good)
+    return BatchResult(ok, np.minimum(chordal, rank[:, is_margin].min(axis=-1)),
+                       np.maximum(residuals, rank[:, ~is_margin].max(axis=-1)), fail_counts, centers)
 
 
 def _rank_passes(values: np.ndarray, is_margin: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -359,11 +358,12 @@ def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -
     """Values (N, len(checks)) of the rank checks on the stacks of ``rows``.
 
     A batch of one node takes LAPACK.  A larger batch takes closed-form
-    estimates with stated bounds: ``projective.rank3_screen`` for the third
-    value of a stack of three columns (CP^2) or three rows (concurrent d3,
-    center-incidence), ``projective.gram_screen`` for every other value
-    (lines-distinct and concurrent d1-d2 above CP^2, span-at-least,
-    span-exact).  It runs LAPACK only on
+    estimates with stated bounds: ``projective.rank3_screen`` for every third
+    value (lines-distinct, concurrent d3, center-incidence, a planar span)
+    and for the fourth value of a residual stack of four rows or columns
+    (concurrent d1-d2 above CP^2, the skew; a planar span's excess in CP^3),
+    ``projective.gram_screen`` for the rest (a solid span).  It runs LAPACK
+    only on
     - every check of every node whose meet is undefined (row 6 is then no
       meet) or where some interval holds its threshold, so every verdict is
       LAPACK's;
@@ -372,13 +372,13 @@ def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -
       and the rank margin intervals) over all nodes, or over the nodes
       passing every check (``others_pass`` and the rank verdicts), and
       reaches the upper bound of its own node: so is each such minimum, and
-      the first node attaining it.
+      the first node attaining it.  A node's other checks stay screened.
     Elsewhere a value is within its screen's bound of LAPACK's.
     """
     n_checks = len(checks)
-    if len(rows) == 1:
-        values = np.zeros((1, n_checks))
-        _run_lapack(rows, checks, np.ones((1, n_checks), dtype=bool), values)
+    if len(rows) <= 1:
+        values = np.zeros((len(rows), n_checks))
+        _run_lapack(rows, checks, np.ones(values.shape, dtype=bool), values)
         return values
     thr = tol.rank_rel_tol
     m = rows.shape[-1]
@@ -459,9 +459,8 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
         raise ProjectiveError("validate_lines_batch requires an F3_lines_through tag")
     arr = np.asarray(arr, dtype=np.complex128)
     c = tag.center.unit()
-    fail_counts: dict = {}
-
     if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors
+        fail_counts: dict = {}
         u = unit_rows(arr)
         margins = chordal_pairs(u, [(0, 1), (0, 2), (1, 2)]).min(axis=-1)
         ok = _record(fail_counts, "lines-distinct", margins > tol.proj_eq_tol)
@@ -474,12 +473,8 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
     # the two points of each span must differ, or the span is no line
     span_d = chordal_pairs(rows, _SPAN_PAIRS).min(axis=-1)
     passes = {"span-defined": span_d > tol.proj_eq_tol}
-    margins, residuals = _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(len(u), dtype=bool),
-                                       passes, np.zeros(len(u)), tol)
-    ok = np.ones(len(u), dtype=bool)
-    for name, good in passes.items():
-        ok &= _record(fail_counts, name, good)
-    return BatchResult(ok, margins, residuals, fail_counts)
+    return _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(len(u), dtype=bool),
+                         passes, np.zeros(len(u)), tol)
 
 
 def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries: int = 200) -> Config6:
