@@ -284,11 +284,12 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     u = unit_rows(pts)
     centers, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
     rows = np.concatenate([u, centers[:, None]], axis=1)
+    del u
     dist = chordal_pairs(rows, _POINT_PAIRS + _CENTER_PAIRS)
     # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
     pair = dist[:, :len(_POINT_PAIRS)].min(axis=-1)
     apart = dist[:, len(_POINT_PAIRS):].min(axis=-1)
-    residuals = np.zeros(len(u))
+    residuals = np.zeros(len(rows))
     passes = {
         "pairwise-distinct": pair > tol.proj_eq_tol,
         "meet-defined": defined,
@@ -412,7 +413,7 @@ def _run_lapack(rows, checks, mask, *values) -> None:
         cols = [i for i, c in enumerate(checks) if c[1] == stack]
         nodes = np.flatnonzero(mask[:, cols].any(axis=-1))
         if nodes.size:
-            rel = relative_singular_values(rows[nodes][:, list(stack)])
+            rel = relative_singular_values(rows[np.ix_(nodes, stack)])
             for i in cols:
                 for v in values:
                     v[nodes, i] = rel[:, checks[i][2]]
@@ -468,13 +469,12 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
         ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol)
         return BatchResult(ok, margins, residuals, fail_counts)
 
-    u = unit_rows(arr.reshape(arr.shape[0], 6, -1))
-    rows = np.concatenate([u, np.broadcast_to(c, (len(u), 1, c.size))], axis=1)
+    n = arr.shape[0]
+    rows = np.concatenate([unit_rows(arr.reshape(n, 6, -1)), np.broadcast_to(c, (n, 1, c.size))], axis=1)
     # the two points of each span must differ, or the span is no line
     span_d = chordal_pairs(rows, _SPAN_PAIRS).min(axis=-1)
     passes = {"span-defined": span_d > tol.proj_eq_tol}
-    return _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(len(u), dtype=bool),
-                         passes, np.zeros(len(u)), tol)
+    return _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(n, dtype=bool), passes, np.zeros(n), tol)
 
 
 def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries: int = 200) -> Config6:

@@ -6,6 +6,7 @@ import pytest
 
 from dcs import atlas
 from dcs.projective import (
+    CHUNK,
     DEFAULT_TOL,
     DimensionMismatchError,
     HPoint,
@@ -357,8 +358,8 @@ KERNELS = {
 def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     """Each row of a batch is byte-equal to the row computed alone: all of
     the first 2,000 rows for the cheap kernels, and the first eight, the
-    last, rows around the first pass boundary and 24 random ones for the
-    screens.  numpy computes a complex product of a large temporary in place,
+    last, rows around the first two pass boundaries and 24 random ones for
+    the screens.  numpy computes a complex product of a large temporary in place,
     and rounds it differently, so an unchunked kernel fails this."""
     r, m, kernel = KERNELS[name]
     rng = np.random.default_rng(n)
@@ -372,7 +373,8 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     if name in ("bracket_rows", "chordal_batch", "chordal_pairs"):
         picks = range(min(n, 2000))
     else:
-        picks = np.unique(np.r_[0:8, n - 1, 2046:2051, rng.integers(0, n, 24)].clip(0, n - 1))
+        edges = np.r_[CHUNK - 2:CHUNK + 3, 2 * CHUNK - 2:2 * CHUNK + 3]
+        picks = np.unique(np.r_[0:8, n - 1, edges, rng.integers(0, n, 24)].clip(0, n - 1))
     for i in picks:
         for whole, alone in zip(batch, run(rows[i:i + 1])):
             assert whole[i].tobytes() == alone[0].tobytes(), i
