@@ -24,9 +24,9 @@ ZERO_FLOOR = 1e-300
 SAFE_NORM = (1e-150, 1e150)
 EPS = np.finfo(np.float64).eps
 # Rows per pass of the batched kernels (see ``chunked``).  The screens'
-# temporaries grow with it: at 2,048 a 2-thread ``verify --all`` peaked
-# about 10% above the SVD kernels it replaces, at 1,024 below them, and no
-# faster.
+# temporaries grow with it: at 2,048 rows, serial and 2-thread runs of
+# ``verify --all`` in one process peaked about 10% above the SVD kernels the
+# screens replace; at 1,024 rows, level with them.
 CHUNK = 1024
 
 
@@ -209,9 +209,11 @@ def chordal_pairs(rows: np.ndarray, pairs) -> np.ndarray:
     """Chordal distances (N, len(pairs)) of the pairs (i, j) of the unit rows
     (N, k, m) of each node, in one pass; equal to ``chordal_batch`` of the
     rows i and j."""
-    def kernel(x):
-        x = np.moveaxis(x, 0, -1)                     # (k, m, rows)
-        return np.stack([_chordal(x[i], x[j]) for i, j in pairs], axis=-1)
+    first, second = (list(p) for p in zip(*pairs))
+
+    def kernel(x):                                    # (rows, k, m) -> (m, pairs, rows) per side
+        x = np.moveaxis(x, 0, -1)
+        return _chordal(np.swapaxes(x[first], 0, 1), np.swapaxes(x[second], 0, 1)).T
     return chunked(kernel, rows, core=2)
 
 
@@ -402,29 +404,30 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
                    np.asarray(rows, dtype=np.complex128), core=2)
 
 
-def _project3(xs, stack) -> tuple:
-    """The coefficients N (k, 3, N) of the rows ``stack`` in an orthonormal
-    basis of a span of three of them, and tau (N,), the bound on the
-    distance of each singular value of the stack from N's (see
-    ``rank3_screen``).  ``xs`` holds one (r, N) array per coordinate.  The
-    basis starts from the stack's first two rows and the one of the others
-    farthest from their span."""
+def _project3(xs, stacks) -> tuple:
+    """The coefficients N (S, k, 3, N) of the rows of each of ``stacks``
+    (S stacks of k rows) in an orthonormal basis of a span of three of
+    them, and tau (S, N), the bound on the distance of each singular value
+    of a stack from N's (see ``rank3_screen``).  ``xs`` holds one (r, N)
+    array per coordinate.  The basis starts from a stack's first two rows
+    and the one of the others farthest from their span."""
     def dot(a, b):                 # <a, b> over the coordinates
         return functools.reduce(np.add, (ac.conj() * bc for ac, bc in zip(a, b)))
 
     def norm2(a):
         return functools.reduce(np.add, ((ac.conj() * ac).real for ac in a))
 
-    k, m = len(stack), len(xs)
-    rows = [xc[list(stack)] for xc in xs]                                # m x (k, N)
+    k, m = len(stacks[0]), len(xs)
+    rows = [xc[np.array(stacks)] for xc in xs]                           # m x (S, k, N)
     basis, v = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(3):
             if j < 2:
-                b = [rc[j] for rc in rows]
+                b = [rc[:, j] for rc in rows]
             else:                  # the row farthest from the span of the first two
-                far = np.argmax(norm2(rows)[2:] - np.abs(v[0][2:]) ** 2 - np.abs(v[1][2:]) ** 2, axis=0) + 2
-                b = [np.take_along_axis(rc, far[None], 0)[0] for rc in rows]
+                far = np.argmax(norm2(rows)[:, 2:] - np.abs(v[0][:, 2:]) ** 2 - np.abs(v[1][:, 2:]) ** 2,
+                                axis=1)[:, None] + 2
+                b = [np.take_along_axis(rc, far, 1)[:, 0] for rc in rows]
             # orthogonal to the basis, twice, since a residual near rounding
             # size is noise in any direction; where less than 1e-12 of it
             # remains (the stack spans fewer dimensions), the coordinate axis
@@ -446,13 +449,14 @@ def _project3(xs, stack) -> tuple:
                     size = np.sqrt(norm2(b))
                 b = [bc / size for bc in b]
             basis.append(b)
-            v.append(dot(b, rows))                                       # (k, N)
-    res = [rc - functools.reduce(np.add, (vj * a[c] for vj, a in zip(v, basis))) for c, rc in enumerate(rows)]
-    rho = np.sqrt(np.sum(norm2(res), axis=0))
+            v.append(dot([ac[:, None] for ac in b], rows))                  # (S, k, N)
+    res = [rc - functools.reduce(np.add, (vj * a[c][:, None] for vj, a in zip(v, basis)))
+           for c, rc in enumerate(rows)]
+    rho = np.sqrt(np.sum(norm2(res), axis=1))
     dev = sum(np.abs(dot(a, b) - (j == l)) ** 2 * (1 + (j != l))
               for j, a in enumerate(basis) for l, b in enumerate(basis) if j <= l)
-    v = np.stack(v, axis=1)                                              # (k, 3, N)
-    size = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=(0, 1)))      # ||N||_F >= sigma_1(N)
+    v = np.stack(v, axis=2)                                              # (S, k, 3, N)
+    size = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=(1, 2)))      # ||N||_F >= sigma_1(N)
     return v, rho + 32 * k * m * EPS + size * (np.sqrt(dev) + 8 * m * EPS)
 
 
@@ -468,13 +472,12 @@ def _rank3_screen_chunk(rows: np.ndarray, stacks, fourth) -> tuple:
         # a stack of three rows as its transpose, whose m rows are its
         # columns; a larger one in the basis of a span of three of its rows
         xs = [np.ascontiguousarray(x[:, c]) for c in range(m)]
-        groups = []
-        for s in order:
-            if len(s) == 3:
-                groups.append((np.swapaxes(x[list(s)], 0, 1), [tuple(range(m))], 0.0))
-            else:
-                v, tau = _project3(xs, s)
-                groups.append((v, [tuple(range(len(s)))], tau))
+        proj = {}
+        for k in dict.fromkeys(len(s) for s in order if len(s) > 3):
+            same = [s for s in order if len(s) == k]
+            proj.update(zip(same, zip(*_project3(xs, same))))
+        groups = [(np.swapaxes(x[list(s)], 0, 1), [tuple(range(m))], 0.0) if len(s) == 3
+                  else (proj[s][0], [tuple(range(len(s)))], proj[s][1]) for s in order]
     gd, go, vol, tau, n_rows, n_brackets = [], [], [], [], [], []
     for v, group, t in groups:
         sq = v.real ** 2 + v.imag ** 2                                  # |v_a|^2
