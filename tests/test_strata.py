@@ -520,19 +520,22 @@ def _corpus_above_cp2(tag, seed):
         e[2] = d[0] * rng.normal() + d[1] * rng.normal() + near(RANK_TOL) * out_of(d, center)
         nodes.append(_config(center, e, c))
     d, c, w = _in_space(rng, tag), _cplx(rng, 3, 2), _cplx(rng, m)
+    off = out_of(d, center)
     lines = lambda cfg: _rel3(unit_rows(cfg[:4]))
     nodes += _hug(lambda x: _config(center, [d[0], d[0] + x * w, d[2]], c), lines, RANK_TOL)
-    skewed = lambda x: _config(center, d, c) + x * np.eye(6, m, k=0)[3] * 0 + \
-        np.outer(np.eye(6)[3], x * out_of(d, center))
-    nodes += _hug(skewed, lambda cfg: _rel(unit_rows(cfg[:4]), 3), RANK_TOL)
-    want = tag.span_required
 
-    def spanned(x):
+    def skewed(x):                                       # B2 off the plane of d1 and A2
+        cfg = _config(center, d, c)
+        cfg[3] += x * off
+        return cfg
+
+    def spanned(x):                                      # d3 off the plane of d1 and d2
         e = d.copy()
-        e[2] = d[0] + d[1] + x * out_of(d, center)
+        e[2] = d[0] + d[1] + x * off
         return _config(center, e, c)
 
-    index = want if solid else want + 1
+    nodes += _hug(skewed, lambda cfg: _rel(unit_rows(cfg[:4]), 3), RANK_TOL)
+    index = tag.span_required if solid else tag.span_required + 1
     nodes += _hug(spanned, lambda cfg: _rel(unit_rows(cfg), index), RANK_TOL)
 
     def off_d3(x):
