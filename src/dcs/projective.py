@@ -28,6 +28,10 @@ EPS = np.finfo(np.float64).eps
 # ``verify --all`` in one process peaked about 10% above the SVD kernels the
 # screens replace; at 1,024 rows, level with them.
 CHUNK = 1024
+# Rows per pass of a kernel whose temporaries hold one complex number per
+# row (``bracket_rows``, ``chordal_batch``): 8,192 keeps each at 128 KiB,
+# half of numpy's threshold, in one pass for most loop samples.
+VECTOR_ROWS = 8192
 
 
 def is_int(value) -> bool:
@@ -162,23 +166,28 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
     return a / n
 
 
-def chunked(kernel, *arrays, core: int = 1):
-    """``kernel`` applied to ``arrays`` in passes of at most CHUNK rows.
+def chunked(kernel, *arrays, core: int = 1, rows: int = CHUNK):
+    """``kernel`` applied to ``arrays`` in passes of at most ``rows`` rows.
 
     The rows are the entries of the arrays' broadcast leading axes, each
     array keeping its last ``core`` axes whole; ``kernel`` takes arrays of
     shape (rows, *core shape) and returns an array, or a tuple of arrays,
-    with one leading entry per row.  Every complex vector of a pass then
-    stays below numpy's 256 KiB threshold for reusing temporaries in place,
-    past which a complex product rounds differently, so a row's value does
-    not depend on the size of its batch; the temporaries stay small too.
+    with one leading entry per row.  Passes small enough that every complex
+    temporary of the kernel stays below numpy's 256 KiB threshold for
+    reusing temporaries in place, past which a complex product rounds
+    differently, make a row's value independent of the size of its batch;
+    they also bound the temporaries' memory.
     """
     arrays = [np.asarray(a) for a in arrays]
-    lead = np.broadcast_shapes(*(a.shape[:a.ndim - core] for a in arrays))
-    flat = [np.broadcast_to(a, lead + a.shape[a.ndim - core:]).reshape((-1,) + a.shape[a.ndim - core:])
-            for a in arrays]
+    leads = [a.shape[:a.ndim - core] for a in arrays]
+    lead = leads[0] if leads.count(leads[0]) == len(leads) else np.broadcast_shapes(*leads)
+    flat = [(a if shape == lead else np.broadcast_to(a, lead + a.shape[a.ndim - core:]))
+            .reshape((-1,) + a.shape[a.ndim - core:]) for a, shape in zip(arrays, leads)]
     n = flat[0].shape[0]
-    parts = [kernel(*(f[i:i + CHUNK] for f in flat)) for i in range(0, max(n, 1), CHUNK)]
+    if n <= rows:
+        parts = [kernel(*flat)]
+    else:
+        parts = [kernel(*(f[i:i + rows] for f in flat)) for i in range(0, n, rows)]
     one = not isinstance(parts[0], tuple)
     out = tuple(np.concatenate(p) if len(p) > 1 else p[0]
                 for p in zip(*([(p,) for p in parts] if one else parts)))
@@ -202,7 +211,7 @@ def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     sqrt(1 - |<u,v>|^2) but stays accurate near zero (the naive form cannot
     resolve distances below sqrt(machine epsilon)).
     """
-    return chunked(lambda a, b: _chordal(a.T, b.T), u, v)
+    return chunked(lambda a, b: _chordal(a.T, b.T), u, v, rows=VECTOR_ROWS)
 
 
 def chordal_pairs(rows: np.ndarray, pairs) -> np.ndarray:
@@ -332,7 +341,7 @@ def bracket_rows(a, b, c):
     """Cofactor-expansion 3x3 determinant of CP^2 representatives, batched
     over leading axes.  Vanishes exactly on collinear triples; depends on
     the representatives only up to a nonzero scalar per argument."""
-    return chunked(_bracket, a, b, c)
+    return chunked(_bracket, a, b, c, rows=VECTOR_ROWS)
 
 
 def _bracket(a, b, c):
@@ -471,7 +480,7 @@ def _rank3_screen_chunk(rows: np.ndarray, stacks, fourth) -> tuple:
     else:
         # a stack of three rows as its transpose, whose m rows are its
         # columns; a larger one in the basis of a span of three of its rows
-        xs = [np.ascontiguousarray(x[:, c]) for c in range(m)]
+        xs = [x[:, c] for c in range(m)]
         proj = {}
         for k in dict.fromkeys(len(s) for s in order if len(s) > 3):
             same = [s for s in order if len(s) == k]
