@@ -135,6 +135,7 @@ def _run_config(args):
 
 def cmd_verify(args) -> int:
     from . import report as rpt
+    from .strata import SamplingError
     from .verify import ALL_CLAIM_IDS, run_verification
 
     cfg = _run_config(args)
@@ -158,7 +159,10 @@ def cmd_verify(args) -> int:
     except OSError as e:
         raise UsageError(f"cannot write the JSON report: {e}") from None
     with json_out or contextlib.nullcontext():
-        run = run_verification(cfg, claim_ids)
+        try:
+            run = run_verification(cfg, claim_ids)
+        except SamplingError as e:    # tolerances that no sampled configuration meets
+            raise UsageError(str(e)) from None
         doc = run.to_json()
         if json_out:
             json_out.write(rpt.dumps(doc))

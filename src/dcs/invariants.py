@@ -23,14 +23,12 @@ import numpy as np
 import sympy
 
 from . import atlas
-from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, domain_nodes
+from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, compare_values, domain_nodes
 from .projective import (
     DEFAULT_TOL,
     ProjectiveError,
     Tolerances,
     bracket_rows,
-    relative_singular_values,
-    unit_rows,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, worst
 
@@ -131,12 +129,10 @@ def line_constancy(configs: np.ndarray, line_index: int) -> float:
     """Max incidence residual of (A_i, B_i) against the registered base line
     of the configurations' ambient space."""
     arr = np.asarray(configs, dtype=np.complex128)
-    span = slice(2 * line_index, 2 * line_index + 2)
-    base = unit_rows(_fiber_set(arr.shape[-1] - 1)[0][span])
-    pts = unit_rows(arr[..., span, :])
-    n = arr.shape[0]
-    rows = np.concatenate([pts, np.broadcast_to(base, (n,) + base.shape)], axis=1)
-    return float(np.max(relative_singular_values(rows)[..., 2]))
+    rows = slice(2 * line_index, 2 * line_index + 2)
+    span = arr[..., rows, :]
+    base = _fiber_set(arr.shape[-1] - 1)[0][rows]
+    return compare_values(span, np.broadcast_to(base, span.shape), "lines_span")
 
 
 def fiber_functional(line_index: int, ambient: int) -> ScalarFunctional:

@@ -113,8 +113,7 @@ class HPoint:
 
     def unit(self) -> np.ndarray:
         """Representative scaled to unit Euclidean norm."""
-        n = _norm(self.coords)     # rounds unlike unit_rows' row sums; kept for in-range points
-        return self.coords / n if SAFE_NORM[0] < n < SAFE_NORM[1] else unit_rows(self.coords)
+        return unit_rows(self.coords)
 
     def normalized(self) -> np.ndarray:
         """Canonical representative: unit norm, first significant coordinate
@@ -399,7 +398,7 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
       slope, so l0 and l1 may be off by about p sqrt(eps), not eps: on the
       stack e1, e2, e3, (e1 + e2 + e3) / sqrt(3) the formula is off by 3e-9;
     - each bracket is off by at most 64 eps, each 4 x 4 minor by at most
-      512 eps (see ``gram_screen``), and R as computed by at most 32 k m eps;
+      512 eps (see ``_minor_volume``), and R as computed by at most 32 k m eps;
     - LAPACK's singular values are those of M + F with ||F|| <= 64 k' eps
       sigma_1, k' = max(k, m), so the ratio it returns is off by at most
       64 k' eps (1 + est).
@@ -562,87 +561,14 @@ def _rank3_screen_chunk(rows: np.ndarray, stacks, fourth) -> tuple:
     return np.where(bad, 0.0, est).T, np.where(bad, np.inf, err).T
 
 
-def gram_screen(rows: np.ndarray, stacks) -> tuple:
-    """Relative singular values of stacks of rows from one batched Hermitian
-    eigenvalue solve per Gram size, with an error bound and no SVD.
-
-    ``rows`` (N, r, m) are unit representatives; each of ``stacks`` is a
-    pair (row indices, k).  Returns ``est`` and ``err``, both
-    (N, len(stacks)): ``relative_singular_values(rows[:, s])[..., k]``, as
-    LAPACK computes it, lies within ``err`` of ``est``.  A node whose bound
-    cannot be formed gets est 0 and err inf.
-
-    For a stack M of k' rows let G be the smaller of M M^H (a principal
-    submatrix of the Gram of all rows) and M^H M, of size d = min(k', m),
-    with eigenvalues l0 >= ... >= l(d-1) from ``numpy.linalg.eigvalsh``:
-    - for k < d - 1, est = sqrt(lk / l0);
-    - for the last value, k = d - 1, est = vol / (sqrt(l0) sqrt(l0 ... l(d-2)))
-      with vol the norm of the vector of the stack's d x d minors, the
-      product of its singular values (Cauchy-Binet), from Laplace expansion.
-      Like ``rank3_screen``'s brackets it keeps its absolute accuracy down to
-      zero, where sqrt(l(d-1)) would not (a sqrt(eps) floor).
-
-    ``err`` is interval arithmetic over deliberately loose error bounds:
-    - each entry of the computed G, a sum of L products, is off by at most
-      2 (L + 2) eps sqrt(g_ii g_jj), so the computed G is off by at most
-      2 (L + 2) eps tr(G) in norm; eigvalsh returns the eigenvalues of a
-      matrix off by at most 64 d eps ||G||.  By Weyl's inequality (Stewart &
-      Sun, Matrix Perturbation Theory, 1990) each eigenvalue is off by at
-      most the sum, repeated eigenvalues included; the code takes 4 times it;
-    - every minor of rows of norm at most 1 is at most 1 (Hadamard), and
-      each level of Laplace expansion adds at most about sqrt(d) (e + 4 eps)
-      to the error e of the level below, well under 8 d^3 eps in all;
-    - LAPACK's singular values are those of M + F with ||F|| <= 64 k'' eps
-      sigma_1, k'' = max(k', m), so the ratio it returns is off by at most
-      64 k'' eps (1 + est).
-    """
-    return chunked(lambda x: _gram_screen_chunk(x, stacks),
-                   np.asarray(rows, dtype=np.complex128), core=2)
-
-
-def _gram_screen_chunk(rows: np.ndarray, stacks) -> tuple:
-    """``gram_screen`` on one pass of nodes."""
-    m = rows.shape[-1]
-    mats = {}                      # stack -> (Gram, length L of its sums)
-    for s, _ in stacks:
-        sub = rows[:, list(s)]
-        sub_h = np.conj(np.swapaxes(sub, -1, -2))
-        mats[s] = (sub @ sub_h, m) if len(s) <= m else (sub_h @ sub, len(s))
-    lam = {}
-    for d in {g.shape[-1] for g, _ in mats.values()}:
-        same = [s for s, (g, _) in mats.items() if g.shape[-1] == d]
-        lam.update(zip(same, np.linalg.eigvalsh(np.stack([mats[s][0] for s in same]))[..., ::-1]))
-    x = np.moveaxis(rows, 0, -1).copy()                            # (r, m, N)
-    est, err = [], []
-    for s, k in stacks:
-        (g, terms), ls = mats[s], lam[s]
-        d = g.shape[-1]
-        delta = 4 * (2 * (terms + 2) + 64 * d) * EPS * np.trace(g, axis1=-2, axis2=-1).real
-        lo_l, hi_l = ls - delta[:, None], ls + delta[:, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if k < d - 1:
-                e = np.sqrt(np.maximum(ls[:, k], 0.0) / ls[:, 0])
-                hi = np.where(lo_l[:, 0] > 0, np.sqrt(hi_l[:, k] / lo_l[:, 0]), np.inf)
-                lo = np.sqrt(np.maximum(lo_l[:, k], 0.0) / hi_l[:, 0])
-            else:
-                vol, n_minors = _minor_volume(x, s, d)
-                dvol = 8 * d ** 3 * EPS * np.sqrt(n_minors) + 4 * (n_minors + 1) * EPS * vol
-                e = vol / np.sqrt(ls[:, 0] * np.prod(ls[:, :d - 1], axis=-1))
-                hi = np.where(lo_l[:, d - 2] > 0,
-                              (vol + dvol) / np.sqrt(lo_l[:, 0] * np.prod(lo_l[:, :d - 1], axis=-1)), np.inf)
-                lo = np.maximum(vol - dvol, 0.0) / np.sqrt(hi_l[:, 0] * np.prod(hi_l[:, :d - 1], axis=-1))
-            r = np.maximum(hi - e, e - lo) * (1 + 16 * EPS) + 64 * max(len(s), m) * EPS * (1 + e)
-        bad = ~(np.isfinite(e) & np.isfinite(r))
-        est.append(np.where(bad, 0.0, e))
-        err.append(np.where(bad, np.inf, r))
-    return np.stack(est, axis=-1), np.stack(err, axis=-1)
-
-
 def _minor_volume(x: np.ndarray, stack, d: int) -> tuple:
     """The norm of the vector of d x d minors of the stack's rows of ``x``
     (r, m, N), by Laplace expansion along the first row, and the number of
     minors.  For d = min(len(stack), m) it is the product of the stack's
-    singular values (Cauchy-Binet)."""
+    singular values (Cauchy-Binet).  On rows of norm at most 1 every minor
+    is at most 1 (Hadamard), and each level of the expansion adds at most
+    about sqrt(d) (e + 4 eps) to the error e of the level below, so each
+    minor is off by well under 8 d^3 eps."""
     memo: dict = {}
     minors = [_minor(x, rs, cs, memo) for rs in itertools.combinations(stack, d)
               for cs in itertools.combinations(range(x.shape[1]), d)]

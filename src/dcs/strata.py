@@ -28,7 +28,6 @@ from .projective import (
     Tolerances,
     chordal_batch,
     chordal_pairs,
-    gram_screen,
     is_int,
     meet,
     rank3_screen,
@@ -222,9 +221,10 @@ class BatchResult:
     exact (LAPACK singular values, chordal distances) at every node that can
     attain the batch's least margin, over all nodes or over the passing
     nodes.  In a screened batch (every batch of more than one node, see
-    ``strata._rank_values``) a rank value is elsewhere within the stated
-    bound of ``projective.rank3_screen`` or ``projective.gram_screen``.  So
-    is ``residuals`` at every node whose rank values are screened: a
+    ``strata._rank_values``) a rank value of a kind that
+    ``projective.rank3_screen`` screens is elsewhere within its stated
+    bound, and every other rank value is LAPACK's.  So ``residuals`` is
+    within that bound at every node whose rank values are screened: a
     maximum residual, or a least margin over another subset of nodes, is
     then an estimate within that bound (about 1e-13 for a residual near
     zero), not LAPACK's value.  A batch of one is exact throughout.
@@ -358,23 +358,22 @@ def _rank_passes(values: np.ndarray, is_margin: np.ndarray, tol: Tolerances) -> 
 def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -> np.ndarray:
     """Values (N, len(checks)) of the rank checks on the stacks of ``rows``.
 
-    A batch of one node takes LAPACK.  A larger batch takes closed-form
-    estimates with stated bounds: ``projective.rank3_screen`` for every third
-    value (lines-distinct, concurrent d3, center-incidence, a planar span)
-    and for the fourth value of a residual stack of four rows or columns
-    (concurrent d1-d2 above CP^2, the skew; a planar span's excess in CP^3),
-    ``projective.gram_screen`` for the rest (a solid span).  It runs LAPACK
-    only on
-    - every check of every node whose meet is undefined (row 6 is then no
-      meet) or where some interval holds its threshold, so every verdict is
-      LAPACK's;
-    - each other (node, stack) pair whose margin interval reaches the least
-      upper bound of the nodes' margin intervals (the least of ``chordal``
-      and the rank margin intervals) over all nodes, or over the nodes
-      passing every check (``others_pass`` and the rank verdicts), and
+    A batch of one node takes LAPACK.  A larger batch takes
+    ``projective.rank3_screen``'s closed-form estimates, with stated bounds,
+    for every third value (lines-distinct, concurrent d3, center-incidence,
+    a planar span) and for the fourth value of a residual stack of four rows
+    or columns (concurrent d1-d2 above CP^2, the skew; a planar span's
+    excess in CP^3), and LAPACK's value at every node for the rest (a solid
+    span).  It runs LAPACK on the screened values only
+    - at every node whose meet is undefined (row 6 is then no meet) or where
+      some interval holds its threshold, so every verdict is LAPACK's;
+    - at each other (node, stack) pair whose margin interval reaches the
+      least upper bound of the nodes' margin intervals (the least of
+      ``chordal`` and the rank margin intervals) over all nodes, or over the
+      nodes passing every check (``others_pass`` and the rank verdicts), and
       reaches the upper bound of its own node: so is each such minimum, and
       the first node attaining it.  A node's other checks stay screened.
-    Elsewhere a value is within its screen's bound of LAPACK's.
+    Elsewhere a screened value is within its bound of LAPACK's.
     """
     n_checks = len(checks)
     if len(rows) <= 1:
@@ -386,16 +385,15 @@ def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -
     third = [i for i, c in enumerate(checks) if c[2] == 2]
     fourth = [i for i, c in enumerate(checks)
               if c[2] == 3 and not c[3] and min(len(c[1]), m) == 4]
-    other = [i for i in range(n_checks) if i not in third + fourth]
+    screened = np.zeros(n_checks, dtype=bool)
+    screened[third + fourth] = True
     est, err = np.zeros((len(rows), n_checks)), np.zeros((len(rows), n_checks))
-    if third or fourth:
-        est[:, third + fourth], err[:, third + fourth] = rank3_screen(
-            rows, [checks[i][1] for i in third], [checks[i][1] for i in fourth])
-    if other:
-        est[:, other], err[:, other] = gram_screen(rows, [checks[i][1:3] for i in other])
+    est[:, third + fourth], err[:, third + fourth] = rank3_screen(
+        rows, [checks[i][1] for i in third], [checks[i][1] for i in fourth])
+    _run_lapack(rows, checks, np.broadcast_to(~screened, est.shape), est)
     lo, hi = est - err, est + err
     holds = ~defined | np.any((lo <= thr) & (hi > thr), axis=-1)
-    _run_lapack(rows, checks, np.broadcast_to(holds[:, None], est.shape), est, lo, hi)
+    _run_lapack(rows, checks, holds[:, None] & screened, est, lo, hi)
     is_margin = np.array([c[3] for c in checks])
     ok = others_pass & np.all(_rank_passes(est, is_margin, tol), axis=-1)
     node_hi = np.minimum(chordal, hi[:, is_margin].min(axis=-1))
@@ -477,10 +475,15 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
     return _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(n, dtype=bool), passes, np.zeros(n), tol)
 
 
+class SamplingError(ProjectiveError):
+    """``random_config`` drew no configuration that the tolerances admit."""
+
+
 def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries: int = 200) -> Config6:
     """Constructive sampler: a center, three distinct lines through it, two
     distinct non-center points per line.  Rejection-samples until the
-    degeneracy margin clears margin_warn; reproducible via the seed."""
+    degeneracy margin clears margin_warn; reproducible via the seed.  Raises
+    ``SamplingError`` when none of ``max_tries`` samples does."""
     rng = np.random.default_rng(seed)
     n = tag.n
     want_span = tag.span_required or 2
@@ -508,4 +511,5 @@ def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries:
             continue
         if rep.verdict and rep.margin > tol.margin_warn:
             return cfg
-    raise ProjectiveError("random configuration sampling failed to converge")
+    raise SamplingError(f"random configuration sampling failed to converge: no sample clears proj_eq_tol="
+                        f"{tol.proj_eq_tol:g}, rank_rel_tol={tol.rank_rel_tol:g}, margin_warn={tol.margin_warn:g}")

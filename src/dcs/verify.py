@@ -329,7 +329,7 @@ def verify_C4(cfg: RunConfig) -> ClaimReport:
     lifted = config_lines_dual(atlas.get("Lambda_tilde").eval(**nodes))
     printed = atlas.get("Lambda").eval(**nodes)
     rep.add_distance("lines of the lifted disk equal the printed line disk",
-                     float(np.max(value_dist(lifted, printed, "lines_dual"))),
+                     compare_values(lifted, printed, "lines_dual"),
                      cfg.lift_tol, cfg.numeric_floor)
 
     doubled = atlas.get("s").eval(2.0 * thetas % TWO_PI)
@@ -486,7 +486,7 @@ def verify_C12(cfg: RunConfig) -> ClaimReport:
         spans = config_lines_span(atlas.get(lifted).eval(**nodes))
         target = atlas.get(printed).eval(**nodes)
         rep.add_distance(f"lines of {lifted} equal {printed}",
-                         float(np.max(value_dist(spans, target, "lines_span"))),
+                         compare_values(spans, target, "lines_span"),
                          cfg.lift_tol, cfg.numeric_floor)
         _add_sweep(rep, printed, cfg)
         _boundary_fiber_check(rep, f"{lifted} boundary fiber winding", f"{lifted}_S1", cfg)

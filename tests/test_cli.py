@@ -69,6 +69,22 @@ def test_verify_tolerance_below_binary64_is_inconclusive(capsys):
     assert "inconclusive" in out
 
 
+@pytest.mark.parametrize("kind", ["tol", "config"])
+def test_verify_tolerances_no_sample_meets_are_usage_error(kind, capsys, tmp_path):
+    """Tolerances that no configuration of C1's sampler meets end the run
+    with one error line naming them, not a traceback."""
+    if kind == "tol":
+        extra = ["--tol", "0.9"]
+    else:
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"tolerances": {"margin_warn": 0.5}}))
+        extra = ["--config", str(f)]
+    code, _, err = run_cli(["verify", "--claim", "C1"] + extra, capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: random configuration sampling failed") and err.count("\n") == 1
+    assert "margin_warn=" in err and "proj_eq_tol=" in err
+
+
 def test_verify_grid_caps(capsys):
     code, _, err = run_cli(["verify", "--claim", "C3", "--samples", "8"], capsys)
     assert code == EXIT_USAGE and "quarter" in err

@@ -16,7 +16,6 @@ from dcs.projective import (
     bracket_rows,
     chordal_batch,
     chordal_pairs,
-    gram_screen,
     meet,
     proj_dist,
     rank3_screen,
@@ -193,14 +192,13 @@ def test_meet_base_lines_solid():
 def test_meet_skew_lines_residual():
     # X2 = X3 = 0 and X0 = X1 = 0 span all of CP^3: the skew residual, the
     # fourth relative singular value of the four points, is 1 from LAPACK,
-    # within both screens' bounds (rank3_screen's is infinite: the points do
-    # not span three dimensions), and the meet is the point of the first
-    # line nearest the second, here any of its points
+    # within rank3_screen's bound (an infinite one: the points do not span
+    # three dimensions), and the meet is the point of the first line nearest
+    # the second, here any of its points
     rows = np.eye(4, dtype=complex)[None]
     assert relative_singular_values(rows)[0, 3] == pytest.approx(1.0)
-    for est, err in (gram_screen(rows, [((0, 1, 2, 3), 3)]), rank3_screen(rows, [], [(0, 1, 2, 3)])):
-        assert abs(est[0, 0] - 1.0) <= err[0, 0]
-    assert gram_screen(rows, [((0, 1, 2, 3), 3)])[1][0, 0] < 1e-10
+    est, err = rank3_screen(rows, [], [(0, 1, 2, 3)])
+    assert abs(est[0, 0] - 1.0) <= err[0, 0]
     point, defined = meet(*rows[0])
     assert defined and proj_dist(HPoint(point), HPoint([1, 0, 0, 0])) < 1e-12
 
@@ -349,7 +347,7 @@ KERNELS = {
     "meet": (4, 4, lambda a: meet(*(a[:, i] for i in range(4)))),
     "rank3_screen": (7, 4, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)], [(0, 1, 2, 3)])),
     "rank3_screen CP^2": (7, 3, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)])),
-    "gram_screen": (7, 5, lambda a: gram_screen(a, [((0, 1, 2, 3, 4, 5), 3), ((0, 1, 2, 3, 4, 5), 4)])),
+    "unit_rows": (3, 4, unit_rows),
 }
 
 
@@ -360,17 +358,20 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     the first 2,000 rows for the cheap kernels, and the first eight, the
     last, rows around the first two pass boundaries and 24 random ones for
     the screens.  numpy computes a complex product of a large temporary in place,
-    and rounds it differently, so an unchunked kernel fails this."""
+    and rounds it differently, so an unchunked kernel fails this.  unit_rows
+    takes raw rows at scales 1e-200 to 1e200, so that a batch mixes rows of
+    its far-norm branch with rows in range."""
     r, m, kernel = KERNELS[name]
     rng = np.random.default_rng(n)
-    rows = unit_rows(rng.normal(size=(n, r, m)) + 1j * rng.normal(size=(n, r, m)))
+    rows = rng.normal(size=(n, r, m)) + 1j * rng.normal(size=(n, r, m))
+    rows = rows * 10.0 ** rng.integers(-200, 201, size=(n, r, 1)) if name == "unit_rows" else unit_rows(rows)
 
     def run(a):
         out = kernel(a)
         return out if isinstance(out, tuple) else (out,)
 
     batch = run(rows)
-    if name in ("bracket_rows", "chordal_batch", "chordal_pairs"):
+    if name in ("bracket_rows", "chordal_batch", "chordal_pairs", "unit_rows"):
         picks = range(min(n, 2000))
     else:
         edges = np.r_[CHUNK - 2:CHUNK + 3, 2 * CHUNK - 2:2 * CHUNK + 3]

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from dcs import atlas, strata
+from dcs.paths import domain_nodes
 from dcs.projective import (
+    DEFAULT_TOL,
     HPoint,
     ProjectiveError,
     chordal_batch,
-    gram_screen,
     meet,
     rank3_screen,
+    relative_singular_values,
     span_dim,
     unit_rows,
 )
@@ -574,19 +576,53 @@ def _assert_screened_batch_is_lapacks(res, verdicts, fail_counts, margins):
     assert np.argmin(np.where(verdicts, res.margins, np.inf)) == np.argmin(np.where(verdicts, margins, np.inf))
 
 
+def _screen_of(check, m):
+    """The rank3_screen call that _rank_values makes for ``check`` on rows
+    of m coordinates, or None where it takes LAPACK's value."""
+    _, stack, k, is_margin = check
+    if k == 2:
+        return lambda rows: rank3_screen(rows, [stack])
+    if not is_margin and min(len(stack), m) == 4:
+        return lambda rows: rank3_screen(rows, [], [stack])
+    return None
+
+
+def _rank_rows(points):
+    """Unit rows of configurations with the meet of d1 and d2 as row 6, as
+    validate_batch stacks them, and where that meet is defined."""
+    u = unit_rows(points)
+    centers, defined = meet(*(u[:, i] for i in range(4)))
+    return np.concatenate([u, centers[:, None]], axis=1), defined
+
+
 def _assert_bounds_hold(rows, checks):
-    """The stated bound of the screen that _rank_values takes for each
-    check covers LAPACK's value at every node."""
-    m = rows.shape[-1]
-    for name, stack, k, is_margin in checks:
-        if k == 2:
-            est, err = rank3_screen(rows, [stack])
-        elif not is_margin and min(len(stack), m) == 4:
-            est, err = rank3_screen(rows, [], [stack])
+    """For each check that _rank_values screens, rank3_screen's stated
+    bound covers LAPACK's value at every node; every other check takes
+    LAPACK's value, bit for bit."""
+    n, m = len(rows), rows.shape[-1]
+    passing = np.ones(n, dtype=bool)
+    values = strata._rank_values(rows, checks, np.ones(n), passing, passing, DEFAULT_TOL)
+    for i, check in enumerate(checks):
+        ref = relative_singular_values(rows[:, list(check[1])])[:, check[2]]
+        screen = _screen_of(check, m)
+        if screen is None:
+            assert values[:, i].tobytes() == ref.tobytes(), check[0]
         else:
-            est, err = gram_screen(rows, [(stack, k)])
-        ref = _rel(rows[:, list(stack)], k)
-        assert np.all(np.abs(est[:, 0] - ref) <= err[:, 0]), name
+            est, err = screen(rows)
+            assert np.all(np.abs(est[:, 0] - ref) <= err[:, 0]), check[0]
+
+
+@pytest.mark.parametrize("name, unscreened", [("Psi_tilde", ["span-at-least"]),
+                                              ("Sigma_tilde", ["span-at-least", "span-exact"])])
+def test_unscreened_rank_values_are_lapacks(name, unscreened):
+    """On a block of a solid disk of CP^3 and of CP^4, each rank value that
+    rank3_screen does not screen (the solid span) is LAPACK's, bit for bit,
+    at every node."""
+    item = atlas.get(name)
+    rows = _rank_rows(item.eval(**domain_nodes("disk", (32, 16))[0]))[0]
+    checks = strata._rank_checks(item.target.span_required, item.target.n + 1)
+    assert [c[0] for c in checks if _screen_of(c, rows.shape[-1]) is None] == unscreened
+    _assert_bounds_hold(rows, checks)
 
 
 ABOVE_CP2 = [SpaceTag.solid(3), atlas.TAG_SOLID_FIXED_3, atlas.TAG_PLANAR_FIXED_3, atlas.TAG_SOLID_FIXED_4]
@@ -599,10 +635,9 @@ def test_screen_above_cp2_matches_lapack_near_every_threshold(tag):
     for name, (q, thr) in quantity.items():
         assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
     assert verdicts.sum() > 40 and (~verdicts).sum() > 40
-    u = unit_rows(corpus)
-    centers, defined = meet(*(u[:, i] for i in range(4)))
-    _assert_bounds_hold(np.concatenate([u, centers[:, None]], axis=1),
-                        strata._rank_checks(tag.span_required, tag.n + 1))
+    rows, defined = _rank_rows(corpus)
+    _assert_bounds_hold(rows, strata._rank_checks(tag.span_required, tag.n + 1))
+    u, centers = rows[:, :6], rows[:, 6]
     # where d1 and d2 are distinct lines that meet, meet-defined is the SVD
     # meet's verdict (on skew lines that verdict rests on an arbitrary null
     # vector: four orthonormal points have four equal singular values); where
