@@ -133,6 +133,29 @@ def _run_config(args):
         raise UsageError(str(e)) from None
 
 
+@contextlib.contextmanager
+def _report_path(path):
+    """Check before the run that the report can be written to ``path``,
+    so a bad path costs no run, without truncating a file already there;
+    if the check created the file and the run fails, remove it."""
+    created = False
+    if path:
+        try:
+            try:
+                open(path, "x").close()
+                created = True
+            except FileExistsError:
+                open(path, "a").close()
+        except OSError as e:
+            raise UsageError(f"cannot write the JSON report: {e}") from None
+    try:
+        yield
+    except BaseException:
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 def cmd_verify(args) -> int:
     from . import report as rpt
     from .strata import SamplingError
@@ -153,19 +176,14 @@ def cmd_verify(args) -> int:
     else:
         claim_ids = list(ALL_CLAIM_IDS)
 
-    # open the report file first, so a bad path costs no verification run
-    try:
-        json_out = open(args.json, "w", encoding="utf-8") if args.json else None
-    except OSError as e:
-        raise UsageError(f"cannot write the JSON report: {e}") from None
-    with json_out or contextlib.nullcontext():
+    with _report_path(args.json):
         try:
             run = run_verification(cfg, claim_ids)
         except SamplingError as e:    # tolerances that no sampled configuration meets
             raise UsageError(str(e)) from None
         doc = run.to_json()
-        if json_out:
-            json_out.write(rpt.dumps(doc))
+        if args.json:
+            Path(args.json).write_text(rpt.dumps(doc), encoding="utf-8")
     if args.format == "json":
         sys.stdout.write(rpt.dumps(doc))
     else:

@@ -363,7 +363,10 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
     at index 2, then 3, as LAPACK computes it, lies within ``err`` of
     ``est``.  A node whose bound cannot be formed gets est 0 and err inf.
     The fourth value is for stacks of four rows, or of four columns (CP^3),
-    above CP^2: the skew of two lines, the excess of a planar span.
+    above CP^2: the skew of two lines, the excess of a planar span.  Its
+    interval is one-sided, from 0 to tau over a lower bound on sigma_1 (see
+    below), with ``est`` at its middle: it certifies a value near zero and
+    sends any other to LAPACK.
 
     In CP^2 a stack M of k rows has three columns, and a stack of three rows
     is screened as its transpose, whose rows are its m columns.  Any other
@@ -384,10 +387,10 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
     - l0 and l1 come from Smith's formula for 3x3 Hermitian matrices
       (CACM 4(4), 1961), with the deviatoric norm p taken from the entries
       of G - qI rather than from tr^2 - 3 e2.
-    - est = sqrt(det G) / (l0 sqrt(l1)).  The fourth value is
-      vol4 / (sqrt(l0) sqrt(det G)), vol4 the norm of M's 4 x 4 minors, the
-      product of its four singular values; M's three largest are within
-      (1 +- tau / sigma_3(N))^3 of N's product.
+    - est = sqrt(det G) / (l0 sqrt(l1)).
+    - N B has rank three, so M's fourth singular value is at most
+      ||R|| <= tau (Weyl), and its first at least sqrt(l0 - dl) - tau, dl
+      the bound on l0's error.
 
     ``err`` is interval arithmetic over deliberately loose error bounds:
     - each entry of the computed G is off by at most (k + 3) k eps, so by
@@ -397,16 +400,16 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
       interval around r.  Near a repeated eigenvalue arccos has no finite
       slope, so l0 and l1 may be off by about p sqrt(eps), not eps: on the
       stack e1, e2, e3, (e1 + e2 + e3) / sqrt(3) the formula is off by 3e-9;
-    - each bracket is off by at most 64 eps, each 4 x 4 minor by at most
-      512 eps (see ``_minor_volume``), and R as computed by at most 32 k m eps;
+    - each bracket is off by at most 64 eps, and R as computed by at most
+      32 k m eps;
     - LAPACK's singular values are those of M + F with ||F|| <= 64 k' eps
       sigma_1, k' = max(k, m), so the ratio it returns is off by at most
       64 k' eps (1 + est).
     The code widens the first terms by further factors of 4 to 8.  On the
-    test corpora (random, near-degenerate and repeated-eigenvalue stacks)
-    the largest error seen on values above 1e-6 is about 1/14 of ``err``,
-    on stacks that span four dimensions, where ``err`` exceeds 0.1; it comes
-    within a factor 2 only on values below 1e-12, LAPACK's rounding noise.
+    test corpora (random, near-degenerate and repeated-eigenvalue stacks) a
+    third value above 1e-6 is off by at most about 1/24 of ``err``, and one
+    below by at most about a third of it.  A fourth value near zero lies at
+    the bottom of its interval, whose top is there about 1e-13.
     """
     return chunked(lambda x: _rank3_screen_chunk(x, list(stacks), list(fourth)),
                    np.asarray(rows, dtype=np.complex128), core=2)
@@ -540,19 +543,13 @@ def _rank3_screen_chunk(rows: np.ndarray, stacks, fourth) -> tuple:
         lo = np.maximum(lo - t, 0.0) / (1 + t)
         ests, his, los = [est], [hi], [lo]
         if fourth:
+            # sigma_4 of M is at most tau: one-sided, as it may be zero
             at = [order.index(s) for s in fourth]
-            v4, n4 = zip(*(_minor_volume(x, s, 4) for s in fourth))
-            v4, n4 = np.stack(v4), np.array(n4, dtype=float)[:, None]
-            dv4 = 512 * EPS * np.sqrt(n4) + 4 * (n4 + 1) * EPS * v4
-            ests.append(v4 / (np.sqrt(l0[at]) * vol[at]))
-            # the product of M's three largest singular values, from N's
             s1 = np.sqrt(l0[at] - dl[at]) - tau[at]
-            s3 = (vol[at] - dvol[at]) / np.sqrt((l0[at] + dl[at]) * (l1[at] + dl[at]))
-            u = tau[at] / s3
-            low = np.where((l1[at] > dl[at]) & (u < 1) & (s1 > 0), s1 * (vol[at] - dvol[at]) * (1 - u) ** 3, 0.0)
-            his.append(np.where(low > 0, (v4 + dv4) / low, np.inf))
-            los.append(np.maximum(v4 - dv4, 0.0)
-                       / ((np.sqrt(l0[at] + dl[at]) + tau[at]) * (vol[at] + dvol[at]) * (1 + u) ** 3))
+            lo4, hi4 = np.zeros(s1.shape), np.where(s1 > 0, tau[at] / s1, np.inf)
+            ests.append((lo4 + hi4) / 2)
+            los.append(lo4)
+            his.append(hi4)
         est, hi, lo = np.concatenate(ests), np.concatenate(his), np.concatenate(los)
         dims = n_dims[[order.index(s) for s in stacks + fourth]]
         err = (np.maximum(hi - est, est - lo) * (1 + 16 * EPS)
@@ -560,27 +557,3 @@ def _rank3_screen_chunk(rows: np.ndarray, stacks, fourth) -> tuple:
     bad = ~(np.isfinite(est) & np.isfinite(err))
     return np.where(bad, 0.0, est).T, np.where(bad, np.inf, err).T
 
-
-def _minor_volume(x: np.ndarray, stack, d: int) -> tuple:
-    """The norm of the vector of d x d minors of the stack's rows of ``x``
-    (r, m, N), by Laplace expansion along the first row, and the number of
-    minors.  For d = min(len(stack), m) it is the product of the stack's
-    singular values (Cauchy-Binet).  On rows of norm at most 1 every minor
-    is at most 1 (Hadamard), and each level of the expansion adds at most
-    about sqrt(d) (e + 4 eps) to the error e of the level below, so each
-    minor is off by well under 8 d^3 eps."""
-    memo: dict = {}
-    minors = [_minor(x, rs, cs, memo) for rs in itertools.combinations(stack, d)
-              for cs in itertools.combinations(range(x.shape[1]), d)]
-    return np.sqrt(functools.reduce(np.add, (v.real ** 2 + v.imag ** 2 for v in minors))), len(minors)
-
-
-def _minor(x: np.ndarray, rows: tuple, cols: tuple, memo: dict) -> np.ndarray:
-    """The minor of ``x`` on ``rows`` and ``cols``; ``memo`` keeps the
-    smaller minors the expansion shares."""
-    if len(rows) == 1:
-        return x[rows[0], cols[0]]
-    if (rows, cols) not in memo:
-        terms = [x[rows[0], c] * _minor(x, rows[1:], cols[:j] + cols[j + 1:], memo) for j, c in enumerate(cols)]
-        memo[rows, cols] = functools.reduce(np.add, terms[0::2]) - functools.reduce(np.add, terms[1::2])
-    return memo[rows, cols]

@@ -217,9 +217,10 @@ class BatchResult:
     """Vectorized validation outcome over a batch of configurations or
     line triples.
 
-    ``verdicts`` and ``fail_counts`` are always LAPACK's.  ``margins`` is
-    exact (LAPACK singular values, chordal distances) at every node that can
-    attain the batch's least margin, over all nodes or over the passing
+    ``verdicts`` and ``fail_counts`` are always LAPACK's: one LAPACK pass
+    takes every rank value whose interval holds its threshold.  ``margins``
+    is exact (LAPACK singular values, chordal distances) at every node that
+    can attain the batch's least margin, over all nodes or over the passing
     nodes.  In a screened batch (every batch of more than one node, see
     ``strata._rank_values``) a rank value of a kind that
     ``projective.rank3_screen`` screens is elsewhere within its stated
@@ -363,16 +364,18 @@ def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -
     for every third value (lines-distinct, concurrent d3, center-incidence,
     a planar span) and for the fourth value of a residual stack of four rows
     or columns (concurrent d1-d2 above CP^2, the skew; a planar span's
-    excess in CP^3), and LAPACK's value at every node for the rest (a solid
-    span).  It runs LAPACK on the screened values only
-    - at every node whose meet is undefined (row 6 is then no meet) or where
-      some interval holds its threshold, so every verdict is LAPACK's;
-    - at each other (node, stack) pair whose margin interval reaches the
-      least upper bound of the nodes' margin intervals (the least of
-      ``chordal`` and the rank margin intervals) over all nodes, or over the
-      nodes passing every check (``others_pass`` and the rank verdicts), and
-      reaches the upper bound of its own node: so is each such minimum, and
-      the first node attaining it.  A node's other checks stay screened.
+    excess in CP^3), whose interval is one-sided.  Then two LAPACK passes:
+    - the threshold pass: the unscreened values (a solid span) at every
+      node, and the screened ones at every node whose meet is undefined
+      (row 6 is then no meet) or where some interval holds its threshold,
+      so every verdict is LAPACK's;
+    - the minimum pass: each other (node, stack) pair whose margin interval
+      reaches the least upper bound of the nodes' margin intervals (the
+      least of ``chordal`` and the rank margin intervals) over all nodes,
+      or over the nodes passing every check (``others_pass`` and the rank
+      verdicts), and reaches the upper bound of its own node: so is each
+      such minimum, and the first node attaining it.  A node's other checks
+      stay screened.
     Elsewhere a screened value is within its bound of LAPACK's.
     """
     n_checks = len(checks)
@@ -390,10 +393,9 @@ def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -
     est, err = np.zeros((len(rows), n_checks)), np.zeros((len(rows), n_checks))
     est[:, third + fourth], err[:, third + fourth] = rank3_screen(
         rows, [checks[i][1] for i in third], [checks[i][1] for i in fourth])
-    _run_lapack(rows, checks, np.broadcast_to(~screened, est.shape), est)
     lo, hi = est - err, est + err
     holds = ~defined | np.any((lo <= thr) & (hi > thr), axis=-1)
-    _run_lapack(rows, checks, holds[:, None] & screened, est, lo, hi)
+    _run_lapack(rows, checks, ~screened | holds[:, None], est, lo, hi)
     is_margin = np.array([c[3] for c in checks])
     ok = others_pass & np.all(_rank_passes(est, is_margin, tol), axis=-1)
     node_hi = np.minimum(chordal, hi[:, is_margin].min(axis=-1))

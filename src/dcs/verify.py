@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -696,9 +696,13 @@ def run_verification(cfg: RunConfig, claim_ids=None) -> RunReport:
     workers = cfg.threads or os.cpu_count() or 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {cid: pool.submit(verify_claim, cid, cfg) for cid in ids}
-            for cid in ids:
-                report.claims[cid] = futs[cid].result()
+            futs = [pool.submit(verify_claim, cid, cfg) for cid in ids]
+            done, _ = wait(futs, return_when=FIRST_EXCEPTION)
+            failed = [f for f in futs if f in done and f.exception() is not None]
+            if failed:                    # no claim starts after one has raised
+                pool.shutdown(cancel_futures=True)
+                failed[0].result()
+            report.claims.update(zip(ids, (f.result() for f in futs)))
     else:
         for cid in ids:
             report.claims[cid] = verify_claim(cid, cfg)

@@ -392,3 +392,21 @@ def test_trivialization_batch_equals_rows(name):
     assert batch.shape == configs.shape
     rows = np.concatenate([fn(params[k:k + 1], configs[k:k + 1]) for k in range(len(params))])
     assert batch.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 10, 2049, 40000])
+@pytest.mark.parametrize("item_id", ["sigma", "Lambda_tilde", "Pi_tilde", "Sigma_tilde", "F", "L", "H"])
+def test_item_rows_do_not_depend_on_batch_size(item_id, n):
+    """A node's value is byte-equal in a batch of any size and alone: the
+    first eight nodes, the last and 64 random ones, on a loop, a disk in each
+    of CP^2, CP^3 and CP^4, a line-span disk and the arc cylinders."""
+    item = atlas.get(item_id)
+    r = np.random.default_rng(n)
+    nodes = {"theta": r.uniform(0.0, 2 * np.pi, n)}
+    if item.kind != "loop":
+        nodes["rho" if item.kind == "disk" else "t"] = r.uniform(0.0, 1.0, n)
+    batch = item.eval(**nodes)
+    assert batch.shape[0] == n
+    for i in np.unique(np.r_[0:min(n, 8), n - 1, r.integers(0, n, 64)]):
+        alone = item.eval(**{k: v[i:i + 1] for k, v in nodes.items()})
+        assert batch[i:i + 1].tobytes() == alone.tobytes(), (item_id, n, i)

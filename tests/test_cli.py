@@ -72,17 +72,23 @@ def test_verify_tolerance_below_binary64_is_inconclusive(capsys):
 @pytest.mark.parametrize("kind", ["tol", "config"])
 def test_verify_tolerances_no_sample_meets_are_usage_error(kind, capsys, tmp_path):
     """Tolerances that no configuration of C1's sampler meets end the run
-    with one error line naming them, not a traceback."""
+    with one error line naming them, not a traceback, and write no report:
+    a ``--json`` path is left as it was, absent (``tol``) or holding an
+    earlier report (``config``)."""
+    report = tmp_path / "report.json"
     if kind == "tol":
         extra = ["--tol", "0.9"]
     else:
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"tolerances": {"margin_warn": 0.5}}))
         extra = ["--config", str(f)]
-    code, _, err = run_cli(["verify", "--claim", "C1"] + extra, capsys)
+        report.write_bytes(b'{"earlier": "report"}\n')
+    before = sorted(tmp_path.iterdir()), report.read_bytes() if report.exists() else None
+    code, _, err = run_cli(["verify", "--claim", "C1", "--json", str(report)] + extra, capsys)
     assert code == EXIT_USAGE
     assert err.startswith("error: random configuration sampling failed") and err.count("\n") == 1
     assert "margin_warn=" in err and "proj_eq_tol=" in err
+    assert (sorted(tmp_path.iterdir()), report.read_bytes() if report.exists() else None) == before
 
 
 def test_verify_grid_caps(capsys):
@@ -444,6 +450,48 @@ def test_membership_property(doc):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["membership", f])
     assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+# atoms of loop words: loops of configurations in CP^2, in CP^3, and a mix
+# of both with items that are no such loop (line triples, chart pairs, a
+# cylinder)
+CP2_ATOMS = ["alpha", "beta", "gamma", "sigma", "sigma_tilde_Lambda"]
+CP3_ATOMS = ["Pi_tilde_S1", "F_tilde_S1"]
+WORD_ATOMS = [CP2_ATOMS, CP3_ATOMS, CP2_ATOMS + CP3_ATOMS + ["s", "fiber_a", "L"]]
+
+
+@st.composite
+def winding_argv(draw):
+    atoms = st.sampled_from(draw(st.sampled_from(WORD_ATOMS)))
+    word = draw(st.recursive(atoms, lambda w: st.one_of(
+        st.tuples(w, w).map("*".join), w.map(lambda x: x + "^-1"), w.map(lambda x: f"({x})")),
+        max_leaves=6))
+    # each part sometimes malformed
+    if draw(st.integers(0, 3)) == 0:    # a stray or missing character
+        i = draw(st.integers(0, len(word)))
+        word = word[:i] + draw(st.sampled_from(["(", ")", ""])) + word[i + 1:]
+    functionals = draw(st.lists(st.sampled_from(["w1", "w2", "w3", "fiber"]), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        functionals.insert(draw(st.integers(0, len(functionals))), "w4")
+    samples = draw(st.sampled_from(["15", "-3", "abc"] if draw(st.integers(0, 3)) == 0 else ["16", "64"]))
+    return [word, *functionals, "--samples", samples]
+
+
+@given(winding_argv())
+@settings(max_examples=150, deadline=None)
+def test_winding_property(argv):
+    """Any query exits 0, 1, 2 or 64, with no traceback: a usage error
+    prints one error line and nothing else, a run its JSON table."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["winding", *argv])
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE)
     if code == EXIT_USAGE:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()

@@ -1,9 +1,11 @@
 """Engine-level behavior: claim dispatch, negative controls, report
 aggregation, and the certificates section."""
 
+import time
+
 import pytest
 
-from dcs import atlas
+from dcs import atlas, strata, verify
 from dcs import invariants as inv
 from dcs.paths import Atom
 from dcs.projective import HPoint
@@ -149,6 +151,30 @@ def test_thread_pool_matches_serial():
     pooled = run_verification(RunConfig(threads=2), ["C3", "C5"])
     serial = run_verification(RunConfig(threads=1), ["C3", "C5"])
     assert dumps(pooled.to_json()) == dumps(serial.to_json())
+
+
+def test_claim_pool_fails_fast(monkeypatch):
+    """A claim that raises cancels every claim not yet started: with two
+    workers, C1's error lets at most the two claims beside it start."""
+    started = []
+
+    def raises(cfg):
+        started.append("C1")
+        raise strata.SamplingError("no sample")
+
+    def slow(cid):
+        def run(cfg):
+            started.append(cid)
+            time.sleep(0.2)
+            return ClaimReport(cid, "demo")
+        return run
+
+    verifiers = {cid: slow(cid) for cid in ALL_CLAIM_IDS}
+    verifiers["C1"] = raises
+    monkeypatch.setattr(verify, "VERIFIERS", verifiers)
+    with pytest.raises(strata.SamplingError):
+        run_verification(RunConfig(threads=2))
+    assert len(started) <= 3, started
 
 
 def test_validator_imposes_only_written_conditions():
