@@ -21,7 +21,7 @@ from .strata import Config6, SpaceTag
 TWO_PI = 2.0 * np.pi
 
 
-class AtlasError(KeyError):
+class AtlasError(LookupError):
     pass
 
 
@@ -493,7 +493,7 @@ def gr_triv(planes, configs) -> np.ndarray:
 @dataclass
 class AtlasItem:
     id: str
-    kind: str                     # loop | disk | cylinder | scalar | pair | map | basepoint
+    kind: str                     # loop | disk | cylinder | map | basepoint
     value_kind: str               # config | point | lines_dual | lines_span | plane | scalar | pair
     target: Optional[SpaceTag]
     formula: Optional[Callable] = None   # formula(z, zb, r, **arcs): the printed coordinates

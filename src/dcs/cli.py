@@ -194,6 +194,7 @@ def cmd_verify(args) -> int:
 def cmd_winding(args) -> int:
     from . import invariants as inv
     from . import report as rpt
+    from .atlas import AtlasError
     from .paths import PathError, parse_loop_expr
 
     rows = {}
@@ -226,7 +227,7 @@ def cmd_winding(args) -> int:
                     status = max(status, EXIT_INCONCLUSIVE)
             else:
                 raise UsageError(f"unknown functional {name!r} (use w1, w2, w3 or fiber)")
-    except (PathError, KeyError) as e:
+    except (PathError, AtlasError) as e:
         raise UsageError(str(e)) from None
     sys.stdout.write(rpt.dumps({"expr": expr.label(), "windings": rows}))
     return status

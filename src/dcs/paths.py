@@ -29,13 +29,10 @@ from .strata import validate_values
 
 TWO_PI = 2.0 * np.pi
 MAX_WINDING_SAMPLES = 2 ** 20   # cap on closed-grid and refined winding samples
+MAX_WORD_DEPTH = 100            # cap on a loop word's nesting: each '(', '*' and '^-1' is a level
 
 
 class PathError(ProjectiveError):
-    pass
-
-
-class EndpointMismatchError(PathError):
     pass
 
 
@@ -190,18 +187,6 @@ class EqualConcat(LoopExpr):
     def label(self):
         return "(" + " . ".join(p.label() for p in self.parts) + ")"
 
-    def validate_endpoints(self, tol: Tolerances = DEFAULT_TOL):
-        for a, b in zip(self.parts, self.parts[1:]):
-            d = float(value_dist(a.at(np.array([TWO_PI]))[0],
-                                 b.at(np.array([0.0]))[0], self.value_kind))
-            if d > tol.proj_eq_tol:
-                raise EndpointMismatchError(
-                    f"{a.label()} ends {d:.3e} away from the start of {b.label()}"
-                )
-        for part in self.parts:
-            if isinstance(part, EqualConcat):
-                part.validate_endpoints(tol)
-
 
 class Concat(EqualConcat):
     """p * q: p on [0, pi] and q on (pi, 2*pi], each at double speed."""
@@ -265,8 +250,11 @@ def outer_thirds_schedule(theta):
 # expression parser:  atom | expr '*' expr | expr '^-1' | '(' expr ')'
 
 def parse_loop_expr(text: str) -> LoopExpr:
+    """The loop of a word; a word nested deeper than ``MAX_WORD_DEPTH``
+    levels is refused before any evaluation, since parsing, sampling and
+    labelling it all recurse once per level."""
     tokens = _tokenize(text)
-    expr, pos = _parse_expr(tokens, 0)
+    expr, pos, _ = _parse_expr(tokens, 0, 0)
     if pos != len(tokens):
         raise PathError(f"unexpected token {tokens[pos]!r} in loop expression")
     return expr
@@ -296,37 +284,46 @@ def _tokenize(text: str):
     return out
 
 
-def _parse_expr(tokens, pos):
-    left, pos = _parse_term(tokens, pos)
+def _level(depth):
+    """``depth``, the nesting of a subword, once checked against the cap."""
+    if depth > MAX_WORD_DEPTH:
+        raise PathError(f"loop expression nested deeper than {MAX_WORD_DEPTH} levels")
+    return depth
+
+
+# Each returns (node, next position, depth of the node); ``opened`` counts
+# the parentheses around it, so the descent stops at the cap too.
+def _parse_expr(tokens, pos, opened):
+    left, pos, depth = _parse_term(tokens, pos, opened)
     while pos < len(tokens) and tokens[pos] == "*":
-        right, pos = _parse_term(tokens, pos + 1)
-        left = Concat(left, right)
-    return left, pos
+        right, pos, d = _parse_term(tokens, pos + 1, opened)
+        left, depth = Concat(left, right), _level(max(depth, d) + 1)
+    return left, pos, depth
 
 
-def _parse_term(tokens, pos):
-    node, pos = _parse_factor(tokens, pos)
+def _parse_term(tokens, pos, opened):
+    node, pos, depth = _parse_factor(tokens, pos, opened)
     while pos < len(tokens) and tokens[pos] == "^-1":
-        node = Inverse(node)
+        node, depth = Inverse(node), _level(depth + 1)
         pos += 1
-    return node, pos
+    return node, pos, depth
 
 
-def _parse_factor(tokens, pos):
+def _parse_factor(tokens, pos, opened):
     if pos >= len(tokens):
         raise PathError("loop expression ended unexpectedly")
     tok = tokens[pos]
     if tok == "(":
-        node, pos = _parse_expr(tokens, pos + 1)
+        node, pos, depth = _parse_expr(tokens, pos + 1, _level(opened + 1))
         if pos >= len(tokens) or tokens[pos] != ")":
             raise PathError("unbalanced parenthesis in loop expression")
-        return node, pos + 1
+        return node, pos + 1, _level(depth + 1)
     if tok in ("*", ")", "^-1"):
         raise PathError(f"unexpected token {tok!r} in loop expression")
     item = atlas.get(tok)
     if item.kind not in ("loop",):
         raise PathError(f"{tok} is not a circle-domain item")
-    return Atom(tok), pos + 1
+    return Atom(tok), pos + 1, 0
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +437,7 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport
                        np.concatenate(centers) if centers else None)
 
 
-def junction_report(item_id: str, n_t: int = 64, tol: Tolerances = DEFAULT_TOL) -> dict:
+def junction_report(item_id: str, n_t: int = 64) -> dict:
     """Two-sided evaluation at every piecewise boundary, for all t on a grid.
 
     The junction nodes are the (t, theta) pairs of every interior piece
@@ -461,13 +458,11 @@ def junction_report(item_id: str, n_t: int = 64, tol: Tolerances = DEFAULT_TOL) 
     d = value_dist(item.eval(th, t=t, side="left"), item.eval(th, t=t, side="right"),
                    item.value_kind)
     i = int(np.argmax(d))
-    worst = float(d[i])
     return {
         "item": item_id,
-        "max_mismatch": worst,
+        "max_mismatch": float(d[i]),
         "junctions": len(th),
         "worst_at": [float(th[i]), float(t[i])],
-        "ok": worst < tol.proj_eq_tol,
     }
 
 

@@ -372,10 +372,11 @@ def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
     is screened as its transpose, whose rows are its m columns.  Any other
     stack is first written as M = N B + R: B has as rows an orthonormal
     basis of a span of three rows of M (the first two rows and the other one
-    farthest from them, each orthogonalized twice; the coordinate axis
-    farthest from the basis where less than 1e-12 of a row remains), N
-    (k x 3) the coefficients and R the residuals.  Each singular value of M
-    is within tau = ||R|| + ||N|| ||B B^H - I|| of N's (Weyl's inequality,
+    farthest from them, each orthogonalized twice), N (k x 3) the
+    coefficients and R the residuals; a stack whose rows span fewer than
+    three dimensions exactly has no such basis, so it gets err inf and goes
+    to LAPACK.  Each singular value of M is within
+    tau = ||R|| + ||N|| ||B B^H - I|| of N's (Weyl's inequality,
     Stewart & Sun, Matrix Perturbation Theory, 1990).  tau is near eps
     where the rows span three dimensions, and large otherwise, where the
     bound sends the node to LAPACK.  Let G = N^H N, with eigenvalues
@@ -440,24 +441,13 @@ def _project3(xs, stacks) -> tuple:
                                 axis=1)[:, None] + 2
                 b = [np.take_along_axis(rc, far, 1)[:, 0] for rc in rows]
             # orthogonal to the basis, twice, since a residual near rounding
-            # size is noise in any direction; where less than 1e-12 of it
-            # remains (the stack spans fewer dimensions), the coordinate axis
-            # farthest from the basis instead
+            # size is noise in any direction; where none remains (the rows
+            # span fewer dimensions exactly) b is 0/0, and the bound with it
             for _ in range(2):
                 for a in basis:
                     ip = dot(a, b)
                     b = [bc - ip * ac for bc, ac in zip(b, a)]
                 size = np.sqrt(norm2(b))
-                small = size < 1e-12
-                if small.any():
-                    cover = np.stack([sum(((a[c].conj() * a[c]).real for a in basis), np.zeros(small.shape))
-                                      for c in range(m)])
-                    axis = np.argmin(cover, axis=0)
-                    b = [np.where(small, axis == c, bc) for c, bc in enumerate(b)]
-                    for a in basis + basis:
-                        ip = dot(a, b)
-                        b = [bc - ip * ac for bc, ac in zip(b, a)]
-                    size = np.sqrt(norm2(b))
                 b = [bc / size for bc in b]
             basis.append(b)
             v.append(dot([ac[:, None] for ac in b], rows))                  # (S, k, N)

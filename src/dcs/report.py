@@ -138,25 +138,18 @@ class RunReport:
         }
 
 
-def _canonical(obj):
-    """Recursively convert numpy scalars and round-trip floats."""
+def _numpy_scalar(obj):
+    """``json.dumps`` hook for the numpy scalars it cannot write (bool_,
+    integers, float32); float64 is a ``float`` and needs none."""
     import numpy as np
 
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_numpy_scalar) + "\n"
 
 
 def _claim_order(cid: str):

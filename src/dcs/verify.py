@@ -87,6 +87,8 @@ class RunConfig:
                     or grid[0] < default[0] // 4 or grid[1] < default[1] // 4):
                 raise ValueError(f"{name} {list(grid)} is not two sizes of at least "
                                  f"a quarter of the default {list(default)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be 0 or more, got {self.seed}")
         if self.threads < 0:
             raise ValueError(f"threads must be 0 (all cores) or more, got {self.threads}")
 
@@ -134,7 +136,7 @@ def _add_sweep(rep: ClaimReport, item_id: str, cfg: RunConfig):
 
 
 def _add_junctions(rep: ClaimReport, item_id: str, cfg: RunConfig):
-    jr = junction_report(item_id, 64, cfg.tol)
+    jr = junction_report(item_id, 64)
     if jr["junctions"]:
         rep.add_distance(f"junctions {item_id}", jr["max_mismatch"],
                          cfg.junction_tol, cfg.numeric_floor)

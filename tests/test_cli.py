@@ -238,21 +238,40 @@ def test_winding_unknown_functional(capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [
-    ["s", "w1"],                          # line triples, not configurations
-    ["fiber_a", "w1"],                    # chart pairs
-    ["eta", "fiber"],                     # a scalar loop
-    ["Pi_tilde_S1", "w1"],                # CP^3 loop, CP^2 functional
-    ["alpha*Pi_tilde_S1", "w1"],          # a word mixing CP^2 and CP^3
-    ["alpha", "w1", "--samples", "-3"],
-    ["alpha", "fiber", "--samples", "0"],
-    ["alpha", "w1", "--samples", "15"],
+DEEP = "error: loop expression nested deeper than 100 levels\n"
+
+
+# (argv, the exact error line or None)
+@pytest.mark.parametrize("argv, line", [
+    (["s", "w1"], None),                          # line triples, not configurations
+    (["fiber_a", "w1"], None),                    # chart pairs
+    (["eta", "fiber"], None),                     # a scalar loop
+    (["Pi_tilde_S1", "w1"], None),                # CP^3 loop, CP^2 functional
+    (["alpha*Pi_tilde_S1", "w1"], None),          # a word mixing CP^2 and CP^3
+    (["alpha", "w1", "--samples", "-3"], None),
+    (["alpha", "fiber", "--samples", "0"], None),
+    (["alpha", "w1", "--samples", "15"], None),
+    (["sigma_tilde_Lambd", "w1"], "error: unknown atlas item 'sigma_tilde_Lambd'\n"),
+    (["(" * 1200 + "alpha" + ")" * 1200, "w1"], DEEP),
+    (["*".join(["alpha"] * 1500), "w1"], DEEP),
+    (["alpha" + "^-1" * 3000, "fiber"], DEEP),
 ], ids=["lines", "pair", "scalar", "ambient", "mixed-word", "samples-negative",
-        "samples-zero", "samples-15"])
-def test_winding_malformed_query_is_usage_error(argv, capsys):
+        "samples-zero", "samples-15", "unknown-atom", "deep-parentheses", "deep-product",
+        "deep-inverse"])
+def test_winding_malformed_query_is_usage_error(argv, line, capsys):
     code, out, err = run_cli(["winding", *argv], capsys)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if line is not None:
+        assert err == line
+
+
+@pytest.mark.parametrize("word", ["*".join(["alpha"] * 101), "(" * 100 + "alpha" + ")" * 100,
+                                  "alpha" + "^-1" * 100], ids=["product", "parentheses", "inverse"])
+def test_winding_word_at_the_depth_cap_runs(word, capsys):
+    code, out, _ = run_cli(["winding", word, "w1", "--samples", "64"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["windings"]["w1"]["winding"] == 0
 
 
 def test_winding_moving_lines_reported(capsys):
@@ -439,6 +458,21 @@ def _no_constant(name):
     raise ValueError(f"{name} in the output")
 
 
+def _exit_contract(argv, codes=(EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE)):
+    """Run ``main(argv)``: it exits with one of ``codes`` and no traceback,
+    and a usage error prints one error line and nothing else.  Returns the
+    exit code and standard output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in codes
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code, out.getvalue()
+
+
 @given(membership_docs())
 @settings(max_examples=300, deadline=None)
 def test_membership_property(doc):
@@ -446,16 +480,9 @@ def test_membership_property(doc):
         f = f"{d}/c.json"
         with open(f, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["membership", f])
-    assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
-    if code == EXIT_USAGE:
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    else:
-        json.loads(out.getvalue(), parse_constant=_no_constant)
+        code, out = _exit_contract(["membership", f], (EXIT_OK, EXIT_FAIL, EXIT_USAGE))
+    if code != EXIT_USAGE:
+        json.loads(out, parse_constant=_no_constant)
 
 
 # atoms of loop words: loops of configurations in CP^2, in CP^3, and a mix
@@ -488,16 +515,45 @@ def winding_argv(draw):
 def test_winding_property(argv):
     """Any query exits 0, 1, 2 or 64, with no traceback: a usage error
     prints one error line and nothing else, a run its JSON table."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["winding", *argv])
-    assert code in (EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE)
-    if code == EXIT_USAGE:
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    else:
-        json.loads(out.getvalue(), parse_constant=_no_constant)
+    code, out = _exit_contract(["winding", *argv])
+    if code != EXIT_USAGE:
+        json.loads(out, parse_constant=_no_constant)
+
+
+# flags of `dcs verify`: (flag, valid values, out-of-range or malformed
+# values); the valid grids are the smallest, where each claim takes at most
+# about 40 ms
+VERIFY_FLAGS = [
+    ("--samples", ["128"], ["127", "abc"]),
+    ("--grid", ["32x16"], ["31x16", "32", "axb"]),
+    ("--cylinder-grid", ["64x16"], ["64x15", "x"]),
+    ("--seed", ["0", "7"], ["-20", "-5", "-50", "abc", "1.5"]),
+    ("--tol", ["1e-9"], ["0", "-1", "inf", "abc"]),
+    ("--threads", ["1", "2"], ["-2", "x"]),
+    ("--format", ["json", "text"], ["xml"]),
+]
+
+
+@st.composite
+def verify_argv(draw):
+    claims = draw(st.lists(st.sampled_from(["C1", "C2", "C3", "C4", "C15", "C99"]),
+                           min_size=1, max_size=2, unique=True))
+    argv = ["verify"] + [a for c in claims for a in ("--claim", c)]
+    if draw(st.integers(0, 7)) == 0:
+        argv.append("--all")
+    for flag, valid, bad in VERIFY_FLAGS:
+        # the seed is bad in half the examples, mostly negative
+        bad_odds = 2 if flag == "--seed" else 10
+        argv += [flag, draw(st.sampled_from(bad if draw(st.integers(1, bad_odds)) == 1 else valid))]
+    return argv
+
+
+@given(verify_argv())
+@settings(max_examples=150, deadline=None)
+def test_verify_property(argv):
+    """Any `dcs verify` command line exits 0, 1, 2 or 64, with no
+    traceback: a usage error prints one error line and nothing else."""
+    _exit_contract(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dcs.paths import (
     Const,
     EqualConcat,
     Embed,
-    EndpointMismatchError,
     Inverse,
     PathError,
     Reparam,
@@ -95,12 +94,6 @@ def test_word_evaluates_each_node_once(monkeypatch, capsys):
 def test_mixed_ambient_word_rejected():
     with pytest.raises(PathError):
         parse_loop_expr("alpha*Pi_tilde_S1").at(np.linspace(0.0, TWO_PI, 17))
-
-
-def test_concat_endpoint_mismatch_rejected():
-    shifted = Reparam(GAMMA, lambda th: (th + np.pi) % TWO_PI, "shift")
-    with pytest.raises(EndpointMismatchError):
-        Concat(ALPHA, shifted).validate_endpoints()
 
 
 # ---------------------------------------------------------------------------

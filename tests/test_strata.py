@@ -480,13 +480,36 @@ def _in_space(rng, tag):
     return d
 
 
+def exact_rank_nodes(m):
+    """Configurations in CP^(m-1), m >= 4, with integer coordinates: d1 = d2,
+    d2 = d3, A1 = B1 and A2 = B2.  With each, the rank-check stacks (rows as
+    in ``strata._rank_checks``) whose rows span fewer than three dimensions
+    exactly.  Read as triples of spans (A_i, B_i), they are lines d1 = d2,
+    d2 = d3 and spans of one point."""
+    e = np.eye(m, dtype=complex)
+    nodes = np.stack([[e[0], e[1], e[0] + e[1], e[0] + 2 * e[1], e[2], e[2] + e[3]],
+                      [e[0] + e[2], e[0] + 2 * e[2], e[0], e[1], e[0] + e[1], e[0] - e[1]],
+                      [e[0], e[0], e[1], e[1] + e[2], e[2], e[2] + e[3]],
+                      [e[0], e[0] + e[2], e[1], e[1], e[3], e[2] + e[3]]])
+    short = [[(0, 1, 2, 3)], [(2, 3, 4, 5)], [(0, 1, 2, 3), (0, 1, 4, 5)], [(2, 3, 4, 5)]]
+    return nodes, short
+
+
+def _assert_short_stacks_unscreened(rows, short):
+    """rank3_screen gives no bound, third or fourth value, on a stack whose
+    rows span fewer than three dimensions exactly: LAPACK takes its values."""
+    for node, stacks in zip(rows, short):
+        err = rank3_screen(node[None], stacks, stacks)[1]
+        assert np.all(np.isinf(err)), (stacks, err)
+
+
 def _corpus_above_cp2(tag, seed):
     """``near_degenerate_corpus`` for a tag of CP^3 or CP^4: generic nodes;
     nodes within 10x of every threshold, the skew of d1, d2 and the span's
     excess or shortfall among them; nodes next to each rank threshold from
     both sides; orthonormal and Fourier d1-d2 stacks (all Gram eigenvalues
-    equal) and a stack with eigenvalues 2, 1, 1; the atlas base point; and
-    every node again with other representatives."""
+    equal) and a stack with eigenvalues 2, 1, 1; the atlas base point; the
+    ``exact_rank_nodes``; and every node again with other representatives."""
     rng = np.random.default_rng(seed)
     m = tag.n + 1
     center = tag.center.unit() if tag.center is not None else unit_rows(_cplx(rng, m))
@@ -555,7 +578,7 @@ def _corpus_above_cp2(tag, seed):
         cfg[:4] = head
         nodes.append(cfg)
     nodes.append(atlas.basepoint(tag).array() if tag.center is not None else atlas.SOLID_BASE.copy())
-    nodes = np.stack(nodes)
+    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m)[0]])
     phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:2]))[..., None]
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
 
@@ -637,6 +660,8 @@ def test_screen_above_cp2_matches_lapack_near_every_threshold(tag):
     assert verdicts.sum() > 40 and (~verdicts).sum() > 40
     rows, defined = _rank_rows(corpus)
     _assert_bounds_hold(rows, strata._rank_checks(tag.span_required, tag.n + 1))
+    exact, short = exact_rank_nodes(tag.n + 1)
+    _assert_short_stacks_unscreened(_rank_rows(exact)[0], short)
     u, centers = rows[:, :6], rows[:, 6]
     # where d1 and d2 are distinct lines that meet, meet-defined is the SVD
     # meet's verdict (on skew lines that verdict rests on an arbitrary null
@@ -697,8 +722,8 @@ def line_triples_corpus(tag, seed=21):
     generic ones; within 10x of every threshold (two lines close, a span's
     points close, a line just off the center); next to the rank thresholds
     from both sides; mutually orthogonal lines, whose margins all tie, as
-    on the atlas's F and B; and every triple again with other
-    representatives."""
+    on the atlas's F and B; the ``exact_rank_nodes`` as spans; and every
+    triple again with other representatives."""
     rng = np.random.default_rng(seed)
     m = tag.n + 1
     c = tag.center.unit()
@@ -727,7 +752,7 @@ def line_triples_corpus(tag, seed=21):
     others = [k for k in range(m) if abs(c[k]) < 0.5]
     for _ in range(8):
         nodes.append(triple([e[k] for k in others[:3]], _cplx(rng, 3, 2)))
-    nodes = np.stack(nodes)
+    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m)[0].reshape(-1, 3, 2, m)])
     phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:3]))[..., None]
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
 
@@ -741,6 +766,9 @@ def test_screen_on_line_triples_matches_lapack_near_every_threshold():
     rows = unit_rows(corpus.reshape(len(corpus), 6, -1))
     rows = np.concatenate([rows, np.broadcast_to(tag.center.unit(), (len(rows), 1, tag.n + 1))], axis=1)
     _assert_bounds_hold(rows, strata._LINE_CHECKS)
+    exact, short = exact_rank_nodes(tag.n + 1)
+    center = np.broadcast_to(tag.center.unit(), (len(exact), 1, tag.n + 1))
+    _assert_short_stacks_unscreened(np.concatenate([unit_rows(exact), center], axis=1), short)
     _assert_screened_batch_is_lapacks(validate_lines_batch(corpus, tag), verdicts, fail_counts, margins)
     # without the spans whose points lie within 1e-3 and the triples within
     # 1e4 of a rank threshold, a screened rank margin is least

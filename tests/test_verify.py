@@ -3,6 +3,7 @@ aggregation, and the certificates section."""
 
 import time
 
+import numpy as np
 import pytest
 
 from dcs import atlas, strata, verify
@@ -106,6 +107,14 @@ def test_claim_report_aggregation():
     assert rep.verdict == FAIL
 
 
+def test_dumps_writes_numpy_scalars_as_python_values():
+    doc = {"b": np.bool_(False), "i": np.int64(-3), "f": np.float64(0.1), "h": np.float32(0.5),
+           "t": (np.uint8(1), 2.5)}
+    assert dumps(doc) == dumps({"b": False, "i": -3, "f": 0.1, "h": 0.5, "t": [1, 2.5]})
+    with pytest.raises(TypeError):
+        dumps({"a": np.zeros(2)})
+
+
 def test_reported_refine_cap_is_the_cap_in_force():
     assert RunConfig().to_json()["refine_cap"] == inv.MAX_WINDING_SAMPLES
 
@@ -121,7 +130,7 @@ def test_run_config_validation():
         RunConfig(circle_samples=inv.MAX_WINDING_SAMPLES + 1)
     with pytest.raises(ValueError):
         RunConfig(threads=-1)
-    for wrong in ({"circle_samples": 300.5}, {"seed": "0"}, {"threads": True},
+    for wrong in ({"circle_samples": 300.5}, {"seed": "0"}, {"seed": -20}, {"threads": True},
                   {"disk_grid": (128.5, 64)}, {"lift_tol": "1e-8"}):
         with pytest.raises(ValueError, match=next(iter(wrong))):
             RunConfig(**wrong)
