@@ -126,13 +126,14 @@ def _fiber_set(ambient: int) -> tuple:
 
 
 def line_constancy(configs: np.ndarray, line_index: int) -> float:
-    """Max incidence residual of (A_i, B_i) against the registered base line
-    of the configurations' ambient space."""
+    """Largest distance of A_i, B_i from the registered base line of the
+    configurations' ambient space (``value_dist`` kind lines_span); 1 where
+    A_i = B_i spans no line."""
     arr = np.asarray(configs, dtype=np.complex128)
     rows = slice(2 * line_index, 2 * line_index + 2)
     span = arr[..., rows, :]
     base = _fiber_set(arr.shape[-1] - 1)[0][rows]
-    return compare_values(span, np.broadcast_to(base, span.shape), "lines_span")
+    return compare_values(span, base, "lines_span")
 
 
 def fiber_functional(line_index: int, ambient: int) -> ScalarFunctional:

@@ -22,7 +22,7 @@ from .projective import (
     Tolerances,
     chordal_batch,
     cross,
-    relative_singular_values,
+    line_residual,
     unit_rows,
 )
 from .strata import validate_values
@@ -45,8 +45,10 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     config       max chordal distance over the six points
     point/plane  chordal distance of representatives (planes as dual points)
     lines_dual   max chordal distance over the three dual covectors
-    lines_span   max line mismatch: third relative singular value of the
-                 stacked spans (zero iff the spans agree as lines)
+    lines_span   max line mismatch: the larger chordal distance of a's two
+                 points from b's line (``projective.line_residual``), on
+                 the chordal scale [0, 1]; 0 to rounding iff the spans
+                 agree as lines, 1 where either pair spans no line
     scalar/pair  absolute difference (max over components)
     """
     if kind in ("config", "lines_dual"):
@@ -54,8 +56,7 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     if kind in ("point", "plane"):
         return chordal_batch(unit_rows(a), unit_rows(b))
     if kind == "lines_span":
-        rows = np.concatenate([unit_rows(a), unit_rows(b)], axis=-2)
-        return relative_singular_values(rows)[..., 2].max(axis=-1)
+        return line_residual(unit_rows(a), unit_rows(b)).max(axis=-1)
     if kind in ("scalar", "pair"):
         d = np.abs(a - b)
         return d if kind == "scalar" else d.max(axis=-1)

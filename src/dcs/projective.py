@@ -29,8 +29,9 @@ EPS = np.finfo(np.float64).eps
 # screens replace; at 1,024 rows, level with them.
 CHUNK = 1024
 # Rows per pass of a kernel whose temporaries hold one complex number per
-# row (``bracket_rows``, ``chordal_batch``): 8,192 keeps each at 128 KiB,
-# half of numpy's threshold, in one pass for most loop samples.
+# row (``bracket_rows``, ``chordal_batch``, ``line_residual``): 8,192 keeps
+# each at 128 KiB, half of numpy's threshold, in one pass for most loop
+# samples.
 VECTOR_ROWS = 8192
 
 
@@ -225,10 +226,56 @@ def chordal_pairs(rows: np.ndarray, pairs) -> np.ndarray:
     return chunked(kernel, rows, core=2)
 
 
+def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """How far the span of each pair of unit rows of ``spans`` (..., 2, m)
+    is from the line through the matching pair of ``lines`` (..., 2, m),
+    batched over the broadcast leading axes: the larger chordal distance of
+    the span's two points from that line, 0 to rounding iff the span is
+    the line.
+
+    The line's rows are orthonormalized by Gram-Schmidt, twice (Golub &
+    Van Loan, Matrix Computations, 4th ed., 5.2), and a point's distance is
+    the norm of its component orthogonal to them, which keeps its accuracy
+    near zero.  A pair of either side closer than 1e-12, the cutoff of
+    ``meet``, or not finite spans no line: the value is then 1, the largest
+    distance.  For a line whose rows are s apart (chordal), the value is
+    between 1/sqrt(2) and 3/s times the third relative singular value of
+    the four rows stacked.
+    """
+    return chunked(_line_residual, spans, lines, core=2, rows=VECTOR_ROWS)
+
+
+def _line_residual(a, b):
+    """``line_residual`` on one pass of rows, one vector per coordinate."""
+    x, y, p, q = a[:, 0].T, a[:, 1].T, b[:, 0].T, b[:, 1].T
+
+    def away(u, e):                # u less its component along unit e
+        ip = _dot(e, u)
+        return [uc - ip * ec for uc, ec in zip(u, e)]
+
+    e = away(away(q, p), p)
+    size = np.sqrt(_norm2(e))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = [ec / size for ec in e]
+        far = np.sqrt(np.maximum(_norm2(away(away(x, p), e)), _norm2(away(away(y, p), e))))
+    line = (size >= 1e-12) & (_chordal(x, y) >= 1e-12)
+    return np.where(line, far, 1.0)
+
+
+def _dot(u, v):
+    """<u, v> of vectors given one array per coordinate."""
+    return functools.reduce(np.add, (uc.conj() * vc for uc, vc in zip(u, v)))
+
+
+def _norm2(u):
+    """|u|^2 of a vector given one array per coordinate."""
+    return functools.reduce(np.add, ((uc.conj() * uc).real for uc in u))
+
+
 def relative_singular_values(rows: np.ndarray) -> np.ndarray:
     """Singular values of stacked representatives divided by the largest,
     batched over leading axes: ``[..., r]`` is the numerical-rank margin of
-    rank r + 1."""
+    rank r + 1.  Used by the rank checks."""
     s = np.linalg.svd(rows, compute_uv=False)
     return s / s[..., :1]
 
@@ -423,12 +470,6 @@ def _project3(xs, stacks) -> tuple:
     of a stack from N's (see ``rank3_screen``).  ``xs`` holds one (r, N)
     array per coordinate.  The basis starts from a stack's first two rows
     and the one of the others farthest from their span."""
-    def dot(a, b):                 # <a, b> over the coordinates
-        return functools.reduce(np.add, (ac.conj() * bc for ac, bc in zip(a, b)))
-
-    def norm2(a):
-        return functools.reduce(np.add, ((ac.conj() * ac).real for ac in a))
-
     k, m = len(stacks[0]), len(xs)
     rows = [xc[np.array(stacks)] for xc in xs]                           # m x (S, k, N)
     basis, v = [], []
@@ -437,7 +478,7 @@ def _project3(xs, stacks) -> tuple:
             if j < 2:
                 b = [rc[:, j] for rc in rows]
             else:                  # the row farthest from the span of the first two
-                far = np.argmax(norm2(rows)[:, 2:] - np.abs(v[0][:, 2:]) ** 2 - np.abs(v[1][:, 2:]) ** 2,
+                far = np.argmax(_norm2(rows)[:, 2:] - np.abs(v[0][:, 2:]) ** 2 - np.abs(v[1][:, 2:]) ** 2,
                                 axis=1)[:, None] + 2
                 b = [np.take_along_axis(rc, far, 1)[:, 0] for rc in rows]
             # orthogonal to the basis, twice, since a residual near rounding
@@ -445,16 +486,16 @@ def _project3(xs, stacks) -> tuple:
             # span fewer dimensions exactly) b is 0/0, and the bound with it
             for _ in range(2):
                 for a in basis:
-                    ip = dot(a, b)
+                    ip = _dot(a, b)
                     b = [bc - ip * ac for bc, ac in zip(b, a)]
-                size = np.sqrt(norm2(b))
+                size = np.sqrt(_norm2(b))
                 b = [bc / size for bc in b]
             basis.append(b)
-            v.append(dot([ac[:, None] for ac in b], rows))                  # (S, k, N)
+            v.append(_dot([ac[:, None] for ac in b], rows))                  # (S, k, N)
     res = [rc - functools.reduce(np.add, (vj * a[c][:, None] for vj, a in zip(v, basis)))
            for c, rc in enumerate(rows)]
-    rho = np.sqrt(np.sum(norm2(res), axis=1))
-    dev = sum(np.abs(dot(a, b) - (j == l)) ** 2 * (1 + (j != l))
+    rho = np.sqrt(np.sum(_norm2(res), axis=1))
+    dev = sum(np.abs(_dot(a, b) - (j == l)) ** 2 * (1 + (j != l))
               for j, a in enumerate(basis) for l, b in enumerate(basis) if j <= l)
     v = np.stack(v, axis=2)                                              # (S, k, 3, N)
     size = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=(1, 2)))      # ||N||_F >= sigma_1(N)

@@ -229,6 +229,13 @@ class BatchResult:
     maximum residual, or a least margin over another subset of nodes, is
     then an estimate within that bound (about 1e-13 for a residual near
     zero), not LAPACK's value.  A batch of one is exact throughout.
+
+    A batch is validated as the batch of its bitwise-distinct nodes, in
+    order of first occurrence (see ``_each_distinct_once``): a repeated
+    node gets the entries of its first occurrence, and ``fail_counts``
+    counts each failing node with its multiplicity.  So the result equals
+    that of the nodes validated one copy at a time, and the first node
+    attaining a least margin is the same node.
     """
 
     verdicts: np.ndarray          # bool (N,)
@@ -243,12 +250,50 @@ class BatchResult:
         return bool(np.all(self.verdicts))
 
 
-def _record(fail_counts: dict, name: str, good: np.ndarray) -> np.ndarray:
-    """Record how many nodes fail check ``name`` (if any) and return ``good``."""
-    bad = int(np.sum(~good))
+def _record(fail_counts: dict, name: str, good: np.ndarray, counts=None) -> np.ndarray:
+    """Record how many nodes fail check ``name`` (if any), each node
+    ``counts`` times when given, and return ``good``."""
+    bad = int(np.sum(~good) if counts is None else np.sum(counts[~good]))
     if bad:
         fail_counts[name] = bad
     return good
+
+
+def _each_distinct_once(kernel, values: np.ndarray, *args) -> BatchResult:
+    """``kernel(distinct, *args, counts)`` on the bitwise-distinct nodes of
+    ``values`` (N, ...) in order of first occurrence, with their
+    multiplicities ``counts``, expanded back to the N nodes.  A batch of
+    one node, or of N distinct nodes, is passed whole with counts None.
+
+    Nodes are grouped by a weighted sum of their coordinates, and a node
+    joins the first node of its group where the two are bitwise equal; the
+    nodes that differ from theirs (a signed zero, a sum that rounds alike)
+    are grouped by their bytes.  The kernels compute each node independently
+    of its batch, so the result equals the kernel's on the whole batch."""
+    n = len(values)
+    if n <= 1:
+        return kernel(values, *args, None)
+    flat = np.ascontiguousarray(values).reshape(n, -1).view(np.float64)
+    with np.errstate(all="ignore"):
+        key = np.einsum("ij,j->i", flat, 1.0 / (np.arange(flat.shape[1]) + np.pi))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    words = flat.view(np.uint64)
+    dup = np.flatnonzero(rep != np.arange(n))
+    alone = dup[np.any(words[dup] != words[rep[dup]], axis=1)]
+    if alone.size:
+        _, head, group = np.unique(words[alone].view(np.dtype((np.void, flat.shape[1] * 8))).ravel(),
+                                   return_index=True, return_inverse=True)
+        rep[alone] = alone[head][group]
+    distinct = np.flatnonzero(rep == np.arange(n))
+    if len(distinct) == n:
+        return kernel(values, *args, None)
+    at = np.empty(n, dtype=np.intp)
+    at[distinct] = np.arange(len(distinct))
+    at = at[rep]
+    res = kernel(values[distinct], *args, np.bincount(at, minlength=len(distinct)))
+    return BatchResult(res.verdicts[at], res.margins[at], res.residuals[at], res.fail_counts,
+                       None if res.centers is None else res.centers[at])
 
 
 def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
@@ -272,7 +317,9 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     values of stacks of rows (see ``_rank_checks``); ``_rank_values`` says
     where each comes from.  Verdicts and fail_counts are LAPACK's at every
     node, and so are the least margin and the first node attaining it, over
-    all nodes or over the passing ones (see ``BatchResult``).
+    all nodes or over the passing ones (see ``BatchResult``).  Each
+    bitwise-distinct node is validated once, and ``fail_counts`` counts
+    failing nodes with their multiplicity.
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim == 2:
@@ -282,6 +329,13 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
         raise DimensionMismatchError(
             f"tag expects CP^{tag.n} but points have {m} coordinates"
         )
+    return _each_distinct_once(_validate_configs, pts, tag, tol)
+
+
+def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+    """``validate_batch`` on (N, 6, n+1) points, failing nodes counted
+    ``counts`` times each when given."""
+    m = pts.shape[2]
     u = unit_rows(pts)
     centers, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
     rows = np.concatenate([u, centers[:, None]], axis=1)
@@ -301,7 +355,7 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
         residuals = dcen
         passes["center-matches"] = dcen <= tol.proj_eq_tol
     return _rank_checked(rows, _rank_checks(tag.span_required, m), np.minimum(pair, apart),
-                         defined, passes, residuals, tol, centers)
+                         defined, passes, residuals, tol, counts, centers)
 
 
 def _rank_checks(want: Optional[int], m: int) -> list:
@@ -332,11 +386,12 @@ _LINE_CHECKS = ([("lines-distinct", a + b, 2, True) for a, b in itertools.combin
 
 
 def _rank_checked(rows, checks, chordal, defined, passes: dict, residuals, tol: Tolerances,
-                  centers=None) -> BatchResult:
+                  counts, centers=None) -> BatchResult:
     """The batch's result once the rank ``checks`` have run on the stacks of
     ``rows``: their verdicts join ``passes`` (and-ed by name), the margins
     are the least of ``chordal`` and the rank margins, and the residuals the
-    largest of ``residuals`` and the rank residuals."""
+    largest of ``residuals`` and the rank residuals.  Failing nodes count
+    ``counts`` times each when given."""
     others = np.logical_and.reduce(list(passes.values()))
     rank = _rank_values(rows, checks, chordal, defined, others, tol)
     is_margin = np.array([c[3] for c in checks])
@@ -345,7 +400,7 @@ def _rank_checked(rows, checks, chordal, defined, passes: dict, residuals, tol: 
     ok = np.ones(len(rows), dtype=bool)
     fail_counts: dict = {}
     for name, good in passes.items():
-        ok &= _record(fail_counts, name, good)
+        ok &= _record(fail_counts, name, good, counts)
     return BatchResult(ok, np.minimum(chordal, rank[:, is_margin].min(axis=-1)),
                        np.maximum(residuals, rank[:, ~is_margin].max(axis=-1)), fail_counts, centers)
 
@@ -454,19 +509,25 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
     """Triples of distinct lines through the tag's fixed center, batched.
 
     arr: (N, 3, n+1) dual covectors (CP^2), or the spans as (N, 3, 2, n+1)
-    or as six points (N, 6, n+1).  The result has no centers.
+    or as six points (N, 6, n+1).  The result has no centers.  As in
+    ``validate_batch``, each bitwise-distinct triple is validated once.
     """
     if tag.kind != "F3_lines_through":
         raise ProjectiveError("validate_lines_batch requires an F3_lines_through tag")
-    arr = np.asarray(arr, dtype=np.complex128)
+    return _each_distinct_once(_validate_lines, np.asarray(arr, dtype=np.complex128), tag, tol)
+
+
+def _validate_lines(arr: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+    """``validate_lines_batch``, failing nodes counted ``counts`` times each
+    when given."""
     c = tag.center.unit()
     if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors
         fail_counts: dict = {}
         u = unit_rows(arr)
         margins = chordal_pairs(u, [(0, 1), (0, 2), (1, 2)]).min(axis=-1)
-        ok = _record(fail_counts, "lines-distinct", margins > tol.proj_eq_tol)
+        ok = _record(fail_counts, "lines-distinct", margins > tol.proj_eq_tol, counts)
         residuals = np.abs(u @ c).max(axis=-1)
-        ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol)
+        ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol, counts)
         return BatchResult(ok, margins, residuals, fail_counts)
 
     n = arr.shape[0]
@@ -474,7 +535,8 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
     # the two points of each span must differ, or the span is no line
     span_d = chordal_pairs(rows, _SPAN_PAIRS).min(axis=-1)
     passes = {"span-defined": span_d > tol.proj_eq_tol}
-    return _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(n, dtype=bool), passes, np.zeros(n), tol)
+    return _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(n, dtype=bool), passes, np.zeros(n), tol,
+                         counts)
 
 
 class SamplingError(ProjectiveError):

@@ -361,6 +361,46 @@ def _compare(fresh, frozen, path=""):
             path, fresh, frozen)
 
 
+def _thresholded_values(report, path=""):
+    """(path, value) of every row of a report that has a threshold."""
+    if isinstance(report, dict):
+        if "threshold" in report and "value" in report:
+            yield path, report["value"]
+        for k, v in report.items():
+            yield from _thresholded_values(v, f"{path}.{k}")
+    elif isinstance(report, list):
+        for i, v in enumerate(report):
+            yield from _thresholded_values(v, f"{path}[{i}]")
+
+
+def _accuracy_mismatches(fresh, frozen):
+    """The thresholded values whose frozen value lies below numeric_floor x
+    1e4 and which fresh and frozen do not give within a factor of 16 of each
+    other (or both as 0).  The 1e-12 rule of ``_compare`` is absolute below
+    1, so it cannot see a value at rounding level grow a thousandfold."""
+    small = frozen["config"]["numeric_floor"] * 1e4
+    values = dict(_thresholded_values(fresh))
+    bad = []
+    for path, old in _thresholded_values(frozen):
+        new = values[path]
+        if old < small and not (old == new == 0 or (old > 0 and new > 0 and 1 / 16 <= new / old <= 16)):
+            bad.append((path, new, old))
+    return bad
+
+
 def test_fresh_run_matches_committed_golden(full_run, golden):
     fresh = json.loads(dumps(full_run.to_json()))
     _compare(fresh, golden)
+    assert not _accuracy_mismatches(fresh, golden)
+
+
+def test_golden_compare_sees_a_thousandfold_distance(golden):
+    """A distance at rounding level grown 1000x passes the 1e-12 rule and
+    fails the factor-16 condition."""
+    planted = json.loads(json.dumps(golden))
+    row = planted["claims"]["C12"]["checks"][1]
+    assert row["name"] == "lines of F_tilde equal F" and row["value"] < 1e-15
+    row["value"] *= 1000
+    _compare(planted, golden)
+    assert [path for path, _, _ in _accuracy_mismatches(planted, golden)] == [".claims.C12.checks[1]"]
+    assert not _accuracy_mismatches(golden, golden)

@@ -3,6 +3,8 @@ scale/permutation invariance properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcs import atlas
 from dcs.projective import (
@@ -16,6 +18,7 @@ from dcs.projective import (
     bracket_rows,
     chordal_batch,
     chordal_pairs,
+    line_residual,
     meet,
     proj_dist,
     rank3_screen,
@@ -23,6 +26,7 @@ from dcs.projective import (
     span_dim,
     unit_rows,
 )
+from dcs.report import FAIL, classify_distance
 
 A10 = HPoint([-1, 1, 1])
 B10 = HPoint([-1, 1, 2])
@@ -344,6 +348,7 @@ KERNELS = {
     "bracket_rows": (3, 3, lambda a: bracket_rows(a[:, 0], a[:, 1], a[:, 2])),
     "chordal_batch": (2, 3, lambda a: chordal_batch(a[:, 0], a[:, 1])),
     "chordal_pairs": (7, 4, lambda a: chordal_pairs(a, [(0, 1), (2, 6), (5, 3)])),
+    "line_residual": (4, 4, lambda a: line_residual(a[:, :2], a[:, 2:])),
     "meet": (4, 4, lambda a: meet(*(a[:, i] for i in range(4)))),
     "rank3_screen": (7, 4, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)], [(0, 1, 2, 3)])),
     "rank3_screen CP^2": (7, 3, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)])),
@@ -371,7 +376,7 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
         return out if isinstance(out, tuple) else (out,)
 
     batch = run(rows)
-    if name in ("bracket_rows", "chordal_batch", "chordal_pairs", "unit_rows"):
+    if name in ("bracket_rows", "chordal_batch", "chordal_pairs", "line_residual", "unit_rows"):
         picks = range(min(n, 2000))
     else:
         edges = np.r_[CHUNK - 2:CHUNK + 3, 2 * CHUNK - 2:2 * CHUNK + 3]
@@ -379,3 +384,61 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     for i in picks:
         for whole, alone in zip(batch, run(rows[i:i + 1])):
             assert whole[i].tobytes() == alone[0].tobytes(), i
+
+
+# ---------------------------------------------------------------------------
+# line equality in closed form
+
+def _line_pair(seed, m):
+    """Unit rows p, q of a line of CP^(m-1) with chordal distance at least
+    0.1, two unit points x, y of it at least 0.1 apart, and a unit vector w
+    orthogonal to the line."""
+    r = np.random.default_rng(seed)
+    while True:
+        p, q, w = unit_rows(r.normal(size=(3, m)) + 1j * r.normal(size=(3, m)))
+        c = r.normal(size=(2, 2)) + 1j * r.normal(size=(2, 2))
+        x, y = unit_rows(c @ np.stack([p, q]))
+        basis = np.linalg.qr(np.stack([p, q]).T)[0]
+        w = unit_rows(w - basis @ (basis.conj().T @ w))
+        if min(chordal_batch(p, q), chordal_batch(x, y)) >= 0.1:
+            return p, q, x, y, w
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5), st.floats(-9, 0), st.integers(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_line_residual_is_zero_iff_same_line_and_tracks_lapack(seed, m, tilt, which):
+    """On the same line the value is 0 to rounding; with one point tilted
+    off the line by 10^tilt it reads above a tenth of the tilt, and it lies
+    within the stated factors (1/sqrt(2) and 3/s, s the line's chordal
+    distance) of LAPACK's third relative singular value of the four rows."""
+    p, q, x, y, w = _line_pair(seed, m)
+    line = np.stack([p, q])
+    assert line_residual(np.stack([x, y]), line) <= 16 * np.finfo(float).eps
+    assert line_residual(np.stack([y, x]), np.stack([q, p])) <= 16 * np.finfo(float).eps
+    delta = 10.0 ** tilt
+    span = np.stack([x, y])
+    span[which] += delta * w
+    span = unit_rows(span)
+    value = line_residual(span, line)
+    assert value > delta / 10
+    ref = relative_singular_values(np.concatenate([span, line]))[2]
+    s = chordal_batch(p, q)
+    assert ref / np.sqrt(2) * (1 - 1e-6) <= value <= 3 * ref / s * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("side", ["span", "line"])
+def test_line_residual_fails_a_span_of_one_point(side):
+    """A pair with A_i = B_i on either side spans no line: the value is 1,
+    which fails every distance threshold, never 0 or NaN; so is a pair with
+    a non-finite entry."""
+    p, q, x, y, _ = _line_pair(7, 4)
+    span, line = np.stack([x, y]), np.stack([p, q])
+    if side == "span":
+        span = np.stack([p, p])          # both points on the line
+    else:
+        line = np.stack([x, x])          # the span's first point, twice
+    value = line_residual(span, line)
+    assert value == 1.0
+    assert classify_distance(float(value), 1e-8, 1e-12) == FAIL
+    nan = line_residual(np.stack([x, np.full(4, np.nan)]), np.stack([p, q]))
+    assert nan == 1.0

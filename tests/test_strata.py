@@ -778,3 +778,107 @@ def test_screen_on_line_triples_matches_lapack_near_every_threshold():
     corpus = corpus[keep]
     verdicts, fail_counts, margins, _ = lapack_lines_reference(corpus, tag)
     _assert_screened_batch_is_lapacks(validate_lines_batch(corpus, tag), verdicts, fail_counts, margins)
+
+
+# ---------------------------------------------------------------------------
+# each distinct node validated once per batch
+
+def _repeated(nodes, seed):
+    """Every node of ``nodes`` two or three times, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    idx = np.repeat(np.arange(len(nodes)), rng.integers(2, 4, size=len(nodes)))
+    return nodes[rng.permutation(idx)]
+
+
+def _assert_same_result(res, ref):
+    assert res.verdicts.tobytes() == ref.verdicts.tobytes()
+    assert res.margins.tobytes() == ref.margins.tobytes()
+    assert res.residuals.tobytes() == ref.residuals.tobytes()
+    assert res.fail_counts == ref.fail_counts
+    assert (res.centers is None) == (ref.centers is None)
+    if ref.centers is not None:
+        assert res.centers.tobytes() == ref.centers.tobytes()
+    assert np.argmin(res.margins) == np.argmin(ref.margins)
+    assert (np.argmin(np.where(res.verdicts, res.margins, np.inf))
+            == np.argmin(np.where(ref.verdicts, ref.margins, np.inf)))
+
+
+def _bitwise_distinct(nodes):
+    """The first occurrence of each bitwise-distinct node, in order."""
+    first = {}
+    for i, v in enumerate(nodes):
+        first.setdefault(v.tobytes(), i)
+    return nodes[sorted(first.values())]
+
+
+def _signed_zero_twins(nodes):
+    """The bitwise-distinct nodes, then two copies of the first node, one
+    with an entry +0.0 and one -0.0: equal as numbers, so equal in any
+    grouping by value, but bitwise distinct."""
+    nodes = _bitwise_distinct(nodes)
+    plus, minus = nodes[:1].copy(), nodes[:1].copy()
+    plus.reshape(-1)[0] = 0.0
+    minus.reshape(-1)[0] = complex(-0.0, 0.0)
+    return np.concatenate([nodes, plus, minus])
+
+
+@pytest.mark.parametrize("kind, tag", [
+    ("configs", SpaceTag.planar_fixed(2, HPoint(I0))),
+    ("configs", atlas.TAG_SOLID_FIXED_3),
+    ("lines", atlas.TAG_LINES_I0_SOLID),
+], ids=["planar-fixed-2", "solid-fixed-3", "line-triples"])
+def test_repeated_nodes_are_validated_once(kind, tag, monkeypatch):
+    """A batch in which every node, failing ones included, appears two or
+    three times out of order gives the result of the same batch validated
+    node by node without grouping: verdicts, margins, residuals and centers
+    at every node, fail_counts counting each failing node with its
+    multiplicity, and the first node attaining each least margin.  The
+    kernel sees each bitwise-distinct node once, in order of first
+    occurrence."""
+    if kind == "configs":
+        distinct = near_degenerate_corpus(tag=tag)
+        validator, name = validate_batch, "_validate_configs"
+    else:
+        distinct = line_triples_corpus(tag)
+        validator, name = validate_lines_batch, "_validate_lines"
+    distinct = _signed_zero_twins(distinct)
+    batch = _repeated(distinct, 5)
+    ref = getattr(strata, name)(batch, tag, DEFAULT_TOL, None)
+    assert not ref.all_ok and ref.verdicts.any()
+    seen = []
+    kernel = getattr(strata, name)
+
+    def spy(values, *args):
+        seen.append(values.copy())
+        return kernel(values, *args)
+
+    monkeypatch.setattr(strata, name, spy)
+    res = validator(batch, tag)
+    _assert_same_result(res, ref)
+    assert len(seen) == 1 and seen[0].tobytes() == _bitwise_distinct(batch).tobytes()
+    assert len(seen[0]) == len(distinct)
+    # and the distinct nodes validated as a batch of their own, expanded
+    alone = validator(distinct, tag)
+    index = {d.tobytes(): i for i, d in enumerate(distinct)}
+    at = [index[v.tobytes()] for v in batch]
+    assert res.verdicts.tobytes() == alone.verdicts[at].tobytes()
+    assert res.margins.tobytes() == alone.margins[at].tobytes()
+    assert sum(alone.fail_counts.values()) < sum(res.fail_counts.values())
+
+
+def test_batch_of_distinct_nodes_is_passed_whole(monkeypatch):
+    """Without repeats (and for one node) the kernel gets the batch as
+    given, with no multiplicities."""
+    corpus = _bitwise_distinct(near_degenerate_corpus())
+    calls = []
+    kernel = strata._validate_configs
+
+    def spy(values, tag, tol, counts):
+        calls.append((values, counts))
+        return kernel(values, tag, tol, counts)
+
+    monkeypatch.setattr(strata, "_validate_configs", spy)
+    for batch in (corpus, corpus[:1]):
+        validate_batch(batch, PLANAR_TAG)
+        values, counts = calls.pop()
+        assert values is batch and counts is None
