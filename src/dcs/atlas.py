@@ -494,7 +494,9 @@ def gr_triv(planes, configs) -> np.ndarray:
 class AtlasItem:
     id: str
     kind: str                     # loop | disk | cylinder | map | basepoint
-    value_kind: str               # config | point | lines_dual | lines_span | plane | scalar | pair
+    # config | lines_dual | lines_span | scalar: compared by paths.value_dist;
+    # point | plane | pair: only evaluated (Phi, Psi; Pi, Sigma; fiber_*)
+    value_kind: str
     target: Optional[SpaceTag]
     formula: Optional[Callable] = None   # formula(z, zb, r, **arcs): the printed coordinates
     arcs: dict = field(default_factory=dict)     # arc name -> Arc, read by the formula
@@ -605,10 +607,6 @@ def get(item_id: str) -> AtlasItem:
         return _REGISTRY[item_id]
     except KeyError:
         raise AtlasError(f"unknown atlas item {item_id!r}") from None
-
-
-def list_items() -> list:
-    return sorted(_REGISTRY.keys())
 
 
 def basepoint(tag: SpaceTag) -> Config6:
@@ -744,26 +742,11 @@ _CLAIMS = [
 
 _CLAIMS_BY_ID = {c.id: c for c in _CLAIMS}
 
-_CLAIMS_BY_ITEM: dict = {}
-for _cl in _CLAIMS:
-    for _ref in _cl.references:
-        _CLAIMS_BY_ITEM.setdefault(_ref, []).append(_cl.id)
-
-
-def claims() -> list:
-    return list(_CLAIMS)
-
-
 def claim(claim_id: str) -> Claim:
     try:
         return _CLAIMS_BY_ID[claim_id]
     except KeyError:
         raise AtlasError(f"unknown claim {claim_id!r}") from None
-
-
-def claims_for(item_id: str) -> list:
-    it = get(item_id)  # raises on unknown id
-    return [_CLAIMS_BY_ID[cid] for cid in _CLAIMS_BY_ITEM.get(it.id, [])]
 
 
 def export_registry() -> dict:

@@ -35,32 +35,13 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def word(*letters):
-    return free_reduce(letters)
-
-
 def invert_word(w):
     """Inverse of a free word or of a braid word (both are letter tuples)."""
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def mul(*words):
-    letters = []
-    for w in words:
-        letters.extend(w)
-    return free_reduce(letters)
-
-
 def generator(i):
     return ((i, 1),)
-
-
-def abelianized(w, n):
-    """Exponent-sum vector of a free word on n generators."""
-    v = [0] * n
-    for g, e in w:
-        v[g - 1] += e
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------

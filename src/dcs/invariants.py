@@ -71,14 +71,6 @@ class ScalarFunctional:
             )
         return self.fn(arr)
 
-    def check_scale_invariance(self, configs: np.ndarray, rng) -> float:
-        """Max relative change under random rescaling of every representative."""
-        arr = np.asarray(configs, dtype=np.complex128)
-        base = self.fn(arr)
-        scales = np.exp(rng.normal(size=arr.shape[:-1]) + 1j * rng.uniform(0, TWO_PI, size=arr.shape[:-1]))
-        rescaled = self.fn(arr * scales[..., None])
-        return float(np.max(np.abs(rescaled - base) / np.abs(base)))
-
 
 def _bracket_ratio(i, j, k):
     """w = ([AjBjAi] [AkBkBi]) / ([AkBkAi] [AjBjBi]) with 1-based line indices."""
@@ -253,8 +245,6 @@ def fiber_winding_vector(loop: LoopExpr, n: int = 512, tol: Tolerances = DEFAULT
 
 @dataclass
 class RelationReport:
-    lhs: str
-    rhs: str
     rows: list            # (functional, w_lhs, w_rhs)
     status: str           # agreement() of the two loops' windings
 
@@ -270,8 +260,7 @@ def check_linear_relation(lhs: LoopExpr, rhs: LoopExpr, n: int = 512,
            for loop in (lhs, rhs) for i in range(3)):
         functionals += [fiber_functional(i, ambient) for i in range(3)]
     pairs = [(winding(lhs, f, n, tol), winding(rhs, f, n, tol)) for f in functionals]
-    return RelationReport(lhs.label(), rhs.label(),
-                          [(wl.functional_id, wl.winding, wr.winding) for wl, wr in pairs],
+    return RelationReport([(wl.functional_id, wl.winding, wr.winding) for wl, wr in pairs],
                           agreement(pairs))
 
 

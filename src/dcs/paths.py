@@ -40,27 +40,24 @@ class PathError(ProjectiveError):
 # value comparison, by value kind
 
 def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    """Projective distance between two sampled values (batched).
+    """Projective distance between two sampled values (batched), for the
+    value kinds that are compared:
 
     config       max chordal distance over the six points
-    point/plane  chordal distance of representatives (planes as dual points)
     lines_dual   max chordal distance over the three dual covectors
     lines_span   max line mismatch: the larger chordal distance of a's two
                  points from b's line (``projective.line_residual``), on
                  the chordal scale [0, 1]; 0 to rounding iff the spans
                  agree as lines, 1 where either pair spans no line
-    scalar/pair  absolute difference (max over components)
+    scalar       absolute difference (the arc items epsilon and eta)
     """
     if kind in ("config", "lines_dual"):
         return chordal_batch(unit_rows(a), unit_rows(b)).max(axis=-1)
-    if kind in ("point", "plane"):
-        return chordal_batch(unit_rows(a), unit_rows(b))
     if kind == "lines_span":
         return line_residual(unit_rows(a), unit_rows(b)).max(axis=-1)
-    if kind in ("scalar", "pair"):
-        d = np.abs(a - b)
-        return d if kind == "scalar" else d.max(axis=-1)
-    raise PathError(f"unknown value kind {kind!r}")
+    if kind == "scalar":
+        return np.abs(a - b)
+    raise PathError(f"values of kind {kind!r} are never compared")
 
 
 def config_lines_dual(arr: np.ndarray) -> np.ndarray:
@@ -129,25 +126,6 @@ class Atom(LoopExpr):
         if self.t is not None:
             return f"{self.item_id}@t={self.t:g}"
         return self.item_id
-
-
-@dataclass
-class Const(LoopExpr):
-    """Constant loop at a fixed value (e.g. the base configuration)."""
-
-    value: np.ndarray
-    kind: str = "config"
-    name: str = "const"
-
-    def __post_init__(self):
-        self.value_kind = self.kind
-
-    def at(self, theta):
-        th = np.asarray(theta, dtype=float)
-        return np.broadcast_to(self.value, th.shape + self.value.shape).copy()
-
-    def label(self):
-        return self.name
 
 
 class EqualConcat(LoopExpr):
@@ -330,8 +308,7 @@ def _parse_factor(tokens, pos, opened):
 # ---------------------------------------------------------------------------
 # pointwise comparison
 
-def pointwise_eq(p: LoopExpr, q: LoopExpr, grid_n: int = 512,
-                 tol: Tolerances = DEFAULT_TOL) -> float:
+def pointwise_eq(p: LoopExpr, q: LoopExpr, grid_n: int = 512) -> float:
     """Max projective distance over a shared closed grid."""
     if p.value_kind != q.value_kind:
         raise PathError("cannot compare paths with different value kinds")
@@ -392,20 +369,8 @@ class SweepReport:
     fail_counts: dict = field(default_factory=dict)
     worst_param: tuple = ()
     # meets of d1 and d2 at every node of a configuration item's sweep, in
-    # node order; not serialized
+    # node order
     centers: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def to_json(self) -> dict:
-        return {
-            "item": self.item_id,
-            "grid": self.grid,
-            "ok": bool(self.ok),
-            "min_margin": float(self.min_margin),
-            "max_residual": float(self.max_residual),
-            "nodes": int(self.n_nodes),
-            "fail_counts": dict(self.fail_counts),
-            "worst_param": [float(x) for x in self.worst_param],
-        }
 
 
 def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport:
@@ -467,21 +432,16 @@ def junction_report(item_id: str, n_t: int = 64) -> dict:
     }
 
 
-def closure_report(item_id: str, tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Closed-loop and basepoint assertions for circle-domain items; a
+def closure_report(item_id: str) -> dict:
+    """Closed-loop and basepoint distances of circle-domain items; a
     cylinder is checked on both boundary circles, t = 0 and t = 1."""
     item = atlas.get(item_id)
     t = np.array([0.0, 1.0]) if item.kind == "cylinder" else None
     th = np.zeros(1 if t is None else 2)
     v0 = item.eval(th, t=t)
     v1 = item.eval(th + TWO_PI, t=t)
-    close = compare_values(v0, v1, item.value_kind)
     base = 0.0
     if item.based and item.value_kind == "config":
         base = compare_values(v0, atlas.basepoint(item.target).array(), "config")
-    return {
-        "item": item_id,
-        "closure": close,
-        "base_distance": base,
-        "ok": close <= tol.proj_eq_tol and base <= tol.proj_eq_tol,
-    }
+    return {"item": item_id, "closure": compare_values(v0, v1, item.value_kind),
+            "base_distance": base}

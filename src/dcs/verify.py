@@ -143,16 +143,14 @@ def _add_junctions(rep: ClaimReport, item_id: str, cfg: RunConfig):
 
 
 def _add_closure(rep: ClaimReport, item_id: str, cfg: RunConfig):
-    cr = closure_report(item_id, cfg.tol)
+    cr = closure_report(item_id)
     rep.add_distance(f"closure {item_id}", max(cr["closure"], cr["base_distance"]),
                      cfg.tol.proj_eq_tol, cfg.numeric_floor)
 
 
-def _add_pointwise(rep: ClaimReport, name, lhs, rhs, cfg: RunConfig, tol=None):
-    d = pointwise_eq(lhs, rhs, cfg.circle_samples, cfg.tol)
-    rep.add_distance(name, d, tol if tol is not None else cfg.boundary_tol,
+def _add_pointwise(rep: ClaimReport, name, lhs, rhs, cfg: RunConfig):
+    rep.add_distance(name, pointwise_eq(lhs, rhs, cfg.circle_samples), cfg.boundary_tol,
                      cfg.numeric_floor)
-    return d
 
 
 def _fiber_vector_check(rep: ClaimReport, name, loop, expected, cfg: RunConfig):
@@ -321,6 +319,9 @@ def verify_C3(cfg: RunConfig) -> ClaimReport:
 
 def verify_C4(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C4")
+    # the printed line loop and line disk: distinct lines through I0
+    _add_sweep(rep, "s", cfg)
+    _add_sweep(rep, "Lambda", cfg)
     thetas, sigma_vals = Atom("sigma").sample(cfg.circle_samples)
     rep.add_distance("lines of sigma equal s",
                      compare_values(config_lines_dual(sigma_vals),
@@ -425,7 +426,7 @@ def verify_C9(cfg: RunConfig) -> ClaimReport:
                    cfg)
     stated = pointwise_eq(Atom("H", t=0.0),
                           Concat(Concat(loops["alpha"], loops["beta"]), loops["gamma"]),
-                          cfg.circle_samples, cfg.tol)
+                          cfg.circle_samples)
     rep.add("t=0 end vs (alpha * beta) * gamma [stated form, documented mismatch]",
             PASS, stated, None,
             note="printed cylinder traverses the third fiber motion twice at t=0; "

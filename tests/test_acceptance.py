@@ -51,7 +51,7 @@ RESIDUAL_MAX = 0.05
 
 CATALOG_SWEEPS = [
     ("alpha", "loop"), ("beta", "loop"), ("gamma", "loop"), ("sigma", "loop"),
-    ("Lambda_tilde", "disk"), ("L", "cylinder"),
+    ("s", "loop"), ("Lambda", "disk"), ("Lambda_tilde", "disk"), ("L", "cylinder"),
     ("K_alpha", "cylinder"), ("K_beta", "cylinder"), ("K_gamma", "cylinder"),
     ("Phi_tilde", "disk"), ("H", "cylinder"), ("Pi_tilde", "disk"),
     ("M", "cylinder"), ("F_tilde", "disk"), ("B_tilde", "disk"),
@@ -112,12 +112,12 @@ def test_criterion_2_membership_sweeps(cfg):
         grid = {"loop": cfg.circle_samples, "disk": cfg.disk_grid,
                 "cylinder": cfg.cylinder_grid}[kind]
         rep = sweep_item(item_id, grid)
-        assert rep.ok and rep.min_margin > MARGIN_MIN, rep.to_json()
+        assert rep.ok and rep.min_margin > MARGIN_MIN, rep
         doubled = {"loop": 2 * cfg.circle_samples,
                    "disk": (2 * cfg.disk_grid[0], 2 * cfg.disk_grid[1]),
                    "cylinder": (2 * cfg.cylinder_grid[0], 2 * cfg.cylinder_grid[1])}[kind]
         rep2 = sweep_item(item_id, doubled)
-        assert rep2.ok and rep2.min_margin > MARGIN_MIN, rep2.to_json()
+        assert rep2.ok and rep2.min_margin > MARGIN_MIN, rep2
         worst = min(worst, rep2.min_margin)
     announce(2, True, f"all catalog items stay in their spaces (worst doubled margin {worst:.4g})")
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dcs.braids import (
     BraidError,
-    abelianized,
     acts_equally,
     alpha_word,
     artin_act,
@@ -15,10 +14,8 @@ from dcs.braids import (
     free_reduce,
     generator,
     invert_word,
-    mul,
     verify_yb3,
     verify_yb4,
-    word,
 )
 
 
@@ -47,14 +44,14 @@ def test_free_reduce_is_idempotent_and_reduced(letters):
 @settings(max_examples=200, deadline=None)
 def test_word_times_inverse_cancels(letters):
     w = free_reduce(letters)
-    assert mul(w, invert_word(w)) == ()
+    assert free_reduce(braid_mul(w, invert_word(w))) == ()
 
 
 # ---------------------------------------------------------------------------
 # the Artin action
 
 def test_sigma_action_definition():
-    assert artin_act(((1, 1),), generator(1), 2) == word((1, 1), (2, 1), (1, -1))
+    assert artin_act(((1, 1),), generator(1), 2) == free_reduce(((1, 1), (2, 1), (1, -1)))
     assert artin_act(((1, 1),), generator(2), 2) == generator(1)
     assert artin_act(((1, 1),), generator(3), 4) == generator(3)
 
@@ -94,12 +91,13 @@ def test_pure_generator_abelianized_action_is_identity():
             for j in range(i + 1, n + 1):
                 for g in range(1, n + 1):
                     img = artin_act(alpha_word(i, j), generator(g), n)
-                    assert abelianized(img, n) == abelianized(generator(g), n)
+                    sums = [sum(e for h, e in img if h == k) for k in range(1, n + 1)]
+                    assert sums == [int(k == g) for k in range(1, n + 1)]
 
 
 def test_pure_generators_fix_the_full_product():
     for n in range(2, 7):
-        prod = mul(*[generator(g) for g in range(1, n + 1)])
+        prod = free_reduce(braid_mul(*[generator(g) for g in range(1, n + 1)]))
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 assert artin_act(alpha_word(i, j), prod, n) == prod

@@ -9,7 +9,6 @@ from dcs import atlas
 from dcs.paths import (
     Atom,
     Concat,
-    Const,
     EqualConcat,
     Embed,
     Inverse,
@@ -56,8 +55,7 @@ def test_equal_speed_convention_matches_conjugation_tables():
 
 
 def test_concat_with_constant_loop_keeps_windings():
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).array()
-    padded = Concat(ALPHA, Const(base, "config", "base"))
+    padded = Concat(ALPHA, Atom("D0"))      # the base point item is constant in theta
     vec = inv.fiber_winding_vector(padded)
     assert tuple(r.winding for r in vec) == (1, 0, 0)
 
@@ -69,8 +67,10 @@ def test_concat_evaluates_each_operand_on_its_own_half():
     got = Concat(p, q).at(th)
     assert np.array_equal(got[first], p.at(2.0 * th[first]))
     assert np.array_equal(got[~first], q.at(2.0 * th[~first] - TWO_PI))
-    a, b = (Const(np.full((6, 3), v, dtype=complex)) for v in (1.0, 2.0))
-    assert Concat(a, b).at(np.array([np.pi]))[0, 0, 0] == 1.0      # pi stays with p
+    # pi stays with p: alpha(2 pi) and beta(0) are the same point but differ bitwise
+    at_pi = Concat(ALPHA, BETA).at(np.array([np.pi]))
+    assert at_pi.tobytes() == ALPHA.at(np.array([TWO_PI])).tobytes()
+    assert at_pi.tobytes() != BETA.at(np.array([0.0])).tobytes()
 
 
 def test_word_evaluates_each_node_once(monkeypatch, capsys):

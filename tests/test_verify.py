@@ -203,5 +203,42 @@ def test_validator_imposes_only_written_conditions():
 
 def test_all_claim_ids_have_verifiers():
     assert set(ALL_CLAIM_IDS) == {f"C{i}" for i in range(1, 16)}
-    registry_ids = {c.id for c in atlas.claims()}
+    registry_ids = {c["id"] for c in atlas.export_registry()["claims"]}
     assert registry_ids == set(ALL_CLAIM_IDS)
+
+
+def _off_center(z, lines):
+    """Each covector's third coordinate set to 1e-6 z: lines that miss
+    [0:0:1] away from the disk's center."""
+    lines = lines.copy()
+    lines[..., 2] = 1e-6 * z[..., None]
+    return lines
+
+
+def _equal_lines(z, lines):
+    """The second covector replaced by the first."""
+    return lines[..., [0, 0, 2], :]
+
+
+@pytest.mark.parametrize("defects, failing", [
+    ((_off_center,), ["center-incidence"]),
+    ((_equal_lines,), ["lines-distinct"]),
+    ((_off_center, _equal_lines), ["center-incidence", "lines-distinct"]),
+], ids=["off-center", "equal-lines", "both"])
+def test_C4_line_disk_sweep_catches_planted_defects(defects, failing, monkeypatch):
+    """C4 sweeps the printed line disk Lambda: covectors off the center, or
+    two equal covectors, fail its membership row by name."""
+    item = atlas.get("Lambda")
+    printed = item.formula
+
+    def planted(z, zb, r):
+        lines = printed(z, zb, r)
+        for defect in defects:
+            lines = defect(z, lines)
+        return lines
+
+    monkeypatch.setattr(item, "formula", planted)
+    rep = verify_claim("C4", RunConfig())
+    row = next(c for c in rep.checks if c.name == "membership Lambda")
+    assert row.status == FAIL and row.note == f"failing sub-checks: {failing}"
+    assert next(c for c in rep.checks if c.name == "membership s").status == PASS
