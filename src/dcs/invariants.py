@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import sympy
 
 from . import atlas
 from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, compare_values, domain_nodes
@@ -271,7 +270,9 @@ def independence_matrix(rows: Sequence[Sequence[WindingResult]]):
     if bad:
         raise WindingError(f"indeterminate winding for {bad[0]}")
     mat = [[res.winding for res in row] for row in rows]
-    return mat, int(sympy.Matrix(mat).rank())
+    from sympy import Matrix
+
+    return mat, int(Matrix(mat).rank())
 
 
 @dataclass
@@ -313,12 +314,12 @@ def snf_invariants(rows: Sequence[Sequence[int]], ncols: int):
     """Nonzero invariant factors of the integer row lattice, exactly."""
     if not rows:
         return []
-    m = sympy.Matrix(list(rows))
-    if m.cols != ncols:
+    if any(len(row) != ncols for row in rows):
         raise ValueError("row length does not match the ambient rank")
+    from sympy import Matrix
     from sympy.matrices.normalforms import smith_normal_form
 
-    d = smith_normal_form(m)
+    d = smith_normal_form(Matrix(list(rows)))
     out = []
     for i in range(min(d.rows, d.cols)):
         v = int(d[i, i])

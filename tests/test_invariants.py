@@ -298,3 +298,9 @@ def test_quotient_rendering():
 def test_empty_lattice():
     assert inv.snf_invariants([], 3) == []
     assert inv.abelian_quotient([], 3) == (3, [])
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [1, 2]], [[1, 2]], [[1, 2, 3, 4]], [[1, 2, 3], []]])
+def test_snf_rejects_rows_of_the_wrong_length(rows):
+    with pytest.raises(ValueError, match="row length does not match the ambient rank"):
+        inv.snf_invariants(rows, 3)
