@@ -166,10 +166,6 @@ def _s(z, zb, r):
     return config(point(z, 1, 0), point(2 * z, 1, 0), point(1, 0, 0))
 
 
-def _fiber(z, zb, r):
-    return point(1, 1 + z)
-
-
 def _Lambda(z, zb, r):
     """Null-homotopy of the doubled line loop: duals ((kz-r) X0 + (zbar+kr) X1, z X0 + r X1)."""
     return config(
@@ -495,7 +491,7 @@ class AtlasItem:
     id: str
     kind: str                     # loop | disk | cylinder | map | basepoint
     # config | lines_dual | lines_span | scalar: compared by paths.value_dist;
-    # point | plane | pair: only evaluated (Phi, Psi; Pi, Sigma; fiber_*)
+    # point | plane: only evaluated (Phi, Psi; Pi, Sigma)
     value_kind: str
     target: Optional[SpaceTag]
     formula: Optional[Callable] = None   # formula(z, zb, r, **arcs): the printed coordinates
@@ -534,10 +530,6 @@ def _build_registry():
         AtlasItem("gamma", "loop", "config", TAG_PLANAR_FIXED_2, _gamma, based=True),
         AtlasItem("sigma", "loop", "config", TAG_PLANAR_FIXED_2, _sigma, based=True),
         AtlasItem("s", "loop", "lines_dual", TAG_LINES_I0, _s, based=True),
-        AtlasItem("fiber_a", "loop", "pair", None, _fiber, based=True,
-                  notes="braid generator in the fiber of the first line, chart coordinates"),
-        AtlasItem("fiber_b", "loop", "pair", None, _fiber, based=True),
-        AtlasItem("fiber_c", "loop", "pair", None, _fiber, based=True),
         AtlasItem("Lambda", "disk", "lines_dual", TAG_LINES_I0, _Lambda),
         AtlasItem("Lambda_tilde", "disk", "config", TAG_PLANAR_FIXED_2, _Lambda_tilde),
         AtlasItem("sigma_tilde_Lambda", "loop", "config", TAG_PLANAR_FIXED_2,

@@ -29,9 +29,9 @@ EPS = np.finfo(np.float64).eps
 # screens replace; at 1,024 rows, level with them.
 CHUNK = 1024
 # Rows per pass of a kernel whose temporaries hold one complex number per
-# row (``bracket_rows``, ``chordal_batch``, ``line_residual``): 8,192 keeps
-# each at 128 KiB, half of numpy's threshold, in one pass for most loop
-# samples.
+# row (``bracket_rows``, ``chordal_batch``, ``line_residual``,
+# ``pencil_points``): 8,192 keeps each at 128 KiB, half of numpy's
+# threshold, in one pass for most loop samples.
 VECTOR_ROWS = 8192
 
 
@@ -248,18 +248,43 @@ def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
 def _line_residual(a, b):
     """``line_residual`` on one pass of rows, one vector per coordinate."""
     x, y, p, q = a[:, 0].T, a[:, 1].T, b[:, 0].T, b[:, 1].T
-
-    def away(u, e):                # u less its component along unit e
-        ip = _dot(e, u)
-        return [uc - ip * ec for uc, ec in zip(u, e)]
-
-    e = away(away(q, p), p)
+    e = _away(_away(q, p), p)
     size = np.sqrt(_norm2(e))
     with np.errstate(divide="ignore", invalid="ignore"):
         e = [ec / size for ec in e]
-        far = np.sqrt(np.maximum(_norm2(away(away(x, p), e)), _norm2(away(away(y, p), e))))
+        far = np.sqrt(np.maximum(_norm2(_away(_away(x, p), e)), _norm2(_away(_away(y, p), e))))
     line = (size >= 1e-12) & (_chordal(x, y) >= 1e-12)
     return np.where(line, far, 1.0)
+
+
+def pencil_points(spans: np.ndarray, center: np.ndarray) -> tuple:
+    """Each span of unit rows (..., 2, m) as a point of the pencil of lines
+    through the unit ``center``, a CP^(m-2), batched over the leading axes:
+    the unit direction from the center of the span's farther point (zero
+    where both points are exactly the center), and the incidence residual
+    (...), the chordal distance of the nearer point from the line through
+    the center and the farther one (the Gram-Schmidt steps of
+    ``line_residual``), accurate to a few eps wherever the points lie.
+    Whether a span is a line is the caller's check."""
+    return chunked(_pencil_points, spans, np.asarray(center)[None], core=2, rows=VECTOR_ROWS)
+
+
+def _pencil_points(a, c):
+    """``pencil_points`` on one pass of rows, one vector per coordinate."""
+    o = c[:, 0].T
+    dx, dy = _away(a[:, 0].T, o), _away(a[:, 1].T, o)
+    nx, ny = _norm2(dx), _norm2(dy)
+    first, size = nx >= ny, np.sqrt(np.maximum(nx, ny))
+    size[size == 0] = 1.0
+    d = [np.where(first, u, v) / size for u, v in zip(dx, dy)]
+    near = [np.where(first, v, u) for u, v in zip(dx, dy)]
+    return np.stack(d, axis=-1), np.sqrt(_norm2(_away(near, d)))
+
+
+def _away(u, e):
+    """u less its component along unit e, both given one array per coordinate."""
+    ip = _dot(e, u)
+    return [uc - ip * ec for uc, ec in zip(u, e)]
 
 
 def _dot(u, v):

@@ -14,7 +14,6 @@ reported separately instead of being folded into the margin minimum.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,6 +29,7 @@ from .projective import (
     chordal_pairs,
     is_int,
     meet,
+    pencil_points,
     rank3_screen,
     relative_singular_values,
     span_dim,
@@ -40,7 +40,6 @@ from .projective import (
 # whose chordal distances validate_batch checks: the points, then the meet.
 _POINT_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 _CENTER_PAIRS = [(i, 6) for i in range(6)]
-_SPAN_PAIRS = [(0, 1), (2, 3), (4, 5)]
 
 
 @dataclass(frozen=True)
@@ -215,13 +214,13 @@ def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_T
 @dataclass
 class BatchResult:
     """Vectorized validation outcome over a batch of configurations or
-    line triples.
-
-    ``verdicts`` and ``fail_counts`` are always LAPACK's: one LAPACK pass
-    takes every rank value whose interval holds its threshold.  ``margins``
-    is exact (LAPACK singular values, chordal distances) at every node that
-    can attain the batch's least margin, over all nodes or over the passing
-    nodes.  In a screened batch (every batch of more than one node, see
+    line triples.  A line triple's entries are closed form throughout (see
+    ``validate_lines_batch``).  A configuration's ``verdicts`` and
+    ``fail_counts`` are always LAPACK's: one LAPACK pass takes every rank
+    value whose interval holds its threshold.  ``margins`` is exact (LAPACK
+    singular values, chordal distances) at every node that can attain the
+    batch's least margin, over all nodes or over the passing nodes.  In a
+    screened batch (every batch of more than one node, see
     ``strata._rank_values``) a rank value of a kind that
     ``projective.rank3_screen`` screens is elsewhere within its stated
     bound, and every other rank value is LAPACK's.  So ``residuals`` is
@@ -335,7 +334,6 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
 def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
     """``validate_batch`` on (N, 6, n+1) points, failing nodes counted
     ``counts`` times each when given."""
-    m = pts.shape[2]
     u = unit_rows(pts)
     centers, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
     rows = np.concatenate([u, centers[:, None]], axis=1)
@@ -351,11 +349,19 @@ def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
         "center-apart": apart > tol.proj_eq_tol,
     }
     if tag.kind.endswith("_fixed"):
-        dcen = chordal_batch(centers, tag.center.unit()[None, :])
-        residuals = dcen
-        passes["center-matches"] = dcen <= tol.proj_eq_tol
-    return _rank_checked(rows, _rank_checks(tag.span_required, m), np.minimum(pair, apart),
-                         defined, passes, residuals, tol, counts, centers)
+        residuals = chordal_batch(centers, tag.center.unit()[None, :])
+        passes["center-matches"] = residuals <= tol.proj_eq_tol
+    checks = _rank_checks(tag.span_required, pts.shape[2])
+    chordal = np.minimum(pair, apart)
+    rank = _rank_values(rows, checks, chordal, defined, np.logical_and.reduce(list(passes.values())), tol)
+    is_margin = np.array([c[3] for c in checks])
+    passes.update(zip([c[0] for c in checks], _rank_passes(rank, is_margin, tol).T))
+    ok = np.ones(len(rows), dtype=bool)
+    fail_counts: dict = {}
+    for name, good in passes.items():
+        ok &= _record(fail_counts, name, good, counts)
+    return BatchResult(ok, np.minimum(chordal, rank[:, is_margin].min(axis=-1)),
+                       np.maximum(residuals, rank[:, ~is_margin].max(axis=-1)), fail_counts, centers)
 
 
 def _rank_checks(want: Optional[int], m: int) -> list:
@@ -378,33 +384,6 @@ def _rank_checks(want: Optional[int], m: int) -> list:
     return checks
 
 
-# The rank checks of a line triple (rows A1, B1, A2, B2, A3, B3, then the
-# center as row 6), in the form of ``_rank_checks``; a name shared by three
-# checks passes where all three do.
-_LINE_CHECKS = ([("lines-distinct", a + b, 2, True) for a, b in itertools.combinations(_SPAN_PAIRS, 2)]
-                + [("center-incidence", a + (6,), 2, False) for a in _SPAN_PAIRS])
-
-
-def _rank_checked(rows, checks, chordal, defined, passes: dict, residuals, tol: Tolerances,
-                  counts, centers=None) -> BatchResult:
-    """The batch's result once the rank ``checks`` have run on the stacks of
-    ``rows``: their verdicts join ``passes`` (and-ed by name), the margins
-    are the least of ``chordal`` and the rank margins, and the residuals the
-    largest of ``residuals`` and the rank residuals.  Failing nodes count
-    ``counts`` times each when given."""
-    others = np.logical_and.reduce(list(passes.values()))
-    rank = _rank_values(rows, checks, chordal, defined, others, tol)
-    is_margin = np.array([c[3] for c in checks])
-    for c, good in zip(checks, _rank_passes(rank, is_margin, tol).T):
-        passes[c[0]] = passes[c[0]] & good if c[0] in passes else good
-    ok = np.ones(len(rows), dtype=bool)
-    fail_counts: dict = {}
-    for name, good in passes.items():
-        ok &= _record(fail_counts, name, good, counts)
-    return BatchResult(ok, np.minimum(chordal, rank[:, is_margin].min(axis=-1)),
-                       np.maximum(residuals, rank[:, ~is_margin].max(axis=-1)), fail_counts, centers)
-
-
 def _rank_passes(values: np.ndarray, is_margin: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Which rank values (N, len(checks)) pass their check."""
     thr = tol.rank_rel_tol
@@ -416,10 +395,10 @@ def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -
 
     A batch of one node takes LAPACK.  A larger batch takes
     ``projective.rank3_screen``'s closed-form estimates, with stated bounds,
-    for every third value (lines-distinct, concurrent d3, center-incidence,
-    a planar span) and for the fourth value of a residual stack of four rows
-    or columns (concurrent d1-d2 above CP^2, the skew; a planar span's
-    excess in CP^3), whose interval is one-sided.  Then two LAPACK passes:
+    for every third value (lines-distinct, concurrent d3, a planar span)
+    and for the fourth value of a residual stack of four rows or columns
+    (concurrent d1-d2 above CP^2, the skew; a planar span's excess in
+    CP^3), whose interval is one-sided.  Then two LAPACK passes:
     - the threshold pass: the unscreened values (a solid span) at every
       node, and the screened ones at every node whose meet is undefined
       (row 6 is then no meet) or where some interval holds its threshold,
@@ -509,7 +488,14 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
     """Triples of distinct lines through the tag's fixed center, batched.
 
     arr: (N, 3, n+1) dual covectors (CP^2), or the spans as (N, 3, 2, n+1)
-    or as six points (N, 6, n+1).  The result has no centers.  As in
+    or as six points (N, 6, n+1).  Each line is a point of the pencil of
+    lines through the center, with an incidence residual: a unit covector
+    u and |u . c|, or ``projective.pencil_points`` of a span.  Checks:
+    span-defined (spans only: each span's two points more than proj_eq_tol
+    apart), lines-distinct (the three points of the pencil pairwise more
+    than proj_eq_tol apart), center-incidence (each residual at most
+    rank_rel_tol).  The margin is the least of those chordal distances.
+    Every value is closed form; the result has no centers.  As in
     ``validate_batch``, each bitwise-distinct triple is validated once.
     """
     if tag.kind != "F3_lines_through":
@@ -521,22 +507,21 @@ def _validate_lines(arr: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> 
     """``validate_lines_batch``, failing nodes counted ``counts`` times each
     when given."""
     c = tag.center.unit()
-    if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors
-        fail_counts: dict = {}
-        u = unit_rows(arr)
-        margins = chordal_pairs(u, [(0, 1), (0, 2), (1, 2)]).min(axis=-1)
-        ok = _record(fail_counts, "lines-distinct", margins > tol.proj_eq_tol, counts)
-        residuals = np.abs(u @ c).max(axis=-1)
-        ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol, counts)
-        return BatchResult(ok, margins, residuals, fail_counts)
-
-    n = arr.shape[0]
-    rows = np.concatenate([unit_rows(arr.reshape(n, 6, -1)), np.broadcast_to(c, (n, 1, c.size))], axis=1)
-    # the two points of each span must differ, or the span is no line
-    span_d = chordal_pairs(rows, _SPAN_PAIRS).min(axis=-1)
-    passes = {"span-defined": span_d > tol.proj_eq_tol}
-    return _rank_checked(rows, _LINE_CHECKS, span_d, np.ones(n, dtype=bool), passes, np.zeros(n), tol,
-                         counts)
+    fail_counts: dict = {}
+    if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors, each its line's point of the pencil
+        points = unit_rows(arr)
+        incidence = np.abs(points @ c)
+        ok, margins = np.ones(len(arr), dtype=bool), np.inf
+    else:
+        spans = unit_rows(arr.reshape(len(arr), 3, 2, -1))
+        margins = chordal_batch(spans[:, :, 0], spans[:, :, 1]).min(axis=-1)
+        ok = _record(fail_counts, "span-defined", margins > tol.proj_eq_tol, counts)
+        points, incidence = pencil_points(spans, c)
+    distinct = chordal_pairs(points, [(0, 1), (0, 2), (1, 2)]).min(axis=-1)
+    ok = ok & _record(fail_counts, "lines-distinct", distinct > tol.proj_eq_tol, counts)
+    residuals = incidence.max(axis=-1)
+    ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol, counts)
+    return BatchResult(ok, np.minimum(margins, distinct), residuals, fail_counts)
 
 
 class SamplingError(ProjectiveError):

@@ -22,7 +22,7 @@ def dist_points(raw, expected):
 
 def test_list_items_contains_mandatory_ids():
     items = atlas.export_registry()["items"]
-    for required in ("alpha", "beta", "gamma", "sigma", "s", "fiber_a",
+    for required in ("alpha", "beta", "gamma", "sigma", "s",
                      "Lambda", "Lambda_tilde", "sigma_tilde_Lambda", "L",
                      "epsilon", "eta", "K_alpha", "K_beta", "K_gamma",
                      "Phi", "Phi_tilde", "Phi_tilde_S1", "H",

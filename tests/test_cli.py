@@ -246,7 +246,6 @@ DEEP = "error: loop expression nested deeper than 100 levels\n"
 # (argv, the exact error line or None)
 @pytest.mark.parametrize("argv, line", [
     (["s", "w1"], None),                          # line triples, not configurations
-    (["fiber_a", "w1"], None),                    # chart pairs
     (["eta", "fiber"], None),                     # a scalar loop
     (["Pi_tilde_S1", "w1"], None),                # CP^3 loop, CP^2 functional
     (["alpha*Pi_tilde_S1", "w1"], None),          # a word mixing CP^2 and CP^3
@@ -257,7 +256,7 @@ DEEP = "error: loop expression nested deeper than 100 levels\n"
     (["(" * 1200 + "alpha" + ")" * 1200, "w1"], DEEP),
     (["*".join(["alpha"] * 1500), "w1"], DEEP),
     (["alpha" + "^-1" * 3000, "fiber"], DEEP),
-], ids=["lines", "pair", "scalar", "ambient", "mixed-word", "samples-negative",
+], ids=["lines", "scalar", "ambient", "mixed-word", "samples-negative",
         "samples-zero", "samples-15", "unknown-atom", "deep-parentheses", "deep-product",
         "deep-inverse"])
 def test_winding_malformed_query_is_usage_error(argv, line, capsys):
@@ -488,11 +487,10 @@ def test_membership_property(doc):
 
 
 # atoms of loop words: loops of configurations in CP^2, in CP^3, and a mix
-# of both with items that are no such loop (line triples, chart pairs, a
-# cylinder)
+# of both with items that are no such loop (line triples, a cylinder)
 CP2_ATOMS = ["alpha", "beta", "gamma", "sigma", "sigma_tilde_Lambda"]
 CP3_ATOMS = ["Pi_tilde_S1", "F_tilde_S1"]
-WORD_ATOMS = [CP2_ATOMS, CP3_ATOMS, CP2_ATOMS + CP3_ATOMS + ["s", "fiber_a", "L"]]
+WORD_ATOMS = [CP2_ATOMS, CP3_ATOMS, CP2_ATOMS + CP3_ATOMS + ["s", "L"]]
 
 
 @st.composite

@@ -1,11 +1,14 @@
 """Membership predicates: base configurations, named failure modes, margin
 behavior, and the constructive random sampler."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dcs import atlas, strata
-from dcs.paths import domain_nodes
+from dcs.cli import main
+from dcs.paths import domain_nodes, sweep_item
 from dcs.projective import (
     DEFAULT_TOL,
     HPoint,
@@ -717,37 +720,81 @@ def lapack_lines_reference(spans, tag):
     return verdicts, fail_counts, np.minimum(distinct, span_d), quantity
 
 
+def _chordal(u, v):
+    """Chordal distance of unit vectors u and v: the norm of u's component
+    orthogonal to v."""
+    return np.linalg.norm(u - np.vdot(v, u) * v)
+
+
+def pencil_reference(spans, tag):
+    """Every check of validate_lines_batch on spans (N, 3, 2, n+1), node by
+    node in plain numpy: each line's point of the pencil through the center
+    (the unit part orthogonal to the center of the span's point farther from
+    it) and its residual (the distance of the other point from the span of
+    the center and the farther point, by QR).  Returns verdicts, fail
+    counts, margins and the quantity of each check, as
+    ``lapack_lines_reference``."""
+    c = tag.center.unit()
+    distinct, span_d, incidence = [], [], []
+    for node in np.asarray(spans, dtype=complex):
+        node = node / np.linalg.norm(node, axis=-1, keepdims=True)
+        dirs, residuals = [], []
+        for pair in node:
+            away = [x - np.vdot(c, x) * c for x in pair]
+            far = int(np.linalg.norm(away[1]) > np.linalg.norm(away[0]))
+            size = np.linalg.norm(away[far])
+            dirs.append(away[far] / size if size > 0 else away[far])
+            q = np.linalg.qr(np.stack([c, pair[far]], axis=-1))[0]
+            near = pair[1 - far]
+            residuals.append(np.linalg.norm(near - q @ (np.conj(q.T) @ near)))
+        distinct.append(min(_chordal(dirs[i], dirs[j]) for i, j in ((0, 1), (0, 2), (1, 2))))
+        span_d.append(min(_chordal(p, q) for p, q in node))
+        incidence.append(max(residuals))
+    distinct, span_d, incidence = map(np.array, (distinct, span_d, incidence))
+    quantity = {"span-defined": (span_d, POINT_TOL), "lines-distinct": (distinct, POINT_TOL),
+                "center-incidence": (incidence, RANK_TOL)}
+    passes = {"span-defined": span_d > POINT_TOL, "lines-distinct": distinct > POINT_TOL,
+              "center-incidence": incidence <= RANK_TOL}
+    verdicts = np.all(list(passes.values()), axis=0)
+    fail_counts = {k: int(np.sum(~v)) for k, v in passes.items() if not v.all()}
+    return verdicts, fail_counts, np.minimum(distinct, span_d), quantity
+
+
 def line_triples_corpus(tag, seed=21):
     """Seeded triples of spans (A_i, B_i) of lines through the tag's center:
     generic ones; within 10x of every threshold (two lines close, a span's
-    points close, a line just off the center); next to the rank thresholds
-    from both sides; mutually orthogonal lines, whose margins all tie, as
-    on the atlas's F and B; the ``exact_rank_nodes`` as spans; and every
-    triple again with other representatives."""
+    points close, a line just off the center), and 1e4 past it on either
+    side; next to each threshold of ``pencil_reference`` from both sides;
+    mutually orthogonal lines, whose margins all tie, as on the atlas's F
+    and B; the ``exact_rank_nodes`` as spans; and every triple again with
+    other representatives."""
     rng = np.random.default_rng(seed)
     m = tag.n + 1
     c = tag.center.unit()
     near = lambda thr: thr * 10 ** rng.uniform(-0.7, 0.7)
     triple = lambda d, a: _config(c, d, a).reshape(3, 2, m)
-    nodes = [triple(_cplx(rng, 3, m), _cplx(rng, 3, 2)) for _ in range(40)]
-    for _ in range(10):
-        d, a, w = _cplx(rng, 3, m), _cplx(rng, 3, 2), _cplx(rng, m)
-        nodes.append(triple([d[0], d[0] + near(RANK_TOL) * w, d[2]], a))
-        nodes.append(triple(d, [[a[0, 0], a[0, 0] * (1 + near(POINT_TOL))], *a[1:]]))
-        t = triple(d, a)
-        t[2, 1] += near(RANK_TOL) * w
-        nodes.append(t)
-    d, a, w = _cplx(rng, 3, m), _cplx(rng, 3, 2), _cplx(rng, m)
-    nodes += _hug(lambda x: triple([d[0], d[0] + x * w, d[2]], a),
-                  lambda t: lapack_lines_reference(t[None], tag)[3]["lines-distinct"][0][0], RANK_TOL)
 
-    def off_center(x):
+    def close_lines(d, a, w, x):
+        return triple([d[0], d[0] + x * w, d[2]], a)
+
+    def close_points(d, a, w, x):
+        return triple(d, [[a[0, 0], a[0, 0] * (1 + x)], *a[1:]])
+
+    def off_center(d, a, w, x):
         t = triple(d, a)
-        t[1, 0] += x * w
+        t[2, 1] += x * w
         return t
 
-    nodes += _hug(off_center, lambda t: lapack_lines_reference(t[None], tag)[3]["center-incidence"][0][0],
-                  RANK_TOL)
+    defects = [(close_lines, POINT_TOL, "lines-distinct"), (close_points, POINT_TOL, "span-defined"),
+               (off_center, RANK_TOL, "center-incidence")]
+    nodes = [triple(_cplx(rng, 3, m), _cplx(rng, 3, 2)) for _ in range(40)]
+    for _ in range(10):
+        for make, thr, _ in defects:
+            for x in (near(thr), thr * 1e-4, thr * 1e4):
+                nodes.append(make(_cplx(rng, 3, m), _cplx(rng, 3, 2), _cplx(rng, m), x))
+    for make, thr, name in defects:
+        d, a, w = _cplx(rng, 3, m), _cplx(rng, 3, 2), _cplx(rng, m)
+        nodes += _hug(lambda x: make(d, a, w, x), lambda t: pencil_reference(t[None], tag)[3][name][0][0], thr)
     e = np.eye(m, dtype=complex)
     others = [k for k in range(m) if abs(c[k]) < 0.5]
     for _ in range(8):
@@ -757,27 +804,63 @@ def line_triples_corpus(tag, seed=21):
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
 
 
-def test_screen_on_line_triples_matches_lapack_near_every_threshold():
+def test_line_triples_match_the_pencil_reference():
+    """The kernel's margins and residuals are the plain-numpy reference's
+    within 1e-13 at every node of a corpus that hugs each threshold; so are
+    its verdicts and fail counts wherever no quantity lies within 1e-13 of
+    its threshold."""
     tag = atlas.TAG_LINES_I0_SOLID
     corpus = line_triples_corpus(tag)
-    verdicts, fail_counts, margins, quantity = lapack_lines_reference(corpus, tag)
+    _, _, margins, quantity = pencil_reference(corpus, tag)
     for name, (q, thr) in quantity.items():
-        assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
-    rows = unit_rows(corpus.reshape(len(corpus), 6, -1))
-    rows = np.concatenate([rows, np.broadcast_to(tag.center.unit(), (len(rows), 1, tag.n + 1))], axis=1)
-    _assert_bounds_hold(rows, strata._LINE_CHECKS)
-    exact, short = exact_rank_nodes(tag.n + 1)
-    center = np.broadcast_to(tag.center.unit(), (len(exact), 1, tag.n + 1))
-    _assert_short_stacks_unscreened(np.concatenate([unit_rows(exact), center], axis=1), short)
-    _assert_screened_batch_is_lapacks(validate_lines_batch(corpus, tag), verdicts, fail_counts, margins)
-    # without the spans whose points lie within 1e-3 and the triples within
-    # 1e4 of a rank threshold, a screened rank margin is least
-    keep = quantity["span-defined"][0] > 1e-3
-    for name in ("lines-distinct", "center-incidence"):
-        keep &= (quantity[name][0] < 1e-12) | (quantity[name][0] > 1e-4)
-    corpus = corpus[keep]
-    verdicts, fail_counts, margins, _ = lapack_lines_reference(corpus, tag)
-    _assert_screened_batch_is_lapacks(validate_lines_batch(corpus, tag), verdicts, fail_counts, margins)
+        assert np.any((q > thr / 10) & (q <= thr)) and np.any((q > thr) & (q < thr * 10)), name
+    res = validate_lines_batch(corpus, tag)
+    assert np.all(np.abs(res.margins - margins) <= 1e-13)
+    assert np.all(np.abs(res.residuals - quantity["center-incidence"][0]) <= 1e-13)
+    clear = np.all([np.abs(q - thr) > 1e-13 for q, thr in quantity.values()], axis=0)
+    verdicts, fail_counts, _, _ = pencil_reference(corpus[clear], tag)
+    assert verdicts.any() and len(fail_counts) == 3
+    res = validate_lines_batch(corpus[clear], tag)
+    assert np.array_equal(res.verdicts, verdicts) and res.fail_counts == fail_counts
+
+
+def test_line_triple_verdicts_agree_with_lapack_away_from_thresholds():
+    """Lines-distinct and center-incidence were relative singular values of
+    four- and three-row stacks, passing above and at or below
+    rank_rel_tol.  Wherever every one of those LAPACK quantities lies
+    outside [thr / 100, 100 thr], the closed-form verdicts are theirs, and
+    so are the fail counts on the triples through the center (a line off
+    the center is no point of the pencil, so lines-distinct may read
+    otherwise on it)."""
+    tag = atlas.TAG_LINES_I0_SOLID
+    corpus = line_triples_corpus(tag)
+    quantity = lapack_lines_reference(corpus, tag)[3]
+    corpus = corpus[np.all([(q < thr / 100) | (q > thr * 100) for q, thr in quantity.values()], axis=0)]
+    verdicts, fail_counts, _, quantity = lapack_lines_reference(corpus, tag)
+    assert set(fail_counts) == {"span-defined", "lines-distinct", "center-incidence"} and verdicts.any()
+    assert np.array_equal(validate_lines_batch(corpus, tag).verdicts, verdicts)
+    through = corpus[quantity["center-incidence"][0] <= RANK_TOL]
+    fail_counts = lapack_lines_reference(through, tag)[1]
+    assert set(fail_counts) == {"span-defined", "lines-distinct"}
+    assert validate_lines_batch(through, tag).fail_counts == fail_counts
+
+
+def test_line_triples_take_no_rank_stack(monkeypatch, tmp_path):
+    """The F, B, s and Lambda sweeps and a span-form membership file run
+    with LAPACK's SVD and the rank screen unavailable."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a line triple took a rank stack")
+
+    monkeypatch.setattr(np.linalg, "svd", unavailable)
+    monkeypatch.setattr(strata, "rank3_screen", unavailable)
+    for name in ("F", "B", "s", "Lambda"):
+        grid = 64 if name == "s" else (32, 16)
+        assert sweep_item(name, grid).ok, name
+    nodes = domain_nodes("disk", (4, 4))[0]
+    spans = atlas.get("F").eval(**nodes)[5].reshape(6, -1)
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(Config6.from_array(spans).to_json(atlas.TAG_LINES_I0_SOLID)))
+    assert main(["membership", str(path)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -242,3 +242,57 @@ def test_C4_line_disk_sweep_catches_planted_defects(defects, failing, monkeypatc
     row = next(c for c in rep.checks if c.name == "membership Lambda")
     assert row.status == FAIL and row.note == f"failing sub-checks: {failing}"
     assert next(c for c in rep.checks if c.name == "membership s").status == PASS
+
+
+def _d3_off_center(z, spans):
+    """d3's second point moved by 1e-6 z along (0, 1, 0, 1): a line that
+    misses the center [0:0:1:0] away from the disk's center."""
+    spans = spans.copy()
+    spans[..., 2, 1, :] += 1e-6 * z[..., None] * np.array([0, 1, 0, 1])
+    return spans
+
+
+def _d2_equals_d3(z, spans):
+    return spans[..., [0, 2, 2], :, :]
+
+
+@pytest.mark.parametrize("name", ["F", "B"])
+@pytest.mark.parametrize("defects, failing", [
+    ((_d3_off_center,), ["center-incidence"]),
+    ((_d2_equals_d3,), ["lines-distinct"]),
+    ((_d3_off_center, _d2_equals_d3), ["center-incidence", "lines-distinct"]),
+], ids=["off-center", "equal-lines", "both"])
+def test_C12_line_triple_sweeps_catch_planted_defects(name, defects, failing, monkeypatch):
+    """C12 sweeps the printed line disks F and B in CP^3: a line off the
+    center, or two equal lines, fail the disk's membership row by name."""
+    item = atlas.get(name)
+    printed = item.formula
+
+    def planted(z, zb, r):
+        spans = printed(z, zb, r)
+        for defect in defects:
+            spans = defect(z, spans)
+        return spans
+
+    monkeypatch.setattr(item, "formula", planted)
+    rep = verify_claim("C12", RunConfig(disk_grid=(33, 16)))
+    row = next(c for c in rep.checks if c.name == f"membership {name}")
+    assert row.status == FAIL and row.note == f"failing sub-checks: {failing}"
+    other = "B" if name == "F" else "F"
+    assert next(c for c in rep.checks if c.name == f"membership {other}").status == PASS
+
+
+def test_C1_shifted_output_center_fails_validity(monkeypatch):
+    """Outputs of phi_triv whose center is 3e-9 (relative) off the requested
+    one are invalid: the validity row fails and names center-matches."""
+    original = atlas.phi_triv
+
+    def shifted(centers, configs):
+        centers = np.asarray(centers, dtype=complex)
+        shift = 3e-9 * np.linalg.norm(centers, axis=-1, keepdims=True) * np.array([1, -1j, 0]) / np.sqrt(2)
+        return original(centers + shift, configs)
+
+    monkeypatch.setattr(atlas, "phi_triv", shifted)
+    rep = verify_claim("C1", RunConfig())
+    row = next(c for c in rep.checks if c.name == "output validity")
+    assert row.status == FAIL and "center-matches" in row.note
