@@ -12,7 +12,6 @@ immutable values; batched variants (suffix ``_batch``) take arrays shaped
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,15 +21,15 @@ import numpy as np
 ZERO_FLOOR = 1e-300
 # Euclidean norms outside this range lose digits or overflow when squared.
 SAFE_NORM = (1e-150, 1e150)
-EPS = np.finfo(np.float64).eps
-# Rows per pass of the batched kernels (see ``chunked``).  The screens'
-# temporaries grow with it: at 2,048 rows, serial and 2-thread runs of
-# ``verify --all`` in one process peaked about 10% above the SVD kernels the
-# screens replace; at 1,024 rows, level with them.
+# Rows per pass of ``meet`` (see ``chunked``), whose temporaries hold a few
+# complex numbers per row: 1,024 keeps each below numpy's threshold for
+# reusing temporaries in place, so a node's meet does not depend on the size
+# of its batch.
 CHUNK = 1024
 # Rows per pass of a kernel whose temporaries hold one complex number per
 # row (``bracket_rows``, ``chordal_batch``, ``line_residual``,
-# ``pencil_points``): 8,192 keeps each at 128 KiB, half of numpy's
+# ``pencil_points``, ``collinear_residual``; ``chordal_pairs`` divides it by
+# its number of pairs): 8,192 keeps each at 128 KiB, half of numpy's
 # threshold, in one pass for most loop samples.
 VECTOR_ROWS = 8192
 
@@ -62,7 +61,8 @@ class Tolerances:
     """Numeric thresholds shared by every predicate.
 
     proj_eq_tol   chordal distance below which two points are the same
-    rank_rel_tol  relative singular-value cutoff for numerical rank
+    rank_rel_tol  cutoff for incidence and span residuals, and for the
+                  relative singular values of ``span_dim``
     margin_warn   margins below this are flagged in reports
     """
 
@@ -223,7 +223,7 @@ def chordal_pairs(rows: np.ndarray, pairs) -> np.ndarray:
     def kernel(x):                                    # (rows, k, m) -> (m, pairs, rows) per side
         x = np.moveaxis(x, 0, -1)
         return _chordal(np.swapaxes(x[first], 0, 1), np.swapaxes(x[second], 0, 1)).T
-    return chunked(kernel, rows, core=2)
+    return chunked(kernel, rows, core=2, rows=max(1, VECTOR_ROWS // len(first)))
 
 
 def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
@@ -259,14 +259,15 @@ def _line_residual(a, b):
 
 def pencil_points(spans: np.ndarray, center: np.ndarray) -> tuple:
     """Each span of unit rows (..., 2, m) as a point of the pencil of lines
-    through the unit ``center``, a CP^(m-2), batched over the leading axes:
-    the unit direction from the center of the span's farther point (zero
-    where both points are exactly the center), and the incidence residual
-    (...), the chordal distance of the nearer point from the line through
-    the center and the farther one (the Gram-Schmidt steps of
-    ``line_residual``), accurate to a few eps wherever the points lie.
+    through the unit ``center`` (..., m), a CP^(m-2), batched over the
+    spans' leading axes (the center's broadcast against them: one center,
+    or one per node): the unit direction from the center of the span's
+    farther point (zero where both points are exactly the center), and the
+    incidence residual (...), the chordal distance of the nearer point from
+    the line through the center and the farther one (the Gram-Schmidt steps
+    of ``line_residual``), accurate to a few eps wherever the points lie.
     Whether a span is a line is the caller's check."""
-    return chunked(_pencil_points, spans, np.asarray(center)[None], core=2, rows=VECTOR_ROWS)
+    return chunked(_pencil_points, spans, np.asarray(center)[..., None, :], core=2, rows=VECTOR_ROWS)
 
 
 def _pencil_points(a, c):
@@ -279,6 +280,30 @@ def _pencil_points(a, c):
     d = [np.where(first, u, v) / size for u, v in zip(dx, dy)]
     near = [np.where(first, v, u) for u, v in zip(dx, dy)]
     return np.stack(d, axis=-1), np.sqrt(_norm2(_away(near, d)))
+
+
+def collinear_residual(points: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """How far three unit points (..., 3, m) are from lying on one line,
+    batched over the leading axes: the chordal distance of one point from
+    the line through the other two, with ``dist`` (..., 3) their chordal
+    distances in the order (0, 1), (0, 2), (1, 2).  The line is taken
+    through the farthest-apart pair, whose Gram-Schmidt frame keeps the
+    value accurate to a few eps (Golub & Van Loan, Matrix Computations, 4th
+    ed., 5.2); through a close pair it would be off by about eps over that
+    pair's distance.
+    """
+    return chunked(_collinear_residual, points, np.asarray(dist)[..., None], core=2, rows=VECTOR_ROWS)
+
+
+def _collinear_residual(a, d):
+    """``collinear_residual`` on one pass of rows, one vector per coordinate."""
+    far = np.argmax(d[:, :, 0], axis=1)
+    at = np.arange(len(a))
+    p, q, x = (a[at, np.array(k)[far]].T for k in ((0, 0, 1), (1, 2, 2), (2, 1, 0)))
+    e = _away(q, p)
+    size = np.sqrt(_norm2(e))
+    size[size == 0] = 1.0
+    return np.sqrt(_norm2(_away(_away(x, p), [ec / size for ec in e])))
 
 
 def _away(u, e):
@@ -300,7 +325,7 @@ def _norm2(u):
 def relative_singular_values(rows: np.ndarray) -> np.ndarray:
     """Singular values of stacked representatives divided by the largest,
     batched over leading axes: ``[..., r]`` is the numerical-rank margin of
-    rank r + 1.  Used by the rank checks."""
+    rank r + 1.  Used by ``span_dim``."""
     s = np.linalg.svd(rows, compute_uv=False)
     return s / s[..., :1]
 
@@ -340,9 +365,10 @@ def meet(p1, q1, p2, q2):
     orthonormal frames (p1, e1) and (p2, e2) of the lines and r(x) the
     component of x orthogonal to p2 q2, the eigenvector (a, b) of the least
     eigenvalue of the 2x2 Gram of r(p1), r(e1) gives a p1 + b e1.  The sine
-    is the norm of [r(p1), r(e1)].  Whether the lines meet is the rank
-    check ``concurrent d1-d2`` of ``strata.validate_batch``, not a test
-    here.  Where the meet is undefined the point is only a placeholder.
+    is the norm of [r(p1), r(e1)].  Whether the lines meet is not a test
+    here: ``strata.validate_batch``'s check ``concurrent`` measures how far
+    d2 passes from the point.  Where the meet is undefined the point is only
+    a placeholder.
     """
     return chunked(_meet, p1, q1, p2, q2)
 
@@ -422,194 +448,3 @@ def _bracket(a, b, c):
         - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
         + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
     )
-
-
-def rank3_screen(rows: np.ndarray, stacks, fourth=()) -> tuple:
-    """Closed-form third relative singular value of stacks of rows that span
-    about three dimensions, with an error bound and no LAPACK call.
-
-    ``rows`` (N, r, m) are unit representatives; each of ``stacks`` and
-    ``fourth`` is a tuple of at least three row indices.  Returns ``est``
-    and ``err``, both (N, len(stacks) + len(fourth)): for each stack s of
-    ``stacks``, then of ``fourth``, ``relative_singular_values(rows[:, s])``
-    at index 2, then 3, as LAPACK computes it, lies within ``err`` of
-    ``est``.  A node whose bound cannot be formed gets est 0 and err inf.
-    The fourth value is for stacks of four rows, or of four columns (CP^3),
-    above CP^2: the skew of two lines, the excess of a planar span.  Its
-    interval is one-sided, from 0 to tau over a lower bound on sigma_1 (see
-    below), with ``est`` at its middle: it certifies a value near zero and
-    sends any other to LAPACK.
-
-    In CP^2 a stack M of k rows has three columns, and a stack of three rows
-    is screened as its transpose, whose rows are its m columns.  Any other
-    stack is first written as M = N B + R: B has as rows an orthonormal
-    basis of a span of three rows of M (the first two rows and the other one
-    farthest from them, each orthogonalized twice), N (k x 3) the
-    coefficients and R the residuals; a stack whose rows span fewer than
-    three dimensions exactly has no such basis, so it gets err inf and goes
-    to LAPACK.  Each singular value of M is within
-    tau = ||R|| + ||N|| ||B B^H - I|| of N's (Weyl's inequality,
-    Stewart & Sun, Matrix Perturbation Theory, 1990).  tau is near eps
-    where the rows span three dimensions, and large otherwise, where the
-    bound sends the node to LAPACK.  Let G = N^H N, with eigenvalues
-    l0 >= l1 >= l2 (the squared singular values of N):
-    - sqrt(l0 l1 l2) = sqrt(det G) is the norm of the vector of brackets of
-      the row triples of N (Cauchy-Binet).  It keeps its absolute
-      accuracy down to zero; det G from the entries of G, or l2 from Smith's
-      formula, would not (a sqrt(eps) floor).
-    - l0 and l1 come from Smith's formula for 3x3 Hermitian matrices
-      (CACM 4(4), 1961), with the deviatoric norm p taken from the entries
-      of G - qI rather than from tr^2 - 3 e2.
-    - est = sqrt(det G) / (l0 sqrt(l1)).
-    - N B has rank three, so M's fourth singular value is at most
-      ||R|| <= tau (Weyl), and its first at least sqrt(l0 - dl) - tau, dl
-      the bound on l0's error.
-
-    ``err`` is interval arithmetic over deliberately loose error bounds:
-    - each entry of the computed G is off by at most (k + 3) k eps, so by
-      Weyl's inequality each of its eigenvalues is off by at most three
-      times that;
-    - Smith's angle arccos(r) / 3 is bounded by the image under arccos of an
-      interval around r.  Near a repeated eigenvalue arccos has no finite
-      slope, so l0 and l1 may be off by about p sqrt(eps), not eps: on the
-      stack e1, e2, e3, (e1 + e2 + e3) / sqrt(3) the formula is off by 3e-9;
-    - each bracket is off by at most 64 eps, and R as computed by at most
-      32 k m eps;
-    - LAPACK's singular values are those of M + F with ||F|| <= 64 k' eps
-      sigma_1, k' = max(k, m), so the ratio it returns is off by at most
-      64 k' eps (1 + est).
-    The code widens the first terms by further factors of 4 to 8.  On the
-    test corpora (random, near-degenerate and repeated-eigenvalue stacks) a
-    third value above 1e-6 is off by at most about 1/24 of ``err``, and one
-    below by at most about a third of it.  A fourth value near zero lies at
-    the bottom of its interval, whose top is there about 1e-13.
-    """
-    return chunked(lambda x: _rank3_screen_chunk(x, list(stacks), list(fourth)),
-                   np.asarray(rows, dtype=np.complex128), core=2)
-
-
-def _project3(xs, stacks) -> tuple:
-    """The coefficients N (S, k, 3, N) of the rows of each of ``stacks``
-    (S stacks of k rows) in an orthonormal basis of a span of three of
-    them, and tau (S, N), the bound on the distance of each singular value
-    of a stack from N's (see ``rank3_screen``).  ``xs`` holds one (r, N)
-    array per coordinate.  The basis starts from a stack's first two rows
-    and the one of the others farthest from their span."""
-    k, m = len(stacks[0]), len(xs)
-    rows = [xc[np.array(stacks)] for xc in xs]                           # m x (S, k, N)
-    basis, v = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(3):
-            if j < 2:
-                b = [rc[:, j] for rc in rows]
-            else:                  # the row farthest from the span of the first two
-                far = np.argmax(_norm2(rows)[:, 2:] - np.abs(v[0][:, 2:]) ** 2 - np.abs(v[1][:, 2:]) ** 2,
-                                axis=1)[:, None] + 2
-                b = [np.take_along_axis(rc, far, 1)[:, 0] for rc in rows]
-            # orthogonal to the basis, twice, since a residual near rounding
-            # size is noise in any direction; where none remains (the rows
-            # span fewer dimensions exactly) b is 0/0, and the bound with it
-            for _ in range(2):
-                for a in basis:
-                    ip = _dot(a, b)
-                    b = [bc - ip * ac for bc, ac in zip(b, a)]
-                size = np.sqrt(_norm2(b))
-                b = [bc / size for bc in b]
-            basis.append(b)
-            v.append(_dot([ac[:, None] for ac in b], rows))                  # (S, k, N)
-    res = [rc - functools.reduce(np.add, (vj * a[c][:, None] for vj, a in zip(v, basis)))
-           for c, rc in enumerate(rows)]
-    rho = np.sqrt(np.sum(_norm2(res), axis=1))
-    dev = sum(np.abs(_dot(a, b) - (j == l)) ** 2 * (1 + (j != l))
-              for j, a in enumerate(basis) for l, b in enumerate(basis) if j <= l)
-    v = np.stack(v, axis=2)                                              # (S, k, 3, N)
-    size = np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=(1, 2)))      # ||N||_F >= sigma_1(N)
-    return v, rho + 32 * k * m * EPS + size * (np.sqrt(dev) + 8 * m * EPS)
-
-
-def _rank3_screen_chunk(rows: np.ndarray, stacks, fourth) -> tuple:
-    """``rank3_screen`` on one pass of nodes."""
-    # one contiguous vector per row and coordinate: (r, m, N)
-    x = np.moveaxis(rows, 0, -1).copy()
-    m = x.shape[1]
-    order = list(dict.fromkeys(stacks + fourth))
-    if m == 3:
-        groups = [(x, order, 0.0)]
-    else:
-        # a stack of three rows as its transpose, whose m rows are its
-        # columns; a larger one in the basis of a span of three of its rows
-        xs = [x[:, c] for c in range(m)]
-        proj = {}
-        for k in dict.fromkeys(len(s) for s in order if len(s) > 3):
-            same = [s for s in order if len(s) == k]
-            proj.update(zip(same, zip(*_project3(xs, same))))
-        groups = [(np.swapaxes(x[list(s)], 0, 1), [tuple(range(m))], 0.0) if len(s) == 3
-                  else (proj[s][0], [tuple(range(len(s)))], proj[s][1]) for s in order]
-    gd, go, vol, tau, n_rows, n_brackets = [], [], [], [], [], []
-    for v, group, t in groups:
-        sq = v.real ** 2 + v.imag ** 2                                  # |v_a|^2
-        vc = np.conj(v)
-        off = np.stack([vc[:, 0] * v[:, 1], vc[:, 0] * v[:, 2], vc[:, 1] * v[:, 2]], axis=1)
-        triples = [list(itertools.combinations(sorted(s), 3)) for s in group]
-        br2 = {}
-        for tr in set().union(*triples):
-            b = _bracket(*(v[i].T for i in tr))
-            br2[tr] = b.real ** 2 + b.imag ** 2
-        for s, ts in zip(group, triples):
-            gd.append(functools.reduce(np.add, (sq[i] for i in s)))                # (3, N)
-            go.append(functools.reduce(np.add, (off[i] for i in s)))               # g01, g02, g12
-            vol.append(np.sqrt(functools.reduce(np.add, (br2[tr] for tr in ts))))  # sqrt(det G)
-            tau.append(np.broadcast_to(t, vol[-1].shape))
-            n_rows.append(len(s))
-            n_brackets.append(len(ts))
-    gd, go, vol, tau = np.stack(gd), np.stack(go), np.stack(vol), np.stack(tau)
-    n_rows = np.array(n_rows, dtype=float)[:, None]
-    n_brackets = np.array(n_brackets, dtype=float)[:, None]
-    n_dims = np.maximum(n_rows, m)
-
-    # Smith: G = qI + pB', eigenvalues q + 2p cos(phi + 2 pi j / 3), r = det(B') / 2
-    q = (gd[:, 0] + gd[:, 1] + gd[:, 2]) / 3
-    b0, b1, b2 = gd[:, 0] - q, gd[:, 1] - q, gd[:, 2] - q
-    o01, o02, o12 = np.moveaxis(go.real ** 2 + go.imag ** 2, 1, 0)
-    p = np.sqrt((b0 ** 2 + b1 ** 2 + b2 ** 2 + 2 * (o01 + o02 + o12)) / 6)
-    det_b = (b0 * b1 * b2 + 2 * np.real(go[:, 0] * go[:, 2] * np.conj(go[:, 1]))
-             - b0 * o12 - b1 * o02 - b2 * o01)
-    d_entry = 4 * (n_rows + 3) * n_rows * EPS + 4 * EPS * q             # entries of G - qI
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = det_b / (2 * p ** 3)
-        rel = d_entry / p
-        dr = 64 * rel * (1 + 16 * rel) ** 2 + 256 * EPS
-        r = np.where(np.isfinite(r), r, 0.0)
-        dr = np.where(np.isfinite(dr), dr, np.inf)
-        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
-        width = (np.arccos(np.clip(r - dr, -1.0, 1.0)) - np.arccos(np.clip(r + dr, -1.0, 1.0))) / 3
-        l0 = q + 2 * p * np.cos(phi)
-        l1 = q + 2 * p * np.cos(phi + 4 * np.pi / 3)
-        dl = 8 * d_entry + 2 * p * width + 8 * EPS * (q + p)
-        dvol = 64 * EPS * np.sqrt(n_brackets) + 4 * (n_brackets + 1) * EPS * vol
-
-        at = [order.index(s) for s in stacks]
-        est = vol[at] / (l0[at] * np.sqrt(l1[at]))
-        hi = np.where(l1[at] > dl[at], (vol[at] + dvol[at]) / ((l0[at] - dl[at]) * np.sqrt(l1[at] - dl[at])),
-                      np.inf)
-        lo = np.maximum(vol[at] - dvol[at], 0.0) / ((l0[at] + dl[at]) * np.sqrt(l1[at] + dl[at]))
-        # sigma_1 of M is at least sqrt(l0 - dl) - tau; tau / sigma_1(N) widens a ratio of N's
-        t = np.where(tau[at] > 0, tau[at] / np.sqrt(l0[at] - dl[at]), 0.0)
-        hi = np.where(t < 1, (hi + t) / (1 - t), np.inf)
-        lo = np.maximum(lo - t, 0.0) / (1 + t)
-        ests, his, los = [est], [hi], [lo]
-        if fourth:
-            # sigma_4 of M is at most tau: one-sided, as it may be zero
-            at = [order.index(s) for s in fourth]
-            s1 = np.sqrt(l0[at] - dl[at]) - tau[at]
-            lo4, hi4 = np.zeros(s1.shape), np.where(s1 > 0, tau[at] / s1, np.inf)
-            ests.append((lo4 + hi4) / 2)
-            los.append(lo4)
-            his.append(hi4)
-        est, hi, lo = np.concatenate(ests), np.concatenate(his), np.concatenate(los)
-        dims = n_dims[[order.index(s) for s in stacks + fourth]]
-        err = (np.maximum(hi - est, est - lo) * (1 + 16 * EPS)
-               + 64 * dims * EPS * (1 + est))
-    bad = ~(np.isfinite(est) & np.isfinite(err))
-    return np.where(bad, 0.0, est).T, np.where(bad, np.inf, err).T
-

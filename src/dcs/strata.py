@@ -6,10 +6,13 @@ distinct from the common center I; planar if the points span a 2-plane,
 solid if they span a 3-space.  ``validate`` checks exactly the written
 conditions, nothing more.
 
-Margins are "distance to degeneracy" quantities (bigger is safer): chordal
-distances and relative singular values.  Exact incidence requirements
-(concurrency, fixed center) are residuals (smaller is better) and are
-reported separately instead of being folded into the margin minimum.
+Both value kinds are measured the same way: each line through the center
+is a point of the pencil of lines through it, a CP^(n-1).  Margins are
+"distance to degeneracy" quantities (bigger is safer): chordal distances,
+and for a solid configuration the distance of its third line from the
+plane of the other two.  Exact incidence requirements (concurrency, fixed
+center, a planar span) are residuals (smaller is better) and are reported
+separately instead of being folded into the margin minimum.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .projective import (
     Tolerances,
     chordal_batch,
     chordal_pairs,
+    collinear_residual,
     is_int,
     meet,
     pencil_points,
-    rank3_screen,
-    relative_singular_values,
     span_dim,
     unit_rows,
 )
@@ -40,6 +42,8 @@ from .projective import (
 # whose chordal distances validate_batch checks: the points, then the meet.
 _POINT_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 _CENTER_PAIRS = [(i, 6) for i in range(6)]
+# Pairs of the three lines, in the order ``collinear_residual`` reads.
+_LINE_PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
 @dataclass(frozen=True)
@@ -214,20 +218,8 @@ def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_T
 @dataclass
 class BatchResult:
     """Vectorized validation outcome over a batch of configurations or
-    line triples.  A line triple's entries are closed form throughout (see
-    ``validate_lines_batch``).  A configuration's ``verdicts`` and
-    ``fail_counts`` are always LAPACK's: one LAPACK pass takes every rank
-    value whose interval holds its threshold.  ``margins`` is exact (LAPACK
-    singular values, chordal distances) at every node that can attain the
-    batch's least margin, over all nodes or over the passing nodes.  In a
-    screened batch (every batch of more than one node, see
-    ``strata._rank_values``) a rank value of a kind that
-    ``projective.rank3_screen`` screens is elsewhere within its stated
-    bound, and every other rank value is LAPACK's.  So ``residuals`` is
-    within that bound at every node whose rank values are screened: a
-    maximum residual, or a least margin over another subset of nodes, is
-    then an estimate within that bound (about 1e-13 for a residual near
-    zero), not LAPACK's value.  A batch of one is exact throughout.
+    line triples, every entry in closed form (see ``validate_batch`` and
+    ``validate_lines_batch``).
 
     A batch is validated as the batch of its bitwise-distinct nodes, in
     order of first occurrence (see ``_each_distinct_once``): a repeated
@@ -309,17 +301,38 @@ def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT
 def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
     """Validate many six-point tuples at once.
 
-    ``points`` has shape (N, 6, n+1).  Checks (named as reported):
-    pairwise-distinct, lines-defined (within pairwise), lines-distinct,
-    concurrent (d1-d2 above CP^2, and d3), meet-defined, center-apart, span,
-    center-matches (fixed tags only).  The rank checks are relative singular
-    values of stacks of rows (see ``_rank_checks``); ``_rank_values`` says
-    where each comes from.  Verdicts and fail_counts are LAPACK's at every
-    node, and so are the least margin and the first node attaining it, over
-    all nodes or over the passing ones (see ``BatchResult``).  Each
-    bitwise-distinct node is validated once, and ``fail_counts`` counts
-    failing nodes with their multiplicity.
+    ``points`` has shape (N, 6, n+1).  A configuration is measured as the
+    line triple through its own center, the meet of d1 and d2: each span
+    (A_i, B_i) becomes its point of the pencil of lines through the meet,
+    with an incidence residual (``projective.pencil_points``), as in
+    ``validate_lines_batch``.  Checks (named as reported):
+    - pairwise-distinct: the six points pairwise more than proj_eq_tol apart
+      (so each line is defined);
+    - meet-defined (see ``projective.meet``);
+    - center-apart: each point more than proj_eq_tol from the meet;
+    - center-matches (fixed tags only): the meet within proj_eq_tol of the
+      tag's center, a residual;
+    - lines-distinct: the three pencil points pairwise more than
+      proj_eq_tol apart;
+    - concurrent: every incidence residual at most rank_rel_tol (d1 passes
+      through the meet by construction; above CP^2, d2's residual is the
+      skew of d1 and d2);
+    - span-at-least (solid): the chordal distance of one pencil point from
+      the pencil line through the other two (``collinear_residual``) above
+      rank_rel_tol, a margin;
+    - span-exact (planar above CP^2): the same distance at most
+      rank_rel_tol, a residual.
+    A planar span of at least a plane is implied by lines-distinct, and a
+    solid span of at most a 3-space in CP^4 by concurrent: the farther
+    point of each span lies exactly in span(I, d_i), the nearer within its
+    residual of it.  The margin is the least chordal distance of the
+    checks, with a solid span's distance; the residual the largest of
+    center-matches, concurrent and span-exact.  Each bitwise-distinct node
+    is validated once, and ``fail_counts`` counts failing nodes with their
+    multiplicity.
     """
+    if not tag.kind.startswith("D_"):
+        raise ProjectiveError(f"validate_batch requires a Desargues tag, got {tag.kind}")
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim == 2:
         pts = pts[None]
@@ -336,121 +349,47 @@ def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
     ``counts`` times each when given."""
     u = unit_rows(pts)
     centers, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
-    rows = np.concatenate([u, centers[:, None]], axis=1)
-    del u
-    dist = chordal_pairs(rows, _POINT_PAIRS + _CENTER_PAIRS)
+    dist = chordal_pairs(np.concatenate([u, centers[:, None]], axis=1), _POINT_PAIRS + _CENTER_PAIRS)
     # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
     pair = dist[:, :len(_POINT_PAIRS)].min(axis=-1)
     apart = dist[:, len(_POINT_PAIRS):].min(axis=-1)
-    residuals = np.zeros(len(rows))
-    passes = {
-        "pairwise-distinct": pair > tol.proj_eq_tol,
-        "meet-defined": defined,
-        "center-apart": apart > tol.proj_eq_tol,
-    }
+    fail_counts: dict = {}
+    ok = (_record(fail_counts, "pairwise-distinct", pair > tol.proj_eq_tol, counts)
+          & _record(fail_counts, "meet-defined", defined, counts)
+          & _record(fail_counts, "center-apart", apart > tol.proj_eq_tol, counts))
+    residuals = np.zeros(len(u))
     if tag.kind.endswith("_fixed"):
         residuals = chordal_batch(centers, tag.center.unit()[None, :])
-        passes["center-matches"] = residuals <= tol.proj_eq_tol
-    checks = _rank_checks(tag.span_required, pts.shape[2])
-    chordal = np.minimum(pair, apart)
-    rank = _rank_values(rows, checks, chordal, defined, np.logical_and.reduce(list(passes.values())), tol)
-    is_margin = np.array([c[3] for c in checks])
-    passes.update(zip([c[0] for c in checks], _rank_passes(rank, is_margin, tol).T))
-    ok = np.ones(len(rows), dtype=bool)
-    fail_counts: dict = {}
-    for name, good in passes.items():
-        ok &= _record(fail_counts, name, good, counts)
-    return BatchResult(ok, np.minimum(chordal, rank[:, is_margin].min(axis=-1)),
-                       np.maximum(residuals, rank[:, ~is_margin].max(axis=-1)), fail_counts, centers)
+        ok &= _record(fail_counts, "center-matches", residuals <= tol.proj_eq_tol, counts)
+    points, incidence = pencil_points(u.reshape(len(u), 3, 2, -1), centers[:, None])
+    good, distinct, concurrent, lines = _pencil_checks(points, incidence, "concurrent", tol, fail_counts, counts)
+    ok &= good
+    margins = np.minimum(np.minimum(pair, apart), distinct)
+    residuals = np.maximum(residuals, concurrent)
+    solid = tag.span_required == 3
+    if solid or tag.n > 2:
+        span = collinear_residual(points, lines)
+        if solid:
+            ok &= _record(fail_counts, "span-at-least", span > tol.rank_rel_tol, counts)
+            margins = np.minimum(margins, span)
+        else:
+            ok &= _record(fail_counts, "span-exact", span <= tol.rank_rel_tol, counts)
+            residuals = np.maximum(residuals, span)
+    return BatchResult(ok, margins, residuals, fail_counts, centers)
 
 
-def _rank_checks(want: Optional[int], m: int) -> list:
-    """The rank checks of ``validate_batch``: name, the rows of the stack
-    (A1, B1, A2, B2, A3, B3 are rows 0-5 and the meet of d1 and d2 row 6),
-    the index of its relative singular value, and whether that value is a
-    margin (passes above rank_rel_tol) or a residual (passes at or below).
-    Two lines of CP^2 always meet, so "concurrent d1-d2" is a check above
-    CP^2 only: the skew of the four points, the last of their values."""
-    checks = [("lines-distinct d1-d2", (0, 1, 2, 3), 2, True),
-              ("lines-distinct d1-d3", (0, 1, 4, 5), 2, True),
-              ("lines-distinct d2-d3", (2, 3, 4, 5), 2, True),
-              ("concurrent d3", (6, 4, 5), 2, False)]
-    if m > 3:
-        checks.append(("concurrent d1-d2", (0, 1, 2, 3), 3, False))
-    if want is not None:
-        checks.append(("span-at-least", (0, 1, 2, 3, 4, 5), want, True))
-        if m > want + 1:
-            checks.append(("span-exact", (0, 1, 2, 3, 4, 5), want + 1, False))
-    return checks
-
-
-def _rank_passes(values: np.ndarray, is_margin: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Which rank values (N, len(checks)) pass their check."""
-    thr = tol.rank_rel_tol
-    return np.where(is_margin, values > thr, values <= thr)
-
-
-def _rank_values(rows, checks, chordal, defined, others_pass, tol: Tolerances) -> np.ndarray:
-    """Values (N, len(checks)) of the rank checks on the stacks of ``rows``.
-
-    A batch of one node takes LAPACK.  A larger batch takes
-    ``projective.rank3_screen``'s closed-form estimates, with stated bounds,
-    for every third value (lines-distinct, concurrent d3, a planar span)
-    and for the fourth value of a residual stack of four rows or columns
-    (concurrent d1-d2 above CP^2, the skew; a planar span's excess in
-    CP^3), whose interval is one-sided.  Then two LAPACK passes:
-    - the threshold pass: the unscreened values (a solid span) at every
-      node, and the screened ones at every node whose meet is undefined
-      (row 6 is then no meet) or where some interval holds its threshold,
-      so every verdict is LAPACK's;
-    - the minimum pass: each other (node, stack) pair whose margin interval
-      reaches the least upper bound of the nodes' margin intervals (the
-      least of ``chordal`` and the rank margin intervals) over all nodes,
-      or over the nodes passing every check (``others_pass`` and the rank
-      verdicts), and reaches the upper bound of its own node: so is each
-      such minimum, and the first node attaining it.  A node's other checks
-      stay screened.
-    Elsewhere a screened value is within its bound of LAPACK's.
-    """
-    n_checks = len(checks)
-    if len(rows) <= 1:
-        values = np.zeros((len(rows), n_checks))
-        _run_lapack(rows, checks, np.ones(values.shape, dtype=bool), values)
-        return values
-    thr = tol.rank_rel_tol
-    m = rows.shape[-1]
-    third = [i for i, c in enumerate(checks) if c[2] == 2]
-    fourth = [i for i, c in enumerate(checks)
-              if c[2] == 3 and not c[3] and min(len(c[1]), m) == 4]
-    screened = np.zeros(n_checks, dtype=bool)
-    screened[third + fourth] = True
-    est, err = np.zeros((len(rows), n_checks)), np.zeros((len(rows), n_checks))
-    est[:, third + fourth], err[:, third + fourth] = rank3_screen(
-        rows, [checks[i][1] for i in third], [checks[i][1] for i in fourth])
-    lo, hi = est - err, est + err
-    holds = ~defined | np.any((lo <= thr) & (hi > thr), axis=-1)
-    _run_lapack(rows, checks, ~screened | holds[:, None], est, lo, hi)
-    is_margin = np.array([c[3] for c in checks])
-    ok = others_pass & np.all(_rank_passes(est, is_margin, tol), axis=-1)
-    node_hi = np.minimum(chordal, hi[:, is_margin].min(axis=-1))
-    bound = node_hi.min()
-    reach = np.where(ok, node_hi[ok].min() if ok.any() else bound, bound)
-    cand = is_margin & (lo < hi) & (lo <= np.minimum(reach, node_hi)[:, None])
-    _run_lapack(rows, checks, cand, est, lo, hi)
-    return est
-
-
-def _run_lapack(rows, checks, mask, *values) -> None:
-    """Set the (node, check) entries of ``mask`` in each of ``values`` to
-    LAPACK's value: one SVD per stack over the nodes that need it."""
-    for stack in dict.fromkeys(c[1] for c in checks):
-        cols = [i for i, c in enumerate(checks) if c[1] == stack]
-        nodes = np.flatnonzero(mask[:, cols].any(axis=-1))
-        if nodes.size:
-            rel = relative_singular_values(rows[np.ix_(nodes, stack)])
-            for i in cols:
-                for v in values:
-                    v[nodes, i] = rel[:, checks[i][2]]
+def _pencil_checks(points, incidence, name: str, tol: Tolerances, fail_counts: dict, counts) -> tuple:
+    """The checks of each node's three points of the pencil of lines
+    through its center (N, 3, m), with their incidence residuals (N, 3):
+    lines-distinct (the points pairwise more than proj_eq_tol apart) and
+    ``name`` (every residual at most rank_rel_tol).  Returns the verdicts,
+    the least distance, the largest residual and the pair distances (N, 3)
+    in the order of ``_LINE_PAIRS``."""
+    lines = chordal_pairs(points, _LINE_PAIRS)
+    distinct, residuals = lines.min(axis=-1), incidence.max(axis=-1)
+    ok = (_record(fail_counts, "lines-distinct", distinct > tol.proj_eq_tol, counts)
+          & _record(fail_counts, name, residuals <= tol.rank_rel_tol, counts))
+    return ok, distinct, residuals, lines
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
@@ -517,11 +456,8 @@ def _validate_lines(arr: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> 
         margins = chordal_batch(spans[:, :, 0], spans[:, :, 1]).min(axis=-1)
         ok = _record(fail_counts, "span-defined", margins > tol.proj_eq_tol, counts)
         points, incidence = pencil_points(spans, c)
-    distinct = chordal_pairs(points, [(0, 1), (0, 2), (1, 2)]).min(axis=-1)
-    ok = ok & _record(fail_counts, "lines-distinct", distinct > tol.proj_eq_tol, counts)
-    residuals = incidence.max(axis=-1)
-    ok = ok & _record(fail_counts, "center-incidence", residuals <= tol.rank_rel_tol, counts)
-    return BatchResult(ok, np.minimum(margins, distinct), residuals, fail_counts)
+    good, distinct, residuals, _ = _pencil_checks(points, incidence, "center-incidence", tol, fail_counts, counts)
+    return BatchResult(ok & good, np.minimum(margins, distinct), residuals, fail_counts)
 
 
 class SamplingError(ProjectiveError):

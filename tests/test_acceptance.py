@@ -96,8 +96,8 @@ def test_criterion_1_base_points(golden):
         assert rep.verdict, (label, rep.failures)
         assert rep.margin > BASE_MARGIN_MIN
         margins[label] = rep.margin
-    frozen = {"planar": 0.10144199648855792, "embedded": 0.10144199648855792,
-              "solid": 0.49999999999999967}
+    frozen = {"planar": 0.27216552697590873, "embedded": 0.27216552697590873,
+              "solid": 0.7071067811865475}
     for label, value in margins.items():
         assert value == pytest.approx(frozen[label], rel=1e-12)
     announce(1, True, f"base points validate, margins {margins}")

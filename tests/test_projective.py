@@ -18,10 +18,11 @@ from dcs.projective import (
     bracket_rows,
     chordal_batch,
     chordal_pairs,
+    collinear_residual,
     line_residual,
     meet,
+    pencil_points,
     proj_dist,
-    rank3_screen,
     relative_singular_values,
     span_dim,
     unit_rows,
@@ -196,15 +197,13 @@ def test_meet_base_lines_solid():
 def test_meet_skew_lines_residual():
     # X2 = X3 = 0 and X0 = X1 = 0 span all of CP^3: the skew residual, the
     # fourth relative singular value of the four points, is 1 from LAPACK,
-    # within rank3_screen's bound (an infinite one: the points do not span
-    # three dimensions), and the meet is the point of the first line nearest
-    # the second, here any of its points
+    # and the meet is the point of the first line nearest the second, here
+    # any of its points; the second line passes at distance 1 from it
     rows = np.eye(4, dtype=complex)[None]
     assert relative_singular_values(rows)[0, 3] == pytest.approx(1.0)
-    est, err = rank3_screen(rows, [], [(0, 1, 2, 3)])
-    assert abs(est[0, 0] - 1.0) <= err[0, 0]
     point, defined = meet(*rows[0])
     assert defined and proj_dist(HPoint(point), HPoint([1, 0, 0, 0])) < 1e-12
+    assert pencil_points(rows[:, 2:], point)[1][0] == pytest.approx(1.0)
 
 
 def test_meet_reconstructs_common_point():
@@ -309,49 +308,19 @@ def test_package_exports_resolve():
     assert not missing, missing
 
 
-# ---------------------------------------------------------------------------
-# closed-form rank screen
-
-
-def test_rank3_screen_does_not_depend_on_batch_size():
-    """A node's screened value and bound are the same in any batch; numpy
-    rounds a complex product differently once it reuses a large temporary
-    in place, so an unchunked screen would fail this."""
-    r = rng()
-    rows = unit_rows(r.normal(size=(20000, 7, 3)) + 1j * r.normal(size=(20000, 7, 3)))
-    stacks = ((0, 1, 2, 3), (6, 4, 5), (0, 1, 2, 3, 4, 5))
-    est, err = rank3_screen(rows, stacks)
-    for lo, hi in ((0, 1), (5, 9), (100, 2148), (19000, 20000)):
-        e, b = rank3_screen(rows[lo:hi], stacks)
-        assert np.array_equal(e, est[lo:hi]) and np.array_equal(b, err[lo:hi])
-    ref = relative_singular_values(rows[:, [0, 1, 2, 3]])[..., 2]
-    assert np.all(np.abs(est[:, 0] - ref) <= err[:, 0])
-
-
-def test_rank3_screen_bounds_repeated_eigenvalues():
-    """Orthonormal rows (Gram eigenvalues all equal) and an orthonormal
-    basis with its normalized sum (2, 1, 1), where Smith's formula is off
-    by about sqrt(eps): LAPACK's value lies within the bound."""
-    r = rng()
-    for q in (np.eye(3, dtype=complex),
-              np.linalg.qr(r.normal(size=(3, 3)) + 1j * r.normal(size=(3, 3)))[0]):
-        rows = np.concatenate([q, q.sum(axis=0, keepdims=True) / np.sqrt(3)])[None]
-        stacks = ((0, 1, 2), (0, 1, 2, 3))
-        est, err = rank3_screen(rows, stacks)
-        for k, s in enumerate(stacks):
-            ref = relative_singular_values(rows[:, list(s)])[..., 2]
-            assert abs(est[0, k] - ref[0]) <= err[0, k] < 1e-6
-
-
+# the pairs of a configuration's six points and its meet, as validate_batch
+# measures them: 21 pairs, more than fit a pass of CHUNK rows in 256 KiB
+CONFIG_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
 # the batched kernels on rows alone and in batches of any size
 KERNELS = {
     "bracket_rows": (3, 3, lambda a: bracket_rows(a[:, 0], a[:, 1], a[:, 2])),
     "chordal_batch": (2, 3, lambda a: chordal_batch(a[:, 0], a[:, 1])),
     "chordal_pairs": (7, 4, lambda a: chordal_pairs(a, [(0, 1), (2, 6), (5, 3)])),
+    "chordal_pairs configs": (7, 4, lambda a: chordal_pairs(a, CONFIG_PAIRS)),
+    "collinear_residual": (3, 4, lambda a: collinear_residual(a, chordal_pairs(a, [(0, 1), (0, 2), (1, 2)]))),
     "line_residual": (4, 4, lambda a: line_residual(a[:, :2], a[:, 2:])),
     "meet": (4, 4, lambda a: meet(*(a[:, i] for i in range(4)))),
-    "rank3_screen": (7, 4, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)], [(0, 1, 2, 3)])),
-    "rank3_screen CP^2": (7, 3, lambda a: rank3_screen(a, [(0, 1, 2, 3), (6, 4, 5)])),
+    "pencil_points": (3, 5, lambda a: pencil_points(a[:, None, :2], a[:, None, 2])),
     "unit_rows": (3, 4, unit_rows),
 }
 
@@ -362,8 +331,9 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     """Each row of a batch is byte-equal to the row computed alone: all of
     the first 2,000 rows for the cheap kernels, and the first eight, the
     last, rows around the first two pass boundaries and 24 random ones for
-    the screens.  numpy computes a complex product of a large temporary in place,
-    and rounds it differently, so an unchunked kernel fails this.  unit_rows
+    meet.  numpy computes a complex product of a large temporary in place,
+    and rounds it differently, so an unchunked kernel fails this, and so
+    does a kernel whose pass is too long for its temporaries.  unit_rows
     takes raw rows at scales 1e-200 to 1e200, so that a batch mixes rows of
     its far-norm branch with rows in range."""
     r, m, kernel = KERNELS[name]
@@ -376,7 +346,7 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
         return out if isinstance(out, tuple) else (out,)
 
     batch = run(rows)
-    if name in ("bracket_rows", "chordal_batch", "chordal_pairs", "line_residual", "unit_rows"):
+    if name != "meet":
         picks = range(min(n, 2000))
     else:
         edges = np.r_[CHUNK - 2:CHUNK + 3, 2 * CHUNK - 2:2 * CHUNK + 3]

@@ -15,8 +15,6 @@ from dcs.projective import (
     ProjectiveError,
     chordal_batch,
     meet,
-    rank3_screen,
-    relative_singular_values,
     span_dim,
     unit_rows,
 )
@@ -132,11 +130,12 @@ def test_validate_rescaling_invariance():
 
 
 def test_validate_margin_golden():
-    # frozen on first computation; dominated by a line-separation quantity
+    # frozen on first computation; the planar margin is the closest pair of
+    # base points (see test_configuration_space_base_points)
     rep = validate(base_planar().points, PLANAR_TAG)
-    assert rep.verdict and rep.margin == pytest.approx(0.10144199648855792, rel=1e-9)
+    assert rep.verdict and rep.margin == pytest.approx(0.27216552697590873, rel=1e-9)
     rep = validate(atlas.basepoint(SOLID_TAG).points, SOLID_TAG)
-    assert rep.verdict and rep.margin == pytest.approx(0.5, rel=1e-9)
+    assert rep.verdict and rep.margin == pytest.approx(0.7071067811865475, rel=1e-9)
 
 
 def test_validate_margin_linear_in_collision_parameter():
@@ -240,7 +239,8 @@ def test_space_tag_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# the CP^2 screen against an all-LAPACK reference
+# configurations against the definition they had before the pencil: every
+# rank value a LAPACK singular value ratio
 
 RANK_TOL, POINT_TOL, MEET_TOL = 1e-8, 1e-9, 1e-12
 I0 = np.array([0, 0, 1], dtype=complex)
@@ -267,9 +267,11 @@ def _line_sine(p1, q1, p2, q2):
 
 
 def lapack_reference(points, tag):
-    """Every check of validate_batch with each rank value a LAPACK singular
-    value ratio.  Returns the verdicts, the fail counts, the margins and, per
-    check, the quantity compared with its threshold."""
+    """Every check of validate_batch as it was defined before configurations
+    were measured on the pencil: lines-distinct, concurrent and span as
+    relative singular values of stacks of rows, by LAPACK.  Returns the
+    verdicts, the fail counts, the margins and, per check, the quantity
+    compared with its threshold."""
     u = unit_rows(np.asarray(points, dtype=complex))
     m = u.shape[-1]
     pair = np.stack([chordal_batch(u[:, i], u[:, j]) for i in range(6) for j in range(i + 1, 6)], -1)
@@ -443,36 +445,8 @@ def near_degenerate_corpus(seed=20, tag=None):
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
 
 
-@pytest.mark.parametrize("tag", [SpaceTag.planar(2), SpaceTag.planar_fixed(2, HPoint(I0))],
-                         ids=["free", "fixed"])
-def test_screen_matches_lapack_near_every_threshold(tag):
-    corpus = near_degenerate_corpus()
-    verdicts, fail_counts, margins, quantity = lapack_reference(corpus, tag)
-    for name, (q, thr) in quantity.items():
-        assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
-    # the stated bound holds on every screened stack, repeated eigenvalues included
-    u = unit_rows(corpus)
-    rows = np.concatenate([u, meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])[0][:, None]], axis=1)
-    stacks = ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5), (6, 4, 5), (0, 1, 2, 3, 4, 5))
-    est, err = rank3_screen(rows, stacks)
-    for k, s in enumerate(stacks):
-        assert np.all(np.abs(est[:, k] - _rel3(rows[:, list(s)])) <= err[:, k]), s
-    # where d1 and d2 are distinct lines, meet-defined is the SVD meet's verdict
-    u = unit_rows(corpus)
-    distinct = quantity["lines-distinct d1-d2"][0] > RANK_TOL
-    assert np.array_equal(quantity["meet-defined"][0][distinct] >= MEET_TOL,
-                          svd_meet_defined(*(u[distinct, i] for i in range(4))))
-    res = validate_batch(corpus, tag)
-    assert np.array_equal(res.verdicts, verdicts)
-    assert res.fail_counts == fail_counts
-    assert res.margins.min() == margins.min()
-    assert np.argmin(res.margins) == np.argmin(margins)
-    assert res.margins[verdicts].min() == margins[verdicts].min()
-    assert np.argmin(np.where(verdicts, res.margins, np.inf)) == np.argmin(np.where(verdicts, margins, np.inf))
-
-
 # ---------------------------------------------------------------------------
-# the screens above CP^2 and on line triples against the same reference
+# corpora above CP^2
 
 def _in_space(rng, tag):
     """Three line directions of a configuration of the tag's kind: in one
@@ -485,25 +459,13 @@ def _in_space(rng, tag):
 
 def exact_rank_nodes(m):
     """Configurations in CP^(m-1), m >= 4, with integer coordinates: d1 = d2,
-    d2 = d3, A1 = B1 and A2 = B2.  With each, the rank-check stacks (rows as
-    in ``strata._rank_checks``) whose rows span fewer than three dimensions
-    exactly.  Read as triples of spans (A_i, B_i), they are lines d1 = d2,
-    d2 = d3 and spans of one point."""
+    d2 = d3, A1 = B1 and A2 = B2.  Read as triples of spans (A_i, B_i), they
+    are lines d1 = d2, d2 = d3 and spans of one point."""
     e = np.eye(m, dtype=complex)
-    nodes = np.stack([[e[0], e[1], e[0] + e[1], e[0] + 2 * e[1], e[2], e[2] + e[3]],
-                      [e[0] + e[2], e[0] + 2 * e[2], e[0], e[1], e[0] + e[1], e[0] - e[1]],
-                      [e[0], e[0], e[1], e[1] + e[2], e[2], e[2] + e[3]],
-                      [e[0], e[0] + e[2], e[1], e[1], e[3], e[2] + e[3]]])
-    short = [[(0, 1, 2, 3)], [(2, 3, 4, 5)], [(0, 1, 2, 3), (0, 1, 4, 5)], [(2, 3, 4, 5)]]
-    return nodes, short
-
-
-def _assert_short_stacks_unscreened(rows, short):
-    """rank3_screen gives no bound, third or fourth value, on a stack whose
-    rows span fewer than three dimensions exactly: LAPACK takes its values."""
-    for node, stacks in zip(rows, short):
-        err = rank3_screen(node[None], stacks, stacks)[1]
-        assert np.all(np.isinf(err)), (stacks, err)
+    return np.stack([[e[0], e[1], e[0] + e[1], e[0] + 2 * e[1], e[2], e[2] + e[3]],
+                     [e[0] + e[2], e[0] + 2 * e[2], e[0], e[1], e[0] + e[1], e[0] - e[1]],
+                     [e[0], e[0], e[1], e[1] + e[2], e[2], e[2] + e[3]],
+                     [e[0], e[0] + e[2], e[1], e[1], e[3], e[2] + e[3]]])
 
 
 def _corpus_above_cp2(tag, seed):
@@ -581,7 +543,7 @@ def _corpus_above_cp2(tag, seed):
         cfg[:4] = head
         nodes.append(cfg)
     nodes.append(atlas.basepoint(tag).array() if tag.center is not None else atlas.SOLID_BASE.copy())
-    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m)[0]])
+    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m)])
     phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:2]))[..., None]
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
 
@@ -591,113 +553,6 @@ def svd_meet_point(p1, q1, p2, q2):
     vh = np.linalg.svd(np.stack([p1, q1, -p2, -q2], axis=-1))[2]
     ab = np.conj(vh[..., -1, :2])
     return ab[..., 0, None] * p1 + ab[..., 1, None] * q1
-
-
-def _assert_screened_batch_is_lapacks(res, verdicts, fail_counts, margins):
-    assert np.array_equal(res.verdicts, verdicts)
-    assert res.fail_counts == fail_counts
-    assert res.margins.min() == margins.min()
-    assert np.argmin(res.margins) == np.argmin(margins)
-    assert res.margins[verdicts].min() == margins[verdicts].min()
-    assert np.argmin(np.where(verdicts, res.margins, np.inf)) == np.argmin(np.where(verdicts, margins, np.inf))
-
-
-def _screen_of(check, m):
-    """The rank3_screen call that _rank_values makes for ``check`` on rows
-    of m coordinates, or None where it takes LAPACK's value."""
-    _, stack, k, is_margin = check
-    if k == 2:
-        return lambda rows: rank3_screen(rows, [stack])
-    if not is_margin and min(len(stack), m) == 4:
-        return lambda rows: rank3_screen(rows, [], [stack])
-    return None
-
-
-def _rank_rows(points):
-    """Unit rows of configurations with the meet of d1 and d2 as row 6, as
-    validate_batch stacks them, and where that meet is defined."""
-    u = unit_rows(points)
-    centers, defined = meet(*(u[:, i] for i in range(4)))
-    return np.concatenate([u, centers[:, None]], axis=1), defined
-
-
-def _assert_bounds_hold(rows, checks):
-    """For each check that _rank_values screens, rank3_screen's stated
-    bound covers LAPACK's value at every node; every other check takes
-    LAPACK's value, bit for bit."""
-    n, m = len(rows), rows.shape[-1]
-    passing = np.ones(n, dtype=bool)
-    values = strata._rank_values(rows, checks, np.ones(n), passing, passing, DEFAULT_TOL)
-    for i, check in enumerate(checks):
-        ref = relative_singular_values(rows[:, list(check[1])])[:, check[2]]
-        screen = _screen_of(check, m)
-        if screen is None:
-            assert values[:, i].tobytes() == ref.tobytes(), check[0]
-        else:
-            est, err = screen(rows)
-            assert np.all(np.abs(est[:, 0] - ref) <= err[:, 0]), check[0]
-
-
-@pytest.mark.parametrize("name, unscreened", [("Psi_tilde", ["span-at-least"]),
-                                              ("Sigma_tilde", ["span-at-least", "span-exact"])])
-def test_unscreened_rank_values_are_lapacks(name, unscreened):
-    """On a block of a solid disk of CP^3 and of CP^4, each rank value that
-    rank3_screen does not screen (the solid span) is LAPACK's, bit for bit,
-    at every node."""
-    item = atlas.get(name)
-    rows = _rank_rows(item.eval(**domain_nodes("disk", (32, 16))[0]))[0]
-    checks = strata._rank_checks(item.target.span_required, item.target.n + 1)
-    assert [c[0] for c in checks if _screen_of(c, rows.shape[-1]) is None] == unscreened
-    _assert_bounds_hold(rows, checks)
-
-
-ABOVE_CP2 = [SpaceTag.solid(3), atlas.TAG_SOLID_FIXED_3, atlas.TAG_PLANAR_FIXED_3, atlas.TAG_SOLID_FIXED_4]
-
-
-@pytest.mark.parametrize("tag", ABOVE_CP2, ids=["solid-3", "solid-fixed-3", "planar-fixed-3", "solid-fixed-4"])
-def test_screen_above_cp2_matches_lapack_near_every_threshold(tag):
-    corpus = near_degenerate_corpus(tag=tag)
-    verdicts, fail_counts, margins, quantity = lapack_reference(corpus, tag)
-    for name, (q, thr) in quantity.items():
-        assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
-    assert verdicts.sum() > 40 and (~verdicts).sum() > 40
-    rows, defined = _rank_rows(corpus)
-    _assert_bounds_hold(rows, strata._rank_checks(tag.span_required, tag.n + 1))
-    exact, short = exact_rank_nodes(tag.n + 1)
-    _assert_short_stacks_unscreened(_rank_rows(exact)[0], short)
-    u, centers = rows[:, :6], rows[:, 6]
-    # where d1 and d2 are distinct lines that meet, meet-defined is the SVD
-    # meet's verdict (on skew lines that verdict rests on an arbitrary null
-    # vector: four orthonormal points have four equal singular values); where
-    # they meet at an angle, the points agree
-    distinct = (quantity["lines-distinct d1-d2"][0] > RANK_TOL) & (quantity["concurrent d1-d2"][0] <= RANK_TOL)
-    assert np.array_equal(defined[distinct], svd_meet_defined(*(u[distinct, i] for i in range(4))))
-    well_posed = np.minimum(chordal_batch(u[:, 0], u[:, 1]), chordal_batch(u[:, 2], u[:, 3])) > 1e-3
-    meets = well_posed & (quantity["lines-distinct d1-d2"][0] > 1e-3) & (quantity["concurrent d1-d2"][0] < 1e-13)
-    assert meets.sum() > 100
-    svd_point = unit_rows(svd_meet_point(*(u[meets, i] for i in range(4))))
-    assert chordal_batch(centers[meets], svd_point).max() < 1e-12
-    _assert_screened_batch_is_lapacks(validate_batch(corpus, tag), verdicts, fail_counts, margins)
-
-
-@pytest.mark.parametrize("tag", [SpaceTag.planar(2), SpaceTag.planar_fixed(2, HPoint(I0))] + ABOVE_CP2,
-                         ids=["free", "fixed", "solid-3", "solid-fixed-3", "planar-fixed-3", "solid-fixed-4"])
-def test_screen_matches_lapack_where_a_rank_margin_is_least(tag):
-    """The corpus without the nodes whose chordal margins lie below 1e-3 or
-    whose rank quantities lie within 1e4 of their threshold, so that a rank
-    margin, screened unless LAPACK runs on it as a candidate, is least over
-    all nodes and over the passing ones."""
-    corpus = near_degenerate_corpus(tag=tag)
-    quantity = lapack_reference(corpus, tag)[3]
-    keep = np.minimum(quantity["pairwise-distinct"][0], quantity["center-apart"][0]) > 1e-3
-    for v, thr in quantity.values():
-        keep &= (thr != RANK_TOL) | (v < 1e-12) | (v > 1e-4)
-    corpus = corpus[keep]
-    verdicts, fail_counts, margins, quantity = lapack_reference(corpus, tag)
-    assert verdicts.any() and not verdicts.all()
-    rank = np.min([v for k, (v, _) in quantity.items() if k.startswith(("lines", "span-at"))], axis=0)
-    assert rank.min() == margins.min() and rank[verdicts].min() == margins[verdicts].min()
-    _assert_screened_batch_is_lapacks(validate_batch(corpus, tag), verdicts, fail_counts, margins)
 
 
 def lapack_lines_reference(spans, tag):
@@ -726,6 +581,26 @@ def _chordal(u, v):
     return np.linalg.norm(u - np.vdot(v, u) * v)
 
 
+LINE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _distance_from_span(x, rows):
+    """Chordal distance of unit x from the span of ``rows``, by QR."""
+    q = np.linalg.qr(np.stack(rows, axis=-1))[0]
+    return np.linalg.norm(x - q @ (np.conj(q.T) @ x))
+
+
+def _pencil_point(pair, c):
+    """The point of the pencil through unit c of the span of the unit pair
+    (the unit part orthogonal to c of the point farther from it) and its
+    residual (the distance of the other point from the span of c and the
+    farther point)."""
+    away = [x - np.vdot(c, x) * c for x in pair]
+    far = int(np.linalg.norm(away[1]) > np.linalg.norm(away[0]))
+    size = np.linalg.norm(away[far])
+    return away[far] / size if size > 0 else away[far], _distance_from_span(pair[1 - far], [c, pair[far]])
+
+
 def pencil_reference(spans, tag):
     """Every check of validate_lines_batch on spans (N, 3, 2, n+1), node by
     node in plain numpy: each line's point of the pencil through the center
@@ -738,16 +613,8 @@ def pencil_reference(spans, tag):
     distinct, span_d, incidence = [], [], []
     for node in np.asarray(spans, dtype=complex):
         node = node / np.linalg.norm(node, axis=-1, keepdims=True)
-        dirs, residuals = [], []
-        for pair in node:
-            away = [x - np.vdot(c, x) * c for x in pair]
-            far = int(np.linalg.norm(away[1]) > np.linalg.norm(away[0]))
-            size = np.linalg.norm(away[far])
-            dirs.append(away[far] / size if size > 0 else away[far])
-            q = np.linalg.qr(np.stack([c, pair[far]], axis=-1))[0]
-            near = pair[1 - far]
-            residuals.append(np.linalg.norm(near - q @ (np.conj(q.T) @ near)))
-        distinct.append(min(_chordal(dirs[i], dirs[j]) for i, j in ((0, 1), (0, 2), (1, 2))))
+        dirs, residuals = zip(*(_pencil_point(pair, c) for pair in node))
+        distinct.append(min(_chordal(dirs[i], dirs[j]) for i, j in LINE_PAIRS))
         span_d.append(min(_chordal(p, q) for p, q in node))
         incidence.append(max(residuals))
     distinct, span_d, incidence = map(np.array, (distinct, span_d, incidence))
@@ -799,7 +666,7 @@ def line_triples_corpus(tag, seed=21):
     others = [k for k in range(m) if abs(c[k]) < 0.5]
     for _ in range(8):
         nodes.append(triple([e[k] for k in others[:3]], _cplx(rng, 3, 2)))
-    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m)[0].reshape(-1, 3, 2, m)])
+    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m).reshape(-1, 3, 2, m)])
     phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:3]))[..., None]
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
 
@@ -845,22 +712,238 @@ def test_line_triple_verdicts_agree_with_lapack_away_from_thresholds():
     assert validate_lines_batch(through, tag).fail_counts == fail_counts
 
 
-def test_line_triples_take_no_rank_stack(monkeypatch, tmp_path):
-    """The F, B, s and Lambda sweeps and a span-form membership file run
-    with LAPACK's SVD and the rank screen unavailable."""
+# ---------------------------------------------------------------------------
+# configurations as line triples through their meet
+
+CONFIG_TAGS = [SpaceTag.planar(2), SpaceTag.planar_fixed(2, HPoint(I0)), SpaceTag.solid(3),
+               atlas.TAG_SOLID_FIXED_3, atlas.TAG_PLANAR_FIXED_3, atlas.TAG_SOLID_FIXED_4]
+CONFIG_TAG_IDS = ["free", "fixed", "solid-3", "solid-fixed-3", "planar-fixed-3", "solid-fixed-4"]
+PENCIL_CHECKS = {"lines-distinct", "concurrent", "span-at-least", "span-exact"}
+
+
+def config_pencil_reference(points, tag):
+    """Every check of validate_batch, node by node in plain numpy.  The
+    center is ``projective.meet`` of d1 and d2 (checked against the SVD meet
+    by ``test_meet_matches_the_svd_meet``); each span's point of the pencil
+    through it and its residual are ``_pencil_point``'s; the span is the
+    distance, by QR, of one pencil point from the span of the two farthest
+    apart.  Returns verdicts, fail counts, margins, residuals and, per
+    check, the quantity, its threshold and whether it is a margin."""
+    solid, m = tag.span_required == 3, tag.n + 1
+    q = {name: [] for name in ("pairwise-distinct", "meet-defined", "center-apart", "center-matches",
+                               "lines-distinct", "concurrent", "span")}
+    for node in np.asarray(points, dtype=complex):
+        u = node / np.linalg.norm(node, axis=-1, keepdims=True)
+        center, defined = meet(*(u[i:i + 1] for i in range(4)))
+        c = center[0]
+        q["pairwise-distinct"].append(min(_chordal(u[i], u[j]) for i in range(6) for j in range(i + 1, 6)))
+        q["meet-defined"].append(float(defined[0]))
+        q["center-apart"].append(min(_chordal(x, c) for x in u))
+        if tag.center is not None:
+            q["center-matches"].append(_chordal(c, tag.center.unit()))
+        dirs, residuals = zip(*(_pencil_point(u[2 * i:2 * i + 2], c) for i in range(3)))
+        dist = [_chordal(dirs[i], dirs[j]) for i, j in LINE_PAIRS]
+        q["lines-distinct"].append(min(dist))
+        q["concurrent"].append(max(residuals))
+        (i, j), k = LINE_PAIRS[int(np.argmax(dist))], 2 - int(np.argmax(dist))
+        q["span"].append(_distance_from_span(dirs[k], [dirs[i], dirs[j]]))
+    q = {name: np.array(v) for name, v in q.items() if v}
+    quantity = {"pairwise-distinct": (q["pairwise-distinct"], POINT_TOL, True),
+                "meet-defined": (q["meet-defined"], 0.5, True),
+                "center-apart": (q["center-apart"], POINT_TOL, True),
+                "lines-distinct": (q["lines-distinct"], POINT_TOL, True),
+                "concurrent": (q["concurrent"], RANK_TOL, False)}
+    if tag.center is not None:
+        quantity["center-matches"] = (q["center-matches"], POINT_TOL, False)
+    if solid:
+        quantity["span-at-least"] = (q["span"], RANK_TOL, True)
+    elif m > 3:
+        quantity["span-exact"] = (q["span"], RANK_TOL, False)
+    passes = {name: v > thr if margin else v <= thr for name, (v, thr, margin) in quantity.items()}
+    verdicts = np.all(list(passes.values()), axis=0)
+    fail_counts = {k: int(np.sum(~v)) for k, v in passes.items() if not v.all()}
+    margins = np.min([v for k, (v, _, margin) in quantity.items() if margin and k != "meet-defined"], axis=0)
+    residuals = np.max([v for v, _, margin in quantity.values() if not margin], axis=0)
+    return verdicts, fail_counts, margins, residuals, quantity
+
+
+def pencil_corpus(tag, seed=22):
+    """``near_degenerate_corpus`` for the tag, and for each defect below,
+    nodes next to its threshold from both sides and nodes 1e4 past it on
+    either side: d3 close to d1 (lines-distinct), B3 off d3 (concurrent),
+    the two points of d3 close (pairwise-distinct) and, above CP^2, d3 off
+    the plane of d1 and d2 (span), all leaving the meet of d1 and d2 as it
+    is; then two lines whose pencil points lie 1e-8 to 1e-6 apart, in the
+    tag's plane or space."""
+    rng = np.random.default_rng(seed)
+    m = tag.n + 1
+    center = tag.center.unit() if tag.center is not None else unit_rows(_cplx(rng, m))
+
+    def close_lines(d, c, w, x):
+        return _config(center, [d[0], d[1], d[0] + x * w], c)
+
+    def off_d3(d, c, w, x):
+        cfg = _config(center, d, c)
+        cfg[5] += x * w
+        return cfg
+
+    def close_points(d, c, w, x):
+        return _config(center, d, [*c[:2], [c[2, 0], c[2, 0] * (1 + x)]])
+
+    def off_plane(d, c, w, x):
+        return _config(center, [d[0], d[1], d[0] + d[1] + x * _orthogonal([center, d[0], d[1]])], c)
+
+    defects = [(close_lines, POINT_TOL, "lines-distinct"), (off_d3, RANK_TOL, "concurrent"),
+               (close_points, POINT_TOL, "pairwise-distinct")]
+    if m > 3:
+        defects.append((off_plane, RANK_TOL, "span-at-least" if tag.span_required == 3 else "span-exact"))
+    nodes = [near_degenerate_corpus(tag=tag)]
+    for make, thr, name in defects:
+        d, c, w = _in_space(rng, tag), _cplx(rng, 3, 2), _cplx(rng, m)
+        nodes.append(_hug(lambda x: make(d, c, w, x),
+                          lambda cfg: config_pencil_reference(cfg[None], tag)[4][name][0][0], thr))
+        for x in (thr * 1e-4, thr * 1e4) * 4:
+            nodes.append([make(_in_space(rng, tag), _cplx(rng, 3, 2), _cplx(rng, m), x)])
+    for x in 10.0 ** rng.uniform(-8, -6, size=16):
+        d = _in_space(rng, tag)
+        nodes.append([_config(center, [d[0], d[0] + x * d[1], d[2]], _cplx(rng, 3, 2))])
+    return np.concatenate([np.asarray(n) for n in nodes])
+
+
+@pytest.mark.parametrize("tag", CONFIG_TAGS, ids=CONFIG_TAG_IDS)
+def test_configs_match_the_pencil_reference(tag):
+    """The kernel's margins and residuals are the plain-numpy reference's
+    within 1e-13 at every node of a corpus that hugs each threshold of the
+    pencil, with pencil points 1e-8 to 1e-6 apart among them; so are its
+    verdicts and fail counts wherever no quantity lies within 1e-13 of its
+    threshold."""
+    corpus = pencil_corpus(tag)
+    verdicts, fail_counts, margins, residuals, quantity = config_pencil_reference(corpus, tag)
+    for name in PENCIL_CHECKS.intersection(quantity):
+        q, thr, _ = quantity[name]
+        assert np.any((q > thr / 10) & (q <= thr)) and np.any((q > thr) & (q < thr * 10)), name
+    res = validate_batch(corpus, tag)
+    assert np.all(np.abs(res.margins - margins) <= 1e-13)
+    # where the meet is undefined it is a placeholder, and the node fails
+    # meet-defined whatever its residual
+    defined = quantity["meet-defined"][0] > 0.5
+    assert not defined.all() and not res.verdicts[~defined].any()
+    assert np.all(np.abs(res.residuals - residuals)[defined] <= 1e-13)
+    clear = defined & np.all([np.abs(q - thr) > 1e-13 for q, thr, _ in quantity.values()], axis=0)
+    verdicts, fail_counts = config_pencil_reference(corpus[clear], tag)[:2]
+    assert verdicts.any() and set(fail_counts) == set(quantity) - {"meet-defined"}
+    res = validate_batch(corpus[clear], tag)
+    assert np.array_equal(res.verdicts, verdicts) and res.fail_counts == fail_counts
+
+
+@pytest.mark.parametrize("tag", CONFIG_TAGS, ids=CONFIG_TAG_IDS)
+def test_config_verdicts_agree_with_lapack_away_from_thresholds(tag):
+    """Wherever every quantity of ``lapack_reference``, the definition by
+    relative singular values, lies outside [thr / 100, 100 thr], the
+    verdicts on the pencil are its verdicts."""
+    corpus = pencil_corpus(tag)
+    quantity = lapack_reference(corpus, tag)[3]
+    for name, (q, thr) in quantity.items():
+        assert np.any((q > thr / 10) & (q < thr * 10)), f"no node within 10x of {name}"
+    corpus = corpus[np.all([(q < thr / 100) | (q > thr * 100) for q, thr in quantity.values()], axis=0)]
+    verdicts = lapack_reference(corpus, tag)[0]
+    assert verdicts.sum() > 20 and (~verdicts).sum() > 10
+    assert np.array_equal(validate_batch(corpus, tag).verdicts, verdicts)
+
+
+@pytest.mark.parametrize("tag", CONFIG_TAGS, ids=CONFIG_TAG_IDS)
+def test_meet_matches_the_svd_meet(tag):
+    """Where d1 and d2 are distinct lines that meet, meet-defined is the SVD
+    meet's verdict (on skew lines that verdict rests on an arbitrary null
+    vector: four orthonormal points have four equal singular values); where
+    they meet at an angle, the points agree."""
+    corpus = near_degenerate_corpus(tag=tag)
+    quantity = lapack_reference(corpus, tag)[3]
+    u = unit_rows(corpus)
+    centers, defined = meet(*(u[:, i] for i in range(4)))
+    lines = quantity["lines-distinct d1-d2"][0]
+    skew = quantity["concurrent d1-d2"][0] if tag.n > 2 else np.zeros(len(u))
+    distinct = (lines > RANK_TOL) & (skew <= RANK_TOL)
+    assert np.array_equal(defined[distinct], svd_meet_defined(*(u[distinct, i] for i in range(4))))
+    well_posed = np.minimum(chordal_batch(u[:, 0], u[:, 1]), chordal_batch(u[:, 2], u[:, 3])) > 1e-3
+    meets = well_posed & (lines > 1e-3) & (skew < 1e-13)
+    assert meets.sum() > 50
+    svd_point = unit_rows(svd_meet_point(*(u[meets, i] for i in range(4))))
+    assert chordal_batch(centers[meets], svd_point).max() < 1e-12
+
+
+def _orthogonal(rows):
+    """A unit vector orthogonal to every row."""
+    return np.linalg.svd(np.asarray(rows))[2][-1]
+
+
+def _b3_off_its_line(cfg, tag):
+    cfg[5] += 1e-6 * np.linalg.norm(cfg[5]) * _orthogonal([tag.center.coords, cfg[4]])
+    return cfg
+
+
+def _d3_onto_d1(cfg, tag):
+    cfg[4], cfg[5] = cfg[0] + 2 * cfg[1], 2 * cfg[0] + cfg[1]
+    return cfg
+
+
+def _b3_out_of_the_space(cfg, tag):
+    cfg[5] += 1e-6 * np.linalg.norm(cfg[5]) * _orthogonal(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("tag, defect, failing", [
+    (atlas.TAG_PLANAR_FIXED_2, _b3_off_its_line, ["concurrent"]),
+    (atlas.TAG_SOLID_FIXED_3, _b3_off_its_line, ["concurrent"]),
+    (atlas.TAG_PLANAR_FIXED_2, _d3_onto_d1, ["lines-distinct"]),
+    # two equal lines through the center span a plane, not a 3-space
+    (atlas.TAG_SOLID_FIXED_3, _d3_onto_d1, ["lines-distinct", "span-at-least"]),
+    (atlas.TAG_SOLID_FIXED_3, lambda cfg, tag: atlas.PLANAR_BASE_CP3.copy(), ["span-at-least"]),
+    (atlas.TAG_PLANAR_FIXED_3, lambda cfg, tag: atlas.SOLID_BASE.copy(), ["span-exact"]),
+    (atlas.TAG_SOLID_FIXED_4, _b3_out_of_the_space, ["concurrent"]),
+], ids=["off-line-planar-2", "off-line-solid-3", "equal-lines-planar-2", "equal-lines-solid-3",
+        "planar-as-solid-3", "solid-as-planar-3", "out-of-space-solid-4"])
+def test_configuration_checks_catch_planted_defects(tag, defect, failing):
+    """Each configuration check fails on a defect planted in the tag's base
+    point, alone and in a batch with the base point: B3 moved 1e-6 off its
+    line or, in CP^4, out of the 3-space of the others (concurrent; the
+    solid span-exact of CP^4 is implied by it); A3 and B3 moved onto d1
+    (lines-distinct; d2 moved there would leave the meet of d1 and d2
+    undefined); a planar configuration under a solid tag (span-at-least)
+    and a solid one under the CP^3 planar tag (span-exact)."""
+    cfg = atlas.basepoint(tag)
+    assert validate(cfg.points, tag).verdict
+    base = cfg.array()
+    planted = defect(base.copy(), tag)
+    rep = validate(Config6.from_array(planted).points, tag)
+    assert not rep.verdict and rep.failures == failing
+    res = validate_batch(np.stack([base, planted]), tag)
+    assert list(res.verdicts) == [True, False] and res.fail_counts == {name: 1 for name in failing}
+
+
+def test_validation_takes_no_svd(monkeypatch, tmp_path):
+    """Validation takes no LAPACK SVD: sweeps of an item of every
+    configuration tag of the atlas and of the line-triple items F, B, s and
+    Lambda, and ``dcs membership`` on a one-node configuration file and a
+    span-form line-triple file, run with ``numpy.linalg.svd`` unavailable."""
     def unavailable(*args, **kwargs):
-        raise AssertionError("a line triple took a rank stack")
+        raise AssertionError("validation took an SVD")
 
     monkeypatch.setattr(np.linalg, "svd", unavailable)
-    monkeypatch.setattr(strata, "rank3_screen", unavailable)
-    for name in ("F", "B", "s", "Lambda"):
-        grid = 64 if name == "s" else (32, 16)
+    configs = ("alpha", "Phi_tilde", "Pi_tilde", "F_tilde", "Psi_tilde", "Sigma_tilde")
+    tags = {(it.target.kind, it.target.n) for it in atlas._REGISTRY.values()
+            if it.target is not None and it.value_kind == "config"}
+    assert {(atlas.get(name).target.kind, atlas.get(name).target.n) for name in configs} == tags
+    for name in configs + ("F", "B", "s", "Lambda"):
+        grid = 64 if atlas.get(name).kind == "loop" else (32, 16)
         assert sweep_item(name, grid).ok, name
     nodes = domain_nodes("disk", (4, 4))[0]
     spans = atlas.get("F").eval(**nodes)[5].reshape(6, -1)
-    path = tmp_path / "lines.json"
-    path.write_text(json.dumps(Config6.from_array(spans).to_json(atlas.TAG_LINES_I0_SOLID)))
-    assert main(["membership", str(path)]) == 0
+    for doc in (Config6.from_array(spans).to_json(atlas.TAG_LINES_I0_SOLID),
+                atlas.basepoint(atlas.TAG_SOLID_FIXED_4).to_json(atlas.TAG_SOLID_FIXED_4)):
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps(doc))
+        assert main(["membership", str(path)]) == 0
 
 
 # ---------------------------------------------------------------------------
