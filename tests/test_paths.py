@@ -337,6 +337,24 @@ def test_sweep_tie_across_blocks_keeps_the_first_node():
     assert rep.worst_param == tuple(v[tied[0]] for v in nodes.values())
 
 
+@pytest.mark.parametrize("item_id, grid", [("alpha", 512), ("L", (256, 64))])
+def test_cp2_sweep_runs_lapack_on_few_nodes(item_id, grid, monkeypatch):
+    """The CP^2 sweep decides every node without LAPACK: configurations are
+    measured as pencil points through their meet, so no node takes an SVD
+    matrix, where an all-LAPACK sweep would take five per node."""
+    matrices = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rep = sweep_item(item_id, grid)
+    assert rep.ok and atlas.get(item_id).target.n == 2
+    assert sum(matrices) == 0
+
+
 def test_sweep_rejects_non_domain_items():
     with pytest.raises(PathError):
         sweep_item("phi_triv", 64)

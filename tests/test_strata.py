@@ -921,7 +921,7 @@ def test_configuration_checks_catch_planted_defects(tag, defect, failing):
     assert list(res.verdicts) == [True, False] and res.fail_counts == {name: 1 for name in failing}
 
 
-def test_validation_takes_no_svd(monkeypatch, tmp_path):
+def test_line_triples_take_no_rank_stack(monkeypatch, tmp_path):
     """Validation takes no LAPACK SVD: sweeps of an item of every
     configuration tag of the atlas and of the line-triple items F, B, s and
     Lambda, and ``dcs membership`` on a one-node configuration file and a
