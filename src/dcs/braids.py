@@ -6,7 +6,8 @@ generator s_i acts by x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i and fixes
 the other generators; the pure generators a_ij expand as
 (s_{j-1} ... s_{i+1}) s_i^2 (s_{i+1}^-1 ... s_{j-1}^-1).  Relations are
 decided exactly: both sides must act identically on every free generator
-after free reduction.
+after free reduction, which compares the images of the generators, each
+braid's computed once.
 """
 
 from __future__ import annotations
@@ -47,34 +48,36 @@ def generator(i):
 # ---------------------------------------------------------------------------
 # Artin action
 
-def _act_sigma(i, sign, w):
-    """Action of s_i^sign on a free word; ``artin_act`` checks the index."""
-    out = []
+def _join(u, v):
+    """The reduced product of reduced words u and v: only the seam cancels."""
+    k, top = 0, min(len(u), len(v))
+    while k < top and u[-1 - k][0] == v[k][0] and u[-1 - k][1] == -v[k][1]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
+def _substitute(img, w):
+    """The free word w with each letter x_g^e replaced by the e-th power of
+    img[g-1], the image of x_g (x_g itself beyond img), reduced at each
+    seam."""
+    out = ()
     for g, e in w:
-        if sign == 1:
-            if g == i:
-                image = ((i, 1), (i + 1, 1), (i, -1))
-            elif g == i + 1:
-                image = ((i, 1),)
-            else:
-                image = ((g, 1),)
-        else:
-            if g == i:
-                image = ((i + 1, 1),)
-            elif g == i + 1:
-                image = ((i + 1, -1), (i, 1), (i + 1, 1))
-            else:
-                image = ((g, 1),)
-        out.extend(image if e == 1 else invert_word(image))
-    return free_reduce(out)
+        image = img[g - 1] if 1 <= g <= len(img) else generator(g)
+        out = _join(out, image if e == 1 else invert_word(image))
+    return out
 
 
-def artin_act(braid, w, n):
-    """Apply a braid word (sequence of (index, +-1)) to a free word.
+def _images(braid, n):
+    """The images of the free generators x_1 ... x_n under the automorphism
+    of a braid word, as reduced words, after checking the word.
 
-    Composition convention: the rightmost letter acts first, so
-    act(b1 b2, w) = act(b1, act(b2, w)).
-    """
+    The images are tracked left to right over the freely reduced word:
+    appending s_i^e to a braid whose automorphism has images img makes the
+    image of each generator the substitution of img into its image under
+    s_i^e, so that of x_i becomes img[i] img[i+1] img[i]^-1 and that of
+    x_{i+1} img[i] for s_i, and img[i+1] and img[i+1]^-1 img[i] img[i+1]
+    for s_i^-1 (Birman, Braids, Links, and Mapping Class Groups, 1974,
+    1.4)."""
     if n > DEFAULT_MAX_STRANDS:
         raise BraidError(f"strand count {n} above cap {DEFAULT_MAX_STRANDS}")
     for g, e in braid:
@@ -82,10 +85,24 @@ def artin_act(braid, w, n):
             raise BraidError(f"braid index {g} out of range for {n} strands")
         if e not in (1, -1):
             raise BraidError("braid exponents must be +-1")
-    result = free_reduce(w)
-    for g, e in reversed(braid):
-        result = _act_sigma(g, e, result)
-    return result
+    img = [generator(g) for g in range(1, n + 1)]
+    for g, e in free_reduce(braid):
+        if e == 1:
+            img[g - 1], img[g] = _substitute(img, ((g, 1), (g + 1, 1), (g, -1))), img[g - 1]
+        else:
+            img[g - 1], img[g] = img[g], _substitute(img, ((g + 1, -1), (g, 1), (g + 1, 1)))
+    return tuple(img)
+
+
+def artin_act(braid, w, n):
+    """Apply a braid word (sequence of (index, +-1)) to a free word: the
+    images of the free generators (``_images``) substituted into w, the
+    generators above n fixed.
+
+    Composition convention: the rightmost letter acts first, so
+    act(b1 b2, w) = act(b1, act(b2, w)).
+    """
+    return _substitute(_images(braid, n), w)
 
 
 def alpha_word(i, j):
@@ -105,15 +122,13 @@ def braid_mul(*braids):
 
 
 def acts_equally(b1, b2, n) -> bool:
-    """Exact equality of the induced free-group automorphisms."""
-    return all(
-        artin_act(b1, generator(g), n) == artin_act(b2, generator(g), n)
-        for g in range(1, n + 1)
-    )
+    """Exact equality of the induced free-group automorphisms: the same
+    images of every free generator."""
+    return _images(b1, n) == _images(b2, n)
 
 
 def acts_trivially(b, n) -> bool:
-    return all(artin_act(b, generator(g), n) == generator(g) for g in range(1, n + 1))
+    return _images(b, n) == _images((), n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,14 +37,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged and no default is a mutable object, so no call's namespace
+    shares anything with another's."""
     p = _Parser(prog="dcs", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command")
 
     v = sub.add_parser("verify", help="run claim families and emit a report")
     v.add_argument("--all", action="store_true", help="run every claim family")
-    v.add_argument("--claim", action="append", default=[], metavar="ID",
+    v.add_argument("--claim", action="append", metavar="ID",
                    help="run a single claim family (repeatable)")
     v.add_argument("--samples", type=int, default=None, help="circle samples")
     v.add_argument("--grid", default=None, metavar="AxB", help="disk grid, e.g. 128x64")

@@ -6,7 +6,9 @@ compared up to scale with the chordal (Fubini-Study sine) metric.  All
 predicates report margins so callers can quantify how far a configuration
 sits from a degenerate position.  Everything here is pure and operates on
 immutable values; batched variants (suffix ``_batch``) take arrays shaped
-``(..., k, n+1)`` and vectorize over the leading axes.
+``(..., k, n+1)`` and vectorize over the leading axes.  The membership
+validation kernels take coordinate-major arrays ``(n+1, ..., N)`` instead,
+the node axis last (see ``columns``).
 """
 
 from __future__ import annotations
@@ -21,16 +23,19 @@ import numpy as np
 ZERO_FLOOR = 1e-300
 # Euclidean norms outside this range lose digits or overflow when squared.
 SAFE_NORM = (1e-150, 1e150)
-# Rows per pass of ``meet`` (see ``chunked``), whose temporaries hold a few
-# complex numbers per row: 1,024 keeps each below numpy's threshold for
-# reusing temporaries in place, so a node's meet does not depend on the size
-# of its batch.
+# Rows per pass of ``meet`` (see ``chunked``), whose row-major temporaries
+# hold a few complex numbers per row: 1,024 keeps each below numpy's
+# threshold for reusing temporaries in place, so a node's meet does not
+# depend on the size of its batch.
 CHUNK = 1024
-# Rows per pass of a kernel whose temporaries hold one complex number per
-# row (``bracket_rows``, ``chordal_batch``, ``line_residual``,
-# ``pencil_points``, ``collinear_residual``; ``chordal_pairs`` divides it by
-# its number of pairs): 8,192 keeps each at 128 KiB, half of numpy's
-# threshold, in one pass for most loop samples.
+# Complex numbers per temporary of the other kernels: the row-major ones
+# whose temporaries hold one per row (``bracket_rows``, ``chordal_batch``,
+# ``line_residual``) take this many rows per pass, and the coordinate-major
+# validation kernels (``columns``: ``chordal_columns``, ``chordal_pairs``,
+# ``pencil_points``, ``collinear_residual``) this many divided by the pairs
+# or spans they stack per node, e.g. 546 nodes for a configuration's 15
+# point pairs and 2,730 for its 3 spans.  8,192 keeps each temporary at
+# 128 KiB, half of numpy's threshold, in one pass for most loop samples.
 VECTOR_ROWS = 8192
 
 
@@ -151,18 +156,22 @@ def _norm(a, **axes):
         return np.linalg.norm(a, **axes)
 
 
-def unit_rows(a: np.ndarray) -> np.ndarray:
-    """Normalize the last axis to unit Euclidean norm.  Rows whose norm
-    under- or overflows in binary64 are first divided by their largest
-    modulus, so the result does not depend on the representative's scale."""
-    n = _norm(a, axis=-1, keepdims=True)
+def unit_rows(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Normalize the vectors along ``axis``, the last by default (rows), or
+    the first of coordinate-major arrays (see ``columns``), to unit
+    Euclidean norm.  Vectors whose norm under- or overflows in binary64 are
+    first divided by their largest modulus, so the result does not depend
+    on the representative's scale.  numpy sums up to seven squared moduli
+    in coordinate order along either axis, so a vector of up to seven
+    coordinates gets the same bits in either layout."""
+    n = _norm(a, axis=axis, keepdims=True)
     far = (n < SAFE_NORM[0]) | (n > SAFE_NORM[1])
     if np.any(far):
-        peak = np.max(np.abs(a), axis=-1, keepdims=True)
+        peak = np.max(np.abs(a), axis=axis, keepdims=True)
         if np.any(far & (peak < ZERO_FLOOR)):
             raise ZeroVectorError("zero representative in batch")
         a = np.where(far, a / np.where(far, peak, 1.0), a)
-        n = np.where(far, np.linalg.norm(a, axis=-1, keepdims=True), n)
+        n = np.where(far, np.linalg.norm(a, axis=axis, keepdims=True), n)
     return a / n
 
 
@@ -195,6 +204,31 @@ def chunked(kernel, *arrays, core: int = 1, rows: int = CHUNK):
     return out[0] if one else out
 
 
+def columns(kernel, *arrays, stack: int = 1):
+    """``kernel`` applied to coordinate-major ``arrays`` (m, ..., N), the
+    coordinate axis first and the node axis last, in passes of at most
+    VECTOR_ROWS // ``stack`` nodes, where ``stack`` is the number of complex
+    numbers per node in each of the kernel's temporaries (one per coordinate
+    and stacked pair, span or point); an array whose node axis has length 1
+    holds one value for every node.  ``kernel`` returns an array, or a
+    tuple of arrays, with the node axis last.  Each of a coordinate's
+    arrays is contiguous along the nodes, so numpy runs its contiguous
+    inner loops, and each temporary holds at most VECTOR_ROWS complex
+    numbers, below numpy's threshold for reusing temporaries in place (see
+    ``chunked``), so a node's value does not depend on the size of its
+    batch.
+    """
+    n = max(a.shape[-1] for a in arrays)
+    rows = max(1, VECTOR_ROWS // stack)
+    if n <= rows:
+        return kernel(*arrays)
+    parts = [kernel(*(a[..., i:i + rows] if a.shape[-1] == n else a for a in arrays))
+             for i in range(0, n, rows)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+    return np.concatenate(parts, axis=-1)
+
+
 def _chordal(u, v):
     """Chordal distances of coordinate-major unit representatives (m, rows).
     The same operations, in the same order, as numpy's row-major form
@@ -214,16 +248,22 @@ def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return chunked(lambda a, b: _chordal(a.T, b.T), u, v, rows=VECTOR_ROWS)
 
 
-def chordal_pairs(rows: np.ndarray, pairs) -> np.ndarray:
-    """Chordal distances (N, len(pairs)) of the pairs (i, j) of the unit rows
-    (N, k, m) of each node, in one pass; equal to ``chordal_batch`` of the
-    rows i and j."""
-    first, second = (list(p) for p in zip(*pairs))
+def chordal_columns(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Chordal distances (..., N) of coordinate-major unit points u and v
+    (m, ..., N), broadcast against each other (see ``columns``); equal to
+    ``chordal_batch`` of the same points row-major."""
+    stack = math.prod(np.broadcast_shapes(u.shape[1:-1], v.shape[1:-1]))
+    return columns(_chordal, u, v, stack=stack)
 
-    def kernel(x):                                    # (rows, k, m) -> (m, pairs, rows) per side
-        x = np.moveaxis(x, 0, -1)
-        return _chordal(np.swapaxes(x[first], 0, 1), np.swapaxes(x[second], 0, 1)).T
-    return chunked(kernel, rows, core=2, rows=max(1, VECTOR_ROWS // len(first)))
+
+def chordal_pairs(points: np.ndarray, pairs) -> np.ndarray:
+    """Chordal distances (len(pairs), N) of the pairs (i, j) of the
+    coordinate-major unit points (m, k, N) of each node, the pairs stacked
+    on the leading axis, so the number of numpy calls does not depend on
+    the number of pairs; equal to ``chordal_columns`` of the points i and
+    j."""
+    first, second = (list(p) for p in zip(*pairs))
+    return columns(lambda x: _chordal(x[:, first], x[:, second]), points, stack=len(first))
 
 
 def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
@@ -257,49 +297,50 @@ def _line_residual(a, b):
     return np.where(line, far, 1.0)
 
 
-def pencil_points(spans: np.ndarray, center: np.ndarray) -> tuple:
-    """Each span of unit rows (..., 2, m) as a point of the pencil of lines
-    through the unit ``center`` (..., m), a CP^(m-2), batched over the
-    spans' leading axes (the center's broadcast against them: one center,
-    or one per node): the unit direction from the center of the span's
-    farther point (zero where both points are exactly the center), and the
-    incidence residual (...), the chordal distance of the nearer point from
-    the line through the center and the farther one (the Gram-Schmidt steps
-    of ``line_residual``), accurate to a few eps wherever the points lie.
-    Whether a span is a line is the caller's check."""
-    return chunked(_pencil_points, spans, np.asarray(center)[..., None, :], core=2, rows=VECTOR_ROWS)
+def pencil_points(a: np.ndarray, b: np.ndarray, center: np.ndarray) -> tuple:
+    """Each span (a, b) of coordinate-major unit points (m, L, N) as a point
+    of the pencil of lines through the unit ``center`` (m, 1, N), one per
+    node, or (m, 1, 1), one for all, a CP^(m-2), the spans stacked on the
+    axis L: the unit direction from the center of the span's farther point
+    (m, L, N), zero where both points are exactly the center; the
+    incidence residual (L, N), the chordal distance of the nearer point
+    from the line through the center and the farther one (the Gram-Schmidt
+    steps of ``line_residual``), accurate to a few eps wherever the points
+    lie; and the nearer point's chordal distance from the center (L, N),
+    the norm of the component orthogonal to the center that the direction
+    is formed from.  Whether a span is a line is the caller's check."""
+    return columns(_pencil_points, a, b, center, stack=a.shape[1])
 
 
-def _pencil_points(a, c):
-    """``pencil_points`` on one pass of rows, one vector per coordinate."""
-    o = c[:, 0].T
-    dx, dy = _away(a[:, 0].T, o), _away(a[:, 1].T, o)
+def _pencil_points(a, b, o):
+    """``pencil_points`` on one pass of nodes."""
+    dx, dy = _away(a, o), _away(b, o)
     nx, ny = _norm2(dx), _norm2(dy)
     first, size = nx >= ny, np.sqrt(np.maximum(nx, ny))
     size[size == 0] = 1.0
     d = [np.where(first, u, v) / size for u, v in zip(dx, dy)]
     near = [np.where(first, v, u) for u, v in zip(dx, dy)]
-    return np.stack(d, axis=-1), np.sqrt(_norm2(_away(near, d)))
+    return np.stack(d), np.sqrt(_norm2(_away(near, d))), np.sqrt(np.minimum(nx, ny))
 
 
 def collinear_residual(points: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """How far three unit points (..., 3, m) are from lying on one line,
-    batched over the leading axes: the chordal distance of one point from
-    the line through the other two, with ``dist`` (..., 3) their chordal
+    """How far three coordinate-major unit points (m, 3, N) are from lying
+    on one line, per node (N,): the chordal distance of one point from the
+    line through the other two, with ``dist`` (3, N) their chordal
     distances in the order (0, 1), (0, 2), (1, 2).  The line is taken
     through the farthest-apart pair, whose Gram-Schmidt frame keeps the
     value accurate to a few eps (Golub & Van Loan, Matrix Computations, 4th
     ed., 5.2); through a close pair it would be off by about eps over that
     pair's distance.
     """
-    return chunked(_collinear_residual, points, np.asarray(dist)[..., None], core=2, rows=VECTOR_ROWS)
+    return columns(_collinear_residual, points, dist)
 
 
 def _collinear_residual(a, d):
-    """``collinear_residual`` on one pass of rows, one vector per coordinate."""
-    far = np.argmax(d[:, :, 0], axis=1)
-    at = np.arange(len(a))
-    p, q, x = (a[at, np.array(k)[far]].T for k in ((0, 0, 1), (1, 2, 2), (2, 1, 0)))
+    """``collinear_residual`` on one pass of nodes."""
+    far = np.argmax(d, axis=0)
+    at = np.arange(a.shape[-1])
+    p, q, x = (a[:, np.array(k)[far], at] for k in ((0, 0, 1), (1, 2, 2), (2, 1, 0)))
     e = _away(q, p)
     size = np.sqrt(_norm2(e))
     size[size == 0] = 1.0
@@ -343,8 +384,10 @@ def cross(a, b):
 
 
 def _vdot(a, b):
-    """<a, b> = sum(conj(a) b) over the last axis."""
-    return np.sum(np.conj(a) * b, axis=-1)
+    """<a, b> = sum(conj(a) b) over the last axis.  The products are laid
+    out row-major whatever the layout of a and b, because numpy pairs the
+    terms of a complex sum along a contiguous axis differently."""
+    return np.sum(np.multiply(np.conj(a), b, order="C"), axis=-1)
 
 
 def meet(p1, q1, p2, q2):
@@ -359,16 +402,17 @@ def meet(p1, q1, p2, q2):
 
     In CP^2 the point is the cross product (p1 x q1) x (p2 x q2), whose
     norm is the product of the three quantities (|p x q| is the chordal
-    distance of unit p and q, |l1 x l2| / (|l1| |l2|) the sine); undefined
-    points of norm below 1e-12 are returned unnormalized.  Above CP^2 it is
-    the point of p1 q1 nearest to p2 q2, the meet when the lines meet: with
-    orthonormal frames (p1, e1) and (p2, e2) of the lines and r(x) the
-    component of x orthogonal to p2 q2, the eigenvector (a, b) of the least
-    eigenvalue of the 2x2 Gram of r(p1), r(e1) gives a p1 + b e1.  The sine
-    is the norm of [r(p1), r(e1)].  Whether the lines meet is not a test
-    here: ``strata.validate_batch``'s check ``concurrent`` measures how far
-    d2 passes from the point.  Where the meet is undefined the point is only
-    a placeholder.
+    distance of unit p and q, |l1 x l2| / (|l1| |l2|) the sine).  Above
+    CP^2 it is the point of p1 q1 nearest to p2 q2, the meet when the lines
+    meet: with orthonormal frames (p1, e1) and (p2, e2) of the lines and
+    r(x) the component of x orthogonal to p2 q2, the eigenvector (a, b) of
+    the least eigenvalue of the 2x2 Gram of r(p1), r(e1) gives a p1 + b e1.
+    The sine is the norm of [r(p1), r(e1)].  Whether the lines meet is not
+    a test here: ``strata.validate_batch``'s check ``concurrent`` measures
+    how far d2 passes from the point.  The point is returned normalized
+    wherever its norm is above 0, and is p1 where it is 0; where the meet
+    is undefined it is only a placeholder, but still a unit point, so the
+    distances measured from it are distances.
     """
     return chunked(_meet, p1, q1, p2, q2)
 
@@ -381,24 +425,24 @@ def _meet(p1, q1, p2, q2):
         norm = np.linalg.norm(point, axis=-1, keepdims=True)
         n1, n2 = np.linalg.norm(l1, axis=-1), np.linalg.norm(l2, axis=-1)
         defined = (n1 >= 1e-12) & (n2 >= 1e-12) & (norm[..., 0] >= 1e-12 * n1 * n2)
-        norm[(norm[..., 0] < 1e-12) & ~defined] = 1.0
-        return point / norm, defined
+    else:
+        (e1, s1), (e2, s2) = _frame(p1, q1), _frame(p2, q2)
+        rp, re = ((x - _vdot(p2, x)[:, None] * p2) - _vdot(e2, x)[:, None] * e2 for x in (p1, e1))
+        a, b, h = _vdot(rp, rp).real, _vdot(re, re).real, _vdot(rp, re)
+        least = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(h))
+        v1 = np.where(a >= b, h, least - b)
+        v2 = np.where(a >= b, least - a, np.conj(h))
+        point = v1[:, None] * p1 + v2[:, None] * e1
+        norm = np.linalg.norm(point, axis=-1, keepdims=True)
+        defined = (s1 >= 1e-12) & (s2 >= 1e-12) & (np.sqrt(a + b) >= 1e-12)
+    return np.where(norm > 0, point / np.where(norm > 0, norm, 1.0), p1), defined
 
-    def frame(p, q):                  # the unit vector of p q orthogonal to p, and |p x q|
-        e = q - _vdot(p, q)[:, None] * p
-        s = np.linalg.norm(e, axis=-1)
-        return e / np.where(s > 0, s, 1.0)[:, None], s
 
-    (e1, s1), (e2, s2) = frame(p1, q1), frame(p2, q2)
-    rp, re = ((x - _vdot(p2, x)[:, None] * p2) - _vdot(e2, x)[:, None] * e2 for x in (p1, e1))
-    a, b, h = _vdot(rp, rp).real, _vdot(re, re).real, _vdot(rp, re)
-    least = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(h))
-    v1 = np.where(a >= b, h, least - b)
-    v2 = np.where(a >= b, least - a, np.conj(h))
-    point = v1[:, None] * p1 + v2[:, None] * e1
-    norm = np.linalg.norm(point, axis=-1, keepdims=True)
-    point = np.where(norm > 0, point / np.where(norm > 0, norm, 1.0), p1)
-    return point, (s1 >= 1e-12) & (s2 >= 1e-12) & (np.sqrt(a + b) >= 1e-12)
+def _frame(p, q):
+    """The unit vector of the line p q orthogonal to unit p, and |p x q|."""
+    e = q - _vdot(p, q)[:, None] * p
+    s = np.linalg.norm(e, axis=-1)
+    return e / np.where(s > 0, s, 1.0)[:, None], s
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .projective import (
     HPoint,
     ProjectiveError,
     Tolerances,
-    chordal_batch,
+    chordal_columns,
     chordal_pairs,
     collinear_residual,
     is_int,
@@ -38,10 +38,10 @@ from .projective import (
     unit_rows,
 )
 
-# Pairs of the rows A1, B1, A2, B2, A3, B3 (0-5) and the meet or center (6)
-# whose chordal distances validate_batch checks: the points, then the meet.
+# Pairs of the points A1, B1, A2, B2, A3, B3 (0-5): all of them, whose
+# chordal distances validate_batch checks, and the spans (A_i, B_i).
 _POINT_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-_CENTER_PAIRS = [(i, 6) for i in range(6)]
+_SPAN_PAIRS = [(0, 1), (2, 3), (4, 5)]
 # Pairs of the three lines, in the order ``collinear_residual`` reads.
 _LINE_PAIRS = [(0, 1), (0, 2), (1, 2)]
 
@@ -208,7 +208,8 @@ def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_T
     if not pts:
         raise ProjectiveError("empty point list")
     pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-    d = chordal_pairs(unit_rows(np.stack([p.coords for p in pts]))[None], pairs)[0] if pairs else np.empty(0)
+    cols = unit_rows(np.stack([p.coords for p in pts])).T[..., None]
+    d = chordal_pairs(cols, pairs)[:, 0] if pairs else np.empty(0)
     worst = float(d.min()) if pairs else np.inf
     failures = [f"points {i} and {j} coincide"
                 for (i, j), close in zip(pairs, d <= tol.proj_eq_tol) if close]
@@ -344,24 +345,31 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     return _each_distinct_once(_validate_configs, pts, tag, tol)
 
 
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """Rows (N, k, m) as coordinate-major points (m, k, N), contiguous, the
+    layout of the validation kernels (see ``projective.columns``)."""
+    return np.ascontiguousarray(rows.transpose(2, 1, 0))
+
+
 def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
     """``validate_batch`` on (N, 6, n+1) points, failing nodes counted
-    ``counts`` times each when given."""
-    u = unit_rows(pts)
-    centers, defined = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
-    dist = chordal_pairs(np.concatenate([u, centers[:, None]], axis=1), _POINT_PAIRS + _CENTER_PAIRS)
+    ``counts`` times each when given.  Center-apart is the nearer point's
+    distance from the meet that ``pencil_points`` forms for each span."""
+    cols = unit_rows(_columns(pts), axis=0)
+    centers, defined = meet(*(cols[:, i].T for i in range(4)))
+    center = _columns(centers[:, None])
     # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
-    pair = dist[:, :len(_POINT_PAIRS)].min(axis=-1)
-    apart = dist[:, len(_POINT_PAIRS):].min(axis=-1)
+    pair = chordal_pairs(cols, _POINT_PAIRS).min(axis=0)
+    points, incidence, apart = pencil_points(cols[:, 0::2], cols[:, 1::2], center)
+    apart = apart.min(axis=0)
     fail_counts: dict = {}
     ok = (_record(fail_counts, "pairwise-distinct", pair > tol.proj_eq_tol, counts)
           & _record(fail_counts, "meet-defined", defined, counts)
           & _record(fail_counts, "center-apart", apart > tol.proj_eq_tol, counts))
-    residuals = np.zeros(len(u))
+    residuals = np.zeros(len(pts))
     if tag.kind.endswith("_fixed"):
-        residuals = chordal_batch(centers, tag.center.unit()[None, :])
+        residuals = chordal_columns(center[:, 0], tag.center.unit()[:, None])
         ok &= _record(fail_counts, "center-matches", residuals <= tol.proj_eq_tol, counts)
-    points, incidence = pencil_points(u.reshape(len(u), 3, 2, -1), centers[:, None])
     good, distinct, concurrent, lines = _pencil_checks(points, incidence, "concurrent", tol, fail_counts, counts)
     ok &= good
     margins = np.minimum(np.minimum(pair, apart), distinct)
@@ -380,13 +388,13 @@ def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
 
 def _pencil_checks(points, incidence, name: str, tol: Tolerances, fail_counts: dict, counts) -> tuple:
     """The checks of each node's three points of the pencil of lines
-    through its center (N, 3, m), with their incidence residuals (N, 3):
-    lines-distinct (the points pairwise more than proj_eq_tol apart) and
-    ``name`` (every residual at most rank_rel_tol).  Returns the verdicts,
-    the least distance, the largest residual and the pair distances (N, 3)
-    in the order of ``_LINE_PAIRS``."""
+    through its center, coordinate-major (m, 3, N), with their incidence
+    residuals (3, N): lines-distinct (the points pairwise more than
+    proj_eq_tol apart) and ``name`` (every residual at most rank_rel_tol).
+    Returns the verdicts, the least distance, the largest residual and the
+    pair distances (3, N) in the order of ``_LINE_PAIRS``."""
     lines = chordal_pairs(points, _LINE_PAIRS)
-    distinct, residuals = lines.min(axis=-1), incidence.max(axis=-1)
+    distinct, residuals = lines.min(axis=0), incidence.max(axis=0)
     ok = (_record(fail_counts, "lines-distinct", distinct > tol.proj_eq_tol, counts)
           & _record(fail_counts, name, residuals <= tol.rank_rel_tol, counts))
     return ok, distinct, residuals, lines
@@ -449,13 +457,14 @@ def _validate_lines(arr: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> 
     fail_counts: dict = {}
     if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors, each its line's point of the pencil
         points = unit_rows(arr)
-        incidence = np.abs(points @ c)
+        incidence = np.abs(points @ c).T
+        points = _columns(points)
         ok, margins = np.ones(len(arr), dtype=bool), np.inf
     else:
-        spans = unit_rows(arr.reshape(len(arr), 3, 2, -1))
-        margins = chordal_batch(spans[:, :, 0], spans[:, :, 1]).min(axis=-1)
+        cols = unit_rows(_columns(arr.reshape(len(arr), 6, arr.shape[-1])), axis=0)
+        margins = chordal_pairs(cols, _SPAN_PAIRS).min(axis=0)
         ok = _record(fail_counts, "span-defined", margins > tol.proj_eq_tol, counts)
-        points, incidence = pencil_points(spans, c)
+        points, incidence, _ = pencil_points(cols[:, 0::2], cols[:, 1::2], c[:, None, None])
     good, distinct, residuals, _ = _pencil_checks(points, incidence, "center-incidence", tol, fail_counts, counts)
     return BatchResult(ok & good, np.minimum(margins, distinct), residuals, fail_counts)
 

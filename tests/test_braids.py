@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dcs.braids import (
     BraidError,
     acts_equally,
+    acts_trivially,
     alpha_word,
     artin_act,
     braid_mul,
@@ -72,6 +73,55 @@ def test_action_respects_composition():
         b1, b2 = random_braid(r, n, 5), random_braid(r, n, 5)
         w = random_free_word(r, n)
         assert artin_act(braid_mul(b1, b2), w, n) == artin_act(b1, artin_act(b2, w, n), n)
+
+
+def _act_letter(i, sign, w):
+    """s_i^sign applied to the free word w, one letter of w at a time: the
+    definition, independent of the package's image tracking."""
+    out = []
+    for g, e in w:
+        if sign == 1:
+            image = {i: ((i, 1), (i + 1, 1), (i, -1)), i + 1: ((i, 1),)}.get(g, ((g, 1),))
+        else:
+            image = {i: ((i + 1, 1),), i + 1: ((i + 1, -1), (i, 1), (i + 1, 1))}.get(g, ((g, 1),))
+        out.extend(image if e == 1 else invert_word(image))
+    return free_reduce(out)
+
+
+def reference_act(braid, w, n):
+    """The Artin action letter by letter, the rightmost braid letter first."""
+    w = free_reduce(w)
+    for g, e in reversed(braid):
+        w = _act_letter(g, e, w)
+    return w
+
+
+def letters(top, size):
+    return st.lists(st.tuples(st.integers(1, top), st.sampled_from((-1, 1))), max_size=size).map(tuple)
+
+
+@st.composite
+def braids_and_word(draw):
+    """A strand count n of 2 to 6, two braid words on n strands and a free
+    word in x_1 ... x_{n+1}."""
+    n = draw(st.integers(2, 6))
+    return n, draw(letters(n - 1, 16)), draw(letters(n - 1, 16)), draw(letters(n + 1, 12))
+
+
+@given(braids_and_word())
+@settings(max_examples=300, deadline=None)
+def test_images_match_the_letter_by_letter_action(case):
+    """The braid's images of the free generators, tracked left to right,
+    act on every free word (a generator above n included, which every braid
+    fixes) as the letter-by-letter definition does, and ``acts_equally`` and
+    ``acts_trivially`` compare what the definition gives on the generators."""
+    n, braid, other, w = case
+    assert artin_act(braid, w, n) == reference_act(braid, w, n)
+    gens = [generator(g) for g in range(1, n + 1)]
+    images = [reference_act(braid, x, n) for x in gens]
+    assert acts_equally(braid, other, n) == (images == [reference_act(other, x, n) for x in gens])
+    assert acts_trivially(braid, n) == (images == gens)
+    assert acts_trivially(braid_mul(braid, invert_word(braid)), n)
 
 
 def test_pure_generator_fixes_later_strands():

@@ -567,6 +567,49 @@ def test_atlas_export(capsys):
     assert {c["id"] for c in doc["claims"]} == {f"C{i}" for i in range(1, 16)}
 
 
+def test_cached_parser_shares_no_parsed_state(monkeypatch):
+    """The parser is built once per process, and repeated and concurrent
+    calls of main each get their own arguments: --claim does not accumulate
+    across calls, a call without it sees none, and a command that changes
+    its arguments changes no later call's."""
+    import threading
+
+    from dcs import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seen = {}
+
+    def record(args):
+        seen.setdefault(threading.current_thread().name, []).append(list(args.claim or []))
+        if args.claim is not None:
+            args.claim.append("C9")
+        return EXIT_OK
+    monkeypatch.setattr(cli, "cmd_verify", record)
+    for _ in range(3):
+        assert main(["verify", "--claim", "C3", "--claim", "C5"]) == EXIT_OK
+        assert main(["verify", "--all"]) == EXIT_OK
+    assert seen.pop(threading.current_thread().name) == [["C3", "C5"], []] * 3
+    start = threading.Barrier(4)
+
+    def worker(k):
+        start.wait()
+        for _ in range(50):
+            main(["verify", "--claim", f"C{k}"])
+            main(["verify"])
+    threads = [threading.Thread(target=worker, args=(k,), name=f"client-{k}") for k in range(1, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {f"client-{k}": [[f"C{k}"], []] * 50 for k in range(1, 5)}
+
+
 def test_no_command_is_usage_error(capsys):
     assert run_cli([], capsys)[0] == EXIT_USAGE
 

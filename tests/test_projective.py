@@ -17,6 +17,7 @@ from dcs.projective import (
     ZeroVectorError,
     bracket_rows,
     chordal_batch,
+    chordal_columns,
     chordal_pairs,
     collinear_residual,
     line_residual,
@@ -203,7 +204,8 @@ def test_meet_skew_lines_residual():
     assert relative_singular_values(rows)[0, 3] == pytest.approx(1.0)
     point, defined = meet(*rows[0])
     assert defined and proj_dist(HPoint(point), HPoint([1, 0, 0, 0])) < 1e-12
-    assert pencil_points(rows[:, 2:], point)[1][0] == pytest.approx(1.0)
+    a, b, c = (x[:, None, None] for x in (rows[0, 2], rows[0, 3], point))
+    assert pencil_points(a, b, c)[1][0, 0] == pytest.approx(1.0)
 
 
 def test_meet_reconstructs_common_point():
@@ -308,20 +310,44 @@ def test_package_exports_resolve():
     assert not missing, missing
 
 
-# the pairs of a configuration's six points and its meet, as validate_batch
-# measures them: 21 pairs, more than fit a pass of CHUNK rows in 256 KiB
+# all pairs of seven points: more pairs stacked than validate_batch's
 CONFIG_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+# the pairs of a configuration's six points, stacked as validate_batch
+# stacks them: a pass of VECTOR_ROWS // 15 = 546 nodes
+POINT_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+LINE_PAIRS = [(0, 1), (0, 2), (1, 2)]
+
+
+def columns(a):
+    """Rows (n, r, m) as the coordinate-major points (m, r, n) the
+    validation kernels take."""
+    return np.ascontiguousarray(a.transpose(2, 1, 0))
+
+
+def by_node(kernel):
+    """``kernel`` on coordinate-major points, its outputs with the node axis
+    moved first, so that out[i] is node i's."""
+    def run(a):
+        out = kernel(columns(a))
+        return tuple(np.moveaxis(o, -1, 0) for o in out) if isinstance(out, tuple) else np.moveaxis(out, -1, 0)
+    return run
+
+
 # the batched kernels on rows alone and in batches of any size
 KERNELS = {
     "bracket_rows": (3, 3, lambda a: bracket_rows(a[:, 0], a[:, 1], a[:, 2])),
     "chordal_batch": (2, 3, lambda a: chordal_batch(a[:, 0], a[:, 1])),
-    "chordal_pairs": (7, 4, lambda a: chordal_pairs(a, [(0, 1), (2, 6), (5, 3)])),
-    "chordal_pairs configs": (7, 4, lambda a: chordal_pairs(a, CONFIG_PAIRS)),
-    "collinear_residual": (3, 4, lambda a: collinear_residual(a, chordal_pairs(a, [(0, 1), (0, 2), (1, 2)]))),
+    "chordal_columns": (2, 3, by_node(lambda c: chordal_columns(c[:, 0], c[:, 1]))),
+    "chordal_pairs": (7, 4, by_node(lambda c: chordal_pairs(c, [(0, 1), (2, 6), (5, 3)]))),
+    "chordal_pairs configs": (7, 4, by_node(lambda c: chordal_pairs(c, CONFIG_PAIRS))),
+    "chordal_pairs stacked": (6, 3, by_node(lambda c: chordal_pairs(c, POINT_PAIRS))),
+    "collinear_residual": (3, 4, by_node(lambda c: collinear_residual(c, chordal_pairs(c, LINE_PAIRS)))),
     "line_residual": (4, 4, lambda a: line_residual(a[:, :2], a[:, 2:])),
     "meet": (4, 4, lambda a: meet(*(a[:, i] for i in range(4)))),
-    "pencil_points": (3, 5, lambda a: pencil_points(a[:, None, :2], a[:, None, 2])),
+    "pencil_points": (3, 5, by_node(lambda c: pencil_points(c[:, :1], c[:, 1:2], c[:, 2:]))),
+    "pencil_points stacked": (7, 4, by_node(lambda c: pencil_points(c[:, 0:6:2], c[:, 1:6:2], c[:, 6:]))),
     "unit_rows": (3, 4, unit_rows),
+    "unit_rows columns": (3, 4, by_node(lambda c: unit_rows(c, axis=0))),
 }
 
 
@@ -333,13 +359,13 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     last, rows around the first two pass boundaries and 24 random ones for
     meet.  numpy computes a complex product of a large temporary in place,
     and rounds it differently, so an unchunked kernel fails this, and so
-    does a kernel whose pass is too long for its temporaries.  unit_rows
-    takes raw rows at scales 1e-200 to 1e200, so that a batch mixes rows of
-    its far-norm branch with rows in range."""
+    does a kernel whose pass is too long for its temporaries.  unit_rows,
+    in either layout, takes raw rows at scales 1e-200 to 1e200, so that a
+    batch mixes rows of its far-norm branch with rows in range."""
     r, m, kernel = KERNELS[name]
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(n, r, m)) + 1j * rng.normal(size=(n, r, m))
-    rows = rows * 10.0 ** rng.integers(-200, 201, size=(n, r, 1)) if name == "unit_rows" else unit_rows(rows)
+    rows = rows * 10.0 ** rng.integers(-200, 201, size=(n, r, 1)) if name.startswith("unit_rows") else unit_rows(rows)
 
     def run(a):
         out = kernel(a)
@@ -354,6 +380,22 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     for i in picks:
         for whole, alone in zip(batch, run(rows[i:i + 1])):
             assert whole[i].tobytes() == alone[0].tobytes(), i
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_validation_layout_keeps_the_bits(m):
+    """Validation normalizes coordinate-major points (unit_rows along axis
+    0) and takes the meet of their transposed, strided views: both are bit
+    for bit what the row-major rows give, for up to seven coordinates, at
+    scales 1e-200 to 1e200 (so some vectors take the far-norm branch)."""
+    rng = np.random.default_rng(m)
+    rows = rng.normal(size=(3000, 4, m)) + 1j * rng.normal(size=(3000, 4, m))
+    rows = rows * 10.0 ** rng.integers(-200, 201, size=(3000, 4, 1))
+    u = unit_rows(rows)
+    cols = unit_rows(columns(rows), axis=0)
+    assert np.moveaxis(cols, 0, -1).swapaxes(0, 1).tobytes() == u.tobytes()
+    for whole, strided in zip(meet(*(u[:, i] for i in range(4))), meet(*(cols[:, i].T for i in range(4)))):
+        assert np.ascontiguousarray(strided).tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

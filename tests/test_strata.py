@@ -15,6 +15,7 @@ from dcs.projective import (
     ProjectiveError,
     chordal_batch,
     meet,
+    pencil_points,
     span_dim,
     unit_rows,
 )
@@ -343,6 +344,45 @@ def test_meet_defined_for_close_pairs_on_distinct_lines():
     for batch in (cfg[None], np.stack([cfg, atlas.PLANAR_BASE])):
         res = validate_batch(batch, SpaceTag.planar_fixed(2, HPoint(I0)))
         assert res.all_ok and res.fail_counts == {}
+
+
+def test_undefined_cp2_meet_is_a_unit_point():
+    """Where the CP^2 meet is undefined it is still a unit point, so the
+    distances read from it are distances: d1 and d2 spanned by four points
+    of one line, whose cross-product meet is about 1e-17 long, give a
+    normalized placeholder, the node fails meet-defined and its residual
+    (concurrent) is at most 1; two equal real spans, whose cross product is
+    exactly 0, give p1."""
+    rng = np.random.default_rng(23)
+    p, q = _cplx(rng, 2, 3)
+    d1 = [a * p + b * q for a, b in _cplx(rng, 4, 2)]
+    cfg = np.stack(d1 + list(_cplx(rng, 2, 3)))
+    u = unit_rows(cfg)
+    point, defined = meet(*u[:4])
+    assert not defined and 0 < np.linalg.norm(np.cross(np.cross(u[0], u[1]), np.cross(u[2], u[3]))) < 1e-12
+    assert np.linalg.norm(point) == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
+    res = validate_batch(cfg, SpaceTag.planar(2))
+    assert "meet-defined" in res.fail_counts and not res.verdicts[0]
+    assert np.linalg.norm(res.centers[0]) == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
+    assert 0 <= res.residuals[0] <= 1
+    e = np.eye(3, dtype=complex)
+    point, defined = meet(e[0], e[1], e[0], e[1])
+    assert not defined and np.array_equal(point, e[0])
+
+
+def test_residuals_at_undefined_cp2_meets_match_the_reference():
+    """At the free CP^2 pencil corpus's nodes whose meet is undefined, the
+    residual is the plain-numpy reference's within 1e-13, as everywhere
+    else: the unit placeholder is a center like any other (returned
+    unnormalized, it gave 0.98 at a node where the reference reads
+    1.6e-5)."""
+    tag = SpaceTag.planar(2)
+    corpus = pencil_corpus(tag)
+    _, _, _, residuals, quantity = config_pencil_reference(corpus, tag)
+    undefined = quantity["meet-defined"][0] < 0.5
+    assert undefined.sum() >= 2
+    res = validate_batch(corpus, tag)
+    assert np.all(np.abs(res.residuals - residuals)[undefined] <= 1e-13)
 
 
 def _cplx(rng, *shape):
@@ -870,6 +910,34 @@ def test_meet_matches_the_svd_meet(tag):
     assert meets.sum() > 50
     svd_point = unit_rows(svd_meet_point(*(u[meets, i] for i in range(4))))
     assert chordal_batch(centers[meets], svd_point).max() < 1e-12
+
+
+@pytest.mark.parametrize("tag", CONFIG_TAGS, ids=CONFIG_TAG_IDS)
+def test_center_apart_is_the_chordal_distance_to_the_meet(tag):
+    """validate_batch reads center-apart from the pencil step: the nearer
+    point of each span's distance from the meet, the norm of its part
+    orthogonal to the meet.  At every node of the pencil corpus, and of
+    configurations with A1 1e-12 to 1e-4 from the meet, that is the chordal
+    distance (``chordal_batch``) of the nearer point from the normalized
+    meet within 4 eps, and so is the margin of the configurations with A1
+    that close, where center-apart is the least margin."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(24)
+    near = []
+    for x in 10.0 ** rng.uniform(-12, -4, size=24):
+        cfg = _config(tag.center.unit() if tag.center is not None else unit_rows(_cplx(rng, tag.n + 1)),
+                      _in_space(rng, tag), [[x, 1], *_cplx(rng, 2, 2)])
+        near.append(cfg)
+    corpus = np.concatenate([pencil_corpus(tag), np.stack(near)])
+    u = unit_rows(corpus)
+    centers, _ = meet(*(u[:, i] for i in range(4)))
+    assert np.abs(np.linalg.norm(centers, axis=-1) - 1).max() <= 4 * eps
+    cols = np.ascontiguousarray(u.transpose(2, 1, 0))
+    apart = pencil_points(cols[:, 0::2], cols[:, 1::2], np.ascontiguousarray(centers.T)[:, None])[2]
+    chordal = chordal_batch(u, centers[:, None]).reshape(len(u), 3, 2).min(axis=-1).T
+    assert np.abs(apart - chordal).max() <= 4 * eps
+    margins = validate_batch(corpus, tag).margins[-len(near):]
+    assert np.abs(margins - chordal.min(axis=0)[-len(near):]).max() <= 4 * eps
 
 
 def _orthogonal(rows):
