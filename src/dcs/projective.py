@@ -31,11 +31,11 @@ CHUNK = 1024
 # Complex numbers per temporary of the other kernels: the row-major ones
 # whose temporaries hold one per row (``bracket_rows``, ``chordal_batch``,
 # ``line_residual``) take this many rows per pass, and the coordinate-major
-# validation kernels (``columns``: ``chordal_columns``, ``chordal_pairs``,
-# ``pencil_points``, ``collinear_residual``) this many divided by the pairs
-# or spans they stack per node, e.g. 546 nodes for a configuration's 15
-# point pairs and 2,730 for its 3 spans.  8,192 keeps each temporary at
-# 128 KiB, half of numpy's threshold, in one pass for most loop samples.
+# validation kernels (``columns``: ``chordal_pairs``, ``pencil_points``,
+# ``collinear_residual``) this many divided by the pairs or spans they
+# stack per node, e.g. 546 nodes for a configuration's 15 point pairs and
+# 2,730 for its 3 spans.  8,192 keeps each temporary at 128 KiB, half of
+# numpy's threshold, in one pass for most loop samples.
 VECTOR_ROWS = 8192
 
 
@@ -248,20 +248,12 @@ def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return chunked(lambda a, b: _chordal(a.T, b.T), u, v, rows=VECTOR_ROWS)
 
 
-def chordal_columns(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Chordal distances (..., N) of coordinate-major unit points u and v
-    (m, ..., N), broadcast against each other (see ``columns``); equal to
-    ``chordal_batch`` of the same points row-major."""
-    stack = math.prod(np.broadcast_shapes(u.shape[1:-1], v.shape[1:-1]))
-    return columns(_chordal, u, v, stack=stack)
-
-
 def chordal_pairs(points: np.ndarray, pairs) -> np.ndarray:
     """Chordal distances (len(pairs), N) of the pairs (i, j) of the
     coordinate-major unit points (m, k, N) of each node, the pairs stacked
     on the leading axis, so the number of numpy calls does not depend on
-    the number of pairs; equal to ``chordal_columns`` of the points i and
-    j."""
+    the number of pairs; equal to ``chordal_batch`` of the points i and j
+    row-major."""
     first, second = (list(p) for p in zip(*pairs))
     return columns(lambda x: _chordal(x[:, first], x[:, second]), points, stack=len(first))
 

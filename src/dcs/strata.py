@@ -28,7 +28,7 @@ from .projective import (
     HPoint,
     ProjectiveError,
     Tolerances,
-    chordal_columns,
+    chordal_batch,
     chordal_pairs,
     collinear_residual,
     is_int,
@@ -309,7 +309,10 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     ``validate_lines_batch``.  Checks (named as reported):
     - pairwise-distinct: the six points pairwise more than proj_eq_tol apart
       (so each line is defined);
-    - meet-defined (see ``projective.meet``);
+    - meet-defined (see ``projective.meet``); where it fails, the later
+      checks read the meet's unit placeholder, so such a node can also
+      fail center-apart (always at the placeholder p1 = A1), lines-distinct
+      or concurrent;
     - center-apart: each point more than proj_eq_tol from the meet;
     - center-matches (fixed tags only): the meet within proj_eq_tol of the
       tag's center, a residual;
@@ -368,7 +371,7 @@ def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
           & _record(fail_counts, "center-apart", apart > tol.proj_eq_tol, counts))
     residuals = np.zeros(len(pts))
     if tag.kind.endswith("_fixed"):
-        residuals = chordal_columns(center[:, 0], tag.center.unit()[:, None])
+        residuals = chordal_batch(centers, tag.center.unit()[None, :])
         ok &= _record(fail_counts, "center-matches", residuals <= tol.proj_eq_tol, counts)
     good, distinct, concurrent, lines = _pencil_checks(points, incidence, "concurrent", tol, fail_counts, counts)
     ok &= good

@@ -17,7 +17,6 @@ from dcs.projective import (
     ZeroVectorError,
     bracket_rows,
     chordal_batch,
-    chordal_columns,
     chordal_pairs,
     collinear_residual,
     line_residual,
@@ -337,7 +336,6 @@ def by_node(kernel):
 KERNELS = {
     "bracket_rows": (3, 3, lambda a: bracket_rows(a[:, 0], a[:, 1], a[:, 2])),
     "chordal_batch": (2, 3, lambda a: chordal_batch(a[:, 0], a[:, 1])),
-    "chordal_columns": (2, 3, by_node(lambda c: chordal_columns(c[:, 0], c[:, 1]))),
     "chordal_pairs": (7, 4, by_node(lambda c: chordal_pairs(c, [(0, 1), (2, 6), (5, 3)]))),
     "chordal_pairs configs": (7, 4, by_node(lambda c: chordal_pairs(c, CONFIG_PAIRS))),
     "chordal_pairs stacked": (6, 3, by_node(lambda c: chordal_pairs(c, POINT_PAIRS))),

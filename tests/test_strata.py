@@ -352,7 +352,13 @@ def test_undefined_cp2_meet_is_a_unit_point():
     of one line, whose cross-product meet is about 1e-17 long, give a
     normalized placeholder, the node fails meet-defined and its residual
     (concurrent) is at most 1; two equal real spans, whose cross product is
-    exactly 0, give p1."""
+    exactly 0, give p1.  The placeholder is a center like any other, so the
+    checks read from it may fail beside meet-defined: at a placeholder
+    apart from the six points the node fails meet-defined and concurrent
+    and its margin is the least pairwise distance, as when the meet was
+    returned unnormalized; at p1 = A1 it also fails center-apart, whose
+    distance 0 is the margin, and lines-distinct, since d1 and d2 are one
+    line of the pencil through it (at the zero vector both passed)."""
     rng = np.random.default_rng(23)
     p, q = _cplx(rng, 2, 3)
     d1 = [a * p + b * q for a, b in _cplx(rng, 4, 2)]
@@ -362,12 +368,20 @@ def test_undefined_cp2_meet_is_a_unit_point():
     assert not defined and 0 < np.linalg.norm(np.cross(np.cross(u[0], u[1]), np.cross(u[2], u[3]))) < 1e-12
     assert np.linalg.norm(point) == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
     res = validate_batch(cfg, SpaceTag.planar(2))
-    assert "meet-defined" in res.fail_counts and not res.verdicts[0]
+    assert res.fail_counts == {"meet-defined": 1, "concurrent": 1} and not res.verdicts[0]
     assert np.linalg.norm(res.centers[0]) == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
+    assert chordal_batch(u, unit_rows(res.centers[0])).min() > 0.1
+    assert res.margins[0] == min(chordal_batch(u[i], u[j]) for i in range(6) for j in range(i + 1, 6))
     assert 0 <= res.residuals[0] <= 1
     e = np.eye(3, dtype=complex)
     point, defined = meet(e[0], e[1], e[0], e[1])
     assert not defined and np.array_equal(point, e[0])
+    s = np.sqrt(0.5)
+    cfg = np.array([e[0], e[1], s * (e[0] + e[1]), s * (e[0] - e[1]), e[2], e.sum(0)])
+    res = validate_batch(cfg, SpaceTag.planar(2))
+    assert np.array_equal(res.centers[0], e[0]) and not res.verdicts[0]
+    assert res.fail_counts == {"meet-defined": 1, "center-apart": 1, "lines-distinct": 1, "concurrent": 1}
+    assert res.margins[0] == 0 and 0 <= res.residuals[0] <= 1
 
 
 def test_residuals_at_undefined_cp2_meets_match_the_reference():
