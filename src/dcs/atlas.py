@@ -77,13 +77,19 @@ SOLID_CHARTS = (
 )
 
 
-def point(*comps) -> np.ndarray:
-    comps = [np.asarray(c, dtype=np.complex128) for c in comps]
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+def point(*comps) -> tuple:
+    """A point's coordinates, unstacked; ``config`` writes them in place."""
+    return comps
 
 
 def config(*pts) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(*pts), axis=-2)
+    """The points' broadcast coordinates in one C-contiguous array (..., k, m)."""
+    shape = np.broadcast_shapes(*{getattr(c, "shape", ()) for p in pts for c in p})
+    out = np.empty(shape + (len(pts), len(pts[0])), dtype=np.complex128)
+    for i, p in enumerate(pts):
+        for j, c in enumerate(p):
+            out[..., i, j] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +143,9 @@ class Arc:
 def _planar(w, moved=None, to=None):
     """sigma's configuration at w, on the lines kw X0 + X1 = 0 (k = 1, 2) and
     X0 = 0, with the point of index ``moved`` replaced by ``to``; at w = 1 it
-    is the base configuration."""
-    pts = [point(-1, w, 1), point(-1, w, 2), point(-1, 2 * w, 1), point(-1, 2 * w, 2),
-           point(*A30), point(*B30)]
+    is the base configuration.  Only the points kept are written."""
+    w2 = 2 * w
+    pts = [point(-1, w, 1), point(-1, w, 2), point(-1, w2, 1), point(-1, w2, 2), A30, B30]
     if moved is not None:
         pts[moved] = to
     return config(*pts)
@@ -188,7 +194,7 @@ def _Lambda_tilde_S1(z, zb, r):
     return config(
         point(-1, z2, 1), point(-1, z2, 1 + z),
         point(-1, 2 * z2, 1), point(-1, 2 * z2, 1 + z),
-        point(*A30), point(0, 1, 1 + zb),
+        A30, point(0, 1, 1 + zb),
     )
 
 
@@ -214,7 +220,7 @@ def _L(z, zb, r, L1, L2_1, L2_2, B3):
     return config(
         point(-1, L1, 1), point(-1, L1, L2_1),
         point(-1, 2 * L1, 1), point(-1, 2 * L1, L2_2),
-        point(*A30), point(0, 1, B3),
+        A30, point(0, 1, B3),
     )
 
 
@@ -329,17 +335,13 @@ def _M(z, zb, r, m1, m2):
 
 def _F(z, zb, r):
     """Line triple (d1 fixed; z X0 - r X1 = 0 = X3; r X0 + zbar X1 = 0 = X3) as spans."""
-    d1 = config(point(0, 0, 1, 0), point(0, 0, 0, 1))
-    d2 = config(point(r, z, 0, 0), point(0, 0, 1, 0))
-    d3 = config(point(zb, -r, 0, 0), point(0, 0, 1, 0))
-    return np.stack(np.broadcast_arrays(d1, d2, d3), axis=-3)
+    return config(point(0, 0, 1, 0), point(0, 0, 0, 1), point(r, z, 0, 0), point(0, 0, 1, 0),
+                  point(zb, -r, 0, 0), point(0, 0, 1, 0)).reshape(z.shape + (3, 2, 4))
 
 
 def _B(z, zb, r):
-    d1 = config(point(r, 0, 0, z), point(0, 0, 1, 0))
-    d2 = config(point(0, 1, 0, 0), point(0, 0, 1, 0))
-    d3 = config(point(zb, 0, 0, -r), point(0, 0, 1, 0))
-    return np.stack(np.broadcast_arrays(d1, d2, d3), axis=-3)
+    return config(point(r, 0, 0, z), point(0, 0, 1, 0), point(0, 1, 0, 0), point(0, 0, 1, 0),
+                  point(zb, 0, 0, -r), point(0, 0, 1, 0)).reshape(z.shape + (3, 2, 4))
 
 
 def _F_tilde(z, zb, r):
@@ -503,14 +505,16 @@ class AtlasItem:
     def eval(self, theta, t=None, rho=None, side="right"):
         """Values at angles ``theta`` and disk radii ``rho`` (1 when not
         given) or cylinder parameters ``t``; ``side`` picks the piece that
-        owns an arc breakpoint."""
+        owns an arc breakpoint.  A bare point or plane (Phi, Pi, Psi,
+        Sigma) is written here, into a C-contiguous (..., m) array."""
         if self.formula is None:
             raise AtlasError(f"{self.id} is not a parametric item")
         theta = np.asarray(theta, dtype=float)
         rho = np.asarray(1.0 if rho is None else rho, dtype=float)
         z = rho * np.exp(1j * theta)
         arcs = {name: arc(theta, t, side) for name, arc in self.arcs.items()}
-        return self.formula(z, np.conj(z), 1.0 - rho, **arcs)
+        v = self.formula(z, np.conj(z), 1.0 - rho, **arcs)
+        return config(v)[..., 0, :] if self.value_kind in ("point", "plane") else v
 
 
 TAG_PLANAR_FIXED_2 = SpaceTag.planar_fixed(2, HPoint(I0_PLANAR))

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import atlas
-from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, compare_values, domain_nodes
+from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, domain_nodes, value_dist
 from .projective import (
     DEFAULT_TOL,
     ProjectiveError,
@@ -116,15 +116,14 @@ def _fiber_set(ambient: int) -> tuple:
     return _FIBER_SETS[ambient]
 
 
-def line_constancy(configs: np.ndarray, line_index: int) -> float:
-    """Largest distance of A_i, B_i from the registered base line of the
-    configurations' ambient space (``value_dist`` kind lines_span); 1 where
-    A_i = B_i spans no line."""
+def line_constancy(configs: np.ndarray) -> np.ndarray:
+    """Largest distance of A_i, B_i from the registered base line i of the
+    configurations' ambient space (``value_dist`` kind lines_span), for the
+    three lines i in one pass; 1 where A_i = B_i spans no line."""
     arr = np.asarray(configs, dtype=np.complex128)
-    rows = slice(2 * line_index, 2 * line_index + 2)
-    span = arr[..., rows, :]
-    base = _fiber_set(arr.shape[-1] - 1)[0][rows]
-    return compare_values(span, base, "lines_span")
+    m = arr.shape[-1]
+    lines = np.moveaxis(arr.reshape(-1, 3, 2, m), 1, 0)    # (3, N, 2, m)
+    return value_dist(lines, _fiber_set(m - 1)[0].reshape(3, 1, 2, m), "lines_span")
 
 
 def fiber_functional(line_index: int, ambient: int) -> ScalarFunctional:
@@ -229,8 +228,7 @@ def fiber_winding_vector(loop: LoopExpr, n: int = 512, tol: Tolerances = DEFAULT
     space; requires the three lines to stay on the registered base lines
     along the whole loop."""
     configs = loop.sample(n)[1]
-    for i in range(3):
-        resid = line_constancy(configs, i)
+    for i, resid in enumerate(line_constancy(configs)):
         if resid > tol.rank_rel_tol:
             raise MovingLinesError(
                 f"line {i + 1} moves along the loop (incidence residual {resid:.3e})"
@@ -255,8 +253,8 @@ def check_linear_relation(lhs: LoopExpr, rhs: LoopExpr, n: int = 512,
     lines along ``sample(n)``."""
     ambient = lhs.sample(n)[1].shape[-1] - 1
     functionals = list(W_FUNCTIONALS.values()) if ambient == 2 else []
-    if all(line_constancy(loop.sample(n)[1], i) <= tol.rank_rel_tol
-           for loop in (lhs, rhs) for i in range(3)):
+    if all(np.all(line_constancy(loop.sample(n)[1]) <= tol.rank_rel_tol)
+           for loop in (lhs, rhs)):
         functionals += [fiber_functional(i, ambient) for i in range(3)]
     pairs = [(winding(lhs, f, n, tol), winding(rhs, f, n, tol)) for f in functionals]
     return RelationReport([(wl.functional_id, wl.winding, wr.winding) for wl, wr in pairs],

@@ -87,7 +87,29 @@ class LoopExpr:
     value_kind = "config"
 
     def at(self, theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Values at the angles ``theta``.  ``_route`` gives each leaf (an
+        ``Atom`` or an ``Embed``) its local angles and output positions; each
+        distinct leaf is evaluated once, on all of them, and written once."""
+        th = np.asarray(theta, dtype=float).reshape(-1)
+        leaves = {}
+        self._route(th, np.arange(th.size), leaves)
+        out = None
+        for leaf, (angles, pos) in leaves.items():
+            v = leaf.at(np.concatenate(angles))
+            if out is None:
+                out = np.empty(th.shape + v.shape[1:], dtype=v.dtype)
+            elif v.shape[1:] != out.shape[1:]:
+                raise PathError(f"{self.label()} concatenates values of shapes "
+                                f"{out.shape[1:]} and {v.shape[1:]}")
+            out[np.concatenate(pos)] = v
+        return out.reshape(np.shape(theta) + out.shape[1:])
+
+    def _route(self, theta, pos, leaves):
+        """File a leaf's angles ``theta`` and output positions ``pos`` under
+        it in ``leaves``; a composite path passes its parts their own."""
+        angles, positions = leaves.setdefault(self, ([], []))
+        angles.append(theta)
+        positions.append(pos)
 
     def sample(self, n: int):
         """Angles and values on ``domain_nodes("closed_circle", n)``.  They
@@ -105,10 +127,11 @@ class LoopExpr:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class Atom(LoopExpr):
     """A circle-domain atlas item, or a fixed-t boundary of a cylinder item,
-    or the unit-circle restriction of a disk item."""
+    or the unit-circle restriction of a disk item.  Atoms of the same
+    ``item_id`` and ``t`` are equal, so a word evaluates them once."""
 
     item_id: str
     t: Optional[float] = None
@@ -130,7 +153,7 @@ class Atom(LoopExpr):
 
 class EqualConcat(LoopExpr):
     """n paths traversed at n-fold speed on equal angular windows.  Each
-    part is evaluated only at the angles of its own window."""
+    part is routed only the angles of its own window."""
 
     def __init__(self, parts: Sequence[LoopExpr]):
         parts = list(parts)
@@ -145,23 +168,13 @@ class EqualConcat(LoopExpr):
         n = len(self.parts)
         return np.minimum((th * n / TWO_PI).astype(int), n - 1)
 
-    def at(self, theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
+    def _route(self, theta, pos, leaves):
         n = len(self.parts)
-        idx = self.window(th)
-        out = None
+        idx = self.window(theta)
         for k, part in enumerate(self.parts):
             mask = idx == k
-            if not np.any(mask):
-                continue
-            v = part.at(n * th[mask] - k * TWO_PI)
-            if out is None:
-                out = np.zeros(th.shape + v.shape[1:], dtype=v.dtype)
-            elif v.shape[1:] != out.shape[th.ndim:]:
-                raise PathError(f"{self.label()} concatenates values of shapes "
-                                f"{out.shape[th.ndim:]} and {v.shape[1:]}")
-            out[mask] = v
-        return out.reshape(np.shape(theta) + out.shape[th.ndim:])
+            if np.any(mask):
+                part._route(n * theta[mask] - k * TWO_PI, pos[mask], leaves)
 
     def label(self):
         return "(" + " . ".join(p.label() for p in self.parts) + ")"
@@ -186,8 +199,8 @@ class Inverse(LoopExpr):
         self.p = p
         self.value_kind = p.value_kind
 
-    def at(self, theta):
-        return self.p.at(TWO_PI - np.asarray(theta, dtype=float))
+    def _route(self, theta, pos, leaves):
+        self.p._route(TWO_PI - theta, pos, leaves)
 
     def label(self):
         return f"{self.p.label()}^-1"
@@ -198,8 +211,8 @@ class Reparam(LoopExpr):
         self.p, self.schedule, self.name = p, schedule, name
         self.value_kind = p.value_kind
 
-    def at(self, theta):
-        return self.p.at(self.schedule(np.asarray(theta, dtype=float)))
+    def _route(self, theta, pos, leaves):
+        self.p._route(self.schedule(theta), pos, leaves)
 
     def label(self):
         return f"{self.name}({self.p.label()})"

@@ -179,8 +179,8 @@ def _cylinder_fiber_agreement(rep: ClaimReport, item_id: str, cfg: RunConfig):
     nodes, _ = domain_nodes("cylinder", (96, 9))
     arr = atlas.get(item_id).eval(**nodes)
     ends = (Atom(item_id, t=0.0), Atom(item_id, t=1.0))
-    for i in range(3):
-        if inv.line_constancy(arr, i) > cfg.tol.rank_rel_tol:
+    for i, resid in enumerate(inv.line_constancy(arr)):
+        if resid > cfg.tol.rank_rel_tol:
             continue
         f = inv.fiber_functional(i, arr.shape[-1] - 1)
         w0, w1 = (inv.winding(end, f, cfg.circle_samples, cfg.tol) for end in ends)

@@ -219,6 +219,58 @@ def test_closure_audits_both_cylinder_ends(end, monkeypatch):
     assert rep["closure"] > 0.1, rep
 
 
+# ---------------------------------------------------------------------------
+# configurations written in place
+
+def _stacked(*pts):
+    """The former definition of ``config(point(...), ...)``: each point's
+    coordinates stacked, then the points."""
+    rows = [np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=np.complex128) for c in p)), axis=-1)
+            for p in pts]
+    return np.stack(np.broadcast_arrays(*rows), axis=-2)
+
+
+_RNG = np.random.default_rng(5)
+_ZN = np.exp(1j * _RNG.uniform(0.0, TWO_PI, 7))
+_ZG = _RNG.normal(size=(5, 4)) + 1j * _RNG.normal(size=(5, 4))
+
+
+@pytest.mark.parametrize("pts", [
+    [(-1, 2.5, 1 + 2j), atlas.A30, (0, 0.0, -1)],
+    [(-1, _ZN, 1), (0, 2 * _ZN, 1 + _ZN.real), atlas.B30],
+    [(_ZG, 1, 0), (_ZG[:, :1], -_ZG.real, 2), (0, _ZG[0], _ZG.conj())],
+], ids=["scalar", "nodes", "grid"])
+def test_config_writes_the_stacked_bytes(pts):
+    got = atlas.config(*(atlas.point(*p) for p in pts))
+    want = _stacked(*pts)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+BARE_POINTS = {"Phi": 3, "Pi": 4, "Psi": 4, "Sigma": 5}
+
+
+@pytest.mark.parametrize("item_id", sorted(i for i in atlas.export_registry()["items"]
+                                           if atlas.get(i).formula is not None))
+def test_every_item_evaluates_to_a_contiguous_array(item_id):
+    """On a (theta, rho) grid, or a (theta, t) grid for a cylinder, every
+    item's values have the value kind's trailing shape, complex dtype and C
+    order; the bare points and planes are (..., m) arrays."""
+    item = atlas.get(item_id)
+    theta = np.linspace(0.0, TWO_PI, 6)[:, None]
+    other = np.linspace(0.0, 1.0, 3)
+    if item.kind == "cylinder":
+        vals = item.eval(theta, t=other)
+    else:
+        vals = item.eval(theta, rho=other if item.kind == "disk" else None)
+    lead = (6, 3) if item.kind in ("disk", "cylinder") else (6, 1)
+    trailing = {"scalar": (), "lines_dual": (3, 3), "lines_span": (3, 2, 4),
+                "point": (BARE_POINTS.get(item_id),), "plane": (BARE_POINTS.get(item_id),)}
+    m = item.target.n + 1 if item.target is not None else None
+    want = lead + trailing.get(item.value_kind, (6, m))
+    assert vals.shape == want and vals.dtype == np.complex128 and vals.flags.c_contiguous
+
+
 @pytest.mark.parametrize("item_id", ["D0", "D0_cp3", "D0_solid", "D0_solid_cp4"])
 def test_basepoint_items_broadcast_over_theta(item_id):
     item = atlas.get(item_id)

@@ -7,7 +7,8 @@ import pytest
 
 from dcs import atlas
 from dcs import invariants as inv
-from dcs.paths import Atom, Concat, Inverse, TWO_PI
+from dcs.paths import Atom, Concat, Inverse, TWO_PI, compare_values, domain_nodes, parse_loop_expr
+from dcs.projective import DEFAULT_TOL
 from dcs.report import FAIL, INCONCLUSIVE, PASS
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
@@ -115,7 +116,43 @@ def test_unregistered_chart_ambient_rejected():
         inv.fiber_functional(0, 7)
     # line constancy reads the ambient space from the configurations
     with pytest.raises(inv.WindingError):
-        inv.line_constancy(np.ones((2, 6, 8), dtype=complex), 0)
+        inv.line_constancy(np.ones((2, 6, 8), dtype=complex))
+
+
+# configurations whose lines line_constancy measures: the seven fiber loops
+# of the winding tables, sigma (whose first two lines move), a product, and
+# the cylinder grids of the fiber-agreement rows
+CONSTANCY_CASES = {
+    **{name: (lambda name=name: Atom(name).sample(512)[1])
+       for name in ("alpha", "beta", "gamma", "F_tilde_S1", "B_tilde_S1", "Psi_tilde_S1",
+                    "Sigma_tilde_S1", "sigma")},
+    "alpha*beta^-1*gamma": lambda: parse_loop_expr("alpha*beta^-1*gamma").sample(512)[1],
+    **{f"{name} cylinder": (lambda name=name: atlas.get(name).eval(
+        **domain_nodes("cylinder", (96, 9))[0])) for name in ("L", "K_alpha", "H", "M")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANCY_CASES))
+def test_line_constancy_matches_the_per_line_comparison(case):
+    """One pass over the three lines gives, line by line, the bits of the
+    former per-line ``compare_values(..., "lines_span")`` against the base
+    line; a moving line is reported with the same message."""
+    configs = CONSTANCY_CASES[case]()
+    base = inv._fiber_set(configs.shape[-1] - 1)[0]
+    per_line = [compare_values(configs[..., 2 * i:2 * i + 2, :], base[2 * i:2 * i + 2], "lines_span")
+                for i in range(3)]
+    got = inv.line_constancy(configs)
+    assert got.shape == (3,)
+    assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in per_line]
+    moving = [i for i, v in enumerate(per_line) if v > DEFAULT_TOL.rank_rel_tol]
+    if not case.endswith("cylinder"):    # the cylinders move some lines and pin others
+        assert (case == "sigma") == bool(moving)
+    if case == "sigma":
+        i = moving[0]
+        with pytest.raises(inv.MovingLinesError) as err:
+            inv.fiber_winding_vector(Atom("sigma"))
+        assert str(err.value) == (f"line {i + 1} moves along the loop "
+                                  f"(incidence residual {per_line[i]:.3e})")
 
 
 # ---------------------------------------------------------------------------

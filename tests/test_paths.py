@@ -2,6 +2,8 @@
 printed cylinder ends), pointwise comparison metrics, sweeps, and the loop
 expression grammar."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -74,17 +76,19 @@ def test_concat_evaluates_each_operand_on_its_own_half():
 
 
 def test_word_evaluates_each_node_once(monkeypatch, capsys):
-    nodes = []
+    nodes, items = [], []
     original = atlas.AtlasItem.eval
 
     def counting(self, theta, *args, **kwargs):
         nodes.append(np.size(theta))
+        items.append(self.id)
         return original(self, theta, *args, **kwargs)
 
     monkeypatch.setattr(atlas.AtlasItem, "eval", counting)
     word = parse_loop_expr("alpha*beta^-1*gamma*alpha*beta*gamma^-1*alpha*beta")
     word.at(domain_nodes("closed_circle", 512)[0]["theta"])
     assert sum(nodes) == 513
+    assert items == ["alpha", "beta", "gamma"]     # one evaluation per distinct atom
     # one sample of the word serves the line check and all six windings
     nodes.clear()
     assert main(["winding", "alpha*beta*gamma", "fiber", "w1", "w2", "w3"]) == 0
@@ -92,8 +96,105 @@ def test_word_evaluates_each_node_once(monkeypatch, capsys):
 
 
 def test_mixed_ambient_word_rejected():
-    with pytest.raises(PathError):
+    with pytest.raises(PathError, match=r"^\(alpha \* Pi_tilde_S1\) concatenates values of "
+                                        r"shapes \(6, 3\) and \(6, 4\)$"):
         parse_loop_expr("alpha*Pi_tilde_S1").at(np.linspace(0.0, TWO_PI, 17))
+
+
+# ---------------------------------------------------------------------------
+# word evaluation against the recursive per-window definition
+
+def reference_at(expr, theta):
+    """The definition a word's values must keep: every part of a
+    concatenation evaluated on its own window, recursively, an inverse on
+    reflected angles and a reparametrization on scheduled ones."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    if isinstance(expr, Atom):
+        return expr.item.eval(th, t=expr.t)
+    if isinstance(expr, Embed):
+        return atlas.embed(reference_at(expr.p, th), expr.extra)
+    if isinstance(expr, Inverse):
+        return reference_at(expr.p, TWO_PI - th)
+    if isinstance(expr, Reparam):
+        return reference_at(expr.p, expr.schedule(th))
+    n, idx, out = len(expr.parts), expr.window(th), None
+    for k, part in enumerate(expr.parts):
+        mask = idx == k
+        if mask.any():
+            v = reference_at(part, n * th[mask] - k * TWO_PI)
+            if out is None:
+                out = np.zeros(th.shape + v.shape[1:], dtype=v.dtype)
+            out[mask] = v
+    return out
+
+
+# leaves of the random words, per ambient space; an Embed is one leaf
+CP2_LEAVES = [lambda n=n: Atom(n) for n in ("alpha", "beta", "gamma", "sigma",
+                                            "sigma_tilde_Lambda", "Phi_tilde_S1", "D0")] + [
+    lambda: Atom("M", t=0.0), lambda: Atom("L", t=1.0), lambda: Atom("K_beta", t=0.5)]
+CP3_LEAVES = [lambda n=n: Atom(n) for n in ("Pi_tilde_S1", "F_tilde_S1", "B_tilde_S1")] + [
+    lambda: Embed(Atom("M", t=0.0)), lambda: Embed(Concat(ALPHA, Inverse(GAMMA)))]
+
+
+def random_word(rng, leaves, size):
+    """A word of ``size`` leaves: binary products and equal-speed triple
+    products in random parentheses, each node inverted or put through the
+    outer-thirds schedule at random."""
+    if size == 1:
+        node = leaves[rng.randrange(len(leaves))]()
+    elif size >= 3 and rng.random() < 0.3:
+        a = rng.randint(1, size - 2)
+        b = rng.randint(1, size - a - 1)
+        node = EqualConcat([random_word(rng, leaves, k) for k in (a, b, size - a - b)])
+    else:
+        k = rng.randint(1, size - 1)
+        node = Concat(random_word(rng, leaves, k), random_word(rng, leaves, size - k))
+    if rng.random() < 0.3:
+        node = Inverse(node)
+    if rng.random() < 0.1:
+        node = Reparam(node, outer_thirds_schedule, "outer-thirds")
+    return node
+
+
+def _leaf_keys(expr):
+    """The atlas evaluations a word may make: one per distinct atom, and
+    an embedded word's own for each Embed."""
+    if isinstance(expr, Atom):
+        return {(expr.item_id, expr.t)}
+    if isinstance(expr, Embed):
+        return {(id(expr), key) for key in _leaf_keys(expr.p)}
+    return set().union(*(_leaf_keys(p) for p in getattr(expr, "parts", [getattr(expr, "p", None)])))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_word_values_match_the_recursive_definition(seed, monkeypatch):
+    """Random words of up to 12 leaves, on the closed grid, on the
+    midpoints a winding refinement asks for and on unsorted angles, give
+    the bytes of the recursive definition; each distinct leaf is evaluated
+    at most once per call, and every angle exactly once."""
+    rng = random.Random(seed)
+    word = random_word(rng, CP3_LEAVES if seed % 4 == 3 else CP2_LEAVES, rng.randint(1, 12))
+    grid = domain_nodes("closed_circle", 64 + 32 * (seed % 3))[0]["theta"]
+    mids = 0.5 * (grid[:-1] + grid[1:])[::3]
+    scattered = np.random.default_rng(seed).uniform(0.0, TWO_PI, 101)
+    calls = []
+    original = atlas.AtlasItem.eval
+
+    def counting(self, theta, *args, **kwargs):
+        calls.append(np.size(theta))
+        return original(self, theta, *args, **kwargs)
+
+    for theta in (grid, mids, scattered, np.array([np.pi])):
+        want = reference_at(word, theta)
+        monkeypatch.setattr(atlas.AtlasItem, "eval", counting)
+        calls.clear()
+        got = word.at(theta)
+        monkeypatch.setattr(atlas.AtlasItem, "eval", original)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), word.label()
+        assert sum(calls) == theta.size and len(calls) <= len(_leaf_keys(word))
+    closed = domain_nodes("closed_circle", 64)[0]["theta"]
+    assert word.sample(64)[1].tobytes() == reference_at(word, closed).tobytes()
 
 
 # ---------------------------------------------------------------------------

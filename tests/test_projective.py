@@ -359,7 +359,16 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     and rounds it differently, so an unchunked kernel fails this, and so
     does a kernel whose pass is too long for its temporaries.  unit_rows,
     in either layout, takes raw rows at scales 1e-200 to 1e200, so that a
-    batch mixes rows of its far-norm branch with rows in range."""
+    batch mixes rows of its far-norm branch with rows in range.
+
+    The two pencil_points cases are non-discriminating for that kernel's
+    pass bound: they pass with pencil_points run in passes of 8,192 nodes
+    (temporaries of 24,576 complex numbers), and no input can fail there.
+    Reusing a temporary in place changes bits only where numpy swaps the
+    operands of a complex product, ``named * temporary``; every product in
+    ``_pencil_points`` has its temporary on the left or none, so its bound
+    only caps memory.  The cases still show its rows independent of the
+    batch size."""
     r, m, kernel = KERNELS[name]
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(n, r, m)) + 1j * rng.normal(size=(n, r, m))
