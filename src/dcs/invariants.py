@@ -16,18 +16,23 @@ constant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import atlas
-from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, domain_nodes, value_dist
+from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, domain_nodes
 from .projective import (
     DEFAULT_TOL,
     ProjectiveError,
     Tolerances,
-    bracket_rows,
+    brackets,
+    columns,
+    frame_residual,
+    line_frame,
+    unit_rows,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, worst
 
@@ -76,16 +81,16 @@ def _bracket_ratio(i, j, k):
     ai, bi = 2 * (i - 1), 2 * (i - 1) + 1
     aj, bj = 2 * (j - 1), 2 * (j - 1) + 1
     ak, bk = 2 * (k - 1), 2 * (k - 1) + 1
+    triples = [(aj, bj, ai), (ak, bk, bi), (ak, bk, ai), (aj, bj, bi)]
+
+    def ratio(x):
+        b = brackets(x, triples)
+        return b[0] * b[1] / (b[2] * b[3])
 
     def fn(arr):
-        u = arr
-        num = bracket_rows(u[..., aj, :], u[..., bj, :], u[..., ai, :]) * bracket_rows(
-            u[..., ak, :], u[..., bk, :], u[..., bi, :]
-        )
-        den = bracket_rows(u[..., ak, :], u[..., bk, :], u[..., ai, :]) * bracket_rows(
-            u[..., aj, :], u[..., bj, :], u[..., bi, :]
-        )
-        return num / den
+        # the ratio in the brackets' passes, so its temporaries are no larger
+        out = columns(ratio, arr.reshape(-1, 6, 3).T, stack=3 * len(triples))
+        return out.reshape(arr.shape[:-2])
 
     return fn
 
@@ -116,14 +121,23 @@ def _fiber_set(ambient: int) -> tuple:
     return _FIBER_SETS[ambient]
 
 
+@functools.cache
+def _base_frames(ambient: int) -> tuple:
+    """``projective.line_frame`` of the three base lines of the ambient
+    space, coordinate-major with one entry per line, built on first use."""
+    base = unit_rows(_fiber_set(ambient)[0]).reshape(3, 2, -1).T[..., None]
+    return line_frame(base[:, 0], base[:, 1])
+
+
 def line_constancy(configs: np.ndarray) -> np.ndarray:
     """Largest distance of A_i, B_i from the registered base line i of the
-    configurations' ambient space (``value_dist`` kind lines_span), for the
+    configurations' ambient space (``projective.line_residual``), for the
     three lines i in one pass; 1 where A_i = B_i spans no line."""
     arr = np.asarray(configs, dtype=np.complex128)
     m = arr.shape[-1]
-    lines = np.moveaxis(arr.reshape(-1, 3, 2, m), 1, 0)    # (3, N, 2, m)
-    return value_dist(lines, _fiber_set(m - 1)[0].reshape(3, 1, 2, m), "lines_span")
+    frames = _base_frames(m - 1)
+    spans = unit_rows(np.ascontiguousarray(arr.reshape(-1, 3, 2, m).T), axis=0)    # (m, 2, 3, N)
+    return columns(lambda s: frame_residual(s, *frames), spans, stack=6).max(axis=-1)
 
 
 def fiber_functional(line_index: int, ambient: int) -> ScalarFunctional:
@@ -178,11 +192,11 @@ def winding(loop: LoopExpr, functional: ScalarFunctional, n: int = 512,
 
     thetas, configs = loop.sample(n)
     vals = functional(configs)
-    if abs(vals[0] - vals[-1]) > 1e-6 * max(1.0, float(np.abs(vals).max())):
+    mods = np.abs(vals)
+    if abs(vals[0] - vals[-1]) > 1e-6 * max(1.0, float(mods.max())):
         raise WindingError("functional values do not close up: the path is not a loop")
     refinements = 0
     while True:
-        mods = np.abs(vals)
         if mods.min() < tol.margin_warn:
             i = int(np.argmin(mods))
             raise DegenerateFunctionalError(
@@ -201,11 +215,12 @@ def winding(loop: LoopExpr, functional: ScalarFunctional, n: int = 512,
         mids = 0.5 * (thetas[k - 1] + thetas[k])
         thetas = np.insert(thetas, k, mids)
         vals = np.insert(vals, k, functional(loop.at(mids)))
+        mods = np.abs(vals)
         refinements += 1
     total = float(np.sum(dargs)) / TWO_PI
     k = int(np.round(total))
     residual = abs(total - k)
-    return WindingResult(functional.id, k, residual, float(np.abs(vals).min()),
+    return WindingResult(functional.id, k, residual, float(mods.min()),
                          thetas.size, refinements, residual > WINDING_RESIDUAL_MAX)
 
 

@@ -24,18 +24,23 @@ ZERO_FLOOR = 1e-300
 # Euclidean norms outside this range lose digits or overflow when squared.
 SAFE_NORM = (1e-150, 1e150)
 # Rows per pass of ``meet`` (see ``chunked``), whose row-major temporaries
-# hold a few complex numbers per row: 1,024 keeps each below numpy's
-# threshold for reusing temporaries in place, so a node's meet does not
-# depend on the size of its batch.
+# hold a few complex numbers per row; it has no ``named * temporary``
+# complex product, so the bound only caps memory (see ``VECTOR_ROWS``).
 CHUNK = 1024
 # Complex numbers per temporary of the other kernels: the row-major ones
-# whose temporaries hold one per row (``bracket_rows``, ``chordal_batch``,
-# ``line_residual``) take this many rows per pass, and the coordinate-major
-# validation kernels (``columns``: ``chordal_pairs``, ``pencil_points``,
-# ``collinear_residual``) this many divided by the pairs or spans they
-# stack per node, e.g. 546 nodes for a configuration's 15 point pairs and
-# 2,730 for its 3 spans.  8,192 keeps each temporary at 128 KiB, half of
-# numpy's threshold, in one pass for most loop samples.
+# take this many rows per pass divided by what their temporaries hold per
+# row, one for ``chordal_batch`` and two for ``line_residual``, and the
+# coordinate-major ones (``columns``: ``brackets``, ``chordal_pairs``,
+# ``pencil_points``, ``collinear_residual``, ``frame_residual``) this many
+# divided by what they stack per node, e.g. 546 nodes for a configuration's
+# 15 point pairs and 2,730 for its 3 spans.  8,192 keeps each temporary at
+# 128 KiB, half of numpy's 256 KiB threshold for reusing a temporary in
+# place.  That reuse changes bits only in a complex product
+# ``named * temporary``: numpy's complex multiply is not bitwise
+# commutative, and reusing the temporary swaps the operands.  So in the
+# kernels with such a product (``_bracket``, ``_chordal``) the bound keeps
+# a node's value independent of the size of its batch; in every other
+# kernel it only caps memory.
 VECTOR_ROWS = 8192
 
 
@@ -183,9 +188,10 @@ def chunked(kernel, *arrays, core: int = 1, rows: int = CHUNK):
     shape (rows, *core shape) and returns an array, or a tuple of arrays,
     with one leading entry per row.  Passes small enough that every complex
     temporary of the kernel stays below numpy's 256 KiB threshold for
-    reusing temporaries in place, past which a complex product rounds
-    differently, make a row's value independent of the size of its batch;
-    they also bound the temporaries' memory.
+    reusing temporaries in place bound the temporaries' memory, and in a
+    kernel with a ``named * temporary`` complex product (see
+    ``VECTOR_ROWS``) they make a row's value independent of the size of its
+    batch.
     """
     arrays = [np.asarray(a) for a in arrays]
     leads = [a.shape[:a.ndim - core] for a in arrays]
@@ -214,9 +220,9 @@ def columns(kernel, *arrays, stack: int = 1):
     tuple of arrays, with the node axis last.  Each of a coordinate's
     arrays is contiguous along the nodes, so numpy runs its contiguous
     inner loops, and each temporary holds at most VECTOR_ROWS complex
-    numbers, below numpy's threshold for reusing temporaries in place (see
-    ``chunked``), so a node's value does not depend on the size of its
-    batch.
+    numbers, below numpy's threshold for reusing temporaries in place, so a
+    node's value does not depend on the size of its batch (see
+    ``VECTOR_ROWS``).
     """
     n = max(a.shape[-1] for a in arrays)
     rows = max(1, VECTOR_ROWS // stack)
@@ -274,19 +280,30 @@ def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
     between 1/sqrt(2) and 3/s times the third relative singular value of
     the four rows stacked.
     """
-    return chunked(_line_residual, spans, lines, core=2, rows=VECTOR_ROWS)
+    return chunked(lambda a, b: frame_residual(a.T, *line_frame(b[:, 0].T, b[:, 1].T)),
+                   spans, lines, core=2, rows=VECTOR_ROWS // 2)
 
 
-def _line_residual(a, b):
-    """``line_residual`` on one pass of rows, one vector per coordinate."""
-    x, y, p, q = a[:, 0].T, a[:, 1].T, b[:, 0].T, b[:, 1].T
+def line_frame(p, q):
+    """The Gram-Schmidt frame of the line through unit points p and q,
+    given one array per coordinate: p, the unit vector e of the line
+    orthogonal to p (q orthogonalized twice), and the norm of e before it
+    was scaled."""
     e = _away(_away(q, p), p)
     size = np.sqrt(_norm2(e))
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = [ec / size for ec in e]
-        far = np.sqrt(np.maximum(_norm2(_away(_away(x, p), e)), _norm2(_away(_away(y, p), e))))
-    line = (size >= 1e-12) & (_chordal(x, y) >= 1e-12)
-    return np.where(line, far, 1.0)
+        return p, [ec / size for ec in e], size
+
+
+def frame_residual(spans, p, e, size):
+    """``line_residual`` of coordinate-major spans (m, 2, ...), each given
+    by two unit points, against the lines of the frames (p, e, size) from
+    ``line_frame``, broadcast against the spans' points, so that a frame
+    built once serves every node."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = _norm2(_away(_away(spans, p), e))
+    line = (size >= 1e-12) & (_chordal(spans[:, 0], spans[:, 1]) >= 1e-12)
+    return np.where(line, np.sqrt(np.maximum(far[0], far[1])), 1.0)
 
 
 def pencil_points(a: np.ndarray, b: np.ndarray, center: np.ndarray) -> tuple:
@@ -470,17 +487,28 @@ def span_dim(points, tol: Tolerances = DEFAULT_TOL) -> int:
     return rank - 1
 
 
-def bracket_rows(a, b, c):
-    """Cofactor-expansion 3x3 determinant of CP^2 representatives, batched
-    over leading axes.  Vanishes exactly on collinear triples; depends on
-    the representatives only up to a nonzero scalar per argument."""
-    return chunked(_bracket, a, b, c, rows=VECTOR_ROWS)
+def brackets(points: np.ndarray, triples) -> np.ndarray:
+    """Cofactor-expansion 3x3 determinants (len(triples), N) of the triples
+    (i, j, k) of the coordinate-major CP^2 points (3, P, N) of each node,
+    the triples stacked on the leading axis, so the number of numpy calls
+    does not depend on the number of triples.  Each pass takes its points
+    into one contiguous copy (3, 3, len(triples), nodes) first, three
+    complex numbers per triple, node and coordinate.  A bracket vanishes
+    exactly on collinear triples and depends on the representatives only
+    up to a nonzero scalar per point."""
+    order = [i for role in zip(*triples) for i in role]
+
+    def kernel(x):
+        u = np.take(x, order, axis=1).reshape(3, 3, len(triples), -1)
+        return _bracket(u[:, 0], u[:, 1], u[:, 2])
+
+    return columns(kernel, points, stack=3 * len(triples))
 
 
 def _bracket(a, b, c):
-    """``bracket_rows`` on one pass of rows."""
+    """``brackets`` on one pass of nodes."""
     return (
-        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
-        - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
-        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
     )

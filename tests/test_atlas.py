@@ -6,7 +6,7 @@ import pytest
 
 from dcs import atlas
 from dcs.paths import closure_report, compare_values, junction_report, plane_incidence, sweep_item
-from dcs.projective import DEFAULT_TOL, HPoint, bracket_rows, proj_dist, unit_rows
+from dcs.projective import DEFAULT_TOL, HPoint, brackets, proj_dist, unit_rows
 from dcs.strata import SpaceTag, random_config, validate
 from dcs.verify import ALL_CLAIM_IDS
 
@@ -394,7 +394,9 @@ def test_psi_triv_lands_on_dual_lines():
     u = unit_rows(out)
     on_d = np.abs(np.sum(u * np.repeat(unit_rows(duals), 2, axis=1), axis=-1))
     assert on_d.max() < 1e-14
-    on_qa = np.abs(bracket_rows(u, unit_rows(atlas.PSI_TRIV_Q), unit_rows(BASE2)))
+    points = np.concatenate([u, np.broadcast_to(unit_rows(atlas.PSI_TRIV_Q), (20, 1, 3)),
+                             np.broadcast_to(unit_rows(BASE2), (20, 6, 3))], axis=1)
+    on_qa = np.abs(brackets(points.T, [(i, 6, 7 + i) for i in range(6)]))
     assert on_qa.max() < 1e-14
     assert dist_points(out[0, 0], [-1j, 1, 1]) < 1e-15     # [-1:1:1] from [1:1:1]
 

@@ -8,7 +8,7 @@ import pytest
 from dcs import atlas
 from dcs import invariants as inv
 from dcs.paths import Atom, Concat, Inverse, TWO_PI, compare_values, domain_nodes, parse_loop_expr
-from dcs.projective import DEFAULT_TOL
+from dcs.projective import DEFAULT_TOL, VECTOR_ROWS, ProjectiveError, chunked
 from dcs.report import FAIL, INCONCLUSIVE, PASS
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
@@ -56,6 +56,70 @@ def test_w_functionals_scale_invariant():
         scales = np.exp(r.normal(size=(33, 6)) + 1j * r.uniform(0, TWO_PI, size=(33, 6)))
         change = np.abs(f(configs * scales[..., None]) - f(configs)) / np.abs(f(configs))
         assert change.max() < 1e-12
+
+
+def _row_bracket(a, b, c):
+    """Brackets of row-major CP^2 representatives (rows, 3), one pass."""
+    return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+            - a[..., 1] * (b[..., 0] * c[..., 2] - b[..., 2] * c[..., 0])
+            + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
+
+
+def row_major_ratio(arr, i, j, k):
+    """Oracle: the bracket ratio ([AjBjAi] [AkBkBi]) / ([AkBkAi] [AjBjBi])
+    from four row-major bracket passes over strided views of the
+    configurations, in passes of VECTOR_ROWS rows."""
+    def bracket(p, q, r):
+        return chunked(_row_bracket, arr[..., p, :], arr[..., q, :], arr[..., r, :], rows=VECTOR_ROWS)
+
+    ai, bi, aj, bj, ak, bk = (2 * (n - 1) + s for n in (i, j, k) for s in (0, 1))
+    return bracket(aj, bj, ai) * bracket(ak, bk, bi) / (bracket(ak, bk, ai) * bracket(aj, bj, bi))
+
+
+RATIO_LINES = {"w1": (1, 2, 3), "w2": (2, 3, 1), "w3": (3, 1, 2)}
+PLANAR_LOOPS = ("alpha", "beta", "gamma", "sigma", "sigma_tilde_Lambda", "Phi_tilde_S1")
+
+
+def seeded_word(seed):
+    """A word of 1 to 8 planar loops and inverses, part of it inverted as a
+    whole in parentheses."""
+    r = np.random.default_rng(seed)
+    atoms = [str(r.choice(PLANAR_LOOPS)) + ("^-1" if r.random() < 0.3 else "")
+             for _ in range(r.integers(1, 9))]
+    i, j = sorted(r.integers(0, len(atoms) + 1, size=2))
+    if j > i:
+        atoms[i:j] = ["(" + "*".join(atoms[i:j]) + ")^-1"]
+    return "*".join(atoms)
+
+
+# the seven fiber loops, sigma, sigma_tilde_Lambda and Phi_tilde_S1, seeded
+# words, the disk grid of disk_winding_nullity, and a sample long enough
+# that the bracket passes split
+RATIO_CASES = {
+    **{name: (lambda name=name: Atom(name).sample(512)[1])
+       for name in ("alpha", "beta", "gamma", "F_tilde_S1", "B_tilde_S1", "Psi_tilde_S1",
+                    "Sigma_tilde_S1", "sigma", "sigma_tilde_Lambda", "Phi_tilde_S1")},
+    **{f"word {seed}": (lambda seed=seed: parse_loop_expr(seeded_word(seed)).sample(512)[1])
+       for seed in range(20)},
+    "Lambda_tilde disk": lambda: atlas.get("Lambda_tilde").eval(**domain_nodes("disk", (128, 64))[0]),
+    "sigma_tilde_Lambda*Phi_tilde_S1 long":
+        lambda: parse_loop_expr("sigma_tilde_Lambda*Phi_tilde_S1").sample(20000)[1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATIO_CASES))
+def test_bracket_ratios_match_the_row_major_formula(case):
+    """w1-w3, from one coordinate-major pass of the four stacked brackets,
+    are byte-equal to the row-major formula; the fiber loops outside CP^2
+    have no bracket ratio and are refused."""
+    configs = RATIO_CASES[case]()
+    for name, f in inv.W_FUNCTIONALS.items():
+        if configs.shape[-1] != 3:
+            with pytest.raises(ProjectiveError):
+                f(configs)
+            continue
+        want = row_major_ratio(configs, *RATIO_LINES[name])
+        assert f(configs).tobytes() == want.tobytes(), name
 
 
 def test_fiber_functionals_scale_invariant():

@@ -15,7 +15,7 @@ from dcs.projective import (
     ProjectiveError,
     Tolerances,
     ZeroVectorError,
-    bracket_rows,
+    brackets,
     chordal_batch,
     chordal_pairs,
     collinear_residual,
@@ -212,7 +212,7 @@ def test_meet_reconstructs_common_point():
     triangles = []
     while len(triangles) < 50:
         a, b, c = (random_point(r) for _ in range(3))
-        if abs(bracket_rows(a.coords, b.coords, c.coords)) < 1e-2:
+        if abs(bracket(a, b, c)) < 1e-2:
             continue
         triangles.append(unit_rows(np.stack([a.coords, b.coords, c.coords])))
     t = np.stack(triangles)
@@ -226,7 +226,7 @@ def test_meet_reconstructs_common_point():
 # bracket
 
 def bracket(p, q, r):
-    return bracket_rows(p.coords, q.coords, r.coords)
+    return brackets(np.stack([p.coords, q.coords, r.coords]).T[..., None], [(0, 1, 2)])[0, 0]
 
 
 def test_bracket_collinear_zero():
@@ -315,6 +315,9 @@ CONFIG_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
 # stacks them: a pass of VECTOR_ROWS // 15 = 546 nodes
 POINT_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 LINE_PAIRS = [(0, 1), (0, 2), (1, 2)]
+# the four brackets of the bracket ratio w1 of a configuration, stacked as
+# invariants stacks them: a pass of VECTOR_ROWS // 12 = 682 nodes
+RATIO_TRIPLES = [(2, 3, 0), (4, 5, 1), (4, 5, 0), (2, 3, 1)]
 
 
 def columns(a):
@@ -334,7 +337,8 @@ def by_node(kernel):
 
 # the batched kernels on rows alone and in batches of any size
 KERNELS = {
-    "bracket_rows": (3, 3, lambda a: bracket_rows(a[:, 0], a[:, 1], a[:, 2])),
+    "bracket_rows": (3, 3, by_node(lambda c: brackets(c, [(0, 1, 2)]))),
+    "brackets stacked": (6, 3, by_node(lambda c: brackets(c, RATIO_TRIPLES))),
     "chordal_batch": (2, 3, lambda a: chordal_batch(a[:, 0], a[:, 1])),
     "chordal_pairs": (7, 4, by_node(lambda c: chordal_pairs(c, [(0, 1), (2, 6), (5, 3)]))),
     "chordal_pairs configs": (7, 4, by_node(lambda c: chordal_pairs(c, CONFIG_PAIRS))),
@@ -355,20 +359,22 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     """Each row of a batch is byte-equal to the row computed alone: all of
     the first 2,000 rows for the cheap kernels, and the first eight, the
     last, rows around the first two pass boundaries and 24 random ones for
-    meet.  numpy computes a complex product of a large temporary in place,
-    and rounds it differently, so an unchunked kernel fails this, and so
-    does a kernel whose pass is too long for its temporaries.  unit_rows,
-    in either layout, takes raw rows at scales 1e-200 to 1e200, so that a
-    batch mixes rows of its far-norm branch with rows in range.
+    meet.  numpy reuses a large temporary in place, which swaps the
+    operands of a complex product ``named * temporary`` and so can change
+    its bits, so a kernel with such a product fails this unchunked, or with
+    a pass too long for its temporaries.  unit_rows, in either layout,
+    takes raw rows at scales 1e-200 to 1e200, so that a batch mixes rows of
+    its far-norm branch with rows in range.
 
-    The two pencil_points cases are non-discriminating for that kernel's
-    pass bound: they pass with pencil_points run in passes of 8,192 nodes
-    (temporaries of 24,576 complex numbers), and no input can fail there.
+    The two pencil_points cases and the meet cases are non-discriminating
+    for those kernels' pass bounds: they pass with pencil_points run in
+    passes of 8,192 nodes (temporaries of 24,576 complex numbers) and with
+    meet run in one pass of any length, and no input can fail there.
     Reusing a temporary in place changes bits only where numpy swaps the
     operands of a complex product, ``named * temporary``; every product in
-    ``_pencil_points`` has its temporary on the left or none, so its bound
-    only caps memory.  The cases still show its rows independent of the
-    batch size."""
+    ``_pencil_points`` and ``_meet`` has its temporary on the left or none,
+    so their bounds only cap memory.  The cases still show their rows
+    independent of the batch size."""
     r, m, kernel = KERNELS[name]
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(n, r, m)) + 1j * rng.normal(size=(n, r, m))
