@@ -283,9 +283,7 @@ def independence_matrix(rows: Sequence[Sequence[WindingResult]]):
     if bad:
         raise WindingError(f"indeterminate winding for {bad[0]}")
     mat = [[res.winding for res in row] for row in rows]
-    from sympy import Matrix
-
-    return mat, int(Matrix(mat).rank())
+    return mat, len(_smith_diagonal(mat))
 
 
 @dataclass
@@ -323,22 +321,49 @@ def disk_winding_nullity(item_id: str, functionals: Sequence[ScalarFunctional],
 # ---------------------------------------------------------------------------
 # Smith normal form certificates
 
+def _smith_diagonal(mat) -> list:
+    """Nonzero invariant factors of an integer matrix, in divisibility order
+    (hence ascending), by integer row and column reduction: move an entry of
+    least absolute value to the corner and reduce its row and column modulo
+    it; once both are clear, add in a row that the corner does not divide,
+    or split the corner off when it divides the whole rest."""
+    a = [[int(v) for v in row] for row in mat]
+    out = []
+    while nonzero := [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]:
+        _, i, j = min(nonzero)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        top, p = a[0], a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            for k, v in enumerate(top):
+                row[k] -= q * v
+        for k in range(1, len(top)):
+            q = top[k] // p
+            for row in a:
+                row[k] -= q * row[0]
+        if any(row[0] for row in a[1:]) or any(top[1:]):
+            continue        # a remainder smaller than |p| is the next corner
+        rest = next((row for row in a[1:] if any(v % p for v in row)), None)
+        if rest is not None:
+            a[0] = [x + y for x, y in zip(top, rest)]
+            continue
+        out.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    return out
+
+
 def snf_invariants(rows: Sequence[Sequence[int]], ncols: int):
-    """Nonzero invariant factors of the integer row lattice, exactly."""
+    """Nonzero invariant factors of the integer row lattice, exactly, in
+    ascending (divisibility) order."""
     if not rows:
         return []
     if any(len(row) != ncols for row in rows):
         raise ValueError("row length does not match the ambient rank")
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    d = smith_normal_form(Matrix(list(rows)))
-    out = []
-    for i in range(min(d.rows, d.cols)):
-        v = int(d[i, i])
-        if v != 0:
-            out.append(abs(v))
-    return sorted(out)
+    if not all(isinstance(v, (int, np.integer)) for row in rows for v in row):
+        raise ValueError("lattice entries must be integers")
+    return _smith_diagonal(rows)
 
 
 def abelian_quotient(rows: Sequence[Sequence[int]], ncols: int):

@@ -2,8 +2,14 @@
 bracket-ratio constancy, relation checks with negative controls, disk
 nullity, and exact abelian-quotient certificates."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcs import atlas
 from dcs import invariants as inv
@@ -347,10 +353,12 @@ def test_nonvanishing_moduli_along_catalog_loops():
 # ---------------------------------------------------------------------------
 # Smith normal form certificates
 
-def det3_int(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def det_int(m):
+    """Integer determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * v * det_int([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, v in enumerate(m[0]) if v)
 
 
 def test_snf_single_rows():
@@ -367,10 +375,10 @@ def test_snf_solid_lattices():
     assert inv.snf_invariants(rows, 3) == [1, 1, 4]
     assert inv.abelian_quotient(rows, 3) == (0, [4])
     # oracle: |det| equals the product of the invariant factors
-    assert abs(det3_int(rows)) == 4
+    assert abs(det_int(rows)) == 4
     hyper = [[0, -1, 1], [-1, 0, 1], [0, -1, 0]]
     assert inv.abelian_quotient(hyper, 3) == (0, [])
-    assert abs(det3_int(hyper)) == 1
+    assert abs(det_int(hyper)) == 1
 
 
 def test_snf_divisibility_property():
@@ -380,7 +388,7 @@ def test_snf_divisibility_property():
         invs = inv.snf_invariants(rows, 3)
         for a, b in zip(invs, invs[1:]):
             assert b % a == 0
-        d = abs(det3_int(rows))
+        d = abs(det_int(rows))
         prod = 1
         for v in invs:
             prod *= v
@@ -405,3 +413,104 @@ def test_empty_lattice():
 def test_snf_rejects_rows_of_the_wrong_length(rows):
     with pytest.raises(ValueError, match="row length does not match the ambient rank"):
         inv.snf_invariants(rows, 3)
+
+
+@pytest.mark.parametrize("rows", [[[2.5, 0, 0]], [[2.0, 4, 0]], [[1, 0, 0], [0, "1", 0]]])
+def test_snf_rejects_entries_that_are_not_integers(rows):
+    # an integral float is refused too: int() would truncate a non-integral one
+    with pytest.raises(ValueError, match="lattice entries must be integers"):
+        inv.snf_invariants(rows, 3)
+
+
+def test_snf_accepts_numpy_integers():
+    assert inv.snf_invariants([[np.int64(2), np.int32(4), 0]], 3) == [2]
+
+
+def test_snf_fix_up_when_the_corner_does_not_divide_the_rest():
+    # diagonal but not normal: the corner 2 does not divide 3
+    assert inv.snf_invariants([[2, 0], [0, 3]], 2) == [1, 6]
+    assert inv.snf_invariants([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 3) == [1, 1, 30]
+    assert inv.abelian_quotient([[2, 0, 0], [0, 3, 0]], 3) == (1, [6])
+
+
+def test_snf_negative_pivots_give_positive_factors():
+    assert inv.snf_invariants([[-2, 0], [0, -4]], 2) == [2, 4]
+    assert inv.snf_invariants([[-3, -3, -3]], 3) == [3]
+    assert inv.snf_invariants([[-4, 6]], 2) == [2]
+
+
+def test_zero_matrix_has_no_factors_and_rank_zero():
+    assert inv.snf_invariants([[0, 0, 0], [0, 0, 0]], 3) == []
+    assert inv.abelian_quotient([[0, 0, 0]], 3) == (3, [])
+    mat, rank = inv.independence_matrix([[result(0)] * 3] * 3)
+    assert mat == [[0, 0, 0]] * 3 and rank == 0
+
+
+def test_snf_of_non_square_matrices():
+    # 2x3: d1 = 2, d2 = gcd(36, 48, 24) = 12;  3x2: d1 = 1, d2 = gcd(-2, -4, -2) = 2
+    assert inv.snf_invariants([[2, 4, 4], [-6, 6, 12]], 3) == [2, 6]
+    assert inv.snf_invariants([[1, 2], [3, 4], [5, 6]], 2) == [1, 2]
+    assert inv.independence_matrix([[result(v) for v in row]
+                                    for row in ([1, 2], [3, 4], [5, 6])])[1] == 2
+
+
+def determinantal_factors(a):
+    """d_k / d_(k-1) for k = 1, 2, ... while d_k != 0, where d_k is the gcd of
+    all k x k minors and d_0 = 1 (Newman, Integral Matrices, ch. II)."""
+    out, prev = [], 1
+    for k in range(1, min(len(a), len(a[0])) + 1):
+        d = math.gcd(*(det_int([[a[i][j] for j in cols] for i in rows])
+                       for rows in itertools.combinations(range(len(a)), k)
+                       for cols in itertools.combinations(range(len(a[0])), k)))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
+
+
+def fraction_rank(a):
+    """Rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in a]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices up to 4x5, entries in [-6, 6], with some rows and
+    columns zeroed and, at times, a last row dependent on the first two."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        a[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for row in a:
+            row[j] = 0
+    if m > 2 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        a[-1] = [x + k * y for x, y in zip(a[0], a[1])]
+    return a
+
+
+@given(int_matrices())
+@settings(max_examples=400, deadline=None)
+def test_snf_matches_determinantal_divisors_and_exact_rank(a):
+    before = [row[:] for row in a]
+    factors = inv.snf_invariants(a, len(a[0]))
+    assert a == before
+    assert factors == determinantal_factors(a)
+    assert all(f > 0 for f in factors)
+    assert all(b % f == 0 for f, b in zip(factors, factors[1:]))
+    _, rank = inv.independence_matrix([[result(v) for v in row] for row in a])
+    assert rank == len(factors) == fraction_rank(a)
