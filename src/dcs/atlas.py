@@ -426,16 +426,15 @@ def phi_triv_geometric(centers, configs) -> np.ndarray:
     """Ruler construction behind phi_triv, valid away from its singular locus
     and batched like it: with l = {X2 = 0}, D_i = l cap d_i, Q = l cap (I0 I),
     d_i' = I D_i and A_i' = (Q A_i) cap d_i'."""
-    c = unit_rows(np.asarray(centers, dtype=np.complex128))
-    u = unit_rows(np.asarray(configs, dtype=np.complex128))
-    e0, e1 = _c(1, 0, 0), _c(0, 1, 0)                # span l
-    q = meet(e0, e1, I0_PLANAR, c)[0]
+    c, u = (unit_rows(np.asarray(a, dtype=np.complex128)).T for a in (centers, configs))
+    e0, e1 = _c(1, 0, 0)[:, None], _c(0, 1, 0)[:, None]        # span l
+    q = meet(e0, e1, I0_PLANAR[:, None], c)[0]
     out = []
     for i in range(3):
         a, b = u[:, 2 * i], u[:, 2 * i + 1]
         big_d = meet(e0, e1, a, b)[0]
         out += [meet(q, p, c, big_d)[0] for p in (a, b)]
-    return np.stack(out, axis=1)
+    return np.stack(out, axis=1).T
 
 
 def _project_from(q, points, h):

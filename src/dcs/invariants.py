@@ -32,6 +32,7 @@ from .projective import (
     columns,
     frame_residual,
     line_frame,
+    to_columns,
     unit_rows,
 )
 from .report import FAIL, INCONCLUSIVE, PASS, worst
@@ -89,7 +90,7 @@ def _bracket_ratio(i, j, k):
 
     def fn(arr):
         # the ratio in the brackets' passes, so its temporaries are no larger
-        out = columns(ratio, arr.reshape(-1, 6, 3).T, stack=3 * len(triples))
+        out = columns(ratio, to_columns(arr.reshape(-1, 6, 3)), stack=3 * len(triples))
         return out.reshape(arr.shape[:-2])
 
     return fn
@@ -125,7 +126,7 @@ def _fiber_set(ambient: int) -> tuple:
 def _base_frames(ambient: int) -> tuple:
     """``projective.line_frame`` of the three base lines of the ambient
     space, coordinate-major with one entry per line, built on first use."""
-    base = unit_rows(_fiber_set(ambient)[0]).reshape(3, 2, -1).T[..., None]
+    base = to_columns(unit_rows(_fiber_set(ambient)[0]).reshape(3, 2, -1))[..., None]
     return line_frame(base[:, 0], base[:, 1])
 
 
@@ -136,7 +137,7 @@ def line_constancy(configs: np.ndarray) -> np.ndarray:
     arr = np.asarray(configs, dtype=np.complex128)
     m = arr.shape[-1]
     frames = _base_frames(m - 1)
-    spans = unit_rows(np.ascontiguousarray(arr.reshape(-1, 3, 2, m).T), axis=0)    # (m, 2, 3, N)
+    spans = unit_rows(to_columns(arr.reshape(-1, 3, 2, m)), axis=0)    # (m, 2, 3, N)
     return columns(lambda s: frame_residual(s, *frames), spans, stack=6).max(axis=-1)
 
 

@@ -62,7 +62,7 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
 
 def config_lines_dual(arr: np.ndarray) -> np.ndarray:
     """Dual covectors of the three lines of CP^2 configuration batches."""
-    return np.stack([cross(arr[..., 2 * i, :], arr[..., 2 * i + 1, :]) for i in range(3)], axis=-2)
+    return cross(arr.T[:, 0::2], arr.T[:, 1::2]).T
 
 
 def config_lines_span(arr: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ Points live in CP^n as nonzero vectors of n+1 complex binary64 entries,
 compared up to scale with the chordal (Fubini-Study sine) metric.  All
 predicates report margins so callers can quantify how far a configuration
 sits from a degenerate position.  Everything here is pure and operates on
-immutable values; batched variants (suffix ``_batch``) take arrays shaped
-``(..., k, n+1)`` and vectorize over the leading axes.  The membership
-validation kernels take coordinate-major arrays ``(n+1, ..., N)`` instead,
-the node axis last (see ``columns``).
+immutable values.  Every batched kernel works on coordinate-major arrays
+``(n+1, ..., N)``, the coordinate axis first and the node axis last, in
+passes of ``columns``; ``to_columns`` turns rows ``(..., n+1)`` into that
+layout, and the two kernels whose callers hold rows, ``chordal_batch``
+and ``line_residual``, take rows and run on their transposed views.
 """
 
 from __future__ import annotations
@@ -23,24 +24,16 @@ import numpy as np
 ZERO_FLOOR = 1e-300
 # Euclidean norms outside this range lose digits or overflow when squared.
 SAFE_NORM = (1e-150, 1e150)
-# Rows per pass of ``meet`` (see ``chunked``), whose row-major temporaries
-# hold a few complex numbers per row; it has no ``named * temporary``
-# complex product, so the bound only caps memory (see ``VECTOR_ROWS``).
-CHUNK = 1024
-# Complex numbers per temporary of the other kernels: the row-major ones
-# take this many rows per pass divided by what their temporaries hold per
-# row, one for ``chordal_batch`` and two for ``line_residual``, and the
-# coordinate-major ones (``columns``: ``brackets``, ``chordal_pairs``,
-# ``pencil_points``, ``collinear_residual``, ``frame_residual``) this many
-# divided by what they stack per node, e.g. 546 nodes for a configuration's
-# 15 point pairs and 2,730 for its 3 spans.  8,192 keeps each temporary at
-# 128 KiB, half of numpy's 256 KiB threshold for reusing a temporary in
-# place.  That reuse changes bits only in a complex product
-# ``named * temporary``: numpy's complex multiply is not bitwise
-# commutative, and reusing the temporary swaps the operands.  So in the
-# kernels with such a product (``_bracket``, ``_chordal``) the bound keeps
-# a node's value independent of the size of its batch; in every other
-# kernel it only caps memory.
+# Complex numbers per temporary of every batched kernel: ``columns`` runs
+# a kernel in passes of this many nodes divided by what its temporaries
+# stack per node, e.g. 546 nodes for a configuration's 15 point pairs and
+# 2,730 for its 3 spans.  8,192 keeps each temporary at 128 KiB, half of
+# numpy's 256 KiB threshold for reusing a temporary in place.  That reuse
+# changes bits only in a complex product ``named * temporary``: numpy's
+# complex multiply is not bitwise commutative, and reusing the temporary
+# swaps the operands.  So in the kernels with such a product (``_bracket``,
+# ``_chordal``) the bound keeps a node's value independent of the size of
+# its batch; in every other kernel it only caps memory.
 VECTOR_ROWS = 8192
 
 
@@ -180,34 +173,11 @@ def unit_rows(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return a / n
 
 
-def chunked(kernel, *arrays, core: int = 1, rows: int = CHUNK):
-    """``kernel`` applied to ``arrays`` in passes of at most ``rows`` rows.
-
-    The rows are the entries of the arrays' broadcast leading axes, each
-    array keeping its last ``core`` axes whole; ``kernel`` takes arrays of
-    shape (rows, *core shape) and returns an array, or a tuple of arrays,
-    with one leading entry per row.  Passes small enough that every complex
-    temporary of the kernel stays below numpy's 256 KiB threshold for
-    reusing temporaries in place bound the temporaries' memory, and in a
-    kernel with a ``named * temporary`` complex product (see
-    ``VECTOR_ROWS``) they make a row's value independent of the size of its
-    batch.
-    """
-    arrays = [np.asarray(a) for a in arrays]
-    leads = [a.shape[:a.ndim - core] for a in arrays]
-    lead = leads[0] if leads.count(leads[0]) == len(leads) else np.broadcast_shapes(*leads)
-    flat = [(a if shape == lead else np.broadcast_to(a, lead + a.shape[a.ndim - core:]))
-            .reshape((-1,) + a.shape[a.ndim - core:]) for a, shape in zip(arrays, leads)]
-    n = flat[0].shape[0]
-    if n <= rows:
-        parts = [kernel(*flat)]
-    else:
-        parts = [kernel(*(f[i:i + rows] for f in flat)) for i in range(0, n, rows)]
-    one = not isinstance(parts[0], tuple)
-    out = tuple(np.concatenate(p) if len(p) > 1 else p[0]
-                for p in zip(*([(p,) for p in parts] if one else parts)))
-    out = tuple(o.reshape(lead + o.shape[1:]) for o in out)
-    return out[0] if one else out
+def to_columns(rows: np.ndarray) -> np.ndarray:
+    """Rows (..., m) as one contiguous coordinate-major array (m, ...), the
+    layout of the batched kernels (see ``columns``): every axis reversed,
+    so configurations (N, k, m) become (m, k, N)."""
+    return np.ascontiguousarray(rows.T)
 
 
 def columns(kernel, *arrays, stack: int = 1):
@@ -251,7 +221,23 @@ def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     sqrt(1 - |<u,v>|^2) but stays accurate near zero (the naive form cannot
     resolve distances below sqrt(machine epsilon)).
     """
-    return chunked(lambda a, b: _chordal(a.T, b.T), u, v, rows=VECTOR_ROWS)
+    return _on_rows(_chordal, u, v)
+
+
+def _on_rows(kernel, *rows):
+    """``kernel`` on row-major arrays (..., m), batched over their
+    broadcast leading axes, as one ``columns`` call over their transposed
+    views (m, ...); the leading axes are padded to a common number first,
+    so the views broadcast as the rows do.  Returns the kernel's value per
+    row (...).  A single row (m,) runs as a batch of one, so it gets the
+    bits it gets in any batch: numpy's scalar complex arithmetic can differ
+    from its array loops in the last bit."""
+    nd = max(r.ndim for r in rows)
+    if nd == 1:
+        return _on_rows(kernel, *(r[None] for r in rows))[0]
+    views = [r.reshape((1,) * (nd - r.ndim) + r.shape).T for r in rows]
+    stack = math.prod(map(max, zip(*(v.shape[1:-1] for v in views))))
+    return columns(kernel, *views, stack=stack).T
 
 
 def chordal_pairs(points: np.ndarray, pairs) -> np.ndarray:
@@ -280,19 +266,15 @@ def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
     between 1/sqrt(2) and 3/s times the third relative singular value of
     the four rows stacked.
     """
-    return chunked(lambda a, b: frame_residual(a.T, *line_frame(b[:, 0].T, b[:, 1].T)),
-                   spans, lines, core=2, rows=VECTOR_ROWS // 2)
+    return _on_rows(lambda a, b: frame_residual(a, *line_frame(b[:, 0], b[:, 1])), spans, lines)
 
 
 def line_frame(p, q):
     """The Gram-Schmidt frame of the line through unit points p and q,
     given one array per coordinate: p, the unit vector e of the line
-    orthogonal to p (q orthogonalized twice), and the norm of e before it
-    was scaled."""
-    e = _away(_away(q, p), p)
-    size = np.sqrt(_norm2(e))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return p, [ec / size for ec in e], size
+    orthogonal to p (q orthogonalized twice; zero where nothing of q is
+    left), and the norm of e before it was scaled."""
+    return (p, *_away_unit(_away(q, p), p))
 
 
 def frame_residual(spans, p, e, size):
@@ -350,10 +332,17 @@ def _collinear_residual(a, d):
     far = np.argmax(d, axis=0)
     at = np.arange(a.shape[-1])
     p, q, x = (a[:, np.array(k)[far], at] for k in ((0, 0, 1), (1, 2, 2), (2, 1, 0)))
-    e = _away(q, p)
-    size = np.sqrt(_norm2(e))
-    size[size == 0] = 1.0
-    return np.sqrt(_norm2(_away(_away(x, p), [ec / size for ec in e])))
+    return np.sqrt(_norm2(_away(_away(x, p), _away_unit(q, p)[0])))
+
+
+def _away_unit(u, e):
+    """u less its component along unit e, scaled to unit norm (zero where
+    it is zero), and its norm before scaling, all given one array per
+    coordinate: one Gram-Schmidt step."""
+    r = _away(u, e)
+    size = np.sqrt(_norm2(r))
+    scale = np.where(size > 0, size, 1.0)
+    return [rc / scale for rc in r], size
 
 
 def _away(u, e):
@@ -381,33 +370,25 @@ def relative_singular_values(rows: np.ndarray) -> np.ndarray:
 
 
 def cross(a, b):
-    """Bilinear cross product over the last axis of CP^2 representatives,
-    batched over leading axes.  np.cross gives the same values, but its
-    three calls in ``meet`` cost twice the SVD they replace on a one-node
-    batch.  Every product takes views of the arguments, never a temporary,
-    so no product is computed in place and a node's value does not depend on
-    the size of its batch."""
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
-
-
-def _vdot(a, b):
-    """<a, b> = sum(conj(a) b) over the last axis.  The products are laid
-    out row-major whatever the layout of a and b, because numpy pairs the
-    terms of a complex sum along a contiguous axis differently."""
-    return np.sum(np.multiply(np.conj(a), b, order="C"), axis=-1)
+    """Bilinear cross product of coordinate-major CP^2 representatives
+    (3, ...).  Every product takes views of the arguments, never a
+    temporary, so no product is computed in place and a node's value does
+    not depend on the size of its batch."""
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def meet(p1, q1, p2, q2):
-    """Meet of the lines p1 q1 and p2 q2, batched over leading axes.
+    """Meet of the lines p1 q1 and p2 q2, batched over nodes.
 
-    The arguments are unit representatives (..., n+1).  Returns the meet
-    point and the mask of nodes where the meet is defined: each pair spans
-    a line, and the lines differ.  That is a test of scale-free quantities,
-    each at least 1e-12: the chordal distance of each pair and the sine of
-    the angle between the lines.  An absolute cutoff on an unnormalized
-    point would fail two close pairs on two distinct lines.
+    The arguments are coordinate-major unit representatives (n+1, ..., N)
+    (see ``columns``).  Returns the meet point (n+1, ..., N) and the mask
+    (..., N) of nodes where the meet is defined: each pair spans a line,
+    and the lines differ.  That is a test of scale-free quantities, each at
+    least 1e-12: the chordal distance of each pair and the sine of the
+    angle between the lines.  An absolute cutoff on an unnormalized point
+    would fail two close pairs on two distinct lines.
 
     In CP^2 the point is the cross product (p1 x q1) x (p2 x q2), whose
     norm is the product of the three quantities (|p x q| is the chordal
@@ -423,35 +404,28 @@ def meet(p1, q1, p2, q2):
     is undefined it is only a placeholder, but still a unit point, so the
     distances measured from it are distances.
     """
-    return chunked(_meet, p1, q1, p2, q2)
+    return columns(_meet, p1, q1, p2, q2)
 
 
 def _meet(p1, q1, p2, q2):
-    """``meet`` on one pass of rows."""
-    if p1.shape[-1] == 3:
+    """``meet`` on one pass of nodes."""
+    if len(p1) == 3:
         l1, l2 = cross(p1, q1), cross(p2, q2)
         point = cross(l1, l2)
-        norm = np.linalg.norm(point, axis=-1, keepdims=True)
-        n1, n2 = np.linalg.norm(l1, axis=-1), np.linalg.norm(l2, axis=-1)
-        defined = (n1 >= 1e-12) & (n2 >= 1e-12) & (norm[..., 0] >= 1e-12 * n1 * n2)
+        n1, n2, norm = (np.sqrt(_norm2(x)) for x in (l1, l2, point))
+        defined = (n1 >= 1e-12) & (n2 >= 1e-12) & (norm >= 1e-12 * n1 * n2)
     else:
-        (e1, s1), (e2, s2) = _frame(p1, q1), _frame(p2, q2)
-        rp, re = ((x - _vdot(p2, x)[:, None] * p2) - _vdot(e2, x)[:, None] * e2 for x in (p1, e1))
-        a, b, h = _vdot(rp, rp).real, _vdot(re, re).real, _vdot(rp, re)
+        (e1, s1), (e2, s2) = _away_unit(q1, p1), _away_unit(q2, p2)
+        rp, re = (_away(_away(x, p2), e2) for x in (p1, e1))
+        a, b, h = _norm2(rp), _norm2(re), _dot(rp, re)
         least = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(h))
         v1 = np.where(a >= b, h, least - b)
         v2 = np.where(a >= b, least - a, np.conj(h))
-        point = v1[:, None] * p1 + v2[:, None] * e1
-        norm = np.linalg.norm(point, axis=-1, keepdims=True)
+        point = [v1 * x + v2 * e for x, e in zip(p1, e1)]
+        norm = np.sqrt(_norm2(point))
         defined = (s1 >= 1e-12) & (s2 >= 1e-12) & (np.sqrt(a + b) >= 1e-12)
-    return np.where(norm > 0, point / np.where(norm > 0, norm, 1.0), p1), defined
-
-
-def _frame(p, q):
-    """The unit vector of the line p q orthogonal to unit p, and |p x q|."""
-    e = q - _vdot(p, q)[:, None] * p
-    s = np.linalg.norm(e, axis=-1)
-    return e / np.where(s > 0, s, 1.0)[:, None], s
+    scale = np.where(norm > 0, norm, 1.0)
+    return np.stack([np.where(norm > 0, x / scale, y) for x, y in zip(point, p1)]), defined
 
 
 # ---------------------------------------------------------------------------

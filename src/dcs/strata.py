@@ -35,6 +35,7 @@ from .projective import (
     meet,
     pencil_points,
     span_dim,
+    to_columns,
     unit_rows,
 )
 
@@ -348,22 +349,15 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     return _each_distinct_once(_validate_configs, pts, tag, tol)
 
 
-def _columns(rows: np.ndarray) -> np.ndarray:
-    """Rows (N, k, m) as coordinate-major points (m, k, N), contiguous, the
-    layout of the validation kernels (see ``projective.columns``)."""
-    return np.ascontiguousarray(rows.transpose(2, 1, 0))
-
-
 def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
     """``validate_batch`` on (N, 6, n+1) points, failing nodes counted
     ``counts`` times each when given.  Center-apart is the nearer point's
     distance from the meet that ``pencil_points`` forms for each span."""
-    cols = unit_rows(_columns(pts), axis=0)
-    centers, defined = meet(*(cols[:, i].T for i in range(4)))
-    center = _columns(centers[:, None])
+    cols = unit_rows(to_columns(pts), axis=0)
+    centers, defined = meet(*(cols[:, i] for i in range(4)))
     # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
     pair = chordal_pairs(cols, _POINT_PAIRS).min(axis=0)
-    points, incidence, apart = pencil_points(cols[:, 0::2], cols[:, 1::2], center)
+    points, incidence, apart = pencil_points(cols[:, 0::2], cols[:, 1::2], centers[:, None])
     apart = apart.min(axis=0)
     fail_counts: dict = {}
     ok = (_record(fail_counts, "pairwise-distinct", pair > tol.proj_eq_tol, counts)
@@ -371,7 +365,7 @@ def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
           & _record(fail_counts, "center-apart", apart > tol.proj_eq_tol, counts))
     residuals = np.zeros(len(pts))
     if tag.kind.endswith("_fixed"):
-        residuals = chordal_batch(centers, tag.center.unit()[None, :])
+        residuals = chordal_batch(centers.T, tag.center.unit())
         ok &= _record(fail_counts, "center-matches", residuals <= tol.proj_eq_tol, counts)
     good, distinct, concurrent, lines = _pencil_checks(points, incidence, "concurrent", tol, fail_counts, counts)
     ok &= good
@@ -386,7 +380,7 @@ def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
         else:
             ok &= _record(fail_counts, "span-exact", span <= tol.rank_rel_tol, counts)
             residuals = np.maximum(residuals, span)
-    return BatchResult(ok, margins, residuals, fail_counts, centers)
+    return BatchResult(ok, margins, residuals, fail_counts, centers.T)
 
 
 def _pencil_checks(points, incidence, name: str, tol: Tolerances, fail_counts: dict, counts) -> tuple:
@@ -461,10 +455,10 @@ def _validate_lines(arr: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> 
     if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors, each its line's point of the pencil
         points = unit_rows(arr)
         incidence = np.abs(points @ c).T
-        points = _columns(points)
+        points = to_columns(points)
         ok, margins = np.ones(len(arr), dtype=bool), np.inf
     else:
-        cols = unit_rows(_columns(arr.reshape(len(arr), 6, arr.shape[-1])), axis=0)
+        cols = unit_rows(to_columns(arr.reshape(len(arr), 6, arr.shape[-1])), axis=0)
         margins = chordal_pairs(cols, _SPAN_PAIRS).min(axis=0)
         ok = _record(fail_counts, "span-defined", margins > tol.proj_eq_tol, counts)
         points, incidence, _ = pencil_points(cols[:, 0::2], cols[:, 1::2], c[:, None, None])

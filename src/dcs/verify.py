@@ -87,6 +87,9 @@ class RunConfig:
                     or grid[0] < default[0] // 4 or grid[1] < default[1] // 4):
                 raise ValueError(f"{name} {list(grid)} is not two sizes of at least "
                                  f"a quarter of the default {list(default)}")
+            if grid[0] * grid[1] > inv.MAX_WINDING_SAMPLES:
+                raise ValueError(f"{name} {list(grid)} has {grid[0] * grid[1]} nodes, "
+                                 f"above the cap {inv.MAX_WINDING_SAMPLES}")
         if self.seed < 0:
             raise ValueError(f"seed must be 0 or more, got {self.seed}")
         if self.threads < 0:

@@ -124,6 +124,7 @@ def _write_run_config(path, kind):
 MISTYPED_CONFIGS = {
     "circle-samples-fraction": ({"circle_samples": 300.5}, "C3"),
     "grid-fraction": ({"disk_grid": [128.5, 64]}, "C3"),
+    "grid-above-the-cap": ({"disk_grid": [1024, 1025]}, "C3"),
     "seed-string": ({"seed": "abc"}, "C1"),
     "seed-fraction": ({"seed": 1.5}, "C1"),
     "boundary-tol-string": ({"boundary_tol": "x"}, "C5"),
@@ -183,8 +184,13 @@ def test_verify_malformed_input_is_usage_error(kind, capsys, tmp_path, monkeypat
 @pytest.mark.parametrize("argv", [
     ["verify", "--claim", "C3", "--samples", str(2 ** 20 + 1)],
     ["winding", "alpha", "w1", "--samples", str(2 ** 20 + 1)],
-], ids=["verify", "winding"])
+    ["verify", "--claim", "C3", "--grid", "1025x1024"],
+    ["verify", "--claim", "C3", "--cylinder-grid", "4097x256"],
+], ids=["verify", "winding", "grid", "cylinder-grid"])
 def test_samples_above_the_cap_rejected_before_sampling(argv, capsys, monkeypatch):
+    """More circle samples, or more disk or cylinder grid nodes, than 2^20
+    is a usage error raised before any atlas item is evaluated; a grid of
+    exactly 2^20 nodes is a valid run configuration."""
     def no_eval(*args, **kwargs):
         raise AssertionError("evaluated an atlas item")
 
@@ -192,6 +198,7 @@ def test_samples_above_the_cap_rejected_before_sampling(argv, capsys, monkeypatc
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and str(2 ** 20) in err
+    verify.RunConfig(disk_grid=(1024, 1024), cylinder_grid=(4096, 256))
 
 
 def test_verify_deterministic_reports(capsys, tmp_path):

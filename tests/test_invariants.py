@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dcs import atlas
 from dcs import invariants as inv
 from dcs.paths import Atom, Concat, Inverse, TWO_PI, compare_values, domain_nodes, parse_loop_expr
-from dcs.projective import DEFAULT_TOL, VECTOR_ROWS, ProjectiveError, chunked
+from dcs.projective import DEFAULT_TOL, VECTOR_ROWS, ProjectiveError
 from dcs.report import FAIL, INCONCLUSIVE, PASS
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
@@ -75,8 +75,11 @@ def row_major_ratio(arr, i, j, k):
     """Oracle: the bracket ratio ([AjBjAi] [AkBkBi]) / ([AkBkAi] [AjBjBi])
     from four row-major bracket passes over strided views of the
     configurations, in passes of VECTOR_ROWS rows."""
+    rows = arr.reshape(-1, 6, 3)
+
     def bracket(p, q, r):
-        return chunked(_row_bracket, arr[..., p, :], arr[..., q, :], arr[..., r, :], rows=VECTOR_ROWS)
+        passes = [rows[at:at + VECTOR_ROWS] for at in range(0, len(rows), VECTOR_ROWS)]
+        return np.concatenate([_row_bracket(x[:, p], x[:, q], x[:, r]) for x in passes]).reshape(arr.shape[:-2])
 
     ai, bi, aj, bj, ak, bk = (2 * (n - 1) + s for n in (i, j, k) for s in (0, 1))
     return bracket(aj, bj, ai) * bracket(ak, bk, bi) / (bracket(ak, bk, ai) * bracket(aj, bj, bi))

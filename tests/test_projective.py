@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from dcs import atlas
 from dcs.projective import (
-    CHUNK,
     DEFAULT_TOL,
+    VECTOR_ROWS,
     DimensionMismatchError,
     HPoint,
     ProjectiveError,
@@ -25,6 +25,7 @@ from dcs.projective import (
     proj_dist,
     relative_singular_values,
     span_dim,
+    to_columns,
     unit_rows,
 )
 from dcs.report import FAIL, classify_distance
@@ -216,9 +217,9 @@ def test_meet_reconstructs_common_point():
             continue
         triangles.append(unit_rows(np.stack([a.coords, b.coords, c.coords])))
     t = np.stack(triangles)
-    point, defined = meet(t[:, 0], t[:, 1], t[:, 0], t[:, 2])
+    point, defined = meet(t[:, 0].T, t[:, 1].T, t[:, 0].T, t[:, 2].T)
     assert defined.all()
-    for m, (a, _, _) in zip(point, t):
+    for m, (a, _, _) in zip(point.T, t):
         assert proj_dist(HPoint(m), HPoint(a)) < 1e-9
 
 
@@ -320,17 +321,11 @@ LINE_PAIRS = [(0, 1), (0, 2), (1, 2)]
 RATIO_TRIPLES = [(2, 3, 0), (4, 5, 1), (4, 5, 0), (2, 3, 1)]
 
 
-def columns(a):
-    """Rows (n, r, m) as the coordinate-major points (m, r, n) the
-    validation kernels take."""
-    return np.ascontiguousarray(a.transpose(2, 1, 0))
-
-
 def by_node(kernel):
     """``kernel`` on coordinate-major points, its outputs with the node axis
     moved first, so that out[i] is node i's."""
     def run(a):
-        out = kernel(columns(a))
+        out = kernel(to_columns(a))
         return tuple(np.moveaxis(o, -1, 0) for o in out) if isinstance(out, tuple) else np.moveaxis(out, -1, 0)
     return run
 
@@ -345,7 +340,7 @@ KERNELS = {
     "chordal_pairs stacked": (6, 3, by_node(lambda c: chordal_pairs(c, POINT_PAIRS))),
     "collinear_residual": (3, 4, by_node(lambda c: collinear_residual(c, chordal_pairs(c, LINE_PAIRS)))),
     "line_residual": (4, 4, lambda a: line_residual(a[:, :2], a[:, 2:])),
-    "meet": (4, 4, lambda a: meet(*(a[:, i] for i in range(4)))),
+    "meet": (4, 4, by_node(lambda c: meet(*(c[:, i] for i in range(4))))),
     "pencil_points": (3, 5, by_node(lambda c: pencil_points(c[:, :1], c[:, 1:2], c[:, 2:]))),
     "pencil_points stacked": (7, 4, by_node(lambda c: pencil_points(c[:, 0:6:2], c[:, 1:6:2], c[:, 6:]))),
     "unit_rows": (3, 4, unit_rows),
@@ -366,15 +361,18 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     takes raw rows at scales 1e-200 to 1e200, so that a batch mixes rows of
     its far-norm branch with rows in range.
 
-    The two pencil_points cases and the meet cases are non-discriminating
-    for those kernels' pass bounds: they pass with pencil_points run in
-    passes of 8,192 nodes (temporaries of 24,576 complex numbers) and with
-    meet run in one pass of any length, and no input can fail there.
-    Reusing a temporary in place changes bits only where numpy swaps the
-    operands of a complex product, ``named * temporary``; every product in
-    ``_pencil_points`` and ``_meet`` has its temporary on the left or none,
-    so their bounds only cap memory.  The cases still show their rows
-    independent of the batch size."""
+    The two pencil_points cases, the line_residual case and the meet cases
+    are non-discriminating for those kernels' pass bounds: they pass with
+    pencil_points run in passes of 8,192 nodes (temporaries of 24,576
+    complex numbers) and with line_residual and meet run in one pass of any
+    length, and no input can fail there.  Reusing a temporary in place
+    changes bits only where numpy swaps the operands of a complex product,
+    ``named * temporary``; every product in ``_pencil_points``, ``_meet``
+    and the frame steps of ``line_residual`` has its temporary on the left
+    or none, and line_residual's one such product, in the chordal distance
+    of a span's two points, only feeds the 1e-12 cutoff, so their bounds
+    only cap memory.  The cases still show their rows independent of the
+    batch size."""
     r, m, kernel = KERNELS[name]
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(n, r, m)) + 1j * rng.normal(size=(n, r, m))
@@ -388,7 +386,7 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     if name != "meet":
         picks = range(min(n, 2000))
     else:
-        edges = np.r_[CHUNK - 2:CHUNK + 3, 2 * CHUNK - 2:2 * CHUNK + 3]
+        edges = np.r_[VECTOR_ROWS - 2:VECTOR_ROWS + 3, 2 * VECTOR_ROWS - 2:2 * VECTOR_ROWS + 3]
         picks = np.unique(np.r_[0:8, n - 1, edges, rng.integers(0, n, 24)].clip(0, n - 1))
     for i in picks:
         for whole, alone in zip(batch, run(rows[i:i + 1])):
@@ -398,17 +396,15 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
 @pytest.mark.parametrize("m", range(2, 8))
 def test_validation_layout_keeps_the_bits(m):
     """Validation normalizes coordinate-major points (unit_rows along axis
-    0) and takes the meet of their transposed, strided views: both are bit
-    for bit what the row-major rows give, for up to seven coordinates, at
-    scales 1e-200 to 1e200 (so some vectors take the far-norm branch)."""
+    0): bit for bit what the row-major rows give, for up to seven
+    coordinates, at scales 1e-200 to 1e200 (so some vectors take the
+    far-norm branch)."""
     rng = np.random.default_rng(m)
     rows = rng.normal(size=(3000, 4, m)) + 1j * rng.normal(size=(3000, 4, m))
     rows = rows * 10.0 ** rng.integers(-200, 201, size=(3000, 4, 1))
     u = unit_rows(rows)
-    cols = unit_rows(columns(rows), axis=0)
+    cols = unit_rows(to_columns(rows), axis=0)
     assert np.moveaxis(cols, 0, -1).swapaxes(0, 1).tobytes() == u.tobytes()
-    for whole, strided in zip(meet(*(u[:, i] for i in range(4))), meet(*(cols[:, i].T for i in range(4)))):
-        assert np.ascontiguousarray(strided).tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

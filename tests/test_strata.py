@@ -17,6 +17,7 @@ from dcs.projective import (
     meet,
     pencil_points,
     span_dim,
+    to_columns,
     unit_rows,
 )
 from dcs.strata import (
@@ -279,7 +280,7 @@ def lapack_reference(points, tag):
     lines = {f"lines-distinct {name}": _rel3(u[:, rows])
              for name, rows in (("d1-d2", [0, 1, 2, 3]), ("d1-d3", [0, 1, 4, 5]),
                                 ("d2-d3", [2, 3, 4, 5]))}
-    centers = meet(u[:, 0], u[:, 1], u[:, 2], u[:, 3])[0]
+    centers = meet(*(u[:, i].T for i in range(4)))[0].T
     # the meet is defined when each pair spans a line and the lines differ:
     # |p x q| is the chordal distance of unit p, q, and |l1 x l2| / (|l1| |l2|)
     # the sine of the angle between the lines
@@ -788,8 +789,8 @@ def config_pencil_reference(points, tag):
                                "lines-distinct", "concurrent", "span")}
     for node in np.asarray(points, dtype=complex):
         u = node / np.linalg.norm(node, axis=-1, keepdims=True)
-        center, defined = meet(*(u[i:i + 1] for i in range(4)))
-        c = center[0]
+        center, defined = meet(*u[:4, :, None])
+        c = center[:, 0]
         q["pairwise-distinct"].append(min(_chordal(u[i], u[j]) for i in range(6) for j in range(i + 1, 6)))
         q["meet-defined"].append(float(defined[0]))
         q["center-apart"].append(min(_chordal(x, c) for x in u))
@@ -914,7 +915,8 @@ def test_meet_matches_the_svd_meet(tag):
     corpus = near_degenerate_corpus(tag=tag)
     quantity = lapack_reference(corpus, tag)[3]
     u = unit_rows(corpus)
-    centers, defined = meet(*(u[:, i] for i in range(4)))
+    centers, defined = meet(*(u[:, i].T for i in range(4)))
+    centers = centers.T
     lines = quantity["lines-distinct d1-d2"][0]
     skew = quantity["concurrent d1-d2"][0] if tag.n > 2 else np.zeros(len(u))
     distinct = (lines > RANK_TOL) & (skew <= RANK_TOL)
@@ -944,11 +946,11 @@ def test_center_apart_is_the_chordal_distance_to_the_meet(tag):
         near.append(cfg)
     corpus = np.concatenate([pencil_corpus(tag), np.stack(near)])
     u = unit_rows(corpus)
-    centers, _ = meet(*(u[:, i] for i in range(4)))
-    assert np.abs(np.linalg.norm(centers, axis=-1) - 1).max() <= 4 * eps
-    cols = np.ascontiguousarray(u.transpose(2, 1, 0))
-    apart = pencil_points(cols[:, 0::2], cols[:, 1::2], np.ascontiguousarray(centers.T)[:, None])[2]
-    chordal = chordal_batch(u, centers[:, None]).reshape(len(u), 3, 2).min(axis=-1).T
+    cols = to_columns(u)
+    centers = meet(*(cols[:, i] for i in range(4)))[0]
+    assert np.abs(np.linalg.norm(centers, axis=0) - 1).max() <= 4 * eps
+    apart = pencil_points(cols[:, 0::2], cols[:, 1::2], centers[:, None])[2]
+    chordal = chordal_batch(u, centers.T[:, None]).reshape(len(u), 3, 2).min(axis=-1).T
     assert np.abs(apart - chordal).max() <= 4 * eps
     margins = validate_batch(corpus, tag).margins[-len(near):]
     assert np.abs(margins - chordal.min(axis=0)[-len(near):]).max() <= 4 * eps
