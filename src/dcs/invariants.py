@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import atlas
-from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr, domain_nodes
+from .paths import MAX_WINDING_SAMPLES, TWO_PI, Atom, LoopExpr
 from .projective import (
     DEFAULT_TOL,
     ProjectiveError,
@@ -296,16 +296,14 @@ class DiskNullityReport:
     min_modulus: float
 
 
-def disk_winding_nullity(item_id: str, functionals: Sequence[ScalarFunctional],
-                         grid=(128, 64), n: int = 512,
+def disk_winding_nullity(item_id: str, configs: np.ndarray,
+                         functionals: Sequence[ScalarFunctional], n: int = 512,
                          tol: Tolerances = DEFAULT_TOL) -> list:
-    """One report per functional, from one evaluation of the disk: a loop
+    """One report per functional, from the disk's values ``configs``: a loop
     bounding a disk on which the functional never vanishes has winding
     zero; vanishing inside makes the test inconclusive, not failed."""
-    item = atlas.get(item_id)
-    if item.kind != "disk":
+    if atlas.get(item_id).kind != "disk":
         raise WindingError(f"{item_id} is not a disk item")
-    configs = item.eval(**domain_nodes("disk", grid)[0])
     boundary = Atom(item_id)
     reports = []
     for f in functionals:

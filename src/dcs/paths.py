@@ -379,19 +379,19 @@ class SweepReport:
     min_margin: float
     max_residual: float
     n_nodes: int
-    fail_counts: dict = field(default_factory=dict)
-    worst_param: tuple = ()
-    # meets of d1 and d2 at every node of a configuration item's sweep, in
-    # node order
-    centers: Optional[np.ndarray] = field(default=None, repr=False)
+    fail_counts: dict
+    worst_param: tuple
+    # in node order: the swept nodes, the item's values, a configuration's d1-d2 meets
+    nodes: dict = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    centers: Optional[np.ndarray] = field(repr=False)
 
 
 def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport:
-    """Validate an atlas item over its whole domain (see ``domain_nodes``)
-    against its target tag, in blocks of at most SWEEP_BLOCK nodes.
-    worst_param holds the domain parameters of the first node with the
-    smallest margin.
-    """
+    """Evaluate an atlas item over its domain (see ``domain_nodes``) and
+    validate it against its target tag, in blocks of at most SWEEP_BLOCK
+    nodes, written into one values array if there are several.  worst_param
+    holds the domain parameters of the first node with the smallest margin."""
     item = atlas.get(item_id)
     if item.target is None:
         raise PathError(f"{item_id} has no membership target")
@@ -402,7 +402,13 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport
     ok, margin, resid, counts, worst, centers = True, np.inf, 0.0, {}, (), []
     for start in range(0, n_nodes, SWEEP_BLOCK):
         block = {k: v[start:start + SWEEP_BLOCK] for k, v in nodes.items()}
-        res = validate_values(item.eval(**block), item.target, tol)
+        vals = item.eval(**block)
+        if start == 0:
+            values = vals if len(vals) == n_nodes else np.empty((n_nodes,) + vals.shape[1:], vals.dtype)
+        if values is not vals:
+            values[start:start + len(vals)] = vals
+            vals = values[start:start + len(vals)]   # validated in place; the block is freed
+        res = validate_values(vals, item.target, tol)
         ok = ok and res.all_ok
         i = int(np.argmin(res.margins))
         if res.margins[i] < margin:
@@ -412,8 +418,8 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport
             counts[name] = counts.get(name, 0) + c
         if res.centers is not None:
             centers.append(res.centers)
-    return SweepReport(item_id, label, ok, margin, resid, n_nodes, counts, worst,
-                       np.concatenate(centers) if centers else None)
+    return SweepReport(item_id, label, ok, margin, resid, n_nodes, counts, worst, nodes,
+                       values, np.concatenate(centers) if centers else None)
 
 
 def junction_report(item_id: str, n_t: int = 64) -> dict:

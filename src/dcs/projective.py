@@ -383,12 +383,13 @@ def meet(p1, q1, p2, q2):
     """Meet of the lines p1 q1 and p2 q2, batched over nodes.
 
     The arguments are coordinate-major unit representatives (n+1, ..., N)
-    (see ``columns``).  Returns the meet point (n+1, ..., N) and the mask
-    (..., N) of nodes where the meet is defined: each pair spans a line,
-    and the lines differ.  That is a test of scale-free quantities, each at
-    least 1e-12: the chordal distance of each pair and the sine of the
-    angle between the lines.  An absolute cutoff on an unnormalized point
-    would fail two close pairs on two distinct lines.
+    (see ``columns``), or single points (n+1,), run as a batch of one for
+    its bits (see ``_on_rows``).  Returns the meet point (n+1, ..., N) and
+    the mask (..., N) of nodes where the meet is defined: each pair spans a
+    line, and the lines differ.  That is a test of scale-free quantities,
+    each at least 1e-12: the chordal distance of each pair and the sine of
+    the angle between the lines.  An absolute cutoff on an unnormalized
+    point would fail two close pairs on two distinct lines.
 
     In CP^2 the point is the cross product (p1 x q1) x (p2 x q2), whose
     norm is the product of the three quantities (|p x q| is the chordal
@@ -404,6 +405,9 @@ def meet(p1, q1, p2, q2):
     is undefined it is only a placeholder, but still a unit point, so the
     distances measured from it are distances.
     """
+    if max(map(np.ndim, (p1, q1, p2, q2))) == 1:
+        point, defined = meet(p1[:, None], q1[:, None], p2[:, None], q2[:, None])
+        return point[:, 0], defined[0]
     return columns(_meet, p1, q1, p2, q2)
 
 

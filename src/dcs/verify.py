@@ -321,18 +321,17 @@ def verify_C4(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C4")
     # the printed line loop and line disk: distinct lines through I0
     _add_sweep(rep, "s", cfg)
-    _add_sweep(rep, "Lambda", cfg)
+    sw = _add_sweep(rep, "Lambda", cfg)
     thetas, sigma_vals = Atom("sigma").sample(cfg.circle_samples)
     rep.add_distance("lines of sigma equal s",
                      compare_values(config_lines_dual(sigma_vals),
                                     Atom("s").sample(cfg.circle_samples)[1], "lines_dual"),
                      cfg.lift_tol, cfg.numeric_floor)
 
-    nodes, rep.grids["Lambda_tilde"] = domain_nodes("disk", cfg.disk_grid)
-    lifted = config_lines_dual(atlas.get("Lambda_tilde").eval(**nodes))
-    printed = atlas.get("Lambda").eval(**nodes)
+    rep.grids["Lambda_tilde"] = sw.grid
+    lifted = config_lines_dual(atlas.get("Lambda_tilde").eval(**sw.nodes))
     rep.add_distance("lines of the lifted disk equal the printed line disk",
-                     compare_values(lifted, printed, "lines_dual"),
+                     compare_values(lifted, sw.values, "lines_dual"),
                      cfg.lift_tol, cfg.numeric_floor)
 
     doubled = atlas.get("s").eval(2.0 * thetas % TWO_PI)
@@ -345,13 +344,13 @@ def verify_C4(cfg: RunConfig) -> ClaimReport:
 
 def verify_C5(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C5")
-    _add_sweep(rep, "Lambda_tilde", cfg)
+    sw = _add_sweep(rep, "Lambda_tilde", cfg)
     _add_pointwise(rep, "circle restriction equals the printed formula",
                    Atom("Lambda_tilde"), Atom("sigma_tilde_Lambda"), cfg)
     _add_closure(rep, "sigma_tilde_Lambda", cfg)
     # null-homotopy consequence: bracket-ratio windings of the boundary vanish
-    for r in inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()),
-                                      cfg.disk_grid, cfg.circle_samples, cfg.tol):
+    for r in inv.disk_winding_nullity("Lambda_tilde", sw.values, list(inv.W_FUNCTIONALS.values()),
+                                      cfg.circle_samples, cfg.tol):
         rep.add(f"boundary winding of {r.functional_id} vanishes", r.status, r.min_modulus,
                 note=f"winding {r.boundary_winding}")
     return rep
@@ -400,8 +399,7 @@ def verify_C7(cfg: RunConfig) -> ClaimReport:
 def verify_C8(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C8")
     sw = _add_sweep(rep, "Phi_tilde", cfg)
-    nodes, _ = domain_nodes("disk", cfg.disk_grid)
-    phi_pts = atlas.get("Phi").eval(**nodes)
+    phi_pts = atlas.get("Phi").eval(**sw.nodes)
     rep.add_distance("center path equals the generator disk",
                      float(np.max(chordal_batch(sw.centers, unit_rows(phi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
@@ -447,12 +445,10 @@ def verify_C9(cfg: RunConfig) -> ClaimReport:
 
 def verify_C10(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C10")
-    _add_sweep(rep, "Pi_tilde", cfg)
-    nodes, _ = domain_nodes("disk", cfg.disk_grid)
-    arr = atlas.get("Pi_tilde").eval(**nodes)
-    planes = atlas.get("Pi").eval(**nodes)
+    sw = _add_sweep(rep, "Pi_tilde", cfg)
+    planes = atlas.get("Pi").eval(**sw.nodes)
     rep.add_distance("configuration lies in the moving plane",
-                     float(np.max(plane_incidence(arr, planes))),
+                     float(np.max(plane_incidence(sw.values, planes))),
                      cfg.lift_tol, cfg.numeric_floor)
     _add_pointwise(rep, "circle restriction equals the embedded simultaneous loop",
                    Atom("Pi_tilde_S1"), Embed(Atom("M", t=0.0)), cfg)
@@ -483,13 +479,11 @@ def verify_C11(cfg: RunConfig) -> ClaimReport:
 
 def verify_C12(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C12")
-    nodes, _ = domain_nodes("disk", cfg.disk_grid)
     for lifted, printed in (("F_tilde", "F"), ("B_tilde", "B")):
-        _add_sweep(rep, lifted, cfg)
-        spans = config_lines_span(atlas.get(lifted).eval(**nodes))
-        target = atlas.get(printed).eval(**nodes)
+        sw = _add_sweep(rep, lifted, cfg)
+        target = atlas.get(printed).eval(**sw.nodes)
         rep.add_distance(f"lines of {lifted} equal {printed}",
-                         compare_values(spans, target, "lines_span"),
+                         compare_values(config_lines_span(sw.values), target, "lines_span"),
                          cfg.lift_tol, cfg.numeric_floor)
         _add_sweep(rep, printed, cfg)
         _boundary_fiber_check(rep, f"{lifted} boundary fiber winding", f"{lifted}_S1", cfg)
@@ -500,8 +494,7 @@ def verify_C12(cfg: RunConfig) -> ClaimReport:
 def verify_C13(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C13")
     sw = _add_sweep(rep, "Psi_tilde", cfg)
-    nodes, _ = domain_nodes("disk", cfg.disk_grid)
-    psi_pts = atlas.get("Psi").eval(**nodes)
+    psi_pts = atlas.get("Psi").eval(**sw.nodes)
     rep.add_distance("center path equals the generator disk",
                      float(np.max(chordal_batch(sw.centers, unit_rows(psi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
@@ -512,12 +505,10 @@ def verify_C13(cfg: RunConfig) -> ClaimReport:
 
 def verify_C14(cfg: RunConfig) -> ClaimReport:
     rep = _new_report("C14")
-    _add_sweep(rep, "Sigma_tilde", cfg)
-    nodes, _ = domain_nodes("disk", cfg.disk_grid)
-    arr = atlas.get("Sigma_tilde").eval(**nodes)
-    planes = atlas.get("Sigma").eval(**nodes)
+    sw = _add_sweep(rep, "Sigma_tilde", cfg)
+    planes = atlas.get("Sigma").eval(**sw.nodes)
     rep.add_distance("configuration lies in the moving hyperplane",
-                     float(np.max(plane_incidence(arr, planes))),
+                     float(np.max(plane_incidence(sw.values, planes))),
                      cfg.lift_tol, cfg.numeric_floor)
     _boundary_fiber_check(rep, "boundary fiber winding", "Sigma_tilde_S1", cfg)
     _add_closure(rep, "Sigma_tilde_S1", cfg)

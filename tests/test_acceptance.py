@@ -252,8 +252,9 @@ def test_criterion_6_winding_relations(cfg):
     if rel.status != "pass":
         failures.append("doubled line loop relation")
 
-    for rep in inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()),
-                                        cfg.disk_grid, n):
+    disk = sweep_item("Lambda_tilde", cfg.disk_grid).values
+    for rep in inv.disk_winding_nullity("Lambda_tilde", disk,
+                                        list(inv.W_FUNCTIONALS.values()), n):
         if rep.status != "pass":
             failures.append(f"nullity {rep.functional_id}")
 

@@ -101,8 +101,14 @@ def seeded_word(seed):
     return "*".join(atoms)
 
 
+def lambda_tilde_disk():
+    """Lambda_tilde on the default disk grid, the values its sweep in C5
+    hands to disk_winding_nullity."""
+    return atlas.get("Lambda_tilde").eval(**domain_nodes("disk", (128, 64))[0])
+
+
 # the seven fiber loops, sigma, sigma_tilde_Lambda and Phi_tilde_S1, seeded
-# words, the disk grid of disk_winding_nullity, and a sample long enough
+# words, Lambda_tilde on the default disk grid, and a sample long enough
 # that the bracket passes split
 RATIO_CASES = {
     **{name: (lambda name=name: Atom(name).sample(512)[1])
@@ -110,7 +116,7 @@ RATIO_CASES = {
                     "Sigma_tilde_S1", "sigma", "sigma_tilde_Lambda", "Phi_tilde_S1")},
     **{f"word {seed}": (lambda seed=seed: parse_loop_expr(seeded_word(seed)).sample(512)[1])
        for seed in range(20)},
-    "Lambda_tilde disk": lambda: atlas.get("Lambda_tilde").eval(**domain_nodes("disk", (128, 64))[0]),
+    "Lambda_tilde disk": lambda_tilde_disk,
     "sigma_tilde_Lambda*Phi_tilde_S1 long":
         lambda: parse_loop_expr("sigma_tilde_Lambda*Phi_tilde_S1").sample(20000)[1],
 }
@@ -321,7 +327,8 @@ def test_indeterminate_relation_is_inconclusive(indeterminate_windings):
 
 
 def test_indeterminate_disk_boundary_is_inconclusive(indeterminate_windings):
-    reps = inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()))
+    reps = inv.disk_winding_nullity("Lambda_tilde", lambda_tilde_disk(),
+                                    list(inv.W_FUNCTIONALS.values()))
     assert [r.status for r in reps] == [INCONCLUSIVE] * 3
 
 
@@ -329,7 +336,8 @@ def test_indeterminate_disk_boundary_is_inconclusive(indeterminate_windings):
 # disk nullity
 
 def test_null_homotopy_disk_kills_windings():
-    reps = inv.disk_winding_nullity("Lambda_tilde", list(inv.W_FUNCTIONALS.values()))
+    reps = inv.disk_winding_nullity("Lambda_tilde", lambda_tilde_disk(),
+                                    list(inv.W_FUNCTIONALS.values()))
     assert [rep.functional_id for rep in reps] == list(inv.W_FUNCTIONALS)
     for rep in reps:
         assert rep.status == "pass" and rep.boundary_winding == 0
@@ -341,9 +349,16 @@ def test_punctured_disk_is_inconclusive():
     # inside the disk and the nullity test must refuse to conclude.
     f0 = inv.fiber_functional(0, 2)
     punctured = inv.ScalarFunctional("punctured", lambda arr: f0.fn(arr) - 1.0, 2)
-    ok, bad = inv.disk_winding_nullity("Lambda_tilde", [inv.W_FUNCTIONALS["w1"], punctured])
+    ok, bad = inv.disk_winding_nullity("Lambda_tilde", lambda_tilde_disk(),
+                                       [inv.W_FUNCTIONALS["w1"], punctured])
     assert ok.status == "pass" and bad.status == "inconclusive"
     assert bad.functional_id == "punctured" and bad.boundary_winding is None
+
+
+def test_disk_nullity_refuses_an_item_that_is_no_disk():
+    with pytest.raises(inv.WindingError, match="sigma is not a disk item"):
+        inv.disk_winding_nullity("sigma", Atom("sigma").sample(512)[1],
+                                 list(inv.W_FUNCTIONALS.values()))
 
 
 def test_nonvanishing_moduli_along_catalog_loops():

@@ -401,17 +401,23 @@ WRONG_CENTER = SpaceTag.planar_fixed(2, HPoint([1, 0, 0]))
 def test_blocked_sweep_matches_one_batch(item_id, grid, tag, monkeypatch):
     """A sweep over more than SWEEP_BLOCK nodes, validated block by block,
     reports what one batch over all nodes reports: configurations against
-    validate_batch, line triples against validate_lines_batch."""
+    validate_batch, line triples against validate_lines_batch.  Its nodes
+    are the domain's and its values, written block by block into one
+    array, are byte for byte the item's values at all nodes at once."""
     item = atlas.get(item_id)
     if tag is not None:
         monkeypatch.setattr(item, "target", tag)
     nodes, label = domain_nodes(item.kind, grid)
     assert nodes["theta"].size > SWEEP_BLOCK
     one_batch = validate_batch if item.value_kind == "config" else validate_lines_batch
-    ref = one_batch(item.eval(**nodes), item.target)
+    values = item.eval(**nodes)
+    ref = one_batch(values, item.target)
     rep = sweep_item(item_id, grid)
     i = int(np.argmin(ref.margins))
     assert rep.grid == label and rep.n_nodes == nodes["theta"].size
+    assert list(rep.nodes) == list(nodes)
+    assert all(rep.nodes[k].tobytes() == v.tobytes() for k, v in nodes.items())
+    assert rep.values.shape == values.shape and rep.values.tobytes() == values.tobytes()
     assert rep.ok == ref.all_ok
     assert rep.min_margin == ref.margins[i]
     assert rep.worst_param == tuple(v[i] for v in nodes.values())

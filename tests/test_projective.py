@@ -208,6 +208,20 @@ def test_meet_skew_lines_residual():
     assert pencil_points(a, b, c)[1][0, 0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_meet_of_single_points_is_the_batch_of_one(m):
+    """Single points (m,) get, bit for bit, the point and mask of the same
+    node as a batch of one (m, 1): numpy's scalar complex arithmetic can
+    differ from its array loops in the last bit."""
+    r = rng()
+    for _ in range(200):
+        rows = unit_rows(r.normal(size=(4, m)) + 1j * r.normal(size=(4, m)))
+        point, defined = meet(*rows)
+        col_point, col_defined = meet(*(x[:, None] for x in rows))
+        assert point.shape == (m,) and point.tobytes() == col_point[:, 0].tobytes()
+        assert defined == col_defined[0]
+
+
 def test_meet_reconstructs_common_point():
     r = rng()
     triangles = []

@@ -1,6 +1,7 @@
 """Engine-level behavior: claim dispatch, negative controls, report
 aggregation, and the certificates section."""
 
+import math
 import time
 
 import numpy as np
@@ -205,6 +206,43 @@ def test_all_claim_ids_have_verifiers():
     assert set(ALL_CLAIM_IDS) == {f"C{i}" for i in range(1, 16)}
     registry_ids = {c["id"] for c in atlas.export_registry()["claims"]}
     assert registry_ids == set(ALL_CLAIM_IDS)
+
+
+@pytest.mark.parametrize("claim_id, partners", [
+    ("C4", {"Lambda": "Lambda_tilde"}),
+    ("C5", {"Lambda_tilde": None}),
+    ("C8", {"Phi_tilde": "Phi"}),
+    ("C10", {"Pi_tilde": "Pi"}),
+    ("C12", {"F_tilde": "F", "B_tilde": "B"}),
+    ("C13", {"Psi_tilde": "Psi"}),
+    ("C14", {"Sigma_tilde": "Sigma"}),
+])
+def test_disk_claims_read_their_sweep(claim_id, partners, monkeypatch):
+    """A disk claim evaluates each swept disk once on the disk grid, by its
+    sweep, and evaluates the printed partner on the sweep's own nodes; the
+    one-block sweep's values are the evaluated block itself."""
+    calls, sweeps = [], {}
+    original_eval, original_sweep = atlas.AtlasItem.eval, verify.sweep_item
+
+    def eval_spy(self, theta, t=None, rho=None, side="right"):
+        out = original_eval(self, theta, t=t, rho=rho, side=side)
+        if rho is not None:
+            calls.append((self.id, theta, out))
+        return out
+
+    def sweep_spy(item_id, grid, tol):
+        sweeps[item_id] = original_sweep(item_id, grid, tol)
+        return sweeps[item_id]
+
+    monkeypatch.setattr(atlas.AtlasItem, "eval", eval_spy)
+    monkeypatch.setattr(verify, "sweep_item", sweep_spy)
+    assert verify_claim(claim_id, RunConfig()).verdict == PASS
+    for swept, partner in partners.items():
+        sw = sweeps[swept]
+        (out,) = [out for i, _, out in calls if i == swept]
+        assert sw.n_nodes == math.prod(RunConfig().disk_grid) and sw.values is out
+        if partner is not None:
+            assert any(i == partner and theta is sw.nodes["theta"] for i, theta, _ in calls)
 
 
 def _off_center(z, lines):
