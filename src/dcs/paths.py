@@ -52,9 +52,9 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     scalar       absolute difference (the arc items epsilon and eta)
     """
     if kind in ("config", "lines_dual"):
-        return chordal_batch(unit_rows(a), unit_rows(b)).max(axis=-1)
+        return chordal_batch(a, b, raw=True).max(axis=-1)
     if kind == "lines_span":
-        return line_residual(unit_rows(a), unit_rows(b)).max(axis=-1)
+        return line_residual(a, b, raw=True).max(axis=-1)
     if kind == "scalar":
         return np.abs(a - b)
     raise PathError(f"values of kind {kind!r} are never compared")
@@ -381,17 +381,19 @@ class SweepReport:
     n_nodes: int
     fail_counts: dict
     worst_param: tuple
-    # in node order: the swept nodes, the item's values, a configuration's d1-d2 meets
+    # in node order: the swept nodes, the item's values (None unless asked
+    # for), a configuration's d1-d2 meets
     nodes: dict = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    values: Optional[np.ndarray] = field(repr=False)
     centers: Optional[np.ndarray] = field(repr=False)
 
 
-def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport:
+def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL, values: bool = False) -> SweepReport:
     """Evaluate an atlas item over its domain (see ``domain_nodes``) and
     validate it against its target tag, in blocks of at most SWEEP_BLOCK
-    nodes, written into one values array if there are several.  worst_param
-    holds the domain parameters of the first node with the smallest margin."""
+    nodes; with ``values``, the blocks are written into one values array
+    if there are several, and the report returns it.  worst_param holds
+    the domain parameters of the first node with the smallest margin."""
     item = atlas.get(item_id)
     if item.target is None:
         raise PathError(f"{item_id} has no membership target")
@@ -399,15 +401,15 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport
         raise PathError(f"{item_id} values have no membership notion")
     nodes, label = domain_nodes(item.kind, grid)
     n_nodes = nodes["theta"].size
-    ok, margin, resid, counts, worst, centers = True, np.inf, 0.0, {}, (), []
+    ok, margin, resid, counts, worst, centers, kept = True, np.inf, 0.0, {}, (), [], None
     for start in range(0, n_nodes, SWEEP_BLOCK):
         block = {k: v[start:start + SWEEP_BLOCK] for k, v in nodes.items()}
         vals = item.eval(**block)
-        if start == 0:
-            values = vals if len(vals) == n_nodes else np.empty((n_nodes,) + vals.shape[1:], vals.dtype)
-        if values is not vals:
-            values[start:start + len(vals)] = vals
-            vals = values[start:start + len(vals)]   # validated in place; the block is freed
+        if values and start == 0:
+            kept = vals if len(vals) == n_nodes else np.empty((n_nodes,) + vals.shape[1:], vals.dtype)
+        if kept is not None and kept is not vals:
+            kept[start:start + len(vals)] = vals
+            vals = kept[start:start + len(vals)]   # validated in place; the block is freed
         res = validate_values(vals, item.target, tol)
         ok = ok and res.all_ok
         i = int(np.argmin(res.margins))
@@ -419,7 +421,7 @@ def sweep_item(item_id: str, grid, tol: Tolerances = DEFAULT_TOL) -> SweepReport
         if res.centers is not None:
             centers.append(res.centers)
     return SweepReport(item_id, label, ok, margin, resid, n_nodes, counts, worst, nodes,
-                       values, np.concatenate(centers) if centers else None)
+                       kept, np.concatenate(centers) if centers else None)
 
 
 def junction_report(item_id: str, n_t: int = 64) -> dict:

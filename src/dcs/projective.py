@@ -9,7 +9,11 @@ immutable values.  Every batched kernel works on coordinate-major arrays
 ``(n+1, ..., N)``, the coordinate axis first and the node axis last, in
 passes of ``columns``; ``to_columns`` turns rows ``(..., n+1)`` into that
 layout, and the two kernels whose callers hold rows, ``chordal_batch``
-and ``line_residual``, take rows and run on their transposed views.
+and ``line_residual``, take rows and run on their transposed views.  The
+Gram-Schmidt helpers act on the whole stacked array (n+1 complex numbers
+per node and stacked point in each temporary) and sum coordinates as an
+ordered fold over the first axis: ``sum(axis=0)`` would sum one node's
+eight or more floats pairwise, so its bits would depend on its batch.
 """
 
 from __future__ import annotations
@@ -24,16 +28,18 @@ import numpy as np
 ZERO_FLOOR = 1e-300
 # Euclidean norms outside this range lose digits or overflow when squared.
 SAFE_NORM = (1e-150, 1e150)
-# Complex numbers per temporary of every batched kernel: ``columns`` runs
-# a kernel in passes of this many nodes divided by what its temporaries
-# stack per node, e.g. 546 nodes for a configuration's 15 point pairs and
-# 2,730 for its 3 spans.  8,192 keeps each temporary at 128 KiB, half of
-# numpy's 256 KiB threshold for reusing a temporary in place.  That reuse
+# Complex numbers per coordinate in each temporary of a batched kernel:
+# ``columns`` runs a kernel in passes of this many nodes divided by what
+# its temporaries stack per node, e.g. 546 nodes for a configuration's 15
+# point pairs and 2,730 for its 3 spans.  A temporary of one coordinate,
+# as in ``_bracket``, then holds at most 128 KiB, half of numpy's 256 KiB
+# threshold for reusing a temporary in place; one of the stacked
+# Gram-Schmidt helpers holds m times that for m coordinates.  That reuse
 # changes bits only in a complex product ``named * temporary``: numpy's
 # complex multiply is not bitwise commutative, and reusing the temporary
-# swaps the operands.  So in the kernels with such a product (``_bracket``,
-# ``_chordal``) the bound keeps a node's value independent of the size of
-# its batch; in every other kernel it only caps memory.
+# swaps the operands.  So in ``_bracket`` the bound keeps a node's value
+# independent of the size of its batch; the stacked helpers have no such
+# product, and there the bound caps memory and keeps passes in cache.
 VECTOR_ROWS = 8192
 
 
@@ -154,13 +160,14 @@ def _norm(a, **axes):
         return np.linalg.norm(a, **axes)
 
 
-def unit_rows(a: np.ndarray, axis: int = -1) -> np.ndarray:
+def unit_rows(a: np.ndarray, axis: int = -1, out=None) -> np.ndarray:
     """Normalize the vectors along ``axis``, the last by default (rows), or
     the first of coordinate-major arrays (see ``columns``), to unit
-    Euclidean norm.  Vectors whose norm under- or overflows in binary64 are
-    first divided by their largest modulus, so the result does not depend
-    on the representative's scale.  numpy sums up to seven squared moduli
-    in coordinate order along either axis, so a vector of up to seven
+    Euclidean norm, into ``out`` when given (``a`` itself normalizes in
+    place).  Vectors whose norm under- or overflows in binary64 are first
+    divided by their largest modulus, so the result does not depend on the
+    representative's scale.  numpy sums up to seven squared moduli in
+    coordinate order along either axis, so a vector of up to seven
     coordinates gets the same bits in either layout."""
     n = _norm(a, axis=axis, keepdims=True)
     far = (n < SAFE_NORM[0]) | (n > SAFE_NORM[1])
@@ -170,7 +177,7 @@ def unit_rows(a: np.ndarray, axis: int = -1) -> np.ndarray:
             raise ZeroVectorError("zero representative in batch")
         a = np.where(far, a / np.where(far, peak, 1.0), a)
         n = np.where(far, np.linalg.norm(a, axis=axis, keepdims=True), n)
-    return a / n
+    return np.divide(a, n, out=out)
 
 
 def to_columns(rows: np.ndarray) -> np.ndarray:
@@ -184,15 +191,15 @@ def columns(kernel, *arrays, stack: int = 1):
     """``kernel`` applied to coordinate-major ``arrays`` (m, ..., N), the
     coordinate axis first and the node axis last, in passes of at most
     VECTOR_ROWS // ``stack`` nodes, where ``stack`` is the number of complex
-    numbers per node in each of the kernel's temporaries (one per coordinate
-    and stacked pair, span or point); an array whose node axis has length 1
-    holds one value for every node.  ``kernel`` returns an array, or a
-    tuple of arrays, with the node axis last.  Each of a coordinate's
-    arrays is contiguous along the nodes, so numpy runs its contiguous
-    inner loops, and each temporary holds at most VECTOR_ROWS complex
-    numbers, below numpy's threshold for reusing temporaries in place, so a
-    node's value does not depend on the size of its batch (see
-    ``VECTOR_ROWS``).
+    numbers per node and coordinate in each of the kernel's temporaries
+    (one per stacked pair, span or point); an array whose node axis has
+    length 1 holds one value for every node.  ``kernel`` returns an array,
+    or a tuple of arrays, with the node axis last.  Each coordinate's
+    values are contiguous along the nodes, so numpy runs its contiguous
+    inner loops; a temporary of one coordinate holds at most VECTOR_ROWS
+    complex numbers, one of all m coordinates m times that (see
+    ``VECTOR_ROWS``), and a node's value does not depend on the size of
+    its batch.
     """
     n = max(a.shape[-1] for a in arrays)
     rows = max(1, VECTOR_ROWS // stack)
@@ -206,38 +213,43 @@ def columns(kernel, *arrays, stack: int = 1):
 
 
 def _chordal(u, v):
-    """Chordal distances of coordinate-major unit representatives (m, rows).
-    The same operations, in the same order, as numpy's row-major form
-    ``norm(u - sum(u conj(v)) v)``, one vector per coordinate."""
-    ip = functools.reduce(np.add, (a * np.conj(b) for a, b in zip(u, v)))
-    w = [a - ip * b for a, b in zip(u, v)]
-    return np.clip(np.sqrt(functools.reduce(np.add, ((x.conj() * x).real for x in w))), 0.0, 1.0)
+    """Chordal distances of coordinate-major unit representatives (m, ...):
+    the same operations, in the same order, as numpy's row-major form
+    ``norm(u - sum(u conj(v)) v)``.  The conjugate is named: numpy could
+    reuse a temporary in ``u * np.conj(v)`` and swap the operands (see
+    ``VECTOR_ROWS``)."""
+    cv = np.conj(v)
+    return np.sqrt(_norm2(u - functools.reduce(np.add, u * cv) * v)).clip(0.0, 1.0)
 
 
-def chordal_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Chordal distance of unit-normalized representatives, elementwise.
+def chordal_batch(u: np.ndarray, v: np.ndarray, raw: bool = False) -> np.ndarray:
+    """Chordal distance of unit-normalized representatives, elementwise, or
+    of ``raw`` ones, normalized in each pass (see ``_on_rows``).
 
     Computed as the norm of the component of u orthogonal to v, which equals
     sqrt(1 - |<u,v>|^2) but stays accurate near zero (the naive form cannot
     resolve distances below sqrt(machine epsilon)).
     """
-    return _on_rows(_chordal, u, v)
+    return _on_rows(_chordal, u, v, raw=raw)
 
 
-def _on_rows(kernel, *rows):
+def _on_rows(kernel, *rows, raw: bool = False):
     """``kernel`` on row-major arrays (..., m), batched over their
     broadcast leading axes, as one ``columns`` call over their transposed
     views (m, ...); the leading axes are padded to a common number first,
     so the views broadcast as the rows do.  Returns the kernel's value per
     row (...).  A single row (m,) runs as a batch of one, so it gets the
     bits it gets in any batch: numpy's scalar complex arithmetic can differ
-    from its array loops in the last bit."""
+    from its array loops in the last bit.  ``raw`` rows are normalized in
+    each pass, bit for bit as ``unit_rows`` normalizes the rows, so no
+    normalized copy of the whole batch is made."""
     nd = max(r.ndim for r in rows)
     if nd == 1:
-        return _on_rows(kernel, *(r[None] for r in rows))[0]
+        return _on_rows(kernel, *(r[None] for r in rows), raw=raw)[0]
     views = [r.reshape((1,) * (nd - r.ndim) + r.shape).T for r in rows]
     stack = math.prod(map(max, zip(*(v.shape[1:-1] for v in views))))
-    return columns(kernel, *views, stack=stack).T
+    run = (lambda *a: kernel(*(unit_rows(x, axis=0) for x in a))) if raw else kernel
+    return columns(run, *views, stack=stack).T
 
 
 def chordal_pairs(points: np.ndarray, pairs) -> np.ndarray:
@@ -250,12 +262,12 @@ def chordal_pairs(points: np.ndarray, pairs) -> np.ndarray:
     return columns(lambda x: _chordal(x[:, first], x[:, second]), points, stack=len(first))
 
 
-def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
+def line_residual(spans: np.ndarray, lines: np.ndarray, raw: bool = False) -> np.ndarray:
     """How far the span of each pair of unit rows of ``spans`` (..., 2, m)
     is from the line through the matching pair of ``lines`` (..., 2, m),
     batched over the broadcast leading axes: the larger chordal distance of
     the span's two points from that line, 0 to rounding iff the span is
-    the line.
+    the line.  ``raw`` rows are normalized in each pass (see ``_on_rows``).
 
     The line's rows are orthonormalized by Gram-Schmidt, twice (Golub &
     Van Loan, Matrix Computations, 4th ed., 5.2), and a point's distance is
@@ -266,12 +278,12 @@ def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
     between 1/sqrt(2) and 3/s times the third relative singular value of
     the four rows stacked.
     """
-    return _on_rows(lambda a, b: frame_residual(a, *line_frame(b[:, 0], b[:, 1])), spans, lines)
+    return _on_rows(lambda a, b: frame_residual(a, *line_frame(b[:, 0], b[:, 1])), spans, lines, raw=raw)
 
 
 def line_frame(p, q):
-    """The Gram-Schmidt frame of the line through unit points p and q,
-    given one array per coordinate: p, the unit vector e of the line
+    """The Gram-Schmidt frame of the line through coordinate-major unit
+    points p and q (m, ...): p, the unit vector e of the line
     orthogonal to p (q orthogonalized twice; zero where nothing of q is
     left), and the norm of e before it was scaled."""
     return (p, *_away_unit(_away(q, p), p))
@@ -283,7 +295,7 @@ def frame_residual(spans, p, e, size):
     ``line_frame``, broadcast against the spans' points, so that a frame
     built once serves every node."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        far = _norm2(_away(_away(spans, p), e))
+        far = _norm2(_away(_away(spans, p[:, None]), e[:, None]))
     line = (size >= 1e-12) & (_chordal(spans[:, 0], spans[:, 1]) >= 1e-12)
     return np.where(line, np.sqrt(np.maximum(far[0], far[1])), 1.0)
 
@@ -309,9 +321,8 @@ def _pencil_points(a, b, o):
     nx, ny = _norm2(dx), _norm2(dy)
     first, size = nx >= ny, np.sqrt(np.maximum(nx, ny))
     size[size == 0] = 1.0
-    d = [np.where(first, u, v) / size for u, v in zip(dx, dy)]
-    near = [np.where(first, v, u) for u, v in zip(dx, dy)]
-    return np.stack(d), np.sqrt(_norm2(_away(near, d))), np.sqrt(np.minimum(nx, ny))
+    d = np.where(first, dx, dy) / size
+    return d, np.sqrt(_norm2(_away(np.where(first, dy, dx), d))), np.sqrt(np.minimum(nx, ny))
 
 
 def collinear_residual(points: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -337,28 +348,29 @@ def _collinear_residual(a, d):
 
 def _away_unit(u, e):
     """u less its component along unit e, scaled to unit norm (zero where
-    it is zero), and its norm before scaling, all given one array per
-    coordinate: one Gram-Schmidt step."""
+    it is zero), and its norm before scaling: one Gram-Schmidt step."""
     r = _away(u, e)
     size = np.sqrt(_norm2(r))
-    scale = np.where(size > 0, size, 1.0)
-    return [rc / scale for rc in r], size
+    return r / np.where(size > 0, size, 1.0), size
 
 
 def _away(u, e):
-    """u less its component along unit e, both given one array per coordinate."""
-    ip = _dot(e, u)
-    return [uc - ip * ec for uc, ec in zip(u, e)]
+    """u less its component along unit e, written into the product's
+    temporary, so the step holds one fewer temporary of the whole stack."""
+    r = _dot(e, u) * e
+    return np.subtract(u, r, out=r)
 
 
 def _dot(u, v):
-    """<u, v> of vectors given one array per coordinate."""
-    return functools.reduce(np.add, (uc.conj() * vc for uc, vc in zip(u, v)))
+    """<u, v> of coordinate-major vectors."""
+    return functools.reduce(np.add, u.conj() * v)
 
 
 def _norm2(u):
-    """|u|^2 of a vector given one array per coordinate."""
-    return functools.reduce(np.add, ((uc.conj() * uc).real for uc in u))
+    """|u|^2 of a coordinate-major vector; the product is written into the
+    conjugate's temporary, as in ``_away``."""
+    c = u.conj()
+    return functools.reduce(np.add, np.multiply(c, u, out=c).real)
 
 
 def relative_singular_values(rows: np.ndarray) -> np.ndarray:
@@ -425,11 +437,11 @@ def _meet(p1, q1, p2, q2):
         least = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(h))
         v1 = np.where(a >= b, h, least - b)
         v2 = np.where(a >= b, least - a, np.conj(h))
-        point = [v1 * x + v2 * e for x, e in zip(p1, e1)]
+        point = v1 * p1 + v2 * e1
         norm = np.sqrt(_norm2(point))
         defined = (s1 >= 1e-12) & (s2 >= 1e-12) & (np.sqrt(a + b) >= 1e-12)
     scale = np.where(norm > 0, norm, 1.0)
-    return np.stack([np.where(norm > 0, x / scale, y) for x, y in zip(point, p1)]), defined
+    return np.where(norm > 0, point / scale, p1), defined
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ separately instead of being folded into the margin minimum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,6 +28,7 @@ from .projective import (
     DimensionMismatchError,
     HPoint,
     ProjectiveError,
+    VECTOR_ROWS,
     Tolerances,
     chordal_batch,
     chordal_pairs,
@@ -45,6 +47,11 @@ _POINT_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 _SPAN_PAIRS = [(0, 1), (2, 3), (4, 5)]
 # Pairs of the three lines, in the order ``collinear_residual`` reads.
 _LINE_PAIRS = [(0, 1), (0, 2), (1, 2)]
+# Nodes per validation pass (see ``_each_distinct_once``): a pass copies its
+# nodes' points once as rows and once as columns, so validation holds a
+# bounded working set whatever the size of its batch.  The tracemalloc peak
+# of a 2-thread ``verify --all`` is 22-27 MB at 2,048 nodes, 28-29 at 4,096.
+PASS_NODES = VECTOR_ROWS // 4
 
 
 @dataclass(frozen=True)
@@ -246,17 +253,21 @@ class BatchResult:
 def _record(fail_counts: dict, name: str, good: np.ndarray, counts=None) -> np.ndarray:
     """Record how many nodes fail check ``name`` (if any), each node
     ``counts`` times when given, and return ``good``."""
-    bad = int(np.sum(~good) if counts is None else np.sum(counts[~good]))
+    bad = int(good.size - np.count_nonzero(good) if counts is None else np.sum(counts[~good]))
     if bad:
         fail_counts[name] = bad
     return good
 
 
 def _each_distinct_once(kernel, values: np.ndarray, *args) -> BatchResult:
-    """``kernel(distinct, *args, counts)`` on the bitwise-distinct nodes of
-    ``values`` (N, ...) in order of first occurrence, with their
-    multiplicities ``counts``, expanded back to the N nodes.  A batch of
-    one node, or of N distinct nodes, is passed whole with counts None.
+    """``kernel(cols, *args, counts)`` on the bitwise-distinct nodes of
+    ``values`` (N, k, m) in order of first occurrence, with their
+    multiplicities ``counts``, in passes of at most PASS_NODES nodes: each
+    pass gathers its nodes' rows into unit coordinate-major points ``cols``
+    (m, k, n), normalized in place, so no array of the whole batch is
+    copied.  The passes' results are joined, their ``fail_counts`` summed,
+    and expanded back to the N nodes.  A batch of one node, or of N
+    distinct nodes, runs with counts None.
 
     Nodes are grouped by a weighted sum of their coordinates, and a node
     joins the first node of its group where the two are bitwise equal; the
@@ -264,29 +275,38 @@ def _each_distinct_once(kernel, values: np.ndarray, *args) -> BatchResult:
     are grouped by their bytes.  The kernels compute each node independently
     of its batch, so the result equals the kernel's on the whole batch."""
     n = len(values)
-    if n <= 1:
-        return kernel(values, *args, None)
-    flat = np.ascontiguousarray(values).reshape(n, -1).view(np.float64)
-    with np.errstate(all="ignore"):
-        key = np.einsum("ij,j->i", flat, 1.0 / (np.arange(flat.shape[1]) + np.pi))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    words = flat.view(np.uint64)
-    dup = np.flatnonzero(rep != np.arange(n))
-    alone = dup[np.any(words[dup] != words[rep[dup]], axis=1)]
-    if alone.size:
-        _, head, group = np.unique(words[alone].view(np.dtype((np.void, flat.shape[1] * 8))).ravel(),
-                                   return_index=True, return_inverse=True)
-        rep[alone] = alone[head][group]
-    distinct = np.flatnonzero(rep == np.arange(n))
-    if len(distinct) == n:
-        return kernel(values, *args, None)
-    at = np.empty(n, dtype=np.intp)
-    at[distinct] = np.arange(len(distinct))
-    at = at[rep]
-    res = kernel(values[distinct], *args, np.bincount(at, minlength=len(distinct)))
-    return BatchResult(res.verdicts[at], res.margins[at], res.residuals[at], res.fail_counts,
-                       None if res.centers is None else res.centers[at])
+    distinct, counts, at = np.arange(n), None, slice(None)
+    if n > 1:
+        flat = np.ascontiguousarray(values).reshape(n, -1).view(np.float64)
+        with np.errstate(all="ignore"):
+            key = np.einsum("ij,j->i", flat, 1.0 / (np.arange(flat.shape[1]) + np.pi))
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rep = first[inverse]
+        words = flat.view(np.uint64)
+        dup = np.flatnonzero(rep != np.arange(n))
+        alone = dup[np.any(words[dup] != words[rep[dup]], axis=1)]
+        if alone.size:
+            _, head, group = np.unique(words[alone].view(np.dtype((np.void, flat.shape[1] * 8))).ravel(),
+                                       return_index=True, return_inverse=True)
+            rep[alone] = alone[head][group]
+        distinct = np.flatnonzero(rep == np.arange(n))
+        if len(distinct) < n:
+            at = np.empty(n, dtype=np.intp)
+            at[distinct] = np.arange(len(distinct))
+            at = at[rep]
+            counts = np.bincount(at, minlength=len(distinct))
+    parts, fail_counts = [], Counter()
+    for start in range(0, max(len(distinct), 1), PASS_NODES):
+        pick = slice(start, start + PASS_NODES)
+        cols = to_columns(values[distinct[pick]] if counts is not None else values[pick])
+        unit_rows(cols, axis=0, out=cols)
+        parts.append(kernel(cols, *args, None if counts is None else counts[pick]))
+        fail_counts.update(parts[-1].fail_counts)
+    if len(parts) == 1 and counts is None:
+        return parts[0]
+    joined = [np.concatenate(x)[at] for x in zip(*((p.verdicts, p.margins, p.residuals) for p in parts))]
+    centers = None if parts[0].centers is None else np.concatenate([p.centers for p in parts])[at]
+    return BatchResult(*joined, dict(fail_counts), centers)
 
 
 def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
@@ -349,11 +369,11 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     return _each_distinct_once(_validate_configs, pts, tag, tol)
 
 
-def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
-    """``validate_batch`` on (N, 6, n+1) points, failing nodes counted
-    ``counts`` times each when given.  Center-apart is the nearer point's
-    distance from the meet that ``pencil_points`` forms for each span."""
-    cols = unit_rows(to_columns(pts), axis=0)
+def _validate_configs(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+    """``validate_batch`` on one pass of unit coordinate-major points
+    (n+1, 6, N), failing nodes counted ``counts`` times each when given.
+    Center-apart is the nearer point's distance from the meet that
+    ``pencil_points`` forms for each span."""
     centers, defined = meet(*(cols[:, i] for i in range(4)))
     # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
     pair = chordal_pairs(cols, _POINT_PAIRS).min(axis=0)
@@ -363,7 +383,7 @@ def _validate_configs(pts: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
     ok = (_record(fail_counts, "pairwise-distinct", pair > tol.proj_eq_tol, counts)
           & _record(fail_counts, "meet-defined", defined, counts)
           & _record(fail_counts, "center-apart", apart > tol.proj_eq_tol, counts))
-    residuals = np.zeros(len(pts))
+    residuals = np.zeros(cols.shape[-1])
     if tag.kind.endswith("_fixed"):
         residuals = chordal_batch(centers.T, tag.center.unit())
         ok &= _record(fail_counts, "center-matches", residuals <= tol.proj_eq_tol, counts)
@@ -444,21 +464,23 @@ def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAU
     """
     if tag.kind != "F3_lines_through":
         raise ProjectiveError("validate_lines_batch requires an F3_lines_through tag")
-    return _each_distinct_once(_validate_lines, np.asarray(arr, dtype=np.complex128), tag, tol)
+    arr = np.asarray(arr, dtype=np.complex128)
+    if arr.ndim == 4:   # spans (N, 3, 2, n+1) as six points
+        arr = arr.reshape(len(arr), 6, arr.shape[-1])
+    return _each_distinct_once(_validate_lines, arr, tag, tol)
 
 
-def _validate_lines(arr: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
-    """``validate_lines_batch``, failing nodes counted ``counts`` times each
-    when given."""
+def _validate_lines(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+    """``validate_lines_batch`` on one pass of unit coordinate-major dual
+    covectors (3, 3, N) or span points (n+1, 6, N), failing nodes counted
+    ``counts`` times each when given."""
     c = tag.center.unit()
     fail_counts: dict = {}
-    if arr.ndim == 3 and arr.shape[1] == 3:  # dual covectors, each its line's point of the pencil
-        points = unit_rows(arr)
-        incidence = np.abs(points @ c).T
-        points = to_columns(points)
-        ok, margins = np.ones(len(arr), dtype=bool), np.inf
+    if cols.shape[1] == 3:  # dual covectors, each its line's point of the pencil
+        points = cols
+        incidence = np.abs(np.ascontiguousarray(cols.T) @ c).T   # the product on rows, for its bits
+        ok, margins = np.ones(cols.shape[-1], dtype=bool), np.inf
     else:
-        cols = unit_rows(to_columns(arr.reshape(len(arr), 6, arr.shape[-1])), axis=0)
         margins = chordal_pairs(cols, _SPAN_PAIRS).min(axis=0)
         ok = _record(fail_counts, "span-defined", margins > tol.proj_eq_tol, counts)
         points, incidence, _ = pencil_points(cols[:, 0::2], cols[:, 1::2], c[:, None, None])

@@ -252,7 +252,7 @@ def test_criterion_6_winding_relations(cfg):
     if rel.status != "pass":
         failures.append("doubled line loop relation")
 
-    disk = sweep_item("Lambda_tilde", cfg.disk_grid).values
+    disk = sweep_item("Lambda_tilde", cfg.disk_grid, values=True).values
     for rep in inv.disk_winding_nullity("Lambda_tilde", disk,
                                         list(inv.W_FUNCTIONALS.values()), n):
         if rep.status != "pass":

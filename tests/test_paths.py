@@ -28,7 +28,7 @@ from dcs.paths import (
 )
 from dcs import invariants as inv
 from dcs.cli import main
-from dcs.projective import HPoint
+from dcs.projective import HPoint, chordal_batch, line_residual, unit_rows
 from dcs.strata import SpaceTag, validate_batch, validate_lines_batch
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
@@ -249,6 +249,26 @@ def test_lines_of_sigma_follow_the_line_loop():
     assert float(np.max(value_dist(lines, s_vals, "lines_dual"))) < 1e-12
 
 
+@pytest.mark.parametrize("kind, shape", [
+    ("config", (6, 3)), ("config", (6, 5)), ("lines_dual", (3, 3)), ("lines_span", (3, 2, 4)),
+])
+def test_value_dist_normalizes_raw_rows_in_its_passes(kind, shape):
+    """value_dist takes raw rows and normalizes them inside its passes: bit
+    for bit the distance of the rows normalized first with ``unit_rows``,
+    at scales 1e-200 to 1e200 (so a batch mixes rows of the far-norm
+    branch with rows in range), over several passes, with every other pair
+    the same point at another scale, and with one side broadcast."""
+    rng = np.random.default_rng(len(shape) * shape[-1])
+    n = 20000
+    a, b = ((rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape)))
+            * 10.0 ** rng.integers(-200, 201, size=(n, *shape[:-1], 1)) for _ in range(2))
+    b[::2] = a[::2] * (0.3 - 2j)
+    former = line_residual if kind == "lines_span" else chordal_batch
+    for rhs in (b, b[0]):
+        ref = former(unit_rows(a), unit_rows(rhs)).max(axis=-1)
+        assert value_dist(a, rhs, kind).tobytes() == ref.tobytes()
+
+
 def test_embed_matches_padded_coordinates():
     thetas = np.linspace(0, TWO_PI, 65)
     v = Embed(Atom("M", t=0.0)).at(thetas)
@@ -412,7 +432,7 @@ def test_blocked_sweep_matches_one_batch(item_id, grid, tag, monkeypatch):
     one_batch = validate_batch if item.value_kind == "config" else validate_lines_batch
     values = item.eval(**nodes)
     ref = one_batch(values, item.target)
-    rep = sweep_item(item_id, grid)
+    rep = sweep_item(item_id, grid, values=True)
     i = int(np.argmin(ref.margins))
     assert rep.grid == label and rep.n_nodes == nodes["theta"].size
     assert list(rep.nodes) == list(nodes)
@@ -433,7 +453,8 @@ def test_blocked_sweep_matches_one_batch(item_id, grid, tag, monkeypatch):
 
 def test_sweep_tie_across_blocks_keeps_the_first_node():
     """K_alpha on a 256 x 64 cylinder attains its least margin at nodes of
-    both blocks; the sweep reports the first of them, not a later tie."""
+    both blocks; the sweep reports the first of them, not a later tie.  Not
+    asked for its values, it keeps none."""
     item = atlas.get("K_alpha")
     nodes, _ = domain_nodes(item.kind, (256, 64))
     ref = validate_batch(item.eval(**nodes), item.target)
@@ -442,6 +463,7 @@ def test_sweep_tie_across_blocks_keeps_the_first_node():
     rep = sweep_item("K_alpha", (256, 64))
     assert rep.min_margin == ref.margins[tied[0]]
     assert rep.worst_param == tuple(v[tied[0]] for v in nodes.values())
+    assert rep.values is None
 
 
 @pytest.mark.parametrize("item_id, grid", [("alpha", 512), ("L", (256, 64))])

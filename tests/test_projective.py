@@ -349,12 +349,14 @@ KERNELS = {
     "bracket_rows": (3, 3, by_node(lambda c: brackets(c, [(0, 1, 2)]))),
     "brackets stacked": (6, 3, by_node(lambda c: brackets(c, RATIO_TRIPLES))),
     "chordal_batch": (2, 3, lambda a: chordal_batch(a[:, 0], a[:, 1])),
+    "chordal_batch m5": (2, 5, lambda a: chordal_batch(a[:, 0], a[:, 1])),
     "chordal_pairs": (7, 4, by_node(lambda c: chordal_pairs(c, [(0, 1), (2, 6), (5, 3)]))),
     "chordal_pairs configs": (7, 4, by_node(lambda c: chordal_pairs(c, CONFIG_PAIRS))),
     "chordal_pairs stacked": (6, 3, by_node(lambda c: chordal_pairs(c, POINT_PAIRS))),
     "collinear_residual": (3, 4, by_node(lambda c: collinear_residual(c, chordal_pairs(c, LINE_PAIRS)))),
     "line_residual": (4, 4, lambda a: line_residual(a[:, :2], a[:, 2:])),
     "meet": (4, 4, by_node(lambda c: meet(*(c[:, i] for i in range(4))))),
+    "meet m5": (4, 5, by_node(lambda c: meet(*(c[:, i] for i in range(4))))),
     "pencil_points": (3, 5, by_node(lambda c: pencil_points(c[:, :1], c[:, 1:2], c[:, 2:]))),
     "pencil_points stacked": (7, 4, by_node(lambda c: pencil_points(c[:, 0:6:2], c[:, 1:6:2], c[:, 6:]))),
     "unit_rows": (3, 4, unit_rows),
@@ -371,9 +373,12 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
     meet.  numpy reuses a large temporary in place, which swaps the
     operands of a complex product ``named * temporary`` and so can change
     its bits, so a kernel with such a product fails this unchunked, or with
-    a pass too long for its temporaries.  unit_rows, in either layout,
-    takes raw rows at scales 1e-200 to 1e200, so that a batch mixes rows of
-    its far-norm branch with rows in range.
+    a pass too long for its temporaries.  The stacked Gram-Schmidt helpers
+    hold all m coordinates in one temporary, so the m = 5 cases reach
+    numpy's threshold soonest: with ``u * np.conj(v)`` in ``_chordal``,
+    chordal_batch m5 fails at n = 8,192 and 40,000.  unit_rows, in either
+    layout, takes raw rows at scales 1e-200 to 1e200, so that a batch mixes
+    rows of its far-norm branch with rows in range.
 
     The two pencil_points cases, the line_residual case and the meet cases
     are non-discriminating for those kernels' pass bounds: they pass with
@@ -397,7 +402,7 @@ def test_kernel_rows_do_not_depend_on_batch_size(name, n):
         return out if isinstance(out, tuple) else (out,)
 
     batch = run(rows)
-    if name != "meet":
+    if not name.startswith("meet"):
         picks = range(min(n, 2000))
     else:
         edges = np.r_[VECTOR_ROWS - 2:VECTOR_ROWS + 3, 2 * VECTOR_ROWS - 2:2 * VECTOR_ROWS + 3]

@@ -28,6 +28,7 @@ from dcs.strata import (
     validate,
     validate_batch,
     validate_lines_batch,
+    validate_values,
 )
 
 PLANAR_TAG = atlas.TAG_PLANAR_FIXED_2
@@ -1053,6 +1054,12 @@ def _assert_same_result(res, ref):
             == np.argmin(np.where(ref.verdicts, ref.margins, np.inf)))
 
 
+def _pass_columns(values):
+    """The unit coordinate-major points (m, k, N) that a validation kernel
+    gets for the rows ``values``."""
+    return unit_rows(to_columns(values.reshape(len(values), -1, values.shape[-1])), axis=0)
+
+
 def _bitwise_distinct(nodes):
     """The first occurrence of each bitwise-distinct node, in order."""
     first = {}
@@ -1093,20 +1100,20 @@ def test_repeated_nodes_are_validated_once(kind, tag, monkeypatch):
         validator, name = validate_lines_batch, "_validate_lines"
     distinct = _signed_zero_twins(distinct)
     batch = _repeated(distinct, 5)
-    ref = getattr(strata, name)(batch, tag, DEFAULT_TOL, None)
+    ref = getattr(strata, name)(_pass_columns(batch), tag, DEFAULT_TOL, None)
     assert not ref.all_ok and ref.verdicts.any()
     seen = []
     kernel = getattr(strata, name)
 
-    def spy(values, *args):
-        seen.append(values.copy())
-        return kernel(values, *args)
+    def spy(cols, *args):
+        seen.append(cols.copy())
+        return kernel(cols, *args)
 
     monkeypatch.setattr(strata, name, spy)
     res = validator(batch, tag)
     _assert_same_result(res, ref)
-    assert len(seen) == 1 and seen[0].tobytes() == _bitwise_distinct(batch).tobytes()
-    assert len(seen[0]) == len(distinct)
+    assert len(seen) == 1 and seen[0].tobytes() == _pass_columns(_bitwise_distinct(batch)).tobytes()
+    assert seen[0].shape[-1] == len(distinct)
     # and the distinct nodes validated as a batch of their own, expanded
     alone = validator(distinct, tag)
     index = {d.tobytes(): i for i, d in enumerate(distinct)}
@@ -1117,18 +1124,56 @@ def test_repeated_nodes_are_validated_once(kind, tag, monkeypatch):
 
 
 def test_batch_of_distinct_nodes_is_passed_whole(monkeypatch):
-    """Without repeats (and for one node) the kernel gets the batch as
-    given, with no multiplicities."""
+    """Without repeats (and for one node) the kernel gets the whole batch,
+    as its unit coordinate-major points, in one pass with no
+    multiplicities."""
     corpus = _bitwise_distinct(near_degenerate_corpus())
     calls = []
     kernel = strata._validate_configs
 
-    def spy(values, tag, tol, counts):
-        calls.append((values, counts))
-        return kernel(values, tag, tol, counts)
+    def spy(cols, tag, tol, counts):
+        calls.append((cols, counts))
+        return kernel(cols, tag, tol, counts)
 
     monkeypatch.setattr(strata, "_validate_configs", spy)
     for batch in (corpus, corpus[:1]):
         validate_batch(batch, PLANAR_TAG)
-        values, counts = calls.pop()
-        assert values is batch and counts is None
+        cols, counts = calls.pop()
+        assert cols.tobytes() == _pass_columns(batch).tobytes() and counts is None
+
+
+@pytest.mark.parametrize("kind, pass_nodes", [
+    ("configs", 7), ("lines", 7), ("configs", strata.PASS_NODES),
+])
+def test_passes_match_one_node_validation(kind, pass_nodes, monkeypatch):
+    """A batch whose distinct nodes span several validation passes, each
+    node repeated up to four times and its repeats spread over the batch,
+    so that repeats of the nodes on either side of every pass boundary
+    come later and out of order, gives byte for byte each node's one-node
+    validation: verdicts, margins, residuals and centers, with fail_counts
+    the one-node failures summed with multiplicity."""
+    monkeypatch.setattr(strata, "PASS_NODES", pass_nodes)
+    if kind == "configs":
+        tag, corpus = PLANAR_TAG, _bitwise_distinct(near_degenerate_corpus())
+    else:
+        tag = atlas.TAG_LINES_I0_SOLID
+        corpus = _bitwise_distinct(line_triples_corpus(tag))
+    copies = -(-(2 * pass_nodes + 3) // len(corpus))
+    distinct = _bitwise_distinct(np.concatenate([corpus * (1 + 0.25 * k) for k in range(copies)]))
+    assert len(distinct) > 2 * pass_nodes
+    rng = np.random.default_rng(pass_nodes)
+    mult = rng.integers(1, 5, size=len(distinct))
+    order = np.concatenate([np.arange(len(distinct)), rng.permutation(np.repeat(np.arange(len(distinct)), mult - 1))])
+    res = validate_values(distinct[order], tag)
+    fail_counts = {}
+    for i, node in enumerate(distinct):
+        one = validate_values(node[None], tag)
+        at = order == i
+        assert res.verdicts[at].tobytes() == np.repeat(one.verdicts, mult[i]).tobytes()
+        assert res.margins[at].tobytes() == np.repeat(one.margins, mult[i]).tobytes()
+        assert res.residuals[at].tobytes() == np.repeat(one.residuals, mult[i]).tobytes()
+        if kind == "configs":
+            assert res.centers[at].tobytes() == np.repeat(one.centers, mult[i], axis=0).tobytes()
+        for name in one.fail_counts:
+            fail_counts[name] = fail_counts.get(name, 0) + int(mult[i])
+    assert res.fail_counts == fail_counts and not res.all_ok and res.verdicts.any()

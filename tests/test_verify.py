@@ -219,8 +219,11 @@ def test_all_claim_ids_have_verifiers():
 ])
 def test_disk_claims_read_their_sweep(claim_id, partners, monkeypatch):
     """A disk claim evaluates each swept disk once on the disk grid, by its
-    sweep, and evaluates the printed partner on the sweep's own nodes; the
-    one-block sweep's values are the evaluated block itself."""
+    sweep, and evaluates the printed partner on the sweep's own nodes, or,
+    where the claim sweeps the partner too (C12), compares the two sweeps'
+    values on the same nodes, the partner evaluated once.  The one-block
+    sweep's values are the evaluated block itself where the claim reads
+    them, and are not kept where it reads only nodes and centers (C8, C13)."""
     calls, sweeps = [], {}
     original_eval, original_sweep = atlas.AtlasItem.eval, verify.sweep_item
 
@@ -230,18 +233,23 @@ def test_disk_claims_read_their_sweep(claim_id, partners, monkeypatch):
             calls.append((self.id, theta, out))
         return out
 
-    def sweep_spy(item_id, grid, tol):
-        sweeps[item_id] = original_sweep(item_id, grid, tol)
+    def sweep_spy(item_id, grid, tol, values=False):
+        sweeps[item_id] = original_sweep(item_id, grid, tol, values)
         return sweeps[item_id]
 
     monkeypatch.setattr(atlas.AtlasItem, "eval", eval_spy)
     monkeypatch.setattr(verify, "sweep_item", sweep_spy)
     assert verify_claim(claim_id, RunConfig()).verdict == PASS
+    kept = claim_id not in ("C8", "C13")
     for swept, partner in partners.items():
         sw = sweeps[swept]
         (out,) = [out for i, _, out in calls if i == swept]
-        assert sw.n_nodes == math.prod(RunConfig().disk_grid) and sw.values is out
-        if partner is not None:
+        assert sw.n_nodes == math.prod(RunConfig().disk_grid)
+        assert sw.values is out if kept else sw.values is None
+        if partner in sweeps:
+            assert sweeps[partner].nodes["theta"].tobytes() == sw.nodes["theta"].tobytes()
+            assert [i for i, _, _ in calls].count(partner) == 1
+        elif partner is not None:
             assert any(i == partner and theta is sw.nodes["theta"] for i, theta, _ in calls)
 
 
