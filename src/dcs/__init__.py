@@ -5,7 +5,6 @@ from .projective import (
     HPoint,
     Tolerances,
     proj_dist,
-    span_dim,
 )
 from .strata import Config6, MembershipReport, SpaceTag, validate
 
@@ -19,7 +18,6 @@ __all__ = [
     "SpaceTag",
     "Tolerances",
     "proj_dist",
-    "span_dim",
     "validate",
     "__version__",
 ]

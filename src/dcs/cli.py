@@ -258,7 +258,7 @@ def cmd_membership(args) -> int:
         raise UsageError(f"cannot read configuration file: {e}") from None
     try:
         rep = validate(cfg.points, tag)
-    except ProjectiveError as e:      # an Fk tag whose k is not the file's six points
+    except ProjectiveError as e:      # an Fk or Fk_stratum tag whose k is not the file's six points
         raise UsageError(str(e)) from None
     sys.stdout.write(rpt.dumps(rep.to_json()))
     return EXIT_OK if rep.verdict else EXIT_FAIL

@@ -70,8 +70,8 @@ class Tolerances:
     """Numeric thresholds shared by every predicate.
 
     proj_eq_tol   chordal distance below which two points are the same
-    rank_rel_tol  cutoff for incidence and span residuals, and for the
-                  relative singular values of ``span_dim``
+    rank_rel_tol  cutoff for incidence and span residuals, the residuals
+                  of ``span_ladder`` among them
     margin_warn   margins below this are flagged in reports
     """
 
@@ -373,12 +373,29 @@ def _norm2(u):
     return functools.reduce(np.add, np.multiply(c, u, out=c).real)
 
 
-def relative_singular_values(rows: np.ndarray) -> np.ndarray:
-    """Singular values of stacked representatives divided by the largest,
-    batched over leading axes: ``[..., r]`` is the numerical-rank margin of
-    rank r + 1.  Used by ``span_dim``."""
-    s = np.linalg.svd(rows, compute_uv=False)
-    return s / s[..., :1]
+def span_ladder(points: np.ndarray, steps: int) -> np.ndarray:
+    """Rank-revealing Gram-Schmidt with column pivoting (Golub & Van Loan,
+    Matrix Computations, 4th ed., 5.4) of the coordinate-major unit points
+    (m, k, N) of each node: residual j (steps, N) is the largest norm of a
+    point's component orthogonal to the j - 1 points picked before, that
+    point picked next, and 0 once all k are picked.  The points span at
+    least a projective (j - 1)-space iff residual j is above a rank
+    cutoff.  Each picked unit residual is taken out of every point twice,
+    as in ``line_residual``, so the residuals keep their accuracy near
+    zero."""
+    return columns(lambda x: _span_ladder(x, steps), points, stack=points.shape[1])
+
+
+def _span_ladder(x, steps):
+    """``span_ladder`` on one pass of nodes."""
+    out, at = np.zeros((steps, x.shape[-1])), np.arange(x.shape[-1])
+    for j in range(min(steps, x.shape[1])):
+        size2 = _norm2(x)
+        pick = np.argmax(size2, axis=0)
+        out[j] = np.sqrt(size2[pick, at])
+        e = (x[:, pick, at] / np.where(out[j] > 0, out[j], 1.0))[:, None]
+        x = _away(_away(x, e), e)
+    return out
 
 
 def cross(a, b):
@@ -413,9 +430,9 @@ def meet(p1, q1, p2, q2):
     The sine is the norm of [r(p1), r(e1)].  Whether the lines meet is not
     a test here: ``strata.validate_batch``'s check ``concurrent`` measures
     how far d2 passes from the point.  The point is returned normalized
-    wherever its norm is above 0, and is p1 where it is 0; where the meet
-    is undefined it is only a placeholder, but still a unit point, so the
-    distances measured from it are distances.
+    where the meet is defined and its norm is above 0, and is p1 elsewhere:
+    where the meet is undefined it is only a placeholder, but still a unit
+    point, so the distances measured from it are distances.
     """
     if max(map(np.ndim, (p1, q1, p2, q2))) == 1:
         point, defined = meet(p1[:, None], q1[:, None], p2[:, None], q2[:, None])
@@ -440,8 +457,8 @@ def _meet(p1, q1, p2, q2):
         point = v1 * p1 + v2 * e1
         norm = np.sqrt(_norm2(point))
         defined = (s1 >= 1e-12) & (s2 >= 1e-12) & (np.sqrt(a + b) >= 1e-12)
-    scale = np.where(norm > 0, norm, 1.0)
-    return np.where(norm > 0, point / scale, p1), defined
+    keep = defined & (norm > 0)
+    return np.where(keep, point / np.where(keep, norm, 1.0), p1), defined
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +478,6 @@ def proj_dist(p: HPoint, q: HPoint) -> float:
     """
     _check_same_dim(p, q)
     return float(chordal_batch(p.unit(), q.unit()))
-
-
-def span_dim(points, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Projective dimension of the span: numerical rank minus one."""
-    pts = list(points)
-    if not pts:
-        raise ProjectiveError("span_dim of empty point list")
-    dim = pts[0].ambient_dim
-    for p in pts[1:]:
-        if p.ambient_dim != dim:
-            raise DimensionMismatchError("mixed ambient dimensions in span_dim")
-    rows = np.stack([p.unit() for p in pts])
-    rank = int(np.sum(relative_singular_values(rows) > tol.rank_rel_tol))
-    return rank - 1
 
 
 def brackets(points: np.ndarray, triples) -> np.ndarray:

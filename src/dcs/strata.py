@@ -36,7 +36,7 @@ from .projective import (
     is_int,
     meet,
     pencil_points,
-    span_dim,
+    span_ladder,
     to_columns,
     unit_rows,
 )
@@ -210,25 +210,11 @@ class Config6:
         return "Config6(" + ", ".join(repr(p) for p in self.points) + ")"
 
 
-def in_configuration_space(points: Sequence[HPoint], tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
-    """Pairwise-distinctness predicate for F_k; margin is the least distance."""
-    pts = list(points)
-    if not pts:
-        raise ProjectiveError("empty point list")
-    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-    cols = unit_rows(np.stack([p.coords for p in pts])).T[..., None]
-    d = chordal_pairs(cols, pairs)[:, 0] if pairs else np.empty(0)
-    worst = float(d.min()) if pairs else np.inf
-    failures = [f"points {i} and {j} coincide"
-                for (i, j), close in zip(pairs, d <= tol.proj_eq_tol) if close]
-    return MembershipReport(not failures, worst, failures, {"min_pair_dist": worst})
-
-
 @dataclass
 class BatchResult:
-    """Vectorized validation outcome over a batch of configurations or
-    line triples, every entry in closed form (see ``validate_batch`` and
-    ``validate_lines_batch``).
+    """Vectorized validation outcome over a batch of configurations, line
+    triples or point sets, every entry in closed form (see
+    ``validate_values``).
 
     A batch is validated as the batch of its bitwise-distinct nodes, in
     order of first occurrence (see ``_each_distinct_once``): a repeated
@@ -243,7 +229,7 @@ class BatchResult:
     residuals: np.ndarray         # float (N,): max exact-incidence residual
     fail_counts: dict             # check name -> number of failing nodes
     centers: Optional[np.ndarray] = None   # complex (N, n+1): meets of d1, d2;
-                                           # None for line triples
+                                           # None for line triples and point sets
 
     @property
     def all_ok(self) -> bool:
@@ -311,13 +297,40 @@ def _each_distinct_once(kernel, values: np.ndarray, *args) -> BatchResult:
 
 def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
     """Validate a batch under ``tag``: line triples (see
-    ``validate_lines_batch``) for an F3_lines_through tag, six-point
+    ``validate_lines_batch``) for an F3_lines_through tag, k points (N, k,
+    n+1) for an Fk or Fk_stratum tag (see ``_validate_points``), six-point
     configurations (see ``validate_batch``) otherwise.  This is the one place
-    that picks the validator; it looks both up as module globals at call
-    time, so a wrapper installed on this module sees every call."""
+    that picks the validator; it looks them up as module globals at call
+    time, so a wrapper installed on this module sees every call.  Points
+    with other than tag.n + 1 coordinates raise DimensionMismatchError."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape[-1] != tag.n + 1:
+        raise DimensionMismatchError(f"tag expects CP^{tag.n} but points have {values.shape[-1]} coordinates")
     if tag.kind == "F3_lines_through":
         return validate_lines_batch(values, tag, tol)
+    if tag.kind in ("Fk", "Fk_stratum"):
+        return _each_distinct_once(_validate_points, values, tag, tol)
     return validate_batch(values, tag, tol)
+
+
+def _validate_points(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+    """The checks of an Fk or Fk_stratum tag on one pass of unit
+    coordinate-major points (n+1, k, N), named as the configurations':
+    pairwise-distinct (a margin, inf for one point) and, for span i, the
+    ``span_ladder`` residual i+1 above rank_rel_tol (span-at-least, a
+    margin) and residual i+2 at most rank_rel_tol (span-exact, a residual)."""
+    k, nodes = cols.shape[1:]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    margins = chordal_pairs(cols, pairs).min(axis=0) if pairs else np.full(nodes, np.inf)
+    fail_counts: dict = {}
+    ok = _record(fail_counts, "pairwise-distinct", margins > tol.proj_eq_tol, counts)
+    residuals = np.zeros(nodes)
+    if tag.kind == "Fk_stratum":
+        least, residuals = span_ladder(cols, tag.span_i + 2)[tag.span_i:]
+        ok &= (_record(fail_counts, "span-at-least", least > tol.rank_rel_tol, counts)
+               & _record(fail_counts, "span-exact", residuals <= tol.rank_rel_tol, counts))
+        margins = np.minimum(margins, least)
+    return BatchResult(ok, margins, residuals, fail_counts)
 
 
 def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
@@ -331,9 +344,8 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     - pairwise-distinct: the six points pairwise more than proj_eq_tol apart
       (so each line is defined);
     - meet-defined (see ``projective.meet``); where it fails, the later
-      checks read the meet's unit placeholder, so such a node can also
-      fail center-apart (always at the placeholder p1 = A1), lines-distinct
-      or concurrent;
+      checks read the placeholder p1 = A1, so such a node also fails
+      center-apart and can fail lines-distinct or concurrent;
     - center-apart: each point more than proj_eq_tol from the meet;
     - center-matches (fixed tags only): the meet within proj_eq_tol of the
       tag's center, a residual;
@@ -359,14 +371,7 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     if not tag.kind.startswith("D_"):
         raise ProjectiveError(f"validate_batch requires a Desargues tag, got {tag.kind}")
     pts = np.asarray(points, dtype=np.complex128)
-    if pts.ndim == 2:
-        pts = pts[None]
-    m = pts.shape[2]
-    if m != tag.n + 1:
-        raise DimensionMismatchError(
-            f"tag expects CP^{tag.n} but points have {m} coordinates"
-        )
-    return _each_distinct_once(_validate_configs, pts, tag, tol)
+    return _each_distinct_once(_validate_configs, pts[None] if pts.ndim == 2 else pts, tag, tol)
 
 
 def _validate_configs(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
@@ -418,23 +423,13 @@ def _pencil_checks(points, incidence, name: str, tol: Tolerances, fail_counts: d
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
-    """Single-configuration membership check with named sub-check failures.
-    Under an F3_lines_through tag the six points are the three (A_i, B_i)
-    line spans.  Fk and Fk_stratum tags need exactly k points."""
-    if tag.kind in ("Fk", "Fk_stratum"):
-        if len(points) != tag.k:
-            raise ProjectiveError(f"{tag.kind} tag with k = {tag.k} needs {tag.k} points, "
-                                  f"got {len(points)}")
-        rep = in_configuration_space(points, tol)
-        if tag.kind == "Fk_stratum" and rep.verdict:
-            got = span_dim(points, tol)
-            rep.details["span"] = got
-            if got != tag.span_i:
-                rep.verdict = False
-                rep.failures.append(f"span {got} != required {tag.span_i}")
-        return rep
-    if len(points) != 6:
-        raise ProjectiveError(f"{tag.kind} tags require six points")
+    """Single-point-set membership check with named sub-check failures, the
+    batch of one of ``validate_values``.  Fk and Fk_stratum tags need
+    exactly k points, the others six; under an F3_lines_through tag the six
+    points are the three (A_i, B_i) line spans."""
+    count = tag.k if tag.kind in ("Fk", "Fk_stratum") else 6
+    if len(points) != count:
+        raise ProjectiveError(f"{tag.kind} tag needs {count} points, got {len(points)}")
     res = validate_values(np.stack([p.coords for p in points])[None], tag, tol)
     margin = float(res.margins[0])
     rep = MembershipReport(

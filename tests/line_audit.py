@@ -8,7 +8,8 @@ Calls ``dcs.cli.main`` in-process on the program's entry points:
 - the seed-0 words of the ``winding_queries`` benchmark workload and its
   seed-0 ``membership_queries`` files, from ``perfbench/workloads.py``,
   which is imported and only read;
-- one membership file of the planar base point under an ``Fk`` tag.
+- two membership files of the planar base point, under an ``Fk`` tag and
+  under an ``Fk_stratum`` tag (n = 2, k = 6, i = 2).
 
 Only frames of ``src/dcs`` are traced, with ``sys.settrace`` and
 ``threading.settrace`` (the verify pool's threads), from before ``dcs`` is
@@ -70,12 +71,13 @@ def run_entry_points() -> list:
     with tempfile.TemporaryDirectory() as work:
         for name in ("winding_queries", "membership_queries"):
             runs += [op.argv for op in workloads.WORKLOADS[name](0, str(ROOT), work).passes(0)[0]]
-        fk = os.path.join(work, "fk.json")
         base = [(-1, 1, 1), (-1, 1, 2), (-1, 2, 1), (-1, 2, 2), (0, 1, 1), (0, 1, 2)]
-        with open(fk, "w", encoding="utf-8") as fh:
-            json.dump({"points": [[[x, 0] for x in p] for p in base],
-                       "tag": {"kind": "Fk", "n": 2, "k": 6}}, fh)
-        runs.append(["membership", fk])
+        for name, tag in (("fk", {"kind": "Fk", "n": 2, "k": 6}),
+                          ("stratum", {"kind": "Fk_stratum", "n": 2, "k": 6, "i": 2})):
+            path = os.path.join(work, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"points": [[[x, 0] for x in p] for p in base], "tag": tag}, fh)
+            runs.append(["membership", path])
         return [(argv, _quiet_main(main, argv)) for argv in runs]
 
 

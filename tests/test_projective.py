@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcs import atlas
+from dcs import atlas, strata
 from dcs.projective import (
     DEFAULT_TOL,
     VECTOR_ROWS,
@@ -23,8 +23,7 @@ from dcs.projective import (
     meet,
     pencil_points,
     proj_dist,
-    relative_singular_values,
-    span_dim,
+    span_ladder,
     to_columns,
     unit_rows,
 )
@@ -98,43 +97,79 @@ def test_proj_dist_resolves_tiny_separations():
 
 
 # ---------------------------------------------------------------------------
-# span_dim
+# span dimension: the rank ladder against LAPACK
+
+def relative_singular_values(rows):
+    """Singular values of stacked rows divided by the largest, by LAPACK,
+    batched over leading axes: the reference for spans and incidence."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s / s[..., :1]
+
+
+def _unit_rows(points):
+    return unit_rows(np.stack([p.coords for p in points]))
+
+
+def ladder_span(points, tol=DEFAULT_TOL):
+    """Projective dimension of the span by ``span_ladder``: the number of
+    its residuals above rank_rel_tol, less one."""
+    rows = _unit_rows(points)
+    return int(np.sum(span_ladder(to_columns(rows[None]), len(rows)) > tol.rank_rel_tol)) - 1
+
+
+def svd_span(points, tol=DEFAULT_TOL):
+    """Projective dimension of the span by LAPACK: the number of relative
+    singular values of the unit rows above rank_rel_tol, less one."""
+    return int(np.sum(relative_singular_values(_unit_rows(points)) > tol.rank_rel_tol)) - 1
+
 
 def test_span_dim_collinear():
     pts = [HPoint([1, 0, 0]), HPoint([0, 1, 0]), HPoint([1, 1, 0])]
-    assert span_dim(pts) == 1
+    assert ladder_span(pts) == svd_span(pts) == 1
 
 
 def test_span_dim_base_configurations():
-    from dcs import atlas
-
     planar = [HPoint(p) for p in atlas.PLANAR_BASE]
-    assert span_dim(planar) == 2
+    assert ladder_span(planar) == svd_span(planar) == 2
     solid = [HPoint(p) for p in atlas.SOLID_BASE]
-    assert span_dim(solid) == 3
+    assert ladder_span(solid) == svd_span(solid) == 3
 
 
 def test_span_dim_invariances():
     r = rng()
     pts = [random_point(r, 3) for _ in range(5)]
-    base = span_dim(pts)
+    base = ladder_span(pts)
+    assert base == svd_span(pts) == 3
     for _ in range(20):
         perm = r.permutation(len(pts))
         scaled = [HPoint((r.normal() + 1j * r.normal()) * pts[i].coords) for i in perm]
-        assert span_dim(scaled) == base
+        assert ladder_span(scaled) == base
 
 
 def test_span_dim_empty_errors():
-    with pytest.raises(Exception):
-        span_dim([])
+    """A span tag counts k >= 1 points, and a point set needs its k."""
+    with pytest.raises(ValueError, match="k >= 1"):
+        strata.SpaceTag("Fk_stratum", 2, k=0, span_i=1)
+    with pytest.raises(ProjectiveError, match="needs 1 points, got 0"):
+        strata.validate([], strata.SpaceTag("Fk_stratum", 2, k=1, span_i=1))
 
 
 # ---------------------------------------------------------------------------
 # incidence with the span of two points (third relative singular value)
 
 def incidence(x, p, q):
-    """Rank-2 residual of the unit rows [x; p; q]: zero iff x lies on p q."""
-    return relative_singular_values(unit_rows(np.stack([x.coords, p.coords, q.coords])))[2]
+    """Rank-2 residual of the unit rows [x; p; q] by LAPACK: zero iff x
+    lies on p q.  The third residual of ``span_ladder`` of the same rows
+    lies between it and 3 sqrt(2) times it, up to a few eps, which is
+    checked here too: the product of the ladder's residuals is that of the
+    singular values, the first singular value is between 1 and sqrt(3), and
+    the j-th of k at most sqrt(k - j + 1) times the j-th residual."""
+    rows = _unit_rows([x, p, q])
+    ref = relative_singular_values(rows)[2]
+    ladder = span_ladder(to_columns(rows[None]), 3)[2, 0]
+    eps = 16 * np.finfo(float).eps
+    assert ref * (1 - 1e-9) - eps <= ladder <= 3 * np.sqrt(2) * ref * (1 + 1e-9) + eps
+    return ref
 
 
 def test_line_through_solid_first_line():
@@ -277,7 +312,7 @@ def test_bracket_vanishes_iff_collinear():
         assert abs(bracket(p, q, on)) < 1e-9 * max(
             1.0, abs(bracket(p, q, random_point(r)))
         )
-        assert span_dim([p, q, on]) <= 1
+        assert ladder_span([p, q, on]) == svd_span([p, q, on]) == 1
 
 
 # ---------------------------------------------------------------------------

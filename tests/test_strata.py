@@ -11,19 +11,18 @@ from dcs.cli import main
 from dcs.paths import domain_nodes, sweep_item
 from dcs.projective import (
     DEFAULT_TOL,
+    DimensionMismatchError,
     HPoint,
     ProjectiveError,
     chordal_batch,
     meet,
     pencil_points,
-    span_dim,
     to_columns,
     unit_rows,
 )
 from dcs.strata import (
     Config6,
     SpaceTag,
-    in_configuration_space,
     random_config,
     validate,
     validate_batch,
@@ -40,39 +39,101 @@ def base_planar() -> Config6:
 
 
 def test_configuration_space_base_points():
-    rep = in_configuration_space(base_planar().points)
+    rep = validate(base_planar().points, SpaceTag("Fk", 2, k=6))
     assert rep.verdict
     # oracle: the closest pair of base points sits at distance 0.2721655...
     assert rep.margin == pytest.approx(0.2721655269759083, rel=1e-9)
+    assert rep.details == {"margin": rep.margin, "max_residual": 0.0}
 
 
 def test_configuration_space_repeated_point():
     pts = list(base_planar().points)
     pts[1] = pts[0]
-    rep = in_configuration_space(pts)
-    assert not rep.verdict and rep.failures
+    rep = validate(pts, SpaceTag("Fk", 2, k=6))
+    assert not rep.verdict and rep.failures == ["pairwise-distinct"]
 
 
 def test_pair_margin_is_chordal_distance():
-    rep = in_configuration_space(base_planar().points[:2])
+    rep = validate(base_planar().points[:2], SpaceTag("Fk", 2, k=2))
     assert rep.verdict
     assert rep.margin == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_span_dim_of_base_points():
-    assert span_dim(base_planar().points) == 2
-    assert span_dim(atlas.basepoint(SOLID_TAG).points) == 3
+    """A stratum tag passes exactly at the span of its points: span-at-least
+    fails below it, span-exact above it."""
     collinear = [HPoint([1, 0, 0]), HPoint([0, 1, 0]), HPoint([1, 1, 0])]
-    assert span_dim(collinear) == 1
+    for pts, n, span in ((base_planar().points, 2, 2), (atlas.basepoint(SOLID_TAG).points, 3, 3),
+                         (collinear, 2, 1)):
+        for i in range(1, n + 1):
+            rep = validate(pts, SpaceTag("Fk_stratum", n, k=len(pts), span_i=i))
+            want = ["span-at-least"] if i > span else ["span-exact"] if i < span else []
+            assert rep.failures == want and rep.verdict == (i == span), (n, span, i)
 
 
 def test_fk_tags_count_their_points():
     pts = base_planar().points
     assert validate(pts, SpaceTag("Fk", 2, k=6)).verdict
     rep = validate(pts, SpaceTag("Fk_stratum", 2, k=6, span_i=2))
-    assert rep.verdict and rep.details["span"] == 2
+    assert rep.verdict and set(rep.details) == {"margin", "max_residual"}
     with pytest.raises(ProjectiveError, match="needs 3 points, got 6"):
         validate(pts, SpaceTag("Fk", 2, k=3))
+
+
+def test_every_tag_checks_the_ambient_dimension():
+    """Points of CP^2 under a CP^3 tag, and of CP^3 under a CP^2 tag, are
+    refused by the one validator choice, whatever the tag kind."""
+    planar, solid = base_planar().points, atlas.basepoint(SOLID_TAG).points
+    for pts, tag in ((planar, SpaceTag("Fk", 3, k=6)), (planar, SpaceTag("Fk_stratum", 3, k=6, span_i=2)),
+                     (planar, SpaceTag.planar(3)), (solid, atlas.TAG_LINES_I0)):
+        with pytest.raises(DimensionMismatchError, match="points have"):
+            validate(pts, tag)
+
+
+def _rank_sets(seed=24, count=700):
+    """Seeded point sets of rank 1-4 in CP^1-CP^4, k = 1-6 points, each
+    row at a scale from 1e-6 to 1e6; half of them get a perturbation of
+    size 1e-11 to 1e-5, which puts singular values and pair distances near
+    the thresholds from both sides.  Only sets whose unit rows' relative
+    singular values all lie at least 10x above or 10x below rank_rel_tol,
+    and whose pair distances at least 10x above or below proj_eq_tol, are
+    kept.  Yields (n, the rows, their LAPACK rank, least pair distance and
+    relative singular values)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        rank = int(rng.integers(1, min(4, n + 1) + 1))
+        k = int(rng.integers(rank, 7))
+        rows = _cplx(rng, k, rank) @ _cplx(rng, rank, n + 1)
+        if rng.random() < 0.5:
+            rows = rows + 10.0 ** rng.uniform(-11, -5) * _cplx(rng, k, n + 1)
+        rows = rows * 10.0 ** rng.uniform(-6, 6, size=(k, 1))
+        u = unit_rows(rows)
+        rel = np.linalg.svd(u, compute_uv=False)
+        rel = rel / rel[0]
+        pair = min((_chordal(u[i], u[j]) for i in range(k) for j in range(i + 1, k)), default=np.inf)
+        if (np.all((rel >= 10 * RANK_TOL) | (rel <= RANK_TOL / 10))
+                and not POINT_TOL / 10 < pair < 10 * POINT_TOL):
+            yield n, rows, int(np.sum(rel > RANK_TOL)), pair, rel
+
+
+def test_stratum_verdicts_match_the_svd_rank():
+    """Under every Fk_stratum tag of its ambient space, each kept set of
+    ``_rank_sets`` fails span-at-least exactly when its LAPACK rank is
+    below i + 1, span-exact exactly when it is above, and
+    pairwise-distinct exactly when two points are within proj_eq_tol."""
+    kept, ranks, near = 0, set(), set()
+    for n, rows, rank, pair, rel in _rank_sets():
+        kept += 1
+        ranks.add(rank)
+        near.update(np.sign(np.log10(rel[(rel < 1e3 * RANK_TOL) & (rel > RANK_TOL / 1e3)] / RANK_TOL)))
+        pts = [HPoint(r) for r in rows]
+        for i in range(1, n + 1):
+            want = [name for name, bad in (("pairwise-distinct", pair <= POINT_TOL),
+                                           ("span-at-least", rank < i + 1), ("span-exact", rank > i + 1)) if bad]
+            rep = validate(pts, SpaceTag("Fk_stratum", n, k=len(pts), span_i=i))
+            assert rep.failures == want and rep.verdict == (not want), (n, rank, i, rel)
+    assert kept >= 500 and ranks >= {1, 2, 3, 4} and near == {-1, 1}
 
 
 def test_validate_base_planar():
@@ -192,12 +253,15 @@ def test_validate_lines_through_center():
     assert not res.verdicts[0] and res.fail_counts == {"lines-distinct": 1}
 
 
-def test_configuration_space_names_every_coincidence_in_order():
+def test_configuration_space_coincidences_fail_pairwise_distinct():
+    """Coincident points fail one named check, pairwise-distinct, with the
+    least pair distance, 0, as the margin; one point has no pair, so its
+    margin is inf."""
     p, q, r = (HPoint(c) for c in ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
-    rep = in_configuration_space([p, q, p, r, q])
+    rep = validate([p, q, p, r, q], SpaceTag("Fk", 2, k=5))
     assert not rep.verdict and rep.margin == 0.0
-    assert rep.failures == ["points 0 and 2 coincide", "points 1 and 4 coincide"]
-    single = in_configuration_space([p])
+    assert rep.failures == ["pairwise-distinct"]
+    single = validate([p], SpaceTag("Fk", 2, k=1))
     assert single.verdict and single.margin == np.inf
 
 
@@ -349,49 +413,36 @@ def test_meet_defined_for_close_pairs_on_distinct_lines():
 
 
 def test_undefined_cp2_meet_is_a_unit_point():
-    """Where the CP^2 meet is undefined it is still a unit point, so the
-    distances read from it are distances: d1 and d2 spanned by four points
-    of one line, whose cross-product meet is about 1e-17 long, give a
-    normalized placeholder, the node fails meet-defined and its residual
-    (concurrent) is at most 1; two equal real spans, whose cross product is
-    exactly 0, give p1.  The placeholder is a center like any other, so the
-    checks read from it may fail beside meet-defined: at a placeholder
-    apart from the six points the node fails meet-defined and concurrent
-    and its margin is the least pairwise distance, as when the meet was
-    returned unnormalized; at p1 = A1 it also fails center-apart, whose
-    distance 0 is the margin, and lines-distinct, since d1 and d2 are one
-    line of the pencil through it (at the zero vector both passed)."""
+    """Where the CP^2 meet is undefined its placeholder is exactly p1 = A1,
+    a unit point, so the distances read from it are distances: for d1 and
+    d2 spanned by four points of one line, whose cross-product meet is
+    rounding noise about 1e-17 long, and for two equal real spans, whose
+    cross product is exactly 0.
+    The placeholder is a center like any other, so beside meet-defined the
+    node fails center-apart, whose distance, 0 to rounding, is the margin,
+    lines-distinct, since d1 and d2 are one line of the pencil through it,
+    and concurrent, since d3 misses it."""
     rng = np.random.default_rng(23)
     p, q = _cplx(rng, 2, 3)
     d1 = [a * p + b * q for a, b in _cplx(rng, 4, 2)]
-    cfg = np.stack(d1 + list(_cplx(rng, 2, 3)))
-    u = unit_rows(cfg)
-    point, defined = meet(*u[:4])
-    assert not defined and 0 < np.linalg.norm(np.cross(np.cross(u[0], u[1]), np.cross(u[2], u[3]))) < 1e-12
-    assert np.linalg.norm(point) == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
-    res = validate_batch(cfg, SpaceTag.planar(2))
-    assert res.fail_counts == {"meet-defined": 1, "concurrent": 1} and not res.verdicts[0]
-    assert np.linalg.norm(res.centers[0]) == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
-    assert chordal_batch(u, unit_rows(res.centers[0])).min() > 0.1
-    assert res.margins[0] == min(chordal_batch(u[i], u[j]) for i in range(6) for j in range(i + 1, 6))
-    assert 0 <= res.residuals[0] <= 1
     e = np.eye(3, dtype=complex)
-    point, defined = meet(e[0], e[1], e[0], e[1])
-    assert not defined and np.array_equal(point, e[0])
     s = np.sqrt(0.5)
-    cfg = np.array([e[0], e[1], s * (e[0] + e[1]), s * (e[0] - e[1]), e[2], e.sum(0)])
-    res = validate_batch(cfg, SpaceTag.planar(2))
-    assert np.array_equal(res.centers[0], e[0]) and not res.verdicts[0]
-    assert res.fail_counts == {"meet-defined": 1, "center-apart": 1, "lines-distinct": 1, "concurrent": 1}
-    assert res.margins[0] == 0 and 0 <= res.residuals[0] <= 1
+    for cfg in (np.stack(d1 + list(_cplx(rng, 2, 3))),
+                np.array([e[0], e[1], s * (e[0] + e[1]), s * (e[0] - e[1]), e[2], e.sum(0)])):
+        u = unit_rows(cfg)
+        assert np.linalg.norm(np.cross(np.cross(u[0], u[1]), np.cross(u[2], u[3]))) < 1e-12
+        point, defined = meet(*u[:4])
+        assert not defined and np.array_equal(point, u[0])
+        res = validate_batch(cfg, SpaceTag.planar(2))
+        assert np.array_equal(res.centers[0], u[0]) and not res.verdicts[0]
+        assert res.fail_counts == {"meet-defined": 1, "center-apart": 1, "lines-distinct": 1, "concurrent": 1}
+        assert res.margins[0] <= 4 * np.finfo(float).eps and 0 <= res.residuals[0] <= 1
 
 
 def test_residuals_at_undefined_cp2_meets_match_the_reference():
     """At the free CP^2 pencil corpus's nodes whose meet is undefined, the
     residual is the plain-numpy reference's within 1e-13, as everywhere
-    else: the unit placeholder is a center like any other (returned
-    unnormalized, it gave 0.98 at a node where the reference reads
-    1.6e-5)."""
+    else: the placeholder p1 is a center like any other."""
     tag = SpaceTag.planar(2)
     corpus = pencil_corpus(tag)
     _, _, _, residuals, quantity = config_pencil_reference(corpus, tag)
@@ -1029,6 +1080,45 @@ def test_line_triples_take_no_rank_stack(monkeypatch, tmp_path):
         path = tmp_path / "node.json"
         path.write_text(json.dumps(doc))
         assert main(["membership", str(path)]) == 0
+
+
+def test_every_tag_kind_takes_validate_values_and_no_svd(monkeypatch, tmp_path):
+    """``validate`` of a valid and an invalid point set under every tag
+    kind, and ``dcs membership`` on an Fk_stratum file, each go through
+    ``strata.validate_values`` once, with ``numpy.linalg.svd``
+    unavailable."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("validation took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", unavailable)
+    kinds, real = [], strata.validate_values
+
+    def spy(values, tag, *args):
+        kinds.append(tag.kind)
+        return real(values, tag, *args)
+
+    monkeypatch.setattr(strata, "validate_values", spy)
+    planar, solid = base_planar().points, atlas.basepoint(SOLID_TAG).points
+    planar3 = atlas.basepoint(atlas.TAG_PLANAR_FIXED_3).points
+    coincident = (planar[0], planar[0]) + planar[2:]
+    off_center = planar[:5] + (HPoint([1, 1, 2]),)
+    cases = {
+        "Fk": (SpaceTag("Fk", 2, k=6), planar, coincident),
+        "Fk_stratum": (SpaceTag("Fk_stratum", 3, k=6, span_i=3), solid, planar3),
+        "D_planar": (SpaceTag.planar(2), planar, coincident),
+        "D_planar_fixed": (PLANAR_TAG, planar, coincident),
+        "D_solid": (SpaceTag.solid(3), solid, planar3),
+        "D_solid_fixed": (SOLID_TAG, solid, planar3),
+        "F3_lines_through": (atlas.TAG_LINES_I0, planar, off_center),
+    }
+    assert set(cases) == set(SpaceTag._KINDS)
+    for kind, (tag, good, bad) in cases.items():
+        assert validate(good, tag).verdict, kind
+        assert not validate(bad, tag).verdict, kind
+    assert kinds == [kind for kind in cases for _ in range(2)]
+    path = tmp_path / "stratum.json"
+    path.write_text(json.dumps(base_planar().to_json(SpaceTag("Fk_stratum", 2, k=6, span_i=2))))
+    assert main(["membership", str(path)]) == 0 and kinds[-1] == "Fk_stratum" and len(kinds) == 15
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dcs import invariants as inv
 from dcs.paths import Atom
 from dcs.projective import HPoint
 from dcs.report import FAIL, INCONCLUSIVE, PASS, ClaimReport, classify_distance, dumps
-from dcs.strata import validate
+from dcs.strata import SpaceTag, validate
 from dcs.verify import (
     ALL_CLAIM_IDS,
     RunConfig,
@@ -197,9 +197,8 @@ def test_validator_imposes_only_written_conditions():
     ]
     rep = validate(pts, atlas.TAG_PLANAR_FIXED_2)
     assert rep.verdict, rep.failures
-    from dcs.projective import span_dim
-
-    assert span_dim([pts[0], pts[2], pts[4]]) == 1  # indeed collinear
+    # indeed collinear
+    assert validate([pts[0], pts[2], pts[4]], SpaceTag("Fk_stratum", 2, k=3, span_i=1)).verdict
 
 
 def test_all_claim_ids_have_verifiers():
