@@ -334,14 +334,14 @@ def _M(z, zb, r, m1, m2):
 # --- solid items (ambient CP^3): F, B, their lifts, Psi and its lift
 
 def _F(z, zb, r):
-    """Line triple (d1 fixed; z X0 - r X1 = 0 = X3; r X0 + zbar X1 = 0 = X3) as spans."""
+    """Line triple (d1 fixed; z X0 - r X1 = 0 = X3; r X0 + zbar X1 = 0 = X3), six span points."""
     return config(point(0, 0, 1, 0), point(0, 0, 0, 1), point(r, z, 0, 0), point(0, 0, 1, 0),
-                  point(zb, -r, 0, 0), point(0, 0, 1, 0)).reshape(z.shape + (3, 2, 4))
+                  point(zb, -r, 0, 0), point(0, 0, 1, 0))
 
 
 def _B(z, zb, r):
     return config(point(r, 0, 0, z), point(0, 0, 1, 0), point(0, 1, 0, 0), point(0, 0, 1, 0),
-                  point(zb, 0, 0, -r), point(0, 0, 1, 0)).reshape(z.shape + (3, 2, 4))
+                  point(zb, 0, 0, -r), point(0, 0, 1, 0))
 
 
 def _F_tilde(z, zb, r):
@@ -677,7 +677,10 @@ _CLAIMS = [
                                       "alpha", "beta", "gamma", "epsilon", "eta"),
           {"at_t1": "equal-speed sigma * loop * sigma^-1",
            "at_t0": "loop reparametrized (constant outer thirds, cubed middle third)",
-           "winding": "vectors of the t=0 end agree with the undecorated loop"},
+           "winding": "vectors of the t=0 end agree with the undecorated loop",
+           "fiber_winding(K_alpha@t=0)": [1, 0, 0],
+           "fiber_winding(K_beta@t=0)": [0, 1, 0],
+           "fiber_winding(K_gamma@t=0)": [0, 0, 1]},
           ("each conjugation cylinder is valid",
            "its ends match the stated products and reparametrizations")),
     Claim("C8", "lift-identity", ("Phi_tilde", "Phi", "Phi_tilde_S1"),

@@ -45,7 +45,8 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
 
     config       max chordal distance over the six points
     lines_dual   max chordal distance over the three dual covectors
-    lines_span   max line mismatch: the larger chordal distance of a's two
+    lines_span   max line mismatch over the spans, each pair of rows
+                 (A_i, B_i): the larger chordal distance of a's two
                  points from b's line (``projective.line_residual``), on
                  the chordal scale [0, 1]; 0 to rounding iff the spans
                  agree as lines, 1 where either pair spans no line
@@ -54,7 +55,8 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     if kind in ("config", "lines_dual"):
         return chordal_batch(a, b, raw=True).max(axis=-1)
     if kind == "lines_span":
-        return line_residual(a, b, raw=True).max(axis=-1)
+        a, b = (x.reshape(x.shape[:-2] + (-1, 2, x.shape[-1])) for x in (a, b))
+        return line_residual(a, b).max(axis=-1)
     if kind == "scalar":
         return np.abs(a - b)
     raise PathError(f"values of kind {kind!r} are never compared")
@@ -63,12 +65,6 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
 def config_lines_dual(arr: np.ndarray) -> np.ndarray:
     """Dual covectors of the three lines of CP^2 configuration batches."""
     return cross(arr.T[:, 0::2], arr.T[:, 1::2]).T
-
-
-def config_lines_span(arr: np.ndarray) -> np.ndarray:
-    """The three (A_i, B_i) spans of a configuration batch, any ambient."""
-    n = arr.shape[-1]
-    return arr.reshape(arr.shape[:-2] + (3, 2, n))
 
 
 def plane_incidence(points: np.ndarray, covectors: np.ndarray) -> np.ndarray:

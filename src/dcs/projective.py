@@ -262,12 +262,12 @@ def chordal_pairs(points: np.ndarray, pairs) -> np.ndarray:
     return columns(lambda x: _chordal(x[:, first], x[:, second]), points, stack=len(first))
 
 
-def line_residual(spans: np.ndarray, lines: np.ndarray, raw: bool = False) -> np.ndarray:
-    """How far the span of each pair of unit rows of ``spans`` (..., 2, m)
-    is from the line through the matching pair of ``lines`` (..., 2, m),
+def line_residual(spans: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """How far the span of each pair of rows of ``spans`` (..., 2, m) is
+    from the line through the matching pair of ``lines`` (..., 2, m),
     batched over the broadcast leading axes: the larger chordal distance of
     the span's two points from that line, 0 to rounding iff the span is
-    the line.  ``raw`` rows are normalized in each pass (see ``_on_rows``).
+    the line.  The rows are normalized in each pass (see ``_on_rows``).
 
     The line's rows are orthonormalized by Gram-Schmidt, twice (Golub &
     Van Loan, Matrix Computations, 4th ed., 5.2), and a point's distance is
@@ -278,7 +278,8 @@ def line_residual(spans: np.ndarray, lines: np.ndarray, raw: bool = False) -> np
     between 1/sqrt(2) and 3/s times the third relative singular value of
     the four rows stacked.
     """
-    return _on_rows(lambda a, b: frame_residual(a, *line_frame(b[:, 0], b[:, 1])), spans, lines, raw=raw)
+    with np.errstate(invalid="ignore"):   # normalizing a non-finite row, which reads 1
+        return _on_rows(lambda a, b: frame_residual(a, *line_frame(b[:, 0], b[:, 1])), spans, lines, raw=True)
 
 
 def line_frame(p, q):

@@ -17,7 +17,7 @@ separately instead of being folded into the margin minimum.
 
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -217,11 +217,12 @@ class BatchResult:
     ``validate_values``).
 
     A batch is validated as the batch of its bitwise-distinct nodes, in
-    order of first occurrence (see ``_each_distinct_once``): a repeated
-    node gets the entries of its first occurrence, and ``fail_counts``
-    counts each failing node with its multiplicity.  So the result equals
-    that of the nodes validated one copy at a time, and the first node
-    attaining a least margin is the same node.
+    order of first occurrence, and every per-node array is expanded back to
+    the batch (see ``_each_distinct_once``): a repeated node gets the
+    entries of its first occurrence, and ``fail_counts`` tallies the failing
+    nodes of the batch, a repeated node with its multiplicity.  So the
+    result equals that of the nodes validated one copy at a time, and the
+    first node attaining a least margin is the same node.
     """
 
     verdicts: np.ndarray          # bool (N,)
@@ -236,24 +237,18 @@ class BatchResult:
         return bool(np.all(self.verdicts))
 
 
-def _record(fail_counts: dict, name: str, good: np.ndarray, counts=None) -> np.ndarray:
-    """Record how many nodes fail check ``name`` (if any), each node
-    ``counts`` times when given, and return ``good``."""
-    bad = int(good.size - np.count_nonzero(good) if counts is None else np.sum(counts[~good]))
-    if bad:
-        fail_counts[name] = bad
-    return good
-
-
 def _each_distinct_once(kernel, values: np.ndarray, *args) -> BatchResult:
-    """``kernel(cols, *args, counts)`` on the bitwise-distinct nodes of
-    ``values`` (N, k, m) in order of first occurrence, with their
-    multiplicities ``counts``, in passes of at most PASS_NODES nodes: each
-    pass gathers its nodes' rows into unit coordinate-major points ``cols``
-    (m, k, n), normalized in place, so no array of the whole batch is
-    copied.  The passes' results are joined, their ``fail_counts`` summed,
-    and expanded back to the N nodes.  A batch of one node, or of N
-    distinct nodes, runs with counts None.
+    """``kernel(cols, *args)`` on the bitwise-distinct nodes of ``values``
+    (N, k, m) in order of first occurrence, in passes of at most PASS_NODES
+    nodes: each pass gathers its nodes' rows into unit coordinate-major
+    points ``cols`` (m, k, n), normalized in place, so no array of the
+    whole batch is copied.  A kernel returns its pass's named checks (a
+    dict of boolean masks, in check order), margins, residuals and centers
+    (or None).  The passes are joined and every array, each mask too, is
+    expanded back to the N nodes by one index; the verdicts are the AND of
+    the expanded masks and ``fail_counts`` their failing nodes, so a
+    repeated node is tallied with its multiplicity.  A batch of one node, or
+    of N distinct nodes, needs no index.
 
     Nodes are grouped by a weighted sum of their coordinates, and a node
     joins the first node of its group where the two are bitwise equal; the
@@ -261,7 +256,7 @@ def _each_distinct_once(kernel, values: np.ndarray, *args) -> BatchResult:
     are grouped by their bytes.  The kernels compute each node independently
     of its batch, so the result equals the kernel's on the whole batch."""
     n = len(values)
-    distinct, counts, at = np.arange(n), None, slice(None)
+    distinct, at = np.arange(n), None
     if n > 1:
         flat = np.ascontiguousarray(values).reshape(n, -1).view(np.float64)
         with np.errstate(all="ignore"):
@@ -280,19 +275,23 @@ def _each_distinct_once(kernel, values: np.ndarray, *args) -> BatchResult:
             at = np.empty(n, dtype=np.intp)
             at[distinct] = np.arange(len(distinct))
             at = at[rep]
-            counts = np.bincount(at, minlength=len(distinct))
-    parts, fail_counts = [], Counter()
+    parts = []
     for start in range(0, max(len(distinct), 1), PASS_NODES):
         pick = slice(start, start + PASS_NODES)
-        cols = to_columns(values[distinct[pick]] if counts is not None else values[pick])
+        cols = to_columns(values[pick] if at is None else values[distinct[pick]])
         unit_rows(cols, axis=0, out=cols)
-        parts.append(kernel(cols, *args, None if counts is None else counts[pick]))
-        fail_counts.update(parts[-1].fail_counts)
-    if len(parts) == 1 and counts is None:
-        return parts[0]
-    joined = [np.concatenate(x)[at] for x in zip(*((p.verdicts, p.margins, p.residuals) for p in parts))]
-    centers = None if parts[0].centers is None else np.concatenate([p.centers for p in parts])[at]
-    return BatchResult(*joined, dict(fail_counts), centers)
+        parts.append(kernel(cols, *args))
+
+    def expanded(arrays):
+        whole = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        return whole if at is None else whole[at]
+
+    checks, margins, residuals, centers = zip(*parts)
+    checks = {name: expanded([c[name] for c in checks]) for name in checks[0]}
+    fail_counts = {name: bad for name, mask in checks.items()
+                   if (bad := mask.size - int(np.count_nonzero(mask)))}
+    return BatchResult(functools.reduce(np.logical_and, checks.values()), expanded(margins),
+                       expanded(residuals), fail_counts, None if centers[0] is None else expanded(centers))
 
 
 def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
@@ -313,7 +312,7 @@ def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT
     return validate_batch(values, tag, tol)
 
 
-def _validate_points(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+def _validate_points(cols: np.ndarray, tag: SpaceTag, tol: Tolerances) -> tuple:
     """The checks of an Fk or Fk_stratum tag on one pass of unit
     coordinate-major points (n+1, k, N), named as the configurations':
     pairwise-distinct (a margin, inf for one point) and, for span i, the
@@ -322,15 +321,14 @@ def _validate_points(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -
     k, nodes = cols.shape[1:]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     margins = chordal_pairs(cols, pairs).min(axis=0) if pairs else np.full(nodes, np.inf)
-    fail_counts: dict = {}
-    ok = _record(fail_counts, "pairwise-distinct", margins > tol.proj_eq_tol, counts)
+    checks = {"pairwise-distinct": margins > tol.proj_eq_tol}
     residuals = np.zeros(nodes)
     if tag.kind == "Fk_stratum":
         least, residuals = span_ladder(cols, tag.span_i + 2)[tag.span_i:]
-        ok &= (_record(fail_counts, "span-at-least", least > tol.rank_rel_tol, counts)
-               & _record(fail_counts, "span-exact", residuals <= tol.rank_rel_tol, counts))
+        checks["span-at-least"] = least > tol.rank_rel_tol
+        checks["span-exact"] = residuals <= tol.rank_rel_tol
         margins = np.minimum(margins, least)
-    return BatchResult(ok, margins, residuals, fail_counts)
+    return checks, margins, residuals, None
 
 
 def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
@@ -364,9 +362,9 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     point of each span lies exactly in span(I, d_i), the nearer within its
     residual of it.  The margin is the least chordal distance of the
     checks, with a solid span's distance; the residual the largest of
-    center-matches, concurrent and span-exact.  Each bitwise-distinct node
-    is validated once, and ``fail_counts`` counts failing nodes with their
-    multiplicity.
+    center-matches, concurrent and span-exact.  The kernel returns each
+    check as a mask over its pass's distinct nodes; the verdicts and
+    ``fail_counts`` come from ``_each_distinct_once``.
     """
     if not tag.kind.startswith("D_"):
         raise ProjectiveError(f"validate_batch requires a Desargues tag, got {tag.kind}")
@@ -374,62 +372,61 @@ def validate_batch(points: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_
     return _each_distinct_once(_validate_configs, pts[None] if pts.ndim == 2 else pts, tag, tol)
 
 
-def _validate_configs(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+def _validate_configs(cols: np.ndarray, tag: SpaceTag, tol: Tolerances) -> tuple:
     """``validate_batch`` on one pass of unit coordinate-major points
-    (n+1, 6, N), failing nodes counted ``counts`` times each when given.
-    Center-apart is the nearer point's distance from the meet that
-    ``pencil_points`` forms for each span."""
+    (n+1, 6, N).  Center-apart is the nearer point's distance from the meet
+    that ``pencil_points`` forms for each span."""
     centers, defined = meet(*(cols[:, i] for i in range(4)))
     # pairwise distinctness covers "each line defined": pairs (0,1),(2,3),(4,5)
     pair = chordal_pairs(cols, _POINT_PAIRS).min(axis=0)
     points, incidence, apart = pencil_points(cols[:, 0::2], cols[:, 1::2], centers[:, None])
     apart = apart.min(axis=0)
-    fail_counts: dict = {}
-    ok = (_record(fail_counts, "pairwise-distinct", pair > tol.proj_eq_tol, counts)
-          & _record(fail_counts, "meet-defined", defined, counts)
-          & _record(fail_counts, "center-apart", apart > tol.proj_eq_tol, counts))
+    checks = {"pairwise-distinct": pair > tol.proj_eq_tol, "meet-defined": defined,
+              "center-apart": apart > tol.proj_eq_tol}
     residuals = np.zeros(cols.shape[-1])
     if tag.kind.endswith("_fixed"):
         residuals = chordal_batch(centers.T, tag.center.unit())
-        ok &= _record(fail_counts, "center-matches", residuals <= tol.proj_eq_tol, counts)
-    good, distinct, concurrent, lines = _pencil_checks(points, incidence, "concurrent", tol, fail_counts, counts)
-    ok &= good
+        checks["center-matches"] = residuals <= tol.proj_eq_tol
+    distinct, concurrent, lines = _pencil_checks(points, incidence, "concurrent", tol, checks)
     margins = np.minimum(np.minimum(pair, apart), distinct)
     residuals = np.maximum(residuals, concurrent)
     solid = tag.span_required == 3
     if solid or tag.n > 2:
         span = collinear_residual(points, lines)
         if solid:
-            ok &= _record(fail_counts, "span-at-least", span > tol.rank_rel_tol, counts)
+            checks["span-at-least"] = span > tol.rank_rel_tol
             margins = np.minimum(margins, span)
         else:
-            ok &= _record(fail_counts, "span-exact", span <= tol.rank_rel_tol, counts)
+            checks["span-exact"] = span <= tol.rank_rel_tol
             residuals = np.maximum(residuals, span)
-    return BatchResult(ok, margins, residuals, fail_counts, centers.T)
+    return checks, margins, residuals, centers.T
 
 
-def _pencil_checks(points, incidence, name: str, tol: Tolerances, fail_counts: dict, counts) -> tuple:
+def _pencil_checks(points, incidence, name: str, tol: Tolerances, checks: dict) -> tuple:
     """The checks of each node's three points of the pencil of lines
     through its center, coordinate-major (m, 3, N), with their incidence
-    residuals (3, N): lines-distinct (the points pairwise more than
-    proj_eq_tol apart) and ``name`` (every residual at most rank_rel_tol).
-    Returns the verdicts, the least distance, the largest residual and the
-    pair distances (3, N) in the order of ``_LINE_PAIRS``."""
+    residuals (3, N), added to ``checks``: lines-distinct (the points
+    pairwise more than proj_eq_tol apart) and ``name`` (every residual at
+    most rank_rel_tol).  Returns the least distance, the largest residual
+    and the pair distances (3, N) in the order of ``_LINE_PAIRS``."""
     lines = chordal_pairs(points, _LINE_PAIRS)
     distinct, residuals = lines.min(axis=0), incidence.max(axis=0)
-    ok = (_record(fail_counts, "lines-distinct", distinct > tol.proj_eq_tol, counts)
-          & _record(fail_counts, name, residuals <= tol.rank_rel_tol, counts))
-    return ok, distinct, residuals, lines
+    checks["lines-distinct"] = distinct > tol.proj_eq_tol
+    checks[name] = residuals <= tol.rank_rel_tol
+    return distinct, residuals, lines
 
 
 def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
     """Single-point-set membership check with named sub-check failures, the
     batch of one of ``validate_values``.  Fk and Fk_stratum tags need
     exactly k points, the others six; under an F3_lines_through tag the six
-    points are the three (A_i, B_i) line spans."""
+    points are the three (A_i, B_i) line spans.  Points of mixed ambient
+    dimensions raise DimensionMismatchError."""
     count = tag.k if tag.kind in ("Fk", "Fk_stratum") else 6
     if len(points) != count:
         raise ProjectiveError(f"{tag.kind} tag needs {count} points, got {len(points)}")
+    if len({p.ambient_dim for p in points}) > 1:
+        raise DimensionMismatchError("mixed ambient dimensions")
     res = validate_values(np.stack([p.coords for p in points])[None], tag, tol)
     margin = float(res.margins[0])
     rep = MembershipReport(
@@ -446,41 +443,38 @@ def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_
 def validate_lines_batch(arr: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT_TOL) -> BatchResult:
     """Triples of distinct lines through the tag's fixed center, batched.
 
-    arr: (N, 3, n+1) dual covectors (CP^2), or the spans as (N, 3, 2, n+1)
-    or as six points (N, 6, n+1).  Each line is a point of the pencil of
-    lines through the center, with an incidence residual: a unit covector
-    u and |u . c|, or ``projective.pencil_points`` of a span.  Checks:
+    arr: (N, 3, n+1) dual covectors (CP^2), or the spans (A_i, B_i) as six
+    points (N, 6, n+1).  Each line is a point of the pencil of lines
+    through the center, with an incidence residual: a unit covector u and
+    |u . c|, or ``projective.pencil_points`` of a span.  Checks:
     span-defined (spans only: each span's two points more than proj_eq_tol
     apart), lines-distinct (the three points of the pencil pairwise more
     than proj_eq_tol apart), center-incidence (each residual at most
     rank_rel_tol).  The margin is the least of those chordal distances.
     Every value is closed form; the result has no centers.  As in
-    ``validate_batch``, each bitwise-distinct triple is validated once.
+    ``validate_batch``, the kernel returns each check as a mask over its
+    pass's distinct triples, and ``_each_distinct_once`` expands them.
     """
     if tag.kind != "F3_lines_through":
         raise ProjectiveError("validate_lines_batch requires an F3_lines_through tag")
-    arr = np.asarray(arr, dtype=np.complex128)
-    if arr.ndim == 4:   # spans (N, 3, 2, n+1) as six points
-        arr = arr.reshape(len(arr), 6, arr.shape[-1])
-    return _each_distinct_once(_validate_lines, arr, tag, tol)
+    return _each_distinct_once(_validate_lines, np.asarray(arr, dtype=np.complex128), tag, tol)
 
 
-def _validate_lines(cols: np.ndarray, tag: SpaceTag, tol: Tolerances, counts) -> BatchResult:
+def _validate_lines(cols: np.ndarray, tag: SpaceTag, tol: Tolerances) -> tuple:
     """``validate_lines_batch`` on one pass of unit coordinate-major dual
-    covectors (3, 3, N) or span points (n+1, 6, N), failing nodes counted
-    ``counts`` times each when given."""
+    covectors (3, 3, N) or span points (n+1, 6, N)."""
     c = tag.center.unit()
-    fail_counts: dict = {}
+    checks: dict = {}
     if cols.shape[1] == 3:  # dual covectors, each its line's point of the pencil
         points = cols
         incidence = np.abs(np.ascontiguousarray(cols.T) @ c).T   # the product on rows, for its bits
-        ok, margins = np.ones(cols.shape[-1], dtype=bool), np.inf
+        margins = np.inf
     else:
         margins = chordal_pairs(cols, _SPAN_PAIRS).min(axis=0)
-        ok = _record(fail_counts, "span-defined", margins > tol.proj_eq_tol, counts)
+        checks["span-defined"] = margins > tol.proj_eq_tol
         points, incidence, _ = pencil_points(cols[:, 0::2], cols[:, 1::2], c[:, None, None])
-    good, distinct, residuals, _ = _pencil_checks(points, incidence, "center-incidence", tol, fail_counts, counts)
-    return BatchResult(ok & good, np.minimum(margins, distinct), residuals, fail_counts)
+    distinct, residuals, _ = _pencil_checks(points, incidence, "center-incidence", tol, checks)
+    return checks, np.minimum(margins, distinct), residuals, None
 
 
 class SamplingError(ProjectiveError):

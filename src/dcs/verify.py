@@ -25,7 +25,6 @@ from .paths import (
     closure_report,
     compare_values,
     config_lines_dual,
-    config_lines_span,
     domain_nodes,
     junction_report,
     outer_thirds_schedule,
@@ -171,10 +170,11 @@ def _fiber_vector_check(rep: ClaimReport, name, loop, expected, cfg: RunConfig):
     rep.extra.setdefault("winding_refinements", {})[name] = max(r.refinements for r in results)
 
 
-def _boundary_fiber_check(rep: ClaimReport, name, loop_name: str, cfg: RunConfig):
-    """A solid disk's boundary fiber vector against the claim registry."""
-    expected = atlas.claim(rep.claim_id).expected[f"fiber_winding({loop_name})"]
-    _fiber_vector_check(rep, name, Atom(loop_name), expected, cfg)
+def _boundary_fiber_check(rep: ClaimReport, name, loop: Atom, cfg: RunConfig):
+    """A boundary loop's fiber vector against the claim registry's entry
+    ``fiber_winding(<loop label>)``."""
+    expected = atlas.claim(rep.claim_id).expected[f"fiber_winding({loop.label()})"]
+    _fiber_vector_check(rep, name, loop, expected, cfg)
 
 
 def _cylinder_fiber_agreement(rep: ClaimReport, item_id: str, cfg: RunConfig):
@@ -391,9 +391,7 @@ def verify_C7(cfg: RunConfig) -> ClaimReport:
                        Atom(name, t=0.0),
                        Reparam(loops[undec], outer_thirds_schedule, "outer-thirds"),
                        cfg)
-        expected = {"K_alpha": (1, 0, 0), "K_beta": (0, 1, 0), "K_gamma": (0, 0, 1)}[name]
-        _fiber_vector_check(rep, f"{name} t=0 fiber winding vector",
-                            Atom(name, t=0.0), expected, cfg)
+        _boundary_fiber_check(rep, f"{name} t=0 fiber winding vector", Atom(name, t=0.0), cfg)
         _cylinder_fiber_agreement(rep, name, cfg)
     return rep
 
@@ -485,10 +483,10 @@ def verify_C12(cfg: RunConfig) -> ClaimReport:
         sw = _add_sweep(rep, lifted, cfg, values=True)
         target = sweep_item(printed, cfg.disk_grid, cfg.tol, values=True)   # the same disk nodes
         rep.add_distance(f"lines of {lifted} equal {printed}",
-                         compare_values(config_lines_span(sw.values), target.values, "lines_span"),
+                         compare_values(sw.values, target.values, "lines_span"),
                          cfg.lift_tol, cfg.numeric_floor)
         _add_sweep(rep, printed, cfg, sw=target)
-        _boundary_fiber_check(rep, f"{lifted} boundary fiber winding", f"{lifted}_S1", cfg)
+        _boundary_fiber_check(rep, f"{lifted} boundary fiber winding", Atom(f"{lifted}_S1"), cfg)
         _add_closure(rep, f"{lifted}_S1", cfg)
     return rep
 
@@ -500,7 +498,7 @@ def verify_C13(cfg: RunConfig) -> ClaimReport:
     rep.add_distance("center path equals the generator disk",
                      float(np.max(chordal_batch(sw.centers, unit_rows(psi_pts)))),
                      cfg.lift_tol, cfg.numeric_floor)
-    _boundary_fiber_check(rep, "boundary fiber winding", "Psi_tilde_S1", cfg)
+    _boundary_fiber_check(rep, "boundary fiber winding", Atom("Psi_tilde_S1"), cfg)
     _add_closure(rep, "Psi_tilde_S1", cfg)
     return rep
 
@@ -512,7 +510,7 @@ def verify_C14(cfg: RunConfig) -> ClaimReport:
     rep.add_distance("configuration lies in the moving hyperplane",
                      float(np.max(plane_incidence(sw.values, planes))),
                      cfg.lift_tol, cfg.numeric_floor)
-    _boundary_fiber_check(rep, "boundary fiber winding", "Sigma_tilde_S1", cfg)
+    _boundary_fiber_check(rep, "boundary fiber winding", Atom("Sigma_tilde_S1"), cfg)
     _add_closure(rep, "Sigma_tilde_S1", cfg)
     return rep
 

@@ -4,6 +4,10 @@ Calls ``dcs.cli.main`` in-process on the program's entry points:
 
 - ``verify --all`` at ``--threads 1 --format json`` and at
   ``--threads 2 --format text``;
+- ``verify`` of the claims C1 and C3 (``--claim "C[13]"``) with every run
+  flag set: ``--samples``, ``--grid``, ``--cylinder-grid``, ``--tol``,
+  ``--seed``, ``--threads``, ``--json`` and a ``--config`` file that sets
+  both grids and a tolerance, so the flags' merges with the file run;
 - ``atlas export``;
 - the seed-0 words of the ``winding_queries`` benchmark workload and its
   seed-0 ``membership_queries`` files, from ``perfbench/workloads.py``,
@@ -69,6 +73,13 @@ def run_entry_points() -> list:
             ["verify", "--all", "--threads", "2", "--format", "text"],
             ["atlas", "export"]]
     with tempfile.TemporaryDirectory() as work:
+        config = os.path.join(work, "run.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"disk_grid": [32, 16], "cylinder_grid": [64, 16],
+                       "tolerances": {"rank_rel_tol": 1e-8}}, fh)
+        runs.append(["verify", "--claim", "C[13]", "--samples", "256", "--grid", "32x16",
+                     "--cylinder-grid", "64x16", "--tol", "1e-9", "--seed", "3", "--threads", "1",
+                     "--json", os.path.join(work, "report.json"), "--config", config])
         for name in ("winding_queries", "membership_queries"):
             runs += [op.argv for op in workloads.WORKLOADS[name](0, str(ROOT), work).passes(0)[0]]
         base = [(-1, 1, 1), (-1, 1, 2), (-1, 2, 1), (-1, 2, 2), (0, 1, 1), (0, 1, 2)]

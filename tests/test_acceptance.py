@@ -27,7 +27,6 @@ from dcs.paths import (
     Reparam,
     TWO_PI,
     config_lines_dual,
-    config_lines_span,
     junction_report,
     outer_thirds_schedule,
     plane_incidence,
@@ -155,9 +154,9 @@ def test_criterion_3_lift_identities(cfg):
         np.max(plane_incidence(arr, atlas.get("Pi").eval(tt, rho=rr))))
 
     for lifted_id, printed_id in (("F_tilde", "F"), ("B_tilde", "B")):
-        spans = config_lines_span(atlas.get(lifted_id).eval(tt, rho=rr))
+        lifted = atlas.get(lifted_id).eval(tt, rho=rr)
         checks[f"line triple of {lifted_id}"] = float(
-            np.max(value_dist(spans, atlas.get(printed_id).eval(tt, rho=rr), "lines_span")))
+            np.max(value_dist(lifted, atlas.get(printed_id).eval(tt, rho=rr), "lines_span")))
 
     arr = atlas.get("Psi_tilde").eval(tt, rho=rr)
     centers = validate_batch(arr, SpaceTag.solid(3)).centers

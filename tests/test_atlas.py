@@ -123,7 +123,7 @@ def test_eval_item_point_and_lines():
     triple = atlas.get("s").eval(np.array([np.pi / 2]))[0]
     assert dist_points(triple[0], [1j, 1, 0]) < 1e-15
     spans = atlas.get("F").eval(np.array([0.0]), rho=0.5)[0]
-    assert spans.shape == (3, 2, 4)
+    assert spans.shape == (6, 4)
     val = atlas.get("eta").eval(np.array([np.pi]))[0]
     assert val == pytest.approx(1 + np.exp(3j * np.pi))
     with pytest.raises(atlas.AtlasError):
@@ -264,7 +264,7 @@ def test_every_item_evaluates_to_a_contiguous_array(item_id):
     else:
         vals = item.eval(theta, rho=other if item.kind == "disk" else None)
     lead = (6, 3) if item.kind in ("disk", "cylinder") else (6, 1)
-    trailing = {"scalar": (), "lines_dual": (3, 3), "lines_span": (3, 2, 4),
+    trailing = {"scalar": (), "lines_dual": (3, 3),
                 "point": (BARE_POINTS.get(item_id),), "plane": (BARE_POINTS.get(item_id),)}
     m = item.target.n + 1 if item.target is not None else None
     want = lead + trailing.get(item.value_kind, (6, m))

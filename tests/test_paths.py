@@ -28,7 +28,7 @@ from dcs.paths import (
 )
 from dcs import invariants as inv
 from dcs.cli import main
-from dcs.projective import HPoint, chordal_batch, line_residual, unit_rows
+from dcs.projective import HPoint, chordal_batch, frame_residual, line_frame, to_columns, unit_rows
 from dcs.strata import SpaceTag, validate_batch, validate_lines_batch
 
 ALPHA, BETA, GAMMA, SIGMA = (Atom(n) for n in ("alpha", "beta", "gamma", "sigma"))
@@ -249,6 +249,13 @@ def test_lines_of_sigma_follow_the_line_loop():
     assert float(np.max(value_dist(lines, s_vals, "lines_dual"))) < 1e-12
 
 
+def _unit_line_residual(spans, lines):
+    """``projective.line_residual`` of unit rows (..., 2, m) that nothing
+    normalizes again: its frame steps on the rows' coordinate-major form."""
+    s, t = to_columns(spans), to_columns(np.broadcast_to(lines, spans.shape))
+    return frame_residual(s, *line_frame(t[:, 0], t[:, 1])).T
+
+
 @pytest.mark.parametrize("kind, shape", [
     ("config", (6, 3)), ("config", (6, 5)), ("lines_dual", (3, 3)), ("lines_span", (3, 2, 4)),
 ])
@@ -257,16 +264,18 @@ def test_value_dist_normalizes_raw_rows_in_its_passes(kind, shape):
     for bit the distance of the rows normalized first with ``unit_rows``,
     at scales 1e-200 to 1e200 (so a batch mixes rows of the far-norm
     branch with rows in range), over several passes, with every other pair
-    the same point at another scale, and with one side broadcast."""
+    the same point at another scale, and with one side broadcast.  Spans
+    are drawn (3, 2, m) and passed as six rows, which value_dist pairs."""
     rng = np.random.default_rng(len(shape) * shape[-1])
     n = 20000
     a, b = ((rng.normal(size=(n, *shape)) + 1j * rng.normal(size=(n, *shape)))
             * 10.0 ** rng.integers(-200, 201, size=(n, *shape[:-1], 1)) for _ in range(2))
     b[::2] = a[::2] * (0.3 - 2j)
-    former = line_residual if kind == "lines_span" else chordal_batch
+    former = _unit_line_residual if kind == "lines_span" else chordal_batch
+    rows = (lambda x: x.reshape(x.shape[:-3] + (6, 4))) if kind == "lines_span" else (lambda x: x)
     for rhs in (b, b[0]):
         ref = former(unit_rows(a), unit_rows(rhs)).max(axis=-1)
-        assert value_dist(a, rhs, kind).tobytes() == ref.tobytes()
+        assert value_dist(rows(a), rows(rhs), kind).tobytes() == ref.tobytes()
 
 
 def test_embed_matches_padded_coordinates():

@@ -21,6 +21,7 @@ from dcs.projective import (
     unit_rows,
 )
 from dcs.strata import (
+    BatchResult,
     Config6,
     SpaceTag,
     random_config,
@@ -87,6 +88,20 @@ def test_every_tag_checks_the_ambient_dimension():
     for pts, tag in ((planar, SpaceTag("Fk", 3, k=6)), (planar, SpaceTag("Fk_stratum", 3, k=6, span_i=2)),
                      (planar, SpaceTag.planar(3)), (solid, atlas.TAG_LINES_I0)):
         with pytest.raises(DimensionMismatchError, match="points have"):
+            validate(pts, tag)
+
+
+@pytest.mark.parametrize("tag", [SpaceTag("Fk", 2, k=2), SpaceTag("Fk_stratum", 3, k=2, span_i=1),
+                                 SpaceTag.planar(2), atlas.TAG_LINES_I0_SOLID],
+                         ids=["Fk", "Fk_stratum", "D_planar", "F3_lines_through"])
+def test_mixed_ambient_dimensions_are_refused(tag):
+    """Points of CP^2 and CP^3 in one set raise DimensionMismatchError
+    before they are stacked, with the stray point first or last."""
+    count = tag.k or 6
+    fit = [HPoint(np.eye(tag.n + 1)[i % (tag.n + 1)] + 1) for i in range(count - 1)]
+    stray = HPoint(np.ones(6 - tag.n))      # CP^3 under a CP^2 tag, CP^2 under a CP^3 one
+    for pts in (fit + [stray], [stray] + fit):
+        with pytest.raises(DimensionMismatchError, match="mixed ambient dimensions"):
             validate(pts, tag)
 
 
@@ -663,10 +678,10 @@ def svd_meet_point(p1, q1, p2, q2):
 
 
 def lapack_lines_reference(spans, tag):
-    """Every check of validate_lines_batch on spans (N, 3, 2, n+1) with each
-    rank value a LAPACK singular value ratio: verdicts, fail counts,
-    margins and the quantity of each check."""
-    u = unit_rows(np.asarray(spans, dtype=complex))
+    """Every check of validate_lines_batch on spans (A_i, B_i) as six points
+    (N, 6, n+1) with each rank value a LAPACK singular value ratio:
+    verdicts, fail counts, margins and the quantity of each check."""
+    u = unit_rows(np.asarray(spans, dtype=complex)).reshape(len(spans), 3, 2, -1)
     c = tag.center.unit()
     pairs = [(0, 1), (0, 2), (1, 2)]
     distinct = np.min([_rel3(np.concatenate([u[:, i], u[:, j]], axis=1)) for i, j in pairs], axis=0)
@@ -709,16 +724,16 @@ def _pencil_point(pair, c):
 
 
 def pencil_reference(spans, tag):
-    """Every check of validate_lines_batch on spans (N, 3, 2, n+1), node by
-    node in plain numpy: each line's point of the pencil through the center
-    (the unit part orthogonal to the center of the span's point farther from
-    it) and its residual (the distance of the other point from the span of
-    the center and the farther point, by QR).  Returns verdicts, fail
+    """Every check of validate_lines_batch on spans (A_i, B_i) as six points
+    (N, 6, n+1), node by node in plain numpy: each line's point of the
+    pencil through the center (the unit part orthogonal to the center of
+    the span's point farther from it) and its residual (the distance of the
+    other point from the span of the center and the farther point, by QR).  Returns verdicts, fail
     counts, margins and the quantity of each check, as
     ``lapack_lines_reference``."""
     c = tag.center.unit()
     distinct, span_d, incidence = [], [], []
-    for node in np.asarray(spans, dtype=complex):
+    for node in np.asarray(spans, dtype=complex).reshape(len(spans), 3, 2, -1):
         node = node / np.linalg.norm(node, axis=-1, keepdims=True)
         dirs, residuals = zip(*(_pencil_point(pair, c) for pair in node))
         distinct.append(min(_chordal(dirs[i], dirs[j]) for i, j in LINE_PAIRS))
@@ -735,18 +750,18 @@ def pencil_reference(spans, tag):
 
 
 def line_triples_corpus(tag, seed=21):
-    """Seeded triples of spans (A_i, B_i) of lines through the tag's center:
-    generic ones; within 10x of every threshold (two lines close, a span's
-    points close, a line just off the center), and 1e4 past it on either
-    side; next to each threshold of ``pencil_reference`` from both sides;
-    mutually orthogonal lines, whose margins all tie, as on the atlas's F
-    and B; the ``exact_rank_nodes`` as spans; and every triple again with
-    other representatives."""
+    """Seeded triples of spans (A_i, B_i), as six points (N, 6, n+1), of
+    lines through the tag's center: generic ones; within 10x of every
+    threshold (two lines close, a span's points close, a line just off the
+    center), and 1e4 past it on either side; next to each threshold of
+    ``pencil_reference`` from both sides; mutually orthogonal lines, whose
+    margins all tie, as on the atlas's F and B; the ``exact_rank_nodes`` as
+    spans; and every triple again with other representatives."""
     rng = np.random.default_rng(seed)
     m = tag.n + 1
     c = tag.center.unit()
     near = lambda thr: thr * 10 ** rng.uniform(-0.7, 0.7)
-    triple = lambda d, a: _config(c, d, a).reshape(3, 2, m)
+    triple = lambda d, a: _config(c, d, a)
 
     def close_lines(d, a, w, x):
         return triple([d[0], d[0] + x * w, d[2]], a)
@@ -756,7 +771,7 @@ def line_triples_corpus(tag, seed=21):
 
     def off_center(d, a, w, x):
         t = triple(d, a)
-        t[2, 1] += x * w
+        t[5] += x * w
         return t
 
     defects = [(close_lines, POINT_TOL, "lines-distinct"), (close_points, POINT_TOL, "span-defined"),
@@ -773,8 +788,8 @@ def line_triples_corpus(tag, seed=21):
     others = [k for k in range(m) if abs(c[k]) < 0.5]
     for _ in range(8):
         nodes.append(triple([e[k] for k in others[:3]], _cplx(rng, 3, 2)))
-    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m).reshape(-1, 3, 2, m)])
-    phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:3]))[..., None]
+    nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m)])
+    phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:2]))[..., None]
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
 
 
@@ -1074,7 +1089,7 @@ def test_line_triples_take_no_rank_stack(monkeypatch, tmp_path):
         grid = 64 if atlas.get(name).kind == "loop" else (32, 16)
         assert sweep_item(name, grid).ok, name
     nodes = domain_nodes("disk", (4, 4))[0]
-    spans = atlas.get("F").eval(**nodes)[5].reshape(6, -1)
+    spans = atlas.get("F").eval(**nodes)[5]
     for doc in (Config6.from_array(spans).to_json(atlas.TAG_LINES_I0_SOLID),
                 atlas.basepoint(atlas.TAG_SOLID_FIXED_4).to_json(atlas.TAG_SOLID_FIXED_4)):
         path = tmp_path / "node.json"
@@ -1169,6 +1184,27 @@ def _signed_zero_twins(nodes):
     return np.concatenate([nodes, plus, minus])
 
 
+# The named checks of a kernel, in the order it returns them.
+CHECK_ORDER = {
+    "D_planar_fixed": ["pairwise-distinct", "meet-defined", "center-apart", "center-matches",
+                       "lines-distinct", "concurrent"],
+    "D_solid_fixed": ["pairwise-distinct", "meet-defined", "center-apart", "center-matches",
+                      "lines-distinct", "concurrent", "span-at-least"],
+    "F3_lines_through": ["span-defined", "lines-distinct", "center-incidence"],
+}
+
+
+def _kernel_result(kernel, values, tag):
+    """A validation kernel's checks, margins, residuals and centers on the
+    whole batch ``values`` in one pass, with no grouping, read node by
+    node: the verdicts the AND of the checks, fail_counts each check's
+    failing nodes."""
+    checks, margins, residuals, centers = kernel(_pass_columns(values), tag, DEFAULT_TOL)
+    verdicts = np.all(list(checks.values()), axis=0)
+    fail_counts = {name: int(np.sum(~mask)) for name, mask in checks.items() if not mask.all()}
+    return BatchResult(verdicts, margins, residuals, fail_counts, centers)
+
+
 @pytest.mark.parametrize("kind, tag", [
     ("configs", SpaceTag.planar_fixed(2, HPoint(I0))),
     ("configs", atlas.TAG_SOLID_FIXED_3),
@@ -1176,12 +1212,13 @@ def _signed_zero_twins(nodes):
 ], ids=["planar-fixed-2", "solid-fixed-3", "line-triples"])
 def test_repeated_nodes_are_validated_once(kind, tag, monkeypatch):
     """A batch in which every node, failing ones included, appears two or
-    three times out of order gives the result of the same batch validated
-    node by node without grouping: verdicts, margins, residuals and centers
-    at every node, fail_counts counting each failing node with its
-    multiplicity, and the first node attaining each least margin.  The
-    kernel sees each bitwise-distinct node once, in order of first
-    occurrence."""
+    three times out of order gives the result of the kernel on the same
+    batch read node by node without grouping: verdicts, margins,
+    residuals and centers at every node, fail_counts counting each failing
+    node with its multiplicity, and the first node attaining each least
+    margin.  The kernel sees each bitwise-distinct node once, in order of
+    first occurrence, and returns each named check as a mask over those
+    nodes."""
     if kind == "configs":
         distinct = near_degenerate_corpus(tag=tag)
         validator, name = validate_batch, "_validate_configs"
@@ -1190,20 +1227,24 @@ def test_repeated_nodes_are_validated_once(kind, tag, monkeypatch):
         validator, name = validate_lines_batch, "_validate_lines"
     distinct = _signed_zero_twins(distinct)
     batch = _repeated(distinct, 5)
-    ref = getattr(strata, name)(_pass_columns(batch), tag, DEFAULT_TOL, None)
-    assert not ref.all_ok and ref.verdicts.any()
-    seen = []
     kernel = getattr(strata, name)
+    ref = _kernel_result(kernel, batch, tag)
+    assert not ref.all_ok and ref.verdicts.any()
+    seen, returned = [], []
 
     def spy(cols, *args):
         seen.append(cols.copy())
-        return kernel(cols, *args)
+        returned.append(kernel(cols, *args))
+        return returned[-1]
 
     monkeypatch.setattr(strata, name, spy)
     res = validator(batch, tag)
     _assert_same_result(res, ref)
     assert len(seen) == 1 and seen[0].tobytes() == _pass_columns(_bitwise_distinct(batch)).tobytes()
     assert seen[0].shape[-1] == len(distinct)
+    checks = returned[0][0]
+    assert list(checks) == CHECK_ORDER[tag.kind]
+    assert all(mask.shape == (len(distinct),) and mask.dtype == bool for mask in checks.values())
     # and the distinct nodes validated as a batch of their own, expanded
     alone = validator(distinct, tag)
     index = {d.tobytes(): i for i, d in enumerate(distinct)}
@@ -1215,21 +1256,22 @@ def test_repeated_nodes_are_validated_once(kind, tag, monkeypatch):
 
 def test_batch_of_distinct_nodes_is_passed_whole(monkeypatch):
     """Without repeats (and for one node) the kernel gets the whole batch,
-    as its unit coordinate-major points, in one pass with no
-    multiplicities."""
+    as its unit coordinate-major points, in one pass, and the result is
+    the kernel's checks, margins, residuals and centers read node by
+    node."""
     corpus = _bitwise_distinct(near_degenerate_corpus())
     calls = []
     kernel = strata._validate_configs
 
-    def spy(cols, tag, tol, counts):
-        calls.append((cols, counts))
-        return kernel(cols, tag, tol, counts)
+    def spy(cols, tag, tol):
+        calls.append(cols)
+        return kernel(cols, tag, tol)
 
     monkeypatch.setattr(strata, "_validate_configs", spy)
     for batch in (corpus, corpus[:1]):
-        validate_batch(batch, PLANAR_TAG)
-        cols, counts = calls.pop()
-        assert cols.tobytes() == _pass_columns(batch).tobytes() and counts is None
+        res = validate_batch(batch, PLANAR_TAG)
+        assert len(calls) == 1 and calls.pop().tobytes() == _pass_columns(batch).tobytes()
+        _assert_same_result(res, _kernel_result(kernel, batch, PLANAR_TAG))
 
 
 @pytest.mark.parametrize("kind, pass_nodes", [

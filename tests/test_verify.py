@@ -16,6 +16,7 @@ from dcs.strata import SpaceTag, validate
 from dcs.verify import (
     ALL_CLAIM_IDS,
     RunConfig,
+    _boundary_fiber_check,
     _cylinder_fiber_agreement,
     _fiber_vector_check,
     _relation_check,
@@ -41,6 +42,23 @@ def test_correct_expected_vector_passes():
     rep = ClaimReport("demo", "winding-relation")
     _fiber_vector_check(rep, "control", Atom("Psi_tilde_S1"), (1, 1, 2), RunConfig())
     assert rep.verdict == PASS
+
+
+@pytest.mark.parametrize("claim_id, loop", [
+    ("C7", Atom("K_alpha", t=0.0)), ("C7", Atom("K_gamma", t=0.0)), ("C13", Atom("Psi_tilde_S1")),
+], ids=["C7-K_alpha", "C7-K_gamma", "C13"])
+def test_fiber_vectors_come_from_the_claim_registry(claim_id, loop, monkeypatch):
+    """C7's t=0 vectors are read from the claim registry as the solid
+    disks' boundary vectors are: the registered vector passes, and a
+    perturbed registry entry fails the row."""
+    expected = atlas.claim(claim_id).expected
+    key = f"fiber_winding({loop.label()})"
+    rep = ClaimReport(claim_id, "boundary")
+    _boundary_fiber_check(rep, "registered", loop, RunConfig())
+    assert rep.verdict == PASS and rep.checks[-1].note.endswith(f"expected {expected[key]}")
+    monkeypatch.setitem(expected, key, [v + 1 for v in expected[key]])
+    _boundary_fiber_check(rep, "perturbed", loop, RunConfig())
+    assert rep.checks[-1].status == FAIL
 
 
 def _fake_windings(monkeypatch, determinate=None):
@@ -293,12 +311,12 @@ def _d3_off_center(z, spans):
     """d3's second point moved by 1e-6 z along (0, 1, 0, 1): a line that
     misses the center [0:0:1:0] away from the disk's center."""
     spans = spans.copy()
-    spans[..., 2, 1, :] += 1e-6 * z[..., None] * np.array([0, 1, 0, 1])
+    spans[..., 5, :] += 1e-6 * z[..., None] * np.array([0, 1, 0, 1])
     return spans
 
 
 def _d2_equals_d3(z, spans):
-    return spans[..., [0, 2, 2], :, :]
+    return spans[..., [0, 1, 4, 5, 4, 5], :]
 
 
 @pytest.mark.parametrize("name", ["F", "B"])
