@@ -6,12 +6,11 @@ from .projective import (
     Tolerances,
     proj_dist,
 )
-from .strata import Config6, MembershipReport, SpaceTag, validate
+from .strata import MembershipReport, SpaceTag, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Config6",
     "DEFAULT_TOL",
     "HPoint",
     "MembershipReport",

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .projective import HPoint, meet, unit_rows
-from .strata import Config6, SpaceTag
+from .strata import SpaceTag
 
 TWO_PI = 2.0 * np.pi
 
@@ -604,18 +604,19 @@ def get(item_id: str) -> AtlasItem:
         raise AtlasError(f"unknown atlas item {item_id!r}") from None
 
 
-def basepoint(tag: SpaceTag) -> Config6:
-    """The registered base configuration of each Desargues space."""
+def basepoint(tag: SpaceTag) -> np.ndarray:
+    """The registered base configuration of each Desargues space, a fresh
+    (6, n+1) array of the rows (A1, B1, A2, B2, A3, B3)."""
     if tag.kind.startswith("D_planar"):
         if tag.n == 2:
-            return Config6.from_array(PLANAR_BASE)
+            return PLANAR_BASE.copy()
         if tag.n == 3:
-            return Config6.from_array(PLANAR_BASE_CP3)
+            return PLANAR_BASE_CP3.copy()
     if tag.kind.startswith("D_solid"):
         if tag.n == 3:
-            return Config6.from_array(SOLID_BASE)
+            return SOLID_BASE.copy()
         if tag.n == 4:
-            return Config6.from_array(SOLID_BASE_CP4)
+            return SOLID_BASE_CP4.copy()
     raise AtlasError(f"no registered base point for {tag}")
 
 

@@ -240,25 +240,28 @@ def cmd_winding(args) -> int:
 
 def cmd_membership(args) -> int:
     from . import report as rpt
-    from .projective import ProjectiveError
-    from .strata import Config6, SpaceTag, validate
+    from .projective import HPoint, ProjectiveError
+    from .strata import SpaceTag, validate
 
     try:
         doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-        cfg = Config6.from_json(doc)
+        if not (isinstance(doc["points"], list) and doc["points"]):
+            raise ValueError(f"points must be a non-empty list of points, got {doc['points']!r}")
+        points = [HPoint.from_json(p, f"points[{i}]") for i, p in enumerate(doc["points"])]
+        n = points[0].ambient_dim
         if "tag" in doc:
             tag = SpaceTag.from_json(doc["tag"])
-        elif cfg.ambient_dim == 2:
+        elif n == 2:
             tag = SpaceTag.planar(2)
         else:
-            tag = SpaceTag.solid(cfg.ambient_dim)
-        if tag.n != cfg.ambient_dim:
-            raise ValueError(f"tag expects CP^{tag.n} but the points lie in CP^{cfg.ambient_dim}")
+            tag = SpaceTag.solid(n)
+        if tag.n != n:
+            raise ValueError(f"tag expects CP^{tag.n} but the points lie in CP^{n}")
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise UsageError(f"cannot read configuration file: {e}") from None
     try:
-        rep = validate(cfg.points, tag)
-    except ProjectiveError as e:      # an Fk or Fk_stratum tag whose k is not the file's six points
+        rep = validate(points, tag)
+    except ProjectiveError as e:      # a point count other than the tag's, or mixed dimensions
         raise UsageError(str(e)) from None
     sys.stdout.write(rpt.dumps(rep.to_json()))
     return EXIT_OK if rep.verdict else EXIT_FAIL

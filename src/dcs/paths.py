@@ -51,9 +51,13 @@ def value_dist(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
                  the chordal scale [0, 1]; 0 to rounding iff the spans
                  agree as lines, 1 where either pair spans no line
     scalar       absolute difference (the arc items epsilon and eta)
+
+    A non-finite row of a point kind reads 1, the largest distance.
     """
     if kind in ("config", "lines_dual"):
-        return chordal_batch(a, b, raw=True).max(axis=-1)
+        with np.errstate(invalid="ignore"):   # normalizing a non-finite row, which reads 1
+            dist = chordal_batch(a, b, raw=True)
+        return np.where(np.isnan(dist), 1.0, dist).max(axis=-1)
     if kind == "lines_span":
         a, b = (x.reshape(x.shape[:-2] + (-1, 2, x.shape[-1])) for x in (a, b))
         return line_residual(a, b).max(axis=-1)
@@ -459,6 +463,6 @@ def closure_report(item_id: str) -> dict:
     v1 = item.eval(th + TWO_PI, t=t)
     base = 0.0
     if item.based and item.value_kind == "config":
-        base = compare_values(v0, atlas.basepoint(item.target).array(), "config")
+        base = compare_values(v0, atlas.basepoint(item.target), "config")
     return {"item": item_id, "closure": compare_values(v0, v1, item.value_kind),
             "base_distance": base}

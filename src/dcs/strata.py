@@ -111,6 +111,12 @@ class SpaceTag:
             return self.span_i
         return None
 
+    @property
+    def point_count(self) -> int:
+        """Points per point set: k for Fk and Fk_stratum, six otherwise
+        (A1, B1, A2, B2, A3, B3, or the three spans of F3_lines_through)."""
+        return self.k if self.kind in ("Fk", "Fk_stratum") else 6
+
     @classmethod
     def planar(cls, n):
         return cls("D_planar", n)
@@ -163,51 +169,6 @@ class MembershipReport:
             "details": {k: float(v) for k, v in self.details.items()},
             "warnings": list(self.warnings),
         }
-
-
-class Config6:
-    """Six ordered points (A1, B1, A2, B2, A3, B3), the boundary type of the
-    command line and the JSON files.
-
-    Construction is lenient; :func:`validate` reports which invariants hold
-    instead of refusing to build a broken tuple.
-    """
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: Sequence[HPoint]):
-        pts = tuple(points)
-        if len(pts) != 6:
-            raise ProjectiveError("a Desargues configuration has six points")
-        dim = pts[0].ambient_dim
-        for p in pts:
-            if p.ambient_dim != dim:
-                raise DimensionMismatchError("mixed ambient dimensions")
-        self.points = pts
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.points[0].ambient_dim
-
-    def array(self) -> np.ndarray:
-        return np.stack([p.coords for p in self.points])
-
-    def to_json(self, tag: Optional[SpaceTag] = None) -> dict:
-        d = {"points": [p.to_json() for p in self.points]}
-        if tag is not None:
-            d["tag"] = tag.to_json()
-        return d
-
-    @classmethod
-    def from_json(cls, d) -> "Config6":
-        return cls([HPoint.from_json(p, f"points[{i}]") for i, p in enumerate(d["points"])])
-
-    @classmethod
-    def from_array(cls, rows) -> "Config6":
-        return cls([HPoint(r) for r in np.asarray(rows, dtype=np.complex128)])
-
-    def __repr__(self) -> str:
-        return "Config6(" + ", ".join(repr(p) for p in self.points) + ")"
 
 
 @dataclass
@@ -301,10 +262,16 @@ def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT
     configurations (see ``validate_batch``) otherwise.  This is the one place
     that picks the validator; it looks them up as module globals at call
     time, so a wrapper installed on this module sees every call.  Points
-    with other than tag.n + 1 coordinates raise DimensionMismatchError."""
+    with other than tag.n + 1 coordinates, or nodes with other than
+    ``tag.point_count`` points (or three CP^2 dual covectors under an
+    F3_lines_through tag), raise DimensionMismatchError."""
     values = np.asarray(values, dtype=np.complex128)
     if values.shape[-1] != tag.n + 1:
         raise DimensionMismatchError(f"tag expects CP^{tag.n} but points have {values.shape[-1]} coordinates")
+    duals = tag.kind == "F3_lines_through" and tag.n == 2
+    if values.shape[-2] != tag.point_count and not (duals and values.shape[-2] == 3):
+        need = "6 points or 3 dual covectors" if duals else f"{tag.point_count} points"
+        raise DimensionMismatchError(f"{tag.kind} tag needs {need}, got {values.shape[-2]}")
     if tag.kind == "F3_lines_through":
         return validate_lines_batch(values, tag, tol)
     if tag.kind in ("Fk", "Fk_stratum"):
@@ -422,9 +389,8 @@ def validate(points: Sequence[HPoint], tag: SpaceTag, tol: Tolerances = DEFAULT_
     exactly k points, the others six; under an F3_lines_through tag the six
     points are the three (A_i, B_i) line spans.  Points of mixed ambient
     dimensions raise DimensionMismatchError."""
-    count = tag.k if tag.kind in ("Fk", "Fk_stratum") else 6
-    if len(points) != count:
-        raise ProjectiveError(f"{tag.kind} tag needs {count} points, got {len(points)}")
+    if len(points) != tag.point_count:
+        raise ProjectiveError(f"{tag.kind} tag needs {tag.point_count} points, got {len(points)}")
     if len({p.ambient_dim for p in points}) > 1:
         raise DimensionMismatchError("mixed ambient dimensions")
     res = validate_values(np.stack([p.coords for p in points])[None], tag, tol)
@@ -481,9 +447,10 @@ class SamplingError(ProjectiveError):
     """``random_config`` drew no configuration that the tolerances admit."""
 
 
-def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries: int = 200) -> Config6:
-    """Constructive sampler: a center, three distinct lines through it, two
-    distinct non-center points per line.  Rejection-samples until the
+def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries: int = 200) -> np.ndarray:
+    """Constructive sampler of a configuration (6, n+1): a center, three
+    distinct lines through it, two distinct non-center points per line,
+    as rows (A1, B1, A2, B2, A3, B3).  Rejection-samples until the
     degeneracy margin clears margin_warn; reproducible via the seed.  Raises
     ``SamplingError`` when none of ``max_tries`` samples does."""
     rng = np.random.default_rng(seed)
@@ -507,11 +474,10 @@ def random_config(tag: SpaceTag, seed, tol: Tolerances = DEFAULT_TOL, max_tries:
             pts.append(center + a * d)
             pts.append(center + b * d)
         try:
-            cfg = Config6([HPoint(p) for p in pts])
-            rep = validate(cfg.points, tag, tol)
+            rep = validate([HPoint(p) for p in pts], tag, tol)
         except ProjectiveError:
             continue
         if rep.verdict and rep.margin > tol.margin_warn:
-            return cfg
+            return np.stack(pts)
     raise SamplingError(f"random configuration sampling failed to converge: no sample clears proj_eq_tol="
                         f"{tol.proj_eq_tol:g}, rank_rel_tol={tol.rank_rel_tol:g}, margin_warn={tol.margin_warn:g}")

@@ -237,7 +237,7 @@ def verify_C1(cfg: RunConfig) -> ClaimReport:
     rng = np.random.default_rng(cfg.seed + 1)
     base = atlas.PLANAR_BASE
     configs = np.stack([base] + [
-        random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 10 + i, tol).array() for i in range(3)
+        random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 10 + i, tol) for i in range(3)
     ])
 
     # identity at the reference center
@@ -520,7 +520,7 @@ def verify_C15(cfg: RunConfig) -> ClaimReport:
     tol = cfg.tol
     rng = np.random.default_rng(cfg.seed + 15)
     configs = np.stack([atlas.PLANAR_BASE_CP3] + [
-        atlas.embed(random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 40 + i, tol).array())
+        atlas.embed(random_config(atlas.TAG_PLANAR_FIXED_2, cfg.seed + 40 + i, tol))
         for i in range(2)
     ])
 

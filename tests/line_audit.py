@@ -13,7 +13,8 @@ Calls ``dcs.cli.main`` in-process on the program's entry points:
   seed-0 ``membership_queries`` files, from ``perfbench/workloads.py``,
   which is imported and only read;
 - two membership files of the planar base point, under an ``Fk`` tag and
-  under an ``Fk_stratum`` tag (n = 2, k = 6, i = 2).
+  under an ``Fk_stratum`` tag (n = 2, k = 6, i = 2), and one of its points
+  A1, A2, A3 under an ``Fk`` tag (n = 2, k = 3).
 
 Only frames of ``src/dcs`` are traced, with ``sys.settrace`` and
 ``threading.settrace`` (the verify pool's threads), from before ``dcs`` is
@@ -83,11 +84,12 @@ def run_entry_points() -> list:
         for name in ("winding_queries", "membership_queries"):
             runs += [op.argv for op in workloads.WORKLOADS[name](0, str(ROOT), work).passes(0)[0]]
         base = [(-1, 1, 1), (-1, 1, 2), (-1, 2, 1), (-1, 2, 2), (0, 1, 1), (0, 1, 2)]
-        for name, tag in (("fk", {"kind": "Fk", "n": 2, "k": 6}),
-                          ("stratum", {"kind": "Fk_stratum", "n": 2, "k": 6, "i": 2})):
+        for name, tag, points in (("fk", {"kind": "Fk", "n": 2, "k": 6}, base),
+                                  ("stratum", {"kind": "Fk_stratum", "n": 2, "k": 6, "i": 2}, base),
+                                  ("fk3", {"kind": "Fk", "n": 2, "k": 3}, base[0::2])):
             path = os.path.join(work, f"{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"points": [[[x, 0] for x in p] for p in base], "tag": tag}, fh)
+                json.dump({"points": [[[x, 0] for x in p] for p in points], "tag": tag}, fh)
             runs.append(["membership", path])
         return [(argv, _quiet_main(main, argv)) for argv in runs]
 

@@ -34,7 +34,7 @@ from dcs.paths import (
     sweep_item,
     value_dist,
 )
-from dcs.projective import chordal_batch, unit_rows
+from dcs.projective import HPoint, chordal_batch, unit_rows
 from dcs.report import dumps
 from dcs.strata import SpaceTag, validate, validate_batch
 from dcs.verify import RunConfig, run_verification
@@ -90,8 +90,7 @@ def test_criterion_1_base_points(golden):
     for tag, label in ((atlas.TAG_PLANAR_FIXED_2, "planar"),
                        (atlas.TAG_PLANAR_FIXED_3, "embedded"),
                        (atlas.TAG_SOLID_FIXED_3, "solid")):
-        cfg6 = atlas.basepoint(tag)
-        rep = validate(cfg6.points, tag)
+        rep = validate([HPoint(p) for p in atlas.basepoint(tag)], tag)
         assert rep.verdict, (label, rep.failures)
         assert rep.margin > BASE_MARGIN_MIN
         margins[label] = rep.margin

@@ -47,23 +47,26 @@ def test_alias_resolves():
 def test_basepoint_planar_values():
     cfg = atlas.basepoint(SpaceTag.planar_fixed(2, HPoint([0, 0, 1])))
     expected = [[-1, 1, 1], [-1, 1, 2], [-1, 2, 1], [-1, 2, 2], [0, 1, 1], [0, 1, 2]]
-    for p, e in zip(cfg.points, expected):
-        assert dist_points(p.coords, e) < 1e-15
+    for p, e in zip(cfg, expected):
+        assert dist_points(p, e) < 1e-15
+    cfg[0] = 0                          # a fresh array: the registered base point is untouched
+    assert np.array_equal(atlas.basepoint(atlas.TAG_PLANAR_FIXED_2), atlas.PLANAR_BASE)
+    assert dist_points(atlas.PLANAR_BASE[0], expected[0]) < 1e-15
 
 
 def test_basepoint_embedded_appends_zero():
     cfg = atlas.basepoint(atlas.TAG_PLANAR_FIXED_3)
-    for p, q in zip(cfg.points, atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).points):
-        assert np.allclose(p.coords[:3], q.coords) and p.coords[3] == 0
+    for p, q in zip(cfg, atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)):
+        assert np.allclose(p[:3], q) and p[3] == 0
 
 
 def test_basepoint_solid_values():
     cfg = atlas.basepoint(atlas.TAG_SOLID_FIXED_3)
     expected = [[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0], [0, 1, 1, 0],
                 [1, 0, 0, 0], [1, 0, 1, 0]]
-    for p, e in zip(cfg.points, expected):
-        assert dist_points(p.coords, e) < 1e-15
-    rep = validate(cfg.points, atlas.TAG_SOLID_FIXED_3)
+    for p, e in zip(cfg, expected):
+        assert dist_points(p, e) < 1e-15
+    rep = validate([HPoint(p) for p in cfg], atlas.TAG_SOLID_FIXED_3)
     assert rep.verdict
 
 
@@ -78,7 +81,7 @@ def test_basepoint_unknown_tag():
 def test_alpha_and_sigma_close_at_base():
     for name in ("alpha", "sigma"):
         arr = atlas.get(name).eval(np.array([0.0]))[0]
-        base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).array()
+        base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
         assert max(dist_points(a, b) for a, b in zip(arr, base)) < 1e-15
 
 
@@ -111,7 +114,7 @@ def test_phi_disk_boundary_collapses():
 # evaluation at single parameters
 
 def test_eval_item_returns_configuration_at_base():
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).array()
+    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
     for item_id in ("alpha", "sigma"):
         cfg = atlas.get(item_id).eval(np.array([0.0]))[0]
         assert compare_values(cfg, base, "config") < 1e-14
@@ -275,8 +278,8 @@ def test_every_item_evaluates_to_a_contiguous_array(item_id):
 def test_basepoint_items_broadcast_over_theta(item_id):
     item = atlas.get(item_id)
     vals = item.eval(np.linspace(0.0, 1.0, 5))
-    assert vals.shape == (5,) + atlas.basepoint(item.target).array().shape
-    assert np.array_equal(vals[0], atlas.basepoint(item.target).array())
+    assert vals.shape == (5,) + atlas.basepoint(item.target).shape
+    assert np.array_equal(vals[0], atlas.basepoint(item.target))
     rep = sweep_item(item_id, 512)
     assert rep.ok and rep.grid == "circle:1" and rep.n_nodes == 1
 
@@ -425,7 +428,7 @@ def test_gr_triv_rejects_bad_planes():
 def _trivialization_inputs():
     r = np.random.default_rng(5)
     planar = np.stack([atlas.PLANAR_BASE] + [
-        random_config(atlas.TAG_PLANAR_FIXED_2, 70 + i).array() for i in range(5)])
+        random_config(atlas.TAG_PLANAR_FIXED_2, 70 + i) for i in range(5)])
     centers = np.column_stack([r.normal(size=(6, 2)) + 1j * r.normal(size=(6, 2)),
                                np.ones(6)])
     duals = np.zeros((6, 3, 3), dtype=complex)

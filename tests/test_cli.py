@@ -291,10 +291,17 @@ def test_winding_moving_lines_reported(capsys):
 # ---------------------------------------------------------------------------
 # membership
 
-def _write_config(tmp_path, cfg, tag=None, name="c.json"):
-    doc = cfg.to_json(tag)
+def _doc(rows, tag=None):
+    """A membership file: the rows of an array as points, and the tag."""
+    doc = {"points": [HPoint(r).to_json() for r in rows]}
+    if tag is not None:
+        doc["tag"] = tag.to_json()
+    return doc
+
+
+def _write_config(tmp_path, rows, tag=None, name="c.json"):
     f = tmp_path / name
-    f.write_text(json.dumps(doc))
+    f.write_text(json.dumps(_doc(rows, tag)))
     return str(f)
 
 
@@ -307,8 +314,7 @@ def test_membership_base_point(capsys, tmp_path):
 
 
 def test_membership_coincident_points(capsys, tmp_path):
-    cfg = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
-    doc = cfg.to_json(atlas.TAG_PLANAR_FIXED_2)
+    doc = _doc(atlas.basepoint(atlas.TAG_PLANAR_FIXED_2), atlas.TAG_PLANAR_FIXED_2)
     doc["points"][1] = doc["points"][0]
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc))
@@ -330,7 +336,7 @@ def test_membership_line_triple_tag(capsys, tmp_path):
     f = _write_config(tmp_path, base, atlas.TAG_LINES_I0, "lines.json")
     code, out, _ = run_cli(["membership", f], capsys)
     assert code == EXIT_OK and json.loads(out)["verdict"] is True
-    doc = base.to_json(atlas.TAG_LINES_I0)
+    doc = _doc(base, atlas.TAG_LINES_I0)
     doc["points"][5] = HPoint([1, 1, 2]).to_json()     # the third line misses [0:0:1]
     f = tmp_path / "miss.json"
     f.write_text(json.dumps(doc))
@@ -346,19 +352,47 @@ def test_membership_fk_tag_with_six_points(capsys, tmp_path):
     assert code == EXIT_OK and json.loads(out)["verdict"] is True
 
 
+def test_membership_reads_k_points_under_fk_tags(capsys, tmp_path):
+    """A file holds the k points of an Fk or Fk_stratum tag: three points of
+    CP^2 under F_3 pass, and four points of CP^3 spanning a plane get the
+    report of ``validate`` on the same points under each stratum of F_4."""
+    f = _write_config(tmp_path, atlas.PLANAR_BASE[[0, 2, 4]], SpaceTag("Fk", 2, k=3), "f3.json")
+    code, out, _ = run_cli(["membership", f], capsys)
+    assert code == EXIT_OK and json.loads(out)["verdict"] is True
+    for i, verdict in ((1, False), (2, True), (3, False)):
+        tag = SpaceTag("Fk_stratum", 3, k=4, span_i=i)
+        f = _write_config(tmp_path, atlas.SOLID_BASE[:4], tag, "f4.json")
+        points = [HPoint.from_json(p) for p in json.loads(Path(f).read_text())["points"]]
+        ref = validate(points, tag)
+        code, out, _ = run_cli(["membership", f], capsys)
+        assert ref.verdict == verdict and json.loads(out) == ref.to_json()
+        assert code == (EXIT_OK if verdict else EXIT_FAIL)
+
+
+def test_membership_untagged_file_needs_six_points(capsys, tmp_path):
+    f = _write_config(tmp_path, atlas.PLANAR_BASE[:5])
+    code, out, err = run_cli(["membership", f], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: D_planar tag needs 6 points, got 5\n"
+
+
 def test_membership_missing_file(capsys):
     code, _, err = run_cli(["membership", "/nonexistent/nowhere.json"], capsys)
     assert code == EXIT_USAGE
 
 
 def _malformed(kind):
-    doc = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2).to_json(atlas.TAG_PLANAR_FIXED_2)
+    doc = _doc(atlas.basepoint(atlas.TAG_PLANAR_FIXED_2), atlas.TAG_PLANAR_FIXED_2)
     if kind == "inf":
         doc["points"][0][0][0] = float("inf")
     elif kind == "nan":
         doc["points"][0][0][0] = float("nan")
     elif kind == "points-not-a-list":
         doc["points"] = 5
+    elif kind == "points-empty":
+        doc = {"points": []}
+    elif kind == "mixed-dimensions":   # a CP^3 point among CP^2 ones
+        doc["points"][5] = HPoint([0, 1, 2, 1]).to_json()
     elif kind == "tag-ambient-mismatch":
         doc["tag"] = atlas.TAG_SOLID_3.to_json()
     elif kind == "bool-coordinate":   # true would read as the coordinate 1
@@ -387,7 +421,8 @@ NAMED_FIELD = {"bool-coordinate": "points[0]", "string-coordinate": "points[2]",
                "float-n": "tag n", "string-n": "tag n", "string-i": "tag i", "bool-k": "tag k"}
 
 
-@pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "cp1-untagged",
+@pytest.mark.parametrize("kind", ["inf", "nan", "points-not-a-list", "points-empty", "mixed-dimensions",
+                                  "cp1-untagged",
                                   "tag-ambient-mismatch", "lines-cp1", "fk-k3", "fk-k0",
                                   "fk-no-k", "fk-stratum-no-k", *NAMED_FIELD])
 def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
@@ -402,6 +437,8 @@ def test_membership_malformed_file_is_usage_error(kind, capsys, tmp_path):
         assert "non-finite" in err
     if kind == "fk-k3":
         assert "needs 3 points, got 6" in err
+    if kind == "mixed-dimensions":
+        assert "mixed ambient dimensions" in err
     if kind in NAMED_FIELD:
         assert NAMED_FIELD[kind] in err
 
@@ -414,9 +451,9 @@ def _raw(coords):
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_membership_is_scale_invariant(scale, capsys, tmp_path):
     tag = atlas.TAG_PLANAR_FIXED_2
-    base = atlas.basepoint(tag)
-    ref = validate(base.points, tag)
-    points = [HPoint(p.coords * scale) for p in base.points]
+    base = [HPoint(p) for p in atlas.basepoint(tag)]
+    ref = validate(base, tag)
+    points = [HPoint(p.coords * scale) for p in base]
     center = HPoint(tag.center.coords * scale)
     got = validate(points, SpaceTag.planar_fixed(2, center))
     assert ref.verdict and got.verdict
@@ -429,7 +466,8 @@ def test_membership_is_scale_invariant(scale, capsys, tmp_path):
     assert abs(json.loads(out)["margin"] - ref.margin) <= 1e-12
 
 
-# membership files of every tag kind over CP^1..CP^4, with finite extremes
+# membership files of every tag kind over CP^1..CP^4, with finite extremes,
+# of six points or of 0-7
 EXTREMES = st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300, 1e-200, 1e200, 1e300, -1e300])
 COORD = st.one_of(EXTREMES, st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False))
 
@@ -449,7 +487,7 @@ def membership_docs(draw):
         scales = draw(st.lists(EXTREMES.filter(bool), min_size=6, max_size=6))
         points = [_raw(row * c) for row, c in zip(arr, scales)]
     else:
-        points = draw(_points(n, 6))
+        points = draw(_points(n, draw(st.integers(0, 7))))
     doc = {"points": points}
     if draw(st.booleans()):
         tag = {"kind": draw(st.sampled_from(SpaceTag._KINDS)), "n": draw(st.integers(1, 4))}

@@ -3,6 +3,7 @@ printed cylinder ends), pointwise comparison metrics, sweeps, and the loop
 expression grammar."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,22 @@ def test_value_dist_normalizes_raw_rows_in_its_passes(kind, shape):
     for rhs in (b, b[0]):
         ref = former(unit_rows(a), unit_rows(rhs)).max(axis=-1)
         assert value_dist(rows(a), rows(rhs), kind).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["config", "lines_dual", "lines_span"])
+def test_value_dist_reads_a_non_finite_row_as_one(kind):
+    """A NaN entry in the planar base point puts its node at distance 1,
+    the largest, with no RuntimeWarning, under every kind of points; a
+    finite node in the same batch keeps its bits."""
+    bad = atlas.PLANAR_BASE.copy()
+    bad[3, 1] = np.nan
+    value = config_lines_dual if kind == "lines_dual" else (lambda x: x)
+    base = value(atlas.PLANAR_BASE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = value_dist(value(np.stack([bad, atlas.PLANAR_BASE])), base, kind)
+        alone = value_dist(base[None], base, kind)
+    assert dist[0] == 1.0 and dist[1:].tobytes() == alone.tobytes()
 
 
 def test_embed_matches_padded_coordinates():

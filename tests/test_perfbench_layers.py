@@ -11,6 +11,7 @@ from pathlib import Path
 
 from dcs import atlas, invariants, strata
 from dcs.paths import SWEEP_BLOCK, sweep_item
+from dcs.projective import HPoint
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -71,9 +72,9 @@ def test_validators_are_looked_up_at_call_time(monkeypatch):
     counting("validate_lines_batch")
     assert sweep_item("sigma", 64).n_nodes == 64
     assert sweep_item("Lambda", (129, 64)).n_nodes == 129 * 64
-    base = atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)
-    assert strata.validate(base.points, atlas.TAG_PLANAR_FIXED_2).verdict
-    assert strata.validate(base.points, atlas.TAG_LINES_I0).verdict
+    base = [HPoint(p) for p in atlas.basepoint(atlas.TAG_PLANAR_FIXED_2)]
+    assert strata.validate(base, atlas.TAG_PLANAR_FIXED_2).verdict
+    assert strata.validate(base, atlas.TAG_LINES_I0).verdict
     assert calls == [
         ("validate_batch", 64),
         ("validate_lines_batch", SWEEP_BLOCK),

@@ -22,7 +22,6 @@ from dcs.projective import (
 )
 from dcs.strata import (
     BatchResult,
-    Config6,
     SpaceTag,
     random_config,
     validate,
@@ -35,12 +34,22 @@ PLANAR_TAG = atlas.TAG_PLANAR_FIXED_2
 SOLID_TAG = atlas.TAG_SOLID_FIXED_3
 
 
-def base_planar() -> Config6:
-    return atlas.basepoint(PLANAR_TAG)
+def hpoints(rows) -> tuple:
+    """The rows of a (k, n+1) array as a point set."""
+    return tuple(HPoint(r) for r in rows)
+
+
+def base_planar() -> tuple:
+    return hpoints(atlas.basepoint(PLANAR_TAG))
+
+
+def membership_doc(points, tag) -> str:
+    """The JSON text of a ``dcs membership`` file of a point set."""
+    return json.dumps({"points": [p.to_json() for p in points], "tag": tag.to_json()})
 
 
 def test_configuration_space_base_points():
-    rep = validate(base_planar().points, SpaceTag("Fk", 2, k=6))
+    rep = validate(base_planar(), SpaceTag("Fk", 2, k=6))
     assert rep.verdict
     # oracle: the closest pair of base points sits at distance 0.2721655...
     assert rep.margin == pytest.approx(0.2721655269759083, rel=1e-9)
@@ -48,14 +57,14 @@ def test_configuration_space_base_points():
 
 
 def test_configuration_space_repeated_point():
-    pts = list(base_planar().points)
+    pts = list(base_planar())
     pts[1] = pts[0]
     rep = validate(pts, SpaceTag("Fk", 2, k=6))
     assert not rep.verdict and rep.failures == ["pairwise-distinct"]
 
 
 def test_pair_margin_is_chordal_distance():
-    rep = validate(base_planar().points[:2], SpaceTag("Fk", 2, k=2))
+    rep = validate(base_planar()[:2], SpaceTag("Fk", 2, k=2))
     assert rep.verdict
     assert rep.margin == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -64,7 +73,7 @@ def test_span_dim_of_base_points():
     """A stratum tag passes exactly at the span of its points: span-at-least
     fails below it, span-exact above it."""
     collinear = [HPoint([1, 0, 0]), HPoint([0, 1, 0]), HPoint([1, 1, 0])]
-    for pts, n, span in ((base_planar().points, 2, 2), (atlas.basepoint(SOLID_TAG).points, 3, 3),
+    for pts, n, span in ((base_planar(), 2, 2), (hpoints(atlas.basepoint(SOLID_TAG)), 3, 3),
                          (collinear, 2, 1)):
         for i in range(1, n + 1):
             rep = validate(pts, SpaceTag("Fk_stratum", n, k=len(pts), span_i=i))
@@ -73,7 +82,7 @@ def test_span_dim_of_base_points():
 
 
 def test_fk_tags_count_their_points():
-    pts = base_planar().points
+    pts = base_planar()
     assert validate(pts, SpaceTag("Fk", 2, k=6)).verdict
     rep = validate(pts, SpaceTag("Fk_stratum", 2, k=6, span_i=2))
     assert rep.verdict and set(rep.details) == {"margin", "max_residual"}
@@ -84,7 +93,7 @@ def test_fk_tags_count_their_points():
 def test_every_tag_checks_the_ambient_dimension():
     """Points of CP^2 under a CP^3 tag, and of CP^3 under a CP^2 tag, are
     refused by the one validator choice, whatever the tag kind."""
-    planar, solid = base_planar().points, atlas.basepoint(SOLID_TAG).points
+    planar, solid = base_planar(), hpoints(atlas.basepoint(SOLID_TAG))
     for pts, tag in ((planar, SpaceTag("Fk", 3, k=6)), (planar, SpaceTag("Fk_stratum", 3, k=6, span_i=2)),
                      (planar, SpaceTag.planar(3)), (solid, atlas.TAG_LINES_I0)):
         with pytest.raises(DimensionMismatchError, match="points have"):
@@ -152,19 +161,19 @@ def test_stratum_verdicts_match_the_svd_rank():
 
 
 def test_validate_base_planar():
-    rep = validate(base_planar().points, PLANAR_TAG)
+    rep = validate(base_planar(), PLANAR_TAG)
     assert rep.verdict and not rep.failures
     assert rep.margin > 1e-3
 
 
 def test_validate_base_solid():
-    rep = validate(atlas.basepoint(SOLID_TAG).points, SOLID_TAG)
+    rep = validate(hpoints(atlas.basepoint(SOLID_TAG)), SOLID_TAG)
     assert rep.verdict
     assert rep.margin > 1e-3
 
 
 def test_validate_coincident_points_named_failure():
-    pts = list(base_planar().points)
+    pts = list(base_planar())
     pts[1] = pts[0]
     rep = validate(pts, PLANAR_TAG)
     assert not rep.verdict
@@ -173,36 +182,36 @@ def test_validate_coincident_points_named_failure():
 
 def test_validate_wrong_center():
     tag = SpaceTag.planar_fixed(2, HPoint([1, 0, 0]))
-    rep = validate(base_planar().points, tag)
+    rep = validate(base_planar(), tag)
     assert not rep.verdict
     assert any("center-matches" in f for f in rep.failures)
 
 
 def test_validate_solid_vs_planar_tags():
-    solid = atlas.basepoint(SOLID_TAG)
-    rep = validate(solid.points, SpaceTag.planar(3))
+    solid = hpoints(atlas.basepoint(SOLID_TAG))
+    rep = validate(solid, SpaceTag.planar(3))
     assert not rep.verdict  # span check rejects a solid configuration
-    planar3 = atlas.basepoint(atlas.TAG_PLANAR_FIXED_3)
-    rep = validate(planar3.points, SpaceTag.solid(3))
+    planar3 = hpoints(atlas.basepoint(atlas.TAG_PLANAR_FIXED_3))
+    rep = validate(planar3, SpaceTag.solid(3))
     assert not rep.verdict  # and a planar one cannot be solid
 
 
 def test_fixed_to_free_monotonicity():
     for tag, free in ((PLANAR_TAG, SpaceTag.planar(2)), (SOLID_TAG, SpaceTag.solid(3))):
-        cfg = atlas.basepoint(tag)
-        assert validate(cfg.points, tag).verdict
-        assert validate(cfg.points, free).verdict
+        cfg = hpoints(atlas.basepoint(tag))
+        assert validate(cfg, tag).verdict
+        assert validate(cfg, free).verdict
 
 
 def test_validate_rescaling_invariance():
     r = np.random.default_rng(7)
     base = base_planar()
-    rep0 = validate(base.points, PLANAR_TAG)
+    rep0 = validate(base, PLANAR_TAG)
     for _ in range(1000):
         scales = r.normal(size=6) + 1j * r.normal(size=6)
         if np.min(np.abs(scales)) < 1e-3:
             continue
-        pts = [HPoint(s * p.coords) for s, p in zip(scales, base.points)]
+        pts = [HPoint(s * p.coords) for s, p in zip(scales, base)]
         rep = validate(pts, PLANAR_TAG)
         assert rep.verdict
         assert rep.margin == pytest.approx(rep0.margin, abs=1e-10)
@@ -211,9 +220,9 @@ def test_validate_rescaling_invariance():
 def test_validate_margin_golden():
     # frozen on first computation; the planar margin is the closest pair of
     # base points (see test_configuration_space_base_points)
-    rep = validate(base_planar().points, PLANAR_TAG)
+    rep = validate(base_planar(), PLANAR_TAG)
     assert rep.verdict and rep.margin == pytest.approx(0.27216552697590873, rel=1e-9)
-    rep = validate(atlas.basepoint(SOLID_TAG).points, SOLID_TAG)
+    rep = validate(hpoints(atlas.basepoint(SOLID_TAG)), SOLID_TAG)
     assert rep.verdict and rep.margin == pytest.approx(0.7071067811865475, rel=1e-9)
 
 
@@ -222,7 +231,7 @@ def test_validate_margin_linear_in_collision_parameter():
     i0 = HPoint(atlas.I0_PLANAR)
 
     def margin(eps):
-        pts = list(base.points)
+        pts = list(base)
         pts[0] = HPoint((1 - eps) * i0.unit() + eps * pts[0].unit())
         rep = validate(pts, PLANAR_TAG)
         assert rep.verdict
@@ -235,26 +244,27 @@ def test_validate_margin_linear_in_collision_parameter():
 def test_random_config_valid_and_reproducible():
     for seed in range(20):
         cfg = random_config(SpaceTag.planar(2), seed)
-        assert validate(cfg.points, SpaceTag.planar(2)).verdict
+        assert cfg.shape == (6, 3) and cfg.dtype == np.complex128
+        assert validate(hpoints(cfg), SpaceTag.planar(2)).verdict
     again = random_config(SpaceTag.planar(2), 3)
     first = random_config(SpaceTag.planar(2), 3)
-    assert np.allclose(again.array(), first.array())
+    assert np.allclose(again, first)
 
 
 def test_random_config_solid_and_fixed_center():
     cfg = random_config(SpaceTag.solid(3), 11)
-    assert validate(cfg.points, SpaceTag.solid(3)).verdict
+    assert validate(hpoints(cfg), SpaceTag.solid(3)).verdict
     cfg = random_config(PLANAR_TAG, 12)
-    rep = validate(cfg.points, PLANAR_TAG)
+    rep = validate(hpoints(cfg), PLANAR_TAG)
     assert rep.verdict
 
 
 def test_validate_batch_matches_scalar():
     r = np.random.default_rng(5)
     cfgs = [random_config(SpaceTag.planar(2), 100 + i) for i in range(4)]
-    pts = list(base_planar().points)
+    pts = list(base_planar())
     pts[1] = pts[0]
-    arrs = [c.array() for c in cfgs] + [np.stack([p.coords for p in pts])]
+    arrs = cfgs + [np.stack([p.coords for p in pts])]
     res = validate_batch(np.stack(arrs), SpaceTag.planar(2))
     assert list(res.verdicts) == [True, True, True, True, False]
 
@@ -281,21 +291,45 @@ def test_configuration_space_coincidences_fail_pairwise_distinct():
 
 
 def test_validate_line_triple_tag():
-    rep = validate(base_planar().points, atlas.TAG_LINES_I0)
+    rep = validate(base_planar(), atlas.TAG_LINES_I0)
     assert rep.verdict and not rep.failures and rep.margin > 0.1
-    pts = list(base_planar().points)
+    pts = list(base_planar())
     pts[5] = HPoint([1, 1, 2])        # the third line now misses [0:0:1]
     rep = validate(pts, atlas.TAG_LINES_I0)
     assert not rep.verdict and rep.failures == ["center-incidence"]
-    pts = list(base_planar().points)
+    pts = list(base_planar())
     pts[1] = pts[0]                   # the first span is a point, not a line
     rep = validate(pts, atlas.TAG_LINES_I0)
     assert not rep.verdict and rep.failures == ["span-defined"] and rep.margin < 1e-12
 
 
-def test_config6_shape_guard():
-    with pytest.raises(ProjectiveError):
-        Config6(base_planar().points[:5])
+def test_validate_checks_the_point_count():
+    with pytest.raises(ProjectiveError, match="D_planar_fixed tag needs 6 points, got 5"):
+        validate(base_planar()[:5], PLANAR_TAG)
+
+
+def test_validate_values_checks_points_per_node():
+    """A batch whose nodes hold other than the tag's points per node raises
+    DimensionMismatchError, one message per tag kind: five points under a
+    D_* tag, the (N, 3, 2, m) span form under F3_lines_through, and k + 1
+    points under Fk and Fk_stratum.  Six spans and, in CP^2, three dual
+    covectors pass under F3_lines_through."""
+    base = atlas.basepoint(PLANAR_TAG)
+    with pytest.raises(DimensionMismatchError, match="D_planar_fixed tag needs 6 points, got 5"):
+        validate_values(base[None, :5], PLANAR_TAG)
+    with pytest.raises(DimensionMismatchError, match="D_solid tag needs 6 points, got 2"):
+        validate_values(atlas.basepoint(SOLID_TAG).reshape(1, 3, 2, 4), SpaceTag.solid(3))
+    with pytest.raises(DimensionMismatchError,
+                       match="F3_lines_through tag needs 6 points or 3 dual covectors, got 2"):
+        validate_values(base.reshape(1, 3, 2, 3), atlas.TAG_LINES_I0)
+    with pytest.raises(DimensionMismatchError, match="F3_lines_through tag needs 6 points, got 3"):
+        validate_values(atlas.basepoint(SOLID_TAG)[None, :3], atlas.TAG_LINES_I0_SOLID)
+    for tag in (SpaceTag("Fk", 2, k=5), SpaceTag("Fk_stratum", 2, k=5, span_i=2)):
+        with pytest.raises(DimensionMismatchError, match=f"{tag.kind} tag needs 5 points, got 6"):
+            validate_values(base[None], tag)
+    duals = np.stack([atlas.D10_DUAL, atlas.D20_DUAL, atlas.D30_DUAL])
+    assert validate_values(duals[None], atlas.TAG_LINES_I0).all_ok
+    assert validate_values(base[None], atlas.TAG_LINES_I0).all_ok
 
 
 def test_space_tag_validation():
@@ -664,7 +698,7 @@ def _corpus_above_cp2(tag, seed):
         cfg = _config(center, _in_space(rng, tag), _cplx(rng, 3, 2))
         cfg[:4] = head
         nodes.append(cfg)
-    nodes.append(atlas.basepoint(tag).array() if tag.center is not None else atlas.SOLID_BASE.copy())
+    nodes.append(atlas.basepoint(tag) if tag.center is not None else atlas.SOLID_BASE.copy())
     nodes = np.concatenate([np.stack(nodes), exact_rank_nodes(m)])
     phases = np.exp(2j * np.pi * rng.uniform(size=nodes.shape[:2]))[..., None]
     return np.concatenate([nodes, nodes * phases * rng.uniform(0.5, 2.0, size=phases.shape)])
@@ -1062,11 +1096,10 @@ def test_configuration_checks_catch_planted_defects(tag, defect, failing):
     (lines-distinct; d2 moved there would leave the meet of d1 and d2
     undefined); a planar configuration under a solid tag (span-at-least)
     and a solid one under the CP^3 planar tag (span-exact)."""
-    cfg = atlas.basepoint(tag)
-    assert validate(cfg.points, tag).verdict
-    base = cfg.array()
+    base = atlas.basepoint(tag)
+    assert validate(hpoints(base), tag).verdict
     planted = defect(base.copy(), tag)
-    rep = validate(Config6.from_array(planted).points, tag)
+    rep = validate(hpoints(planted), tag)
     assert not rep.verdict and rep.failures == failing
     res = validate_batch(np.stack([base, planted]), tag)
     assert list(res.verdicts) == [True, False] and res.fail_counts == {name: 1 for name in failing}
@@ -1090,10 +1123,10 @@ def test_line_triples_take_no_rank_stack(monkeypatch, tmp_path):
         assert sweep_item(name, grid).ok, name
     nodes = domain_nodes("disk", (4, 4))[0]
     spans = atlas.get("F").eval(**nodes)[5]
-    for doc in (Config6.from_array(spans).to_json(atlas.TAG_LINES_I0_SOLID),
-                atlas.basepoint(atlas.TAG_SOLID_FIXED_4).to_json(atlas.TAG_SOLID_FIXED_4)):
+    for rows, tag in ((spans, atlas.TAG_LINES_I0_SOLID),
+                      (atlas.basepoint(atlas.TAG_SOLID_FIXED_4), atlas.TAG_SOLID_FIXED_4)):
         path = tmp_path / "node.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(membership_doc(hpoints(rows), tag))
         assert main(["membership", str(path)]) == 0
 
 
@@ -1113,8 +1146,8 @@ def test_every_tag_kind_takes_validate_values_and_no_svd(monkeypatch, tmp_path):
         return real(values, tag, *args)
 
     monkeypatch.setattr(strata, "validate_values", spy)
-    planar, solid = base_planar().points, atlas.basepoint(SOLID_TAG).points
-    planar3 = atlas.basepoint(atlas.TAG_PLANAR_FIXED_3).points
+    planar, solid = base_planar(), hpoints(atlas.basepoint(SOLID_TAG))
+    planar3 = hpoints(atlas.basepoint(atlas.TAG_PLANAR_FIXED_3))
     coincident = (planar[0], planar[0]) + planar[2:]
     off_center = planar[:5] + (HPoint([1, 1, 2]),)
     cases = {
@@ -1132,7 +1165,7 @@ def test_every_tag_kind_takes_validate_values_and_no_svd(monkeypatch, tmp_path):
         assert not validate(bad, tag).verdict, kind
     assert kinds == [kind for kind in cases for _ in range(2)]
     path = tmp_path / "stratum.json"
-    path.write_text(json.dumps(base_planar().to_json(SpaceTag("Fk_stratum", 2, k=6, span_i=2))))
+    path.write_text(membership_doc(base_planar(), SpaceTag("Fk_stratum", 2, k=6, span_i=2)))
     assert main(["membership", str(path)]) == 0 and kinds[-1] == "Fk_stratum" and len(kinds) == 15
 
 
