@@ -58,7 +58,9 @@ def build_parser() -> _Parser:
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--json", default=None, metavar="PATH", help="write the JSON report here")
     v.add_argument("--format", choices=("json", "text"), default="text")
-    v.add_argument("--threads", type=int, default=None, help="worker pool size")
+    v.add_argument("--threads", type=int, default=None, metavar="N",
+                   help="claims run at once, each in a forked worker process "
+                        "(0 = all cores; 1, or no fork on this platform = in this process)")
     v.add_argument("--config", default=None, metavar="FILE", help="JSON run configuration")
 
     w = sub.add_parser("winding", help="winding table of a loop expression")

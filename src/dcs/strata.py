@@ -264,8 +264,11 @@ def validate_values(values: np.ndarray, tag: SpaceTag, tol: Tolerances = DEFAULT
     time, so a wrapper installed on this module sees every call.  Points
     with other than tag.n + 1 coordinates, or nodes with other than
     ``tag.point_count`` points (or three CP^2 dual covectors under an
-    F3_lines_through tag), raise DimensionMismatchError."""
+    F3_lines_through tag), raise DimensionMismatchError, as does an array of
+    fewer than two dimensions."""
     values = np.asarray(values, dtype=np.complex128)
+    if values.ndim < 2:
+        raise DimensionMismatchError(f"{tag.kind} tag needs an array of points, got shape {values.shape}")
     if values.shape[-1] != tag.n + 1:
         raise DimensionMismatchError(f"tag expects CP^{tag.n} but points have {values.shape[-1]} coordinates")
     duals = tag.kind == "F3_lines_through" and tag.n == 2

@@ -17,8 +17,10 @@ Calls ``dcs.cli.main`` in-process on the program's entry points:
   A1, A2, A3 under an ``Fk`` tag (n = 2, k = 3).
 
 Only frames of ``src/dcs`` are traced, with ``sys.settrace`` and
-``threading.settrace`` (the verify pool's threads), from before ``dcs`` is
-imported, so module-level lines count too.  The report lists, per module,
+``threading.settrace`` (the verify run's dispatch threads), from before
+``dcs`` is imported, so module-level lines count too.  At ``--threads 2``
+the claims run in forked worker processes, whose lines this process does
+not see; the ``--threads 1`` run reaches every claim line.  The report lists, per module,
 each run of lines that have bytecode and never ran, leaving out ``raise``
 statements and ``except`` bodies: those are error paths, which valid input
 does not take.  The script uses the standard library only, beside the

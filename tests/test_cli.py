@@ -4,6 +4,7 @@ file-based commands."""
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -91,6 +92,15 @@ def test_verify_tolerances_no_sample_meets_are_usage_error(kind, capsys, tmp_pat
     assert err.startswith("error: random configuration sampling failed") and err.count("\n") == 1
     assert "margin_warn=" in err and "proj_eq_tol=" in err
     assert (sorted(tmp_path.iterdir()), report.read_bytes() if report.exists() else None) == before
+
+
+def test_verify_pool_sampling_error_is_usage_error(capsys):
+    """A claim's sampling error crosses from its worker process to the same
+    one error line and exit 64 as a serial run; no worker outlives it."""
+    code, out, err = run_cli(["verify", "--all", "--tol", "0.9", "--threads", "2"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: random configuration sampling failed") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_grid_caps(capsys):

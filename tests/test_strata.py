@@ -312,9 +312,13 @@ def test_validate_values_checks_points_per_node():
     """A batch whose nodes hold other than the tag's points per node raises
     DimensionMismatchError, one message per tag kind: five points under a
     D_* tag, the (N, 3, 2, m) span form under F3_lines_through, and k + 1
-    points under Fk and Fk_stratum.  Six spans and, in CP^2, three dual
-    covectors pass under F3_lines_through."""
+    points under Fk and Fk_stratum, and a single point or scalar, an array
+    of fewer than two dimensions, under any tag.  Six spans and, in CP^2,
+    three dual covectors pass under F3_lines_through."""
     base = atlas.basepoint(PLANAR_TAG)
+    for flat in (np.array([0, 0, 1.0]), np.array(1.0)):
+        with pytest.raises(DimensionMismatchError, match="D_planar_fixed tag needs an array of points"):
+            validate_values(flat, PLANAR_TAG)
     with pytest.raises(DimensionMismatchError, match="D_planar_fixed tag needs 6 points, got 5"):
         validate_values(base[None, :5], PLANAR_TAG)
     with pytest.raises(DimensionMismatchError, match="D_solid tag needs 6 points, got 2"):

@@ -2,6 +2,8 @@
 aggregation, and the certificates section."""
 
 import math
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -175,34 +177,63 @@ def test_partial_run_has_no_global_sections():
     assert run.exit_code() == 0
 
 
-def test_thread_pool_matches_serial():
-    pooled = run_verification(RunConfig(threads=2), ["C3", "C5"])
-    serial = run_verification(RunConfig(threads=1), ["C3", "C5"])
-    assert dumps(pooled.to_json()) == dumps(serial.to_json())
+def _assert_no_child_process():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_claim_pool_fails_fast(monkeypatch):
-    """A claim that raises cancels every claim not yet started: with two
-    workers, C1's error lets at most the two claims beside it start."""
-    started = []
+def test_worker_pool_matches_serial():
+    """Reports are byte-identical at one, two and three workers, at two
+    seeds, on claims that include the longest (C12, which goes first), and
+    the run leaves no child process behind."""
+    ids = ["C2", "C3", "C12", "C15"]
+    for seed in (0, 7):
+        serial, *pooled = (dumps(run_verification(RunConfig(seed=seed, threads=t), ids).to_json())
+                           for t in (1, 2, 3))
+        assert pooled == [serial, serial]
+    _assert_no_child_process()
 
-    def raises(cfg):
-        started.append("C1")
-        raise strata.SamplingError("no sample")
 
-    def slow(cid):
+def test_claim_order_is_a_permutation_of_the_claims():
+    assert sorted(verify.CLAIM_ORDER) == sorted(ALL_CLAIM_IDS)
+
+
+def test_claim_pool_fails_fast(monkeypatch, tmp_path):
+    """A claim that raises cancels every claim not yet dispatched: with two
+    workers, the error of the claim that goes first lets at most the two
+    claims dispatched beside it start.  Claims run in worker processes, so
+    each start leaves a file under ``tmp_path``, where this process sees it;
+    the error crosses the process boundary intact and no worker outlives
+    the run."""
+    first = verify.CLAIM_ORDER[0]
+
+    def claim(cid):
         def run(cfg):
-            started.append(cid)
+            (tmp_path / cid).touch()
+            if cid == first:
+                raise strata.SamplingError("no sample")
             time.sleep(0.2)
             return ClaimReport(cid, "demo")
         return run
 
-    verifiers = {cid: slow(cid) for cid in ALL_CLAIM_IDS}
-    verifiers["C1"] = raises
-    monkeypatch.setattr(verify, "VERIFIERS", verifiers)
-    with pytest.raises(strata.SamplingError):
+    monkeypatch.setattr(verify, "VERIFIERS", {cid: claim(cid) for cid in ALL_CLAIM_IDS})
+    with pytest.raises(strata.SamplingError, match="^no sample$"):
         run_verification(RunConfig(threads=2))
-    assert len(started) <= 3, started
+    started = sorted(p.name for p in tmp_path.iterdir())
+    assert first in started and len(started) <= 3, started
+    _assert_no_child_process()
+
+
+def test_claims_run_serially_where_fork_is_unavailable(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(os, "fork", no_fork)
+    pooled = run_verification(RunConfig(threads=2), ["C3", "C5"])
+    serial = run_verification(RunConfig(threads=1), ["C3", "C5"])
+    assert dumps(pooled.to_json()) == dumps(serial.to_json())
 
 
 def test_validator_imposes_only_written_conditions():
